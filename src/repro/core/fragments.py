@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Protocol
 
 from repro.core.domain import Domain
-from repro.storage.pages import PageStore
+from repro.storage.pages import Page, PageStore
 
 #: Test-only fault injection, used by the chaos engine's own validation
 #: (see docs/CHAOS.md): a deliberately planted conservation bug that
@@ -64,6 +64,8 @@ class FragmentStore:
         self.pages = pages
         self.observer: FragmentObserver | None = None
         self._domains: dict[str, Domain] = {}
+        #: The page store's own Page objects: a value read is one lookup.
+        self._pages: dict[str, Page] = {}
         self._timestamps: dict[str, int] = {}
 
     # -- registration -----------------------------------------------------
@@ -72,7 +74,7 @@ class FragmentStore:
         """Install *item*'s local fragment with its *initial* quota."""
         domain.validate(initial)
         self._domains[item] = domain
-        self.pages.create(item, initial)
+        self._pages[item] = self.pages.create(item, initial)
         self._timestamps[item] = 0
         if self.observer is not None:
             self.observer.on_fragment_register(self.site, item, domain,
@@ -90,14 +92,14 @@ class FragmentStore:
     # -- values (stable) ----------------------------------------------------
 
     def value(self, item: str) -> Any:
-        return self.pages.read(item)
+        return self._pages[item].value
 
     def write(self, item: str, value: Any, lsn: int) -> None:
         if _TEST_LEAK == "write" and isinstance(value, int) and value > 0:
             value -= 1  # planted bug: one unit silently destroyed
         self._domains[item].validate(value)
         if self.observer is not None:
-            old = self.pages.read(item)
+            old = self._pages[item].value
             self.pages.write(item, value, lsn)
             self.observer.on_fragment_write(self.site, item, old, value)
         else:
@@ -105,7 +107,7 @@ class FragmentStore:
 
     def redo_write(self, item: str, value: Any, lsn: int) -> bool:
         """Idempotent redo (guarded by the page LSN)."""
-        old = self.pages.read(item) if self.observer is not None else None
+        old = self._pages[item].value if self.observer is not None else None
         written = self.pages.write_if_newer(item, value, lsn)
         if written and self.observer is not None:
             self.observer.on_fragment_write(self.site, item, old, value)
@@ -129,7 +131,7 @@ class FragmentStore:
             self._timestamps[item] = 0
         if _TEST_LEAK == "crash":
             for item in sorted(self._domains):
-                value = self.pages.read(item)
+                value = self._pages[item].value
                 if isinstance(value, int) and value > 0:
                     # Planted bug: the crash tears the page, and the
                     # same-LSN stamp means redo can never restore it.
@@ -140,8 +142,8 @@ class FragmentStore:
         """Items whose local fragment currently carries value — what a
         decommission drain (repro.core.migration) still has to move."""
         return [item for item, domain in self._domains.items()
-                if not domain.is_zero(self.pages.read(item))]
+                if not domain.is_zero(self._pages[item].value)]
 
     def snapshot(self) -> dict[str, Any]:
         """Item → value view, used by audits and checkpoints."""
-        return {item: self.pages.read(item) for item in self._domains}
+        return {item: page.value for item, page in self._pages.items()}

@@ -12,7 +12,7 @@ set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 
 @dataclass
@@ -28,25 +28,33 @@ class LockTable:
     """Per-site exclusive locks keyed by item name."""
 
     holders: dict[str, str] = field(default_factory=dict)
+    #: The same locks by owner, so a release never scans ``holders``.
+    _owned: dict[str, list[str]] = field(default_factory=dict)
     _waiters: list[_Waiter] = field(default_factory=list)
 
     def holder(self, item: str) -> str | None:
         return self.holders.get(item)
 
     def held_by(self, owner: str) -> set[str]:
-        return {item for item, holder in self.holders.items()
-                if holder == owner}
+        return set(self._owned.get(owner, ()))
 
     def is_free(self, item: str) -> bool:
         return item not in self.holders
 
     def try_acquire_all(self, owner: str, items: set[str]) -> bool:
         """Atomically lock *items* for *owner*; all-or-nothing, no wait."""
-        if any(item in self.holders for item in items):
-            return False
+        holders = self.holders
+        for item in items:
+            if item in holders:
+                return False
+        self._grant(owner, items)
+        return True
+
+    def _grant(self, owner: str, items: Iterable[str]) -> None:
+        owned = self._owned.setdefault(owner, [])
         for item in items:
             self.holders[item] = owner
-        return True
+            owned.append(item)
 
     def acquire_all_or_wait(self, owner: str, items: set[str],
                             on_granted: Callable[[], None]) -> bool:
@@ -72,16 +80,17 @@ class LockTable:
 
     def release_all(self, owner: str) -> list[str]:
         """Release every lock held by *owner*, then promote waiters."""
-        released = [item for item, holder in self.holders.items()
-                    if holder == owner]
+        released = self._owned.pop(owner, [])
         for item in released:
             del self.holders[item]
-        self._promote()
+        if self._waiters:
+            self._promote()
         return released
 
     def clear(self) -> None:
         """Drop all locks and waiters (crash: lock state is volatile)."""
         self.holders.clear()
+        self._owned.clear()
         self._waiters.clear()
 
     def _conflicts_with_queue(self, items: frozenset[str]) -> bool:
@@ -103,8 +112,7 @@ class LockTable:
                 not (waiter.items & still_blocked_items)
                 and all(item not in self.holders for item in waiter.items))
             if can_grant:
-                for item in waiter.items:
-                    self.holders[item] = waiter.owner
+                self._grant(waiter.owner, waiter.items)
                 granted.append(waiter)
             else:
                 remaining.append(waiter)

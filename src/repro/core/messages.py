@@ -13,8 +13,7 @@ Three payload kinds exist (Sections 4.2 and 5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.storage.records import VmEntry
 
@@ -22,8 +21,7 @@ READ_MODE = "read"
 TRANSFER_MODE = "transfer"
 
 
-@dataclass(frozen=True)
-class DataRequest:
+class DataRequest(NamedTuple):
     """Ask *origin*'s transaction for value of *item* held remotely.
 
     ``mode == TRANSFER_MODE``: send up to *need* (a partial drain is
@@ -40,8 +38,7 @@ class DataRequest:
     ts: int
 
 
-@dataclass(frozen=True)
-class VmTransfer:
+class VmTransfer(NamedTuple):
     """A real message carrying one virtual message.
 
     ``piggyback_ack`` acknowledges the reverse channel (dst → src) up to
@@ -55,8 +52,7 @@ class VmTransfer:
     ts: int
 
 
-@dataclass(frozen=True)
-class TsAdvisory:
+class TsAdvisory(NamedTuple):
     """Clock gossip: a request was refused because its timestamp lost
     to the fragment's. Receiving this bumps the requester's Lamport
     clock past the winning stamp so a *fresh* transaction can succeed —
@@ -67,8 +63,7 @@ class TsAdvisory:
     ts: int
 
 
-@dataclass(frozen=True)
-class VmAck:
+class VmAck(NamedTuple):
     """Cumulative ack: all of *src*'s messages up to *cumulative* were
     received "and processed safely" (accept records forced)."""
 

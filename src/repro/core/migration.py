@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.partition import stable_hash
 from repro.obs.events import MigrationDone, MigrationShip
-from repro.storage.records import SetFragment, VmCreateRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import DvPSystem
@@ -185,13 +184,7 @@ class MigrationController:
             remainder = domain.zero()
             entry = site.vm.allocate_entry(move.dst, move.item, value,
                                            "transfer", owner)
-            lsn = site.log_append(VmCreateRecord(
-                txn_id=owner,
-                actions=(SetFragment(move.item, remainder, ts=ts),),
-                messages=(entry,)))
-            site.apply_actions(
-                (SetFragment(move.item, remainder, ts=ts),), lsn)
-            site.vm.register_created([entry])
+            site.create_vm(owner, move.item, remainder, ts, (entry,))
             move.seq = entry.channel_seq
             move.state = "shipped"
             move.shipped = value if isinstance(value, int) else None

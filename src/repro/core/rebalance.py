@@ -38,7 +38,6 @@ from repro.core.redistribution import (
 )
 from repro.obs.events import RebalPull, RebalShip
 from repro.sim.timers import PeriodicTimer
-from repro.storage.records import SetFragment, VmCreateRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.site import DvPSite
@@ -206,13 +205,7 @@ class RebalanceDaemon:
             remainder = value - surplus
             entry = site.vm.allocate_entry(peer, item, surplus,
                                            "transfer", owner)
-            lsn = site.log_append(VmCreateRecord(
-                txn_id=owner,
-                actions=(SetFragment(item, remainder, ts=ts),),
-                messages=(entry,)))
-            site.apply_actions((SetFragment(item, remainder, ts=ts),),
-                               lsn)
-            site.vm.register_created([entry])
+            site.create_vm(owner, item, remainder, ts, (entry,))
             self.shipments += 1
             self._c_ship.value += 1
             self._quiet_until[item] = site.sim.now + self.config.cooldown

@@ -61,6 +61,7 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
     # after a crash; clear defensively for direct invocations).
     site.locks.clear()
     site.active.clear()
+    site.wakeable.clear()
 
     vm = site._new_vm_manager()
     max_ts_seen = 0

@@ -47,6 +47,7 @@ from repro.storage.records import (
     SetFragment,
     VmAcceptRecord,
     VmCreateRecord,
+    VmEntry,
 )
 
 
@@ -138,6 +139,11 @@ class DvPSite:
 
         self.alive = True
         self.active: dict[str, Transaction] = {}
+        #: Ids of the active transactions a delivery can change (see
+        #: _wake): those awaiting read responders or holding view
+        #: certificates. Each adds itself; finish and crash remove.
+        self.wakeable: set[str] = set()
+        self._peers: tuple[Any, tuple[str, ...]] = (None, ())  # key, peers
         self.crash_count = 0
         #: Transactions whose volatile state a crash destroyed — their
         #: clients never hear back. The chaos progress oracle uses this
@@ -183,9 +189,14 @@ class DvPSite:
 
     # -- topology ---------------------------------------------------------
 
-    def peers(self) -> list[str]:
-        """Every other site (all sites hold fragments of all items)."""
-        return [site for site in self.network.sites if site != self.name]
+    def peers(self) -> tuple[str, ...]:
+        """Every other site (all sites hold fragments of all items);
+        cached until network membership or the directory epoch moves."""
+        key = (self.network.membership, self.current_epoch())
+        if self._peers[0] != key:
+            self._peers = (key, tuple(site for site in self.network.sites
+                                      if site != self.name))
+        return self._peers[1]
 
     def current_epoch(self) -> int:
         """The directory epoch placement is currently resolved against."""
@@ -194,7 +205,7 @@ class DvPSite:
         return self.router.directory.epoch
 
     def peers_for(self, item: str, epoch_hint: int | None = None
-                  ) -> list[str]:
+                  ) -> "tuple[str, ...] | list[str]":
         """Peers worth asking for *item*'s value: its directory owners.
 
         Falls back to :meth:`peers` with no router (static topology)
@@ -237,6 +248,7 @@ class DvPSite:
     def transaction_finished(self, txn: Transaction) -> None:
         """Step 7 aftermath: drop it from the active set, poke waiters."""
         self.active.pop(txn.id, None)
+        self.wakeable.discard(txn.id)
         self.after_lock_release()
 
     def after_lock_release(self) -> None:
@@ -307,6 +319,17 @@ class DvPSite:
             self.fragments.write(action.item, action.value, lsn)
             self.fragments.stamp_if_newer(action.item, action.ts)
 
+    def create_vm(self, owner: str, item: str, remainder: Any, ts: int,
+                  entries: tuple[VmEntry, ...]) -> None:
+        """Force ``[database-actions, message-sequence]`` as ONE record
+        (*item*'s fragment becomes *remainder*, *entries* come into
+        existence), apply it, transmit. The caller holds *item*'s lock."""
+        actions = (SetFragment(item, remainder, ts=ts),)
+        lsn = self.log_append(VmCreateRecord(
+            txn_id=owner, actions=actions, messages=entries))
+        self.apply_actions(actions, lsn)
+        self.vm.register_created(entries)
+
     # -- message plumbing ---------------------------------------------------
 
     def deliver(self, envelope: Envelope) -> None:
@@ -320,11 +343,13 @@ class DvPSite:
         elif isinstance(payload, VmTransfer):
             self.clock.observe(payload.ts)
             self.vm.on_transfer(payload)
-            self._recheck_active()
+            if self.wakeable:
+                self._wake()
         elif isinstance(payload, VmAck):
             self.clock.observe(payload.ts)
             self.vm.on_ack(payload)
-            self._recheck_active()
+            if self.wakeable:
+                self._wake()
         elif isinstance(payload, TsAdvisory):
             self.clock.observe(payload.ts)
         elif isinstance(payload, ViewRefresh):
@@ -337,8 +362,14 @@ class DvPSite:
         """Fire-and-forget: requests carry no delivery guarantee."""
         self.network.send(self.name, dst, request)
 
-    def _recheck_active(self) -> None:
-        for txn in list(self.active.values()):
+    def _wake(self) -> None:
+        """Recheck the transactions this delivery can change: a read
+        waits on acks clearing this site's own outstanding Vm, a view
+        certificate ages with the clock. Every other transaction turns
+        only on value it absorbs — and on_vm_absorbed rechecks that."""
+        wakeable = self.wakeable
+        for txn in [txn for txn in self.active.values()
+                    if txn.id in wakeable]:
             txn.recheck()
 
     # -- remote request handling (Rds transactions) --------------------------
@@ -413,14 +444,7 @@ class DvPSite:
             stamp_ts = self.cc.stamp_for_rds(self, request.ts, item)
             entry = self.vm.allocate_entry(request.origin, item, granted,
                                            kind, request.txn_id)
-            lsn = self.log_append(VmCreateRecord(
-                txn_id=owner,
-                actions=(SetFragment(item, remainder, ts=stamp_ts),),
-                messages=(entry,)))
-            self.apply_actions(
-                (SetFragment(item, remainder, ts=stamp_ts),), lsn)
-            self.fragments.stamp_if_newer(item, stamp_ts)
-            self.vm.register_created([entry])
+            self.create_vm(owner, item, remainder, stamp_ts, (entry,))
             self.requests_honored += 1
         finally:
             if freeze:
@@ -453,26 +477,20 @@ class DvPSite:
         item = entry.item
         if not self.fragments.knows(item):
             return False
-        domain = self.fragments.domain(item)
-        new_value = domain.combine(self.fragments.value(item), entry.amount)
+        new_value = self.fragments.domain(item).combine(
+            self.fragments.value(item), entry.amount)
         holder = self.locks.holder(item)
-        if holder is None:
-            ts = self.clock.next()
-            lsn = self.log_append(VmAcceptRecord(
-                src=src, channel_seq=entry.channel_seq,
-                actions=(SetFragment(item, new_value, ts=ts),),
-                txn_id=entry.txn_id))
-            self.apply_actions((SetFragment(item, new_value, ts=ts),), lsn)
-            return True
         txn = self.active.get(holder)
-        if txn is None:
+        if holder is not None and txn is None:
             return False
+        ts = txn.ts if txn is not None else self.clock.next()
+        actions = (SetFragment(item, new_value, ts=ts),)
         lsn = self.log_append(VmAcceptRecord(
-            src=src, channel_seq=entry.channel_seq,
-            actions=(SetFragment(item, new_value, ts=txn.ts),),
+            src=src, channel_seq=entry.channel_seq, actions=actions,
             txn_id=entry.txn_id))
-        self.apply_actions((SetFragment(item, new_value, ts=txn.ts),), lsn)
-        txn.on_vm_absorbed(entry, src)
+        self.apply_actions(actions, lsn)
+        if txn is not None:
+            txn.on_vm_absorbed(entry, src)
         return True
 
     # -- failure injection -----------------------------------------------------
@@ -498,6 +516,7 @@ class DvPSite:
         for txn in list(self.active.values()):
             txn._timer.cancel()
         self.active.clear()
+        self.wakeable.clear()
         self.locks.clear()
         self.fragments.reset_timestamps()
         self.clock.reset()

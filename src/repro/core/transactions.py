@@ -307,6 +307,8 @@ class Transaction:
         if obs.enabled:
             obs.emit(TxnSubmit(t=self.site.sim.now, site=self.site.name,
                                txn=self.id, label=self.spec.label))
+        if self._read_responders:
+            self.site.wakeable.add(self.id)
         if self._try_view_fast_path():
             return
         self._timer.start(self._round_length)
@@ -355,16 +357,11 @@ class Transaction:
         if not self._view_pending or self._needs or self._read_responders \
                 or self.spec.update_items():
             return False
-        cache = self.site.views
-        if cache is None:
-            return False
         for item in sorted(self._view_pending):
-            cert = cache.serve(item, self._view_pending[item], txn=self.id)
-            if cert is None:
+            if not self._certify(item):
                 # Keep what certified: _resolve_views only retries the
                 # still-pending items, so no hit is counted twice.
                 return False
-            self._view_certs[item] = cert
             del self._view_pending[item]
         self.state = _State.GATHERING
         self._commit()
@@ -404,17 +401,12 @@ class Transaction:
     def _send_requests(self, estimate_without_locks: bool) -> None:
         """Step 2: request value for every inadequate item."""
         sent_before = self.requests_sent
-        peers = self.site.peers()
         for item in sorted(self._read_responders):
-            for peer in peers:
-                self.site.send_request(peer, DataRequest(
-                    txn_id=self.id, origin=self.site.name, item=item,
-                    mode=READ_MODE, need=None, ts=self.ts))
-                self.requests_sent += 1
+            self._request_read(item)
+        fragments = self.site.fragments
         for item, need in sorted(self._needs.items()):
-            domain = self.site.fragments.domain(item)
-            value = self.site.fragments.value(item)
-            deficit = domain.deficit(value, need)
+            domain = fragments.domain(item)
+            deficit = domain.deficit(fragments.value(item), need)
             if domain.is_zero(deficit):
                 continue
             # Feed the rebalance planner: this site's clients want more
@@ -464,15 +456,22 @@ class Transaction:
         its READ requests immediately (used when the normal request
         wave has already departed).
         """
-        cache = self.site.views
         for item in sorted(self._view_pending):
-            bound = self._view_pending[item]
-            cert = (cache.serve(item, bound, txn=self.id)
-                    if cache is not None else None)
-            if cert is not None:
-                self._view_certs[item] = cert
-            else:
+            if not self._certify(item):
                 self._escalate_view(item, fan=fan)
+
+    def _certify(self, item: str) -> bool:
+        """Take a certificate for *item* from the site's cache, if it
+        serves one. Certificates age, so holding one makes this
+        transaction wakeable (see DvPSite._wake)."""
+        cache = self.site.views
+        cert = (cache.serve(item, self._view_pending.get(item), txn=self.id)
+                if cache is not None else None)
+        if cert is None:
+            return False
+        self._view_certs[item] = cert
+        self.site.wakeable.add(self.id)
+        return True
 
     def _escalate_view(self, item: str, fan: bool) -> None:
         self._view_pending.pop(item, None)
@@ -480,18 +479,23 @@ class Transaction:
         if item in self._read_responders:
             return
         self._read_responders[item] = set()
+        self.site.wakeable.add(self.id)  # a read waits on acks too
         self._view_fallbacks.append(item)
         if fan:
             self._fan_read(item)
 
-    def _fan_read(self, item: str) -> None:
-        """Fan READ requests for one late-escalated item."""
-        sent_before = self.requests_sent
+    def _request_read(self, item: str) -> None:
+        """Ask every peer to drain its fragment of *item* to this site."""
         for peer in self.site.peers():
             self.site.send_request(peer, DataRequest(
                 txn_id=self.id, origin=self.site.name, item=item,
                 mode=READ_MODE, need=None, ts=self.ts))
             self.requests_sent += 1
+
+    def _fan_read(self, item: str) -> None:
+        """Fan READ requests for one late-escalated item."""
+        sent_before = self.requests_sent
+        self._request_read(item)
         if self.site._obs.enabled and self.requests_sent > sent_before:
             self.site._obs.emit(TxnRedistribute(
                 t=self.site.sim.now, site=self.site.name, txn=self.id,
@@ -506,28 +510,23 @@ class Transaction:
             return
         now = self.site.sim.now
         epoch = self.site.current_epoch()
-        cache = self.site.views
         for item in sorted(self._view_certs):
             cert = self._view_certs[item]
             aged = cert.bound is not None and now - cert.as_of > cert.bound
-            if not aged and cert.epoch == epoch:
-                continue
-            bound = self._view_pending.get(item)
-            fresh = (cache.serve(item, bound, txn=self.id)
-                     if cache is not None else None)
-            if fresh is not None:
-                self._view_certs[item] = fresh
-            else:
+            if (aged or cert.epoch != epoch) and not self._certify(item):
                 self._escalate_view(item, fan=True)
 
     def _sufficient(self) -> bool:
+        fragments = self.site.fragments
         for item, need in self._needs.items():
-            domain = self.site.fragments.domain(item)
-            if not domain.covers(self.site.fragments.value(item), need):
+            if not fragments.domain(item).covers(fragments.value(item),
+                                                 need):
                 return False
-        peers = set(self.site.peers())
+        if not self._read_responders:
+            return True
+        peers = self.site.peers()
         for item, responders in self._read_responders.items():
-            if not peers <= responders:
+            if not responders.issuperset(peers):
                 return False
             # The reading site itself must owe nothing: an outstanding
             # outgoing Vm is value missing from Π of what it can see.
@@ -562,18 +561,20 @@ class Transaction:
             # possibly recovered since); the transaction never reached
             # its commit record, so it simply never happened.
             return
+        fragments = self.site.fragments
         working: dict[str, Any] = {}
+        stored: dict[str, Any] = {}
         read_values: dict[str, Any] = {}
         deltas: list[tuple[str, int, Any]] = []
 
         def current(item: str) -> Any:
             if item not in working:
-                working[item] = self.site.fragments.value(item)
+                working[item] = stored[item] = fragments.value(item)
             return working[item]
 
         for op in self.spec.ops:
             if isinstance(op, IncrementOp):
-                domain = self.site.fragments.domain(op.item)
+                domain = fragments.domain(op.item)
                 working[op.item] = domain.combine(current(op.item), op.amount)
                 deltas.append((op.item, +1, op.amount))
             elif isinstance(op, DecrementOp):
@@ -585,13 +586,13 @@ class Transaction:
                 if not self._apply_decrement(op.src_item, op.amount, working,
                                              current):
                     return
-                domain = self.site.fragments.domain(op.dst_item)
+                domain = fragments.domain(op.dst_item)
                 working[op.dst_item] = domain.combine(current(op.dst_item),
                                                       op.amount)
                 deltas.append((op.src_item, -1, op.amount))
                 deltas.append((op.dst_item, +1, op.amount))
             elif isinstance(op, ApplyOp):
-                domain = self.site.fragments.domain(op.item)
+                domain = fragments.domain(op.item)
                 application = op.operator.apply(domain, current(op.item))
                 if not application.effective:
                     self._abort("ineffective-operator")
@@ -613,10 +614,9 @@ class Transaction:
             elif isinstance(op, (ReadFullOp, ReadLocalOp)):
                 read_values[op.item] = current(op.item)
 
-        changed = {item: value for item, value in working.items()
-                   if value != self.site.fragments.value(item)}
         actions = tuple(SetFragment(item, value, ts=self.ts)
-                        for item, value in sorted(changed.items()))
+                        for item, value in sorted(working.items())
+                        if value != stored[item])
         if actions:
             # Step 5: the forced commit record IS the commit point.
             lsn = self.site.log_append(CommitRecord(self.id, actions))

@@ -37,7 +37,6 @@ from repro.core.transactions import (
 )
 from repro.net.message import Envelope
 from repro.sim.timers import Timer
-from repro.storage.records import SetFragment, VmCreateRecord
 
 
 class ItemMode(enum.Enum):
@@ -178,13 +177,7 @@ class HybridSystem:
                                        owner)
                 for peer, amount in sorted(split.items())
                 if not domain.is_zero(amount))
-            lsn = site.log_append(VmCreateRecord(
-                txn_id=owner,
-                actions=(SetFragment(item, remainder, ts=ts),),
-                messages=entries))
-            site.apply_actions((SetFragment(item, remainder, ts=ts),),
-                               lsn)
-            site.vm.register_created(list(entries))
+            site.create_vm(owner, item, remainder, ts, entries)
         finally:
             site.locks.release_all(owner)
             site.after_lock_release()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,27 @@ class LinkConfig:
 
 
 class Link:
-    """A directed link; decides each transmission's fate."""
+    """A directed link; decides each transmission's fate.
+
+    It also carries what a send would otherwise look up or format per
+    envelope: its endpoints' partition groups and the destination's
+    handler (the owning network keeps both current) and the label of
+    a delivery event per payload kind.
+    """
 
     def __init__(self, src: str, dst: str, config: LinkConfig,
-                 rng: random.Random) -> None:
+                 rng: random.Random | None) -> None:
+        # rng is None only where no fate is ever drawn (net.sync).
         self.src = src
         self.dst = dst
         self.config = config
         self._rng = rng
         self._fault: LinkConfig | None = None
         self.up = True
+        self.src_group: int | None = None
+        self.dst_group: int | None = None
+        self.handler: Callable[[Any], None] | None = None
+        self.labels: dict[str, str] = {}
         self.transmissions = 0
         self.losses = 0
         self.duplicates = 0
@@ -107,7 +119,7 @@ class Link:
 
     def draw_delay(self) -> float:
         """Sample this transmission's latency."""
-        config = self.active_config
+        config = self._fault or self.config
         if config.jitter == 0:
             return config.base_delay
         return config.base_delay + self._rng.uniform(0.0, config.jitter)
@@ -121,7 +133,8 @@ class Link:
         transmission's fate aligned.
         """
         self.transmissions += 1
-        lost = self._rng.random() < self.active_config.loss_probability
+        lost = self._rng.random() < \
+            (self._fault or self.config).loss_probability
         if not self.up:
             self.losses += 1
             return True
@@ -132,7 +145,8 @@ class Link:
 
     def should_duplicate(self) -> bool:
         """Decide whether this delivery is accompanied by a duplicate."""
-        if self._rng.random() < self.active_config.duplicate_probability:
+        if self._rng.random() < \
+                (self._fault or self.config).duplicate_probability:
             self.duplicates += 1
             return True
         return False

@@ -8,27 +8,23 @@ use them; the network neither inspects nor depends on payload types.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-_envelope_ids = itertools.count(1)
 
-
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One message in flight from *src* to *dst*.
 
-    ``envelope_id`` identifies the physical transmission (a retransmitted
-    or duplicated message gets a fresh envelope); end-to-end identity
-    lives inside the payload (e.g. a Vm sequence number).
+    A retransmitted or duplicated message travels in a fresh envelope;
+    end-to-end identity lives inside the payload (e.g. a Vm sequence
+    number), never in the envelope.
     """
 
     src: str
     dst: str
     payload: Any
     sent_at: float = 0.0
-    envelope_id: int = field(default_factory=lambda: next(_envelope_ids))
     duplicated: bool = False
 
     def kind(self) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.net.link import Link, LinkConfig
@@ -29,12 +30,17 @@ class Network:
     schedules delivery after the link's sampled delay.
     """
 
+    #: Kernel-event label prefix of a scheduled delivery.
+    delivery_label = "deliver"
+
     def __init__(self, sim: Simulator,
                  default_link: LinkConfig | None = None,
                  bundling: BundlingConfig | None = None) -> None:
         self.sim = sim
         self.default_link = default_link or LinkConfig()
         self._handlers: dict[str, Handler] = {}
+        #: Bumped by register(); sites key their cached peers on it.
+        self.membership = 0
         self._links: dict[tuple[str, str], Link] = {}
         self._groups: dict[str, int] = {}
         self._up: dict[str, bool] = {}
@@ -79,21 +85,36 @@ class Network:
         self._handlers[name] = handler
         self._groups[name] = 0
         self._up[name] = True
+        self.membership += 1
+        self._rebind_links()
 
     def replace_handler(self, name: str, handler: Handler) -> None:
         """Swap a site's delivery handler (used when a site restarts)."""
         if name not in self._handlers:
             raise KeyError(name)
         self._handlers[name] = handler
+        self._rebind_links()
 
     def link(self, src: str, dst: str) -> Link:
         """The directed link src->dst, created on first use."""
-        key = (src, dst)
-        if key not in self._links:
-            rng = self.sim.rng.stream(f"link:{src}->{dst}")
-            self._links[key] = Link(src, dst, self.default_link, rng)
-            self._register_link_gauges(self._links[key])
-        return self._links[key]
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self.configure_link(src, dst, self.default_link)
+        return link
+
+    def _new_link(self, src: str, dst: str, config: LinkConfig) -> Link:
+        link = Link(src, dst, config,
+                    self.sim.rng.stream(f"link:{src}->{dst}"))
+        self._register_link_gauges(link)
+        return link
+
+    def _rebind_links(self, links: Iterable[Link] | None = None) -> None:
+        """Refresh what *links* (default: all, after a handler or the
+        partition map changed) carry so that a send need not look it up."""
+        for link in self._links.values() if links is None else links:
+            link.src_group = self._groups.get(link.src)
+            link.dst_group = self._groups.get(link.dst)
+            link.handler = self._handlers.get(link.dst)
 
     def _register_link_gauges(self, link: Link) -> None:
         """Expose the link's own counters through the metrics registry."""
@@ -102,11 +123,12 @@ class Network:
                 f"link.{name}", link.counter_reader(name),
                 src=link.src, dst=link.dst)
 
-    def configure_link(self, src: str, dst: str, config: LinkConfig) -> None:
+    def configure_link(self, src: str, dst: str,
+                       config: LinkConfig) -> Link:
         """Override one directed link's behaviour."""
-        rng = self.sim.rng.stream(f"link:{src}->{dst}")
-        self._links[(src, dst)] = Link(src, dst, config, rng)
-        self._register_link_gauges(self._links[(src, dst)])
+        link = self._links[src, dst] = self._new_link(src, dst, config)
+        self._rebind_links([link])
+        return link
 
     def configure_all_links(self, config: LinkConfig) -> None:
         """Set the default and reset every existing link to *config*."""
@@ -195,10 +217,12 @@ class Network:
         for name in self._handlers:
             assignment.setdefault(name, leftover)
         self._groups = assignment
+        self._rebind_links()
 
     def heal(self) -> None:
         """Undo any partition; all sites reachable again."""
         self._groups = {name: 0 for name in self._handlers}
+        self._rebind_links()
 
     def reachable(self, src: str, dst: str) -> bool:
         return self._groups.get(src) == self._groups.get(dst)
@@ -207,55 +231,32 @@ class Network:
     def partitioned(self) -> bool:
         return len(set(self._groups.values())) > 1
 
-    def group_of(self, name: str) -> int:
-        return self._groups[name]
-
     # -- transport --------------------------------------------------------
 
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Send *payload* from *src* to *dst*; may silently drop it."""
         if dst not in self._handlers:
             raise KeyError(f"unknown destination {dst!r}")
-        if self._outbox is not None:
-            kind = type(payload).__name__
-            self.sent_counts[kind] += 1
-            if self._obs.enabled:
-                self._obs.emit(NetSend(t=self.sim.now, src=src, dst=dst,
-                                       payload=kind))
-            self._outbox.enqueue(src, dst, payload)
-            return
-        envelope = Envelope(src, dst, payload, sent_at=self.sim.now)
-        self.sent_counts[envelope.kind()] += 1
-        self._c_sent.value += 1
+        kind = type(payload).__name__
+        self.sent_counts[kind] += 1
         obs = self._obs
         if obs.enabled:
             obs.emit(NetSend(t=self.sim.now, src=src, dst=dst,
-                             payload=envelope.kind()))
-        # The link's loss draw is sampled unconditionally (so a
-        # partition window never shifts the stream), but a message
-        # dropped by both the partition AND the sampled loss is counted
-        # exactly once, with the partition taking precedence:
-        # dropped_partition + dropped_loss + deliveries-scheduled always
-        # equals sends.
+                             payload=kind))
+        if self._outbox is not None:
+            self._outbox.enqueue(src, dst, payload)
+            return
+        self._c_sent.value += 1
         link = self.link(src, dst)
-        lost = link.should_drop()
-        if not self.reachable(src, dst):
-            self._c_dropped_partition.value += 1
-            if obs.enabled:
-                obs.emit(NetDropPartition(t=self.sim.now, src=src, dst=dst,
-                                          payload=envelope.kind()))
+        if not self._survives(link, kind):
             return
-        if lost:
-            self._c_dropped_loss.value += 1
-            if obs.enabled:
-                obs.emit(NetDropLoss(t=self.sim.now, src=src, dst=dst,
-                                     payload=envelope.kind()))
-            return
-        self._schedule_delivery(envelope, link.draw_delay())
+        now = self.sim.now
+        self._schedule_delivery(link, Envelope(src, dst, payload, now),
+                                link.draw_delay(), kind)
         if link.should_duplicate():
-            duplicate = Envelope(src, dst, payload, sent_at=self.sim.now,
-                                 duplicated=True)
-            self._schedule_delivery(duplicate, link.draw_delay())
+            self._schedule_delivery(
+                link, Envelope(src, dst, payload, now, duplicated=True),
+                link.draw_delay(), kind)
 
     def broadcast(self, src: str, payload: Any,
                   dsts: Iterable[str] | None = None) -> None:
@@ -265,32 +266,62 @@ class Network:
         for dst in targets:
             self.send(src, dst, payload)
 
-    def _schedule_delivery(self, envelope: Envelope, delay: float) -> None:
-        def deliver() -> None:
-            # Re-check reachability at delivery time: a partition that
-            # strikes while the message is in flight swallows it.
-            if not self.reachable(envelope.src, envelope.dst):
-                self._c_dropped_partition.value += 1
-                if self._obs.enabled:
-                    self._obs.emit(NetDropPartition(
-                        t=self.sim.now, src=envelope.src, dst=envelope.dst,
-                        payload=envelope.kind()))
-                return
-            self.delivered_counts[envelope.kind()] += 1
-            self._c_delivered.value += 1
-            if self._obs.enabled:
-                self._obs.emit(NetDeliver(
-                    t=self.sim.now, src=envelope.src, dst=envelope.dst,
-                    payload=envelope.kind()))
-            self._handlers[envelope.dst](envelope)
+    def _survives(self, link: Link, kind: str) -> bool:
+        """Draw one envelope's loss fate; account for it if dropped.
 
+        The loss draw is sampled unconditionally (so a partition window
+        never shifts the stream), but a message both partitioned AND
+        lost is counted once, as partitioned: dropped_partition +
+        dropped_loss + deliveries-scheduled always equals sends.
+        """
+        lost = link.should_drop()
+        if link.src_group != link.dst_group:
+            self._drop_partitioned(link, kind)
+            return False
+        if lost:
+            self._c_dropped_loss.value += 1
+            if self._obs.enabled:
+                self._obs.emit(NetDropLoss(t=self.sim.now, src=link.src,
+                                           dst=link.dst, payload=kind))
+        return not lost
+
+    def _drop_partitioned(self, link: Link, kind: str) -> None:
+        self._c_dropped_partition.value += 1
+        if self._obs.enabled:
+            self._obs.emit(NetDropPartition(t=self.sim.now, src=link.src,
+                                            dst=link.dst, payload=kind))
+
+    def _label(self, link: Link, kind: str) -> str:
+        """A delivery's kernel-event label, formatted once per kind."""
+        label = link.labels.get(kind)
+        if label is None:
+            label = link.labels[kind] = \
+                f"{self.delivery_label}:{kind}:{link.src}->{link.dst}"
+        return label
+
+    def _schedule_delivery(self, link: Link, envelope: Envelope,
+                           delay: float, kind: str) -> None:
         # Routed to the destination's shard when the simulation is
         # sharded (repro.sim.shard): delivery events mutate receiver
         # state, and the link's delay lower bound is exactly what the
         # sharded kernel's lookahead is derived from.
-        self.sim.after_for_site(envelope.dst, delay, deliver,
-                                label=f"deliver:{envelope.kind()}:"
-                                      f"{envelope.src}->{envelope.dst}")
+        self.sim.after_for_site(link.dst, delay,
+                                partial(self._deliver, link, envelope, kind),
+                                label=self._label(link, kind))
+
+    def _deliver(self, link: Link, envelope: Envelope, kind: str) -> None:
+        """The kernel event of one envelope arriving over *link*."""
+        # Re-check reachability at delivery time: a partition that
+        # strikes while the message is in flight swallows it.
+        if link.src_group != link.dst_group:
+            self._drop_partitioned(link, kind)
+            return
+        self.delivered_counts[kind] += 1
+        self._c_delivered.value += 1
+        if self._obs.enabled:
+            self._obs.emit(NetDeliver(t=self.sim.now, src=link.src,
+                                      dst=link.dst, payload=kind))
+        link.handler(envelope)
 
     def _deliver_bundle(self, open_bundle: _OpenBundle,
                         duplicated: bool) -> None:

@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.events import NetDropLoss, NetDropPartition
-
 if TYPE_CHECKING:
     from repro.net.network import Network
 
@@ -125,31 +123,20 @@ class Outbox:
         kind = type(payload).__name__
         net._c_sent.value += 1  # one real envelope, whatever its fate
         link = net.link(src, dst)
-        lost = link.should_drop()
-        obs = net._obs
-        if not net.reachable(src, dst):
+        if not net._survives(link, kind):
             open_bundle.doomed = True
-            net._c_dropped_partition.value += 1
-            if obs.enabled:
-                obs.emit(NetDropPartition(t=now, src=src, dst=dst,
-                                          payload=kind))
             return open_bundle
-        if lost:
-            open_bundle.doomed = True
-            net._c_dropped_loss.value += 1
-            if obs.enabled:
-                obs.emit(NetDropLoss(t=now, src=src, dst=dst, payload=kind))
-            return open_bundle
-        self._schedule(open_bundle, kind,
+        label = net._label(link, kind)
+        self._schedule(open_bundle, label,
                        self.config.flush_delay + link.draw_delay(),
                        duplicated=False)
         if link.should_duplicate():
-            self._schedule(open_bundle, kind,
+            self._schedule(open_bundle, label,
                            self.config.flush_delay + link.draw_delay(),
                            duplicated=True)
         return open_bundle
 
-    def _schedule(self, open_bundle: _OpenBundle, kind: str, delay: float,
+    def _schedule(self, open_bundle: _OpenBundle, label: str, delay: float,
                   duplicated: bool) -> None:
         net = self._network
 
@@ -162,9 +149,7 @@ class Outbox:
 
         # Shard-routed like the unbundled transport: the delivery event
         # runs on the destination's shard (see Network._schedule_delivery).
-        net.sim.after_for_site(open_bundle.dst, delay, deliver,
-                               label=f"deliver:{kind}:"
-                                     f"{open_bundle.src}->{open_bundle.dst}")
+        net.sim.after_for_site(open_bundle.dst, delay, deliver, label=label)
 
     def _close(self, open_bundle: _OpenBundle) -> None:
         open_bundle.closed = True

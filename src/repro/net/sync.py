@@ -13,79 +13,58 @@ receiver then observes all broadcasts in the same global order.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from functools import partial
+from typing import Any
 
-from repro.net.link import LinkConfig
+from repro.net.link import Link, LinkConfig
 from repro.net.message import Envelope
 from repro.net.network import Network
-from repro.obs.events import NetDeliver, NetDropPartition, NetSend
+from repro.obs.events import NetSend
 from repro.sim.kernel import Simulator
 
 
 class SynchronousNetwork(Network):
     """A lossless, constant-delay network with totally ordered delivery."""
 
+    delivery_label = "sync-deliver"
+
     def __init__(self, sim: Simulator, delay: float = 1.0) -> None:
         super().__init__(sim, LinkConfig(base_delay=delay, jitter=0.0))
         self.delay = delay
         self._site_rank: dict[str, int] = {}
-        self._send_seq = 0
 
     def register(self, name: str, handler) -> None:
         super().register(name, handler)
         # Rank by registration order: the paper's "total order on sites".
         self._site_rank[name] = len(self._site_rank)
 
+    def _new_link(self, src: str, dst: str, config: LinkConfig) -> Link:
+        # Lossless and constant-delay: a synchronous link never draws,
+        # so it gets no RNG stream and no fate gauges.
+        return Link(src, dst, config, rng=None)
+
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Constant-delay, loss-free, priority-ordered delivery."""
         if dst not in self._handlers:
             raise KeyError(f"unknown destination {dst!r}")
-        envelope = Envelope(src, dst, payload, sent_at=self.sim.now)
-        self.sent_counts[envelope.kind()] += 1
+        kind = type(payload).__name__
+        now = self.sim.now
+        self.sent_counts[kind] += 1
         self._c_sent.inc()
         if self._obs.enabled:
-            self._obs.emit(NetSend(t=self.sim.now, src=src, dst=dst,
-                                   payload=envelope.kind()))
-        if not self.reachable(src, dst):
+            self._obs.emit(NetSend(t=now, src=src, dst=dst, payload=kind))
+        link = self.link(src, dst)
+        if link.src_group != link.dst_group:
             # Partitions are outside Conc2's assumptions, but the mode is
             # still usable under them so E10 can demonstrate the unsoundness.
-            self._c_dropped_partition.inc()
-            if self._obs.enabled:
-                self._obs.emit(NetDropPartition(
-                    t=self.sim.now, src=src, dst=dst,
-                    payload=envelope.kind()))
+            self._drop_partitioned(link, kind)
             return
-        self._send_seq += 1
-        priority = self._site_rank[src]
-
-        def deliver() -> None:
-            if not self.reachable(envelope.src, envelope.dst):
-                self._c_dropped_partition.inc()
-                if self._obs.enabled:
-                    self._obs.emit(NetDropPartition(
-                        t=self.sim.now, src=envelope.src, dst=envelope.dst,
-                        payload=envelope.kind()))
-                return
-            self.delivered_counts[envelope.kind()] += 1
-            self._c_delivered.inc()
-            if self._obs.enabled:
-                self._obs.emit(NetDeliver(
-                    t=self.sim.now, src=envelope.src, dst=envelope.dst,
-                    payload=envelope.kind()))
-            self._handlers[envelope.dst](envelope)
-
         # Equal delay keeps send order and arrival order identical;
         # priority breaks simultaneous sends by sender rank at EVERY
         # receiver, which yields the common global order Conc2 needs.
         # Site-routed for shard placement, like the async transport.
-        self.sim.at_site(dst, self.sim.now + self.delay, deliver,
-                         priority=priority,
-                         label=f"sync-deliver:{envelope.kind()}:{src}->{dst}")
-
-    def broadcast(self, src: str, payload: Any,
-                  dsts: Iterable[str] | None = None) -> None:
-        """Atomic broadcast: all sends happen at one instant, same rank."""
-        targets = list(dsts) if dsts is not None else [
-            name for name in self._handlers if name != src]
-        for dst in targets:
-            self.send(src, dst, payload)
+        self.sim.at_site(
+            dst, now + self.delay,
+            partial(self._deliver, link, Envelope(src, dst, payload, now),
+                    kind),
+            priority=self._site_rank[src], label=self._label(link, kind))

@@ -4,6 +4,10 @@ Appends are atomic and immediately stable (the simulated equivalent of a
 forced write); a site crash never loses an appended record and never
 keeps a partial one. The log supports scanning from an LSN, which is
 all recovery and checkpointing need.
+
+Records are stored bare — the LSN *is* the list index — and wrapped in
+a :class:`LogRecordEnvelope` only as a scan yields them: a long-lived
+wrapper per record is heap the garbage collector would keep walking.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecordEnvelope:
-    """A record as stored: payload plus its log sequence number."""
+    """A record as scanned: payload plus its log sequence number."""
 
     lsn: int
     record: Any
@@ -25,7 +29,7 @@ class StableLog:
 
     def __init__(self, site: str) -> None:
         self.site = site
-        self._records: list[LogRecordEnvelope] = []
+        self._records: list[Any] = []
         self.forces = 0
 
     def __len__(self) -> int:
@@ -38,20 +42,22 @@ class StableLog:
     def append(self, record: Any) -> int:
         """Atomically force *record* to stable storage; return its LSN."""
         lsn = len(self._records)
-        self._records.append(LogRecordEnvelope(lsn, record))
+        self._records.append(record)
         self.forces += 1
         return lsn
 
     def read(self, lsn: int) -> Any:
         """The record at *lsn*."""
-        return self._records[lsn].record
+        return self._records[lsn]
 
     def scan(self, from_lsn: int = 0) -> Iterator[LogRecordEnvelope]:
         """All records with LSN >= *from_lsn*, in order."""
-        yield from self._records[from_lsn:]
+        for lsn, record in enumerate(self._records[from_lsn:], from_lsn):
+            yield LogRecordEnvelope(lsn, record)
 
     def scan_backwards(self) -> Iterator[LogRecordEnvelope]:
-        yield from reversed(self._records)
+        for lsn in range(len(self._records) - 1, -1, -1):
+            yield LogRecordEnvelope(lsn, self._records[lsn])
 
     def last_matching(self,
                       predicate: Callable[[Any], bool]) -> LogRecordEnvelope | None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 
-@dataclass
+@dataclass(slots=True)
 class Page:
     value: Any
     page_lsn: int = -1
@@ -32,11 +32,13 @@ class PageStore:
         for name, page in self._pages.items():
             yield name, page.value
 
-    def create(self, item: str, value: Any) -> None:
-        """Initialize a page (loading the initial quota)."""
+    def create(self, item: str, value: Any) -> Page:
+        """Initialize a page (loading the initial quota); the page is
+        never replaced, so callers may keep it and read it directly."""
         if item in self._pages:
             raise ValueError(f"page for {item!r} already exists")
-        self._pages[item] = Page(value)
+        page = self._pages[item] = Page(value)
+        return page
 
     def read(self, item: str) -> Any:
         return self._pages[item].value

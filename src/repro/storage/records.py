@@ -14,16 +14,19 @@ Database actions are *absolute* fragment assignments
 exclusive lock, the final value is known when the record is written, and
 replaying assignments in log order is naturally idempotent — the
 property Section 7 demands of redo.
+
+Records are immutable ``NamedTuple``s: the stable log keeps every one
+for the whole run, and a bare tuple is the least heap the collector
+can be asked to walk. Tuple equality ignores the class, so compare a
+record only with records of its own type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class SetFragment:
+class SetFragment(NamedTuple):
     """Absolute assignment: local fragment of *item* becomes *value*.
 
     ``ts`` is the timestamp of the transaction performing the write;
@@ -37,8 +40,7 @@ class SetFragment:
     ts: int = 0
 
 
-@dataclass(frozen=True)
-class VmEntry:
+class VmEntry(NamedTuple):
     """One virtual message: *amount* of *item* owed to site *dst*.
 
     ``channel_seq`` is the per-(src, dst) FIFO sequence number that the
@@ -54,8 +56,7 @@ class VmEntry:
     txn_id: str = ""
 
 
-@dataclass(frozen=True)
-class VmCreateRecord:
+class VmCreateRecord(NamedTuple):
     """[database-actions, message-sequence] — atomically logged.
 
     Writing this record is the *commit point*: the fragment updates in
@@ -68,8 +69,7 @@ class VmCreateRecord:
     messages: tuple[VmEntry, ...] = ()
 
 
-@dataclass(frozen=True)
-class VmAcceptRecord:
+class VmAcceptRecord(NamedTuple):
     """[database-actions] — a Vm's lifespan ends at the receiver.
 
     ``src``/``channel_seq`` identify the accepted Vm; recovery replays
@@ -83,16 +83,14 @@ class VmAcceptRecord:
     txn_id: str = ""
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     """Commit of a purely local transaction (no messages created)."""
 
     txn_id: str
     actions: tuple[SetFragment, ...] = ()
 
 
-@dataclass(frozen=True)
-class AppliedRecord:
+class AppliedRecord(NamedTuple):
     """The database now reflects the actions of record *applied_lsn*.
 
     Section 5 step 6: after making the changes, "record on the log that
@@ -102,8 +100,7 @@ class AppliedRecord:
     applied_lsn: int
 
 
-@dataclass(frozen=True)
-class CheckpointRecord:
+class CheckpointRecord(NamedTuple):
     """Fuzzy checkpoint: fragment snapshot plus live channel state."""
 
     fragments: tuple[tuple[str, Any], ...] = ()
@@ -111,4 +108,4 @@ class CheckpointRecord:
     outgoing_unacked: tuple[VmEntry, ...] = ()
     incoming_cumulative: tuple[tuple[str, int], ...] = ()
     next_channel_seq: tuple[tuple[str, int], ...] = ()
-    extra: tuple[tuple[str, Any], ...] = field(default=())
+    extra: tuple[tuple[str, Any], ...] = ()
