@@ -205,7 +205,7 @@ class DvPSite:
         return self.router.directory.epoch
 
     def peers_for(self, item: str, epoch_hint: int | None = None
-                  ) -> "tuple[str, ...] | list[str]":
+                  ) -> tuple[str, ...]:
         """Peers worth asking for *item*'s value: its directory owners.
 
         Falls back to :meth:`peers` with no router (static topology)
@@ -216,7 +216,7 @@ class DvPSite:
         if self.router is None:
             return self.peers()
         owners, _epoch = self.router.route(item, epoch_hint)
-        targets = [site for site in owners if site != self.name]
+        targets = tuple(site for site in owners if site != self.name)
         return targets or self.peers()
 
     # -- client API -------------------------------------------------------

@@ -45,27 +45,40 @@ class LinkConfig:
             raise ValueError("duplicate_probability must be within [0, 1]")
 
 
+class Endpoint:
+    """What a network knows of one site: its partition group and its
+    delivery handler. Every link touching the site shares the object,
+    so a partition or a handler swap is one store — seen at once by
+    sends and by deliveries already in flight."""
+
+    __slots__ = ("group", "handler")
+
+    def __init__(self) -> None:
+        self.group: int | None = None  # None: not (yet) registered
+        self.handler: Callable[[Any], None] | None = None
+
+
 class Link:
     """A directed link; decides each transmission's fate.
 
     It also carries what a send would otherwise look up or format per
-    envelope: its endpoints' partition groups and the destination's
-    handler (the owning network keeps both current) and the label of
-    a delivery event per payload kind.
+    envelope: its two endpoints and the delivery-event labels.
     """
 
     def __init__(self, src: str, dst: str, config: LinkConfig,
-                 rng: random.Random | None) -> None:
-        # rng is None only where no fate is ever drawn (net.sync).
+                 rng: random.Random | None,
+                 src_end: Endpoint | None = None,
+                 dst_end: Endpoint | None = None) -> None:
+        # rng is None only where no fate is ever drawn (net.sync); a
+        # link outside any network stands between two fresh endpoints.
         self.src = src
         self.dst = dst
         self.config = config
         self._rng = rng
         self._fault: LinkConfig | None = None
         self.up = True
-        self.src_group: int | None = None
-        self.dst_group: int | None = None
-        self.handler: Callable[[Any], None] | None = None
+        self.src_end = src_end or Endpoint()
+        self.dst_end = dst_end or Endpoint()
         self.labels: dict[str, str] = {}
         self.transmissions = 0
         self.losses = 0

@@ -6,7 +6,7 @@ from collections import Counter
 from functools import partial
 from typing import Any, Callable, Iterable
 
-from repro.net.link import Link, LinkConfig
+from repro.net.link import Endpoint, Link, LinkConfig
 from repro.net.message import Envelope
 from repro.net.outbox import BundlingConfig, Outbox, _OpenBundle
 from repro.obs.events import (
@@ -42,7 +42,8 @@ class Network:
         #: Bumped by register(); sites key their cached peers on it.
         self.membership = 0
         self._links: dict[tuple[str, str], Link] = {}
-        self._groups: dict[str, int] = {}
+        #: Per site, its partition group and handler (see Endpoint).
+        self._ends: dict[str, Endpoint] = {}
         self._up: dict[str, bool] = {}
         self.sent_counts: Counter[str] = Counter()
         self.delivered_counts: Counter[str] = Counter()
@@ -83,17 +84,23 @@ class Network:
         if name in self._handlers:
             raise ValueError(f"site {name!r} already registered")
         self._handlers[name] = handler
-        self._groups[name] = 0
         self._up[name] = True
         self.membership += 1
-        self._rebind_links()
+        end = self._end(name)
+        end.group, end.handler = 0, handler
 
     def replace_handler(self, name: str, handler: Handler) -> None:
         """Swap a site's delivery handler (used when a site restarts)."""
         if name not in self._handlers:
             raise KeyError(name)
-        self._handlers[name] = handler
-        self._rebind_links()
+        self._handlers[name] = self._ends[name].handler = handler
+
+    def _end(self, name: str) -> Endpoint:
+        """*name*'s endpoint; a site not (yet) registered is in no group."""
+        end = self._ends.get(name)
+        if end is None:
+            end = self._ends[name] = Endpoint()
+        return end
 
     def link(self, src: str, dst: str) -> Link:
         """The directed link src->dst, created on first use."""
@@ -104,17 +111,10 @@ class Network:
 
     def _new_link(self, src: str, dst: str, config: LinkConfig) -> Link:
         link = Link(src, dst, config,
-                    self.sim.rng.stream(f"link:{src}->{dst}"))
+                    self.sim.rng.stream(f"link:{src}->{dst}"),
+                    self._end(src), self._end(dst))
         self._register_link_gauges(link)
         return link
-
-    def _rebind_links(self, links: Iterable[Link] | None = None) -> None:
-        """Refresh what *links* (default: all, after a handler or the
-        partition map changed) carry so that a send need not look it up."""
-        for link in self._links.values() if links is None else links:
-            link.src_group = self._groups.get(link.src)
-            link.dst_group = self._groups.get(link.dst)
-            link.handler = self._handlers.get(link.dst)
 
     def _register_link_gauges(self, link: Link) -> None:
         """Expose the link's own counters through the metrics registry."""
@@ -126,8 +126,7 @@ class Network:
     def configure_link(self, src: str, dst: str,
                        config: LinkConfig) -> Link:
         """Override one directed link's behaviour."""
-        link = self._links[src, dst] = self._new_link(src, dst, config)
-        self._rebind_links([link])
+        self._links[src, dst] = link = self._new_link(src, dst, config)
         return link
 
     def configure_all_links(self, config: LinkConfig) -> None:
@@ -216,20 +215,21 @@ class Network:
         leftover = group_id + 1
         for name in self._handlers:
             assignment.setdefault(name, leftover)
-        self._groups = assignment
-        self._rebind_links()
+        for name, group in assignment.items():
+            self._ends[name].group = group
 
     def heal(self) -> None:
         """Undo any partition; all sites reachable again."""
-        self._groups = {name: 0 for name in self._handlers}
-        self._rebind_links()
+        for name in self._handlers:
+            self._ends[name].group = 0
 
     def reachable(self, src: str, dst: str) -> bool:
-        return self._groups.get(src) == self._groups.get(dst)
+        return self._end(src).group == self._end(dst).group
 
     @property
     def partitioned(self) -> bool:
-        return len(set(self._groups.values())) > 1
+        return len({self._ends[name].group
+                    for name in self._handlers}) > 1
 
     # -- transport --------------------------------------------------------
 
@@ -275,7 +275,7 @@ class Network:
         dropped_loss + deliveries-scheduled always equals sends.
         """
         lost = link.should_drop()
-        if link.src_group != link.dst_group:
+        if link.src_end.group != link.dst_end.group:
             self._drop_partitioned(link, kind)
             return False
         if lost:
@@ -313,7 +313,7 @@ class Network:
         """The kernel event of one envelope arriving over *link*."""
         # Re-check reachability at delivery time: a partition that
         # strikes while the message is in flight swallows it.
-        if link.src_group != link.dst_group:
+        if link.src_end.group != link.dst_end.group:
             self._drop_partitioned(link, kind)
             return
         self.delivered_counts[kind] += 1
@@ -321,7 +321,7 @@ class Network:
         if self._obs.enabled:
             self._obs.emit(NetDeliver(t=self.sim.now, src=link.src,
                                       dst=link.dst, payload=kind))
-        link.handler(envelope)
+        link.dst_end.handler(envelope)
 
     def _deliver_bundle(self, open_bundle: _OpenBundle,
                         duplicated: bool) -> None:

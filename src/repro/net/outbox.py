@@ -111,9 +111,8 @@ class Outbox:
                   now: float) -> _OpenBundle:
         """Open a bundle: draw its fate once, schedule its one delivery.
 
-        The draw order matches ``Network.send`` for a single message —
-        loss sampled unconditionally, partition taking precedence in the
-        drop accounting, delay then duplicate only for survivors — so
+        The draws are a single message's (``Network._survives``, then
+        delay, then duplicate — the latter two only for survivors), so
         enabling bundling never shifts a link's RNG stream.
         """
         net = self._network

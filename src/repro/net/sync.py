@@ -41,7 +41,7 @@ class SynchronousNetwork(Network):
     def _new_link(self, src: str, dst: str, config: LinkConfig) -> Link:
         # Lossless and constant-delay: a synchronous link never draws,
         # so it gets no RNG stream and no fate gauges.
-        return Link(src, dst, config, rng=None)
+        return Link(src, dst, config, None, self._end(src), self._end(dst))
 
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Constant-delay, loss-free, priority-ordered delivery."""
@@ -54,7 +54,7 @@ class SynchronousNetwork(Network):
         if self._obs.enabled:
             self._obs.emit(NetSend(t=now, src=src, dst=dst, payload=kind))
         link = self.link(src, dst)
-        if link.src_group != link.dst_group:
+        if link.src_end.group != link.dst_end.group:
             # Partitions are outside Conc2's assumptions, but the mode is
             # still usable under them so E10 can demonstrate the unsoundness.
             self._drop_partitioned(link, kind)

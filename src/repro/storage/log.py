@@ -5,9 +5,8 @@ forced write); a site crash never loses an appended record and never
 keeps a partial one. The log supports scanning from an LSN, which is
 all recovery and checkpointing need.
 
-Records are stored bare — the LSN *is* the list index — and wrapped in
-a :class:`LogRecordEnvelope` only as a scan yields them: a long-lived
-wrapper per record is heap the garbage collector would keep walking.
+Records are stored bare (the LSN *is* the list index) and wrapped in a
+:class:`LogRecordEnvelope` only as a scan yields them (DESIGN.md §7).
 """
 
 from __future__ import annotations

@@ -15,10 +15,9 @@ exclusive lock, the final value is known when the record is written, and
 replaying assignments in log order is naturally idempotent — the
 property Section 7 demands of redo.
 
-Records are immutable ``NamedTuple``s: the stable log keeps every one
-for the whole run, and a bare tuple is the least heap the collector
-can be asked to walk. Tuple equality ignores the class, so compare a
-record only with records of its own type.
+Records are ``NamedTuple``s — the log keeps every one for the whole
+run, so they are as small as Python allows (DESIGN.md §7). Tuple equality
+ignores the class: compare a record only with its own type.
 """
 
 from __future__ import annotations
