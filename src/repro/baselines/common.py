@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.transactions import (
+    EMPTY,
     DecrementOp,
     IncrementOp,
     Outcome,
@@ -131,7 +132,8 @@ def make_result(txn_id: str, label: str, outcome: Outcome, reason: str,
     return TxnResult(
         txn_id=txn_id, label=label, outcome=outcome, reason=reason,
         site=site, submitted_at=submitted_at, finished_at=finished_at,
-        read_values=read_values or {}, semantic_deltas=deltas or [])
+        read_values=read_values or EMPTY,
+        semantic_deltas=tuple(deltas or ()))
 
 
 class IdSource:

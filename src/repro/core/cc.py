@@ -21,7 +21,7 @@ real transactions ran one at a time; only the distribution of fragments
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.site import DvPSite
@@ -38,12 +38,12 @@ class ConcurrencyControl(ABC):
 
     @abstractmethod
     def may_lock_local(self, site: "DvPSite", ts: int,
-                       items: set[str]) -> bool:
+                       items: Collection[str]) -> bool:
         """May a transaction with timestamp *ts* lock *items* here?"""
 
     @abstractmethod
     def on_lock_granted(self, site: "DvPSite", ts: int,
-                        items: set[str]) -> None:
+                        items: Collection[str]) -> None:
         """Bookkeeping once the locks are actually taken."""
 
     @abstractmethod
@@ -64,11 +64,11 @@ class Conc1(ConcurrencyControl):
     broadcast_at_init = False
 
     def may_lock_local(self, site: "DvPSite", ts: int,
-                       items: set[str]) -> bool:
+                       items: Collection[str]) -> bool:
         return all(ts > site.fragments.timestamp(item) for item in items)
 
     def on_lock_granted(self, site: "DvPSite", ts: int,
-                        items: set[str]) -> None:
+                        items: Collection[str]) -> None:
         for item in items:
             site.fragments.stamp(item, ts)
 
@@ -84,12 +84,12 @@ class Conc2(ConcurrencyControl):
     broadcast_at_init = True
 
     def may_lock_local(self, site: "DvPSite", ts: int,
-                       items: set[str]) -> bool:
+                       items: Collection[str]) -> bool:
         # 2PL has no timestamp admission test; the lock queue is the law.
         return True
 
     def on_lock_granted(self, site: "DvPSite", ts: int,
-                        items: set[str]) -> None:
+                        items: Collection[str]) -> None:
         # Keep fragment stamps monotone for observability; Conc2's
         # correctness does not depend on them (its hypothetical
         # timestamps are the partial order induced by the broadcasts).

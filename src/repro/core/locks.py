@@ -12,7 +12,7 @@ set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 
 @dataclass
@@ -41,7 +41,7 @@ class LockTable:
     def is_free(self, item: str) -> bool:
         return item not in self.holders
 
-    def try_acquire_all(self, owner: str, items: set[str]) -> bool:
+    def try_acquire_all(self, owner: str, items: Collection[str]) -> bool:
         """Atomically lock *items* for *owner*; all-or-nothing, no wait."""
         holders = self.holders
         for item in items:
@@ -56,7 +56,7 @@ class LockTable:
             self.holders[item] = owner
             owned.append(item)
 
-    def acquire_all_or_wait(self, owner: str, items: set[str],
+    def acquire_all_or_wait(self, owner: str, items: Collection[str],
                             on_granted: Callable[[], None]) -> bool:
         """Lock *items* now if possible, else join the FIFO wait queue.
 

@@ -513,8 +513,8 @@ class DvPSite:
         self.txns_wiped += len(self.active)
         self.downtime.append([self.sim.now, None])
         self.vm.stop()
-        for txn in list(self.active.values()):
-            txn._timer.cancel()
+        for txn in self.active.values():
+            txn.wipe()
         self.active.clear()
         self.wakeable.clear()
         self.locks.clear()

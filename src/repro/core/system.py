@@ -369,9 +369,9 @@ class DvPSystem:
             # uses this as the permitted under-report bound. The
             # auditor's incremental books make this an O(1) lookup per
             # item instead of a full sender × receiver channel scan.
-            for item in result.read_values:
-                result.inflight_at_commit[item] = \
-                    self.auditor.live_vm_total(item)
+            result.inflight_at_commit = {
+                item: self.auditor.live_vm_total(item)
+                for item in result.read_values}
         if self.views is not None and result.committed \
                 and result.view_fallbacks:
             # Read-through: a view miss paid the fan-out; repair the

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.messages import READ_MODE, TRANSFER_MODE, DataRequest
 from repro.core.operators import BoundedDecrement, PartitionableOperator
@@ -59,6 +60,12 @@ class _State(enum.Enum):
     GATHERING = "gathering"
     COMPUTING = "computing"
     FINISHED = "finished"
+
+
+#: The ONE empty mapping behind every mapping field nobody filled
+#: (TxnResult's, a spec's view bounds). Immutable, so a stray write
+#: raises instead of aliasing every holder.
+EMPTY: Mapping[str, Any] = MappingProxyType({})
 
 
 # -- operations --------------------------------------------------------------
@@ -153,22 +160,53 @@ class TransactionSpec:
     work: float = 0.0
 
     def __post_init__(self) -> None:
-        overlap = self.read_items() & self.update_items()
+        # A spec is frozen, so its item sets are derived here, once,
+        # and every later use — by this spec's methods and by each
+        # Transaction running it — reads them back. They are tuples of
+        # distinct items in op order, and the empty and the identical
+        # ones are shared: a workload holds one spec per request.
+        full = dict.fromkeys(op.item for op in self.ops
+                             if isinstance(op, ReadFullOp))
+        bounds: dict[str, float | None] = {}
+        updates: dict[str, None] = {}
+        for op in self.ops:
+            if isinstance(op, ReadViewOp):
+                if op.item in full:
+                    continue  # the exact read serves both ops' values
+                prior = bounds.get(op.item)
+                if op.item not in bounds:
+                    bounds[op.item] = op.bound
+                elif op.bound is not None and (prior is None
+                                               or op.bound < prior):
+                    bounds[op.item] = op.bound
+            elif isinstance(op, TransferOp):
+                updates[op.src_item] = updates[op.dst_item] = None
+            elif isinstance(op, (IncrementOp, DecrementOp, ApplyOp,
+                                 ReadLocalOp)):
+                updates[op.item] = None
+        overlap = [item for item in updates
+                   if item in full or item in bounds]
         if overlap:
             raise ValueError(
                 f"items {sorted(overlap)} are both read (full or view) "
                 "and updated; split into two transactions")
+        derive = object.__setattr__  # frozen: not fields, derived state
+        derive(self, "_full_reads", tuple(full))
+        derive(self, "_view_bounds", bounds or EMPTY)
+        derive(self, "_updates", tuple(updates))
+        derive(self, "_items", (*full, *bounds, *updates)
+               if full or bounds else self._updates)
 
     def items(self) -> set[str]:
         """A(t): every item the transaction accesses."""
-        return self.read_items() | self.update_items()
+        return set(self._items)
 
     def read_items(self) -> set[str]:
-        return self.full_read_items() | set(self.view_bounds())
+        return {*self._full_reads, *self._view_bounds}
 
     def full_read_items(self) -> set[str]:
         """Items read exactly (the fan-out protocol, no views)."""
-        return {op.item for op in self.ops if isinstance(op, ReadFullOp)}
+        return set(self._full_reads)
 
     def view_bounds(self) -> dict[str, float | None]:
         """Item → tightest staleness bound among its ReadViewOps.
@@ -176,29 +214,10 @@ class TransactionSpec:
         Items also read with :class:`ReadFullOp` are excluded — the
         exact read dominates and serves both ops' values.
         """
-        full = self.full_read_items()
-        bounds: dict[str, float | None] = {}
-        for op in self.ops:
-            if not isinstance(op, ReadViewOp) or op.item in full:
-                continue
-            prior = bounds.get(op.item)
-            if op.item not in bounds:
-                bounds[op.item] = op.bound
-            elif op.bound is not None and (prior is None
-                                           or op.bound < prior):
-                bounds[op.item] = op.bound
-        return bounds
+        return dict(self._view_bounds)
 
     def update_items(self) -> set[str]:
-        found: set[str] = set()
-        for op in self.ops:
-            if isinstance(op, (IncrementOp, DecrementOp, ApplyOp,
-                               ReadLocalOp)):
-                found.add(op.item)
-            elif isinstance(op, TransferOp):
-                found.add(op.src_item)
-                found.add(op.dst_item)
-        return found
+        return set(self._updates)
 
     def needs(self, domain_of) -> dict[str, Any]:
         """Per-item value the local fragment must cover before commit."""
@@ -224,9 +243,18 @@ class TransactionSpec:
         return needed
 
 
-@dataclass
+def _empty() -> Mapping[str, Any]:
+    return EMPTY
+
+
+@dataclass(slots=True)
 class TxnResult:
-    """Reported to the submitter's callback when the transaction ends."""
+    """Reported to the submitter's callback when the transaction ends.
+
+    A run keeps every result, so one is a single slotted object whose
+    unused fields cost nothing (DESIGN.md §7): to fill a mapping field,
+    assign a new dict — never write into the default.
+    """
 
     txn_id: str
     label: str
@@ -235,20 +263,20 @@ class TxnResult:
     site: str
     submitted_at: float
     finished_at: float
-    read_values: dict[str, Any] = field(default_factory=dict)
-    semantic_deltas: list[tuple[str, int, Any]] = field(default_factory=list)
+    read_values: Mapping[str, Any] = field(default_factory=_empty)
+    semantic_deltas: tuple[tuple[str, int, Any], ...] = ()
     requests_sent: int = 0
     #: Value of each read item that was inside live Vm at the commit
     #: instant (sampled by the system's god's-eye auditor). The paper's
     #: read protocol can miss exactly this much: a committed read
     #: returns Π(everything) minus what was still in transmission
     #: (Section 3's N_M term) — see harness.serial for the check.
-    inflight_at_commit: dict[str, Any] = field(default_factory=dict)
+    inflight_at_commit: Mapping[str, Any] = field(default_factory=_empty)
     #: Item → ViewCertificate for every view-served read (docs/READS.md).
     #: The chaos ViewOracle replays the committed timeline against each
     #: certificate: its value must be the item's exact logical value at
     #: ``as_of`` and its accepted staleness must respect its bound.
-    view_reads: dict[str, Any] = field(default_factory=dict)
+    view_reads: Mapping[str, Any] = field(default_factory=_empty)
     #: View items whose certificate could not be produced — served by
     #: the classic fan-out instead (the read-through tier repairs the
     #: cache from these, see DvPSystem._record_result).
@@ -282,14 +310,15 @@ class Transaction:
         self.state = _State.NEW
         self.submitted_at = site.sim.now
         self.requests_sent = 0
-        self._timer = Timer(site.sim, self._on_timeout,
-                            label=f"txn-timeout:{self.id}")
+        #: None once the transaction is over (see _release).
+        self._timer: Timer | None = Timer(
+            site.sim, self._on_timeout, label=f"txn-timeout:{self.id}")
         self._read_responders: dict[str, set[str]] = {
-            item: set() for item in spec.full_read_items()}
+            item: set() for item in spec._full_reads}
         #: View items still on the O(1) path (item → staleness bound).
         #: Escalation moves an item from here into _read_responders.
         self._view_pending: dict[str, float | None] = dict(
-            spec.view_bounds())
+            spec._view_bounds)
         self._view_certs: dict[str, Any] = {}
         self._view_fallbacks: list[str] = []
         self._needs = spec.needs(site.fragments.domain)
@@ -315,7 +344,7 @@ class Transaction:
         if self.site.cc.broadcast_at_init:
             # Conc2: all requests broadcast together at initiation.
             self._send_requests(estimate_without_locks=True)
-        items = self.spec.items()
+        items = self.spec._items
         if self.site.cc.waits_for_locks:
             self.state = _State.WAITING_LOCKS
             granted = self.site.locks.acquire_all_or_wait(
@@ -355,7 +384,7 @@ class Transaction:
             # that path cannot skip acquisition.
             return False
         if not self._view_pending or self._needs or self._read_responders \
-                or self.spec.update_items():
+                or self.spec._updates:
             return False
         for item in sorted(self._view_pending):
             if not self._certify(item):
@@ -376,7 +405,7 @@ class Transaction:
             return
         if self.site.cc.waits_for_locks:
             self.site.cc.on_lock_granted(self.site, self.ts,
-                                         self.spec.items())
+                                         self.spec._items)
         if self.site._obs.enabled:
             self.site._obs.emit(TxnLocksGranted(
                 t=self.site.sim.now, site=self.site.name, txn=self.id))
@@ -622,7 +651,8 @@ class Transaction:
             lsn = self.site.log_append(CommitRecord(self.id, actions))
             # Step 6: make the changes and record that they were made.
             self.site.apply_actions(actions, lsn)
-        self._finish(Outcome.COMMITTED, "ok", read_values, deltas)
+        self._finish(Outcome.COMMITTED, "ok", read_values or EMPTY,
+                     tuple(deltas))
 
     def _apply_decrement(self, item: str, amount: Any,
                          working: dict[str, Any], current) -> bool:
@@ -642,7 +672,7 @@ class Transaction:
         Legal because a timeout is a purely local, pessimistic decision
         — nothing in the protocol depends on how long it actually
         waited. No-op when the timer is disarmed (committing)."""
-        if self._timer.armed:
+        if self._timer is not None and self._timer.armed:
             self._timer.cancel()
             self._on_timeout()
 
@@ -664,16 +694,34 @@ class Transaction:
             # the strongest demand signal the planner gets.
             for item in self._needs:
                 self.site.demand.note_abort(item)
-        self._finish(Outcome.ABORTED, reason, {}, [])
+        self._finish(Outcome.ABORTED, reason, EMPTY, ())
+
+    def wipe(self) -> None:
+        """The site crashed under this transaction: its volatile state
+        is gone, nothing it still has scheduled may act, and its client
+        never hears."""
+        self.state = _State.FINISHED
+        self._release()
+
+    def _release(self) -> Callable[[TxnResult], None] | None:
+        """Let go of the timer and the caller's callback (returned for
+        its one use). Transaction ↔ Timer is a reference cycle, and a
+        callback may close over this handle: severed here, everything
+        the transaction owned dies by reference counting the moment
+        ``site.active`` and the caller drop it — never left to the
+        cycle collector (DESIGN.md §7)."""
+        self._timer.cancel()
+        on_done, self.on_done, self._timer = self.on_done, None, None
+        return on_done
 
     def _finish(self, outcome: Outcome, reason: str,
-                read_values: dict[str, Any],
-                deltas: list[tuple[str, int, Any]]) -> None:
+                read_values: Mapping[str, Any],
+                deltas: tuple[tuple[str, int, Any], ...]) -> None:
         if self.state is _State.FINISHED:
             return
         was_waiting = self.state is _State.WAITING_LOCKS
         self.state = _State.FINISHED
-        self._timer.cancel()
+        on_done = self._release()
         if was_waiting:
             self.site.locks.cancel_waiter(self.id)
         self.site.locks.release_all(self.id)
@@ -684,7 +732,8 @@ class Transaction:
             read_values=read_values, semantic_deltas=deltas,
             requests_sent=self.requests_sent,
             view_reads=(dict(self._view_certs)
-                        if outcome is Outcome.COMMITTED else {}),
+                        if self._view_certs
+                        and outcome is Outcome.COMMITTED else EMPTY),
             view_fallbacks=tuple(self._view_fallbacks))
         self.site.h_decision[outcome].observe(self.result.latency)
         if self.site._obs.enabled:
@@ -696,5 +745,5 @@ class Transaction:
                     t=self.site.sim.now, site=self.site.name, txn=self.id,
                     reason=reason))
         self.site.transaction_finished(self)
-        if self.on_done is not None:
-            self.on_done(self.result)
+        if on_done is not None:
+            on_done(self.result)

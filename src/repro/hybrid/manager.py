@@ -317,7 +317,7 @@ class HybridSystem:
             self.system.network.send(home, request.origin, ForwardReply(
                 request.forward_id, result.outcome, result.reason,
                 tuple(result.read_values.items()),
-                tuple(result.semantic_deltas)))
+                result.semantic_deltas))
 
         try:
             self.system.sites[home].submit(
@@ -339,4 +339,4 @@ class HybridSystem:
                 site=pending.origin, submitted_at=pending.submitted_at,
                 finished_at=self.system.sim.now,
                 read_values=dict(reply.read_values),
-                semantic_deltas=list(reply.semantic_deltas)))
+                semantic_deltas=reply.semantic_deltas))

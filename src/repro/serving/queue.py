@@ -131,13 +131,18 @@ class SiteQueue:
                                   waited=now - entry.enqueued_at,
                                   inflight=self.inflight))
         released = False
+        lease: Timer | None = None
 
         def release() -> None:
-            nonlocal released
+            nonlocal released, lease
             if released:
                 return
             released = True
-            lease.cancel()
+            if lease is not None:
+                lease.cancel()
+                # release <-> lease is a cycle: severed, the slot's
+                # closures die by reference counting.
+                lease = None
             self.inflight -= 1
             self._pump()
 
@@ -158,8 +163,6 @@ class SiteQueue:
                 entry.on_done(result)
             release()
 
-        lease = Timer(self.sim, on_lease_expired,
-                      label=f"serve:lease:{self.site}", site=self.site)
         try:
             self.frontend.system.submit(self.site, entry.spec, on_decided)
         except SiteDown:
@@ -171,6 +174,8 @@ class SiteQueue:
         # arming the lease afterwards would leak a timer for a slot
         # that was already released.
         if self.lease is not None and not released:
+            lease = Timer(self.sim, on_lease_expired,
+                          label=f"serve:lease:{self.site}", site=self.site)
             lease.start(self.lease)
         self.frontend.note_dispatch()
 

@@ -64,7 +64,9 @@ class Event:
     time: float
     priority: int
     seq: int
-    action: Callable[[], Any] = field(compare=False)
+    #: None once cancelled: a corpse waiting out its slot in the queue
+    #: is a husk that keeps nothing it was going to call alive.
+    action: Callable[[], Any] | None = field(compare=False)
     label: str = field(compare=False, default="")
     cancelled: bool = field(compare=False, default=False)
     #: Back-reference to the owning queue while the event sits in its
@@ -92,6 +94,7 @@ class Event:
         if self.cancelled:
             return
         self.cancelled = True
+        self.action = None
         if self.queue is not None:
             self.queue._note_cancel()
 
