@@ -15,14 +15,24 @@ exclusive lock, the final value is known when the record is written, and
 replaying assignments in log order is naturally idempotent — the
 property Section 7 demands of redo.
 
-Records are ``NamedTuple``s — the log keeps every one for the whole
-run, so they are as small as Python allows (DESIGN.md §7). Tuple equality
-ignores the class: compare a record only with its own type.
+Records are ``NamedTuple``s. Tuple equality ignores the class: compare
+a record only with its own type.
+
+The stable log does not keep these objects. It keeps each record's
+*encoding* (:func:`encode`): its fields laid end to end in ONE flat
+tuple, the ``SetFragment`` / ``VmEntry`` rows flattened in with them.
+A flat tuple of atoms is something CPython's cycle collector stops
+tracking the first time it sees it — which it never does for a
+``NamedTuple`` instance, nor for a tuple nested inside another before
+as many passes as it is deep — so a run's whole history costs the
+collector nothing (DESIGN.md §7). :func:`decode` rebuilds the typed
+record when a reader asks for it.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from itertools import chain, starmap
+from typing import Any, Callable, NamedTuple
 
 
 class SetFragment(NamedTuple):
@@ -108,3 +118,64 @@ class CheckpointRecord(NamedTuple):
     incoming_cumulative: tuple[tuple[str, int], ...] = ()
     next_channel_seq: tuple[tuple[str, int], ...] = ()
     extra: tuple[tuple[str, Any], ...] = ()
+
+
+# -- the stable encoding --------------------------------------------------------
+
+#: The fields of every row of a tuple of rows, end to end.
+_flat = chain.from_iterable
+
+
+def _rows(cls: type, flat: tuple) -> tuple:
+    """Rebuild *cls* rows from their fields laid end to end."""
+    columns = [iter(flat)] * len(cls._fields)
+    return tuple(starmap(cls, zip(*columns)))
+
+
+#: Record class -> (kind, encoder, decoder). Kind 0 is reserved for
+#: everything that is not one of these five classes (see encode).
+_CODECS: dict[type, tuple[int, Callable, Callable]] = {
+    VmCreateRecord: (
+        1,
+        lambda r: (r[0], len(r[1]), *_flat(r[1]), *_flat(r[2])),
+        lambda p: VmCreateRecord(
+            p[0], _rows(SetFragment, p[2:2 + 3 * p[1]]),
+            _rows(VmEntry, p[2 + 3 * p[1]:]))),
+    VmAcceptRecord: (
+        2,
+        lambda r: (r[0], r[1], r[3], *_flat(r[2])),
+        lambda p: VmAcceptRecord(p[0], p[1], _rows(SetFragment, p[3:]),
+                                 p[2])),
+    CommitRecord: (
+        3,
+        lambda r: (r[0], *_flat(r[1])),
+        lambda p: CommitRecord(p[0], _rows(SetFragment, p[1:]))),
+    AppliedRecord: (4, tuple, AppliedRecord._make),
+    # Rare (one per checkpoint interval): only the Vm rows are
+    # flattened, the snapshot's pair tuples stay as they are.
+    CheckpointRecord: (
+        5,
+        lambda r: (r[0], r[1], tuple(_flat(r[2])), r[3], r[4], r[5]),
+        lambda p: CheckpointRecord(p[0], p[1], _rows(VmEntry, p[2]),
+                                   p[3], p[4], p[5])),
+}
+_DECODERS = {kind: decoder for kind, _, decoder in _CODECS.values()}
+
+
+def encode(record: Any) -> tuple[int, Any]:
+    """*record* as ``(kind, payload)`` for stable storage.
+
+    Only an exact instance of one of the five record classes is
+    encoded. Anything else — the baselines log string-tagged plain
+    tuples through the same ``StableLog`` — is kind 0 and is its own
+    payload, so it can never be mistaken for an encoding.
+    """
+    codec = _CODECS.get(type(record))
+    if codec is None:
+        return 0, record
+    return codec[0], codec[1](record)
+
+
+def decode(kind: int, payload: Any) -> Any:
+    """The record :func:`encode` was given."""
+    return _DECODERS[kind](payload) if kind else payload
