@@ -162,6 +162,10 @@ class VmManager:
         # list-head pop(0) is O(queue) each time.
         self._drain_queue: deque[str] = deque()
         self._draining = False
+        #: Sources with a Vm buffered — all poke() has to look at. A
+        #: source joins when on_transfer buffers for it and leaves when
+        #: a drain finds its buffer empty, so this is never short of one.
+        self._backlog: set[str] = set()
         # O(1) live-Vm accounting. Invariant: every OutgoingChannel's
         # ``entries`` dict holds exactly its live (unacked) entries —
         # ack() prunes confirmed ones on the spot, and recovery rebuilds
@@ -329,6 +333,8 @@ class VmManager:
     def _retransmit_tick(self) -> None:
         live = 0
         for channel in self.outgoing.values():
+            if not channel.entries:
+                continue  # nothing live: unacked() would sort nothing
             for entry in channel.unacked():
                 if not self._in_window(channel, entry.channel_seq):
                     live += 1  # still live, just outside the window
@@ -386,6 +392,7 @@ class VmManager:
             self._send_ack(transfer.src)
             return
         channel.pending[seq] = transfer.entry
+        self._backlog.add(transfer.src)
         self.drain(transfer.src)
 
     def drain(self, src: str) -> None:
@@ -433,6 +440,8 @@ class VmManager:
             if self.on_accepted is not None:
                 self.on_accepted(src, entry)
             progressed = True
+        if not channel.pending:
+            self._backlog.discard(src)
         if progressed:
             self._send_ack(src)
 
@@ -440,10 +449,14 @@ class VmManager:
         """Retry pending heads on every channel (called on lock release).
 
         Channels with nothing buffered are skipped: draining them is a
-        no-op (no accept, no ack), and lock releases are frequent
-        enough that the empty drains dominated the poke cost.
+        no-op (no accept, no ack). Lock releases are frequent and a
+        backlog is rare, so the common poke looks at no channel at all;
+        a backlog is visited in channel-creation order, as ever.
         """
-        for src in list(self.incoming):
+        backlog = self._backlog
+        if not backlog:
+            return
+        for src in [src for src in self.incoming if src in backlog]:
             if self.incoming[src].pending:
                 self.drain(src)
 

@@ -49,6 +49,8 @@ class DepthBoard:
     def __init__(self, queues: dict[str, "SiteQueue"]) -> None:
         self._queues = queues
         self.snapshot: dict[str, int] = {site: 0 for site in queues}
+        #: The lowest load on the board, as of the same refresh.
+        self.least = 0
         self.refreshes = 0
 
     @property
@@ -58,6 +60,7 @@ class DepthBoard:
     def refresh(self) -> None:
         self.snapshot = {site: queue.load
                          for site, queue in self._queues.items()}
+        self.least = min(self.snapshot.values(), default=0)
         self.refreshes += 1
 
     def least_loaded(self, candidates: "tuple[str, ...] | list[str]",
@@ -110,11 +113,10 @@ class LeastQueueRouter:
         self._sites = board.sites
 
     def route(self, origin: str, spec: TransactionSpec) -> str:
-        snapshot = self.board.snapshot
-        least = min(snapshot.get(site, 0) for site in self._sites)
-        if snapshot.get(origin, 0) <= least + self.slack:
+        board = self.board
+        if board.snapshot.get(origin, 0) <= board.least + self.slack:
             return origin
-        return self.board.least_loaded(self._sites, prefer=origin)
+        return board.least_loaded(self._sites, prefer=origin)
 
 
 class LocalityRouter:
