@@ -310,9 +310,8 @@ class Transaction:
         self.state = _State.NEW
         self.submitted_at = site.sim.now
         self.requests_sent = 0
-        #: None once the transaction is over (see _release).
-        self._timer: Timer | None = Timer(
-            site.sim, self._on_timeout, label=f"txn-timeout:{self.id}")
+        self._timer = Timer(site.sim, self._on_timeout,
+                            label=f"txn-timeout:{self.id}")
         self._read_responders: dict[str, set[str]] = {
             item: set() for item in spec._full_reads}
         #: View items still on the O(1) path (item → staleness bound).
@@ -672,7 +671,7 @@ class Transaction:
         Legal because a timeout is a purely local, pessimistic decision
         — nothing in the protocol depends on how long it actually
         waited. No-op when the timer is disarmed (committing)."""
-        if self._timer is not None and self._timer.armed:
+        if self._timer.armed:
             self._timer.cancel()
             self._on_timeout()
 
@@ -704,14 +703,14 @@ class Transaction:
         self._release()
 
     def _release(self) -> Callable[[TxnResult], None] | None:
-        """Let go of the timer and the caller's callback (returned for
-        its one use). Transaction ↔ Timer is a reference cycle, and a
-        callback may close over this handle: severed here, everything
-        the transaction owned dies by reference counting the moment
-        ``site.active`` and the caller drop it — never left to the
-        cycle collector (DESIGN.md §7)."""
-        self._timer.cancel()
-        on_done, self.on_done, self._timer = self.on_done, None, None
+        """Close the timer and let go of the caller's callback
+        (returned for its one use). Transaction ↔ Timer is a reference
+        cycle, and a callback may close over this handle: severed here,
+        everything the transaction owned dies by reference counting the
+        moment ``site.active`` and the caller drop it — never left to
+        the cycle collector (DESIGN.md §7)."""
+        self._timer.close()
+        on_done, self.on_done = self.on_done, None
         return on_done
 
     def _finish(self, outcome: Outcome, reason: str,

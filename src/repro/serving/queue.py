@@ -131,18 +131,15 @@ class SiteQueue:
                                   waited=now - entry.enqueued_at,
                                   inflight=self.inflight))
         released = False
-        lease: Timer | None = None
 
         def release() -> None:
-            nonlocal released, lease
+            nonlocal released
             if released:
                 return
             released = True
-            if lease is not None:
-                lease.cancel()
-                # release <-> lease is a cycle: severed, the slot's
-                # closures die by reference counting.
-                lease = None
+            # close, not cancel: release <-> lease is a reference
+            # cycle, and the slot's closures should die with the slot.
+            lease.close()
             self.inflight -= 1
             self._pump()
 
@@ -163,6 +160,8 @@ class SiteQueue:
                 entry.on_done(result)
             release()
 
+        lease = Timer(self.sim, on_lease_expired,
+                      label=f"serve:lease:{self.site}", site=self.site)
         try:
             self.frontend.system.submit(self.site, entry.spec, on_decided)
         except SiteDown:
@@ -174,8 +173,6 @@ class SiteQueue:
         # arming the lease afterwards would leak a timer for a slot
         # that was already released.
         if self.lease is not None and not released:
-            lease = Timer(self.sim, on_lease_expired,
-                          label=f"serve:lease:{self.site}", site=self.site)
             lease.start(self.lease)
         self.frontend.note_dispatch()
 

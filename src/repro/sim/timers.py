@@ -53,6 +53,17 @@ class Timer:
             self._event.cancel()
             self._event = None
 
+    def close(self) -> None:
+        """Disarm for good and let go of the action.
+
+        A timer's action is usually a bound method (or a closure) of
+        its owner, which holds the timer: a reference cycle. The owner
+        closes the timer when its purpose is over, and both are freed
+        by reference counting instead of waiting for the cycle
+        collector (DESIGN.md §7)."""
+        self.cancel()
+        self._action = None
+
     def _fire(self) -> None:
         self._event = None
         self._action()

@@ -86,6 +86,7 @@ class Watched:
 
         def watched(site, spec, on_done=None):
             txn = submit(site, spec, on_done)
+            assert isinstance(txn, Transaction)  # not a wrapper of one
             self.refs.append(weakref.ref(txn))
             return txn
 
@@ -268,11 +269,20 @@ class TestCancelledEventIsAHusk:
             def expired(self):
                 raise AssertionError("disarmed")
 
+        # Cancelled: the queue holds a husk, only the owner the timer.
         owner = Owner()
         owner.timer.start(5.0)
         owner.timer.cancel()
         watch = weakref.ref(owner.timer)
-        owner.timer = None  # the owner severs; the queue holds a husk
+        owner.timer = None
+        assert watch() is None
+        # Closed: owner <-> timer is no longer a cycle.
+        owner = Owner()
+        owner.timer.start(5.0)
+        owner.timer.close()
+        assert not owner.timer.armed
+        watch = weakref.ref(owner)
+        del owner
         assert watch() is None
         sim.run()
         assert sim.steps == 0
@@ -416,13 +426,3 @@ class TestRetainedObjectBudget:
         assert len(system.results) == 580
         assert system.sim.metrics.total("vm.created") >= 2 * 580
         _assert_budget(system, before, 500, 1.5, "transfer fan-out")
-
-
-def test_watched_handles_are_transactions():
-    # The scenarios above watch what ``submit`` returns; keep that the
-    # runtime state machine itself, not a wrapper around it.
-    run = Watched()
-    run.system.add_item("x", CounterDomain(), total=400)
-    txn = run.system.submit("A", TransactionSpec(
-        ops=(DecrementOp("x", 1),), work=1.0))
-    assert isinstance(txn, Transaction) and run.refs[0]() is txn
