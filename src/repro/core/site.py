@@ -514,7 +514,7 @@ class DvPSite:
         self.downtime.append([self.sim.now, None])
         self.vm.stop()
         for txn in self.active.values():
-            txn.wipe()
+            txn._timer.close()  # not cancel: the wiped graph must die
         self.active.clear()
         self.wakeable.clear()
         self.locks.clear()

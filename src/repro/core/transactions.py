@@ -695,24 +695,6 @@ class Transaction:
                 self.site.demand.note_abort(item)
         self._finish(Outcome.ABORTED, reason, EMPTY, ())
 
-    def wipe(self) -> None:
-        """The site crashed under this transaction: its volatile state
-        is gone, nothing it still has scheduled may act, and its client
-        never hears."""
-        self.state = _State.FINISHED
-        self._release()
-
-    def _release(self) -> Callable[[TxnResult], None] | None:
-        """Close the timer and let go of the caller's callback
-        (returned for its one use). Transaction ↔ Timer is a reference
-        cycle, and a callback may close over this handle: severed here,
-        everything the transaction owned dies by reference counting the
-        moment ``site.active`` and the caller drop it — never left to
-        the cycle collector (DESIGN.md §7)."""
-        self._timer.close()
-        on_done, self.on_done = self.on_done, None
-        return on_done
-
     def _finish(self, outcome: Outcome, reason: str,
                 read_values: Mapping[str, Any],
                 deltas: tuple[tuple[str, int, Any], ...]) -> None:
@@ -720,7 +702,13 @@ class Transaction:
             return
         was_waiting = self.state is _State.WAITING_LOCKS
         self.state = _State.FINISHED
-        on_done = self._release()
+        # Transaction <-> Timer is a reference cycle, and the caller's
+        # callback may close over this handle: close the one, let go of
+        # the other, and everything the transaction owned dies by
+        # reference counting the moment site.active and the caller drop
+        # it — never left to the cycle collector (DESIGN.md §7).
+        self._timer.close()
+        on_done, self.on_done = self.on_done, None
         if was_waiting:
             self.site.locks.cancel_waiter(self.id)
         self.site.locks.release_all(self.id)
