@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.apps.specs import ViewReadSpecs
 from repro.core.domain import CounterDomain
 from repro.core.system import DvPSystem
 from repro.core.transactions import (
     DecrementOp,
     IncrementOp,
     ReadFullOp,
-    ReadViewOp,
     TransactionSpec,
     TransferOp,
     TxnResult,
@@ -32,6 +32,7 @@ class ReservationSystem:
     def __init__(self, system: DvPSystem, via=None) -> None:
         self.system = system
         self._target = via if via is not None else system
+        self._estimates = ViewReadSpecs("estimate")
         self._flights: set[str] = set()
 
     @property
@@ -102,9 +103,8 @@ class ReservationSystem:
         otherwise. The answer on the committed result's
         ``view_reads[flight]`` certificate states how stale it is."""
         self._check(flight)
-        self._target.submit(site, TransactionSpec(
-            ops=(ReadViewOp(flight, bound=bound),),
-            label=f"estimate:{flight}", work=work), on_done)
+        self._target.submit(
+            site, self._estimates.get(flight, bound, work), on_done)
 
     def local_quota(self, site: str, flight: str) -> Any:
         """This site's fragment — a free lower bound on availability."""

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.apps.specs import ViewReadSpecs
 from repro.core.domain import MoneyDomain
 from repro.core.system import DvPSystem
 from repro.core.transactions import (
     DecrementOp,
     IncrementOp,
     ReadFullOp,
-    ReadViewOp,
     TransactionSpec,
     TransferOp,
     TxnResult,
@@ -36,6 +36,7 @@ class Bank:
     def __init__(self, system: DvPSystem, via=None) -> None:
         self.system = system
         self._target = via if via is not None else system
+        self._estimates = ViewReadSpecs("estimate")
         self._accounts: set[str] = set()
 
     @property
@@ -95,9 +96,8 @@ class Bank:
         O(1) when the branch's Π(b) view cache certifies *bound*, exact
         fan-out otherwise — see docs/READS.md."""
         self._check(account)
-        self._target.submit(branch, TransactionSpec(
-            ops=(ReadViewOp(account, bound=bound),),
-            label=f"estimate:{account}", work=work), on_done)
+        self._target.submit(
+            branch, self._estimates.get(account, bound, work), on_done)
 
     def branch_share(self, branch: str, account: str) -> Any:
         """The locally held portion of the balance (free to read)."""

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.apps.specs import ViewReadSpecs
 from repro.core.domain import CounterDomain
 from repro.core.system import DvPSystem
 from repro.core.transactions import (
     DecrementOp,
     IncrementOp,
     ReadFullOp,
-    ReadViewOp,
     TransactionSpec,
     TxnResult,
 )
@@ -34,6 +34,7 @@ class InventoryControl:
     def __init__(self, system: DvPSystem, via=None) -> None:
         self.system = system
         self._target = via if via is not None else system
+        self._estimates = ViewReadSpecs("stock-estimate")
         self._skus: set[str] = set()
 
     @property
@@ -81,9 +82,8 @@ class InventoryControl:
         """Bounded-staleness quantity on hand — O(1) when the
         warehouse's Π(b) view cache certifies *bound* (docs/READS.md)."""
         self._check(sku)
-        self._target.submit(warehouse, TransactionSpec(
-            ops=(ReadViewOp(sku, bound=bound),),
-            label=f"stock-estimate:{sku}", work=work), on_done)
+        self._target.submit(
+            warehouse, self._estimates.get(sku, bound, work), on_done)
 
     def on_hand_locally(self, warehouse: str, sku: str) -> Any:
         self._check(sku)

@@ -111,6 +111,10 @@ class ReproArtifact:
         with the limit the artifact's own tail was recorded at
         (:data:`TRACE_TAIL_EVENTS` by default), the replayed
         ``result.trace_tail`` is byte-identical to ``self.trace_tail``.
+
+        The result's system is handed back **open** (callers read its
+        trace bus, its sites, its auditor): whoever replays closes —
+        ``result.system.close()`` — or lets the process end.
         """
         previous = arm_injection(self.injection)
         try:

@@ -242,7 +242,14 @@ def explore(config: ChaosConfig, budget: int, master_seed: int,
             stop_at_first_failure: bool = False,
             on_run: Callable[[int, ChaosResult], None] | None = None
             ) -> ExploreReport:
-    """Sample and judge *budget* plans; report every failing one."""
+    """Sample and judge *budget* plans; report every failing one.
+
+    Each plan's system is closed (``DvPSystem.close``) once the
+    oracles, ``summary()`` and *on_run* are done with it — a plan pays
+    for its transactions, not for the collector burying its system —
+    so *on_run* is the last moment ``result.system`` is live: copy out
+    what must outlast it (``list(result.system.results)`` does).
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     grammar = grammar or FaultGrammar()
@@ -260,8 +267,9 @@ def explore(config: ChaosConfig, budget: int, master_seed: int,
             report.failures.append(FailureCase(
                 index=index, seed=seed, plan=plan,
                 failures=result.failures, summary=result.summary()))
-            if stop_at_first_failure:
-                break
+        result.system.close()
+        if result.failed and stop_at_first_failure:
+            break
     return report
 
 

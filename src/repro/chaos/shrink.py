@@ -53,7 +53,6 @@ def shrink(config: ChaosConfig, plan: FaultPlan, seed: int,
     state = ShrinkResult(original=plan, minimal=plan, seed=seed,
                          config=config,
                          target_oracles=tuple(target_oracles or ()))
-    last_failing: dict[int, ChaosResult] = {}
 
     def still_fails(candidate: FaultPlan) -> bool:
         if state.runs >= max_runs:
@@ -66,8 +65,16 @@ def shrink(config: ChaosConfig, plan: FaultPlan, seed: int,
         state.history.append(
             f"{len(candidate)} actions -> "
             f"{'FAIL' + str(sorted(result.failures)) if result.failures else 'pass'}")
+        # Every hit becomes the plan being shrunk, so the latest hit
+        # (the baseline, until there is one) is the minimal plan's run:
+        # it is handed back open as ``final``. Every run it supersedes
+        # and every miss is closed, as explore() closes its plans'
+        # (docs/CHAOS.md).
         if hit:
-            last_failing[len(candidate)] = result
+            state.final.system.close()
+            state.final = result
+        else:
+            result.system.close()
         return hit
 
     baseline = run_chaos(config, plan, seed, oracles=oracles)
@@ -76,7 +83,7 @@ def shrink(config: ChaosConfig, plan: FaultPlan, seed: int,
         raise ValueError("plan does not fail any oracle; nothing to shrink")
     if not state.target_oracles:
         state.target_oracles = baseline.failed_oracles
-    last_failing[len(plan)] = baseline
+    state.final = baseline
 
     actions = list(plan.actions)
     granularity = 2
@@ -112,10 +119,6 @@ def shrink(config: ChaosConfig, plan: FaultPlan, seed: int,
                 break
 
     state.minimal = FaultPlan(tuple(actions))
-    state.final = last_failing.get(len(actions))
-    if state.final is None:  # pragma: no cover - cache always primed
-        state.final = run_chaos(config, state.minimal, seed, oracles=oracles)
-        state.runs += 1
     return state
 
 

@@ -79,6 +79,8 @@ def _cmd_trace(args) -> int:
         print("--limit must be >= 1", file=sys.stderr)
         return 2
     artifact = ReproArtifact.load(args.artifact)
+    # The replayed system stays open: the trace bus is read below, and
+    # the process ends with the command.
     result = artifact.replay(trace_limit=args.limit,
                              trace_kernel=args.kernel)
     narrowed = TraceFilter(site=args.site, item=args.item,

@@ -85,6 +85,11 @@ class ConservationAuditor:
             site.observer = self
             site.fragments.observer = self
 
+    def close(self) -> None:
+        """Let go of the system (which holds this auditor). The books
+        stay readable; the checks that scan sites do not."""
+        self.system = None
+
     def register_item(self, item: str, domain: Domain, total: Any) -> None:
         self._domains[item] = domain
         self._expected[item] = total

@@ -124,6 +124,11 @@ class MigrationController:
         sim.at_global(sim.now + self.period, self._tick,
                       label=f"migrate:tick:e{self.epoch}")
 
+    def close(self) -> None:
+        """Let go of the system (which lists this controller); the
+        moves, counters and ``done`` stay readable."""
+        self.system = None
+
     # -- the periodic pass -------------------------------------------------
 
     def _tick(self) -> None:

@@ -118,6 +118,11 @@ class RebalanceDaemon:
     def stop(self) -> None:
         self._timer.stop()
 
+    def close(self) -> None:
+        """Stop for good: the timer's action is this daemon's bound
+        method (DESIGN.md §7). Counters and targets stay readable."""
+        self._timer.close()
+
     @property
     def running(self) -> bool:
         return self._timer.running
@@ -261,7 +266,8 @@ def install_rebalancing(system, config: RebalanceConfig | None = None
 
     Each daemon is built and armed in its site's scheduling context so
     its periodic tick lives on the site's shard when the simulation is
-    sharded (a no-op on the single-queue kernel).
+    sharded (a no-op on the single-queue kernel). The daemons are
+    attached to the system, so ``system.close()`` closes them.
     """
     daemons = {}
     for name, site in system.sites.items():
@@ -270,4 +276,5 @@ def install_rebalancing(system, config: RebalanceConfig | None = None
             daemon.start()
             return daemon
         daemons[name] = system.sim.call_in_site(name, build)
+        system.attach(daemons[name])
     return daemons

@@ -141,6 +141,7 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
         report.details["crashed_at"] = site.downtime[-1][0]
         report.details["recovered_at"] = site.sim.now
 
+    site.vm.close()  # the pre-crash manager: read until now, done
     site.vm = vm
     if site._obs.enabled:
         site._obs.emit(SiteRecover(

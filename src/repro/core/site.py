@@ -538,6 +538,23 @@ class DvPSite:
         self.vm.start()
         return report
 
+    def close(self) -> None:
+        """The system is closing (``DvPSystem.close``): let go of what
+        points back at this site or out at the system. The Vm manager
+        and the undecided transactions' timers hold this site's bound
+        methods, lock waiters hold its closures, and the observer,
+        ``on_result``, router and view cache lead to the system that
+        holds the site. Stable storage, channel state and every
+        counter stay readable."""
+        self.vm.close()
+        for txn in self.active.values():
+            txn._timer.close()
+        self.active = {}
+        self.wakeable = set()
+        self.locks.clear()
+        self.observer = self.fragments.observer = None
+        self.on_result = self.router = self.views = None
+
     def skew_fire_timers(self) -> None:
         """Model a clock-skew jump: every armed local timer fires NOW.
 

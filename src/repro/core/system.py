@@ -155,6 +155,9 @@ class DvPSystem:
         self._items: dict[str, Domain] = {}
         self._migration: MigrationController | None = None
         self.migrations: list[MigrationController] = []
+        #: Components built around this system that :meth:`close` must
+        #: close with it (see :meth:`attach`).
+        self._attached: list[Any] = []
         site_config = SiteConfig(
             txn_timeout=self.config.txn_timeout,
             retransmit_period=self.config.retransmit_period,
@@ -409,6 +412,41 @@ class DvPSystem:
         if self.views is not None:
             self.views.stop()
         self.sim.run(max_steps=max_steps)
+
+    # -- lifetime (DESIGN.md §7) ----------------------------------------------
+
+    def attach(self, component: Any) -> None:
+        """Have :meth:`close` call ``component.close()`` first.
+
+        For what is built *around* a system and holds it — a serving
+        front-end, rebalance daemons: they attach themselves, so
+        whoever built the system closes everything with one call."""
+        self._attached.append(component)
+
+    def close(self) -> None:
+        """This system's purpose is over: every owner lets go of what
+        ties it to the others, so that dropping the system frees it by
+        reference counting alone (DESIGN.md §7 has the cycle map).
+
+        Whoever built the system calls this when they are done with
+        it; nothing runs afterwards. What a run *produced* stays
+        readable — ``results``, each site's log, pages and counters,
+        the registry's counters and histograms, the trace bus — and no
+        container a caller may have copied a reference to is emptied.
+        Closing twice is a no-op."""
+        for component in self._attached:
+            component.close()
+        self._attached = []
+        for controller in self.migrations:
+            controller.close()
+        if self.views is not None:
+            self.views.close()
+        for site in self.sites.values():
+            site.close()
+        self.network.close()
+        self.auditor.close()
+        self._result_hooks = []
+        self.sim.close()
 
     # -- failure injection ----------------------------------------------------
 

@@ -371,6 +371,16 @@ class VmManager:
     def stop(self) -> None:
         self._timer.stop()
 
+    def close(self) -> None:
+        """Stop for good and release the owning site: the timer's
+        action is this manager's bound method, and the five callbacks
+        are the site's — which holds the manager. Called when recovery
+        replaces the manager and when the system closes; channel state,
+        counters and the E3 timestamps stay readable."""
+        self._timer.close()
+        self._send = self._accept = self._clock_ts = None
+        self.on_created = self.on_accepted = None
+
     # -- receiver side --------------------------------------------------------
 
     def on_transfer(self, transfer: VmTransfer) -> None:

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from repro.metrics.stats import percentile_sorted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServeSample:
-    """One request's life through the serving front-end."""
+    """One request's life through the serving front-end.
+
+    Slotted: a front-end retains one per decided request, and a
+    ``__dict__`` each is most of what that costs."""
 
     site: str                    # site the request was queued at
     arrived_at: float            # enqueue time (admission passed)
@@ -35,7 +38,7 @@ class ServeSample:
         return self.finished_at - self.arrived_at
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowStat:
     """Aggregates over one [start, start+width) window."""
 

@@ -119,10 +119,11 @@ class Link:
     def counter_reader(self, name: str):
         """A zero-cost read hook for one of this link's counters.
 
-        The network registers these as gauges in the simulation's
-        metrics registry, so per-link transmission/loss/duplicate
-        counts are queryable without the link paying any per-send
-        bookkeeping beyond the plain attributes it already keeps.
+        The network hands these to the simulation's metrics registry
+        when it is queried (``Network._link_gauges``), so per-link
+        transmission/loss/duplicate counts are queryable without the
+        link paying any per-send bookkeeping beyond the plain
+        attributes it already keeps — or anything at creation.
         """
         if name not in ("transmissions", "losses", "duplicates"):
             raise KeyError(f"unknown link counter {name!r}")

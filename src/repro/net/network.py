@@ -62,6 +62,7 @@ class Network:
         # per-kind sent_counts / delivered_counts keep counting logical
         # payloads. None (the default) keeps the one-envelope-per-send
         # path below byte-for-byte untouched.
+        sim.metrics.gauge_provider(self._link_gauges)
         self._outbox: Outbox | None = None
         self._h_bundle_size = None
         if bundling is not None:
@@ -110,18 +111,18 @@ class Network:
         return link
 
     def _new_link(self, src: str, dst: str, config: LinkConfig) -> Link:
-        link = Link(src, dst, config,
+        return Link(src, dst, config,
                     self.sim.rng.stream(f"link:{src}->{dst}"),
                     self._end(src), self._end(dst))
-        self._register_link_gauges(link)
-        return link
 
-    def _register_link_gauges(self, link: Link) -> None:
-        """Expose the link's own counters through the metrics registry."""
-        for name in ("transmissions", "losses", "duplicates"):
-            self.sim.metrics.gauge(
-                f"link.{name}", link.counter_reader(name),
-                src=link.src, dst=link.dst)
+    def _link_gauges(self):
+        """Every link's own counters, for the metrics registry: read
+        when a query asks (see MetricsRegistry.gauge_provider), so a
+        link created on first use registers nothing."""
+        for link in self._links.values():
+            labels = {"src": link.src, "dst": link.dst}
+            for name in ("transmissions", "losses", "duplicates"):
+                yield f"link.{name}", labels, link.counter_reader(name)
 
     def configure_link(self, src: str, dst: str,
                        config: LinkConfig) -> Link:
@@ -148,6 +149,19 @@ class Network:
         for link in self._links.values():
             bound = min(bound, link.config.delay_lower_bound)
         return bound
+
+    def close(self) -> None:
+        """The system is closing: let go of the sites' handlers (bound
+        methods of sites that hold this network), of the links and the
+        endpoints they share, and of the outbox's way back here.
+        Send/delivery/drop counts stay readable."""
+        for end in self._ends.values():
+            end.handler = None
+        self._handlers = {}
+        self._ends = {}
+        self._links = {}
+        if self._outbox is not None:
+            self._outbox.close()
 
     # -- scripted link faults (chaos engine) ------------------------------
 

@@ -92,6 +92,11 @@ class Outbox:
         self.config = config
         self._open: dict[tuple[str, str], _OpenBundle] = {}
 
+    def close(self) -> None:
+        """Forget the open bundles and the owning network."""
+        self._open = {}
+        self._network = None
+
     def enqueue(self, src: str, dst: str, payload: Any) -> None:
         """Add *payload* to the open bundle toward *dst*, or open one."""
         now = self._network.sim.now

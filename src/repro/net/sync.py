@@ -40,8 +40,11 @@ class SynchronousNetwork(Network):
 
     def _new_link(self, src: str, dst: str, config: LinkConfig) -> Link:
         # Lossless and constant-delay: a synchronous link never draws,
-        # so it gets no RNG stream and no fate gauges.
+        # so it gets no RNG stream (and _link_gauges no fate to show).
         return Link(src, dst, config, None, self._end(src), self._end(dst))
+
+    def _link_gauges(self):
+        return ()
 
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Constant-delay, loss-free, priority-ordered delivery."""

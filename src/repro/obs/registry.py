@@ -46,13 +46,26 @@ the obs layer importable from the simulation kernel without cycles).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 LabelKey = tuple[tuple[str, str], ...]
 
+#: What a gauge provider yields per gauge: name, labels, reader.
+ProvidedGauge = tuple[str, dict[str, Any], Callable[[], Any]]
+
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
-    return tuple(sorted((key, str(value)) for key, value in labels.items()))
+    """The canonical label tuple: pairs in label-name order.
+
+    Names are distinct (they arrive as keyword arguments), so names
+    alone decide the order — and with none, one or two labels, which
+    is every family in use, that takes no sort at all."""
+    items = tuple([(key, str(value)) for key, value in labels.items()])
+    if len(items) < 2:
+        return items
+    if len(items) == 2:
+        return items if items[0][0] < items[1][0] else items[::-1]
+    return tuple(sorted(items))
 
 
 class CounterMetric:
@@ -113,12 +126,14 @@ class GaugeMetric:
 class MetricsRegistry:
     """Index of every metric in one simulation, by (name, labels)."""
 
-    __slots__ = ("_counters", "_histograms", "_gauges", "_marks")
+    __slots__ = ("_counters", "_histograms", "_gauges", "_providers",
+                 "_marks")
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, LabelKey], CounterMetric] = {}
         self._histograms: dict[tuple[str, LabelKey], HistogramMetric] = {}
         self._gauges: dict[tuple[str, LabelKey], GaugeMetric] = {}
+        self._providers: list[Callable[[], Iterable[ProvidedGauge]]] = []
         # Cross-component latency marks (e.g. Vm create at the sender,
         # accept at the receiver): key -> start time.
         self._marks: dict[Any, float] = {}
@@ -146,6 +161,26 @@ class MetricsRegistry:
         self._gauges[key] = metric
         return metric
 
+    def gauge_provider(
+            self, provider: Callable[[], Iterable[ProvidedGauge]]) -> None:
+        """Register a source of gauges that is asked at query time.
+
+        For state that comes into being lazily and in bulk (a network's
+        links): one registration per owner, and a ``GaugeMetric`` and
+        its reader exist only while a query looks at them — instead of
+        three of each per link, live for the whole run. To
+        :meth:`gauges` and :meth:`snapshot` a provided gauge is a
+        registered one."""
+        self._providers.append(provider)
+
+    def close(self) -> None:
+        """Let go of what reads other components' state — gauge
+        readers and providers — and of the marks nothing will collect.
+        Counters and histograms stay readable."""
+        self._gauges = {}
+        self._providers = []
+        self._marks = {}
+
     # -- cross-component latency marks ------------------------------------
 
     def mark(self, key: Any, time: float) -> None:
@@ -172,8 +207,13 @@ class MetricsRegistry:
                 if name is None or metric_name == name]
 
     def gauges(self, name: str | None = None) -> list[GaugeMetric]:
+        found = dict(self._gauges)
+        for provider in self._providers:
+            for gauge_name, labels, read in provider():
+                key = (gauge_name, _label_key(labels))
+                found[key] = GaugeMetric(gauge_name, key[1], read)
         return [metric for (metric_name, _), metric
-                in sorted(self._gauges.items())
+                in sorted(found.items())
                 if name is None or metric_name == name]
 
     def total(self, name: str) -> int:

@@ -45,9 +45,10 @@ class ViewRefresh:
     published_at: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewCertificate:
-    """Proof-of-staleness attached to a view-served read.
+    """Proof-of-staleness attached to a view-served read (slotted: a
+    run retains one per view-served read, inside its ``TxnResult``).
 
     ``checked_at - as_of`` is the staleness the reader actually
     accepted; admission requires it to be <= ``bound`` (None = only the

@@ -308,6 +308,12 @@ class ViewService:
         """Stop the refresh chain (the pending tick becomes a no-op)."""
         self._running = False
 
+    def close(self) -> None:
+        """Stop, and let go of the system (which holds this service);
+        the store, ``latest`` and the counters stay readable."""
+        self.stop()
+        self.system = None
+
     # -- the refresh loop ---------------------------------------------------
 
     def _tick(self) -> None:

@@ -113,6 +113,7 @@ class ServingFrontend:
         self.on_overload: Callable[[Overload], None] | None = None
         self.dispatched = 0
         self._running = False
+        system.attach(self)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -139,6 +140,17 @@ class ServingFrontend:
         """
         self.stop()
         return sum(queue.quiesce() for queue in self.queues.values())
+
+    def close(self) -> None:
+        """The system is closing (it calls this: the front-end attached
+        itself): stop, have each queue let go of this front-end and of
+        its occupied slots, and let go of the system and the sinks.
+        Samples, overloads and counts stay readable."""
+        self.stop()
+        for queue in self.queues.values():
+            queue.close()
+        self.system = None
+        self.on_sample = self.on_overload = None
 
     def _refresh_board(self) -> None:
         if not self._running:

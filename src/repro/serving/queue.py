@@ -55,6 +55,8 @@ class SiteQueue:
         self.lease = frontend.lease
         self._queue: deque[_Queued] = deque()
         self.inflight = 0
+        #: The armed leases, one per occupied slot; close() closes them.
+        self._leases: set[Timer] = set()
         #: EWMA of dispatch->decision time; seeds the wait estimate
         #: before the first completion.
         self.service_est = config.service_estimate
@@ -140,6 +142,7 @@ class SiteQueue:
             # close, not cancel: release <-> lease is a reference
             # cycle, and the slot's closures should die with the slot.
             lease.close()
+            self._leases.discard(lease)
             self.inflight -= 1
             self._pump()
 
@@ -166,6 +169,7 @@ class SiteQueue:
             self.frontend.system.submit(self.site, entry.spec, on_decided)
         except SiteDown:
             released = True
+            lease.close()  # never armed, but release <-> lease is a cycle
             self.inflight -= 1
             self._shed(entry.origin, "site-down", now)
             return
@@ -174,9 +178,20 @@ class SiteQueue:
         # that was already released.
         if self.lease is not None and not released:
             lease.start(self.lease)
+            self._leases.add(lease)
         self.frontend.note_dispatch()
 
     # -- shutdown -----------------------------------------------------------
+
+    def close(self) -> None:
+        """The front-end is closing: forget the backlog and the
+        front-end, and close the occupied slots' leases — release <->
+        lease is a cycle that release() will now never break."""
+        for lease in self._leases:
+            lease.close()
+        self._leases = set()
+        self._queue = deque()
+        self.frontend = None
 
     def quiesce(self) -> int:
         """Stop admitting and shed everything still queued."""

@@ -13,11 +13,12 @@ Two queue implementations share that contract:
 * :class:`CalendarEventQueue` — a calendar-queue / timer-wheel hybrid
   (``EventQueue`` aliases it). Virtual time is cut into fixed-width
   *days*; an event lands in an O(1) unsorted wheel bucket for its day,
-  a far-future overflow heap, or the small *current-day* heap that
-  feeds ``pop``. Most events (link deliveries a few time units out,
-  timers tens of units out) take the O(1) bucket path and only ever
-  pay heap costs against the handful of events sharing their day —
-  not against every pending retransmission timer in the run.
+  a far-future overflow heap, or the small *current run* — today's
+  events as one descending sorted list — that feeds ``pop``. Most
+  events (link deliveries a few time units out, timers tens of units
+  out) take the O(1) bucket path and are only ever sorted against the
+  handful of events sharing their day — not against every pending
+  retransmission timer in the run.
 
 Both orders are *identical* — the calendar structure only changes
 where an event waits, never when it pops — so trace fingerprints and
@@ -97,6 +98,15 @@ class Event:
         self.action = None
         if self.queue is not None:
             self.queue._note_cancel()
+
+
+def _husk(event: Event) -> None:
+    """What ``clear()`` leaves of a stored event: cancelled, calling
+    nothing, out of its queue — the state ``cancel()`` followed by a
+    lazy discard leaves, without the per-event compaction check."""
+    event.cancelled = True
+    event.action = None
+    event.queue = None
 
 
 class HeapEventQueue:
@@ -199,8 +209,11 @@ class HeapEventQueue:
         self.compactions += 1
 
     def clear(self) -> None:
+        """Forget every stored event, leaving each a husk (see
+        :func:`_husk`): a queue dropped after ``clear()`` and the
+        handles its owners still hold form no reference cycle."""
         for event in self._heap:
-            event.queue = None
+            _husk(event)
         self._heap.clear()
         self._cancelled = 0
 
@@ -217,7 +230,12 @@ class CalendarEventQueue:
       is a comparison-free ``list.pop()`` — where the binary heap paid
       ``~2·log(pending)`` Python-level ``__lt__`` calls sifting down.
     * within ``wheel_days`` days — an **unsorted wheel bucket**;
-      push is an O(1) list append with zero comparisons.
+      push is an O(1) list append with zero comparisons. A bucket
+      exists only while it holds events — the first push of a day
+      makes it, ``_refill`` consuming the day drops it — and its slot
+      is ``None`` otherwise: a short run touches a few dozen of the
+      256 days, and a queue is built per simulation (five per system
+      under ``shards=4``).
     * beyond the wheel — the **overflow heap** (far-future events are
       rare: recovery backstops, experiment horizons).
 
@@ -245,7 +263,7 @@ class CalendarEventQueue:
         if wheel_days < 2:
             raise ValueError("wheel_days must be at least 2")
         self._width = day_width
-        self._wheel: list[list[Event]] = [[] for _ in range(wheel_days)]
+        self._wheel: list[list[Event] | None] = [None] * wheel_days
         self._wheel_days = wheel_days
         self._wheel_count = 0      # entries (live + cancelled) in buckets
         self._day = 0              # the day the current run covers
@@ -286,7 +304,12 @@ class CalendarEventQueue:
                     hi = mid
             current.insert(lo, event)
         elif gap < self._wheel_days:
-            self._wheel[day % self._wheel_days].append(event)
+            slot = day % self._wheel_days
+            bucket = self._wheel[slot]
+            if bucket is None:
+                self._wheel[slot] = [event]
+            else:
+                bucket.append(event)
             self._wheel_count += 1
         else:
             heapq.heappush(self._overflow, event)
@@ -342,10 +365,10 @@ class CalendarEventQueue:
     def _refill(self) -> bool:
         """Advance the calendar to the next populated day.
 
-        Precondition: the current heap is empty. Moves that day's wheel
+        Precondition: the current run is empty. Moves that day's wheel
         bucket — and any overflow entries whose day has come within
-        reach — into the current heap. Returns False when nothing is
-        stored anywhere.
+        reach — into the current run and sorts it. Returns False when
+        nothing is stored anywhere.
         """
         overflow = self._overflow
         while overflow and overflow[0].cancelled:
@@ -373,7 +396,9 @@ class CalendarEventQueue:
         self.refills += 1
         current = self._current
         if target == wheel_day:
-            bucket = self._wheel[target % self._wheel_days]
+            slot = target % self._wheel_days
+            bucket = self._wheel[slot]
+            self._wheel[slot] = None
             self._wheel_count -= len(bucket)
             for event in bucket:
                 if event.cancelled:
@@ -382,7 +407,6 @@ class CalendarEventQueue:
                     self._size -= 1
                 else:
                     current.append(event)
-            bucket.clear()
         end = (target + 1) * self._width
         while overflow and overflow[0].time < end:
             event = heapq.heappop(overflow)
@@ -419,7 +443,7 @@ class CalendarEventQueue:
             if bucket:
                 survivors = self._sweep(bucket)
                 self._wheel_count -= len(bucket) - len(survivors)
-                self._wheel[index] = survivors
+                self._wheel[index] = survivors or None
         self._cancelled = 0
         self.compactions += 1
 
@@ -434,10 +458,15 @@ class CalendarEventQueue:
         return survivors
 
     def clear(self) -> None:
-        for store in (self._current, self._overflow, *self._wheel):
+        """Forget every stored event, leaving each a husk (see
+        :func:`_husk`); the calendar position and ``seq`` carry on."""
+        for store in (self._current, self._overflow,
+                      *filter(None, self._wheel)):
             for event in store:
-                event.queue = None
-            store.clear()
+                _husk(event)
+        self._current.clear()
+        self._overflow.clear()
+        self._wheel = [None] * self._wheel_days
         self._wheel_count = 0
         self._cancelled = 0
         self._size = 0

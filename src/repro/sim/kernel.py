@@ -187,6 +187,17 @@ class Simulator:
         single-queue kernel places everything on shard 0."""
         return 0
 
+    def close(self) -> None:
+        """The simulation's purpose is over: forget what was going to
+        run. Every pending event becomes a husk, end-of-event hooks
+        and the registry's gauge readers are dropped — after which the
+        kernel references nothing that references it (DESIGN.md §7).
+        Clock, step count, counters, histograms, the trace bus and the
+        fingerprint stay readable; call from outside the event loop."""
+        self._queue.clear()
+        self._event_end.clear()
+        self.metrics.close()
+
     def step(self) -> bool:
         """Execute the next event; return False when the queue is drained."""
         event = self._queue.pop()

@@ -352,6 +352,16 @@ class ShardedSimulator(Simulator):
         finally:
             self._active = None
 
+    def close(self) -> None:
+        """Simulator.close() over every shard's queue, hooks and unsent
+        mail, and the barrier queue."""
+        for shard in self._shards:
+            shard.queue.clear()
+            shard.event_end.clear()
+            shard.outbox.clear()
+        self._globals.clear()
+        self.metrics.close()
+
     # -- defer-to-event-end ------------------------------------------------
 
     def defer_to_event_end(self, action: Callable[[], Any]) -> bool:

@@ -106,6 +106,11 @@ class PeriodicTimer:
             self._event.cancel()
             self._event = None
 
+    def close(self) -> None:
+        """Stop for good and let go of the action (see Timer.close)."""
+        self.stop()
+        self._action = None
+
     def _schedule(self) -> None:
         if self._site is None:
             self._event = self._sim.after(self.period, self._tick,

@@ -176,3 +176,54 @@ class TestInventoryControl:
         system.run_for(60.0)
         assert results and not results[0].committed
         system.auditor.assert_ok()
+
+
+class TestEstimateSpecsAreBuiltOnce:
+    """The read façades keep one frozen spec per (item, bound, work);
+    ids, labels and results are a fresh spec's."""
+
+    class Recorder:
+        def __init__(self, system):
+            self.system = system
+            self.specs = []
+
+        def submit(self, site, spec, on_done=None):
+            self.specs.append(spec)
+            return self.system.submit(site, spec, on_done)
+
+    @pytest.mark.parametrize("facade,opener,verb,label", [
+        (Bank, lambda bank: bank.open_account(
+            "k", {"N": 10, "S": 10, "E": 10, "W": 10}),
+         "estimate_balance", "estimate:k"),
+        (ReservationSystem, lambda res: res.add_flight("k", 40),
+         "seats_estimate", "estimate:k"),
+        (InventoryControl, lambda inv: inv.add_sku("k", 40),
+         "stock_estimate", "stock-estimate:k"),
+    ], ids=["bank", "airline", "inventory"])
+    def test_same_question_same_spec(self, facade, opener, verb, label):
+        from repro.core.transactions import ReadViewOp, TransactionSpec
+        system = build_system()
+        recorder = self.Recorder(system)
+        app = facade(system, via=recorder)
+        opener(app)
+        ask = getattr(app, verb)
+        results = []
+        for site, bound, work in [("N", 5.0, 0.0), ("S", 5.0, 0.0),
+                                  ("N", 9.0, 0.0), ("N", 5.0, 0.5),
+                                  ("N", None, 0.0)]:
+            ask(site, "k", bound, results.append, work=work)
+            system.run_for(40.0)  # one exact read at a time
+        first, again, bound, work, unbounded = recorder.specs
+        assert first is again
+        assert len({id(spec) for spec in recorder.specs}) == 4
+        assert first == TransactionSpec(
+            ops=(ReadViewOp("k", bound=5.0),), label=label, work=0.0)
+        assert (bound.ops[0].bound, work.work, unbounded.ops[0].bound) \
+            == (9.0, 0.5, None)
+        # No views configured: every estimate falls back to the exact
+        # fan-out — five distinct transactions, five results.
+        assert [r.label for r in results] == [label] * 5
+        assert sorted(r.txn_id for r in results) == \
+            ["N#1", "N#2", "N#3", "N#4", "S#1"]
+        assert all(r.committed and r.read_values["k"] == 40
+                   for r in results)

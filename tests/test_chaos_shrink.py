@@ -116,6 +116,36 @@ class TestShrinker:
         assert result.runs <= 4  # baseline + capped probes
         assert result.final is not None and result.final.failed
 
+    def test_only_the_final_run_is_handed_back_open(self, leak,
+                                                    monkeypatch):
+        """Every candidate's system is closed as explore() closes its
+        plans'; the one in ``final`` — the minimal plan's run, or the
+        baseline when nothing could be removed — stays live."""
+        import sys
+        shrink_module = sys.modules["repro.chaos.shrink"]
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(run_chaos(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(shrink_module, "run_chaos", recording)
+        leak("crash")
+        injection, seed, plan = KNOWN_BAD[1]
+        result = shrink(CONFIG, plan, seed)
+        assert len(runs) == result.runs > 3
+        assert result.final in runs and result.final is not runs[0]
+        assert result.final.plan == result.minimal
+        for run in runs:
+            live = run.system.auditor.system is run.system
+            assert live == (run is result.final)
+        assert result.final.system.auditor.verify_full()  # still usable
+        # Nothing to remove: the baseline itself comes back, open.
+        del runs[:]
+        single = shrink(CONFIG, result.minimal, seed)
+        assert single.final is runs[0] and single.minimal == result.minimal
+        assert single.final.system.auditor.system is single.final.system
+
     def test_history_records_every_probe(self, leak):
         leak("write")
         injection, seed, plan = KNOWN_BAD[2]

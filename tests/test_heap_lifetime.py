@@ -1,4 +1,4 @@
-"""Lifetimes of finished work (ISSUE 14; DESIGN.md §7).
+"""Lifetimes of finished work (ISSUES 14 and 15; DESIGN.md §7).
 
 The rule these tests pin: a run retains, per committed op, one
 ``TxnResult`` and one encoded log record — nothing else — and
@@ -14,7 +14,12 @@ returning 0 proves a run built no cyclic garbage at all.
     callable, and the live-event count is what it always was;
 (c) a retained-object budget per op, with the per-type table of what
     was retained printed on failure, so a change that re-pins a
-    transaction shows *which* type leaked.
+    transaction shows *which* type leaked;
+(d) the same rule one level up: a system closed by whoever built it
+    and then dropped leaves nothing for the collector either — under
+    every transport, kernel and add-on, with a crash behind it and
+    retransmits, timeouts and leases still pending — and ``explore()``
+    closes each plan's system once ``on_run`` has seen it.
 """
 
 import gc
@@ -23,16 +28,23 @@ from collections import Counter
 
 import pytest
 
+from repro.chaos.explore import explore
+from repro.chaos.runner import ChaosConfig
 from repro.core.domain import CounterDomain
+from repro.core.rebalance import RebalanceConfig, install_rebalancing
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import (
     DecrementOp,
     IncrementOp,
+    ReadFullOp,
+    ReadViewOp,
     Transaction,
     TransactionSpec,
     TransferOp,
 )
 from repro.net.link import LinkConfig
+from repro.net.outbox import BundlingConfig
+from repro.reads import ViewConfig
 from repro.serving import ServingConfig, ServingFrontend
 from repro.sim.events import CalendarEventQueue, HeapEventQueue
 from repro.sim.kernel import Simulator
@@ -426,3 +438,242 @@ class TestRetainedObjectBudget:
         assert len(system.results) == 580
         assert system.sim.metrics.total("vm.created") >= 2 * 580
         _assert_budget(system, before, 500, 1.5, "transfer fan-out")
+
+
+# -- (d) a closed system dies by refcount ---------------------------------------
+
+SITES_OF_PLAN = ChaosConfig().site_names()
+
+
+def _build(**config) -> DvPSystem:
+    system = DvPSystem(SystemConfig(
+        sites=SITES, seed=15, txn_timeout=10.0, retransmit_period=3.0,
+        checkpoint_interval=4, link=LinkConfig(base_delay=1.0, jitter=0.5),
+        **config))
+    # A holds nothing of "y" or "z": what it sells it must pull as Vm.
+    system.add_item("x", CounterDomain(),
+                    split={"A": 40, "B": 10, "C": 30, "D": 20})
+    for item in ("y", "z"):
+        system.add_item(item, CounterDomain(),
+                        split={"A": 0, "B": 30, "C": 30, "D": 30})
+    return system
+
+
+def _ops(index: int):
+    if index == 9:
+        return (ReadFullOp("x"),)
+    kind = index % 5
+    if kind == 0:
+        return (DecrementOp("y", 2 + index % 5),)
+    if kind == 1:
+        return (IncrementOp("x", 3),)
+    if kind == 2:
+        return (TransferOp("x", "y", 2),)
+    if kind == 3:
+        return (ReadViewOp("y", bound=8.0),)
+    return (DecrementOp("x", 1 + index % 7),)
+
+
+def _run_and_leave_work_pending(system: DvPSystem, submit=None) -> None:
+    """Thirty busy sim units with a crash and a recovery in them, then
+    stop in mid-air: A's last transaction has asked every peer for
+    "z", the Vm answering it were swallowed by a partition and are
+    being retransmitted, and its timeout is still ahead."""
+    submit = submit or system.submit
+    sim = system.sim
+    for index in range(24):
+        site = SITES[index % 4]
+        sim.at_site(site, 0.5 + index,
+                    lambda site=site, index=index:
+                    system.sites[site].alive and submit(
+                        site, TransactionSpec(ops=_ops(index), work=0.2)),
+                    label="arrival")
+    sim.at_site("B", 8.0, lambda: system.crash("B"), label="crash")
+    sim.at_site("B", 16.0, lambda: system.recover("B"), label="recover")
+    sim.at_site("A", 26.5,
+                lambda: submit("A", TransactionSpec(
+                    ops=(DecrementOp("z", 60),))),
+                label="arrival")
+    sim.at_global(28.2, lambda: system.network.partition([["A"]]),
+                  label="partition")
+    system.run_until(30.0)
+    assert system.sites["B"].crash_count == 1
+    assert system.sites["A"].active, "scenario left no undecided txn"
+    assert sum(site.vm.unacked_count()
+               for site in system.sites.values()) > 0, \
+        "scenario left no Vm retransmitting"
+    assert sim.pending > 0
+
+
+def _close(system: DvPSystem) -> weakref.ref:
+    """close() it; the caller drops it and hands the ref to _freed."""
+    results = system.results
+    decided = len(results)
+    assert decided > 10
+    system.close()
+    # What the run produced outlives the close, in place.
+    assert system.results is results and len(results) == decided
+    assert system.sim.pending == 0
+    return weakref.ref(system)
+
+
+def _freed(watch: weakref.ref) -> bool:
+    """Dead by refcount, and nothing left over for the collector."""
+    assert watch() is None, (
+        f"a closed, dropped system is still held by {_holders(watch())}")
+    found = gc.collect()
+    assert found == 0, (
+        f"close() left {found} objects only the cycle collector could free")
+    return True
+
+
+class TestSystemLifetime:
+    @pytest.mark.parametrize("config", [
+        {},
+        {"bundling": BundlingConfig(flush_delay=1.0)},
+        {"shards": 2},
+        {"shards": 2, "bundling": BundlingConfig(flush_delay=0.0)},
+        {"cc": "conc2", "sync_delay": 1.0},
+    ], ids=["plain", "bundling", "shards2", "shards2-bundled", "conc2"])
+    def test_closed_system_is_freed_by_refcount(self, config):
+        system = _build(**config)
+        _run_and_leave_work_pending(system)
+        closed = _close(system)
+        del system
+        assert _freed(closed)
+
+    def test_an_unclosed_system_is_a_cyclic_blob(self):
+        # The control: without close() the same run is garbage only
+        # the collector can free — so the zeros above mean something.
+        system = _build()
+        _run_and_leave_work_pending(system)
+        del system
+        assert gc.collect() > 500
+
+    def test_with_a_serving_frontend(self):
+        system = _build()
+        frontend = ServingFrontend(system, ServingConfig(
+            router="least-queue", max_inflight=1, max_depth=8,
+            board_period=4.0))
+        frontend.start()
+        _run_and_leave_work_pending(system, frontend.submit)
+        assert any(queue.inflight for queue in frontend.queues.values()), \
+            "scenario left no occupied slot (no armed lease)"
+        samples = frontend.samples
+        watch = weakref.ref(frontend)
+        del frontend  # the system closes what attached itself to it
+        closed = _close(system)
+        del system
+        assert _freed(closed)
+        assert watch() is None and len(samples) > 10
+
+    def test_with_views(self):
+        system = _build(views=ViewConfig(refresh_period=4.0))
+        _run_and_leave_work_pending(system)
+        assert system.views.refreshes > 0
+        assert any(result.view_reads for result in system.results)
+        closed = _close(system)
+        del system
+        assert _freed(closed)
+
+    def test_with_views_behind_a_view_aware_frontend(self):
+        system = _build(views=ViewConfig(refresh_period=4.0),
+                        bundling=BundlingConfig(flush_delay=0.0))
+        frontend = ServingFrontend(system, ServingConfig(
+            router="view-aware", max_inflight=2, board_period=4.0))
+        frontend.start()
+        _run_and_leave_work_pending(system, frontend.submit)
+        del frontend
+        closed = _close(system)
+        del system
+        assert _freed(closed)
+
+    def test_with_rebalance_daemons(self):
+        system = _build()
+        daemons = install_rebalancing(system, RebalanceConfig(
+            period=6.0, high_watermark=1.5, policy="demand-weighted"))
+        _run_and_leave_work_pending(system)
+        assert all(daemon.running for daemon in daemons.values())
+        del daemons
+        closed = _close(system)
+        del system
+        assert _freed(closed)
+
+    def test_with_a_live_reshard(self):
+        system = _build(partitioner="consistent", replicas=2)
+        system.sim.at_global(12.0, lambda: system.add_site("E"),
+                             label="join")
+        # Fenced behind A's undecided transaction: still migrating
+        # when the run stops.
+        system.sim.at_global(27.0, lambda: system.reshard(1),
+                             label="reshard")
+        _run_and_leave_work_pending(system)
+        assert "E" in system.sites and len(system.migrations) == 2
+        assert system.reshard_in_progress
+        closed = _close(system)
+        del system
+        assert _freed(closed)
+
+    def test_close_twice_is_a_no_op(self):
+        system = _build(bundling=BundlingConfig(flush_delay=0.0),
+                        views=ViewConfig(refresh_period=4.0))
+        frontend = ServingFrontend(system, ServingConfig())
+        frontend.start()
+        _run_and_leave_work_pending(system, frontend.submit)
+        system.close()
+        steps, decided = system.sim.steps, len(system.results)
+        counters = system.sim.metrics.snapshot()["counters"]
+        system.close()
+        frontend.close()
+        assert (system.sim.steps, len(system.results)) == (steps, decided)
+        assert system.sim.metrics.snapshot()["counters"] == counters
+        del frontend
+        closed = _close(system)
+        del system
+        assert _freed(closed)
+
+    def test_recovery_closes_the_manager_it_replaces(self):
+        system = _build()
+        stale = weakref.ref(system.sites["B"].vm)
+        system.crash("B")
+        assert stale() is not None  # kept for the auditor's scans
+        system.recover("B")
+        assert stale() is None and system.sites["B"].vm is not None
+
+    def test_explore_closes_each_plan_after_on_run(self):
+        seen = []
+
+        def on_run(index, result):
+            # Live: every back-reference a caller may walk is there.
+            system = result.system
+            assert system.auditor.system is system
+            assert all(site.on_result is not None
+                       and site.network.sites == SITES_OF_PLAN
+                       for site in system.sites.values())
+            assert system.auditor.all_ok()
+            seen.append((weakref.ref(system), system.results,
+                         len(system.results)))
+
+        config = ChaosConfig(bundle_flush_delay=1.0)
+        report = explore(config, budget=8, master_seed=7, on_run=on_run)
+        assert report.ok and len(seen) == 8
+        for system, results, decided in seen:
+            assert system() is None  # closed, dropped, freed — no gc
+            assert len(results) == decided > 0  # the copy is intact
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("config", [
+        ChaosConfig(),
+        ChaosConfig(serving="least-queue", views=12.0,
+                    rebalance="demand-weighted", bundle_flush_delay=1.0),
+    ], ids=["plain", "everything"])
+    def test_explore_heap_does_not_grow_with_the_budget(self, config):
+        def tracked_after(budget: int) -> int:
+            report = explore(config, budget=budget, master_seed=11)
+            assert report.ok
+            del report
+            assert gc.collect() == 0
+            return len(gc.get_objects())
+
+        tracked_after(3)  # warm every lazy import and cache
+        assert tracked_after(30) == tracked_after(120)

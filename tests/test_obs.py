@@ -1,6 +1,7 @@
 """The structured observability layer: TraceBus, typed events, JSONL
 export, metrics registry, timeline rendering, chaos trace tails."""
 
+import hashlib
 import io
 import json
 import pathlib
@@ -14,8 +15,10 @@ from repro.core.transactions import (
     DecrementOp,
     IncrementOp,
     TransactionSpec,
+    TransferOp,
 )
 from repro.net.link import LinkConfig
+from repro.net.outbox import BundlingConfig
 from repro.obs import (
     KernelStep,
     MetricsRegistry,
@@ -28,6 +31,7 @@ from repro.obs import (
     read_jsonl,
     render_timeline,
 )
+from repro.serving import ServingConfig, ServingFrontend
 from repro.sim.kernel import Simulator
 
 REPRO = (pathlib.Path(__file__).parent / "repros" /
@@ -224,6 +228,101 @@ class TestMetricsRegistry:
         system.crash("A")
         system.recover("A")
         assert system.sites["A"].vm.accepts == accepted_before
+
+
+def bundled_four_site_run():
+    """Lossy, duplicating, bundled links under a one-slot front-end —
+    every metric family incl. both kinds of gauge — and one link
+    configured again mid-run."""
+    sites = ["A", "B", "C", "D"]
+    system = DvPSystem(SystemConfig(
+        sites=sites, seed=11, txn_timeout=10.0, retransmit_period=2.0,
+        link=LinkConfig(base_delay=1.0, jitter=0.5, loss_probability=0.1,
+                        duplicate_probability=0.1),
+        bundling=BundlingConfig(flush_delay=0.5)))
+    system.add_item("x", CounterDomain(),
+                    split={"A": 0, "B": 40, "C": 40, "D": 40})
+    system.add_item("y", CounterDomain(), total=80)
+    frontend = ServingFrontend(system, ServingConfig(max_inflight=1))
+    frontend.start()
+    for index in range(16):
+        site = sites[index % 4]
+        ops = ((DecrementOp("x", 5 + index),) if index % 2 == 0
+               else (TransferOp("y", "x", 3), IncrementOp("y", 1)))
+        system.sim.at_site(
+            site, 1.0 + index,
+            lambda site=site, ops=ops: frontend.submit(
+                site, TransactionSpec(ops=ops, work=0.3)),
+            label="arrival")
+    system.sim.at(9.0, lambda: system.network.configure_link(
+        "B", "A", LinkConfig(base_delay=1.5)), label="reconfigure")
+    system.run_until(60.0)
+    return system
+
+
+class TestGaugeProvider:
+    #: sha256 of json.dumps(snapshot(), sort_keys=True) for the run
+    #: above, recorded on the parent of ISSUE 15 — where every link
+    #: registered three GaugeMetric closures when it was first used.
+    SNAPSHOT_SHA256 = ("8e5bfe9b942614bbc693d12a14b2ba39"
+                       "bc170ed38a05ff4fbdcae8ff955b5656")
+
+    def test_snapshot_is_byte_equal_to_per_link_registration(self):
+        system = bundled_four_site_run()
+        metrics = system.sim.metrics
+        blob = json.dumps(metrics.snapshot(), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            self.SNAPSHOT_SHA256
+        # ...and to what registering them here, the old way, gives.
+        links = list(system.network._links.values())
+        assert len(links) == 10  # every pair the run used
+        assert len(metrics._gauges) == 8  # serve.depth / .inflight x 4
+        assert len(metrics.gauges()) == 3 * 10 + 8
+        metrics._providers = []
+        for link in links:
+            for name in ("transmissions", "losses", "duplicates"):
+                metrics.gauge(f"link.{name}", link.counter_reader(name),
+                              src=link.src, dst=link.dst)
+        assert json.dumps(metrics.snapshot(), sort_keys=True) == blob
+
+    def test_provided_gauges_read_live_and_follow_a_reconfigured_link(self):
+        system = build_system()
+        metrics = system.sim.metrics
+        assert metrics.gauges("link.transmissions") == []  # no link yet
+        system.network.send("A", "B", "ping")
+        gauge, = metrics.gauges("link.transmissions")
+        assert dict(gauge.labels) == {"src": "A", "dst": "B"}
+        assert gauge.value == 1
+        system.network.send("A", "B", "ping")
+        assert gauge.value == 2  # a read-through view, not a copy
+        system.network.configure_link("A", "B", LinkConfig(base_delay=2.0))
+        fresh, = metrics.gauges("link.transmissions")
+        assert fresh.value == 0 and gauge.value == 2
+
+    def test_label_key_is_canonical_without_sorting(self):
+        from repro.obs.registry import _label_key
+        assert _label_key({}) == ()
+        assert _label_key({"site": "A"}) == (("site", "A"),)
+        assert _label_key({"site": "A", "outcome": 3}) == \
+            _label_key({"outcome": 3, "site": "A"}) == \
+            (("outcome", "3"), ("site", "A"))
+        assert _label_key({"c": 1, "a": 2, "b": 3}) == \
+            (("a", "2"), ("b", "3"), ("c", "1"))
+        registry = MetricsRegistry()
+        assert registry.counter("n", src="A", dst="B") is \
+            registry.counter("n", dst="B", src="A")
+
+    def test_close_drops_gauges_and_marks_and_keeps_the_rest(self):
+        system = bundled_four_site_run()
+        metrics = system.sim.metrics
+        counters = metrics.snapshot()["counters"]
+        histograms = metrics.snapshot()["histograms"]
+        assert metrics.gauges()
+        system.close()
+        after = metrics.snapshot()
+        assert after["gauges"] == [] and metrics._marks == {}
+        assert after["counters"] == counters
+        assert after["histograms"] == histograms
 
 
 class TestTimeline:

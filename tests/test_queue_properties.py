@@ -45,6 +45,7 @@ _ops = st.lists(
         st.tuples(st.just("peek"), st.none()),
         st.tuples(st.just("cancel"), st.integers(min_value=0)),
         st.tuples(st.just("compact"), st.none()),
+        st.tuples(st.just("clear"), st.none()),
     ),
     min_size=1, max_size=200)
 
@@ -82,6 +83,12 @@ def _apply(queue, ops):
                 handles[value % len(handles)].cancel()
         elif kind == "compact":
             queue.compact()
+        elif kind == "clear":
+            queue.clear()
+            # Every handle handed out so far is now a husk.
+            observed.append(("husks", all(
+                handle.cancelled and handle.action is None
+                and handle.queue is None for handle in handles)))
         observed.append(("len", len(queue)))
     # Drain what's left: the full residual order must match too.
     while True:
@@ -131,6 +138,37 @@ class TestCalendarHeapParity:
         while (event := queue.pop_if_due(10.0)) is not None:
             order.append(event.label)
         assert order == ["b", "c", "far"]
+
+    def test_buckets_exist_only_while_populated(self):
+        """A wheel slot is None until a push lands in its day and None
+        again once the day is consumed (or compacted / cleared empty):
+        building, idling and burying a queue touches no empty list."""
+        queue = CalendarEventQueue()  # 256 one-unit days
+        assert queue._wheel == [None] * 256
+        near = queue.push(3.5, noop, label="near")
+        doomed = queue.push(7.5, noop, label="doomed")
+        queue.push(200.5, noop, label="far")
+        queue.push(900.0, noop, label="overflow")
+        assert sum(bucket is not None for bucket in queue._wheel) == 3
+        doomed.cancel()
+        queue.compact()     # the corpse's bucket goes with it
+        assert sum(bucket is not None for bucket in queue._wheel) == 2
+        assert queue.pop() is near
+        # The idle-gap jump walks ~200 never-allocated slots.
+        assert queue.peek_time() == 200.5
+        assert queue.pop().label == "far"
+        assert queue._wheel == [None] * 256
+        assert queue.pop().label == "overflow" and queue.pop() is None
+        # clear() on a populated wheel: back to nothing, still usable,
+        # and the calendar position and seq carry on.
+        seq = queue.push(905.0, noop).seq
+        queue.push(1100.0, noop)
+        queue.clear()
+        assert queue._wheel == [None] * 256 and len(queue) == 0
+        assert queue.pop() is None
+        late = queue.push(899.5, noop, label="passed-day insert")
+        assert late.seq == seq + 2
+        assert queue.pop() is late
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):

@@ -273,3 +273,28 @@ class TestWindowStats:
         from repro.metrics.windows import window_stats
         with pytest.raises(ValueError):
             window_stats([], [], 0.0, 10.0, 0.0)
+
+    def test_slotted_values_round_trip(self):
+        """One of each is retained per op: no ``__dict__`` — and still
+        everything the harness does with a value object (pickle across
+        worker processes, deepcopy, asdict into a JSON row)."""
+        import copy
+        import dataclasses
+        import json
+        import pickle
+        from repro.metrics.windows import window_stats
+        from repro.reads import ViewCertificate
+        sample = self.make(1.0)
+        stat, = window_stats([sample], [2.0], 0.0, 10.0, 10.0)
+        cert = ViewCertificate(item="x", value=5, as_of=1.0,
+                               checked_at=2.5, bound=None, epoch=3)
+        for value in (sample, stat, cert):
+            assert not hasattr(value, "__dict__")
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert copy.deepcopy(value) == value
+            row = json.loads(json.dumps(dataclasses.asdict(value)))
+            assert type(value)(**row) == value
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, dataclasses.fields(value)[0].name, None)
+        assert (sample.latency, stat.shed_rate, cert.staleness) == \
+            (1.5, 0.5, 1.5)
