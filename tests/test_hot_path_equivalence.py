@@ -1,11 +1,13 @@
-"""Golden pins for the DvP hot path (ISSUE 13).
+"""Golden pins for the DvP hot path (ISSUES 13 and 17).
 
-Five small fixed-seed scenarios, recorded on the commit *before* the
-hot-path subtraction: a change that only skips work must leave every
-kernel event (``trace_fingerprint``), every decision (digest of the
-committed ids, in decision order) and the exact counters ``net.sent`` /
-``vm.created`` / ``log.forces`` byte-identical. A diff here means the
-optimisation reordered or dropped protocol work, not just host time.
+Seven small fixed-seed scenarios, each recorded on the commit *before*
+the hot-path subtraction it guards (five before ISSUE 13's, the Conc2
+retry ties and the serving slots before ISSUE 17's): a change that
+only skips work must leave every kernel event (``trace_fingerprint``),
+every decision (digest of the committed ids, in decision order) and
+the exact counters ``net.sent`` / ``vm.created`` / ``log.forces``
+byte-identical. A diff here means the optimisation reordered or
+dropped protocol work, not just host time.
 
 To re-record after a deliberate protocol change:
 ``PYTHONPATH=src python tests/test_hot_path_equivalence.py``.
@@ -36,9 +38,15 @@ from repro.core.transactions import (
 from repro.net.link import LinkConfig
 from repro.net.outbox import BundlingConfig
 from repro.reads import ViewConfig
+from repro.serving import ServingConfig, ServingFrontend
 
 SITES = ["S0", "S1", "S2", "S3"]
 ITEMS = [f"item{index}" for index in range(16)]
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(
+        "\x1f".join(map(str, rows)).encode()).hexdigest()[:16]
 
 
 def pins(system: DvPSystem) -> dict:
@@ -168,12 +176,136 @@ def chaos_crash_partition() -> dict:
     return pins(result.system)
 
 
+def _conc2_retry_run(txn_timeout: float) -> dict:
+    """Conc2 on the synchronous network, ``request_retries=2``, few
+    items: every delivery, retry round and timeout lands on a multiple
+    of 0.25 and many share an instant, where only the scheduling order
+    (``seq``) separates them — S0's deliveries run at the timers'
+    priority. Conflicting transactions wait in the lock queue."""
+    system = DvPSystem(SystemConfig(
+        sites=SITES, seed=9, cc="conc2", sync_delay=1.0,
+        txn_timeout=txn_timeout, request_retries=2))
+    system.sim.enable_trace(limit=0)
+    items = ITEMS[:6]
+    for item in items:
+        system.add_item(item, CounterDomain(), total=24)
+    rng = random.Random(31)
+    for index in range(70):
+        src, dst = rng.sample(items, 2)
+        kind = rng.random()
+        if kind < 0.6:
+            ops = (TransferOp(src, dst, rng.randint(4, 14)),)
+        elif kind < 0.8:
+            ops = (DecrementOp(src, rng.randint(2, 9)),
+                   IncrementOp(dst, 1))
+        else:
+            ops = (IncrementOp(src, rng.randint(1, 3)),)
+        spec = TransactionSpec(ops=ops, label=f"t{index}",
+                               work=rng.choice((0.0, 0.0, 0.5, 1.0)))
+        site = rng.choice(SITES)
+        # Quarter-unit arrivals: whole multiples of every delay in play.
+        system.sim.at_site(site, rng.randrange(0, 160) / 4,
+                           lambda site=site, spec=spec: left_as.append(
+                               system.submit(site, spec).state.value),
+                           label=f"arrival:{site}")
+    left_as: list[str] = []  # each transaction's state as submit returns
+    system.run_until(120.0)
+    results = system.results
+    per_round = len(SITES) - 1  # ask-all, one short item per spec
+    assert {"waiting-locks", "gathering", "computing",
+            "finished"} <= set(left_as), set(left_as)
+    assert any(r.reason == "timeout" for r in results)
+    assert any(r.committed and r.requests_sent > per_round
+               for r in results), "no commit needed a retry round"
+    return {**pins(system),
+            "results": _digest(
+                (r.txn_id, r.reason, r.finished_at, r.requests_sent)
+                for r in results)}
+
+
+def conc2_retry_ties() -> dict:
+    # A round as long as one hop: a request reaches its peer at the
+    # instant its sender's round ends. Two hops: so does the answer.
+    return {"round=1hop": _conc2_retry_run(txn_timeout=3.0),
+            "round=2hops": _conc2_retry_run(txn_timeout=6.0)}
+
+
+def serving_slots() -> dict:
+    """One service slot per site: requests decided inside their
+    dispatch call, requests that outlive it, a crash that wipes a
+    dispatched transaction (its lease reclaims the slot) and the
+    backlog then dispatched to the down site (``SiteDown`` sheds)."""
+    system = DvPSystem(SystemConfig(
+        sites=SITES, seed=21, txn_timeout=8.0,
+        link=LinkConfig(base_delay=1.0, jitter=0.5)))
+    system.sim.enable_trace(limit=0)
+    for item in ITEMS[:8]:
+        system.add_item(item, CounterDomain(), total=40)
+    frontend = ServingFrontend(system, ServingConfig(
+        router="random", max_inflight=1, max_depth=6, board_period=4.0))
+    frontend.start()
+    rng = random.Random(41)
+    for index in range(90):
+        src, dst = rng.sample(ITEMS[:8], 2)
+        kind = rng.random()
+        if kind < 0.4:
+            ops = (DecrementOp(src, rng.randint(1, 3)),)  # local, instant
+        elif kind < 0.7:
+            ops = (TransferOp(src, dst, rng.randint(8, 16)),)  # pulls Vm
+        else:
+            ops = (IncrementOp(src, 2),)
+        spec = TransactionSpec(ops=ops, label=f"q{index}",
+                               work=rng.choice((0.0, 0.0, 0.75)))
+        site = rng.choice(SITES)
+        system.sim.at_site(site, rng.uniform(0.0, 60.0),
+                           lambda site=site, spec=spec:
+                           frontend.submit(site, spec),
+                           label=f"arrival:{site}")
+    # S2 dies holding a dispatched transaction (it is pulling Vm) and
+    # a backlog; it is back after the lease (8 + 4) reclaimed the slot.
+    for index, at in enumerate((20.0, 20.1, 20.2)):
+        spec = TransactionSpec(ops=(DecrementOp(ITEMS[index], 30),),
+                               label=f"doomed{index}")
+        system.sim.at_site("S2", at, lambda spec=spec:
+                           frontend.queues["S2"].offer(spec, "S2"),
+                           label="arrival:S2")
+    system.sim.at_site("S2", 20.3, lambda: system.crash("S2"),
+                       label="crash")
+    system.sim.at_site("S2", 36.0, lambda: system.recover("S2"),
+                       label="recover")
+    system.run_until(62.0)
+    frontend.quiesce()
+    system.run_until(100.0)
+    metrics = system.sim.metrics
+    serve = {name: metrics.total(name)
+             for name in ("serve.enqueued", "serve.dequeued",
+                          "serve.shed", "serve.lease_expired")}
+    reasons = sorted({overload.reason for overload in frontend.overloads})
+    assert serve["serve.lease_expired"] >= 1 and "site-down" in reasons
+    assert system.sites["S2"].txns_wiped >= 1
+    assert all(queue.inflight == 0 for queue in frontend.queues.values())
+    return {**pins(system), **serve,
+            "shed_reasons": reasons,
+            "dispatched": frontend.dispatched,
+            "results": _digest(
+                (r.txn_id, r.reason, r.finished_at, r.requests_sent)
+                for r in system.results),
+            "samples": _digest(
+                (s.site, s.arrived_at, s.dispatched_at, s.finished_at,
+                 s.committed) for s in frontend.samples),
+            "overloads": _digest(
+                (o.site, o.at, o.reason, o.depth, o.estimated_wait)
+                for o in frontend.overloads)}
+
+
 SCENARIOS = {
     "transfers_unbundled": transfers_unbundled,
     "transfers_bundled": transfers_bundled,
     "conc2_sharded": conc2_sharded,
     "views_beside_writes": views_beside_writes,
     "chaos_crash_partition": chaos_crash_partition,
+    "conc2_retry_ties": conc2_retry_ties,
+    "serving_slots": serving_slots,
 }
 
 GOLDEN: dict[str, dict] = {'chaos_crash_partition': {'committed': '25b580be8c897443',
@@ -182,12 +314,41 @@ GOLDEN: dict[str, dict] = {'chaos_crash_partition': {'committed': '25b580be8c897
                            'log.forces': 75,
                            'net.sent': 233,
                            'vm.created': 8},
+ 'conc2_retry_ties': {'round=1hop': {'committed': '53a7bde12df6defd',
+                                     'decided': 70,
+                                     'fingerprint': 'cece5f4aa075f208856b382e135a9eb65922784f3d41a0d1efa4b3e299395c9e',
+                                     'log.forces': 322,
+                                     'net.sent': 699,
+                                     'results': '1567084773173190',
+                                     'vm.created': 136},
+                      'round=2hops': {'committed': '3cd5c2267a716b3a',
+                                      'decided': 70,
+                                      'fingerprint': 'f5fec8ff672ec0c06d2397fb4df96d89ff05655e8d16dcd649e7429407b8add4',
+                                      'log.forces': 294,
+                                      'net.sent': 612,
+                                      'results': '231418fff6fd8722',
+                                      'vm.created': 122}},
  'conc2_sharded': {'committed': 'fe065e3f87dc455a',
                    'decided': 60,
                    'fingerprint': '2eebf29089e46db9077558c0567a3b7962d37a7cc4540561becbe2515b7052f3',
                    'log.forces': 249,
                    'net.sent': 365,
                    'vm.created': 98},
+ 'serving_slots': {'committed': '925a6a250e3b67f0',
+                   'decided': 83,
+                   'dispatched': 84,
+                   'fingerprint': 'd043f9b2f9bda8c5eb62675965c15b875da98a2192bda732fb5d10e2bcbeebbd',
+                   'log.forces': 185,
+                   'net.sent': 245,
+                   'overloads': '1f4df0749662ad06',
+                   'results': '2b7c9c732e084b6a',
+                   'samples': 'a2fb53e0718aaebb',
+                   'serve.dequeued': 91,
+                   'serve.enqueued': 93,
+                   'serve.lease_expired': 1,
+                   'serve.shed': 9,
+                   'shed_reasons': ['shutdown', 'site-down'],
+                   'vm.created': 53},
  'transfers_bundled': {'committed': '36a0919ae9e7e699',
                        'decided': 60,
                        'fingerprint': '55e3f41b6d93c1ba2816a594cec6b4deafec854252f1116cd2d89899d52aa662',
