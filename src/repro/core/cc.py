@@ -65,7 +65,10 @@ class Conc1(ConcurrencyControl):
 
     def may_lock_local(self, site: "DvPSite", ts: int,
                        items: Collection[str]) -> bool:
-        return all(ts > site.fragments.timestamp(item) for item in items)
+        for item in items:
+            if ts <= site.fragments.timestamp(item):
+                return False
+        return True
 
     def on_lock_granted(self, site: "DvPSite", ts: int,
                         items: Collection[str]) -> None:

@@ -72,12 +72,21 @@ class BoundedDecrement(PartitionableOperator[V]):
 
     amount: Any
 
+    @staticmethod
+    def remainder(domain: Domain[V], value: V, amount: Any) -> V | None:
+        """What is left of *value* once *amount* is taken; None when
+        the fragment does not cover it. The rule itself, for callers
+        that need no operator object (``Transaction._take``)."""
+        domain.validate(amount)
+        if domain.covers(value, amount):
+            taken, remainder = domain.split(value, amount)
+            if taken == amount:
+                return remainder
+        return None
+
     def apply(self, domain: Domain[V], value: V) -> Application[V]:
-        domain.validate(self.amount)
-        if not domain.covers(value, self.amount):
-            return Application(value, False)
-        taken, remainder = domain.split(value, self.amount)
-        if taken != self.amount:
+        remainder = self.remainder(domain, value, self.amount)
+        if remainder is None:
             return Application(value, False)
         return Application(remainder, True)
 

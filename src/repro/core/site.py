@@ -231,19 +231,10 @@ class DvPSite:
         """Initiate a transaction at this site (Section 5's sequence)."""
         if not self.alive:
             raise SiteDown(f"site {self.name} is down")
-        txn = Transaction(self, spec, self._wrap_done(on_done),
-                          self.config.txn_timeout)
+        txn = Transaction(self, spec, on_done)
         self.active[txn.id] = txn
         txn.start()
         return txn
-
-    def _wrap_done(self, on_done):
-        def done(result: TxnResult) -> None:
-            if self.on_result is not None:
-                self.on_result(result)
-            if on_done is not None:
-                on_done(result)
-        return done
 
     def transaction_finished(self, txn: Transaction) -> None:
         """Step 7 aftermath: drop it from the active set, poke waiters."""
@@ -514,7 +505,7 @@ class DvPSite:
         self.downtime.append([self.sim.now, None])
         self.vm.stop()
         for txn in self.active.values():
-            txn._timer.close()  # not cancel: the wiped graph must die
+            txn.close()  # not cancel: the wiped graph must die
         self.active.clear()
         self.wakeable.clear()
         self.locks.clear()
@@ -548,7 +539,7 @@ class DvPSite:
         counter stay readable."""
         self.vm.close()
         for txn in self.active.values():
-            txn._timer.close()
+            txn.close()
         self.active = {}
         self.wakeable = set()
         self.locks.clear()

@@ -165,6 +165,7 @@ class TransactionSpec:
         # Transaction running it — reads them back. They are tuples of
         # distinct items in op order, and the empty and the identical
         # ones are shared: a workload holds one spec per request.
+        # ``_takes``: does any op take value (only those have needs)?
         full = dict.fromkeys(op.item for op in self.ops
                              if isinstance(op, ReadFullOp))
         bounds: dict[str, float | None] = {}
@@ -191,6 +192,9 @@ class TransactionSpec:
                 f"items {sorted(overlap)} are both read (full or view) "
                 "and updated; split into two transactions")
         derive = object.__setattr__  # frozen: not fields, derived state
+        derive(self, "_takes", any(
+            isinstance(op, (DecrementOp, TransferOp, ApplyOp))
+            for op in self.ops))
         derive(self, "_full_reads", tuple(full))
         derive(self, "_view_bounds", bounds or EMPTY)
         derive(self, "_updates", tuple(updates))
@@ -201,45 +205,30 @@ class TransactionSpec:
         """A(t): every item the transaction accesses."""
         return set(self._items)
 
-    def read_items(self) -> set[str]:
-        return {*self._full_reads, *self._view_bounds}
-
-    def full_read_items(self) -> set[str]:
-        """Items read exactly (the fan-out protocol, no views)."""
-        return set(self._full_reads)
-
-    def view_bounds(self) -> dict[str, float | None]:
-        """Item → tightest staleness bound among its ReadViewOps.
-
-        Items also read with :class:`ReadFullOp` are excluded — the
-        exact read dominates and serves both ops' values.
-        """
-        return dict(self._view_bounds)
-
     def update_items(self) -> set[str]:
         return set(self._updates)
 
     def needs(self, domain_of) -> dict[str, Any]:
         """Per-item value the local fragment must cover before commit."""
         needed: dict[str, Any] = {}
-
-        def add(item: str, amount: Any) -> None:
+        for op in self.ops:
+            if isinstance(op, DecrementOp):
+                item, amount = op.item, op.amount
+            elif isinstance(op, TransferOp):
+                item, amount = op.src_item, op.amount
+            elif isinstance(op, ApplyOp):
+                item = op.item
+                try:
+                    sign, amount = op.operator.delta(domain_of(item))
+                except NotImplementedError:
+                    continue
+                if sign >= 0:
+                    continue
+            else:
+                continue
             domain = domain_of(item)
             needed[item] = domain.combine(needed.get(item, domain.zero()),
                                           amount)
-
-        for op in self.ops:
-            if isinstance(op, DecrementOp):
-                add(op.item, op.amount)
-            elif isinstance(op, TransferOp):
-                add(op.src_item, op.amount)
-            elif isinstance(op, ApplyOp):
-                try:
-                    sign, magnitude = op.operator.delta(domain_of(op.item))
-                except NotImplementedError:
-                    continue
-                if sign < 0:
-                    add(op.item, magnitude)
         return needed
 
 
@@ -292,15 +281,24 @@ class TxnResult:
 
 
 class Transaction:
-    """Runtime state machine for one transaction at its home site."""
+    """Runtime state machine for one transaction at its home site.
+
+    Machinery is built when it is first needed (DESIGN.md §7): the
+    timeout timer only for a transaction that waits, the read and view
+    containers only for a spec that reads — every other transaction
+    shares the immutable :data:`EMPTY`.
+    """
+
+    __slots__ = ("site", "spec", "on_done", "id", "ts", "epoch", "state",
+                 "submitted_at", "requests_sent", "result", "_timer",
+                 "_rounds_left", "_read_responders", "_view_pending",
+                 "_view_certs", "_view_fallbacks", "_needs")
 
     def __init__(self, site: "DvPSite", spec: TransactionSpec,
-                 on_done: Callable[[TxnResult], None] | None,
-                 timeout: float) -> None:
+                 on_done: Callable[[TxnResult], None] | None) -> None:
         self.site = site
         self.spec = spec
         self.on_done = on_done
-        self.timeout = timeout
         self.id = site.next_txn_id()
         self.ts = site.clock.next()
         #: Directory epoch this transaction resolved placement against.
@@ -310,58 +308,87 @@ class Transaction:
         self.state = _State.NEW
         self.submitted_at = site.sim.now
         self.requests_sent = 0
-        self._timer = Timer(site.sim, self._on_timeout,
-                            label=f"txn-timeout:{self.id}")
-        self._read_responders: dict[str, set[str]] = {
-            item: set() for item in spec._full_reads}
-        #: View items still on the O(1) path (item → staleness bound).
-        #: Escalation moves an item from here into _read_responders.
-        self._view_pending: dict[str, float | None] = dict(
-            spec._view_bounds)
-        self._view_certs: dict[str, Any] = {}
-        self._view_fallbacks: list[str] = []
-        self._needs = spec.needs(site.fragments.domain)
         self.result: TxnResult | None = None
-        # Section 5's variation: "the requests could be re-tried a few
-        # more times". The timeout budget is split into equal rounds.
-        self._rounds_left = site.config.request_retries
-        self._round_length = timeout / (site.config.request_retries + 1)
+        #: The timeout; None until the transaction has to wait (_arm).
+        self._timer: Timer | None = None
+        if spec._full_reads or spec._view_bounds:
+            #: Read item → the peers that have drained it to this site.
+            self._read_responders = {item: set() for item in spec._full_reads}
+            #: View items still on the O(1) path (item → staleness
+            #: bound). Escalation moves an item from here into
+            #: _read_responders.
+            self._view_pending = dict(spec._view_bounds)
+            self._view_certs: dict[str, Any] = {}
+            self._view_fallbacks: list[str] = []
+        else:
+            self._read_responders = self._view_pending = EMPTY
+            self._view_certs, self._view_fallbacks = EMPTY, ()
+        self._needs = (spec.needs(site.fragments.domain) if spec._takes
+                       else EMPTY)
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
         """Step 1: obtain local locks atomically (per the CC scheme)."""
-        obs = self.site._obs
+        site = self.site
+        obs = site._obs
         if obs.enabled:
-            obs.emit(TxnSubmit(t=self.site.sim.now, site=self.site.name,
+            obs.emit(TxnSubmit(t=site.sim.now, site=site.name,
                                txn=self.id, label=self.spec.label))
         if self._read_responders:
-            self.site.wakeable.add(self.id)
-        if self._try_view_fast_path():
+            site.wakeable.add(self.id)
+        if self._view_pending and self._try_view_fast_path():
             return
-        self._timer.start(self._round_length)
-        if self.site.cc.broadcast_at_init:
+        cc = site.cc
+        if cc.broadcast_at_init:
             # Conc2: all requests broadcast together at initiation.
-            self._send_requests(estimate_without_locks=True)
+            self._send_requests()
         items = self.spec._items
-        if self.site.cc.waits_for_locks:
+        if cc.waits_for_locks:
             self.state = _State.WAITING_LOCKS
-            granted = self.site.locks.acquire_all_or_wait(
+            granted = site.locks.acquire_all_or_wait(
                 self.id, items, self._locks_granted)
             if granted:
                 self._locks_granted()
             elif obs.enabled:
-                obs.emit(TxnLockWait(t=self.site.sim.now,
-                                     site=self.site.name, txn=self.id))
-            return
-        if not self.site.cc.may_lock_local(self.site, self.ts, items):
+                obs.emit(TxnLockWait(t=site.sim.now, site=site.name,
+                                     txn=self.id))
+        elif not cc.may_lock_local(site, self.ts, items):
             self._abort("timestamp-refused")
-            return
-        if not self.site.locks.try_acquire_all(self.id, items):
+        elif not site.locks.try_acquire_all(self.id, items):
             self._abort("locked")
-            return
-        self.site.cc.on_lock_granted(self.site, self.ts, items)
-        self._locks_granted()
+        else:
+            cc.on_lock_granted(site, self.ts, items)
+            self._locks_granted()
+        if self._timer is None and (self.state is _State.WAITING_LOCKS
+                                    or self.state is _State.GATHERING):
+            # Handing control back undecided, having sent nothing (a
+            # lock queue; a policy that picked nobody to ask).
+            self._arm()
+
+    def _arm(self) -> None:
+        """(Re-)arm the timeout for one round, building it on first use:
+        this transaction has to wait.
+
+        Within ``start()`` that is before its first request leaves
+        (_ask) or, when it sends none, as the call returns undecided —
+        nothing else such a call does pushes a kernel event, so the
+        timeout is ahead of every event its call pushes, exactly as
+        when every transaction armed on entry (DESIGN.md §7)."""
+        config = self.site.config
+        if self._timer is None:
+            # Section 5's variation: "the requests could be re-tried a
+            # few more times". The budget is split into equal rounds.
+            self._rounds_left = config.request_retries
+            self._timer = Timer(self.site.sim, self._on_timeout,
+                                label=f"txn-timeout:{self.id}")
+        self._timer.start(config.txn_timeout / (config.request_retries + 1))
+
+    def close(self) -> None:
+        """The site forgets this transaction undecided (a crash, the
+        system closing): Transaction <-> Timer must not outlive it."""
+        if self._timer is not None:
+            self._timer.close()
 
     def _try_view_fast_path(self) -> bool:
         """Certificate-first admission for pure-view transactions.
@@ -382,8 +409,7 @@ class Transaction:
             # Computation holds the locks by definition (step 4);
             # that path cannot skip acquisition.
             return False
-        if not self._view_pending or self._needs or self._read_responders \
-                or self.spec._updates:
+        if self._needs or self._read_responders or self.spec._updates:
             return False
         for item in sorted(self._view_pending):
             if not self._certify(item):
@@ -396,42 +422,47 @@ class Transaction:
         return True
 
     def _locks_granted(self) -> None:
+        site = self.site
         if self.state is _State.FINISHED:
             # Timed out while waiting in the lock queue; locks were
             # granted after cancellation — give them straight back.
-            self.site.locks.release_all(self.id)
-            self.site.after_lock_release()
+            site.locks.release_all(self.id)
+            site.after_lock_release()
             return
-        if self.site.cc.waits_for_locks:
-            self.site.cc.on_lock_granted(self.site, self.ts,
-                                         self.spec._items)
-        if self.site._obs.enabled:
-            self.site._obs.emit(TxnLocksGranted(
-                t=self.site.sim.now, site=self.site.name, txn=self.id))
+        cc = site.cc
+        if cc.waits_for_locks:
+            cc.on_lock_granted(site, self.ts, self.spec._items)
+        if site._obs.enabled:
+            site._obs.emit(TxnLocksGranted(
+                t=site.sim.now, site=site.name, txn=self.id))
         self.state = _State.GATHERING
-        # Views first: an escalated view item joins the fan-out set so
-        # the request wave below (or an explicit fan for Conc2, whose
-        # wave already left at initiation) covers it.
-        self._resolve_views(fan=self.site.cc.broadcast_at_init)
-        if not self.site.cc.broadcast_at_init:
-            self._send_requests(estimate_without_locks=False)
+        if self._view_pending:
+            # Views first: an escalated view item joins the fan-out set
+            # so the request wave below (or an explicit fan for Conc2,
+            # whose wave already left at initiation) covers it.
+            self._resolve_views(fan=cc.broadcast_at_init)
+        if not cc.broadcast_at_init:
+            self._send_requests()
         self._try_commit()
         if self.state is not _State.GATHERING:
             return
         # Still gathering: if there is a deficit but nobody was (or can
         # be) asked, the transaction can never become sufficient — the
         # pessimistic rule aborts it immediately rather than at timeout.
-        if self.requests_sent == 0 and not self.site.peers():
+        if self.requests_sent == 0 and not site.peers():
             self._abort("insufficient-no-peers")
 
     # -- redistribution phase -------------------------------------------------
 
-    def _send_requests(self, estimate_without_locks: bool) -> None:
+    def _send_requests(self) -> None:
         """Step 2: request value for every inadequate item."""
+        if not self._needs and not self._read_responders:
+            return
+        site = self.site
         sent_before = self.requests_sent
         for item in sorted(self._read_responders):
             self._request_read(item)
-        fragments = self.site.fragments
+        fragments = site.fragments
         for item, need in sorted(self._needs.items()):
             domain = fragments.domain(item)
             deficit = domain.deficit(fragments.value(item), need)
@@ -439,23 +470,32 @@ class Transaction:
                 continue
             # Feed the rebalance planner: this site's clients want more
             # of *item* than its fragment holds (local pressure).
-            self.site.demand.note_shortfall(item, deficit)
-            rng = self.site.sim.rng.stream(f"policy:{self.site.name}")
+            site.demand.note_shortfall(item, deficit)
+            rng = site.sim.rng.stream(f"policy:{site.name}")
             # Transfer requests target the item's directory owners
             # (identical to *peers* under the "all" partitioner); reads
             # above always fan to everyone, since any site may hold
             # stray value.
-            targets = self.site.peers_for(item, self.epoch)
-            for peer, ask in self.site.policy.targets(
-                    self.site.name, targets, deficit, domain, rng):
-                self.site.send_request(peer, DataRequest(
-                    txn_id=self.id, origin=self.site.name, item=item,
-                    mode=TRANSFER_MODE, need=ask, ts=self.ts))
-                self.requests_sent += 1
+            targets = site.peers_for(item, self.epoch)
+            for peer, ask in site.policy.targets(
+                    site.name, targets, deficit, domain, rng):
+                self._ask(peer, item, TRANSFER_MODE, ask)
+        self._note_requests(sent_before)
+
+    def _note_requests(self, sent_before: int) -> None:
         if self.site._obs.enabled and self.requests_sent > sent_before:
             self.site._obs.emit(TxnRedistribute(
                 t=self.site.sim.now, site=self.site.name, txn=self.id,
                 requests=self.requests_sent - sent_before))
+
+    def _ask(self, peer: str, item: str, mode: str, need: Any) -> None:
+        """Send one request; the first one arms the timeout."""
+        if self._timer is None:
+            self._arm()
+        self.site.send_request(peer, DataRequest(
+            txn_id=self.id, origin=self.site.name, item=item,
+            mode=mode, need=need, ts=self.ts))
+        self.requests_sent += 1
 
     def on_vm_absorbed(self, entry: VmEntry, src: str) -> None:
         """A Vm was accepted into a fragment this transaction holds."""
@@ -515,27 +555,19 @@ class Transaction:
     def _request_read(self, item: str) -> None:
         """Ask every peer to drain its fragment of *item* to this site."""
         for peer in self.site.peers():
-            self.site.send_request(peer, DataRequest(
-                txn_id=self.id, origin=self.site.name, item=item,
-                mode=READ_MODE, need=None, ts=self.ts))
-            self.requests_sent += 1
+            self._ask(peer, item, READ_MODE, None)
 
     def _fan_read(self, item: str) -> None:
         """Fan READ requests for one late-escalated item."""
         sent_before = self.requests_sent
         self._request_read(item)
-        if self.site._obs.enabled and self.requests_sent > sent_before:
-            self.site._obs.emit(TxnRedistribute(
-                t=self.site.sim.now, site=self.site.name, txn=self.id,
-                requests=self.requests_sent - sent_before))
+        self._note_requests(sent_before)
 
     def _revalidate_views(self) -> None:
         """Certificates admit at the commit attempt, not the first
         serve: time spent gathering other items ages them, and a
         reshard invalidates their epoch. A failed re-check retries the
         cache once (a fresher refresh may have landed), then escalates."""
-        if not self._view_certs:
-            return
         now = self.site.sim.now
         epoch = self.site.current_epoch()
         for item in sorted(self._view_certs):
@@ -567,14 +599,17 @@ class Transaction:
     def _try_commit(self) -> None:
         if self.state is not _State.GATHERING:
             return
-        self._revalidate_views()
+        if self._view_certs:
+            self._revalidate_views()
         if not self._sufficient():
             return
         if self.spec.work > 0:
             # Redistribution is complete; computation cannot time out
-            # (it is bounded local work), so the timer is disarmed.
+            # (it is bounded local work), so the timer is disarmed —
+            # or, sufficient on arrival, never armed at all.
             self.state = _State.COMPUTING
-            self._timer.cancel()
+            if self._timer is not None:
+                self._timer.cancel()
             self.site.sim.after(self.spec.work, self._commit,
                                 label=f"txn-work:{self.id}")
             return
@@ -584,44 +619,42 @@ class Transaction:
         """Steps 4-7: compute, force the commit record, apply, release."""
         if self.state not in (_State.GATHERING, _State.COMPUTING):
             return
-        if not self.site.alive or self.id not in self.site.active:
+        site = self.site
+        if not site.alive or self.id not in site.active:
             # The site crashed while the computation was scheduled (and
             # possibly recovered since); the transaction never reached
             # its commit record, so it simply never happened.
             return
-        fragments = self.site.fragments
-        working: dict[str, Any] = {}
-        stored: dict[str, Any] = {}
+        fragments = site.fragments
+        certs = self._view_certs
+        # Every item the ops touch, read once: the value before, and
+        # the value after the ops so far. (A certified view read takes
+        # its value from the certificate, not from the fragment.)
+        stored = {item: fragments.value(item)
+                  for item in self.spec._items if item not in certs}
+        working = dict(stored)
         read_values: dict[str, Any] = {}
         deltas: list[tuple[str, int, Any]] = []
-
-        def current(item: str) -> Any:
-            if item not in working:
-                working[item] = stored[item] = fragments.value(item)
-            return working[item]
-
         for op in self.spec.ops:
-            if isinstance(op, IncrementOp):
-                domain = fragments.domain(op.item)
-                working[op.item] = domain.combine(current(op.item), op.amount)
+            kind = type(op)
+            if kind is IncrementOp:
+                working[op.item] = fragments.domain(op.item).combine(
+                    working[op.item], op.amount)
                 deltas.append((op.item, +1, op.amount))
-            elif isinstance(op, DecrementOp):
-                if not self._apply_decrement(op.item, op.amount, working,
-                                             current):
+            elif kind is DecrementOp:
+                if not self._take(op.item, op.amount, working):
                     return
                 deltas.append((op.item, -1, op.amount))
-            elif isinstance(op, TransferOp):
-                if not self._apply_decrement(op.src_item, op.amount, working,
-                                             current):
+            elif kind is TransferOp:
+                if not self._take(op.src_item, op.amount, working):
                     return
-                domain = fragments.domain(op.dst_item)
-                working[op.dst_item] = domain.combine(current(op.dst_item),
-                                                      op.amount)
+                working[op.dst_item] = fragments.domain(op.dst_item).combine(
+                    working[op.dst_item], op.amount)
                 deltas.append((op.src_item, -1, op.amount))
                 deltas.append((op.dst_item, +1, op.amount))
-            elif isinstance(op, ApplyOp):
+            elif kind is ApplyOp:
                 domain = fragments.domain(op.item)
-                application = op.operator.apply(domain, current(op.item))
+                application = op.operator.apply(domain, working[op.item])
                 if not application.effective:
                     self._abort("ineffective-operator")
                     return
@@ -631,36 +664,34 @@ class Transaction:
                     deltas.append((op.item, sign, magnitude))
                 except NotImplementedError:
                     pass
-            elif isinstance(op, ReadViewOp):
-                cert = self._view_certs.get(op.item)
-                if cert is not None:
-                    read_values[op.item] = cert.value
-                else:
-                    # Escalated (or shadowed by a ReadFullOp): the
-                    # drained fragment holds the exact value.
-                    read_values[op.item] = current(op.item)
-            elif isinstance(op, (ReadFullOp, ReadLocalOp)):
-                read_values[op.item] = current(op.item)
+            elif kind is ReadViewOp and op.item in certs:
+                read_values[op.item] = certs[op.item].value
+            else:
+                # ReadFullOp, ReadLocalOp, or a view read that escalated
+                # (or is shadowed by a ReadFullOp): the (drained)
+                # fragment holds the exact value.
+                read_values[op.item] = working[op.item]
 
-        actions = tuple(SetFragment(item, value, ts=self.ts)
-                        for item, value in sorted(working.items())
-                        if value != stored[item])
+        rows = sorted(working.items()) if len(working) > 1 else working.items()
+        actions = tuple([SetFragment(item, value, self.ts)
+                         for item, value in rows if value != stored[item]])
         if actions:
             # Step 5: the forced commit record IS the commit point.
-            lsn = self.site.log_append(CommitRecord(self.id, actions))
+            lsn = site.log_append(CommitRecord(self.id, actions))
             # Step 6: make the changes and record that they were made.
-            self.site.apply_actions(actions, lsn)
+            site.apply_actions(actions, lsn)
         self._finish(Outcome.COMMITTED, "ok", read_values or EMPTY,
                      tuple(deltas))
 
-    def _apply_decrement(self, item: str, amount: Any,
-                         working: dict[str, Any], current) -> bool:
-        domain = self.site.fragments.domain(item)
-        application = BoundedDecrement(amount).apply(domain, current(item))
-        if not application.effective:
+    def _take(self, item: str, amount: Any, working: dict[str, Any]) -> bool:
+        """Apply a bounded decrement — the operator's own rule, without
+        building the operator and its ``Application`` for every op."""
+        remainder = BoundedDecrement.remainder(
+            self.site.fragments.domain(item), working[item], amount)
+        if remainder is None:
             self._abort("ineffective-decrement")
             return False
-        working[item] = application.value
+        working[item] = remainder
         return True
 
     # -- abort paths -------------------------------------------------------------
@@ -670,8 +701,9 @@ class Transaction:
 
         Legal because a timeout is a purely local, pessimistic decision
         — nothing in the protocol depends on how long it actually
-        waited. No-op when the timer is disarmed (committing)."""
-        if self._timer.armed:
+        waited. No-op when the timer is disarmed (committing) or was
+        never needed."""
+        if self._timer is not None and self._timer.armed:
             self._timer.cancel()
             self._on_timeout()
 
@@ -682,8 +714,8 @@ class Transaction:
             return
         if self._rounds_left > 0 and self.state is _State.GATHERING:
             self._rounds_left -= 1
-            self._send_requests(estimate_without_locks=False)
-            self._timer.start(self._round_length)
+            self._send_requests()
+            self._arm()
             return
         self._abort("timeout")
 
@@ -702,35 +734,35 @@ class Transaction:
             return
         was_waiting = self.state is _State.WAITING_LOCKS
         self.state = _State.FINISHED
+        site = self.site
+        now = site.sim.now
         # Transaction <-> Timer is a reference cycle, and the caller's
         # callback may close over this handle: close the one, let go of
         # the other, and everything the transaction owned dies by
         # reference counting the moment site.active and the caller drop
         # it — never left to the cycle collector (DESIGN.md §7).
-        self._timer.close()
+        if self._timer is not None:
+            self._timer.close()
         on_done, self.on_done = self.on_done, None
         if was_waiting:
-            self.site.locks.cancel_waiter(self.id)
-        self.site.locks.release_all(self.id)
-        self.result = TxnResult(
-            txn_id=self.id, label=self.spec.label, outcome=outcome,
-            reason=reason, site=self.site.name,
-            submitted_at=self.submitted_at, finished_at=self.site.sim.now,
-            read_values=read_values, semantic_deltas=deltas,
-            requests_sent=self.requests_sent,
-            view_reads=(dict(self._view_certs)
-                        if self._view_certs
-                        and outcome is Outcome.COMMITTED else EMPTY),
-            view_fallbacks=tuple(self._view_fallbacks))
-        self.site.h_decision[outcome].observe(self.result.latency)
-        if self.site._obs.enabled:
+            site.locks.cancel_waiter(self.id)
+        site.locks.release_all(self.id)
+        # Positional, in TxnResult's field order (one per op, for good).
+        view_reads = (dict(self._view_certs) if self._view_certs
+                      and outcome is Outcome.COMMITTED else EMPTY)
+        self.result = result = TxnResult(
+            self.id, self.spec.label, outcome, reason, site.name,
+            self.submitted_at, now, read_values, deltas, self.requests_sent,
+            EMPTY, view_reads, tuple(self._view_fallbacks))
+        site.h_decision[outcome].observe(now - self.submitted_at)
+        if site._obs.enabled:
             if outcome is Outcome.COMMITTED:
-                self.site._obs.emit(TxnCommit(
-                    t=self.site.sim.now, site=self.site.name, txn=self.id))
+                site._obs.emit(TxnCommit(t=now, site=site.name, txn=self.id))
             else:
-                self.site._obs.emit(TxnAbort(
-                    t=self.site.sim.now, site=self.site.name, txn=self.id,
-                    reason=reason))
-        self.site.transaction_finished(self)
+                site._obs.emit(TxnAbort(
+                    t=now, site=site.name, txn=self.id, reason=reason))
+        site.transaction_finished(self)
+        if site.on_result is not None:
+            site.on_result(result)
         if on_done is not None:
-            on_done(self.result)
+            on_done(result)

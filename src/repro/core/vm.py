@@ -180,10 +180,6 @@ class VmManager:
         self._coalesce = coalesce_acks
         self._ack_due: dict[str, None] = {}
         self._piggyback_sent: dict[str, tuple[float, int]] = {}
-        # Instrumentation for the delivery-latency experiment (E3):
-        # when each outgoing Vm was created / each incoming accepted.
-        self.created_times: dict[tuple[str, int], float] = {}
-        self.accept_times: dict[tuple[str, int], float] = {}
 
     # -- metrics views -------------------------------------------------------
 
@@ -239,8 +235,6 @@ class VmManager:
             channel = self.out_channel(entry.dst)
             channel.entries[entry.channel_seq] = entry
             self._note_live(entry)
-            self.created_times.setdefault((entry.dst, entry.channel_seq),
-                                          now)
             self._c_created.value += 1
             self._metrics.mark(("vm", self.site, entry.dst,
                                 entry.channel_seq), now)
@@ -438,7 +432,6 @@ class VmManager:
                 break
             now = self.sim.now
             self._c_accepted.value += 1
-            self.accept_times[(src, next_seq)] = now
             elapsed = self._metrics.elapsed_since_mark(
                 ("vm", src, self.site, next_seq), now)
             if elapsed is not None:

@@ -77,21 +77,13 @@ def _run_one(params: Params, loss: float) -> dict:
     mid_audit_ok = system.auditor.all_ok()
     system.run_for(params.settle)
 
-    latencies: list[float] = []
-    retransmissions = 0
-    created = 0
-    for sender in system.sites.values():
-        for dst, channel in sender.vm.outgoing.items():
-            retransmissions += channel.retransmissions
-            receiver = system.sites[dst]
-            for (dest, seq), created_at in sender.vm.created_times.items():
-                if dest != dst:
-                    continue
-                created += 1
-                accepted_at = receiver.vm.accept_times.get(
-                    (sender.name, seq))
-                if accepted_at is not None:
-                    latencies.append(accepted_at - created_at)
+    # From the registry, which outlives the crashed site's rebuilt
+    # VmManager (a per-incarnation tally forgets its pre-crash Vm).
+    metrics = system.sim.metrics
+    created = metrics.total("vm.created")
+    retransmissions = metrics.total("vm.retransmissions")
+    latencies = [value for histogram in metrics.histograms("vm.delivery")
+                 for value in histogram.values]
     live = sum(
         1 for sender in system.sites.values()
         for dst, channel in sender.vm.outgoing.items()

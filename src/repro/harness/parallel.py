@@ -35,7 +35,8 @@ from typing import Any, Callable
 
 #: Bump when cell semantics change in a way that invalidates old
 #: cached results (the key already covers all declared inputs).
-CACHE_VERSION = 1
+#: 2: E3's Vm columns read the metrics registry (PR 17).
+CACHE_VERSION = 2
 
 #: A cell: (module-level function name, keyword arguments).
 Cell = tuple[str, dict]

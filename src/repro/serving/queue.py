@@ -34,12 +34,51 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.frontend import ServingFrontend
 
 
-@dataclass
-class _Queued:
+@dataclass(slots=True)
+class _Request:
+    """One admitted request: queued, then — dispatched — the occupant
+    of a service slot until it is decided or its lease runs out."""
+
+    queue: "SiteQueue"
     spec: TransactionSpec
     origin: str
     enqueued_at: float
     on_done: Callable[[TxnResult], None] | None
+    dispatched_at: float = 0.0
+    #: Armed by _dispatch once the request has outlived its call.
+    lease: Timer | None = None
+    released: bool = False
+
+    def decided(self, result: TxnResult) -> None:
+        queue = self.queue
+        now = queue.sim.now
+        queue.service_est += queue._alpha * (
+            (now - self.dispatched_at) - queue.service_est)
+        queue.frontend.record_sample(ServeSample(
+            site=queue.site, arrived_at=self.enqueued_at,
+            dispatched_at=self.dispatched_at, finished_at=now,
+            committed=result.committed))
+        if self.on_done is not None:
+            self.on_done(result)
+        self.release()
+
+    def expired(self) -> None:
+        # The transaction vanished (crash wiped it before a decision):
+        # reclaim the slot so the queue keeps moving.
+        self.queue._lease_expired.inc()
+        self.release()
+
+    def release(self) -> None:
+        if self.released:
+            return
+        self.released = True
+        queue = self.queue
+        if self.lease is not None:
+            # close, not cancel: request <-> lease is a reference cycle.
+            self.lease.close()
+            queue._leases.discard(self.lease)
+        queue.inflight -= 1
+        queue._pump()
 
 
 class SiteQueue:
@@ -53,7 +92,7 @@ class SiteQueue:
         self.policy = AdmissionPolicy(config.max_depth, config.max_wait)
         self.slots = config.max_inflight
         self.lease = frontend.lease
-        self._queue: deque[_Queued] = deque()
+        self._queue: deque[_Request] = deque()
         self.inflight = 0
         #: The armed leases, one per occupied slot; close() closes them.
         self._leases: set[Timer] = set()
@@ -99,7 +138,7 @@ class SiteQueue:
         reason = self.policy.refuse_reason(len(self._queue), estimated)
         if reason is not None:
             return self._shed(origin, reason, now, estimated)
-        self._queue.append(_Queued(spec, origin, now, on_done))
+        self._queue.append(_Request(self, spec, origin, now, on_done))
         self._enqueued.inc()
         obs = self.sim.obs
         if obs.enabled:
@@ -122,8 +161,8 @@ class SiteQueue:
         while self._queue and self.inflight < self.slots:
             self._dispatch(self._queue.popleft())
 
-    def _dispatch(self, entry: _Queued) -> None:
-        now = self.sim.now
+    def _dispatch(self, entry: _Request) -> None:
+        now = entry.dispatched_at = self.sim.now
         self.inflight += 1
         self._dequeued.inc()
         self._wait_hist.observe(now - entry.enqueued_at)
@@ -132,60 +171,28 @@ class SiteQueue:
             obs.emit(ServeDequeue(t=now, site=self.site,
                                   waited=now - entry.enqueued_at,
                                   inflight=self.inflight))
-        released = False
-
-        def release() -> None:
-            nonlocal released
-            if released:
-                return
-            released = True
-            # close, not cancel: release <-> lease is a reference
-            # cycle, and the slot's closures should die with the slot.
-            lease.close()
-            self._leases.discard(lease)
-            self.inflight -= 1
-            self._pump()
-
-        def on_lease_expired() -> None:
-            # The transaction vanished (crash wiped it before a
-            # decision): reclaim the slot so the queue keeps moving.
-            self._lease_expired.inc()
-            release()
-
-        def on_decided(result: TxnResult) -> None:
-            self.service_est += self._alpha * (
-                (self.sim.now - now) - self.service_est)
-            self.frontend.record_sample(ServeSample(
-                site=self.site, arrived_at=entry.enqueued_at,
-                dispatched_at=now, finished_at=self.sim.now,
-                committed=result.committed))
-            if entry.on_done is not None:
-                entry.on_done(result)
-            release()
-
-        lease = Timer(self.sim, on_lease_expired,
-                      label=f"serve:lease:{self.site}", site=self.site)
         try:
-            self.frontend.system.submit(self.site, entry.spec, on_decided)
+            self.frontend.system.submit(self.site, entry.spec, entry.decided)
         except SiteDown:
-            released = True
-            lease.close()  # never armed, but release <-> lease is a cycle
             self.inflight -= 1
             self._shed(entry.origin, "site-down", now)
             return
-        # A fast local commit can decide synchronously inside submit;
-        # arming the lease afterwards would leak a timer for a slot
-        # that was already released.
-        if self.lease is not None and not released:
-            lease.start(self.lease)
-            self._leases.add(lease)
+        # A local commit or a view-served read decides inside submit
+        # and has released the slot already: only a request that
+        # outlives its dispatch call gets a lease.
+        if not entry.released:
+            entry.lease = Timer(self.sim, entry.expired,
+                                label=f"serve:lease:{self.site}",
+                                site=self.site)
+            entry.lease.start(self.lease)
+            self._leases.add(entry.lease)
         self.frontend.note_dispatch()
 
     # -- shutdown -----------------------------------------------------------
 
     def close(self) -> None:
         """The front-end is closing: forget the backlog and the
-        front-end, and close the occupied slots' leases — release <->
+        front-end, and close the occupied slots' leases — request <->
         lease is a cycle that release() will now never break."""
         for lease in self._leases:
             lease.close()

@@ -53,8 +53,17 @@ from repro.sim.timers import Timer
 SITES = ["A", "B", "C", "D"]
 
 
+class WatchableTransaction(Transaction):
+    """``Transaction`` is slotted and ``src/`` may not name
+    ``__weakref__`` (CI greps), so what these tests watch is this
+    subclass: the same code plus the one slot a weak reference needs."""
+
+    __slots__ = ("__weakref__",)
+
+
 @pytest.fixture(autouse=True)
-def collector_off():
+def collector_off(monkeypatch):
+    monkeypatch.setattr("repro.core.site.Transaction", WatchableTransaction)
     gc.collect()
     gc.disable()
     try:
@@ -300,8 +309,10 @@ class TestCancelledEventIsAHusk:
         assert sim.steps == 0
 
     def test_event_counts_are_what_they_were(self):
-        # 40 local commits with work: each schedules a timeout (later
-        # cancelled) and a commit event. Scheduled, executed and
+        # 40 local commits with work: each schedules its commit event
+        # and nothing else. (Until ISSUE 17 each also armed a timeout
+        # and cancelled it inside the same submit call: 80 / 120
+        # scheduled, 40 of 120 cancelled.) Scheduled, executed and
         # cancelled counts — the suite's sim.cancel_share — are pinned.
         system = DvPSystem(SystemConfig(sites=SITES, seed=14))
         system.add_item("x", CounterDomain(), total=4000)
@@ -323,10 +334,10 @@ class TestCancelledEventIsAHusk:
                 label="arrival")
         system.run_until(20.5)
         assert (scheduled, system.sim.steps, system.sim.pending) \
-            == (80, 40, 20)
+            == (60, 40, 20)
         system.run_until(100.0)
         assert (scheduled, system.sim.steps, system.sim.pending) \
-            == (120, 80, 0)  # 40 of 120 cancelled
+            == (80, 80, 0)  # nothing cancelled
 
 
 # -- (c) retained-object budget ------------------------------------------------

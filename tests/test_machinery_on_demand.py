@@ -1,0 +1,249 @@
+"""Machinery is built when it is first needed (ISSUE 17; DESIGN.md §7).
+
+A request that decides inside its ``submit`` call needs no timeout, no
+read containers and no lease, so it builds none; one that has to wait
+gets exactly the timer it always had — same kernel event, same fire
+time, and ahead of every event its own call pushed, so ties at the
+fire instant break as they always did (the golden fingerprints in
+``tests/test_hot_path_equivalence.py`` pin that end to end).
+"""
+
+import pytest
+
+from repro.core.domain import CounterDomain
+from repro.core.policies import AskAllPolicy
+from repro.core.system import DvPSystem, SystemConfig
+from repro.core.transactions import (
+    EMPTY,
+    DecrementOp,
+    IncrementOp,
+    ReadFullOp,
+    ReadViewOp,
+    TransactionSpec,
+    _State,
+)
+from repro.net.link import LinkConfig
+from repro.serving import ServingConfig, ServingFrontend
+from repro.sim.timers import Timer
+
+SITES = ["A", "B", "C"]
+
+
+@pytest.fixture
+def timers_built(monkeypatch):
+    """Labels of every ``Timer`` a transaction or a slot constructs."""
+    built: list[str] = []
+
+    class Counted(Timer):
+        def __init__(self, sim, action, label="timer", site=None):
+            built.append(label)
+            super().__init__(sim, action, label, site)
+
+    monkeypatch.setattr("repro.core.transactions.Timer", Counted)
+    monkeypatch.setattr("repro.serving.queue.Timer", Counted)
+    return built
+
+
+def _system(**config) -> DvPSystem:
+    config.setdefault("txn_timeout", 12.0)
+    config.setdefault("link", LinkConfig(base_delay=1.0))
+    system = DvPSystem(SystemConfig(sites=SITES, seed=17, **config))
+    system.add_item("x", CounterDomain(), split={"A": 5, "B": 50, "C": 50})
+    return system
+
+
+def _pushed(system: DvPSystem) -> list:
+    """Every event pushed from now on, in push order."""
+    events = []
+    push = system.sim._queue.push
+
+    def recording_push(*args, **kwargs):
+        events.append(push(*args, **kwargs))
+        return events[-1]
+
+    system.sim._queue.push = recording_push
+    return events
+
+
+def _spec(*ops, work=0.0) -> TransactionSpec:
+    return TransactionSpec(ops=ops, work=work)
+
+
+class TestALocalCommitBuildsNothing:
+    def test_instant(self, timers_built):
+        system = _system()
+        pushed = _pushed(system)
+        txn = system.submit("A", _spec(DecrementOp("x", 2)))
+        assert txn.result.committed and txn._timer is None
+        assert timers_built == [] and pushed == []
+        # The read and view containers are the one shared empty mapping.
+        assert txn._read_responders is EMPTY and txn._view_certs is EMPTY
+        assert txn._view_pending is EMPTY and txn._view_fallbacks == ()
+
+    def test_with_work(self, timers_built):
+        system = _system()
+        pushed = _pushed(system)
+        txn = system.submit("A", _spec(IncrementOp("x", 2), work=0.5))
+        assert txn.state is _State.COMPUTING and txn._timer is None
+        assert [event.label for event in pushed] == [f"txn-work:{txn.id}"]
+        assert txn._needs is EMPTY  # an increment takes nothing
+        system.run_for(1.0)
+        assert txn.result.committed and timers_built == []
+        assert system.sim.pending == 0
+
+    def test_reads_get_their_containers(self):
+        system = _system()
+        full = system.submit("A", _spec(ReadFullOp("x")))
+        assert full._read_responders == {"x": set()}
+        system.add_item("y", CounterDomain(), total=30)
+        view = system.submit("A", _spec(ReadViewOp("y", bound=3.0)))
+        # Views are off: the item escalated to the fan-out at start.
+        assert view._read_responders == {"y": set()}
+        assert view._view_fallbacks == ["y"] and not view._view_pending
+
+
+class TestAWaitingTransactionHasItsTimeout:
+    def test_conc1_deficit(self, timers_built):
+        system = _system(request_retries=2)
+        system.run_until(3.0)
+        pushed = _pushed(system)
+        txn = system.submit("A", _spec(DecrementOp("x", 20)))
+        assert txn.state is _State.GATHERING and txn.requests_sent == 2
+        assert timers_built == [f"txn-timeout:{txn.id}"]
+        # One round of three, armed in the submitting event, and ahead
+        # of the call's own request deliveries in scheduling order.
+        timeout, *deliveries = pushed
+        assert txn._timer.armed and txn._timer._event is timeout
+        assert timeout.time == txn.submitted_at + 12.0 / 3 == 7.0
+        assert len(deliveries) == 2
+        assert all(timeout.seq < event.seq for event in deliveries)
+        system.run_for(6.0)
+        assert txn.result.committed
+
+    def test_conc2_lock_queue(self, timers_built):
+        system = _system(cc="conc2", sync_delay=1.0)
+        holder = system.submit("A", _spec(IncrementOp("x", 1), work=2.0))
+        assert holder._timer is None  # sufficient on arrival: computing
+        system.run_until(0.5)
+        pushed = _pushed(system)
+        waiter = system.submit("A", _spec(IncrementOp("x", 1)))
+        assert waiter.state is _State.WAITING_LOCKS
+        assert waiter.requests_sent == 0
+        assert [event.label for event in pushed] \
+            == [f"txn-timeout:{waiter.id}"]
+        assert waiter._timer.armed and pushed[0].time == 0.5 + 12.0
+        system.run_for(3.0)
+        assert holder.result.committed and waiter.result.committed
+        assert timers_built == [f"txn-timeout:{waiter.id}"]
+        assert system.sim.pending == 0  # the timeout was closed at finish
+
+    def test_gathering_without_asking(self, timers_built):
+        # A policy may pick nobody to ask while peers exist: nothing is
+        # sent, the transaction still waits, so it still has a timeout
+        # — armed as start() hands control back.
+        class AskNobody(AskAllPolicy):
+            def targets(self, origin, peers, deficit, domain, rng):
+                return []
+
+        system = _system()
+        system.sites["A"].policy = AskNobody()
+        pushed = _pushed(system)
+        txn = system.submit("A", _spec(DecrementOp("x", 20)))
+        assert txn.state is _State.GATHERING and txn.requests_sent == 0
+        assert [event.label for event in pushed] == [f"txn-timeout:{txn.id}"]
+        assert txn._timer.armed and pushed[0].time == 12.0
+        system.run_for(13.0)
+        assert txn.result.reason == "timeout"
+        assert timers_built == [f"txn-timeout:{txn.id}"]
+
+
+class TestNeverArmedTransactionsTolerateTheTimerHooks:
+    def _computing(self, system):
+        txn = system.submit("A", _spec(DecrementOp("x", 1), work=2.0))
+        assert txn.state is _State.COMPUTING and txn._timer is None
+        return txn
+
+    def test_skew_is_a_no_op(self, timers_built):
+        system = _system()
+        txn = self._computing(system)
+        txn.skew_timeout()
+        system.sites["A"].skew_fire_timers()
+        assert txn.state is _State.COMPUTING and txn._timer is None
+        system.run_for(3.0)
+        assert txn.result.committed and timers_built == []
+
+    def test_crash_wipes_it(self, timers_built):
+        system = _system()
+        txn = self._computing(system)
+        system.crash("A")
+        assert not system.sites["A"].active
+        assert system.sites["A"].txns_wiped == 1
+        system.run_for(3.0)  # its commit event finds the site wiped
+        assert txn.result is None and system.results == []
+        assert timers_built == []
+
+    def test_system_close(self, timers_built):
+        system = _system()
+        txn = self._computing(system)
+        system.add_item("y", CounterDomain(), split={"A": 0, "B": 40})
+        waiting = system.submit("A", _spec(DecrementOp("y", 30)))
+        assert waiting._timer.armed
+        system.close()
+        assert txn._timer is None and not waiting._timer.armed
+        assert system.sim.pending == 0
+        system.close()  # twice is a no-op
+        assert timers_built == [f"txn-timeout:{waiting.id}"]
+
+
+class TestALeaseOnlyForARequestThatOutlivesItsDispatch:
+    def _frontend(self, system, **config):
+        frontend = ServingFrontend(system, ServingConfig(
+            router="least-queue", max_inflight=1, max_depth=None,
+            board_period=4.0, **config))
+        frontend.start()
+        return frontend
+
+    def test_decided_inside_submit_builds_no_lease(self, timers_built):
+        system = _system()
+        frontend = self._frontend(system)
+        queue = frontend.queues["A"]
+        done = []
+        for _ in range(3):
+            frontend.submit("A", _spec(DecrementOp("x", 1)), done.append)
+        assert [result.committed for result in done] == [True] * 3
+        assert timers_built == [] and queue._leases == set()
+        assert queue.inflight == 0 and len(frontend.samples) == 3
+        # One that outlives its dispatch call gets exactly one.
+        frontend.submit("A", _spec(DecrementOp("x", 1), work=0.5),
+                        done.append)
+        assert timers_built == ["serve:lease:A"] and queue.inflight == 1
+        assert len(queue._leases) == 1
+        system.run_for(1.0)
+        assert len(done) == 4 and queue.inflight == 0
+        assert queue._leases == set() and timers_built == ["serve:lease:A"]
+
+    def test_a_wiped_dispatch_is_reclaimed_exactly_once(self, timers_built):
+        system = _system()
+        frontend = self._frontend(system)
+        queue = frontend.queues["A"]
+        expired = system.sim.metrics.counter("serve.lease_expired", site="A")
+        done = []
+        # Dispatched and pulling Vm when A dies; one more waits behind it.
+        frontend.submit("A", _spec(DecrementOp("x", 30)), done.append)
+        frontend.submit("A", _spec(IncrementOp("x", 1)), done.append)
+        assert (queue.inflight, queue.depth) == (1, 1)
+        system.run_until(0.5)
+        system.crash("A")
+        system.run_until(10.0)
+        system.recover("A")
+        # The lease (12 + 4) has not run out: the slot is still taken.
+        assert (queue.inflight, queue.depth, expired.value) == (1, 1, 0)
+        system.run_until(17.0)
+        # Reclaimed once; the queued request took the slot and decided
+        # inside its dispatch call, so no second lease was built.
+        assert expired.value == 1 and done and done[0].committed
+        assert (queue.inflight, queue.depth) == (0, 0)
+        assert queue._leases == set()
+        assert timers_built.count("serve:lease:A") == 1
+        system.run_until(60.0)
+        assert expired.value == 1 and len(done) == 1

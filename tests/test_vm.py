@@ -250,9 +250,14 @@ class TestOutstanding:
     def test_instrumentation_times(self):
         h = Harness()
         h.send_value("A", "B", "x", 5)
+        h.sim.run_until(2.0)  # two units on the (fake) wire
         h.flush()
-        assert ("B", 1) in h.managers["A"].created_times
-        assert ("A", 1) in h.managers["B"].accept_times
+        metrics = h.sim.metrics
+        assert metrics.total("vm.created") == 1
+        assert {tuple(sorted(hist.labels)): hist.values
+                for hist in metrics.histograms("vm.delivery")
+                if hist.values} \
+            == {(("dst", "B"), ("src", "A")): [2.0]}
 
 
 class TestReentrancy:
