@@ -121,6 +121,9 @@ class TwoPCSite:
         self._ids = IdSource(name)
         self._coordinations: dict[str, _Coordination] = {}
         self._prepared: dict[str, _Prepared] = {}
+        #: Transactions this participant has seen decided: a prepare
+        #: that arrives after its own decision must not lock anything.
+        self._applied: set[str] = set()
         self._timers: dict[str, Timer] = {}
         self._decision_pusher = PeriodicTimer(
             sim, config.retry_period, self._push_decisions,
@@ -175,8 +178,9 @@ class TwoPCSite:
     # -- participant side -------------------------------------------------------
 
     def _on_prepare(self, message: PrepareMsg) -> None:
-        if message.txn_id in self._prepared:
-            return  # duplicate
+        if message.txn_id in self._prepared or \
+                message.txn_id in self._applied:
+            return  # duplicate, or overtaken by its own decision
         vote_yes = True
         reads: list[tuple[str, Any]] = []
         items = {op.item for op in message.ops}
@@ -205,6 +209,7 @@ class TwoPCSite:
                          message.ops))
         self._prepared[message.txn_id] = _Prepared(
             message.txn_id, message.coordinator, message.ops, self.sim.now)
+        self._inquiry_pusher.start()
         self._send_vote(message, yes=True, reads=tuple(reads))
 
     def _send_vote(self, message: PrepareMsg, yes: bool,
@@ -217,6 +222,7 @@ class TwoPCSite:
 
     def _on_decision(self, message: DecisionMsg) -> None:
         prepared = self._prepared.pop(message.txn_id, None)
+        self._applied.add(message.txn_id)
         if prepared is not None:
             blocked_for = self.sim.now - prepared.prepared_at
             self.system.record_lock_hold(self.name, message.txn_id,
@@ -320,7 +326,10 @@ class TwoPCSite:
             self._decision_pusher.stop()
 
     def _on_decision_request(self, request: DecisionRequest) -> None:
-        """Answer a recovering participant from the coordinator log."""
+        """Answer an in-doubt participant from the coordinator log."""
+        coordination = self._coordinations.get(request.txn_id)
+        if coordination is not None and not coordination.decided:
+            return  # votes still arriving: no answer yet, the asker retries
         for envelope in self.log.scan_backwards():
             record = envelope.record
             if isinstance(record, tuple) and record[0] == "coord-decision" \
@@ -334,11 +343,17 @@ class TwoPCSite:
                           DecisionMsg(request.txn_id, False))
 
     def _push_inquiries(self) -> None:
-        """A recovered participant keeps asking about in-doubt txns."""
+        """A participant prepared for longer than the transaction
+        timeout keeps asking its coordinator for the decision (2PC
+        blocks only until the coordinator is reachable again — Gray &
+        Lamport, *Consensus on Transaction Commit*)."""
         if not self._prepared:
             self._inquiry_pusher.stop()
             return
         for prepared in self._prepared.values():
+            if self.sim.now - prepared.prepared_at < \
+                    self.config.txn_timeout:
+                continue  # not yet suspicious; keep watching
             self.system.recovery_messages += 1
             self.network.send(self.name, prepared.coordinator,
                               DecisionRequest(prepared.txn_id, self.name))
@@ -354,6 +369,7 @@ class TwoPCSite:
         self._timers.clear()
         self._coordinations.clear()
         self._prepared.clear()
+        self._applied.clear()
         for item in self.store.items().values():
             item.locked_by = None
 
@@ -371,15 +387,18 @@ class TwoPCSite:
                 prepared[record[1]] = (record[2], record[3], envelope.lsn)
             elif record[0] in ("participant-commit", "participant-abort"):
                 decided.add(record[1])
+        self._applied |= decided
         in_doubt = {txn_id: info for txn_id, info in prepared.items()
                     if txn_id not in decided}
         for txn_id, (coordinator, ops, _lsn) in in_doubt.items():
             # Re-lock the in-doubt items; they stay unavailable until
-            # the coordinator answers.
+            # the coordinator answers. Back-dated by the timeout so the
+            # inquiry loop asks at once.
             for op in ops:
                 self.store.get(op.item).locked_by = txn_id
-            self._prepared[txn_id] = _Prepared(txn_id, coordinator, ops,
-                                               self.sim.now)
+            self._prepared[txn_id] = _Prepared(
+                txn_id, coordinator, ops,
+                self.sim.now - self.config.txn_timeout)
         if in_doubt:
             self._push_inquiries()
             self._inquiry_pusher.start()

@@ -2,7 +2,7 @@
 and dependent-recovery behaviours, which are the foil for E1/E5."""
 
 from repro.baselines.common import BaselineConfig
-from repro.baselines.twopc import TwoPCSystem
+from repro.baselines.twopc import PrepareMsg, SimpleOp, TwoPCSystem
 from repro.core.transactions import (
     DecrementOp,
     IncrementOp,
@@ -161,3 +161,93 @@ class TestRecovery:
         system.run_for(5.0)
         assert received
         assert received[0].payload.commit is False
+
+
+class TestParticipantRegressions:
+    """The three bugs 2PC's hand-copied participant had bred; each of
+    these fails on the code before the fix."""
+
+    def build(self, retry=2.0):
+        system = TwoPCSystem(["A", "B", "C"], seed=5,
+                             link=LinkConfig(base_delay=1.0),
+                             config=BaselineConfig(txn_timeout=10.0,
+                                                   retry_period=retry))
+        system.add_item("a", "A", 0)
+        system.add_item("b", "B", 10)
+        system.add_item("c", "C", 10)
+        return system
+
+    def test_prepare_overtaken_by_its_own_abort_locks_nothing(self):
+        """The coordinator's own NO vote broadcasts the abort before
+        the submit loop has sent the other participant its prepare:
+        the decision arrives first, and the late prepare must not
+        lock the item for a transaction that is already over. (The
+        retry period is longer than the round trip, so no retransmitted
+        decision papers over it: the ack for the unknown decision is
+        back before the first push.)"""
+        system = self.build(retry=5.0)
+        result = run_one(system, "A", TransactionSpec(
+            ops=(TransferOp("a", "b", 5),)))
+        assert not result.committed
+        assert system.currently_blocked() == []
+        assert system.sites["B"].store.get("b").locked_by is None
+        follow_up = run_one(system, "B", TransactionSpec(
+            ops=(TransferOp("b", "c", 5),)))
+        assert follow_up.committed
+
+    def test_decided_set_is_rebuilt_on_recovery(self):
+        system = self.build()
+        run_one(system, "B", TransactionSpec(
+            ops=(TransferOp("b", "c", 5),)))
+        system.crash("C")
+        system.recover("C")
+        site_c = system.sites["C"]
+        log_length = len(site_c.log)
+        site_c._on_prepare(PrepareMsg(
+            "B#1", "B", (SimpleOp("inc", "c", 5),)))
+        assert len(site_c.log) == log_length
+        assert site_c.store.get("c").locked_by is None
+
+    def test_live_participant_asks_a_repaired_coordinator(self):
+        """The coordinator crashes after logging its decision and
+        before the participant hears it. Nothing the participant does
+        may depend on its *own* crash: having waited out the timeout
+        it asks, and a retry period after the coordinator is back the
+        transfer is whole again."""
+        system = self.build()
+        results = []
+        system.submit("B", TransactionSpec(
+            ops=(TransferOp("b", "c", 5),)), results.append)
+        system.run_for(1.5)  # C prepared at t=1, its vote in flight
+        system.network.link("B", "C").fail()
+        system.run_for(1.0)  # the vote landed at t=2: decided, logged
+        assert results and results[0].committed
+        assert ("coord-decision", "B#1", True) in [
+            envelope.record for envelope in system.sites["B"].log.scan()]
+        system.crash("B")    # ...and the decision to C was lost
+        system.network.link("B", "C").restore()
+        system.run_for(40.0)
+        assert [site for site, _txn, _age in system.currently_blocked()] \
+            == ["C"]
+        system.recover("B")
+        system.run_for(system.config.retry_period + 2.5)
+        assert system.currently_blocked() == []
+        assert system.total_value() == 20
+
+    def test_undecided_coordinator_gives_no_answer(self):
+        """A recovered participant asks while the last vote is still in
+        flight. "Abort" would be a lie the coordinator then contradicts
+        by committing; it says nothing and the asker retries."""
+        system = self.build()
+        system.network.configure_link("C", "A", LinkConfig(base_delay=6.0))
+        results = []
+        system.submit("A", TransactionSpec(
+            ops=(TransferOp("b", "c", 5),)), results.append)
+        system.sim.at(2.5, lambda: (system.crash("B"),
+                                    system.recover("B")))
+        system.run_for(60.0)
+        assert results and results[0].committed
+        assert system.total_value() == 20
+        assert ("participant-commit", "A#1") in [
+            envelope.record for envelope in system.sites["B"].log.scan()]
+        assert system.currently_blocked() == []

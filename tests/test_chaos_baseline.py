@@ -49,9 +49,12 @@ class TestCrashBetweenPrepareAndDecide:
         return results
 
     def test_twopc_participant_blocks_through_the_window(self):
-        """2PC's dependent recovery: the never-crashed participant does
-        not inquire, so it stays in doubt even after the coordinator is
-        back — the blocking foil E15 quantifies."""
+        """2PC's dependent recovery: the participant stays in doubt
+        for the whole coordinator outage — the blocking foil E15
+        quantifies — and no longer: "2PC blocks until the TM is
+        repaired" (Gray & Lamport, *Consensus on Transaction Commit*),
+        so once the coordinator is back the participant's inquiry is
+        answered (presumed abort: it crashed undecided)."""
         system = _coordinated(TwoPCSystem)
         self._submit(system)
         self.PLAN.compile(system)
@@ -59,7 +62,8 @@ class TestCrashBetweenPrepareAndDecide:
         # In-doubt window: the participant holds its lock and waits.
         assert system.currently_blocked()
         system.run_for(120.0)  # coordinator recovery at t=40 in here
-        assert system.currently_blocked()
+        assert system.currently_blocked() == []
+        assert system.total_value() == 300
 
     def test_twopc_resolves_via_participant_recovery_not_stale_timers(self):
         """The participant's own crash+recover starts the inquiry
