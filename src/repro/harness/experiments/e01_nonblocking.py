@@ -94,12 +94,16 @@ class CrossSiteTransfers:
 def _plant_victim(system, params: Params, spec: TransactionSpec,
                   collector: Collector) -> None:
     """Guarantee one transaction is mid-protocol when the partition
-    strikes: submitted one link-delay early, its first cross-group
-    round trip straddles the cut. The spec is each system's vulnerable
-    shape: for 2PC a cross-home transfer (prepare lands, decision
-    cannot); for DvP a decrement that must gather remote value (its
-    requests land, the Vm cannot — and the timeout aborts it)."""
-    victim_at = params.partition_start - params.link_delay - 0.5
+    strikes, by construction: submitted early enough that its first
+    hop (at most delay + jitter) always lands before the cut, late
+    enough that the reply (at least another delay) never returns. The
+    spec is each system's vulnerable shape: for 2PC a cross-home
+    transfer between a dedicated item pair no background transfer can
+    lock (prepare lands, decision cannot); for DvP a decrement that
+    must gather remote value (its requests land, the Vm cannot — and
+    the timeout aborts it)."""
+    victim_at = (params.partition_start - params.link_delay
+                 - params.link_jitter - 0.5)
 
     def submit() -> None:
         collector.on_submit(at=system.sim.now)
@@ -172,6 +176,8 @@ def _run_twopc(params: Params, duration: float) -> dict:
     source = CrossSiteTransfers(params.sites)
     for site in params.sites:
         system.add_item(source.item_of(site), site, params.initial_per_item)
+    system.add_item("victim_src", params.sites[0], params.initial_per_item)
+    system.add_item("victim_dst", params.sites[-1], params.initial_per_item)
     collector = Collector()
     run_length = params.partition_start + duration + 40.0
     driver = WorkloadDriver(
@@ -180,9 +186,7 @@ def _run_twopc(params: Params, duration: float) -> dict:
                        duration=run_length), collector)
     driver.install()
     victim_spec = TransactionSpec(
-        ops=(TransferOp(source.item_of(params.sites[0]),
-                        source.item_of(params.sites[-1]), 2),),
-        label="victim")
+        ops=(TransferOp("victim_src", "victim_dst", 2),), label="victim")
     _plant_victim(system, params, victim_spec, collector)
     half = len(params.sites) // 2
     system.sim.at(params.partition_start,
@@ -197,7 +201,10 @@ def _run_twopc(params: Params, duration: float) -> dict:
         1 for _site, _txn, age in system.currently_blocked()
         if age > system.config.txn_timeout + 1e-9)
     system.run_for(run_length - system.sim.now + params.txn_timeout + 60.0)
-    max_hold = max((hold for _s, _t, hold in system.lock_holds),
+    # A lock still held when the run ends has been held at least that
+    # long: count it, not only the holds that ended.
+    max_hold = max((hold for _s, _t, hold in
+                    system.lock_holds + system.currently_blocked()),
                    default=0.0)
     return {
         "decided": len(collector.results),
