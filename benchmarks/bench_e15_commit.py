@@ -82,12 +82,12 @@ def gate_coordinator_crash() -> tuple[list[str], dict]:
             results.append))
         system.sim.at(CRASH_AT, lambda s=system: s.crash("S0"))
         system.sim.run_until(OUTAGE_END)  # S0 stays dark throughout
-        blocked_during = list(system.currently_blocked())
+        blocked_during = list(system.blocked())
         system.recover("S0")
         system.sim.run_until(OUTAGE_END + 120.0)
         detail[name] = {
             "blocked_during_outage": len(blocked_during),
-            "blocked_after_recovery": len(system.currently_blocked()),
+            "blocked_after_recovery": len(system.blocked()),
             "total_after": system.total_value(),
         }
         if name == "paxos":
@@ -101,7 +101,7 @@ def gate_coordinator_crash() -> tuple[list[str], dict]:
             if not committed:
                 failures.append("paxos: S1 never learned the commit "
                                 "during the outage")
-            if system.currently_blocked():
+            if system.blocked():
                 failures.append("paxos: still blocked after recovery")
             if system.total_value() != 200:
                 failures.append(f"paxos: conservation broke: "

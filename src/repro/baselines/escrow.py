@@ -30,6 +30,7 @@ from typing import Any, Callable
 
 from repro.baselines.common import (
     BaselineConfig,
+    BaselineSystem,
     IdSource,
     PendingDone,
     UnknownItem,
@@ -45,9 +46,6 @@ from repro.core.transactions import (
 )
 from repro.net.link import LinkConfig
 from repro.net.message import Envelope
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
-from repro.sim.timers import PeriodicTimer, Timer
 from repro.storage.log import StableLog
 
 
@@ -114,13 +112,21 @@ class _ClientTxn:
     committed: bool = False
 
 
-class CentralCounterSystem:
+class CentralCounterSystem(BaselineSystem):
     """A single hot counter managed at one central site.
 
     Clients at every site issue increments/decrements against items
     living at ``central``. ``mode`` selects exclusive locking or escrow
     accounting at the central site.
+
+    One process stands in for every site — the central server and all
+    the clients — so of the substrate it takes the system half only:
+    ``sites`` is empty (there is no per-site object, and no crash
+    model), and the deadlines and the commit-retry loop run on the
+    system's own :attr:`timers`.
     """
+
+    tag = "hot"
 
     def __init__(self, sites: list[str], central: str, mode: str = "escrow",
                  seed: int = 0, link: LinkConfig | None = None,
@@ -129,21 +135,16 @@ class CentralCounterSystem:
             raise ValueError(f"unknown mode {mode!r}")
         if central not in sites:
             raise ValueError("central site must be one of the sites")
+        super().__init__((), seed, link, config)
         self.mode = mode
         self.central = central
-        self.sim = Simulator(seed)
-        self.network = Network(self.sim, link or LinkConfig())
-        self.config = config or BaselineConfig()
-        self.results: list[TxnResult] = []
         self.log = StableLog(central)
         self._items: dict[str, _CentralItem] = {}
         self._ids = IdSource("hot")
         self._clients: dict[str, _ClientTxn] = {}
         self._pending_requests: dict[str, AcquireReq] = {}
-        self._timers: dict[str, Timer] = {}
-        self._commit_retry = PeriodicTimer(
-            self.sim, self.config.retry_period, self._retry_commits,
-            label="escrow-commit-retry")
+        self._commit_retry = self.timers.loop("escrow-commit-retry",
+                                              self._retry_commits)
         self.site_names = list(sites)
         for name in sites:
             self.network.register(name, self._make_handler(name))
@@ -151,6 +152,7 @@ class CentralCounterSystem:
     # -- setup -------------------------------------------------------------
 
     def add_item(self, item: str, initial: Any) -> None:
+        self.item_names.append(item)
         self._items[item] = _CentralItem(initial)
 
     def value(self, item: str) -> Any:
@@ -176,10 +178,7 @@ class CentralCounterSystem:
         self._clients[txn_id] = client
         request = AcquireReq(txn_id, origin, op.item, kind, op.amount)
         self._route(origin, self.central, request)
-        timer = Timer(self.sim, lambda: self._client_timeout(txn_id),
-                      label=f"hot-timeout:{txn_id}")
-        timer.start(self.config.txn_timeout)
-        self._timers[txn_id] = timer
+        self.timers.arm(txn_id, self._client_timeout)
         return txn_id
 
     # -- message plumbing -------------------------------------------------------
@@ -332,14 +331,13 @@ class CentralCounterSystem:
         self._route(origin, self.central, CommitReq(client.txn_id, origin))
         self._commit_retry.start()
 
-    def _retry_commits(self) -> None:
+    def _retry_commits(self) -> bool:
         outstanding = False
         for client in self._clients.values():
             if client.granted and not client.committed:
                 outstanding = True
                 self._send_commit(client)
-        if not outstanding:
-            self._commit_retry.stop()
+        return outstanding
 
     def _client_done(self, done_msg: CommitDone) -> None:
         client = self._clients.get(done_msg.txn_id)
@@ -363,17 +361,10 @@ class CentralCounterSystem:
 
     def _finish(self, client: _ClientTxn, outcome: Outcome, reason: str,
                 deltas: list | None = None) -> None:
-        timer = self._timers.pop(client.txn_id, None)
-        if timer is not None:
-            timer.cancel()
+        self.timers.disarm(client.txn_id)
         origin = client.txn_id.split(":", 1)[0]
         result = make_result(client.txn_id, client.spec.label, outcome,
                              reason, origin, client.submitted_at,
                              self.sim.now, deltas=deltas)
         if client.done.fire(result):
-            self.results.append(result)
-
-    # -- running -----------------------------------------------------------------------
-
-    def run_for(self, duration: float) -> None:
-        self.sim.run_until(self.sim.now + duration)
+            self.record_result(result)

@@ -31,37 +31,20 @@ Mapping onto the paper's protocol:
   in-doubt participant re-learns the outcome from the acceptors (who
   logged their accepts), never from one distinguished coordinator.
 
-Built on the shared baseline substrate (WholeStore homes, the
-retry-period retransmission machinery, TxnResult shapes), so chaos
-schedules, the metrics collector, and the experiment harness drive it
-exactly like the 2PC and quorum baselines.
+Built on the shared baseline substrate — the participant, the origin
+and the decision announcement are the very code 2PC runs
+(:mod:`repro.baselines.commit`); what is here is how a decision is
+*reached*: acceptors, ballots, leaders and takeover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, NamedTuple
 
-from repro.baselines.common import (
-    BaselineConfig,
-    IdSource,
-    PendingDone,
-    SimpleOp,
-    WholeStore,
-    make_result,
-    partition_ops,
-)
-from repro.core.transactions import (
-    Outcome,
-    TransactionSpec,
-    TxnResult,
-)
+from repro.baselines.commit import CommitSite, CommitSystem, DecisionMsg
+from repro.baselines.common import BaselineConfig, SimpleOp
 from repro.net.link import LinkConfig
-from repro.net.message import Envelope
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
-from repro.sim.timers import PeriodicTimer, Timer
-from repro.storage.log import StableLog
 
 PREPARED = "prepared"
 ABORTED = "aborted"
@@ -69,9 +52,9 @@ ABORTED = "aborted"
 # -- wire protocol ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BeginMsg:
-    """Ballot-0 leader -> participant: your ops and the full roster."""
+class BeginMsg(NamedTuple):
+    """Ballot-0 leader -> participant: your ops and the full roster.
+    Its fields are the participant's ``prepared`` log record."""
 
     txn_id: str
     coordinator: str
@@ -128,44 +111,7 @@ class Phase2b:
     reads: tuple[tuple[str, Any], ...] = ()
 
 
-@dataclass(frozen=True)
-class DecisionMsg:
-    txn_id: str
-    commit: bool
-
-
-@dataclass(frozen=True)
-class DecisionAck:
-    txn_id: str
-    participant: str
-
-
 # -- per-site state ----------------------------------------------------------
-
-
-@dataclass
-class _Coordination:
-    """Client-facing state at the origin (the ballot-0 leader)."""
-
-    txn_id: str
-    label: str
-    ops_by_site: dict[str, tuple[SimpleOp, ...]]
-    done: PendingDone
-    submitted_at: float
-    read_values: dict[str, Any] = field(default_factory=dict)
-    decided: bool = False
-    commit: bool = False
-
-
-@dataclass
-class _Prepared:
-    """Participant-side in-doubt state (locks held)."""
-
-    txn_id: str
-    coordinator: str
-    participants: tuple[str, ...]
-    ops: tuple[SimpleOp, ...]
-    prepared_at: float
 
 
 @dataclass
@@ -202,63 +148,40 @@ class _Lead:
     commit: bool = False
     acked: set[str] = field(default_factory=set)
 
+    @property
+    def targets(self) -> set[str]:
+        """Who must learn the decision: the roster and the origin
+        (txn ids embed it: "W#3")."""
+        return {*self.roster, self.txn_id.split("#", 1)[0]}
 
-class PaxosCommitSite:
+
+class PaxosCommitSite(CommitSite):
     """One site: client leader, participant, and (maybe) acceptor."""
 
-    def __init__(self, name: str, sim: Simulator, network: Network,
-                 config: BaselineConfig, home: dict[str, str],
-                 system: "PaxosCommitSystem") -> None:
-        self.name = name
-        self.sim = sim
-        self.network = network
-        self.config = config
-        self.home = home
-        self.system = system
-        self.store = WholeStore()
-        self.log = StableLog(name)
-        self.alive = True
-        self._ids = IdSource(name)
-        self._coordinations: dict[str, _Coordination] = {}
-        self._prepared: dict[str, _Prepared] = {}
-        self._applied: set[str] = set()
-        self._led: dict[str, _Lead] = {}
+    tag = "paxos"
+    watch = "takeover"
+    prepare_type = BeginMsg
+    handlers = {**CommitSite.handlers,
+                BeginMsg: "_on_prepare",
+                Phase1a: "_on_phase1a",
+                Phase1b: "_on_phase1b",
+                Phase2a: "_on_phase2a",
+                Phase2b: "_on_phase2b"}
+
+    def __init__(self, name: str, system: "PaxosCommitSystem") -> None:
+        super().__init__(name, system)
         self._acc: dict[tuple[str, str], _AcceptorSlot] = {}
-        self._timers: dict[str, Timer] = {}
-        self._decision_pusher = PeriodicTimer(
-            sim, config.retry_period, self._push_decisions,
-            label=f"paxos-decisions:{name}")
-        self._takeover_pusher = PeriodicTimer(
-            sim, config.retry_period, self._push_takeovers,
-            label=f"paxos-takeover:{name}")
-        network.register(name, self.deliver)
 
-    # -- client API -------------------------------------------------------
+    # -- origin -----------------------------------------------------------
 
-    def submit(self, spec: TransactionSpec,
-               on_done: Callable[[TxnResult], None] | None) -> str:
-        txn_id = self._ids.next()
-        ops_by_site = partition_ops(spec, self.home)
-        roster = tuple(sorted(ops_by_site))
-        coordination = _Coordination(
-            txn_id=txn_id, label=spec.label, ops_by_site=ops_by_site,
-            done=PendingDone(on_done), submitted_at=self.sim.now)
-        self._coordinations[txn_id] = coordination
-        self._led[txn_id] = _Lead(txn_id, roster)
-        self.log.append(("coord-begin", txn_id, sorted(ops_by_site)))
-        for participant, ops in ops_by_site.items():
-            message = BeginMsg(txn_id, self.name, roster, ops)
-            if participant == self.name:
-                self._on_begin(message)
-            else:
-                self.network.send(self.name, participant, message)
-        timer = Timer(self.sim, lambda: self._client_timeout(txn_id),
-                      label=f"paxos-timeout:{txn_id}")
-        timer.start(self.config.txn_timeout)
-        self._timers[txn_id] = timer
-        return txn_id
+    def _lead(self, txn_id: str, roster: tuple[str, ...]) -> _Lead:
+        return _Lead(txn_id, roster)
 
-    def _client_timeout(self, txn_id: str) -> None:
+    def _prepare_message(self, txn_id: str, roster: tuple[str, ...],
+                         ops: tuple[SimpleOp, ...]) -> BeginMsg:
+        return BeginMsg(txn_id, self.name, roster, ops)
+
+    def _on_deadline(self, txn_id: str) -> None:
         """The origin cannot presume abort unilaterally (an instance
         may already have chosen "prepared"); it *proposes* abort by
         running recovery rounds until the consensus decides."""
@@ -266,124 +189,41 @@ class PaxosCommitSite:
         if lead is None or lead.decided:
             return
         self._takeover(lead)
-        self._takeover_pusher.start()
-
-    # -- message dispatch -------------------------------------------------
-
-    def deliver(self, envelope: Envelope) -> None:
-        if not self.alive:
-            return
-        payload = envelope.payload
-        if isinstance(payload, BeginMsg):
-            self._on_begin(payload)
-        elif isinstance(payload, Phase1a):
-            self._on_phase1a(payload)
-        elif isinstance(payload, Phase1b):
-            self._on_phase1b(payload)
-        elif isinstance(payload, Phase2a):
-            self._on_phase2a(payload)
-        elif isinstance(payload, Phase2b):
-            self._on_phase2b(payload)
-        elif isinstance(payload, DecisionMsg):
-            self._on_decision(payload, src=envelope.src)
-        elif isinstance(payload, DecisionAck):
-            self._on_decision_ack(payload)
-
-    def _route(self, dst: str, payload: Any) -> None:
-        if dst == self.name:
-            self.deliver(Envelope(src=self.name, dst=dst, payload=payload))
-        else:
-            self.network.send(self.name, dst, payload)
+        self._watcher.start()
 
     # -- participant side -------------------------------------------------
 
-    def _on_begin(self, message: BeginMsg) -> None:
-        if message.txn_id in self._prepared or \
-                message.txn_id in self._applied:
-            return  # duplicate
-        vote = PREPARED
-        reads: list[tuple[str, Any]] = []
-        items = {op.item for op in message.ops}
-        for item in items:
-            if self.store.get(item).locked_by is not None:
-                vote = ABORTED
-        if vote == PREPARED:
-            shadow = {item: self.store.get(item).value for item in items}
-            for op in message.ops:
-                if op.kind == "dec":
-                    if shadow[op.item] < op.amount:
-                        vote = ABORTED
-                        break
-                    shadow[op.item] -= op.amount
-                elif op.kind == "inc":
-                    shadow[op.item] += op.amount
-                else:
-                    reads.append((op.item, shadow[op.item]))
-        if vote == PREPARED:
-            for item in items:
-                self.store.get(item).locked_by = message.txn_id
-            self.log.append(("prepared", message.txn_id,
-                             message.coordinator, message.participants,
-                             message.ops))
-            self._prepared[message.txn_id] = _Prepared(
-                message.txn_id, message.coordinator, message.participants,
-                message.ops, self.sim.now)
-            self._takeover_pusher.start()
+    def _vote(self, request: BeginMsg,
+              reads: tuple[tuple[str, Any], ...] | None) -> None:
         # The vote is the instance's ballot-0 phase-2a, sent straight
         # to every acceptor (paper §4's co-location optimization).
-        proposal = Phase2a(message.txn_id, self.name, 0, vote,
-                           message.coordinator, message.participants,
-                           tuple(reads))
-        for acceptor in self.system.acceptors:
-            self._route(acceptor, proposal)
+        self._to_acceptors(Phase2a(
+            request.txn_id, self.name, 0,
+            PREPARED if reads is not None else ABORTED,
+            request.coordinator, request.participants, reads or ()))
 
-    def _on_decision(self, message: DecisionMsg, src: str) -> None:
-        prepared = self._prepared.pop(message.txn_id, None)
-        self._applied.add(message.txn_id)
-        if prepared is not None:
-            blocked_for = self.sim.now - prepared.prepared_at
-            self.system.record_lock_hold(self.name, message.txn_id,
-                                         blocked_for)
-            if message.commit:
-                for op in prepared.ops:
-                    item = self.store.get(op.item)
-                    if op.kind == "dec":
-                        item.value -= op.amount
-                    elif op.kind == "inc":
-                        item.value += op.amount
-                    item.version += 1
-                self.log.append(("participant-commit", message.txn_id))
-            else:
-                self.log.append(("participant-abort", message.txn_id))
-            for op in prepared.ops:
-                item = self.store.get(op.item)
-                if item.locked_by == message.txn_id:
-                    item.locked_by = None
-        if src != self.name:
-            self._route(src, DecisionAck(message.txn_id, self.name))
-        else:
-            self._on_decision_ack(DecisionAck(message.txn_id, self.name))
+    def _to_acceptors(self, message: Any) -> None:
+        for acceptor in self.system.acceptors:
+            self._route(acceptor, message)
+
+    def _on_decision(self, message: DecisionMsg) -> None:
+        super()._on_decision(message)
         # The origin's client callback rides on its own leader state.
         self._learn_decision(message.txn_id, message.commit)
 
-    def _push_takeovers(self) -> None:
-        """Leader election on coordinator timeout: every prepared
-        participant that has waited out the transaction timeout starts
-        (or escalates) its own recovery rounds."""
-        outstanding = False
-        for prepared in list(self._prepared.values()):
-            age = self.sim.now - prepared.prepared_at
-            if age < self.config.txn_timeout:
-                outstanding = True  # not yet suspicious; keep watching
-                continue
-            lead = self._led.setdefault(
-                prepared.txn_id,
-                _Lead(prepared.txn_id, prepared.participants))
-            if lead.decided:
-                continue
-            outstanding = True
-            self.system.recovery_messages += 1
-            self._takeover(lead)
+    def _suspect(self, request: BeginMsg) -> bool:
+        """Leader election on coordinator timeout: a participant that
+        has waited out the transaction timeout starts (or escalates)
+        its own recovery rounds, until somebody has decided."""
+        lead = self._led.setdefault(
+            request.txn_id, _Lead(request.txn_id, request.participants))
+        if lead.decided:
+            return False
+        self._takeover(lead)
+        return True
+
+    def _watch_prepared(self) -> bool:
+        outstanding = super()._watch_prepared()
         for lead in self._led.values():
             # The origin proposing abort after its client timeout also
             # keeps escalating until the consensus answers.
@@ -391,8 +231,7 @@ class PaxosCommitSite:
                     lead.txn_id not in self._prepared:
                 outstanding = True
                 self._takeover(lead)
-        if not outstanding:
-            self._takeover_pusher.stop()
+        return outstanding
 
     # -- leader side ------------------------------------------------------
 
@@ -418,12 +257,10 @@ class PaxosCommitSite:
         lead.round_started_at = self.sim.now
         lead.ballot = self._ballot(lead.rounds)
         for participant in lead.roster:
-            if participant in lead.chosen:
-                continue
-            inquiry = Phase1a(lead.txn_id, participant, lead.ballot,
-                              self.name, lead.roster)
-            for acceptor in self.system.acceptors:
-                self._route(acceptor, inquiry)
+            if participant not in lead.chosen:
+                self._to_acceptors(Phase1a(
+                    lead.txn_id, participant, lead.ballot, self.name,
+                    lead.roster))
 
     def _on_phase1b(self, message: Phase1b) -> None:
         lead = self._led.get(message.txn_id)
@@ -441,11 +278,10 @@ class PaxosCommitSite:
         # for this instance) means the participant never voted — the
         # paper's rule is to choose "aborted".
         accepted_ballot, accepted_value = max(replies.values())
-        value = accepted_value if accepted_ballot >= 0 else ABORTED
-        proposal = Phase2a(lead.txn_id, message.participant, lead.ballot,
-                           value, self.name, lead.roster)
-        for acceptor in self.system.acceptors:
-            self._route(acceptor, proposal)
+        self._to_acceptors(Phase2a(
+            lead.txn_id, message.participant, lead.ballot,
+            accepted_value if accepted_ballot >= 0 else ABORTED,
+            self.name, lead.roster))
 
     def _on_phase2b(self, message: Phase2b) -> None:
         lead = self._led.get(message.txn_id)
@@ -467,75 +303,24 @@ class PaxosCommitSite:
         if set(lead.chosen) == set(lead.roster):
             commit = all(value == PREPARED
                          for value in lead.chosen.values())
-            self._decide(lead, commit)
-
-    def _decide(self, lead: _Lead, commit: bool) -> None:
-        lead.decided = True
-        lead.commit = commit
-        self.log.append(("coord-decision", lead.txn_id, commit))
-        self._broadcast_decision(lead)
-        self._decision_pusher.start()
-        self._learn_decision(lead.txn_id, commit)
-
-    def _broadcast_decision(self, lead: _Lead) -> None:
-        message = DecisionMsg(lead.txn_id, lead.commit)
-        targets = set(lead.roster)
-        origin = lead.txn_id.split("#", 1)[0]
-        targets.add(origin)
-        for target in targets - lead.acked:
-            self._route(target, message)
-
-    def _push_decisions(self) -> None:
-        outstanding = False
-        for lead in self._led.values():
-            if lead.decided and \
-                    lead.acked < set(lead.roster) | \
-                    {lead.txn_id.split("#", 1)[0]}:
-                outstanding = True
-                self._broadcast_decision(lead)
-        if not outstanding:
-            self._decision_pusher.stop()
-
-    def _on_decision_ack(self, ack: DecisionAck) -> None:
-        lead = self._led.get(ack.txn_id)
-        if lead is not None:
-            lead.acked.add(ack.participant)
+            self._decide(lead, commit, "ok" if commit else "vote-no")
 
     def _learn_decision(self, txn_id: str, commit: bool) -> None:
-        """Resolve the client callback at the origin, exactly once."""
+        """Somebody decided (maybe another leader): stop leading, and
+        if the transaction is ours answer the client."""
         lead = self._led.get(txn_id)
         if lead is not None and not lead.decided:
             lead.decided = True
             lead.commit = commit
-        coordination = self._coordinations.get(txn_id)
-        if coordination is None or coordination.decided:
-            return
-        coordination.decided = True
-        coordination.commit = commit
-        timer = self._timers.pop(txn_id, None)
-        if timer is not None:
-            timer.cancel()
-        deltas: list[tuple[str, int, Any]] = []
-        if commit:
-            for ops in coordination.ops_by_site.values():
-                for op in ops:
-                    if op.kind == "dec":
-                        deltas.append((op.item, -1, op.amount))
-                    elif op.kind == "inc":
-                        deltas.append((op.item, +1, op.amount))
-        outcome = Outcome.COMMITTED if commit else Outcome.ABORTED
-        reason = "ok" if commit else "vote-no"
-        coordination.done.fire(make_result(
-            txn_id, coordination.label, outcome, reason, self.name,
-            coordination.submitted_at, self.sim.now, deltas=deltas,
-            read_values=coordination.read_values))
-        self.system.record_result(coordination.done.collected[-1])
+        self._resolve(txn_id, commit, "ok" if commit else "vote-no")
 
     # -- acceptor side ----------------------------------------------------
 
+    def _slot(self, txn_id: str, participant: str) -> _AcceptorSlot:
+        return self._acc.setdefault((txn_id, participant), _AcceptorSlot())
+
     def _on_phase1a(self, message: Phase1a) -> None:
-        slot = self._acc.setdefault(
-            (message.txn_id, message.participant), _AcceptorSlot())
+        slot = self._slot(message.txn_id, message.participant)
         if message.ballot <= slot.promised:
             return
         slot.promised = message.ballot
@@ -546,8 +331,7 @@ class PaxosCommitSite:
             self.name, slot.accepted_ballot, slot.accepted_value))
 
     def _on_phase2a(self, message: Phase2a) -> None:
-        slot = self._acc.setdefault(
-            (message.txn_id, message.participant), _AcceptorSlot())
+        slot = self._slot(message.txn_id, message.participant)
         if message.ballot < slot.promised:
             return
         slot.promised = message.ballot
@@ -564,79 +348,35 @@ class PaxosCommitSite:
     # -- failure injection ------------------------------------------------
 
     def crash(self) -> None:
-        self.alive = False
-        self._decision_pusher.stop()
-        self._takeover_pusher.stop()
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        self._coordinations.clear()
-        self._prepared.clear()
-        self._applied.clear()
-        self._led.clear()
-        self._acc.clear()
-        for item in self.store.items().values():
-            item.locked_by = None
+        super().crash()
+        self._acc = {}
 
     def recover(self) -> dict[str, Any]:
-        """Rebuild acceptor state and in-doubt participations from the
-        log. Unlike 2PC, an in-doubt participant does not depend on one
-        coordinator: its takeover rounds re-learn the outcome from any
-        majority of acceptors."""
-        self.alive = True
-        decided: set[str] = set()
-        prepared: dict[str, tuple[str, tuple[str, ...],
-                                  tuple[SimpleOp, ...]]] = {}
-        scanned = 0
+        """Rebuild acceptor state from the log, then the in-doubt
+        participations. Unlike 2PC, an in-doubt participant does not
+        depend on one coordinator: its takeover rounds re-learn the
+        outcome from any majority of acceptors."""
         for envelope in self.log.scan():
-            scanned += 1
             record = envelope.record
-            if record[0] == "prepared":
-                prepared[record[1]] = (record[2], record[3], record[4])
-            elif record[0] in ("participant-commit", "participant-abort"):
-                decided.add(record[1])
-            elif record[0] == "paxos-promise":
-                slot = self._acc.setdefault((record[1], record[2]),
-                                            _AcceptorSlot())
+            if record[0] in ("paxos-promise", "paxos-accept"):
+                slot = self._slot(record[1], record[2])
                 slot.promised = max(slot.promised, record[3])
-            elif record[0] == "paxos-accept":
-                slot = self._acc.setdefault((record[1], record[2]),
-                                            _AcceptorSlot())
-                slot.promised = max(slot.promised, record[3])
-                if record[3] >= slot.accepted_ballot:
+                if record[0] == "paxos-accept" and \
+                        record[3] >= slot.accepted_ballot:
                     slot.accepted_ballot = record[3]
                     slot.accepted_value = record[4]
-        self._applied |= decided
-        in_doubt = {txn_id: info for txn_id, info in prepared.items()
-                    if txn_id not in decided}
-        for txn_id, (coordinator, roster, ops) in in_doubt.items():
-            for op in ops:
-                self.store.get(op.item).locked_by = txn_id
-            self._prepared[txn_id] = _Prepared(
-                txn_id, coordinator, roster, ops,
-                self.sim.now - self.config.txn_timeout)
-        if in_doubt:
-            self._push_takeovers()
-            self._takeover_pusher.start()
-        return {"site": self.name, "scanned": scanned,
-                "in_doubt": len(in_doubt),
-                "messages_needed": len(in_doubt)}
+        return super().recover()
 
 
-class PaxosCommitSystem:
+class PaxosCommitSystem(CommitSystem):
     """A distributed database committing through Paxos Commit."""
+
+    site_class = PaxosCommitSite
 
     def __init__(self, sites: list[str], seed: int = 0,
                  link: LinkConfig | None = None,
                  config: BaselineConfig | None = None,
                  acceptors: list[str] | None = None) -> None:
-        self.sim = Simulator(seed)
-        self.network = Network(self.sim, link or LinkConfig())
-        self.config = config or BaselineConfig()
-        self.home: dict[str, str] = {}
-        self.results: list[TxnResult] = []
-        self.lock_holds: list[tuple[str, str, float]] = []
-        self.recovery_messages = 0
         self.site_names = list(sites)
         if acceptors is None:
             # 2F+1 acceptors; F capped at 2 so the acceptor round does
@@ -649,46 +389,4 @@ class PaxosCommitSystem:
             raise ValueError(f"acceptors {sorted(unknown)} are not sites")
         self.acceptors = list(acceptors)
         self.majority = len(self.acceptors) // 2 + 1
-        self.sites = {name: PaxosCommitSite(name, self.sim, self.network,
-                                            self.config, self.home, self)
-                      for name in sites}
-
-    def add_item(self, item: str, home: str, initial: Any) -> None:
-        self.home[item] = home
-        self.sites[home].store.create(item, initial)
-
-    def submit(self, origin: str, spec: TransactionSpec,
-               on_done: Callable[[TxnResult], None] | None = None) -> str:
-        return self.sites[origin].submit(spec, on_done)
-
-    def record_result(self, result: TxnResult) -> None:
-        self.results.append(result)
-
-    def record_lock_hold(self, site: str, txn_id: str,
-                         duration: float) -> None:
-        self.lock_holds.append((site, txn_id, duration))
-
-    def currently_blocked(self) -> list[tuple[str, str, float]]:
-        """Prepared participants still awaiting a decision — with a
-        majority of acceptors connected this drains; 2PC's equivalent
-        does not while its coordinator stays dark."""
-        blocked = []
-        for site in self.sites.values():
-            for prepared in site._prepared.values():
-                blocked.append((site.name, prepared.txn_id,
-                                self.sim.now - prepared.prepared_at))
-        return blocked
-
-    def total_value(self, items: list[str] | None = None) -> Any:
-        names = items if items is not None else list(self.home)
-        return sum(self.sites[self.home[item]].store.get(item).value
-                   for item in names)
-
-    def run_for(self, duration: float) -> None:
-        self.sim.run_until(self.sim.now + duration)
-
-    def crash(self, site: str) -> None:
-        self.sites[site].crash()
-
-    def recover(self, site: str) -> dict[str, Any]:
-        return self.sites[site].recover()
+        super().__init__(sites, seed, link, config)

@@ -19,10 +19,10 @@ from typing import Any, Callable
 
 from repro.baselines.common import (
     BaselineConfig,
-    IdSource,
+    BaselineSite,
+    BaselineSystem,
     PendingDone,
     UnknownItem,
-    WholeStore,
     make_result,
 )
 from repro.core.transactions import (
@@ -35,11 +35,6 @@ from repro.core.transactions import (
     UnsupportedSpec,
 )
 from repro.net.link import LinkConfig
-from repro.net.message import Envelope
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
-from repro.sim.timers import Timer
-from repro.storage.log import StableLog
 
 
 @dataclass(frozen=True)
@@ -65,23 +60,19 @@ class PropagateMsg:
     version: int
 
 
-class PrimaryCopySite:
+class PrimaryCopySite(BaselineSite):
     """Holds a replica of every item; primary for some of them."""
 
-    def __init__(self, name: str, sim: Simulator, network: Network,
-                 config: BaselineConfig, system: "PrimaryCopySystem") -> None:
-        self.name = name
-        self.sim = sim
-        self.network = network
-        self.config = config
-        self.system = system
-        self.store = WholeStore()
-        self.log = StableLog(name)
-        self.alive = True
-        self._ids = IdSource(name)
+    tag = "pc"
+    handlers = {ForwardReq: "_on_forward",
+                ForwardReply: "_on_reply",
+                PropagateMsg: "_on_propagate"}
+
+    def __init__(self, name: str, system: "PrimaryCopySystem") -> None:
+        super().__init__(name, system)
+        #: txn -> (client callback, submitted at, label), awaiting the
+        #: primary's reply. Volatile: a crash forgets them.
         self._pending: dict[str, tuple[PendingDone, float, str]] = {}
-        self._timers: dict[str, Timer] = {}
-        network.register(name, self.deliver)
 
     # -- client API --------------------------------------------------------
 
@@ -100,38 +91,19 @@ class PrimaryCopySite:
         is_read_only = all(isinstance(op, ReadFullOp) for op in spec.ops)
         if is_read_only and self.system.allow_stale_reads:
             value = self.store.get(item).value
-            result = make_result(txn_id, spec.label, Outcome.COMMITTED,
-                                 "stale-read", self.name, self.sim.now,
-                                 self.sim.now, read_values={item: value})
-            PendingDone(on_done).fire(result)
-            self.system.results.append(result)
+            self._finish(txn_id, PendingDone(on_done), make_result(
+                txn_id, spec.label, Outcome.COMMITTED, "stale-read",
+                self.name, self.sim.now, self.sim.now,
+                read_values={item: value}))
             return txn_id
-        primary = self.system.primary[item]
-        done = PendingDone(on_done)
-        self._pending[txn_id] = (done, self.sim.now, spec.label)
-        request = ForwardReq(txn_id, self.name, item, spec.ops)
-        if primary == self.name:
-            self._on_forward(request)
-        else:
-            self.network.send(self.name, primary, request)
-        timer = Timer(self.sim, lambda: self._timeout(txn_id, spec.label),
-                      label=f"pc-timeout:{txn_id}")
-        timer.start(self.config.txn_timeout)
-        self._timers[txn_id] = timer
+        self._pending[txn_id] = (PendingDone(on_done), self.sim.now,
+                                 spec.label)
+        self._route(self.system.primary[item],
+                    ForwardReq(txn_id, self.name, item, spec.ops))
+        self.timers.arm(txn_id, self._timeout)
         return txn_id
 
     # -- primary side ---------------------------------------------------------
-
-    def deliver(self, envelope: Envelope) -> None:
-        if not self.alive:
-            return
-        payload = envelope.payload
-        if isinstance(payload, ForwardReq):
-            self._on_forward(payload)
-        elif isinstance(payload, ForwardReply):
-            self._on_reply(payload)
-        elif isinstance(payload, PropagateMsg):
-            self._on_propagate(payload)
 
     def _on_forward(self, request: ForwardReq) -> None:
         if self.system.primary[request.item] != self.name:
@@ -166,12 +138,9 @@ class PrimaryCopySite:
                 if backup != self.name:
                     self.network.send(self.name, backup, PropagateMsg(
                         request.item, new_value, item.version))
-        reply = ForwardReply(request.txn_id, committed, reason,
-                             tuple(reads), tuple(deltas))
-        if request.origin == self.name:
-            self._on_reply(reply)
-        else:
-            self.network.send(self.name, request.origin, reply)
+        self._route(request.origin, ForwardReply(
+            request.txn_id, committed, reason, tuple(reads),
+            tuple(deltas)))
 
     def _on_propagate(self, message: PropagateMsg) -> None:
         item = self.store.get(message.item)
@@ -182,61 +151,48 @@ class PrimaryCopySite:
     # -- origin side -------------------------------------------------------------
 
     def _on_reply(self, reply: ForwardReply) -> None:
-        pending = self._pending.pop(reply.txn_id, None)
-        if pending is None:
-            return
-        done, submitted_at, label = pending
-        timer = self._timers.pop(reply.txn_id, None)
-        if timer is not None:
-            timer.cancel()
-        outcome = Outcome.COMMITTED if reply.committed else Outcome.ABORTED
-        result = make_result(reply.txn_id, label, outcome, reply.reason,
-                             self.name, submitted_at, self.sim.now,
-                             deltas=list(reply.deltas),
-                             read_values=dict(reply.read_values))
-        done.fire(result)
-        self.system.results.append(result)
+        self._conclude(
+            reply.txn_id,
+            Outcome.COMMITTED if reply.committed else Outcome.ABORTED,
+            reply.reason, list(reply.deltas), dict(reply.read_values))
 
-    def _timeout(self, txn_id: str, label: str) -> None:
+    def _timeout(self, txn_id: str) -> None:
+        self._conclude(txn_id, Outcome.ABORTED, "timeout")
+
+    def _conclude(self, txn_id: str, outcome: Outcome, reason: str,
+                  deltas: list | None = None,
+                  reads: dict[str, Any] | None = None) -> None:
         pending = self._pending.pop(txn_id, None)
         if pending is None:
-            return
-        done, submitted_at, _label = pending
-        self._timers.pop(txn_id, None)
-        result = make_result(txn_id, label, Outcome.ABORTED, "timeout",
-                             self.name, submitted_at, self.sim.now)
-        done.fire(result)
-        self.system.results.append(result)
+            return  # already answered, or forgotten in a crash
+        done, submitted_at, label = pending
+        self._finish(txn_id, done, make_result(
+            txn_id, label, outcome, reason, self.name, submitted_at,
+            self.sim.now, deltas=deltas, read_values=reads))
+
+    # -- failure injection -------------------------------------------------
+
+    def crash(self) -> None:
+        super().crash()
+        self._pending = {}
 
 
-class PrimaryCopySystem:
+class PrimaryCopySystem(BaselineSystem):
     """Primary-copy replicated store."""
+
+    site_class = PrimaryCopySite
 
     def __init__(self, sites: list[str], seed: int = 0,
                  link: LinkConfig | None = None,
                  config: BaselineConfig | None = None,
                  allow_stale_reads: bool = False) -> None:
-        self.sim = Simulator(seed)
-        self.network = Network(self.sim, link or LinkConfig())
-        self.config = config or BaselineConfig()
         self.allow_stale_reads = allow_stale_reads
         self.primary: dict[str, str] = {}
-        self.results: list[TxnResult] = []
-        self.sites = {name: PrimaryCopySite(name, self.sim, self.network,
-                                            self.config, self)
-                      for name in sites}
+        super().__init__(sites, seed, link, config)
 
     def add_item(self, item: str, primary: str, initial: Any) -> None:
         self.primary[item] = primary
-        for site in self.sites.values():
-            site.store.create(item, initial)
-
-    def submit(self, origin: str, spec: TransactionSpec,
-               on_done: Callable[[TxnResult], None] | None = None) -> str:
-        return self.sites[origin].submit(spec, on_done)
-
-    def run_for(self, duration: float) -> None:
-        self.sim.run_until(self.sim.now + duration)
+        self._create(item, initial, self.sites)
 
     def value(self, item: str) -> Any:
         return self.sites[self.primary[item]].store.get(item).value

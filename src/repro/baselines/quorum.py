@@ -21,10 +21,10 @@ from typing import Any, Callable
 
 from repro.baselines.common import (
     BaselineConfig,
-    IdSource,
+    BaselineSite,
+    BaselineSystem,
     PendingDone,
     UnknownItem,
-    WholeStore,
     make_result,
 )
 from repro.core.transactions import (
@@ -37,11 +37,6 @@ from repro.core.transactions import (
     UnsupportedSpec,
 )
 from repro.net.link import LinkConfig
-from repro.net.message import Envelope
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
-from repro.sim.timers import Timer
-from repro.storage.log import StableLog
 
 
 @dataclass(frozen=True)
@@ -89,23 +84,18 @@ class _Attempt:
     round: int = 0
 
 
-class QuorumSite:
+class QuorumSite(BaselineSite):
     """One replica holder / coordinator."""
 
-    def __init__(self, name: str, sim: Simulator, network: Network,
-                 config: BaselineConfig, system: "QuorumSystem") -> None:
-        self.name = name
-        self.sim = sim
-        self.network = network
-        self.config = config
-        self.system = system
-        self.store = WholeStore()
-        self.log = StableLog(name)
-        self.alive = True
-        self._ids = IdSource(name)
+    tag = "quorum"
+    handlers = {LockReq: "_on_lock_req",
+                LockReply: "_on_lock_reply",
+                WriteReq: "_on_write",
+                ReleaseReq: "_on_release"}
+
+    def __init__(self, name: str, system: "QuorumSystem") -> None:
+        super().__init__(name, system)
         self._attempts: dict[str, _Attempt] = {}
-        self._timers: dict[str, Timer] = {}
-        network.register(name, self.deliver)
 
     # -- client API --------------------------------------------------------
 
@@ -123,36 +113,16 @@ class QuorumSite:
         attempt = _Attempt(txn_id, spec, PendingDone(on_done), self.sim.now)
         self._attempts[txn_id] = attempt
         self._send_lock_round(attempt)
-        timer = Timer(self.sim, lambda: self._timeout(txn_id),
-                      label=f"quorum-timeout:{txn_id}")
-        timer.start(self.config.txn_timeout)
-        self._timers[txn_id] = timer
+        self.timers.arm(txn_id, self._timeout)
         return txn_id
 
     def _send_lock_round(self, attempt: _Attempt) -> None:
         item = next(iter(attempt.spec.items()))
         for replica in self.system.sites:
-            request = LockReq(attempt.txn_id, self.name, item,
-                              attempt.round)
-            if replica == self.name:
-                self._on_lock_req(request)
-            else:
-                self.network.send(self.name, replica, request)
+            self._route(replica, LockReq(attempt.txn_id, self.name, item,
+                                         attempt.round))
 
     # -- replica side ---------------------------------------------------------
-
-    def deliver(self, envelope: Envelope) -> None:
-        if not self.alive:
-            return
-        payload = envelope.payload
-        if isinstance(payload, LockReq):
-            self._on_lock_req(payload)
-        elif isinstance(payload, LockReply):
-            self._on_lock_reply(payload)
-        elif isinstance(payload, WriteReq):
-            self._on_write(payload)
-        elif isinstance(payload, ReleaseReq):
-            self._on_release(payload)
 
     def _on_lock_req(self, request: LockReq) -> None:
         item = self.store.get(request.item)
@@ -164,10 +134,7 @@ class QuorumSite:
         else:
             reply = LockReply(request.txn_id, self.name, request.item,
                               False, round=request.round)
-        if request.origin == self.name:
-            self._on_lock_reply(reply)
-        else:
-            self.network.send(self.name, request.origin, reply)
+        self._route(request.origin, reply)
 
     def _on_write(self, request: WriteReq) -> None:
         item = self.store.get(request.item)
@@ -191,7 +158,7 @@ class QuorumSite:
         if attempt is None or attempt.finished:
             if reply.granted:
                 # Straggler grant after the attempt ended: release it.
-                self._send_release(reply.txn_id, reply.item, reply.replica)
+                self._release(reply.txn_id, reply.item, [reply.replica])
             return
         if reply.round != attempt.round:
             # A *grant* from an abandoned round still holds the lock at
@@ -201,7 +168,7 @@ class QuorumSite:
             # hold), give it back, or the replica stays locked by this
             # transaction forever once it finishes elsewhere.
             if reply.granted and reply.replica not in attempt.grants:
-                self._send_release(reply.txn_id, reply.item, reply.replica)
+                self._release(reply.txn_id, reply.item, [reply.replica])
             return
         if reply.granted:
             attempt.grants[reply.replica] = (reply.version, reply.value)
@@ -216,9 +183,8 @@ class QuorumSite:
     def _retry(self, attempt: _Attempt) -> None:
         """Lock collision: back off and try a fresh round (until the
         transaction's own timeout aborts it)."""
-        item_name = next(iter(attempt.spec.items()))
-        for replica in list(attempt.grants):
-            self._send_release(attempt.txn_id, item_name, replica)
+        self._release(attempt.txn_id, next(iter(attempt.spec.items())),
+                      list(attempt.grants))
         attempt.grants.clear()
         attempt.denied.clear()
         attempt.round += 1
@@ -245,7 +211,8 @@ class QuorumSite:
         for op in attempt.spec.ops:
             if isinstance(op, DecrementOp):
                 if new_value < op.amount:
-                    self._finish(attempt, Outcome.ABORTED, "insufficient")
+                    self._conclude(attempt, Outcome.ABORTED,
+                                   "insufficient")
                     return
                 new_value -= op.amount
                 deltas.append((op.item, -1, op.amount))
@@ -255,47 +222,34 @@ class QuorumSite:
             elif isinstance(op, ReadFullOp):
                 reads[op.item] = new_value
             else:
-                self._finish(attempt, Outcome.ABORTED, "unsupported-op")
+                self._conclude(attempt, Outcome.ABORTED,
+                               "unsupported-op")
                 return
-        new_version = version + 1
         for replica in attempt.grants:
-            request = WriteReq(attempt.txn_id, item_name, new_value,
-                               new_version)
-            if replica == self.name:
-                self._on_write(request)
-            else:
-                self.network.send(self.name, replica, request)
-        self._finish(attempt, Outcome.COMMITTED, "ok", deltas, reads)
+            self._route(replica, WriteReq(attempt.txn_id, item_name,
+                                          new_value, version + 1))
+        self._conclude(attempt, Outcome.COMMITTED, "ok", deltas, reads)
 
     def _timeout(self, txn_id: str) -> None:
         attempt = self._attempts.get(txn_id)
-        if attempt is None or attempt.finished:
-            return
-        self._finish(attempt, Outcome.ABORTED, "timeout")
+        if attempt is not None and not attempt.finished:
+            self._conclude(attempt, Outcome.ABORTED, "timeout")
 
-    def _finish(self, attempt: _Attempt, outcome: Outcome, reason: str,
-                deltas: list | None = None,
-                reads: dict[str, Any] | None = None) -> None:
+    def _conclude(self, attempt: _Attempt, outcome: Outcome, reason: str,
+                  deltas: list | None = None,
+                  reads: dict[str, Any] | None = None) -> None:
         attempt.finished = True
-        timer = self._timers.pop(attempt.txn_id, None)
-        if timer is not None:
-            timer.cancel()
         if outcome is Outcome.ABORTED:
-            item_name = next(iter(attempt.spec.items()))
-            for replica in attempt.grants:
-                self._send_release(attempt.txn_id, item_name, replica)
-        result = make_result(attempt.txn_id, attempt.spec.label, outcome,
-                             reason, self.name, attempt.submitted_at,
-                             self.sim.now, deltas=deltas, read_values=reads)
-        attempt.done.fire(result)
-        self.system.results.append(result)
+            self._release(attempt.txn_id,
+                          next(iter(attempt.spec.items())), attempt.grants)
+        self._finish(attempt.txn_id, attempt.done, make_result(
+            attempt.txn_id, attempt.spec.label, outcome, reason,
+            self.name, attempt.submitted_at, self.sim.now, deltas=deltas,
+            read_values=reads))
 
-    def _send_release(self, txn_id: str, item: str, replica: str) -> None:
-        request = ReleaseReq(txn_id, item)
-        if replica == self.name:
-            self._on_release(request)
-        else:
-            self.network.send(self.name, replica, request)
+    def _release(self, txn_id: str, item: str, replicas) -> None:
+        for replica in replicas:
+            self._route(replica, ReleaseReq(txn_id, item))
 
     # -- failure injection ------------------------------------------------
 
@@ -306,53 +260,25 @@ class QuorumSite:
         Retry backoffs armed before the crash hit ``_retry_fire`` with
         no matching attempt and fall through — nothing re-arms against
         the pre-crash incarnation."""
-        self.alive = False
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        self._attempts.clear()
-        for item in self.store.items().values():
-            item.locked_by = None
-
-    def recover(self) -> dict[str, Any]:
-        self.alive = True
-        return {"site": self.name, "in_doubt": 0}
+        super().crash()
+        self._attempts = {}
 
 
-class QuorumSystem:
+class QuorumSystem(BaselineSystem):
     """Fully replicated items under quorum consensus."""
+
+    site_class = QuorumSite
 
     def __init__(self, sites: list[str], seed: int = 0,
                  link: LinkConfig | None = None,
                  config: BaselineConfig | None = None,
                  write_quorum: int | None = None) -> None:
-        self.sim = Simulator(seed)
-        self.network = Network(self.sim, link or LinkConfig())
-        self.config = config or BaselineConfig()
-        self.results: list[TxnResult] = []
-        self.sites: dict[str, QuorumSite] = {}
-        for name in sites:
-            self.sites[name] = QuorumSite(name, self.sim, self.network,
-                                          self.config, self)
+        super().__init__(sites, seed, link, config)
         self.write_quorum = (write_quorum if write_quorum is not None
                              else len(sites) // 2 + 1)
 
     def add_item(self, item: str, initial: Any) -> None:
-        for site in self.sites.values():
-            site.store.create(item, initial)
-
-    def submit(self, origin: str, spec: TransactionSpec,
-               on_done: Callable[[TxnResult], None] | None = None) -> str:
-        return self.sites[origin].submit(spec, on_done)
-
-    def run_for(self, duration: float) -> None:
-        self.sim.run_until(self.sim.now + duration)
-
-    def crash(self, site: str) -> None:
-        self.sites[site].crash()
-
-    def recover(self, site: str) -> Any:
-        return self.sites[site].recover()
+        self._create(item, initial, self.sites)
 
     def value(self, item: str) -> Any:
         """Latest-version value across replicas (god's-eye read)."""

@@ -193,7 +193,7 @@ def run_baseline_chaos(config: ChaosConfig, plan: FaultPlan,
     result.committed = sum(outcomes)
     result.aborted = len(outcomes) - result.committed
     result.total_value = system.total_value()
-    result.blocked = len(system.currently_blocked())
+    result.blocked = len(system.blocked())
 
     if result.total_value != initial_total:
         result.failures.setdefault("conservation", []).append(
@@ -204,7 +204,7 @@ def run_baseline_chaos(config: ChaosConfig, plan: FaultPlan,
     if result.blocked:
         result.failures.setdefault("liveness", []).append(
             f"{result.blocked} participant(s) still blocked after "
-            f"settle: {system.currently_blocked()[:3]}")
+            f"settle: {system.blocked()[:3]}")
     return result
 
 

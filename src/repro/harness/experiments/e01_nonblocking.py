@@ -198,13 +198,13 @@ def _run_twopc(params: Params, duration: float) -> dict:
     # Prepared participants already blocked past the protocol timeout:
     # these hold locks with no unilateral way out.
     blocked_over_bound = sum(
-        1 for _site, _txn, age in system.currently_blocked()
+        1 for _site, _txn, age in system.blocked()
         if age > system.config.txn_timeout + 1e-9)
     system.run_for(run_length - system.sim.now + params.txn_timeout + 60.0)
     # A lock still held when the run ends has been held at least that
     # long: count it, not only the holds that ended.
     max_hold = max((hold for _s, _t, hold in
-                    system.lock_holds + system.currently_blocked()),
+                    system.lock_holds + system.blocked()),
                    default=0.0)
     return {
         "decided": len(collector.results),

@@ -191,9 +191,9 @@ def _run_one(protocol: str, params: Params, site_count: int) -> dict:
     fault_plan(sites, params.window).compile(system)
 
     blocked_at_window_end = [0]
-    if hasattr(system, "currently_blocked"):
+    if hasattr(system, "blocked"):
         system.sim.at(params.window[1] - 0.5, lambda: blocked_at_window_end
-                      .__setitem__(0, len(system.currently_blocked())))
+                      .__setitem__(0, len(system.blocked())))
     system.sim.run_until(params.run_length + 10 * params.txn_timeout)
     finish()
 

@@ -105,5 +105,5 @@ class TestTwoPCDedup:
         from repro.baselines.twopc import DecisionMsg
         system = self.build()
         site_b = system.sites["B"]
-        site_b._on_decision(DecisionMsg("A#77", commit=False))
+        site_b._on_decision(DecisionMsg("A#77", commit=False, sender="A"))
         system.run_for(5.0)  # ack flows back without error

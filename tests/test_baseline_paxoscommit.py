@@ -107,7 +107,7 @@ class TestCoordinatorFailure:
         self._prepare_then_crash(system)
         system.run_for(60.0)
         assert not system.sites["A"].alive
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
         assert system.sites["B"].store.get("acct_B").locked_by is None
         outcomes = [record.record for record in
                     system.sites["B"].log.scan()
@@ -121,7 +121,7 @@ class TestCoordinatorFailure:
         b_value = system.sites["B"].store.get("acct_B").value
         system.recover("A")
         system.run_for(60.0)
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
         # Whatever B decided, A applied the same half of the transfer.
         if b_value == 110:
             assert system.sites["A"].store.get("acct_A").value == 90
@@ -138,7 +138,7 @@ class TestCoordinatorFailure:
         system = build(retry=1.0)  # round trip is 2.0
         self._prepare_then_crash(system)
         system.run_for(60.0)
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
         assert system.sites["B"].store.get("acct_B").locked_by is None
 
     def test_agreement_across_all_logs(self):
@@ -171,7 +171,7 @@ class TestAcceptorPartitions:
                                                  5),)), results.append))
         system.run_for(40.0)
         assert results and results[0].committed
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
 
     def test_minority_side_blocks_until_heal(self):
         system = build()
@@ -188,7 +188,7 @@ class TestAcceptorPartitions:
         system.network.heal()
         system.run_for(60.0)
         assert results  # consensus resolved it after the heal
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
         assert system.total_value() == 500
 
     def test_losing_f_acceptors_is_harmless(self):

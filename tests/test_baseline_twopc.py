@@ -101,7 +101,7 @@ class TestBlocking:
     def test_prepared_participant_blocks(self):
         system, results = self.prepare_and_cut()
         system.run_for(100.0)
-        blocked = system.currently_blocked()
+        blocked = system.blocked()
         assert blocked
         site, txn_id, age = blocked[0]
         assert site == "B"
@@ -120,7 +120,7 @@ class TestBlocking:
         system.run_for(100.0)
         system.network.heal()
         system.run_for(30.0)
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
         holds = [duration for site, _txn, duration in system.lock_holds
                  if site == "B"]
         assert holds and max(holds) > 90.0
@@ -148,7 +148,7 @@ class TestRecovery:
         system.run_for(30.0)
         system.recover("B")
         system.run_for(30.0)
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
 
     def test_presumed_abort_for_undecided_coordinator(self):
         system = build()
@@ -189,7 +189,7 @@ class TestParticipantRegressions:
         result = run_one(system, "A", TransactionSpec(
             ops=(TransferOp("a", "b", 5),)))
         assert not result.committed
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
         assert system.sites["B"].store.get("b").locked_by is None
         follow_up = run_one(system, "B", TransactionSpec(
             ops=(TransferOp("b", "c", 5),)))
@@ -227,11 +227,11 @@ class TestParticipantRegressions:
         system.crash("B")    # ...and the decision to C was lost
         system.network.link("B", "C").restore()
         system.run_for(40.0)
-        assert [site for site, _txn, _age in system.currently_blocked()] \
+        assert [site for site, _txn, _age in system.blocked()] \
             == ["C"]
         system.recover("B")
         system.run_for(system.config.retry_period + 2.5)
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
         assert system.total_value() == 20
 
     def test_undecided_coordinator_gives_no_answer(self):
@@ -250,4 +250,4 @@ class TestParticipantRegressions:
         assert system.total_value() == 20
         assert ("participant-commit", "A#1") in [
             envelope.record for envelope in system.sites["B"].log.scan()]
-        assert system.currently_blocked() == []
+        assert system.blocked() == []

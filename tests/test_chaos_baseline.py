@@ -60,9 +60,9 @@ class TestCrashBetweenPrepareAndDecide:
         self.PLAN.compile(system)
         system.run_for(30.0)
         # In-doubt window: the participant holds its lock and waits.
-        assert system.currently_blocked()
+        assert system.blocked()
         system.run_for(120.0)  # coordinator recovery at t=40 in here
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
         assert system.total_value() == 300
 
     def test_twopc_resolves_via_participant_recovery_not_stale_timers(self):
@@ -77,7 +77,7 @@ class TestCrashBetweenPrepareAndDecide:
         self._submit(system)
         plan.compile(system)
         system.run_for(150.0)
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
         assert system.sites["S1"].store.get("acct_1").locked_by is None
         assert system.total_value() == 300
 
@@ -88,9 +88,9 @@ class TestCrashBetweenPrepareAndDecide:
         system.run_for(30.0)
         # Before the coordinator is even back, the participants have
         # taken over and decided through the acceptor majority.
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
         system.run_for(120.0)
-        assert system.currently_blocked() == []
+        assert system.blocked() == []
         assert system.total_value() == 300
 
 
