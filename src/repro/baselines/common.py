@@ -193,10 +193,10 @@ class Timers:
         self._sim = sim
         self._config = config
         self._tag = tag
-        self._deadlines: dict[str, Event] = {}
+        self._deadlines: dict[Any, Event] = {}
         self._loops: list[PeriodicTimer] = []
 
-    def arm(self, txn_id: str, on_timeout: Callable[[str], None]) -> None:
+    def arm(self, txn_id: Any, on_timeout: Callable[[Any], None]) -> None:
         """Call ``on_timeout(txn_id)`` a transaction timeout from now,
         unless :meth:`disarm` comes first."""
 
@@ -208,7 +208,7 @@ class Timers:
             self._config.txn_timeout, fire,
             label=f"{self._tag}-timeout:{txn_id}")
 
-    def disarm(self, txn_id: str) -> None:
+    def disarm(self, txn_id: Any) -> None:
         deadline = self._deadlines.pop(txn_id, None)
         if deadline is not None:
             deadline.cancel()
@@ -257,6 +257,7 @@ class BaselineSite:
         self.store = WholeStore()
         self.log = StableLog(name)
         self.alive = True
+        self.crash_count = 0
         self._ids = IdSource(name)
         self.timers = Timers(self.sim, self.config, self.tag)
         self.network.register(name, self.deliver)
@@ -295,6 +296,7 @@ class BaselineSite:
         subclass — volatile protocol state are gone; the versioned
         store and the log survive."""
         self.alive = False
+        self.crash_count += 1
         self.timers.stop()
         for item in self.store.items().values():
             item.locked_by = None

@@ -6,10 +6,12 @@ The paper's claims are behavioral — non-blocking transactions and
 reordered messages, and partitions. This package explores that failure
 space systematically: :mod:`plan` defines typed fault schedules that
 replay bit-identically from ``(seed, plan)``; :mod:`explore` samples
-them from a weighted grammar and judges every run against the three
+them from a weighted grammar and judges every run against the
 :mod:`oracles`; :mod:`shrink` minimizes any failure to a locally
-minimal action list; :mod:`artifact` freezes it as a JSON repro.
-See docs/CHAOS.md.
+minimal action list; :mod:`artifact` freezes it as a JSON repro. The
+same explorer serves the commit-protocol baselines through the
+``System`` contract (``ChaosConfig.system``, one :data:`SCENARIOS`
+entry each). See docs/CHAOS.md.
 """
 
 from repro.chaos.artifact import (
@@ -31,10 +33,14 @@ from repro.chaos.explore import (
     sample_plan,
 )
 from repro.chaos.oracles import (
+    AgreementOracle,
     AuditorOracle,
+    ConservationOracle,
+    LivenessOracle,
     ProgressOracle,
     SerialOracle,
     ViewOracle,
+    commit_oracles,
     default_oracles,
 )
 from repro.chaos.plan import (
@@ -51,18 +57,18 @@ from repro.chaos.plan import (
     Reshard,
     SkewTick,
 )
-from repro.chaos.runner import ChaosConfig, ChaosResult, run_chaos
+from repro.chaos.runner import SCENARIOS, ChaosConfig, ChaosResult, run_chaos
 from repro.chaos.shrink import ShrinkResult, shrink
 
 __all__ = [
-    "AddSite", "AuditorOracle", "ChaosConfig", "ChaosResult",
-    "CrashSite", "ExploreReport", "FailureCase", "FaultAction",
-    "FaultGrammar", "FaultPlan", "GrammarWeights", "HealNet",
-    "JOINER_POOL", "LinkFaultWindow", "PartitionNet", "PlanError",
-    "ProgressOracle", "RecoverSite", "RemoveSite", "ReproArtifact",
-    "Reshard", "SerialOracle", "ShrinkResult", "SkewTick",
-    "TRACE_TAIL_EVENTS", "ViewOracle", "arm_injection", "default_name",
-    "default_oracles", "disarm_injection", "explore",
-    "reshard_grammar", "run_chaos", "run_seed_for", "sample_plan",
-    "shrink",
+    "AddSite", "AgreementOracle", "AuditorOracle", "ChaosConfig",
+    "ChaosResult", "ConservationOracle", "CrashSite", "ExploreReport",
+    "FailureCase", "FaultAction", "FaultGrammar", "FaultPlan",
+    "GrammarWeights", "HealNet", "JOINER_POOL", "LinkFaultWindow",
+    "LivenessOracle", "PartitionNet", "PlanError", "ProgressOracle",
+    "RecoverSite", "RemoveSite", "ReproArtifact", "Reshard", "SCENARIOS",
+    "SerialOracle", "ShrinkResult", "SkewTick", "TRACE_TAIL_EVENTS",
+    "ViewOracle", "arm_injection", "commit_oracles", "default_name",
+    "default_oracles", "disarm_injection", "explore", "reshard_grammar",
+    "run_chaos", "run_seed_for", "sample_plan", "shrink",
 ]

@@ -129,7 +129,9 @@ def default_name(artifact: ReproArtifact) -> str:
     """Stable, human-scannable artifact filename."""
     oracles = "-".join(sorted(artifact.failures)) or "fail"
     injection = f"_{artifact.injection}" if artifact.injection else ""
-    return (f"chaos_{oracles}{injection}_seed{artifact.seed}"
+    system = ("" if artifact.config.system == "dvp"
+              else f"{artifact.config.system}_")
+    return (f"chaos_{system}{oracles}{injection}_seed{artifact.seed}"
             f"_{len(artifact.plan)}act.json")
 
 

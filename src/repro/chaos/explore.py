@@ -36,12 +36,13 @@ from repro.chaos.plan import (
     SkewTick,
 )
 
+from repro.chaos.runner import SCENARIOS, ChaosConfig, ChaosResult, run_chaos
+from repro.sim.random import derive_seed
+
 #: Names AddSite motifs draw from, in preference order. Fixed so the
 #: sampled plan is a pure function of (seed, index) and needs no config
 #: field; guards skip a name that already joined.
 JOINER_POOL = ("E0", "E1", "E2")
-from repro.chaos.runner import ChaosConfig, ChaosResult, run_chaos
-from repro.sim.random import derive_seed
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,9 @@ class ExploreReport:
         views = ("" if self.config.views is None else
                  f" views={self.config.views:g}"
                  f"@{self.config.view_refresh:g}")
-        lines = [f"chaos explore: budget={self.budget} "
+        system = ("" if self.config.system == "dvp" else
+                  f" ({self.config.system})")
+        lines = [f"chaos explore{system}: budget={self.budget} "
                  f"seed={self.master_seed} sites={self.config.sites} "
                  f"items={self.config.items} txns={self.config.txns} "
                  f"duration={self.config.duration:g}"
@@ -228,10 +231,15 @@ def run_seed_for(master_seed: int, index: int) -> int:
     return derive_seed(master_seed, f"chaos:run:{index}")
 
 
+def default_grammar(config: ChaosConfig) -> FaultGrammar:
+    """Every motif the scenario's system has a model for."""
+    return FaultGrammar(GrammarWeights(**SCENARIOS[config.system].weights))
+
+
 def sample_plan(master_seed: int, index: int, config: ChaosConfig,
                 grammar: FaultGrammar | None = None) -> FaultPlan:
     """The fault plan of exploration run *index* (pure function)."""
-    grammar = grammar or FaultGrammar()
+    grammar = grammar or default_grammar(config)
     rng = random.Random(derive_seed(master_seed, f"chaos:plan:{index}"))
     return grammar.sample(rng, config)
 
@@ -244,7 +252,7 @@ def explore(config: ChaosConfig, budget: int, master_seed: int,
             ) -> ExploreReport:
     """Sample and judge *budget* plans; report every failing one.
 
-    Each plan's system is closed (``DvPSystem.close``) once the
+    Each plan's system is closed (``System.close``) once the
     oracles, ``summary()`` and *on_run* are done with it — a plan pays
     for its transactions, not for the collector burying its system —
     so *on_run* is the last moment ``result.system`` is live: copy out
@@ -252,7 +260,7 @@ def explore(config: ChaosConfig, budget: int, master_seed: int,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    grammar = grammar or FaultGrammar()
+    grammar = grammar or default_grammar(config)
     report = ExploreReport(budget=budget, master_seed=master_seed,
                            config=config)
     for index in range(budget):
@@ -275,4 +283,4 @@ def explore(config: ChaosConfig, budget: int, master_seed: int,
 
 __all__ = ["GrammarWeights", "FaultGrammar", "FailureCase",
            "ExploreReport", "explore", "sample_plan", "run_seed_for",
-           "reshard_grammar", "JOINER_POOL"]
+           "reshard_grammar", "default_grammar", "JOINER_POOL"]

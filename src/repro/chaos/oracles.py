@@ -1,4 +1,5 @@
-"""The three oracles every chaos run is judged against.
+"""The oracles chaos runs are judged against: four for DvP, three for
+the commit-protocol baselines.
 
 * :class:`AuditorOracle` — the PR 1 incremental conservation auditor:
   ``verify_full()`` must find no divergence between the incremental
@@ -20,6 +21,24 @@
   every undecided submission is attributable to a crash that destroyed
   it, and all live Vm were eventually absorbed once connectivity
   returned.
+
+The commit baselines (2PC, Paxos Commit) run a transfer-only workload
+and are judged through the :class:`~repro.core.system.System` contract
+alone — ``total_value()``, the sites' stable logs, ``blocked()``:
+
+* :class:`ConservationOracle` — an atomic-commit protocol never
+  half-applies a transfer: after settling, the total is the initial
+  allocation.
+
+* :class:`AgreementOracle` — the union of all stable logs never shows
+  two deciders deciding differently for one transaction, nor one
+  participant committing what another aborts (Gray & Lamport's Paxos
+  Commit safety conditions, *Consensus on Transaction Commit*).
+
+* :class:`LivenessOracle` — once every site is recovered and the
+  network healed, no participant is still blocked on an undecided
+  transaction: Paxos Commit needs only a majority of acceptors, 2PC
+  only its repaired coordinator.
 
 Oracles are pure observers of a finished :class:`ChaosResult`; each
 returns a list of human-readable failure messages (empty = pass).
@@ -143,10 +162,11 @@ class ProgressOracle:
                     f"{bound:g} to decide ({txn.outcome.value}) — "
                     f"it blocked on an unreachable site")
         undecided = result.submitted - len(system.results)
-        if undecided > result.wiped_by_crash:
+        wiped = sum(site.txns_wiped for site in system.sites.values())
+        if undecided > wiped:
             failures.append(
                 f"{undecided} submissions never decided but only "
-                f"{result.wiped_by_crash} were wiped by crashes — "
+                f"{wiped} were wiped by crashes — "
                 f"somebody is blocked")
         for site in system.sites.values():
             if not site.alive:
@@ -230,10 +250,77 @@ class ViewOracle:
         return failures
 
 
+class ConservationOracle:
+    """Transfers conserve: the quiescent total is the initial one."""
+
+    name = "conservation"
+
+    def check(self, result: "ChaosResult") -> list[str]:
+        total = result.system.total_value()
+        initial = sum(result.initial_totals.values())
+        if total == initial:
+            return []
+        return [f"total {total} != initial {initial}"]
+
+
+class AgreementOracle:
+    """No split-brain decision anywhere in the stable logs."""
+
+    name = "agreement"
+
+    def check(self, result: "ChaosResult") -> list[str]:
+        failures: list[str] = []
+        decisions: dict[str, set[bool]] = {}
+        applied: dict[str, dict[str, bool]] = {}
+        for name, site in result.system.sites.items():
+            for envelope in site.log.scan():
+                record = envelope.record
+                if record[0] == "coord-decision":
+                    decisions.setdefault(record[1], set()).add(record[2])
+                elif record[0] in ("participant-commit",
+                                   "participant-abort"):
+                    applied.setdefault(record[1], {})[name] = \
+                        record[0] == "participant-commit"
+        for txn_id, verdicts in sorted(decisions.items()):
+            if len(verdicts) > 1:
+                failures.append(f"{txn_id}: leaders decided both ways")
+        for txn_id, outcomes in sorted(applied.items()):
+            if len(set(outcomes.values())) > 1:
+                failures.append(
+                    f"{txn_id}: participants disagree: {sorted(outcomes)}")
+            chosen = decisions.get(txn_id)
+            if chosen is not None and len(chosen) == 1 and \
+                    set(outcomes.values()) != chosen:
+                failures.append(
+                    f"{txn_id}: participants applied "
+                    f"{sorted(set(outcomes.values()))} but the decision "
+                    f"was {sorted(chosen)}")
+        return failures
+
+
+class LivenessOracle:
+    """Nobody is still blocked once everything is repaired."""
+
+    name = "liveness"
+
+    def check(self, result: "ChaosResult") -> list[str]:
+        blocked = result.system.blocked()
+        if not blocked:
+            return []
+        return [f"{len(blocked)} participant(s) still blocked after "
+                f"settle: {blocked[:3]}"]
+
+
 def default_oracles() -> list[Oracle]:
     return [AuditorOracle(), SerialOracle(), ProgressOracle(),
             ViewOracle()]
 
 
+def commit_oracles() -> list[Oracle]:
+    return [ConservationOracle(), AgreementOracle(), LivenessOracle()]
+
+
 __all__ = ["Oracle", "AuditorOracle", "SerialOracle", "ProgressOracle",
-           "ViewOracle", "default_oracles", "EPSILON"]
+           "ViewOracle", "ConservationOracle", "AgreementOracle",
+           "LivenessOracle", "default_oracles", "commit_oracles",
+           "EPSILON"]

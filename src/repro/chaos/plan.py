@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Any, Callable, ClassVar
+from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.net.link import LinkConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.system import DvPSystem
+    from repro.core.system import DvPSystem, System
 
 
 class PlanError(ValueError):
@@ -45,7 +45,7 @@ class FaultAction:
         """Site names the action references (for validation)."""
         return ()
 
-    def schedule(self, system: "DvPSystem") -> None:
+    def schedule(self, system: "System") -> None:
         """Arm the action's guarded callback(s) on the simulator."""
         raise NotImplementedError
 
@@ -65,7 +65,7 @@ class CrashSite(FaultAction):
     def sites_used(self) -> tuple[str, ...]:
         return (self.site,)
 
-    def schedule(self, system: "DvPSystem") -> None:
+    def schedule(self, system: "System") -> None:
         def fire() -> None:
             if system.sites[self.site].alive:
                 system.crash(self.site)
@@ -85,7 +85,7 @@ class RecoverSite(FaultAction):
     def sites_used(self) -> tuple[str, ...]:
         return (self.site,)
 
-    def schedule(self, system: "DvPSystem") -> None:
+    def schedule(self, system: "System") -> None:
         def fire() -> None:
             if not system.sites[self.site].alive:
                 system.recover(self.site)
@@ -113,7 +113,7 @@ class PartitionNet(FaultAction):
     def sites_used(self) -> tuple[str, ...]:
         return tuple(name for group in self.groups for name in group)
 
-    def schedule(self, system: "DvPSystem") -> None:
+    def schedule(self, system: "System") -> None:
         def fire() -> None:
             system.network.partition([list(group) for group in self.groups])
 
@@ -127,7 +127,7 @@ class HealNet(FaultAction):
 
     kind: ClassVar[str] = "heal"
 
-    def schedule(self, system: "DvPSystem") -> None:
+    def schedule(self, system: "System") -> None:
         system.sim.at_global(self.at, system.network.heal,
                              label="chaos:heal")
 
@@ -171,7 +171,7 @@ class LinkFaultWindow(FaultAction):
                                    if self.duplicate is None
                                    else self.duplicate))
 
-    def schedule(self, system: "DvPSystem") -> None:
+    def schedule(self, system: "System") -> None:
         network = system.network
 
         def open_window() -> None:
@@ -360,8 +360,10 @@ class FaultPlan:
                     f"{action.kind} references unknown sites "
                     f"{sorted(unknown)}")
 
-    def compile(self, system: "DvPSystem") -> None:
-        """Schedule every action's guarded callbacks on the simulator."""
+    def compile(self, system: "System") -> None:
+        """Schedule every action's guarded callbacks on the simulator
+        of any system answering the contract (the skew and elastic
+        actions need a :class:`DvPSystem`)."""
         self.validate(list(system.sites))
         for action in self.actions:
             action.schedule(system)

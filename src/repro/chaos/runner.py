@@ -1,13 +1,18 @@
 """Run one workload under one fault plan, deterministically.
 
-``run_chaos(config, plan, seed)`` is a pure function: it builds a DvP
-system, pre-schedules a seed-derived transaction workload, compiles the
-plan onto the simulator, runs to the plan horizon, then *settles*
-(heals the network, lifts link faults, recovers dead sites, and lets
-retransmissions land) so the oracles inspect a quiescent system. The
-whole execution is traced; :attr:`ChaosResult.fingerprint` is a SHA-256
-over every event, so two runs of the same ``(seed, plan)`` can be
-compared bit-for-bit.
+``run_chaos(config, plan, seed)`` is a pure function: it builds the
+system ``config.system`` names, pre-schedules a seed-derived
+transaction workload, compiles the plan onto the simulator, runs to the
+plan horizon, then *settles* (heals the network, lifts link faults,
+recovers dead sites, and lets retransmissions land) so the oracles
+inspect a quiescent system. The whole execution is traced;
+:attr:`ChaosResult.fingerprint` is a SHA-256 over every event, so two
+runs of the same ``(seed, plan)`` can be compared bit-for-bit.
+
+Everything here drives the system through the
+:class:`~repro.core.system.System` contract; what differs per system —
+how it is built, what it is asked to do, which oracles judge it, which
+fault motifs it has a model for — is one :data:`SCENARIOS` entry.
 
 Mid-run conservation probes run ``verify_full()`` at fixed fractions of
 the horizon — the same cross-check the PR 1 fuzz performed — and any
@@ -19,12 +24,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
+from repro.baselines.common import BaselineConfig
+from repro.baselines.paxoscommit import PaxosCommitSystem
+from repro.baselines.twopc import TwoPCSystem
+from repro.chaos.oracles import commit_oracles, default_oracles
 from repro.chaos.plan import FaultPlan
 from repro.core.domain import CounterDomain
 from repro.core.invariants import IncrementalDivergence
-from repro.core.system import DvPSystem, SystemConfig
+from repro.core.system import DvPSystem, System, SystemConfig
 from repro.core.transactions import (
     DecrementOp,
     IncrementOp,
@@ -108,6 +118,12 @@ class ChaosConfig:
     views: float | None = None
     #: View refresh (write-behind publish) period in virtual time.
     view_refresh: float = 4.0
+    #: Which :data:`SCENARIOS` entry runs: "dvp", or a commit-protocol
+    #: baseline. Written to an artifact only when it is not "dvp" —
+    #: a baseline failure cannot replay from a file that does not say
+    #: which system failed — so every DvP artifact, old or new, carries
+    #: no key, loads as "dvp" and replays byte-for-byte.
+    system: str = "dvp"
 
     def site_names(self) -> list[str]:
         return [f"S{index}" for index in range(self.sites)]
@@ -116,7 +132,10 @@ class ChaosConfig:
         return [f"item{index}" for index in range(self.items)]
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        data = asdict(self)
+        if self.system == "dvp":
+            del data["system"]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ChaosConfig":
@@ -130,9 +149,8 @@ class ChaosResult:
     config: ChaosConfig
     plan: FaultPlan
     seed: int
-    system: DvPSystem
+    system: System
     submitted: int = 0
-    wiped_by_crash: int = 0
     probe_failures: list[str] = field(default_factory=list)
     failures: dict[str, list[str]] = field(default_factory=dict)
     fingerprint: str = ""
@@ -161,6 +179,82 @@ class ChaosResult:
                 f"{self.submitted - len(results)}l "
                 f"crashes={sum(s.crash_count for s in self.system.sites.values())} "
                 f"{verdict} trace={self.fingerprint[:12]}")
+
+
+def _build_dvp(config: ChaosConfig, seed: int
+               ) -> tuple[DvPSystem, dict[str, int]]:
+    bundling = None
+    if config.bundle_flush_delay is not None:
+        from repro.net.outbox import BundlingConfig
+        bundling = BundlingConfig(flush_delay=config.bundle_flush_delay)
+    views = None
+    if config.views is not None:
+        from repro.reads import ViewConfig
+        views = ViewConfig(refresh_period=config.view_refresh)
+    system = DvPSystem(SystemConfig(
+        sites=config.site_names(), seed=seed,
+        txn_timeout=config.txn_timeout,
+        retransmit_period=config.retransmit_period,
+        checkpoint_interval=config.checkpoint_interval,
+        link=LinkConfig(base_delay=config.base_delay,
+                        jitter=config.base_jitter),
+        bundling=bundling,
+        shards=config.shards, shard_workers=config.shard_workers,
+        partitioner=config.partitioner, replicas=config.replicas,
+        views=views))
+    per_site = _quota_split(config, seed)
+    for item in config.item_names():
+        system.add_item(item, CounterDomain(), split=per_site[item])
+    return system, {item: sum(per_site[item].values())
+                    for item in config.item_names()}
+
+
+def _build_commit(cls: type, config: ChaosConfig, seed: int
+                  ) -> tuple[System, dict[str, int]]:
+    """A commit-protocol baseline: items homed round-robin, each with
+    an equal share of ``config.total``."""
+    sites = config.site_names()
+    system = cls(sites, seed=seed,
+                 link=LinkConfig(base_delay=config.base_delay,
+                                 jitter=config.base_jitter),
+                 config=BaselineConfig(
+                     txn_timeout=config.txn_timeout,
+                     retry_period=config.retransmit_period))
+    items = config.item_names()
+    for position, item in enumerate(items):
+        system.add_item(item, sites[position % len(sites)],
+                        config.total // len(items))
+    return system, dict.fromkeys(items, config.total // len(items))
+
+
+def _transfer_workload(system: System, config: ChaosConfig,
+                       result: ChaosResult, frontend=None) -> None:
+    """Cross-item transfers only: they conserve the total, so the
+    conservation oracle has an exact expectation. Arrivals at a dead
+    site vanish uncounted, as in the DvP workload."""
+    rng = system.sim.rng.stream("chaos:workload")
+    sites = config.site_names()
+    items = config.item_names()
+    for _ in range(config.txns):
+        site = rng.choice(sites)
+        src = rng.choice(items)
+        dst = rng.choice([name for name in items if name != src] or items)
+        spec = TransactionSpec(
+            ops=(TransferOp(src, dst, rng.randint(1, 3)),), label="chaos")
+
+        def arrive(site=site, spec=spec) -> None:
+            if system.sites[site].alive:
+                result.submitted += 1
+                system.submit(site, spec)
+
+        system.sim.at_site(site, rng.uniform(0.5, config.duration), arrive,
+                           label=f"chaos-arrival:{site}")
+
+
+def _dvp_workload(system: DvPSystem, config: ChaosConfig,
+                  result: ChaosResult, frontend=None) -> None:
+    _build_workload(system, config, result, frontend)
+    _install_probes(system, config, result)
 
 
 def _build_workload(system: DvPSystem, config: ChaosConfig,
@@ -253,8 +347,8 @@ def run_chaos(config: ChaosConfig, plan: FaultPlan, seed: int,
               trace_kernel: bool = False) -> ChaosResult:
     """Execute one ``(config, plan, seed)`` scenario and judge it.
 
-    *oracles* defaults to the standard three (auditor, serial,
-    progress); pass an explicit list to narrow or extend.
+    *oracles* defaults to the scenario's own list (for DvP: auditor,
+    serial, progress, view); pass an explicit list to narrow or extend.
 
     ``trace_limit > 0`` additionally enables the structured trace bus
     with a ring of that many events; the retained tail lands in
@@ -263,32 +357,10 @@ def run_chaos(config: ChaosConfig, plan: FaultPlan, seed: int,
     from). Tracing is observation only — it never perturbs the
     schedule, so the fingerprint is unchanged by it.
     """
-    from repro.chaos.oracles import default_oracles
-
-    bundling = None
-    if config.bundle_flush_delay is not None:
-        from repro.net.outbox import BundlingConfig
-        bundling = BundlingConfig(flush_delay=config.bundle_flush_delay)
-    views = None
-    if config.views is not None:
-        from repro.reads import ViewConfig
-        views = ViewConfig(refresh_period=config.view_refresh)
-    system = DvPSystem(SystemConfig(
-        sites=config.site_names(), seed=seed,
-        txn_timeout=config.txn_timeout,
-        retransmit_period=config.retransmit_period,
-        checkpoint_interval=config.checkpoint_interval,
-        link=LinkConfig(base_delay=config.base_delay,
-                        jitter=config.base_jitter),
-        bundling=bundling,
-        shards=config.shards, shard_workers=config.shard_workers,
-        partitioner=config.partitioner, replicas=config.replicas,
-        views=views))
-    result = ChaosResult(config=config, plan=plan, seed=seed, system=system)
-    per_site = _quota_split(config, seed)
-    for item in config.item_names():
-        system.add_item(item, CounterDomain(), split=per_site[item])
-        result.initial_totals[item] = sum(per_site[item].values())
+    scenario = SCENARIOS[config.system]
+    system, initial_totals = scenario.build(config, seed)
+    result = ChaosResult(config=config, plan=plan, seed=seed, system=system,
+                         initial_totals=initial_totals)
     frontend = None
     if config.serving is not None:
         from repro.serving import ServingConfig, ServingFrontend
@@ -309,8 +381,7 @@ def run_chaos(config: ChaosConfig, plan: FaultPlan, seed: int,
     if trace_limit > 0:
         system.sim.obs.enable(ring_limit=trace_limit,
                               kernel_steps=trace_kernel)
-    _build_workload(system, config, result, frontend)
-    _install_probes(system, config, result)
+    scenario.workload(system, config, result, frontend)
     plan.compile(system)
 
     system.run_until(config.duration)
@@ -339,13 +410,11 @@ def run_chaos(config: ChaosConfig, plan: FaultPlan, seed: int,
     if frontend is not None:
         # Submissions = dispatches into the system; sheds stayed out.
         result.submitted = frontend.dispatched
-    result.wiped_by_crash = sum(site.txns_wiped
-                                for site in system.sites.values())
     result.fingerprint = system.sim.trace_fingerprint()
     if trace_limit > 0:
         result.trace_tail = [event_to_json(event)
                              for event in system.sim.obs.events()]
-    for oracle in (default_oracles() if oracles is None else oracles):
+    for oracle in (scenario.oracles() if oracles is None else oracles):
         messages = oracle.check(result)
         if messages:
             result.failures[oracle.name] = messages
@@ -383,4 +452,31 @@ def _quota_split(config: ChaosConfig, seed: int) -> dict[str, dict[str, int]]:
     return split
 
 
-__all__ = ["ChaosConfig", "ChaosResult", "run_chaos", "PROBE_FRACTIONS"]
+class Scenario(NamedTuple):
+    """What differs per system under chaos, and nothing else."""
+
+    #: (config, seed) -> the system with its items registered, and the
+    #: initial logical total of each item.
+    build: Callable[[ChaosConfig, int], tuple[System, dict[str, int]]]
+    #: Pre-schedules every arrival (and whatever rides beside them).
+    workload: Callable[..., None]
+    #: The oracles that judge a run when the caller names none.
+    oracles: Callable[[], list]
+    #: :class:`~repro.chaos.explore.GrammarWeights` overrides: 0 for a
+    #: fault motif the system has no model for.
+    weights: dict[str, float]
+
+
+#: The systems chaos can run, by ``ChaosConfig.system``. Baseline sites
+#: have no skewable clock; the elastic motifs weigh 0 already.
+SCENARIOS = {
+    "dvp": Scenario(_build_dvp, _dvp_workload, default_oracles, {}),
+    "paxos": Scenario(partial(_build_commit, PaxosCommitSystem),
+                      _transfer_workload, commit_oracles, {"skew": 0.0}),
+    "2pc": Scenario(partial(_build_commit, TwoPCSystem),
+                    _transfer_workload, commit_oracles, {"skew": 0.0}),
+}
+
+
+__all__ = ["ChaosConfig", "ChaosResult", "run_chaos", "PROBE_FRACTIONS",
+           "SCENARIOS", "Scenario"]

@@ -22,6 +22,7 @@ import argparse
 import os
 import sys
 
+from repro.chaos.runner import SCENARIOS
 from repro.harness import experiments
 
 
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = commands.add_parser("run", help="run an experiment")
     run_parser.add_argument("experiment",
-                            help="experiment id (E1..E13) or 'all'")
+                            help="experiment id (E1..E16) or 'all'")
     run_parser.add_argument("--full", action="store_true",
                             help="full preset (EXPERIMENTS.md numbers)")
     run_parser.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -203,11 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(site joins, decommissions, replica "
                                    "reshards; see docs/PARTITIONING.md)")
     chaos_parser.add_argument("--baseline", default=None,
-                              choices=["paxos"],
+                              choices=[name for name in SCENARIOS
+                                       if name != "dvp"],
                               help="explore a commit-protocol baseline "
-                                   "(crash/partition motifs, "
-                                   "conservation + agreement + liveness "
-                                   "oracles) instead of the DvP system")
+                                   "instead of the DvP system: same "
+                                   "explorer, shrinker and artifacts; "
+                                   "transfer workload; conservation + "
+                                   "agreement + liveness oracles")
     chaos_parser.add_argument("--sites", type=int, default=4)
     chaos_parser.add_argument("--items", type=int, default=2)
     chaos_parser.add_argument("--txns", type=int, default=24)

@@ -30,7 +30,7 @@ from repro.core.partition import (
     StaleEpoch,
     make_partitioner,
 )
-from repro.core.system import DvPSystem, SystemConfig
+from repro.core.system import DvPSystem, System, SystemConfig
 from repro.core.transactions import (
     ApplyOp,
     DecrementOp,
@@ -66,6 +66,7 @@ __all__ = [
     "ReadLocalOp",
     "ReadViewOp",
     "SetToZero",
+    "System",
     "SystemConfig",
     "TokenSetDomain",
     "TransactionSpec",

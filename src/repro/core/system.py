@@ -15,7 +15,7 @@ This is the library's main entry point::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Protocol
 
 from repro.core.cc import make_cc
 from repro.core.domain import Domain
@@ -108,6 +108,48 @@ class SystemConfig:
                 f"choose from {sorted(PARTITIONERS)}")
         if self.replicas is not None and self.replicas < 1:
             raise ValueError("replicas must be >= 1 (or None)")
+
+
+class System(Protocol):
+    """What every system here answers — :class:`DvPSystem`, the hybrid
+    manager over it, and the baselines it is compared against.
+
+    A declaration, not a layer: nothing inherits from it and nothing
+    checks it at run time. It names what fault plans, workload drivers,
+    the chaos explorer and the experiments may rely on without knowing
+    which protocol they are driving. Item registration is *not* part of
+    it — fragments and splits, homes, primaries and quorums really
+    differ — so whoever builds a system registers its items.
+    """
+
+    sim: Simulator
+    network: Network
+    #: Per site, at least ``.alive`` (and, where the protocol keeps
+    #: one, ``.log``).
+    sites: Mapping[str, Any]
+    results: list[TxnResult]
+
+    def submit(self, site: str, spec: TransactionSpec,
+               on_done: Callable[[TxnResult], None] | None = None
+               ) -> Any: ...
+
+    def run_for(self, duration: float) -> None: ...
+
+    def run_until(self, time: float) -> None: ...
+
+    def crash(self, site: str) -> None: ...
+
+    def recover(self, site: str) -> Any: ...
+
+    def total_value(self, items: list[str] | None = None) -> Any:
+        """The summed logical value of *items* (default: all)."""
+
+    def blocked(self) -> list[tuple[str, str, float]]:
+        """(site, txn, how long so far) for every transaction still
+        waiting; empty at quiescence unless somebody is blocked."""
+
+    def close(self) -> None:
+        """Whoever built the system is done with it (DESIGN.md §7)."""
 
 
 class DvPSystem:
@@ -469,6 +511,21 @@ class DvPSystem:
 
     def audit(self) -> list[AuditReport]:
         return self.auditor.check_all()
+
+    def total_value(self, items: list[str] | None = None) -> Any:
+        """Π(fragments) + Π(live Vm) of *items* (default: all), summed
+        — off the auditor's books, so O(1) per item."""
+        return sum(
+            self._items[item].combine(self.auditor.fragments_total(item),
+                                      self.auditor.live_vm_total(item))
+            for item in (self._items if items is None else items))
+
+    def blocked(self) -> list[tuple[str, str, float]]:
+        """Every undecided transaction with its age: each decides
+        within its timeout, so none outlives quiescence."""
+        return [(name, txn_id, self.sim.now - txn.submitted_at)
+                for name, site in self.sites.items()
+                for txn_id, txn in site.active.items()]
 
     def committed(self) -> list[TxnResult]:
         return [result for result in self.results if result.committed]

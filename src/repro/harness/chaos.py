@@ -1,5 +1,7 @@
 """Driver behind ``python -m repro chaos`` — budgeted schedule search
-with optional shrinking and replayable repro artifacts.
+with optional shrinking and replayable repro artifacts, for DvP or
+(``--baseline``) a commit-protocol baseline: the same explorer, the
+same shrinker, the same artifacts.
 
 Two modes:
 
@@ -42,9 +44,15 @@ from repro.chaos.artifact import arm_injection, disarm_injection
 #: Shrinking is ~100 runs per failure; bound the work per invocation.
 MAX_SHRINKS = 5
 
+#: Flags that configure DvP machinery no baseline has; ``--baseline``
+#: refuses them rather than silently exploring without them.
+DVP_ONLY = ("inject", "rebalance", "bundle_delay", "replicas", "serving",
+            "views", "reshard")
+
 
 def config_from_args(args) -> ChaosConfig:
-    return ChaosConfig(sites=args.sites, items=args.items,
+    return ChaosConfig(system=getattr(args, "baseline", None) or "dvp",
+                       sites=args.sites, items=args.items,
                        txns=args.txns, duration=args.duration,
                        txn_timeout=args.timeout,
                        rebalance=getattr(args, "rebalance", None),
@@ -144,25 +152,15 @@ def replay_main(args, out: "TextIO | None" = None) -> int:
     return 0
 
 
-def baseline_main(args, out: "TextIO | None" = None) -> int:
-    """Explore a coordinated-commit baseline instead of DvP."""
-    out = out if out is not None else sys.stdout
-    from repro.chaos.baseline_chaos import explore_baseline
-
-    report = explore_baseline(config_from_args(args),
-                              budget=args.budget, master_seed=args.seed)
-    print(report.describe(), file=out)
-    return 0 if report.ok else 1
-
-
 def main(args, out: "TextIO | None" = None) -> int:
     if getattr(args, "baseline", None):
-        if args.replay or args.shrink or args.inject:
-            print("--baseline composes only with explore flags "
-                  "(--budget/--seed/--sites/--items/--txns/--duration/"
-                  "--timeout)", file=out or sys.stdout)
+        refused = [name for name in DVP_ONLY if getattr(args, name, None)]
+        if refused or getattr(args, "partitioner", "all") != "all":
+            print("--baseline explores a commit-protocol baseline: the "
+                  "DvP-only flags (--inject/--rebalance/--bundle-delay/"
+                  "--partitioner/--replicas/--serving/--views/--reshard) "
+                  "do not apply", file=out or sys.stdout)
             return 2
-        return baseline_main(args, out=out)
     if args.replay:
         return replay_main(args, out=out)
     return explore_main(args, out=out)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.baselines.common import BaselineConfig
 from repro.baselines.twopc import TwoPCSystem
 from repro.core.domain import CounterDomain
-from repro.core.system import DvPSystem, SystemConfig
+from repro.core.system import DvPSystem, System, SystemConfig
 from repro.core.transactions import (
     DecrementOp,
     TransactionSpec,
@@ -91,121 +91,112 @@ class CrossSiteTransfers:
             label="transfer")
 
 
-def _plant_victim(system, params: Params, spec: TransactionSpec,
-                  collector: Collector) -> None:
-    """Guarantee one transaction is mid-protocol when the partition
-    strikes, by construction: submitted early enough that its first
-    hop (at most delay + jitter) always lands before the cut, late
-    enough that the reply (at least another delay) never returns. The
-    spec is each system's vulnerable shape: for 2PC a cross-home
-    transfer between a dedicated item pair no background transfer can
-    lock (prepare lands, decision cannot); for DvP a decrement that
-    must gather remote value (its requests land, the Vm cannot — and
-    the timeout aborts it)."""
-    victim_at = (params.partition_start - params.link_delay
-                 - params.link_jitter - 0.5)
-
-    def submit() -> None:
-        collector.on_submit(at=system.sim.now)
-        system.submit(params.sites[0], spec, collector.on_result)
-
-    system.sim.at_site(params.sites[0], victim_at, submit,
-                       label="victim")
-
-
-def _run_dvp(params: Params, duration: float) -> dict:
-    config = SystemConfig(
+def _build_dvp(params: Params, link: LinkConfig):
+    """A decrement of the whole item must gather remote value: its
+    requests land, the Vm cannot — and the timeout aborts it."""
+    system = DvPSystem(SystemConfig(
         sites=list(params.sites), seed=params.seed,
-        txn_timeout=params.txn_timeout,
-        link=LinkConfig(base_delay=params.link_delay,
-                        jitter=params.link_jitter),
-        shards=params.shards, shard_workers=params.shard_workers)
-    system = DvPSystem(config)
-    source = CrossSiteTransfers(params.sites)
+        txn_timeout=params.txn_timeout, link=link,
+        shards=params.shards, shard_workers=params.shard_workers))
     for site in params.sites:
-        system.add_item(source.item_of(site), CounterDomain(),
+        system.add_item(CrossSiteTransfers.item_of(site), CounterDomain(),
                         total=params.initial_per_item)
+    victim = DecrementOp(CrossSiteTransfers.item_of(params.sites[0]),
+                         params.initial_per_item)
+    return system, victim
+
+
+def _build_twopc(params: Params, link: LinkConfig):
+    """A cross-home transfer between a dedicated item pair no
+    background transfer can lock: prepare lands, decision cannot."""
+    system = TwoPCSystem(list(params.sites), seed=params.seed, link=link,
+                         config=BaselineConfig(
+                             txn_timeout=params.txn_timeout))
+    for site in params.sites:
+        system.add_item(CrossSiteTransfers.item_of(site), site,
+                        params.initial_per_item)
+    system.add_item("victim_src", params.sites[0], params.initial_per_item)
+    system.add_item("victim_dst", params.sites[-1], params.initial_per_item)
+    return system, TransferOp("victim_src", "victim_dst", 2)
+
+
+#: Per system: how it is built (with its victim's vulnerable shape), and
+#: where the lock holds that *ended* are read — in DvP the only lock
+#: hold is a transaction's own lifetime.
+SYSTEMS = {
+    "DvP": (_build_dvp, lambda system, collector:
+            [result.latency for result in collector.results]),
+    "2PC": (_build_twopc, lambda system, collector:
+            [hold for _site, _txn, hold in system.lock_holds]),
+}
+
+
+def _assert_conserved(system: System, initial: dict[str, int]) -> None:
+    """Through the contract alone: each item holds its *initial* value
+    plus what the committed transactions did. (Sound wherever every
+    commit is answered — no origin crashes here, and both coordinators'
+    answers are authoritative.)"""
+    expected = dict(initial)
+    for result in system.results:
+        if result.committed:
+            for item, sign, amount in result.semantic_deltas:
+                expected[item] += sign * amount
+    for item, value in expected.items():
+        held = system.total_value([item])
+        assert held == value, (
+            f"conservation violated: {item} holds {held}, the "
+            f"committed history gives {value}")
+
+
+def _run(name: str, params: Params, duration: float) -> dict:
+    build, ended_holds = SYSTEMS[name]
+    system, victim = build(params, LinkConfig(
+        base_delay=params.link_delay, jitter=params.link_jitter))
+    initial = {item: params.initial_per_item for item in
+               map(CrossSiteTransfers.item_of, params.sites)}
     collector = Collector()
     run_length = params.partition_start + duration + 40.0
-    driver = WorkloadDriver(
-        system.sim, system, params.sites, source,
+    WorkloadDriver(
+        system.sim, system, params.sites, CrossSiteTransfers(params.sites),
         WorkloadConfig(arrival_rate=params.arrival_rate,
-                       duration=run_length), collector)
-    driver.install()
-    victim_spec = TransactionSpec(
-        ops=(DecrementOp(source.item_of(params.sites[0]),
-                         params.initial_per_item),),
-        label="victim")
-    _plant_victim(system, params, victim_spec, collector)
+                       duration=run_length), collector).install()
+
+    # One transaction is mid-protocol when the partition strikes, by
+    # construction: submitted early enough that its first hop (at most
+    # delay + jitter) always lands before the cut, late enough that the
+    # reply (at least another delay) never returns.
+    def submit_victim() -> None:
+        collector.on_submit(at=system.sim.now)
+        system.submit(params.sites[0],
+                      TransactionSpec(ops=(victim,), label="victim"),
+                      collector.on_result)
+
+    system.sim.at_site(
+        params.sites[0],
+        params.partition_start - params.link_delay - params.link_jitter
+        - 0.5, submit_victim, label="victim")
     half = len(params.sites) // 2
+    heal_at = params.partition_start + duration
     # Topology-wide events run at consistent global cuts under sharding
     # (plain `at` on the single-queue kernel).
     system.sim.at_global(params.partition_start,
                          lambda: system.network.partition(
                              [params.sites[:half], params.sites[half:]]))
-    system.sim.at_global(params.partition_start + duration,
-                         system.network.heal)
-    heal_at = params.partition_start + duration
+    system.sim.at_global(heal_at, system.network.heal)
     system.run_until(heal_at)
-    # Resources blocked beyond the protocol's own bound at heal time:
-    # active transactions older than the timeout (DvP: provably none).
-    blocked_over_bound = sum(
-        1 for site in system.sites.values()
-        for txn in site.active.values()
-        if system.sim.now - txn.submitted_at > params.txn_timeout + 1e-9)
-    system.run_until(run_length)
-    system.run_for(params.txn_timeout + 60.0)
-    # In DvP the only "lock hold" is a transaction's own lifetime.
-    max_hold = collector.max_latency()
-    system.auditor.assert_ok()
-    return {
-        "decided": len(collector.results),
-        "max_decision": collector.max_latency(),
-        "max_lock_hold": max_hold,
-        "blocked_at_heal": blocked_over_bound,
-        "commit_rate": collector.commit_rate(),
-    }
-
-
-def _run_twopc(params: Params, duration: float) -> dict:
-    system = TwoPCSystem(
-        list(params.sites), seed=params.seed,
-        link=LinkConfig(base_delay=params.link_delay,
-                        jitter=params.link_jitter),
-        config=BaselineConfig(txn_timeout=params.txn_timeout))
-    source = CrossSiteTransfers(params.sites)
-    for site in params.sites:
-        system.add_item(source.item_of(site), site, params.initial_per_item)
-    system.add_item("victim_src", params.sites[0], params.initial_per_item)
-    system.add_item("victim_dst", params.sites[-1], params.initial_per_item)
-    collector = Collector()
-    run_length = params.partition_start + duration + 40.0
-    driver = WorkloadDriver(
-        system.sim, system, params.sites, source,
-        WorkloadConfig(arrival_rate=params.arrival_rate,
-                       duration=run_length), collector)
-    driver.install()
-    victim_spec = TransactionSpec(
-        ops=(TransferOp("victim_src", "victim_dst", 2),), label="victim")
-    _plant_victim(system, params, victim_spec, collector)
-    half = len(params.sites) // 2
-    system.sim.at(params.partition_start,
-                  lambda: system.network.partition(
-                      [params.sites[:half], params.sites[half:]]))
-    heal_at = params.partition_start + duration
-    system.sim.at(heal_at, system.network.heal)
-    system.run_for(heal_at - system.sim.now)
-    # Prepared participants already blocked past the protocol timeout:
-    # these hold locks with no unilateral way out.
+    # Still waiting at heal time after more than the protocol's own
+    # bound: transactions older than the timeout (DvP: provably none),
+    # prepared participants with no unilateral way out (2PC).
     blocked_over_bound = sum(
         1 for _site, _txn, age in system.blocked()
-        if age > system.config.txn_timeout + 1e-9)
-    system.run_for(run_length - system.sim.now + params.txn_timeout + 60.0)
+        if age > params.txn_timeout + 1e-9)
+    system.run_until(run_length + params.txn_timeout + 60.0)
     # A lock still held when the run ends has been held at least that
     # long: count it, not only the holds that ended.
-    max_hold = max((hold for _s, _t, hold in
-                    system.lock_holds + system.blocked()),
+    max_hold = max(ended_holds(system, collector)
+                   + [age for _site, _txn, age in system.blocked()],
                    default=0.0)
+    _assert_conserved(system, initial)
     return {
         "decided": len(collector.results),
         "max_decision": collector.max_latency(),
@@ -218,9 +209,10 @@ def _run_twopc(params: Params, duration: float) -> dict:
 def cells(params: Params | None = None) -> list[tuple[str, dict]]:
     """The independent (system × partition-duration) grid behind E1."""
     params = params or Params()
-    return [(fn, {"params": params, "duration": duration})
+    return [("_run", {"name": name, "params": params,
+                      "duration": duration})
             for duration in params.partition_durations
-            for fn in ("_run_dvp", "_run_twopc")]
+            for name in SYSTEMS]
 
 
 def run(params: Params | None = None, evaluate=None) -> Table:
@@ -231,7 +223,7 @@ def run(params: Params | None = None, evaluate=None) -> Table:
         ["partition", "system", "txns", "commit%", "max decision t",
          "max lock hold", "blocked>bound at heal"])
     for duration in params.partition_durations:
-        for name in ("DvP", "2PC"):
+        for name in SYSTEMS:
             stats = next(results)
             table.add_row(
                 duration, name, stats["decided"],

@@ -76,32 +76,46 @@ def _window_rates(collector: Collector, window: tuple[float, float],
     return in_window.commit_rate(), min(group_rates)
 
 
+def _dvp(params: Params, link: LinkConfig):
+    system = DvPSystem(SystemConfig(
+        sites=list(params.sites), seed=params.seed,
+        txn_timeout=params.txn_timeout, link=link))
+    system.add_item("flightA", CounterDomain(), total=params.seats)
+    return system, system.auditor.assert_ok
+
+
+def _quorum(params: Params, link: LinkConfig):
+    system = QuorumSystem(
+        list(params.sites), seed=params.seed, link=link,
+        config=BaselineConfig(txn_timeout=params.txn_timeout))
+    system.add_item("flightA", params.seats)
+    return system, lambda: None
+
+
+def _primary_copy(params: Params, link: LinkConfig):
+    system = PrimaryCopySystem(
+        list(params.sites), seed=params.seed, link=link,
+        config=BaselineConfig(txn_timeout=params.txn_timeout))
+    system.add_item("flightA", params.sites[0], params.seats)
+    return system, lambda: None
+
+
+#: Per compared system, (params, link) -> the system with the flight
+#: registered (registration really differs) and its own end-of-run
+#: audit (DvP keeps conservation books); everything in between goes
+#: through the ``System`` contract.
+SYSTEMS = {"DvP": _dvp, "quorum": _quorum, "primary-copy": _primary_copy}
+
+
 def _run_one(name: str, params: Params, group_count: int) -> tuple:
     groups = _groups(params.sites, group_count)
-    link = LinkConfig(base_delay=params.link_delay)
     workload_config = WorkloadConfig(
         arrival_rate=params.arrival_rate, duration=params.run_length,
         mix=OpMix(reserve=0.7, cancel=0.3))
     source = AirlineWorkload(["flightA"], workload_config)
     collector = Collector()
-
-    if name == "DvP":
-        system = DvPSystem(SystemConfig(
-            sites=list(params.sites), seed=params.seed,
-            txn_timeout=params.txn_timeout, link=link))
-        system.add_item("flightA", CounterDomain(), total=params.seats)
-    elif name == "quorum":
-        system = QuorumSystem(list(params.sites), seed=params.seed,
-                              link=link,
-                              config=BaselineConfig(
-                                  txn_timeout=params.txn_timeout))
-        system.add_item("flightA", params.seats)
-    else:
-        system = PrimaryCopySystem(list(params.sites), seed=params.seed,
-                                   link=link,
-                                   config=BaselineConfig(
-                                       txn_timeout=params.txn_timeout))
-        system.add_item("flightA", params.sites[0], params.seats)
+    system, audit = SYSTEMS[name](
+        params, LinkConfig(base_delay=params.link_delay))
 
     driver = WorkloadDriver(system.sim, system, params.sites, source,
                             workload_config, collector)
@@ -110,13 +124,12 @@ def _run_one(name: str, params: Params, group_count: int) -> tuple:
         system.sim.at(params.window[0],
                       lambda: system.network.partition(groups))
         system.sim.at(params.window[1], system.network.heal)
-    system.sim.run_until(params.run_length + params.txn_timeout + 30.0)
+    system.run_until(params.run_length + params.txn_timeout + 30.0)
 
     site_group = {site: index for index, group in enumerate(groups)
                   for site in group}
     overall, worst = _window_rates(collector, params.window, site_group)
-    if name == "DvP":
-        system.auditor.assert_ok()
+    audit()
     return overall, worst
 
 
@@ -126,7 +139,7 @@ def cells(params: Params | None = None) -> list[tuple[str, dict]]:
     return [("_run_one", {"name": name, "params": params,
                           "group_count": group_count})
             for group_count in params.groupings
-            for name in ("DvP", "quorum", "primary-copy")]
+            for name in SYSTEMS]
 
 
 def run(params: Params | None = None, evaluate=None) -> Table:
@@ -136,7 +149,7 @@ def run(params: Params | None = None, evaluate=None) -> Table:
         "E2: commit rate inside the partition window",
         ["groups", "system", "window commit%", "worst-group commit%"])
     for group_count in params.groupings:
-        for name in ("DvP", "quorum", "primary-copy"):
+        for name in SYSTEMS:
             overall, worst = next(results)
             table.add_row(group_count, name, round(100 * overall, 1),
                           round(100 * worst, 1))

@@ -87,19 +87,3 @@ def run_dvp_scenario(
 def counter_items(names: list[str], total: int) -> dict[str, tuple]:
     """Shorthand: each name is a CounterDomain item split evenly."""
     return {name: (CounterDomain(), total) for name in names}
-
-
-def run_experiment(experiment_id: str, params=None, evaluate=None):
-    """Look up an experiment module and render its table.
-
-    *evaluate* is an optional grid evaluator — typically a
-    :class:`repro.harness.parallel.GridEvaluator` carrying the worker
-    pool and result cache; ``None`` keeps the original in-process
-    sequential path. *params* defaults to the module's full preset.
-    """
-    from repro.harness import experiments
-
-    module = experiments.get(experiment_id)
-    if params is None:
-        params = module.Params()
-    return module.run(params, evaluate=evaluate)

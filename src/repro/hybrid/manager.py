@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.baselines.common import Timers
 from repro.core.site import SiteDown
 from repro.core.system import DvPSystem
 from repro.core.transactions import (
@@ -36,7 +37,6 @@ from repro.core.transactions import (
     TxnResult,
 )
 from repro.net.message import Envelope
-from repro.sim.timers import Timer
 
 
 class ItemMode(enum.Enum):
@@ -68,8 +68,6 @@ class _PendingForward:
     origin: str
     submitted_at: float
     on_done: Callable[[TxnResult], None] | None
-    timer: Timer | None = None
-    finished: bool = False
 
 
 class HybridSystem:
@@ -87,6 +85,11 @@ class HybridSystem:
     dispersal (the home's fragment stops being the whole value, so
     full reads there lose the free-local rewrite until the next
     consolidation).
+
+    It answers the :class:`~repro.core.system.System` contract:
+    ``submit`` is the routing one below, everything else is the wrapped
+    system's (``close()`` included — the forward deadlines are attached
+    to it, so closing the system cancels them).
     """
 
     def __init__(self, system: DvPSystem,
@@ -105,10 +108,15 @@ class HybridSystem:
         self._dispersed: set[str] = set()
         self._forward_ids = itertools.count(1)
         self._pending: dict[int, _PendingForward] = {}
+        self._deadlines = Timers(system.sim, system.config, "forward")
+        system.attach(self._deadlines)
         # Interpose on every site's delivery to catch Forward* payloads.
         for name, site in system.sites.items():
             system.network.replace_handler(
                 name, self._make_handler(name, site.deliver))
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.system, name)
 
     # -- mode inspection ------------------------------------------------------
 
@@ -274,29 +282,28 @@ class HybridSystem:
         self.forwarded += 1
         self._c_forward.inc()
         forward_id = next(self._forward_ids)
-        pending = _PendingForward(spec, origin, self.system.sim.now,
-                                  on_done)
-        self._pending[forward_id] = pending
-        timeout = self.system.config.txn_timeout
-        timer = Timer(self.system.sim,
-                      lambda: self._forward_timeout(forward_id),
-                      label=f"forward-timeout:{forward_id}")
-        timer.start(timeout)
-        pending.timer = timer
+        self._pending[forward_id] = _PendingForward(
+            spec, origin, self.system.sim.now, on_done)
+        self._deadlines.arm(forward_id, self._forward_timeout)
         self.system.network.send(origin, home,
                                  ForwardRequest(forward_id, origin, spec))
 
     def _forward_timeout(self, forward_id: int) -> None:
+        self._conclude(forward_id, Outcome.ABORTED, "forward-timeout")
+
+    def _conclude(self, forward_id: int, outcome: Outcome, reason: str,
+                  **payload: Any) -> None:
+        """Answer a forwarded transaction's client, exactly once."""
         pending = self._pending.pop(forward_id, None)
-        if pending is None or pending.finished:
+        if pending is None:
             return
-        pending.finished = True
+        self._deadlines.disarm(forward_id)
         if pending.on_done is not None:
             pending.on_done(TxnResult(
                 txn_id=f"fwd#{forward_id}", label=pending.spec.label,
-                outcome=Outcome.ABORTED, reason="forward-timeout",
-                site=pending.origin, submitted_at=pending.submitted_at,
-                finished_at=self.system.sim.now))
+                outcome=outcome, reason=reason, site=pending.origin,
+                submitted_at=pending.submitted_at,
+                finished_at=self.system.sim.now, **payload))
 
     # -- message handling --------------------------------------------------------
 
@@ -326,17 +333,6 @@ class HybridSystem:
             pass  # origin's timeout handles it
 
     def _on_forward_reply(self, reply: ForwardReply) -> None:
-        pending = self._pending.pop(reply.forward_id, None)
-        if pending is None or pending.finished:
-            return
-        pending.finished = True
-        if pending.timer is not None:
-            pending.timer.cancel()
-        if pending.on_done is not None:
-            pending.on_done(TxnResult(
-                txn_id=f"fwd#{reply.forward_id}", label=pending.spec.label,
-                outcome=reply.outcome, reason=reply.reason,
-                site=pending.origin, submitted_at=pending.submitted_at,
-                finished_at=self.system.sim.now,
-                read_values=dict(reply.read_values),
-                semantic_deltas=reply.semantic_deltas))
+        self._conclude(reply.forward_id, reply.outcome, reply.reason,
+                       read_values=dict(reply.read_values),
+                       semantic_deltas=reply.semantic_deltas)

@@ -98,10 +98,6 @@ class Link:
         """The behaviour in force: an injected fault shadows the base."""
         return self._fault if self._fault is not None else self.config
 
-    @property
-    def faulted(self) -> bool:
-        return self._fault is not None
-
     def inject_fault(self, config: LinkConfig) -> None:
         """Shadow the base config (loss/duplication/jitter windows).
 

@@ -389,7 +389,3 @@ class Network:
     @property
     def total_sent(self) -> int:
         return sum(self.sent_counts.values())
-
-    @property
-    def total_delivered(self) -> int:
-        return sum(self.delivered_counts.values())

@@ -2,13 +2,14 @@
 
 A workload turns a random stream into :class:`TransactionSpec`s; the
 :class:`WorkloadDriver` schedules Poisson arrivals at every site and
-submits the specs through any system exposing
-``submit(site, spec, on_done)`` — the DvP system and all baselines do.
+submits the specs through ``submit(site, spec, on_done)`` — the
+:class:`~repro.core.system.System` contract's, so DvP, the hybrid
+manager and every baseline are driven alike (a serving front-end
+offers the same call without being a system).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
@@ -22,7 +23,8 @@ from repro.sim.kernel import Simulator
 
 
 class SubmitTarget(Protocol):
-    """Anything transactions can be submitted to."""
+    """Anything transactions can be submitted to: the ``submit`` of the
+    :class:`~repro.core.system.System` contract, nothing more."""
 
     def submit(self, site: str, spec: TransactionSpec,
                on_done: Callable | None = None) -> Any: ...
@@ -247,17 +249,3 @@ class WorkloadDriver:
 
 def uniform_amount(rng: random.Random, config: WorkloadConfig) -> int:
     return rng.randint(config.amount_low, config.amount_high)
-
-
-def poisson_count(rng: random.Random, rate: float, duration: float) -> int:
-    """Sample a Poisson(rate*duration) count (inverse-CDF, small means)."""
-    mean = rate * duration
-    if mean > 700:
-        # Normal approximation far above any value used here.
-        return max(0, round(rng.gauss(mean, math.sqrt(mean))))
-    threshold = math.exp(-mean)
-    count, product = 0, rng.random()
-    while product > threshold:
-        product *= rng.random()
-        count += 1
-    return count

@@ -187,3 +187,47 @@ class TestPrimaryCopy:
             ops=(IncrementOp("x", 11),)))
         assert result.committed
         assert system.value("x") == 111
+
+
+class TestPrimaryCopyFailure:
+    """The module docstring's sentence — "if the primary site *fails*,
+    nobody can update at all" — which nothing could test while the
+    system had no ``crash``: a ``CrashSite`` compiled onto it raised
+    ``AttributeError`` inside a kernel event."""
+
+    def test_fault_plan_crashes_and_recovers_the_primary(self):
+        from repro.chaos.plan import CrashSite, FaultPlan, RecoverSite
+        system = build_pc(allow_stale_reads=True)
+        run_one(system, "A", TransactionSpec(ops=(DecrementOp("x", 5),)))
+        FaultPlan((CrashSite(at=50.0, site="A"),
+                   RecoverSite(at=120.0, site="A"))).compile(system)
+        system.run_until(60.0)
+        assert not system.sites["A"].alive
+
+        # Primary down: remote updates time out...
+        update = run_one(system, "B", TransactionSpec(
+            ops=(DecrementOp("x", 5),)))
+        assert not update.committed and update.reason == "timeout"
+        # ...while readers that accept a stale copy still answer.
+        read = run_one(system, "C", TransactionSpec(
+            ops=(ReadFullOp("x"),)), duration=1.0)
+        assert read.committed and read.read_values["x"] == 95
+
+        # Recovered: the versioned store survived, updates resume.
+        system.run_until(130.0)
+        assert system.sites["A"].alive and system.value("x") == 95
+        update = run_one(system, "B", TransactionSpec(
+            ops=(DecrementOp("x", 5),)))
+        assert update.committed and system.value("x") == 90
+
+    def test_crash_forgets_what_the_origin_was_waiting_for(self):
+        system = build_pc()
+        results = []
+        system.submit("B", TransactionSpec(ops=(IncrementOp("x", 1),)),
+                      results.append)
+        system.crash("B")  # the forward is in flight; B forgets it
+        system.recover("B")
+        system.run_for(40.0)
+        # The primary applied it; the reply finds nobody waiting and
+        # the wiped deadline never fires.
+        assert results == [] and system.value("x") == 101

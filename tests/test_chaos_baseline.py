@@ -1,17 +1,22 @@
 """Chaos-flavoured regressions for the commit-protocol baselines:
 the crash-between-prepare-and-decide window, the quorum stale-grant
-leak, and the budgeted baseline explorer itself."""
+leak, and the baselines under the one chaos explorer."""
+
+from dataclasses import replace
 
 from repro.baselines.common import BaselineConfig, PendingDone
 from repro.baselines.paxoscommit import PaxosCommitSystem
 from repro.baselines.quorum import LockReply, QuorumSystem, _Attempt
-from repro.baselines.twopc import TwoPCSystem
-from repro.chaos.baseline_chaos import (
-    explore_baseline,
-    run_baseline_chaos,
-    sample_baseline_plan,
+from repro.baselines.twopc import TwoPCSite, TwoPCSystem
+from repro.chaos import (
+    ReproArtifact,
+    default_name,
+    explore,
+    run_chaos,
+    sample_plan,
+    shrink,
 )
-from repro.chaos.plan import CrashSite, FaultPlan, RecoverSite
+from repro.chaos.plan import CrashSite, FaultPlan, RecoverSite, SkewTick
 from repro.chaos.runner import ChaosConfig
 from repro.core.transactions import (
     IncrementOp,
@@ -20,9 +25,10 @@ from repro.core.transactions import (
 )
 from repro.net.link import LinkConfig
 
-QUICK = ChaosConfig(sites=3, items=2, txns=8, duration=40.0,
-                    txn_timeout=8.0, retransmit_period=3.0,
+QUICK = ChaosConfig(system="paxos", sites=3, items=2, txns=8,
+                    duration=40.0, txn_timeout=8.0, retransmit_period=3.0,
                     settle=80.0)
+BOTH = [QUICK, replace(QUICK, system="2pc")]
 
 
 def _coordinated(cls, sites=("S0", "S1", "S2")):
@@ -156,28 +162,88 @@ class TestQuorumStaleGrant:
 
 
 class TestBaselineExplorer:
+    """The commit baselines under ``explore()`` / ``shrink()`` /
+    ``ReproArtifact`` — the explorer DvP runs under, through the
+    ``System`` contract."""
+
     def test_plan_sampling_is_pure(self):
-        first = sample_baseline_plan(7, 3, QUICK)
-        second = sample_baseline_plan(7, 3, QUICK)
+        first = sample_plan(7, 3, QUICK)
+        second = sample_plan(7, 3, QUICK)
         assert first == second
-        assert sample_baseline_plan(7, 4, QUICK) != first
+        assert sample_plan(7, 4, QUICK) != first
+        # Baseline sites have no skewable clock: the motif is off.
+        assert not any(isinstance(action, SkewTick)
+                       for index in range(40)
+                       for action in sample_plan(7, index, QUICK).actions)
 
     def test_single_run_oracles_pass(self):
-        plan = sample_baseline_plan(7, 0, QUICK)
-        result = run_baseline_chaos(QUICK, plan, seed=1234, index=0)
-        assert not result.failed, result.summary()
-        assert result.total_value == QUICK.total // QUICK.items * \
-            QUICK.items
+        for config in BOTH:
+            result = run_chaos(config, sample_plan(7, 0, config),
+                               seed=1234)
+            assert not result.failed, result.summary()
+            assert result.system.total_value() == \
+                QUICK.total // QUICK.items * QUICK.items
+            result.system.close()
 
     def test_explore_smoke_is_deterministic(self):
-        first = explore_baseline(QUICK, budget=4, master_seed=19)
-        second = explore_baseline(QUICK, budget=4, master_seed=19)
-        assert first.ok, first.describe()
-        assert first.digest() == second.digest()
-        assert first.runs == 4
-        assert "exploration digest:" in first.describe()
+        for config in BOTH:
+            first = explore(config, budget=4, master_seed=19)
+            second = explore(config, budget=4, master_seed=19)
+            assert first.ok, first.describe()
+            assert first.digest() == second.digest()
+            assert first.runs == 4
+            assert f"chaos explore ({config.system})" in first.describe()
+            assert "exploration digest:" in first.describe()
 
     def test_different_seed_different_digest(self):
-        first = explore_baseline(QUICK, budget=3, master_seed=19)
-        second = explore_baseline(QUICK, budget=3, master_seed=23)
+        first = explore(QUICK, budget=3, master_seed=19)
+        second = explore(QUICK, budget=3, master_seed=23)
         assert first.digest() != second.digest()
+
+    def test_planted_bug_is_convicted_shrunk_and_replayed(
+            self, monkeypatch, tmp_path):
+        """Take away the rule that a prepared participant asks its
+        coordinator once it has waited out the timeout (the 2PC of
+        before ISSUE 18): the explorer convicts it on liveness, the
+        shrinker minimizes the plan, the artifact says which system
+        failed and replays to the same verdict — and every plan's
+        system was closed on the way."""
+        monkeypatch.setattr(TwoPCSite, "_suspect",
+                            lambda self, request: True)
+        config = ChaosConfig(system="2pc")
+        systems = []
+        report = explore(config, budget=12, master_seed=7,
+                         on_run=lambda _index, result:
+                         systems.append(result.system))
+        assert len(systems) == 12
+        assert all(site.system is None for system in systems
+                   for site in system.sites.values())
+        assert not report.ok
+        case = next(case for case in report.failures
+                    if "liveness" in case.failures)
+
+        shrunk = shrink(config, case.plan, case.seed)
+        assert "liveness" in shrunk.target_oracles
+        assert 1 <= len(shrunk.minimal) <= len(case.plan)
+        assert "liveness" in shrunk.final.failures
+        shrunk.final.system.close()
+
+        artifact = ReproArtifact(seed=case.seed, config=config,
+                                 plan=shrunk.minimal,
+                                 failures=shrunk.final.failures)
+        path = artifact.write(tmp_path / default_name(artifact))
+        assert "2pc" in path.name
+        loaded = ReproArtifact.load(path)
+        assert loaded.config.system == "2pc"
+        replayed = loaded.replay()
+        assert replayed.failures == shrunk.final.failures
+        assert replayed.fingerprint == shrunk.final.fingerprint
+        replayed.system.close()
+
+    def test_dvp_artifacts_carry_no_system_key(self):
+        """DvP is the default the selector always had: its artifacts
+        (and the benchmark suite's pinned chaos inputs) are written
+        exactly as before, and load as "dvp"."""
+        assert "system" not in ChaosConfig().to_dict()
+        assert ChaosConfig.from_dict(ChaosConfig().to_dict()).system == "dvp"
+        assert ChaosConfig.from_dict(QUICK.to_dict()) == QUICK

@@ -79,7 +79,8 @@ class TestServingRunSemantics:
         result = run_chaos(config, CRASH_PLAN, seed=12)
         assert not result.failed, result.failures
         undecided = result.submitted - len(result.system.results)
-        assert undecided <= result.wiped_by_crash
+        assert undecided <= sum(site.txns_wiped for site
+                                in result.system.sites.values())
 
     def test_worker_invariant_on_sharded_kernel(self):
         def fingerprint(workers):

@@ -19,7 +19,9 @@ returning 0 proves a run built no cyclic garbage at all.
     and then dropped leaves nothing for the collector either — under
     every transport, kernel and add-on, with a crash behind it and
     retransmits, timeouts and leases still pending — and ``explore()``
-    closes each plan's system once ``on_run`` has seen it.
+    closes each plan's system once ``on_run`` has seen it;
+(e) and for every system that answers the ``System`` contract: each
+    baseline, and a ``HybridSystem`` over its ``DvPSystem`` (ISSUE 18).
 """
 
 import gc
@@ -28,11 +30,20 @@ from collections import Counter
 
 import pytest
 
+from repro.baselines import (
+    CentralCounterSystem,
+    PaxosCommitSystem,
+    PrimaryCopySystem,
+    QuorumSystem,
+    TwoPCSystem,
+)
+from repro.baselines.common import BaselineConfig
 from repro.chaos.explore import explore
 from repro.chaos.runner import ChaosConfig
 from repro.core.domain import CounterDomain
 from repro.core.rebalance import RebalanceConfig, install_rebalancing
 from repro.core.system import DvPSystem, SystemConfig
+from repro.hybrid import HybridSystem
 from repro.core.transactions import (
     DecrementOp,
     IncrementOp,
@@ -688,3 +699,111 @@ class TestSystemLifetime:
 
         tracked_after(3)  # warm every lazy import and cache
         assert tracked_after(30) == tracked_after(120)
+
+
+# -- (e) every system under the contract ----------------------------------------
+
+def _homed(cls):
+    def build():
+        system = cls(SITES, seed=15, link=LinkConfig(1.0, jitter=0.5),
+                     config=BaselineConfig(txn_timeout=10.0,
+                                           retry_period=3.0))
+        for index, site in enumerate(SITES):
+            system.add_item(f"i{index}", site, 100)
+        return system
+    return build
+
+
+def _replicated(cls, *placement, **kwargs):
+    def build():
+        system = cls(SITES, seed=15, link=LinkConfig(1.0, jitter=0.5),
+                     config=BaselineConfig(txn_timeout=10.0,
+                                           retry_period=3.0), **kwargs)
+        for index in range(4):
+            system.add_item(f"i{index}", *placement, 100)
+        return system
+    return build
+
+
+def _baseline_ops(index: int, multi_item: bool):
+    item, other = f"i{index % 4}", f"i{(index + 1) % 4}"
+    if multi_item and index % 3 == 0:
+        return (TransferOp(item, other, 2),)
+    if index % 3 == 1:
+        return (IncrementOp(item, 3),)
+    return (DecrementOp(item, 1 + index % 5),)
+
+
+BASELINES = {
+    "2pc": (_homed(TwoPCSystem), True),
+    "paxos": (_homed(PaxosCommitSystem), True),
+    "quorum": (_replicated(QuorumSystem), False),
+    "primary-copy": (_replicated(PrimaryCopySystem, "A"), False),
+    "central-lock": (_replicated(CentralCounterSystem, central="A",
+                                 mode="lock"), False),
+    "central-escrow": (_replicated(CentralCounterSystem, central="A",
+                                   mode="escrow"), False),
+}
+
+
+class TestEverySystemUnderTheContract:
+    @pytest.mark.parametrize("name", sorted(BASELINES))
+    def test_closed_baseline_is_freed_by_refcount(self, name):
+        build, multi_item = BASELINES[name]
+        system = build()
+        sim = system.sim
+        for index in range(30):
+            site = SITES[index % 4]
+            sim.at(0.5 + index, lambda site=site, index=index:
+                   system.submit(site, TransactionSpec(
+                       ops=_baseline_ops(index, multi_item), work=0.2)),
+                   label="arrival")
+        if system.sites:  # the central counter has no crash model
+            sim.at(8.0, lambda: system.crash("B"), label="crash")
+            sim.at(16.0, lambda: system.recover("B"), label="recover")
+        # Stop in mid-air: the last arrivals' messages are swallowed by
+        # a partition, their deadlines (and whatever loop re-sends for
+        # them) still ahead.
+        sim.at(28.2, lambda: system.network.partition([["A"]]),
+               label="partition")
+        system.run_until(31.0)
+        assert sim.pending > 0
+        logged = sum(len(site.log) for site in system.sites.values())
+        closed = _close(system)
+        system.close()  # twice is a no-op
+        assert sum(len(site.log)
+                   for site in system.sites.values()) == logged
+        del system, sim
+        assert _freed(closed)
+
+    def test_an_unclosed_baseline_is_a_cyclic_blob(self):
+        # The control, as for DvP: the zeros above mean something.
+        system = _homed(TwoPCSystem)()
+        system.submit("A", TransactionSpec(ops=(TransferOp("i0", "i1", 2),)))
+        system.run_for(30.0)
+        watch = weakref.ref(system)
+        del system
+        assert watch() is not None
+        assert gc.collect() > 50 and watch() is None
+
+    @pytest.mark.parametrize("path_sensitive", [False, True])
+    def test_closed_hybrid_is_freed_with_the_system_it_wraps(
+            self, path_sensitive):
+        system = _build()
+        hybrid = HybridSystem(system, path_sensitive=path_sensitive)
+        system.sim.at(0.2, lambda: hybrid.consolidate("x", "A"),
+                      label="consolidate")
+        _run_and_leave_work_pending(system, hybrid.submit)
+        # A forward whose reply cannot come back: its deadline is armed.
+        hybrid.submit("C", TransactionSpec(ops=(DecrementOp("x", 1),)))
+        assert hybrid.forwarded > 0 and hybrid._pending
+        watch = weakref.ref(hybrid)
+        results = hybrid.results
+        hybrid.close()
+        hybrid.close()
+        assert hybrid.results is results and hybrid.sim.pending == 0
+        del hybrid
+        closed = _close(system)
+        del system
+        assert _freed(closed)
+        assert watch() is None

@@ -36,15 +36,15 @@ def _e06_params(shards, workers):
 
 class TestExperimentOutcomes:
     def test_e01_dvp_stats_worker_invariant(self):
-        baseline = e01._run_dvp(_e01_params(2, 1), 20.0)
+        baseline = e01._run("DvP", _e01_params(2, 1), 20.0)
         assert baseline["decided"] > 0
         for workers in (2, 4):
-            assert e01._run_dvp(_e01_params(2, workers), 20.0) == baseline
+            assert e01._run("DvP", _e01_params(2, workers), 20.0) == baseline
 
     def test_e01_dvp_stats_match_classic_kernel(self):
         """Sharding may not change what the experiment measures."""
-        classic = e01._run_dvp(_e01_params(1, 1), 20.0)
-        sharded = e01._run_dvp(_e01_params(2, 1), 20.0)
+        classic = e01._run("DvP", _e01_params(1, 1), 20.0)
+        sharded = e01._run("DvP", _e01_params(2, 1), 20.0)
         assert sharded == classic
 
     def test_e06_rebalance_stats_worker_invariant(self):

@@ -28,7 +28,6 @@ from repro.workloads.base import (
     OpMix,
     WorkloadConfig,
     WorkloadDriver,
-    poisson_count,
     zipf_choice,
 )
 from repro.workloads.inventory import InventoryWorkload
@@ -73,17 +72,6 @@ class TestZipf:
 
     def test_single_item(self):
         assert zipf_choice(random.Random(1), ["only"], 5.0) == "only"
-
-
-class TestPoissonCount:
-    def test_mean_roughly_right(self):
-        rng = random.Random(2)
-        samples = [poisson_count(rng, 0.5, 20.0) for _ in range(500)]
-        assert 9 < sum(samples) / len(samples) < 11
-
-    def test_zero_ish_rate(self):
-        rng = random.Random(2)
-        assert poisson_count(rng, 0.0001, 1.0) in (0, 1)
 
 
 class TestGenerators:
