@@ -27,9 +27,6 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Any, Callable, NamedTuple
 
-from repro.baselines.common import BaselineConfig
-from repro.baselines.paxoscommit import PaxosCommitSystem
-from repro.baselines.twopc import TwoPCSystem
 from repro.chaos.oracles import commit_oracles, default_oracles
 from repro.chaos.plan import FaultPlan
 from repro.core.domain import CounterDomain
@@ -209,17 +206,21 @@ def _build_dvp(config: ChaosConfig, seed: int
                     for item in config.item_names()}
 
 
-def _build_commit(cls: type, config: ChaosConfig, seed: int
+def _build_commit(name: str, config: ChaosConfig, seed: int
                   ) -> tuple[System, dict[str, int]]:
-    """A commit-protocol baseline: items homed round-robin, each with
-    an equal share of ``config.total``."""
+    """The commit-protocol baseline ``repro.baselines.<name>``: items
+    homed round-robin, each with an equal share of ``config.total``.
+    (Imported here: a DvP run pays for no baseline.)"""
+    from repro import baselines
+    from repro.baselines.common import BaselineConfig
+
     sites = config.site_names()
-    system = cls(sites, seed=seed,
-                 link=LinkConfig(base_delay=config.base_delay,
-                                 jitter=config.base_jitter),
-                 config=BaselineConfig(
-                     txn_timeout=config.txn_timeout,
-                     retry_period=config.retransmit_period))
+    system = getattr(baselines, name)(
+        sites, seed=seed,
+        link=LinkConfig(base_delay=config.base_delay,
+                        jitter=config.base_jitter),
+        config=BaselineConfig(txn_timeout=config.txn_timeout,
+                              retry_period=config.retransmit_period))
     items = config.item_names()
     for position, item in enumerate(items):
         system.add_item(item, sites[position % len(sites)],
@@ -471,9 +472,9 @@ class Scenario(NamedTuple):
 #: have no skewable clock; the elastic motifs weigh 0 already.
 SCENARIOS = {
     "dvp": Scenario(_build_dvp, _dvp_workload, default_oracles, {}),
-    "paxos": Scenario(partial(_build_commit, PaxosCommitSystem),
+    "paxos": Scenario(partial(_build_commit, "PaxosCommitSystem"),
                       _transfer_workload, commit_oracles, {"skew": 0.0}),
-    "2pc": Scenario(partial(_build_commit, TwoPCSystem),
+    "2pc": Scenario(partial(_build_commit, "TwoPCSystem"),
                     _transfer_workload, commit_oracles, {"skew": 0.0}),
 }
 

@@ -44,10 +44,12 @@ from repro.chaos.artifact import arm_injection, disarm_injection
 #: Shrinking is ~100 runs per failure; bound the work per invocation.
 MAX_SHRINKS = 5
 
-#: Flags that configure DvP machinery no baseline has; ``--baseline``
-#: refuses them rather than silently exploring without them.
-DVP_ONLY = ("inject", "rebalance", "bundle_delay", "replicas", "serving",
-            "views", "reshard")
+#: Flags (with their off values) that configure DvP machinery no
+#: baseline has; ``--baseline`` refuses them rather than silently
+#: exploring without them.
+DVP_ONLY = {"inject": None, "rebalance": None, "bundle_delay": None,
+            "partitioner": "all", "replicas": None, "serving": None,
+            "views": None, "reshard": False}
 
 
 def config_from_args(args) -> ChaosConfig:
@@ -154,12 +156,13 @@ def replay_main(args, out: "TextIO | None" = None) -> int:
 
 def main(args, out: "TextIO | None" = None) -> int:
     if getattr(args, "baseline", None):
-        refused = [name for name in DVP_ONLY if getattr(args, name, None)]
-        if refused or getattr(args, "partitioner", "all") != "all":
-            print("--baseline explores a commit-protocol baseline: the "
-                  "DvP-only flags (--inject/--rebalance/--bundle-delay/"
-                  "--partitioner/--replicas/--serving/--views/--reshard) "
-                  "do not apply", file=out or sys.stdout)
+        refused = [f"--{name.replace('_', '-')}"
+                   for name, off in DVP_ONLY.items()
+                   if getattr(args, name, off) != off]
+        if refused:
+            print(f"--baseline explores a commit-protocol baseline; "
+                  f"{', '.join(refused)} configure{'s' * (len(refused) == 1)} "
+                  f"DvP machinery it does not have", file=out or sys.stdout)
             return 2
     if args.replay:
         return replay_main(args, out=out)

@@ -130,8 +130,8 @@ def _baseline(cls: type, homed: bool = True):
         system = cls(list(sites), seed=params.seed, link=link,
                      config=BaselineConfig(txn_timeout=params.txn_timeout))
         for index, site in enumerate(sites):
-            system.add_item(f"acct_{index}", *([site] if homed else []),
-                            params.per_item)
+            placement = (site,) if homed else ()
+            system.add_item(f"acct_{index}", *placement, params.per_item)
         return system, lambda: None
     return build
 

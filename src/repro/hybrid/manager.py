@@ -116,6 +116,9 @@ class HybridSystem:
                 name, self._make_handler(name, site.deliver))
 
     def __getattr__(self, name: str) -> Any:
+        # Whatever the manager does not route or track itself — the
+        # rest of the System contract, the auditor — is the wrapped
+        # system's.
         return getattr(self.system, name)
 
     # -- mode inspection ------------------------------------------------------

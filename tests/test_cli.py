@@ -103,3 +103,35 @@ class TestCommands:
         assert main(["chaos", "--budget", "1", "--seed", "7",
                      "--inject", "crash"]) == 1
         assert "--shrink" in capsys.readouterr().out
+
+    def test_chaos_baseline_is_the_same_explorer(self, capsys, tmp_path,
+                                                 monkeypatch):
+        """``--baseline`` composes with --shrink and --replay (it used
+        to refuse both), and refuses only what configures DvP
+        machinery."""
+        for baseline in ("paxos", "2pc"):
+            assert main(["chaos", "--baseline", baseline, "--budget", "3",
+                         "--seed", "7", "--shrink"]) == 0
+            out = capsys.readouterr().out
+            assert f"chaos explore ({baseline})" in out
+            assert "plans run: 3  failing: 0" in out
+        assert main(["chaos", "--baseline", "2pc", "--views", "12",
+                     "--budget", "3"]) == 2
+        assert "--views" in capsys.readouterr().out
+
+        # A planted bug (the participant never asks its coordinator):
+        # found, shrunk, frozen with the system it failed on, replayed.
+        from repro.baselines.twopc import TwoPCSite
+        monkeypatch.setattr(TwoPCSite, "_suspect",
+                            lambda self, request: True)
+        repro_dir = tmp_path / "repros"
+        assert main(["chaos", "--baseline", "2pc", "--budget", "4",
+                     "--seed", "7", "--shrink",
+                     "--repro-dir", str(repro_dir)]) == 1
+        assert "repro written:" in capsys.readouterr().out
+        artifact = sorted(repro_dir.glob("chaos_2pc_*.json"))[0]
+        assert main(["chaos", "--replay", str(artifact)]) == 1
+        assert "still failing: reproduced" in capsys.readouterr().out
+        monkeypatch.undo()
+        assert main(["chaos", "--replay", str(artifact)]) == 0
+        assert "clean" in capsys.readouterr().out
