@@ -9,11 +9,13 @@
     python -m repro trace tests/repros/<name>.json --site S1 --kind vm.
 
 ``run`` uses the quick presets by default (seconds); ``--full``
-reproduces the tables recorded in EXPERIMENTS.md. Each experiment is a
-grid of independent cells: ``--jobs N`` computes them on N worker
-processes, and results are memoized under ``--cache-dir`` (default
-``.repro-cache``) so repeat runs with unchanged parameters replay
-instantly; ``--no-cache`` recomputes everything.
+reproduces the tables recorded in EXPERIMENTS.md. Each table is judged
+by its experiment's own ``claims``: a violated claim is named on stderr
+and the exit status is 1 (stdout is the tables, nothing else). Each
+experiment is a grid of independent cells: ``--jobs N`` computes them
+on N worker processes, and results are memoized under ``--cache-dir``
+(default ``.repro-cache``) so repeat runs with unchanged parameters
+replay instantly; ``--no-cache`` recomputes everything.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ def _cmd_run(args) -> int:
     evaluator = GridEvaluator(jobs=args.jobs, cache=cache)
     targets = (experiments.all_ids() if args.experiment.lower() == "all"
                else [args.experiment])
+    violated = False
     for experiment_id in targets:
         try:
             module = experiments.get(experiment_id)
@@ -53,14 +56,19 @@ def _cmd_run(args) -> int:
                   file=sys.stderr)
             return 2
         params = module.Params() if args.full else module.Params.quick()
-        print(module.run(params, evaluate=evaluator))
+        table = module.run(params, evaluate=evaluator)
+        print(table)
         print()
+        for claim in module.claims(table, params):
+            print(f"{module.EXPERIMENT}: claim violated: {claim}",
+                  file=sys.stderr)
+            violated = True
     if cache is not None:
         print(f"[cells: {evaluator.cache_hits} cached, "
               f"{evaluator.computed} computed "
               f"(jobs={args.jobs}, cache={cache.root})]",
               file=sys.stderr)
-    return 0
+    return 1 if violated else 0
 
 
 def _cmd_chaos(args) -> int:

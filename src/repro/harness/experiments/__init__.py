@@ -1,4 +1,5 @@
-"""One module per experiment; see DESIGN.md §4 for the index.
+"""One module per experiment — its cells, its table and its claims;
+see DESIGN.md §4 for the index.
 
 Modules are imported lazily so that running one experiment never pays
 for (or breaks on) the others.
@@ -29,7 +30,7 @@ _MODULES = {
 
 
 def get(experiment_id: str):
-    """Import and return the module for an experiment id ("E1".."E10")."""
+    """Import and return the module for an experiment id ("E1".."E16")."""
     name = _MODULES[experiment_id.upper()]
     return importlib.import_module(f"repro.harness.experiments.{name}")
 

@@ -237,5 +237,32 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """DvP's decision time and lock hold stay within the timeout, with
+    nobody blocked at heal, whatever the partition length; 2PC's worst
+    lock hold tracks the longest partition."""
+    violated = []
+    bound = params.txn_timeout + 1e-6
+    rows = table.records()
+    for row in rows:
+        if row["system"] == "DvP" and (
+                row["max decision t"] > bound
+                or row["max lock hold"] > bound
+                or row["blocked>bound at heal"] != 0):
+            violated.append(
+                f"DvP at a {row['partition']:g}-unit partition: decision "
+                f"{row['max decision t']}, lock hold "
+                f"{row['max lock hold']}, "
+                f"{row['blocked>bound at heal']} blocked at heal — not "
+                f"bounded by the timeout ({params.txn_timeout:g})")
+    longest = max((row for row in rows if row["system"] == "2PC"),
+                  key=lambda row: row["partition"])
+    if not longest["max lock hold"] > 0.8 * longest["partition"]:
+        violated.append(
+            f"2PC's worst lock hold ({longest['max lock hold']}) does "
+            f"not track the {longest['partition']:g}-unit partition")
+    return violated
+
+
 if __name__ == "__main__":
     print(run())

@@ -158,5 +158,26 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """Under any real split (groups > 1) every DvP group keeps
+    committing while quorum and primary-copy starve their worst group
+    entirely."""
+    violated = []
+    for row in table.records():
+        if row["groups"] == 1:
+            continue
+        worst = row["worst-group commit%"]
+        if row["system"] == "DvP":
+            if worst < 90.0:
+                violated.append(
+                    f"DvP's worst of {row['groups']} groups commits "
+                    f"only {worst}% inside the window")
+        elif worst != 0.0:
+            violated.append(
+                f"{row['system']}'s worst of {row['groups']} groups "
+                f"still commits {worst}% — the split is inert")
+    return violated
+
+
 if __name__ == "__main__":
     print(run())

@@ -134,5 +134,24 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """At every loss rate value is conserved and no Vm is left live
+    after the settle; retransmissions per Vm rise with the loss."""
+    violated = []
+    rows = table.records()
+    for row in rows:
+        if row["conserved"] != "yes" or row["live Vm after settle"] != 0:
+            violated.append(
+                f"loss {row['loss']:g}: conserved={row['conserved']}, "
+                f"{row['live Vm after settle']} Vm still live")
+    calm = min(rows, key=lambda row: row["loss"])
+    lossy = max(rows, key=lambda row: row["loss"])
+    if lossy["retx/Vm"] < calm["retx/Vm"]:
+        violated.append(
+            f"retx/Vm falls from {calm['retx/Vm']} at loss "
+            f"{calm['loss']:g} to {lossy['retx/Vm']} at {lossy['loss']:g}")
+    return violated
+
+
 if __name__ == "__main__":
     print(run())

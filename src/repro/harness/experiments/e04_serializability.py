@@ -116,5 +116,17 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """Under both schemes and every rate the commit-order replay finds
+    no read mismatch and no negative dip, and value is conserved."""
+    return [
+        f"{row['scheme']} at rate {row['rate']:g}: "
+        f"{row['read mismatch']} read mismatches, {row['neg dips']} "
+        f"negative dips, conserved={row['conserved']}"
+        for row in table.records()
+        if row["read mismatch"] != 0 or row["neg dips"] != 0
+        or row["conserved"] != "yes"]
+
+
 if __name__ == "__main__":
     print(run())

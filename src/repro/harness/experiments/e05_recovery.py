@@ -223,5 +223,24 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """A DvP site resumes after exchanging no message, even as the
+    lone survivor; a 2PC participant must reach its coordinator, and
+    cut off from it keeps its in-doubt items locked."""
+    violated = []
+    rows = {row["scenario"]: row for row in table.records()}
+    for scenario in ("dvp-one", "dvp-all"):
+        messages = rows[scenario]["msgs before resume"]
+        if messages != 0:
+            violated.append(f"{scenario} exchanged {messages} messages "
+                            "before resuming")
+    for scenario in ("2pc-reachable", "2pc-cut-off"):
+        if rows[scenario]["msgs before resume"] < 1:
+            violated.append(f"{scenario} resumed without a message")
+    if rows["2pc-cut-off"]["items still locked"] < 1:
+        violated.append("2pc-cut-off left no item locked")
+    return violated
+
+
 if __name__ == "__main__":
     print(run())

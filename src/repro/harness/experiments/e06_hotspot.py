@@ -251,5 +251,39 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """At the largest site count run under all three systems the
+    exclusive lock has saturated while escrow and DvP keep scaling, and
+    DvP's local commits beat the central escrow's p95; at an equal
+    shipment budget a demand-aware rebalance policy out-commits
+    static-rr."""
+    violated = []
+    systems: dict[int, dict[str, dict]] = {}
+    for row in table.records():
+        systems.setdefault(row["sites"], {})[row["system"]] = row
+    largest = max(count for count, rows in systems.items()
+                  if {"lock", "escrow", "DvP"} <= set(rows))
+    lock, escrow, dvp = (systems[largest][name]
+                         for name in ("lock", "escrow", "DvP"))
+    for rival in (escrow, dvp):
+        if not rival["throughput"] > lock["throughput"]:
+            violated.append(
+                f"at {largest} sites {rival['system']}'s throughput "
+                f"({rival['throughput']}) is not above the lock's "
+                f"({lock['throughput']})")
+    if not dvp["p95 latency"] < escrow["p95 latency"]:
+        violated.append(
+            f"at {largest} sites DvP's p95 ({dvp['p95 latency']}) is "
+            f"not below escrow's ({escrow['p95 latency']})")
+    policies = {row["system"]: row["commit%"] for row in table.records()
+                if row["system"].startswith("DvP+")}
+    static = policies.pop("DvP+static-rr")
+    if not max(policies.values()) > static:
+        violated.append(
+            f"no demand-aware policy out-commits static-rr ({static}%): "
+            f"{policies}")
+    return violated
+
+
 if __name__ == "__main__":
     print(run())

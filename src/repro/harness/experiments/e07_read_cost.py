@@ -149,5 +149,28 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """An update on a funded fragment costs no message at any scale; a
+    full read costs at least a request and a drain per peer, so its
+    message count grows with the site count."""
+    violated = []
+    rows = table.records()
+    for row in rows:
+        if row["update msgs"] != 0:
+            violated.append(f"an update at {row['sites']} sites cost "
+                            f"{row['update msgs']} messages")
+        if row["read msgs"] < 2 * (row["sites"] - 1):
+            violated.append(
+                f"a full read at {row['sites']} sites cost "
+                f"{row['read msgs']} messages, fewer than two per peer")
+    smallest = min(rows, key=lambda row: row["sites"])
+    largest = max(rows, key=lambda row: row["sites"])
+    if not largest["read msgs"] > smallest["read msgs"]:
+        violated.append(
+            f"read messages do not grow from {smallest['sites']} to "
+            f"{largest['sites']} sites")
+    return violated
+
+
 if __name__ == "__main__":
     print(run())

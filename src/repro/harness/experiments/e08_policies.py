@@ -146,5 +146,15 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """Asking one peer costs fewer messages per commit than
+    broadcasting the request."""
+    cost = {row["policy"]: row["msgs/commit"] for row in table.records()}
+    if not cost["ask-few(1)"] < cost["ask-all"]:
+        return [f"ask-few(1) pays {cost['ask-few(1)']} msgs/commit, not "
+                f"fewer than ask-all's {cost['ask-all']}"]
+    return []
+
+
 if __name__ == "__main__":
     print(run())

@@ -111,5 +111,15 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """The non-blocking bound: at every point of the frontier the
+    slowest decision arrives within the timeout."""
+    return [
+        f"timeout {row['timeout']:g}, {row['retries']} retries: a "
+        f"decision took {row['max decision t']}"
+        for row in table.records()
+        if row["max decision t"] > row["timeout"] + 1e-6]
+
+
 if __name__ == "__main__":
     print(run())

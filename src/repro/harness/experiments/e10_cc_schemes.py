@@ -124,5 +124,28 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """Value is conserved under every scheme and network; Conc1 is
+    serializable on both networks; Conc2 on its synchronous network
+    turns Conc1's aborts into waits, so it commits at least as much."""
+    violated = []
+    rows = {(row["scheme"], row["network"]): row
+            for row in table.records()}
+    for (scheme, network), row in rows.items():
+        if row["conserved"] != "yes":
+            violated.append(f"{scheme}/{network} did not conserve value")
+        if scheme == "conc1" and row["serializability violations"] != 0:
+            violated.append(
+                f"conc1/{network}: "
+                f"{row['serializability violations']} serializability "
+                "violations")
+    conc2, conc1 = rows[("conc2", "sync")], rows[("conc1", "async")]
+    if conc2["commit%"] < conc1["commit%"]:
+        violated.append(
+            f"conc2/sync commits {conc2['commit%']}%, below "
+            f"conc1/async's {conc1['commit%']}%")
+    return violated
+
+
 if __name__ == "__main__":
     print(run())

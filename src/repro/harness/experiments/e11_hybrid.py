@@ -174,5 +174,31 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """DvP wins the update phase on latency, the centralized regime
+    wins the read phase on commit rate, and the hybrid matches the
+    winner's side of each comparison."""
+    rows = {(row["regime"], row["phase"]): row
+            for row in table.records()}
+    latency = {regime: rows[(regime, "updates")]["mean latency"]
+               for regime in REGIMES}
+    commit = {regime: rows[(regime, "reads")]["commit%"]
+              for regime in REGIMES}
+    violated = []
+    if not latency["dvp"] < latency["central"]:
+        violated.append(f"update latency: dvp {latency['dvp']} is not "
+                        f"below central {latency['central']}")
+    if not commit["central"] > commit["dvp"]:
+        violated.append(f"read commit%: central {commit['central']} is "
+                        f"not above dvp {commit['dvp']}")
+    if latency["hybrid"] > latency["central"]:
+        violated.append(f"update latency: hybrid {latency['hybrid']} is "
+                        f"above central {latency['central']}")
+    if commit["hybrid"] < commit["dvp"]:
+        violated.append(f"read commit%: hybrid {commit['hybrid']} is "
+                        f"below dvp {commit['dvp']}")
+    return violated
+
+
 if __name__ == "__main__":
     print(run())

@@ -160,5 +160,39 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """With the daemon off nothing is shipped; with it on, under at
+    least two policies, every cell ships, the best one lifts the sale
+    commit rate and the best one cuts the on-demand request traffic."""
+    violated = []
+    rows = table.records()
+    off_rows = [row for row in rows if row["daemon period"] == "off"]
+    daemons = [row for row in rows if row["daemon period"] != "off"]
+    if len(off_rows) != 1 or not daemons:
+        return [f"{len(off_rows)} daemon-off rows and {len(daemons)} "
+                "daemon rows: nothing to compare"]
+    off, = off_rows
+    if off["policy"] != "-" or off["ships"] != 0:
+        violated.append(f"the daemon-off row carries policy "
+                        f"{off['policy']!r} and {off['ships']} ships")
+    idle = [row for row in daemons if row["ships"] <= 0]
+    if idle:
+        violated.append(
+            "a running daemon shipped nothing: "
+            + ", ".join(f"{row['policy']}@{row['daemon period']:g}"
+                        for row in idle))
+    if not max(row["sale commit%"] for row in daemons) \
+            > off["sale commit%"]:
+        violated.append("no daemon cell lifts the sale commit rate "
+                        f"above the daemon-off {off['sale commit%']}%")
+    if not min(row["demand requests"] for row in daemons) \
+            < off["demand requests"]:
+        violated.append("no daemon cell sends fewer demand requests "
+                        f"than the daemon-off {off['demand requests']}")
+    if len({row["policy"] for row in daemons}) < 2:
+        violated.append("fewer than two rebalance policies swept")
+    return violated
+
+
 if __name__ == "__main__":
     print(run())

@@ -191,5 +191,33 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """Without topology changes nothing migrates and no epoch passes;
+    a join plus a decommission is exactly two epochs and ships value;
+    and no phase's commit rate falls more than 20 points below the
+    undisturbed run at the same scale."""
+    violated = []
+    rows = {(row["sites"], row["reshard"]): row
+            for row in table.records()}
+    for sites in sorted({sites for sites, _reshard in rows}):
+        off, on = rows[(sites, "off")], rows[(sites, "join+leave")]
+        if off["migration ships"] != 0 or off["epochs"] != 0:
+            violated.append(
+                f"{sites} sites, reshard off: {off['migration ships']} "
+                f"ships and {off['epochs']} epochs")
+        if (on["epochs"] != 2 or on["migration ships"] <= 0
+                or on["value moved"] <= 0):
+            violated.append(
+                f"{sites} sites, join+leave: {on['epochs']} epochs, "
+                f"{on['migration ships']} ships moving "
+                f"{on['value moved']}")
+        for phase in ("commit% before", "during", "after"):
+            if on[phase] < off[phase] - 20.0:
+                violated.append(
+                    f"{sites} sites, {phase}: {on[phase]}% under "
+                    f"reshard vs {off[phase]}% undisturbed")
+    return violated
+
+
 if __name__ == "__main__":
     print(run())

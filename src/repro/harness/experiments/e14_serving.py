@@ -196,3 +196,63 @@ def run(params: Params | None = None, evaluate=None) -> Table:
                               round(p99, 2),
                               knee if knee is not None else "-")
     return table
+
+
+#: The grid where informed routing must already win from 80% of
+#: random's knee load: small enough that locality's hot owners never
+#: saturate on absolute load, so the comparison isolates the routing
+#: policy. Larger grids owe the win only strictly past the knee.
+HEADLINE_SITES = 16
+KNEE_FRACTION = 0.8
+
+
+def claims(table: Table, params: Params) -> list[str]:
+    """The sweep crosses saturation (random and lq-unbounded both reach
+    a knee); from the knee on, the better informed router holds a
+    lower p99 than random; past the unbounded queue's knee, the bounded
+    queue holds a lower p99 by shedding, where the unbounded one never
+    sheds."""
+    violated = []
+    series: dict[tuple[int, str], dict[float, dict]] = {}
+    for row in table.records():
+        series.setdefault((row["sites"], row["policy"]),
+                          {})[row["rate/site"]] = row
+    knees = {key: next(iter(rows.values()))["knee"]
+             for key, rows in series.items()}
+    for sites_n in sorted({sites_n for sites_n, _policy in series}):
+        for policy in ("random", "lq-unbounded"):
+            if knees[(sites_n, policy)] == "-":
+                violated.append(f"n={sites_n} {policy}: no saturation "
+                                f"knee inside rates {params.rates}")
+        knee = knees[(sites_n, "random")]
+        if knee != "-":
+            threshold = (KNEE_FRACTION * knee if sites_n == HEADLINE_SITES
+                         else knee + 1e-9)
+            for rate, row in series[(sites_n, "random")].items():
+                informed = min(
+                    series[(sites_n, "least-queue")][rate]["p99"],
+                    series[(sites_n, "locality")][rate]["p99"])
+                if rate >= threshold and not informed < row["p99"]:
+                    violated.append(
+                        f"n={sites_n} rate={rate:g}: best informed p99 "
+                        f"{informed} not below random's {row['p99']}")
+        knee = knees[(sites_n, "lq-unbounded")]
+        if knee != "-":
+            for rate, row in series[(sites_n, "lq-unbounded")].items():
+                if rate <= knee:
+                    continue
+                bounded = series[(sites_n, "least-queue")][rate]
+                if not bounded["p99"] < row["p99"]:
+                    violated.append(
+                        f"n={sites_n} rate={rate:g}: bounded p99 "
+                        f"{bounded['p99']} not below unbounded "
+                        f"{row['p99']}")
+                if not bounded["shed%"] > 0:
+                    violated.append(
+                        f"n={sites_n} rate={rate:g}: the bounded queue "
+                        "shed nothing past the knee")
+                if row["shed%"] != 0:
+                    violated.append(
+                        f"n={sites_n} rate={rate:g}: the unbounded "
+                        f"queue shed {row['shed%']}%")
+    return violated

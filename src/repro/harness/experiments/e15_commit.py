@@ -270,5 +270,33 @@ def run(params: Params | None = None, evaluate=None) -> Table:
     return table
 
 
+def claims(table: Table, params: Params) -> list[str]:
+    """Through the crash + partition window DvP's availability, overall
+    and in the worst-served group, is at least that of every
+    coordinated protocol and strictly greater somewhere, at every site
+    count — and DvP leaves no one blocked."""
+    violated = []
+    rows = {(row["sites"], row["protocol"]): row
+            for row in table.records()}
+    for sites in sorted({sites for sites, _protocol in rows}):
+        dvp = rows[(sites, "dvp")]
+        if dvp["blocked@end"] != 0:
+            violated.append(f"n={sites}: dvp left {dvp['blocked@end']} "
+                            "blocked at the window's end")
+        strictly = False
+        for rival in ("2pc", "paxos", "quorum"):
+            for metric in ("window avail%", "worst group%"):
+                theirs = rows[(sites, rival)][metric]
+                if dvp[metric] < theirs:
+                    violated.append(
+                        f"n={sites}: dvp {metric} {dvp[metric]} below "
+                        f"{rival}'s {theirs}")
+                strictly = strictly or dvp[metric] > theirs
+        if not strictly:
+            violated.append(f"n={sites}: dvp never strictly dominates "
+                            "— the fault window is inert")
+    return violated
+
+
 if __name__ == "__main__":
     print(run())

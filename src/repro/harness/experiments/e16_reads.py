@@ -102,14 +102,8 @@ def _wire_regions(system: DvPSystem, params: Params) -> dict[str, int]:
     return region
 
 
-def _cell(params: Params, sites_n: int, wan: bool, ratio: int,
-          mode: str) -> tuple:
-    """Build and run one cell; returns (system, frontend, collector).
-
-    Split out of :func:`_run_one` so the reads benchmark can gate on
-    the raw per-transaction results (certificate staleness, per-read
-    message counts) instead of the table's aggregates.
-    """
+def _run_one(params: Params, sites_n: int, wan: bool, ratio: int,
+             mode: str) -> tuple:
     sites = [f"S{index}" for index in range(sites_n)]
     system = DvPSystem(SystemConfig(
         sites=sites, seed=params.seed, txn_timeout=params.txn_timeout,
@@ -155,13 +149,7 @@ def _cell(params: Params, sites_n: int, wan: bool, ratio: int,
     system.sim.run_until(params.duration + params.txn_timeout
                          + params.settle)
     system.auditor.assert_ok()
-    return system, frontend, collector
 
-
-def _run_one(params: Params, sites_n: int, wan: bool, ratio: int,
-             mode: str) -> tuple:
-    _system, _frontend, collector = _cell(params, sites_n, wan, ratio,
-                                          mode)
     results = collector.results
     reads = [txn for txn in results
              if txn.label.startswith(("estimate:", "audit:"))]
@@ -225,3 +213,54 @@ def run(params: Params | None = None, evaluate=None) -> Table:
                         round(served, 1), round(msgs, 2),
                         round(p50, 2), round(p99, 2), round(stale, 2))
     return table
+
+
+def claims(table: Table, params: Params) -> list[str]:
+    """A certificate-served read sends no message — a view cell's
+    messages per read are all accounted for by its fallbacks at fan-out
+    cost — and never overshoots the reader's bound; the view tier
+    serves most committed reads where the exact read pays a message per
+    peer; on the WAN at the largest scale the view cell commits more
+    reads and, wherever the fan-out commits any, holds a p99 at least
+    5x below it."""
+    violated = []
+    cells: dict[tuple, dict[str, dict]] = {}
+    for row in table.records():
+        cells.setdefault((row["sites"], row["wan"], row["r:w"]),
+                         {})[row["mode"]] = row
+    largest = max(sites for sites, _wan, _ratio in cells)
+    for (sites, wan, ratio), modes in cells.items():
+        where = f"n={sites} {wan} {ratio}"
+        view, fanout = modes["view"], modes["fanout"]
+        peers = sites - 1
+        # The table rounds served% to 0.1 and msg/read to 0.01.
+        fallback_cost = ((1 - view["served%"] / 100) * peers
+                         + 0.0005 * peers + 0.005)
+        if view["reads"] == 0:
+            violated.append(f"{where}: no committed view reads")
+        if view["msg/read"] > fallback_cost:
+            violated.append(
+                f"{where}: {view['msg/read']} msg/read with "
+                f"{view['served%']}% served — certificate-served reads "
+                "are sending messages")
+        if view["served%"] < 50.0:
+            violated.append(f"{where}: views served only "
+                            f"{view['served%']}% of committed reads")
+        if view["stale_max"] > params.bound + 1e-9:
+            violated.append(
+                f"{where}: a certificate {view['stale_max']} stale was "
+                f"accepted against the bound {params.bound:g}")
+        if fanout["reads"] and fanout["msg/read"] < peers:
+            violated.append(
+                f"{where}: the exact read paid {fanout['msg/read']} "
+                f"msg/read, fewer than one per peer ({peers})")
+        if wan == "wan" and sites == largest:
+            if not view["reads"] > fanout["reads"]:
+                violated.append(
+                    f"{where}: views commit {view['reads']} reads, "
+                    f"the fan-out {fanout['reads']}")
+            if fanout["reads"] and not view["p99"] * 5 <= fanout["p99"]:
+                violated.append(
+                    f"{where}: view p99 {view['p99']} not 5x below "
+                    f"the fan-out's {fanout['p99']}")
+    return violated

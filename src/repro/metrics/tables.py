@@ -1,8 +1,8 @@
 """Fixed-width table rendering for experiment output.
 
-Every experiment returns a :class:`Table`; the benchmark harness prints
-it so `pytest benchmarks/ --benchmark-only` regenerates the report that
-EXPERIMENTS.md records.
+Every experiment returns a :class:`Table`: ``python -m repro run``
+prints it (the report EXPERIMENTS.md records) and hands it to the
+experiment's own ``claims``, which read it back by column name.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ class Table:
     def column(self, name: str) -> list[Any]:
         index = self.columns.index(name)
         return [row[index] for row in self.rows]
+
+    def records(self) -> list[dict[str, Any]]:
+        """Each row as a column-name -> value mapping."""
+        return [dict(zip(self.columns, row)) for row in self.rows]
 
     def render(self) -> str:
         cells = [[_format_cell(value) for value in row] for row in self.rows]

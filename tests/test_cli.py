@@ -67,9 +67,33 @@ class TestCommands:
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_run_all_quick(self, capsys):
+        """Exit 0 is every experiment's claims holding on its quick
+        table; stderr is where a violated one would be named."""
         assert main(["run", "all", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "E1:" in out and "E12:" in out
+        captured = capsys.readouterr()
+        assert "E1:" in captured.out and "E16:" in captured.out
+        assert captured.err == ""
+
+    def test_run_names_a_violated_claim(self, capsys, monkeypatch):
+        """A stubbed cell plants a recovering DvP site that exchanged
+        messages before it resumed: the table still goes to stdout,
+        the claim is named on stderr, the exit status is 1."""
+        from repro.harness.experiments import e05_recovery
+
+        honest = e05_recovery._dvp_one
+
+        def chatty(params):
+            return {**honest(params), "messages_before_resume": 3}
+
+        assert main(["run", "E5", "--no-cache"]) == 0
+        clean = capsys.readouterr()
+        monkeypatch.setattr(e05_recovery, "_dvp_one", chatty)
+        assert main(["run", "E5", "--no-cache"]) == 1
+        planted = capsys.readouterr()
+        assert planted.err == ("E5: claim violated: dvp-one exchanged 3 "
+                               "messages before resuming\n")
+        assert planted.out.splitlines()[:4] == clean.out.splitlines()[:4]
+        assert "dvp-one        3" in planted.out
 
     def test_chaos_explore_clean_and_deterministic(self, capsys):
         assert main(["chaos", "--budget", "4", "--seed", "7"]) == 0

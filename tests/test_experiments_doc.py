@@ -1,28 +1,31 @@
-"""EXPERIMENTS.md says what the code prints (ISSUE 18).
+"""EXPERIMENTS.md says what the code prints, and what it prints
+reproduces the claim.
 
-Every experiment whose table EXPERIMENTS.md records, and whose full
-preset runs in seconds, is rendered from its ``--full`` preset and must
-appear in the document *verbatim* — what ``python -m repro run EN
---full --no-cache`` prints. A change that moves a recorded number
-fails here until the table (and the prose quoting it) is regenerated.
+Every experiment whose full preset runs in seconds is rendered from its
+``--full`` preset; the render must appear in the document *verbatim* —
+what ``python -m repro run EN --full --no-cache`` prints — and the
+module's own ``claims`` must find nothing violated in it. A change that
+moves a recorded number fails here until the table (and the prose
+quoting it) is regenerated. Every experiment in the registry has a
+section in the document and a row in DESIGN.md §4.
 """
 
 import pathlib
+import re
 import time
 
 import pytest
 
 from repro.harness import experiments
 
-DOCUMENT = (pathlib.Path(__file__).parent.parent
-            / "EXPERIMENTS.md").read_text()
+ROOT = pathlib.Path(__file__).parent.parent
+DOCUMENT = (ROOT / "EXPERIMENTS.md").read_text()
 
-#: Recorded tables whose full preset is too slow for tier-1.
+#: Recorded tables whose full preset is too slow for tier-1 (CI's
+#: ``serving`` job runs ``python -m repro run E14 --full`` instead).
 SKIPPED = {"E14": "its full preset takes about a minute (56 s measured)"}
 
-#: E13, E15 and E16 have no section in EXPERIMENTS.md yet (ROADMAP).
-RECORDED = ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
-            "E11", "E12", "E14"]
+RECORDED = experiments.all_ids()
 
 
 @pytest.mark.parametrize("experiment_id", RECORDED)
@@ -30,16 +33,28 @@ def test_full_table_is_what_the_document_records(experiment_id):
     if experiment_id in SKIPPED:
         pytest.skip(SKIPPED[experiment_id])
     module = experiments.get(experiment_id)
+    params = module.Params()
     started = time.perf_counter()
-    rendered = str(module.run(module.Params()))
+    table = module.run(params)
+    rendered = str(table)
     assert rendered in DOCUMENT, (
         f"EXPERIMENTS.md does not record what `python -m repro run "
         f"{experiment_id} --full --no-cache` prints "
         f"({time.perf_counter() - started:.1f} s):\n{rendered}")
+    assert module.claims(table, params) == []
 
 
 def test_every_recorded_section_is_covered():
-    """A section added to the document joins RECORDED (or SKIPPED)."""
+    """A section added to the document joins the registry, and an
+    experiment added to the registry gets a section."""
     sections = {line.split()[1] for line in DOCUMENT.splitlines()
                 if line.startswith("## E")}
     assert sections == set(RECORDED)
+
+
+def test_every_experiment_has_an_index_row():
+    """DESIGN.md §4 says, for every experiment, what its claims check."""
+    index = (ROOT / "DESIGN.md").read_text().split(
+        "## 4. Experiment index")[1].split("\n## 5.")[0]
+    rows = re.findall(r"^\| (E\d+) \|", index, flags=re.MULTILINE)
+    assert rows == experiments.all_ids()

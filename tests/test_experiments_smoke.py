@@ -1,7 +1,11 @@
-"""Smoke tests: every experiment module runs its quick preset and
-produces a well-formed table. (The benchmarks assert the claim shapes;
-these only guard importability and structural integrity, so the plain
-test suite catches breakage without paying full experiment cost.)"""
+"""Every experiment module runs its quick preset, produces a
+well-formed table, and that table reproduces the experiment's claim:
+``claims(table, params)`` names nothing violated. (The full presets are
+judged the same way where EXPERIMENTS.md records them —
+tests/test_experiments_doc.py.)"""
+
+import copy
+import functools
 
 import pytest
 
@@ -9,15 +13,23 @@ from repro.harness import experiments
 from repro.metrics.tables import Table
 
 
+@functools.lru_cache(maxsize=None)
+def quick(experiment_id):
+    """(module, quick params, its table) — each experiment runs once."""
+    module = experiments.get(experiment_id)
+    params = module.Params.quick()
+    return module, params, module.run(params)
+
+
 @pytest.mark.parametrize("experiment_id", experiments.all_ids())
 def test_quick_preset_produces_table(experiment_id):
-    module = experiments.get(experiment_id)
-    table = module.run(module.Params.quick())
+    module, params, table = quick(experiment_id)
     assert isinstance(table, Table)
     assert table.rows
     assert table.columns
     rendered = table.render()
     assert table.title in rendered
+    assert module.claims(table, params) == []
 
 
 def test_registry_is_complete():
@@ -27,6 +39,43 @@ def test_registry_is_complete():
 def test_unknown_experiment_rejected():
     with pytest.raises(KeyError):
         experiments.get("E99")
+
+
+class TestE6Claim:
+    """The gate this claim replaces addressed E6's table by position
+    and took the largest ``sites`` value for the scale to compare at.
+    Since the ``DvP+<policy>`` rows joined the table that value is
+    their 6-site row on the quick preset, which has no lock or escrow:
+    the gate raised, in a file no job ran."""
+
+    def test_the_old_gate_raises_on_the_quick_table(self):
+        _module, _params, table = quick("E6")
+        rows = {(row[0], row[1]): row for row in table.rows}
+        largest = sorted({row[0] for row in table.rows})[-1]
+        with pytest.raises(KeyError):
+            assert rows[(largest, "escrow")][3] > rows[(largest, "lock")][3]
+
+    def test_compares_where_all_three_systems_ran(self):
+        module, params, table = quick("E6")
+        assert module.claims(table, params) == []
+        planted = copy.deepcopy(table)
+        by_system = {(row[0], row[1]): row for row in planted.rows}
+        throughput = planted.columns.index("throughput")
+        by_system[(4, "escrow")][throughput] = \
+            by_system[(4, "lock")][throughput]
+        violated = module.claims(planted, params)
+        assert len(violated) == 1
+        assert "at 4 sites escrow's throughput" in violated[0]
+
+    def test_a_demand_aware_policy_must_out_commit_static_rr(self):
+        module, params, table = quick("E6")
+        planted = copy.deepcopy(table)
+        commit = planted.columns.index("commit%")
+        for row in planted.rows:
+            if row[1].startswith("DvP+"):
+                row[commit] = 90.0
+        violated = module.claims(planted, params)
+        assert len(violated) == 1 and "static-rr" in violated[0]
 
 
 class TestE11TypedRefusals:
