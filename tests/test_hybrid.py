@@ -277,3 +277,32 @@ class TestPathSensitive:
         system.auditor.assert_ok()
         assert system.auditor.expected("x") == 89
         assert hybrid.local_commits > 0
+
+    def test_fast_path_sends_fewer_messages_for_the_same_outcome(self):
+        """Soethout et al.'s point, in counts: the same traffic at
+        non-home sites ends in the same value either way, and with the
+        fast path on the provably-local part of it is never forwarded,
+        so fewer messages cross the network."""
+        def run(path_sensitive):
+            system, hybrid = (build_path_sensitive() if path_sensitive
+                              else build())
+            consolidate(system, hybrid)
+            for _round in range(5):
+                for site in ("B", "C"):
+                    hybrid.submit(site, TransactionSpec(
+                        ops=(IncrementOp("x", 2),)))
+                    system.run_for(1.0)
+                hybrid.submit("B", TransactionSpec(
+                    ops=(DecrementOp("x", 1),)))
+                system.run_for(1.0)
+            system.run_for(60.0)
+            system.auditor.assert_ok()
+            return (hybrid, system.network.total_sent,
+                    system.auditor.expected("x"))
+
+        forwarding, forwarded_sent, forwarded_value = run(False)
+        local, local_sent, local_value = run(True)
+        assert forwarding.local_commits == 0 < local.local_commits
+        assert local.forwarded < forwarding.forwarded
+        assert local_sent < forwarded_sent
+        assert local_value == forwarded_value == 90 + 5 * (2 + 2 - 1)

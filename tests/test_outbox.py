@@ -8,6 +8,8 @@ paper's invariants — conservation, identical outcomes — survive every
 fault the bundle can hit as a unit (loss, partition, duplication).
 """
 
+import random
+
 import pytest
 
 from repro.core.domain import CounterDomain
@@ -460,6 +462,50 @@ def drive_system(system, rate=0.1, duration=150.0, settle=300.0):
     return collector
 
 
+def run_fanned(bundling):
+    """Three-op transfers fanned toward one peer at a time, over
+    per-site cycling items so no two in-flight transactions conflict;
+    run to quiescence and audited."""
+    names = ["W", "X", "Y", "Z"]
+    system = DvPSystem(SystemConfig(
+        sites=names, seed=11, txn_timeout=15.0,
+        retransmit_period=12.0,
+        link=LinkConfig(base_delay=2.0, jitter=1.0),
+        bundling=bundling))
+    n_items = 32
+
+    class Fanned:
+        def __init__(self):
+            self.next = {name: 0 for name in names}
+
+        def make_spec(self, rng: random.Random,
+                      site: str) -> TransactionSpec:
+            peers = [peer for peer in names if peer != site]
+            other = rng.choice(peers)
+            base = self.next[site]
+            self.next[site] = base + 3
+            return TransactionSpec(ops=tuple(
+                TransferOp(f"acct_{site}_{(base + j) % n_items}",
+                           f"sink_{other}_{(base + j) % n_items}",
+                           rng.randint(1, 4))
+                for j in range(3)))
+
+    for name in names:
+        split = {peer: 50 for peer in names if peer != name}
+        for index in range(n_items):
+            system.add_item(f"acct_{name}_{index}", CounterDomain(),
+                            split=split)
+            system.add_item(f"sink_{name}_{index}", CounterDomain(),
+                            split={peer: 1 for peer in names})
+    config = WorkloadConfig(arrival_rate=0.3, duration=120.0)
+    WorkloadDriver(system.sim, system, names, Fanned(), config,
+                   Collector()).install()
+    system.run_until(120.0)
+    system.run_for(60.0)
+    system.auditor.assert_ok()
+    return system
+
+
 class TestBundledSystem:
     @pytest.mark.parametrize("seed", range(3))
     def test_conservation_with_bundling(self, seed):
@@ -474,47 +520,22 @@ class TestBundledSystem:
         """Multi-op transfers toward one peer leave several same-instant
         data messages; the piggybacks they carry make the explicit acks
         redundant, and the coalescer counts every one it elides."""
-        import random
-
-        names = ["W", "X", "Y", "Z"]
-        system = DvPSystem(SystemConfig(
-            sites=names, seed=11, txn_timeout=15.0,
-            retransmit_period=12.0,
-            link=LinkConfig(base_delay=2.0, jitter=1.0),
-            bundling=BundlingConfig(flush_delay=2.0)))
-        n_items = 32
-
-        class Fanned:
-            def __init__(self):
-                self.next = {name: 0 for name in names}
-
-            def make_spec(self, rng: random.Random,
-                          site: str) -> TransactionSpec:
-                peers = [peer for peer in names if peer != site]
-                other = rng.choice(peers)
-                base = self.next[site]
-                self.next[site] = base + 3
-                return TransactionSpec(ops=tuple(
-                    TransferOp(f"acct_{site}_{(base + j) % n_items}",
-                               f"sink_{other}_{(base + j) % n_items}",
-                               rng.randint(1, 4))
-                    for j in range(3)))
-
-        for name in names:
-            split = {peer: 50 for peer in names if peer != name}
-            for index in range(n_items):
-                system.add_item(f"acct_{name}_{index}", CounterDomain(),
-                                split=split)
-                system.add_item(f"sink_{name}_{index}", CounterDomain(),
-                                split={peer: 1 for peer in names})
-        config = WorkloadConfig(arrival_rate=0.3, duration=120.0)
-        WorkloadDriver(system.sim, system, names, Fanned(), config,
-                       Collector()).install()
-        system.run_until(120.0)
-        system.run_for(60.0)
-        system.auditor.assert_ok()
+        system = run_fanned(BundlingConfig(flush_delay=2.0))
         assert len(system.committed()) > 0
         assert system.sim.metrics.total("vm.acks_suppressed") > 0
+
+    def test_bundling_cuts_envelopes_and_kernel_events(self):
+        """What bundling is for, in counts: the same fanned transfers
+        decide identically with fewer real envelopes and fewer kernel
+        events — and without it no ack is ever suppressed."""
+        off = run_fanned(None)
+        bundled = run_fanned(BundlingConfig(flush_delay=2.0))
+        assert len(off.results) == len(bundled.results)
+        assert len(off.committed()) == len(bundled.committed()) > 0
+        assert (bundled.sim.metrics.total("net.sent")
+                < off.sim.metrics.total("net.sent"))
+        assert bundled.sim.steps < off.sim.steps
+        assert off.sim.metrics.total("vm.acks_suppressed") == 0
 
     def test_conservation_with_lossy_bundles(self):
         system = build_system(seed=2, link_kwargs={
