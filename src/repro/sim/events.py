@@ -5,32 +5,34 @@ increasing ``seq`` makes ordering total and stable: two events scheduled
 for the same instant fire in scheduling order, which keeps runs
 deterministic regardless of queue internals.
 
-Two queue implementations share that contract:
+The queue is :class:`CalendarEventQueue`, a calendar-queue /
+timer-wheel hybrid (``EventQueue`` aliases it). Virtual time is cut
+into fixed-width *days*; an event lands in an O(1) unsorted wheel
+bucket for its day, a far-future overflow heap, or the small *current
+run* — today's events as one descending sorted list — that feeds
+``pop``. Most events (link deliveries a few time units out, timers tens
+of units out) take the O(1) bucket path and are only ever sorted
+against the handful of events sharing their day — not against every
+pending retransmission timer in the run, which is what a binary heap's
+``O(log pending)`` Python-level ``Event.__lt__`` calls per push and pop
+paid.
 
-* :class:`HeapEventQueue` — the original binary heap. Every push and
-  pop pays ``O(log pending)`` Python-level ``Event.__lt__`` calls,
-  which PR 5's profiling showed is the kernel's hottest code.
-* :class:`CalendarEventQueue` — a calendar-queue / timer-wheel hybrid
-  (``EventQueue`` aliases it). Virtual time is cut into fixed-width
-  *days*; an event lands in an O(1) unsorted wheel bucket for its day,
-  a far-future overflow heap, or the small *current run* — today's
-  events as one descending sorted list — that feeds ``pop``. Most
-  events (link deliveries a few time units out, timers tens of units
-  out) take the O(1) bucket path and are only ever sorted against the
-  handful of events sharing their day — not against every pending
-  retransmission timer in the run.
-
-Both orders are *identical* — the calendar structure only changes
-where an event waits, never when it pops — so trace fingerprints and
-every replay artifact recorded against the heap still verify.
+The calendar structure only changes where an event waits, never when
+it pops: the pop order is exactly the ``(time, priority, seq)`` order a
+binary heap gives, which ``tests/test_queue_properties.py`` fuzzes
+against a reference heap queue kept beside it
+(``tests/heap_queue.py``), so trace fingerprints and every replay
+artifact recorded against the heap still verify.
+``Simulator(queue_factory=...)`` is the seam those tests substitute
+the reference through.
 
 Cancellation is lazy (a cancelled event stays stored until it reaches
 the front), but the queue tracks how many cancelled entries it is
 carrying and *compacts* when they dominate: long chaos runs cancel
 thousands of timers (retransmission timers stopped by acks, transaction
 timeouts disarmed by commits). In the calendar queue a cancelled wheel
-entry additionally costs nothing until its day is reached — corpses
-never sift through a heap they were removed from.
+entry costs nothing until its day is reached — corpses never sift
+through a heap they were removed from.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class Event:
     #: compaction — so a popped handle can never keep a dead queue
     #: alive) — lets cancel() keep the queue's cancelled-entry count
     #: exact without a scan.
-    queue: "HeapEventQueue | CalendarEventQueue | None" = field(
+    queue: "CalendarEventQueue | None" = field(
         compare=False, default=None, repr=False)
 
     def __lt__(self, other: "Event") -> bool:
@@ -109,115 +111,6 @@ def _husk(event: Event) -> None:
     event.queue = None
 
 
-class HeapEventQueue:
-    """Min-heap of :class:`Event` with lazy cancellation + compaction.
-
-    The pre-calendar implementation, kept as the ordering *reference*:
-    the calendar queue's property tests replay random schedules against
-    it and demand identical pop sequences. It is also a drop-in
-    fallback (``Simulator(queue_factory=HeapEventQueue)``).
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._seq = 0
-        self._cancelled = 0
-        self.compactions = 0
-
-    def __len__(self) -> int:
-        """Number of *live* (non-cancelled) pending events.
-
-        Counting live events keeps the answer stable across lazy
-        discards and heap compaction.
-        """
-        return len(self._heap) - self._cancelled
-
-    def push(self, time: float, action: Callable[[], Any], priority: int = 0,
-             label: str = "") -> Event:
-        """Enqueue *action* to run at *time*; return a cancellable handle."""
-        event = Event(time, priority, self._seq, action, label, queue=self)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Event | None:
-        """Remove and return the earliest live event, or None if drained."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            event.queue = None
-            if not event.cancelled:
-                return event
-            self._cancelled -= 1
-        return None
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap).queue = None
-            self._cancelled -= 1
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def pop_if_due(self, time: float) -> Event | None:
-        """Pop the earliest live event iff it is due by *time*.
-
-        One heap traversal replaces the ``peek_time()``-then-``pop()``
-        pair the run-until loop used to make per event: cancelled heads
-        are discarded on the way, and a live head scheduled after
-        *time* stays queued.
-        """
-        heap = self._heap
-        while heap:
-            event = heap[0]
-            if event.cancelled:
-                heapq.heappop(heap).queue = None
-                self._cancelled -= 1
-                continue
-            if event.time > time:
-                return None
-            event = heapq.heappop(heap)
-            event.queue = None
-            return event
-        return None
-
-    # -- compaction --------------------------------------------------------
-
-    def _note_cancel(self) -> None:
-        """One stored event was cancelled; compact if corpses dominate."""
-        self._cancelled += 1
-        if (len(self._heap) > COMPACT_MIN_HEAP
-                and self._cancelled * 2 > len(self._heap)):
-            self.compact()
-
-    def compact(self) -> None:
-        """Rebuild the heap without cancelled entries.
-
-        O(live) — heapify over the survivors. Order is preserved
-        because events compare by ``(time, priority, seq)``, which is
-        independent of heap layout.
-        """
-        survivors = []
-        for event in self._heap:
-            if event.cancelled:
-                event.queue = None
-            else:
-                survivors.append(event)
-        self._heap = survivors
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-        self.compactions += 1
-
-    def clear(self) -> None:
-        """Forget every stored event, leaving each a husk (see
-        :func:`_husk`): a queue dropped after ``clear()`` and the
-        handles its owners still hold form no reference cycle."""
-        for event in self._heap:
-            _husk(event)
-        self._heap.clear()
-        self._cancelled = 0
-
-
 class CalendarEventQueue:
     """Calendar-queue / timer-wheel hybrid with exact heap-order parity.
 
@@ -249,7 +142,7 @@ class CalendarEventQueue:
     this day has been consumed — the wheel spans fewer days than one
     lap), so refill never has to sift entries back.
 
-    Order parity with :class:`HeapEventQueue` is structural: every tier
+    Order parity with a binary heap is structural: every tier
     orders by the same total comparator, later days only hold strictly
     later times, and pushes into a day the calendar already passed
     binary-insert into the current run where the comparator places

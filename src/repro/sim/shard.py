@@ -37,9 +37,7 @@ Determinism contract (tested in ``tests/test_sim_shard.py``):
 Global actions (partitions, heals, topology-wide probes) do not belong
 to any one shard: :meth:`ShardedSimulator.at_global` runs them at a
 barrier, after every shard has reached their timestamp and before any
-shard passes it — a consistent cut. For real OS-level parallelism over
-shard groups see :mod:`repro.sim.parallel`, which runs whole shards in
-worker processes and exchanges only picklable mail at the barriers.
+shard passes it — a consistent cut.
 """
 
 from __future__ import annotations
@@ -125,9 +123,9 @@ class _Shard:
                  queue_factory: Callable[[], Any]) -> None:
         self.id = shard_id
         self.queue = queue_factory()
-        #: Per-shard stream family, sub-seeded from the master so the
-        #: parallel executor can reconstruct exactly the same streams
-        #: inside a worker process (fork name = "shard:<id>").
+        #: Per-shard stream family, sub-seeded from the master (fork
+        #: name = "shard:<id>"): a shard's draws depend on nothing any
+        #: other shard does.
         self.rng = master_rng.fork(f"shard:{shard_id}")
         self.now = 0.0
         self.steps = 0
@@ -157,10 +155,8 @@ class ShardedSimulator(Simulator):
 
     *workers* deterministically lanes shards onto worker slots (shard
     ``i`` → worker ``i % workers``) and executes each round in
-    worker-major order. This in-process mode reproduces exactly the
-    per-shard schedules a parallel executor with that worker count
-    produces, which is what the determinism tests pin; OS-level
-    parallelism lives in :mod:`repro.sim.parallel`.
+    worker-major order: the per-shard schedules are the same for
+    every worker count, which is what the determinism tests pin.
     """
 
     def __init__(self, plan: ShardPlan, seed: int = 0, workers: int = 1,

@@ -57,9 +57,10 @@ from repro.net.link import LinkConfig
 from repro.net.outbox import BundlingConfig
 from repro.reads import ViewConfig
 from repro.serving import ServingConfig, ServingFrontend
-from repro.sim.events import CalendarEventQueue, HeapEventQueue
+from repro.sim.events import CalendarEventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
+from tests.heap_queue import HeapEventQueue
 
 SITES = ["A", "B", "C", "D"]
 

@@ -7,9 +7,8 @@ These pin the placement contracts docs/PARTITIONING.md relies on:
   moved fraction on a join is ~1/(N+1), not a reshuffle;
 * placement is a pure function of (item, site list, replicas) — no
   hidden state, no dependence on ``PYTHONHASHSEED``, identical across
-  process boundaries (checked in a real subprocess with a different
-  hash seed, and across :func:`repro.sim.parallel.run_parallel` forked
-  workers);
+  process boundaries (checked in real subprocesses with different
+  hash seeds);
 * the directory's wire form round-trips exactly.
 """
 
@@ -31,8 +30,6 @@ from repro.core.partition import (
     make_partitioner,
     stable_hash,
 )
-from repro.sim.parallel import run_parallel
-from repro.sim.shard import ShardPlan
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -138,34 +135,6 @@ class TestPlacementIsPure:
             outputs.append(json.loads(proc.stdout))
         assert outputs[0] == outputs[1]
         assert outputs[0]  # the map is non-trivial
-
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_owners_identical_across_forked_workers(self, workers):
-        """Each forked shard worker re-derives the same placement map
-        the parent computes — the sharded kernel's shard programs may
-        resolve the directory independently on any process boundary."""
-        sites = [f"S{index}" for index in range(6)]
-        items = [f"item{index}" for index in range(25)]
-
-        class PlacementProgram:
-            def build(self, sim, shard_id, shard_sites, send):
-                return lambda payload: None
-
-            def collect(self, sim, shard_id):
-                directory = Directory(make_partitioner("consistent"),
-                                      sites, replicas=2)
-                return {item: list(directory.owners(item))
-                        for item in items}
-
-        parent = Directory(make_partitioner("consistent"), sites,
-                           replicas=2)
-        expected = {item: list(parent.owners(item)) for item in items}
-        plan = ShardPlan.round_robin(sites, 2, lookahead=1.0)
-        result = run_parallel(plan, PlacementProgram(), seed=3,
-                              workers=workers)
-        assert len(result.collected) == 2
-        for shard_map in result.collected:
-            assert shard_map == expected
 
 
 class TestDirectoryWireForm:

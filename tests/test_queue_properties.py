@@ -6,7 +6,7 @@ binary heap: for any interleaving of pushes (any times — including into
 days the calendar already passed — any priorities, ties), pops,
 cancellations and compactions, both implementations emit the identical
 event sequence. Hypothesis drives random interleavings against the
-:class:`HeapEventQueue` reference.
+:class:`~tests.heap_queue.HeapEventQueue` reference.
 """
 
 import gc
@@ -18,11 +18,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.sim.events import (
     CalendarEventQueue,
     EventQueue,
-    HeapEventQueue,
     Event,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.shard import ShardPlan, ShardedSimulator
+from tests.heap_queue import HeapEventQueue
 
 
 def noop():
@@ -178,6 +178,42 @@ class TestCalendarHeapParity:
 
     def test_default_queue_is_the_calendar(self):
         assert EventQueue is CalendarEventQueue
+
+    def test_a_protocol_run_is_the_same_run_on_either_queue(
+            self, monkeypatch):
+        """Parity where it matters: a lossy DvP run with timeouts,
+        retransmissions and cancelled timers executes the same events
+        in the same order — same trace fingerprint, hence the same
+        step count and decisions — behind the reference heap as behind
+        the calendar queue."""
+        from repro.core.domain import CounterDomain
+        from repro.core.system import DvPSystem, SystemConfig
+        from repro.core.transactions import DecrementOp, TransactionSpec
+        from repro.net.link import LinkConfig
+        from repro.sim import kernel
+
+        def run(queue):
+            monkeypatch.setattr(kernel, "EventQueue", queue)
+            system = DvPSystem(SystemConfig(
+                sites=["A", "B", "C"], seed=9, txn_timeout=12.0,
+                retransmit_period=3.0,
+                link=LinkConfig(base_delay=1.0, jitter=0.5,
+                                loss_probability=0.2)))
+            system.sim.enable_trace()
+            system.add_item("x", CounterDomain(), total=60)
+            for at in range(1, 41):
+                site = "ABC"[at % 3]
+                system.sim.at(float(at), lambda site=site: system.submit(
+                    site, TransactionSpec(ops=(DecrementOp("x", 7),))))
+            system.run_until(200.0)
+            system.auditor.assert_ok()
+            return (system.sim.trace_fingerprint(), system.sim.steps,
+                    len(system.committed()))
+
+        calendar = run(CalendarEventQueue)
+        heap = run(HeapEventQueue)
+        assert calendar == heap
+        assert calendar[2] > 0
 
 
 class TestEventQueueBackref:

@@ -4,9 +4,9 @@ trace fingerprints for every worker count)."""
 
 import pytest
 
-from repro.sim.events import HeapEventQueue
 from repro.sim.kernel import LookaheadError, SimulationError, Simulator
 from repro.sim.shard import ShardPlan, ShardedSimulator
+from tests.heap_queue import HeapEventQueue
 
 SITES = ["s0", "s1", "s2", "s3"]
 
