@@ -7,7 +7,6 @@ from repro.metrics.windows import (
     ServeSample,
     StreamingWindowStats,
     WindowStat,
-    window_stats,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "percentile",
     "percentile_sorted",
     "summarize",
-    "window_stats",
 ]

@@ -3,9 +3,9 @@
 The serving front-end measures *client-perceived* latency — enqueue to
 decision — which is strictly longer than ``TxnResult.latency`` (dispatch
 to decision) whenever requests queue. :class:`ServeSample` records the
-three timestamps per request; :func:`window_stats` buckets samples into
-fixed windows and summarizes each, which is how the saturation knee is
-located (p99 vs offered load, docs/SERVING.md).
+three timestamps per request; :class:`StreamingWindowStats` buckets
+samples into fixed windows and summarizes each, which is how the
+saturation knee is located (p99 vs offered load, docs/SERVING.md).
 """
 
 from __future__ import annotations
@@ -62,16 +62,19 @@ class WindowStat:
 
 
 class StreamingWindowStats:
-    """Incremental twin of :func:`window_stats` for streamed samples.
+    """Samples bucketed by *arrival* time into fixed windows.
+
+    Keying on arrival (not decision) time means a window's latency
+    tail reflects the load offered during that window — the quantity
+    the knee is defined over.
 
     Retaining every :class:`ServeSample` is fine at harness scales and
     hopeless at 10^5-10^6 sites. Point the serving front-end's
     ``on_sample``/``on_overload`` sinks here (with ``retain_samples``
     off) and each sample is folded into its arrival window as two
     floats and three counters, then dropped — samples outside
-    [start, end) cost nothing at all. ``stats()`` returns exactly what
-    ``window_stats`` returns over the same stream (the equivalence is
-    a regression test).
+    [start, end) cost nothing at all. A retained list is folded the
+    same way, one ``add`` per sample.
     """
 
     def __init__(self, start: float, end: float, width: float) -> None:
@@ -125,47 +128,3 @@ class StreamingWindowStats:
                 p99=percentile_sorted(ordered, 99),
                 mean_wait=sum(waits) / len(waits) if waits else 0.0))
         return out
-
-
-def window_stats(samples: list[ServeSample], shed_times: list[float],
-                 start: float, end: float, width: float) -> list[WindowStat]:
-    """Bucket samples by *arrival* time into fixed windows.
-
-    Keying on arrival (not decision) time means a window's latency
-    tail reflects the load offered during that window — the quantity
-    the knee is defined over.
-    """
-    if width <= 0:
-        raise ValueError("window width must be positive")
-    count = max(1, int((end - start) / width + 0.5))
-    buckets: list[list[ServeSample]] = [[] for _ in range(count)]
-    sheds = [0] * count
-
-    def index(at: float) -> int | None:
-        if not start <= at < end:
-            return None
-        return min(count - 1, int((at - start) / width))
-
-    for sample in samples:
-        slot = index(sample.arrived_at)
-        if slot is not None:
-            buckets[slot].append(sample)
-    for at in shed_times:
-        slot = index(at)
-        if slot is not None:
-            sheds[slot] += 1
-
-    stats = []
-    for slot, bucket in enumerate(buckets):
-        latencies = sorted(sample.latency for sample in bucket)
-        waits = [sample.queue_wait for sample in bucket]
-        stats.append(WindowStat(
-            start=start + slot * width,
-            offered=len(bucket) + sheds[slot],
-            shed=sheds[slot],
-            committed=sum(1 for sample in bucket if sample.committed),
-            aborted=sum(1 for sample in bucket if not sample.committed),
-            p50=percentile_sorted(latencies, 50),
-            p99=percentile_sorted(latencies, 99),
-            mean_wait=sum(waits) / len(waits) if waits else 0.0))
-    return stats

@@ -5,8 +5,6 @@ the app façades' estimate calls through the serving front-end, and the
 streaming window aggregator the 10^5-site runs rely on.
 """
 
-import random
-
 import pytest
 
 from repro.apps.airline import ReservationSystem
@@ -20,11 +18,7 @@ from repro.core.transactions import (
     ReadViewOp,
     TransactionSpec,
 )
-from repro.metrics.windows import (
-    ServeSample,
-    StreamingWindowStats,
-    window_stats,
-)
+from repro.metrics.windows import ServeSample, StreamingWindowStats
 from repro.net.link import LinkConfig
 from repro.reads import ViewConfig, ViewEntry
 from repro.serving import ServingConfig, ServingFrontend
@@ -277,32 +271,6 @@ class TestFacadeEstimates:
 
 
 class TestStreamingWindows:
-    def _samples(self, count=400, seed=5):
-        rng = random.Random(seed)
-        samples, sheds = [], []
-        for index in range(count):
-            arrived = rng.uniform(0.0, 120.0)  # some past the end
-            dispatched = arrived + rng.uniform(0.0, 3.0)
-            finished = dispatched + rng.uniform(0.0, 8.0)
-            samples.append(ServeSample(
-                site=f"S{index % 4}", arrived_at=arrived,
-                dispatched_at=dispatched, finished_at=finished,
-                committed=rng.random() < 0.8))
-            if rng.random() < 0.2:
-                sheds.append(rng.uniform(0.0, 120.0))
-        return samples, sheds
-
-    def test_equivalent_to_window_stats(self):
-        samples, sheds = self._samples()
-        start, end, width = 0.0, 100.0, 10.0
-        streaming = StreamingWindowStats(start, end, width)
-        for sample in samples:
-            streaming.add(sample)
-        for at in sheds:
-            streaming.add_shed(at)
-        assert streaming.stats() == window_stats(samples, sheds,
-                                                 start, end, width)
-
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
             StreamingWindowStats(0.0, 10.0, 0.0)

@@ -243,11 +243,20 @@ class TestWindowStats:
                            finished_at=arrived + wait + service,
                            committed=committed)
 
+    @staticmethod
+    def window_stats(samples, shed_times, start, end, width):
+        from repro.metrics.windows import StreamingWindowStats
+        windows = StreamingWindowStats(start, end, width)
+        for sample in samples:
+            windows.add(sample)
+        for at in shed_times:
+            windows.add_shed(at)
+        return windows.stats()
+
     def test_buckets_key_on_arrival_time(self):
-        from repro.metrics.windows import window_stats
         samples = [self.make(1.0), self.make(9.5),       # window 0
                    self.make(12.0, committed=False)]     # window 1
-        stats = window_stats(samples, shed_times=[3.0, 14.0],
+        stats = self.window_stats(samples, shed_times=[3.0, 14.0],
                              start=0.0, end=20.0, width=10.0)
         assert len(stats) == 2
         first, second = stats
@@ -257,22 +266,19 @@ class TestWindowStats:
         assert second.abort_rate == 1.0
 
     def test_latency_is_client_perceived(self):
-        from repro.metrics.windows import window_stats
-        stats = window_stats([self.make(0.0, wait=2.0, service=1.0)],
+        stats = self.window_stats([self.make(0.0, wait=2.0, service=1.0)],
                              [], start=0.0, end=5.0, width=5.0)
         assert stats[0].p50 == pytest.approx(3.0)
         assert stats[0].mean_wait == pytest.approx(2.0)
 
     def test_out_of_range_samples_ignored(self):
-        from repro.metrics.windows import window_stats
-        stats = window_stats([self.make(99.0)], [99.5],
+        stats = self.window_stats([self.make(99.0)], [99.5],
                              start=0.0, end=10.0, width=5.0)
         assert all(stat.offered == 0 for stat in stats)
 
     def test_bad_width_rejected(self):
-        from repro.metrics.windows import window_stats
         with pytest.raises(ValueError):
-            window_stats([], [], 0.0, 10.0, 0.0)
+            self.window_stats([], [], 0.0, 10.0, 0.0)
 
     def test_slotted_values_round_trip(self):
         """One of each is retained per op: no ``__dict__`` — and still
@@ -282,10 +288,9 @@ class TestWindowStats:
         import dataclasses
         import json
         import pickle
-        from repro.metrics.windows import window_stats
         from repro.reads import ViewCertificate
         sample = self.make(1.0)
-        stat, = window_stats([sample], [2.0], 0.0, 10.0, 10.0)
+        stat, = self.window_stats([sample], [2.0], 0.0, 10.0, 10.0)
         cert = ViewCertificate(item="x", value=5, as_of=1.0,
                                checked_at=2.5, bound=None, epoch=3)
         for value in (sample, stat, cert):
