@@ -10,8 +10,8 @@ event object inside the guard::
         obs.emit(VmCreate(t=self.sim.now, ...))
 
 so a disabled bus costs one attribute load and one branch per
-instrumented point — the bound ``benchmarks/bench_micro_obs.py``
-enforces on the E1 hot loop.
+instrumented point and emits nothing (``tests/test_obs.py``); every
+benchmark-suite workload runs with it disabled.
 
 When enabled, the bus keeps the most recent *ring_limit* events in a
 ring buffer (``events()``/``tail()``), counts everything it ever saw
