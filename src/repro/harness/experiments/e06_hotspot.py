@@ -258,8 +258,9 @@ def claims(table: Table, params: Params) -> list[str]:
     shipment budget a demand-aware rebalance policy out-commits
     static-rr."""
     violated = []
+    rows = table.records()
     systems: dict[int, dict[str, dict]] = {}
-    for row in table.records():
+    for row in rows:
         systems.setdefault(row["sites"], {})[row["system"]] = row
     largest = max(count for count, rows in systems.items()
                   if {"lock", "escrow", "DvP"} <= set(rows))
@@ -275,7 +276,7 @@ def claims(table: Table, params: Params) -> list[str]:
         violated.append(
             f"at {largest} sites DvP's p95 ({dvp['p95 latency']}) is "
             f"not below escrow's ({escrow['p95 latency']})")
-    policies = {row["system"]: row["commit%"] for row in table.records()
+    policies = {row["system"]: row["commit%"] for row in rows
                 if row["system"].startswith("DvP+")}
     static = policies.pop("DvP+static-rr")
     if not max(policies.values()) > static:

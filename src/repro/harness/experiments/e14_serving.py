@@ -214,11 +214,11 @@ def claims(table: Table, params: Params) -> list[str]:
     sheds."""
     violated = []
     series: dict[tuple[int, str], dict[float, dict]] = {}
+    knees: dict[tuple[int, str], float | str] = {}
     for row in table.records():
-        series.setdefault((row["sites"], row["policy"]),
-                          {})[row["rate/site"]] = row
-    knees = {key: next(iter(rows.values()))["knee"]
-             for key, rows in series.items()}
+        key = (row["sites"], row["policy"])
+        series.setdefault(key, {})[row["rate/site"]] = row
+        knees[key] = row["knee"]
     for sites_n in sorted({sites_n for sites_n, _policy in series}):
         for policy in ("random", "lq-unbounded"):
             if knees[(sites_n, policy)] == "-":
