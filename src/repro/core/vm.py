@@ -139,7 +139,7 @@ class VmManager:
         self.incoming: dict[str, IncomingChannel] = {}
         # Observability (docs/OBSERVABILITY.md): typed trace events go
         # through the simulation's bus; counters live in its metrics
-        # registry (acks_sent / accepts below are views over them).
+        # registry, so they survive VmManager rebuilds across recovery.
         self._obs = sim.obs
         metrics = sim.metrics
         self._metrics = metrics
@@ -180,19 +180,6 @@ class VmManager:
         self._coalesce = coalesce_acks
         self._ack_due: dict[str, None] = {}
         self._piggyback_sent: dict[str, tuple[float, int]] = {}
-
-    # -- metrics views -------------------------------------------------------
-
-    @property
-    def acks_sent(self) -> int:
-        """Explicit acks sent by this site (registry-backed, survives
-        VmManager rebuilds across recovery)."""
-        return self._c_acks.value
-
-    @property
-    def accepts(self) -> int:
-        """Vm accept records forced at this site (registry-backed)."""
-        return self._c_accepted.value
 
     # -- channel access -----------------------------------------------------
 

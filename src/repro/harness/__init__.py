@@ -7,7 +7,3 @@ run`` and the smoke tests use) — and ``claims(table, params) ->
 list[str]``: the experiment's claim as a pure function of the table it
 prints, naming what is violated (empty = reproduced) on either preset.
 """
-
-from repro.harness.runner import ScenarioResult, run_dvp_scenario
-
-__all__ = ["ScenarioResult", "run_dvp_scenario"]

@@ -33,7 +33,6 @@ timeout) so pre-positioning — not rescue — decides the commit rate.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.baselines.common import BaselineConfig
@@ -41,7 +40,6 @@ from repro.baselines.escrow import CentralCounterSystem
 from repro.core.domain import CounterDomain
 from repro.core.rebalance import RebalanceConfig, install_rebalancing
 from repro.core.system import DvPSystem, SystemConfig
-from repro.core.transactions import DecrementOp, TransactionSpec
 from repro.harness.parallel import evaluate_cells
 from repro.metrics.collector import Collector
 from repro.metrics.tables import Table
@@ -164,24 +162,15 @@ def _run_rebalance(params: Params, policy: str) -> dict:
         max_ship=params.rebalance_max_ship))
     daemons[depot].set_target("hot", 0)
     collector = Collector()
-    rng = random.Random(params.seed)
     for seller, weight in zip(sellers, _seller_weights(len(sellers))):
-        rate = params.rebalance_rate * weight
-        time = 0.0
-        while True:
-            time += rng.expovariate(rate)
-            if time >= params.duration:
-                break
-            amount = rng.randint(1, 2)
-
-            def arrive(seller=seller, amount=amount) -> None:
-                collector.on_submit(at=system.sim.now)
-                system.submit(seller, TransactionSpec(
-                    ops=(DecrementOp("hot", amount),), label="sale"),
-                    collector.on_result)
-
-            system.sim.at_site(seller, time, arrive,
-                               label=f"sale:{seller}")
+        # One driver per seller: the sellers differ only in their rate.
+        workload_config = WorkloadConfig(
+            arrival_rate=params.rebalance_rate * weight,
+            duration=params.duration, mix=OpMix(reserve=1.0, cancel=0.0),
+            amount_low=1, amount_high=2)
+        WorkloadDriver(system.sim, system, [seller],
+                       InventoryWorkload(["hot"], workload_config),
+                       workload_config, collector).install()
     system.run_for(params.duration + params.rebalance_timeout + 60.0)
     system.auditor.assert_ok()
     stats = _stats(collector, params)

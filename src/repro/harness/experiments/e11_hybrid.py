@@ -66,6 +66,15 @@ class Params:
 def _schedule_phase(system, hybrid: HybridSystem, params: Params,
                     start: float, read_fraction: float,
                     collector: Collector) -> None:
+    """One phase's arrivals, scripted here and not on ``WorkloadDriver``.
+
+    The table compares regimes that each hinge on one ``consolidate``
+    read, which nothing retries: on the driver's arrival instants a
+    peer commits an update inside that read's gather window in both
+    ``central`` and ``hybrid``, the read aborts ``timeout`` and the
+    regime never forms (ROADMAP, *Twins and shims*). Until
+    ``consolidate`` retries, the instants it was designed on stay.
+    """
     rng = random.Random(params.seed + int(start))
     for site in params.sites:
         time = start

@@ -25,21 +25,17 @@ returns as the period shrinks.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.core.domain import CounterDomain
 from repro.core.rebalance import RebalanceConfig, install_rebalancing
 from repro.core.system import DvPSystem, SystemConfig
-from repro.core.transactions import (
-    DecrementOp,
-    IncrementOp,
-    TransactionSpec,
-)
 from repro.harness.parallel import evaluate_cells
 from repro.metrics.collector import Collector
 from repro.metrics.tables import Table
 from repro.net.link import LinkConfig
+from repro.workloads.base import OpMix, WorkloadConfig, WorkloadDriver
+from repro.workloads.inventory import InventoryWorkload
 
 EXPERIMENT = "E12"
 
@@ -76,33 +72,23 @@ def _run_one(params: Params, period: float | None,
     if period is not None:
         daemons = install_rebalancing(system, RebalanceConfig(
             period=period, high_watermark=1.5, policy=policy))
+    # Returns pour into the depot while sales happen at the other
+    # sites: two arrival processes, each on its own streams.
+    depot, sellers = params.sites[0], params.sites[1:]
+    returns = WorkloadConfig(
+        arrival_rate=params.return_rate, duration=params.duration,
+        mix=OpMix(reserve=0.0, cancel=1.0), amount_low=1, amount_high=2,
+        seed_stream="returns")
+    WorkloadDriver(system.sim, system, [depot],
+                   InventoryWorkload(["stock"], returns), returns).install()
+    selling = WorkloadConfig(
+        arrival_rate=params.sale_rate, duration=params.duration,
+        mix=OpMix(reserve=1.0, cancel=0.0), amount_low=1, amount_high=3,
+        seed_stream="sales")
     sales = Collector()
-    rng = random.Random(params.seed)
-    depot = params.sites[0]
-    # Returns pour into the depot...
-    time = 0.0
-    while True:
-        time += rng.expovariate(params.return_rate)
-        if time >= params.duration:
-            break
-        system.sim.at(time, lambda: system.submit(depot, TransactionSpec(
-            ops=(IncrementOp("stock", rng.randint(1, 2)),),
-            label="return")))
-    # ...while sales happen at the other sites.
-    for site in params.sites[1:]:
-        time = 0.0
-        while True:
-            time += rng.expovariate(params.sale_rate)
-            if time >= params.duration:
-                break
-
-            def arrive(s=site):
-                sales.on_submit(at=system.sim.now)
-                system.submit(s, TransactionSpec(
-                    ops=(DecrementOp("stock", rng.randint(1, 3)),),
-                    label="sale"), sales.on_result)
-
-            system.sim.at(time, arrive)
+    WorkloadDriver(system.sim, system, sellers,
+                   InventoryWorkload(["stock"], selling), selling,
+                   sales).install()
     system.run_until(params.duration + params.txn_timeout + 200.0)
     system.auditor.assert_ok()
     requests = sum(site.requests_honored + site.requests_ignored

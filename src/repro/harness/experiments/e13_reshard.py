@@ -29,19 +29,15 @@ reshuffle.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.core.domain import CounterDomain
 from repro.core.system import DvPSystem, SystemConfig
-from repro.core.transactions import (
-    DecrementOp,
-    IncrementOp,
-    TransactionSpec,
-)
 from repro.harness.parallel import evaluate_cells
 from repro.metrics.tables import Table
 from repro.net.link import LinkConfig
+from repro.workloads.base import OpMix, WorkloadConfig, WorkloadDriver
+from repro.workloads.inventory import InventoryWorkload
 
 EXPERIMENT = "E13"
 
@@ -82,26 +78,13 @@ def _run_one(params: Params, sites: int, reshard: bool) -> dict:
     for item in items:
         system.add_item(item, CounterDomain(), total=params.total)
 
-    results = []
-    rng = random.Random(params.seed)
-    for site in names:
-        time = 0.0
-        while True:
-            time += rng.expovariate(params.rate)
-            if time >= params.duration:
-                break
-            amount = rng.randint(1, 3)
-            item = rng.choice(items)
-
-            def arrive(site=site, item=item, amount=amount):
-                op = (IncrementOp(item, amount)
-                      if rng.random() < 0.25 else
-                      DecrementOp(item, amount))
-                system.submit(site, TransactionSpec(
-                    ops=(op,), label="e13"), results.append)
-
-            system.sim.at_site(site, time, arrive,
-                               label=f"e13-arrival:{site}")
+    workload = WorkloadConfig(
+        arrival_rate=params.rate, duration=params.duration,
+        mix=OpMix(reserve=0.75, cancel=0.25), amount_low=1, amount_high=3)
+    driver = WorkloadDriver(system.sim, system, names,
+                            InventoryWorkload(items, workload), workload)
+    driver.install()
+    results = driver.collector.results
 
     add_at = ADD_AT * params.duration
     remove_at = REMOVE_AT * params.duration

@@ -140,7 +140,7 @@ def _run_one(params: Params, sites_n: int, policy: str,
     driver = AppWorkloadDriver(system.sim, sites, source, workload,
                                collector)
     frontend.start()
-    driver.install_open_loop()
+    driver.install()
     system.sim.run_until(params.duration)
     frontend.stop()
     system.sim.run_until(params.duration + params.settle)

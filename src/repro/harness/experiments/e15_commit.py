@@ -155,7 +155,14 @@ PROTOCOLS = tuple(BUILD)
 
 def _schedule_traffic(system, sites: list[str], params: Params,
                       collectors: dict[str, Collector]) -> None:
-    """The identical single-item op stream for every protocol."""
+    """The identical single-item op stream for every protocol.
+
+    Scripted here and not on ``WorkloadDriver``: these clients live on
+    their site's host — an arrival while the host is down is skipped,
+    not counted as lost — and report to one collector per site, neither
+    of which is the driver's contract. The streams are per site and
+    seeded by name, so the offered load is the same for every protocol.
+    """
     for index, site in enumerate(sites):
         rng = random.Random(f"e15:{params.seed}:{site}")
         time = 0.0

@@ -143,7 +143,7 @@ def _run_one(params: Params, sites_n: int, wan: bool, ratio: int,
     driver = AppWorkloadDriver(system.sim, sites, source, workload,
                                collector)
     frontend.start()
-    driver.install_open_loop()
+    driver.install()
     system.sim.run_until(params.duration)
     frontend.quiesce()
     system.sim.run_until(params.duration + params.txn_timeout

@@ -36,7 +36,8 @@ from typing import Any, Callable
 #: Bump when cell semantics change in a way that invalidates old
 #: cached results (the key already covers all declared inputs).
 #: 2: E3's Vm columns read the metrics registry (PR 17).
-CACHE_VERSION = 2
+#: 3: one arrival path — every driver-fed cell offers a new load (PR 20).
+CACHE_VERSION = 3
 
 #: A cell: (module-level function name, keyword arguments).
 Cell = tuple[str, dict]

@@ -112,12 +112,10 @@ class Collector:
     def in_window(self, start: float, end: float) -> "Collector":
         """Sub-collector of results that were *submitted* in [start, end).
 
-        When per-submission timestamps were recorded, ``submitted`` (and
-        hence ``lost``) reflects the submissions that actually fell in
-        the window — not just the ones that came back. Pre-fix this
-        method set ``submitted = len(results)``, so a windowed view
-        could never report a lost transaction. Without timestamps
-        (legacy callers) it falls back to that old behaviour.
+        ``submitted`` (and hence ``lost``) counts the submissions whose
+        recorded time fell in the window — not just the ones that came
+        back: one that vanished in a crash has no result to count it
+        by. A submission recorded without a time is in no window.
         """
         window = Collector()
         window.results = [result for result in self.results
@@ -127,6 +125,5 @@ class Collector:
         window.shed_times = [at for at in self.shed_times
                              if start <= at < end]
         window.shed = len(window.shed_times)
-        window.submitted = (len(window.submit_times) if self.submit_times
-                            else len(window.results) + window.shed)
+        window.submitted = len(window.submit_times)
         return window

@@ -285,8 +285,8 @@ class Network:
 
         The loss draw is sampled unconditionally (so a partition window
         never shifts the stream), but a message both partitioned AND
-        lost is counted once, as partitioned: dropped_partition +
-        dropped_loss + deliveries-scheduled always equals sends.
+        lost is counted once, as partitioned: ``net.dropped.partition``
+        + ``net.dropped.loss`` + deliveries-scheduled always equals sends.
         """
         lost = link.should_drop()
         if link.src_end.group != link.dst_end.group:
@@ -375,16 +375,6 @@ class Network:
                              duplicated=duplicated))
 
     # -- metrics ----------------------------------------------------------
-
-    @property
-    def dropped_partition(self) -> int:
-        """Messages swallowed by a partition (registry-backed view)."""
-        return self._c_dropped_partition.value
-
-    @property
-    def dropped_loss(self) -> int:
-        """Messages lost to the link's sampled loss (registry-backed)."""
-        return self._c_dropped_loss.value
 
     @property
     def total_sent(self) -> int:

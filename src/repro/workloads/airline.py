@@ -17,12 +17,7 @@ from repro.core.transactions import (
     TransactionSpec,
     TransferOp,
 )
-from repro.workloads.base import (
-    OpMix,
-    WorkloadConfig,
-    uniform_amount,
-    zipf_choice,
-)
+from repro.workloads.base import OpMix, WorkloadConfig, draw_op
 
 
 class AirlineWorkload:
@@ -37,25 +32,14 @@ class AirlineWorkload:
             mix=OpMix(reserve=0.65, cancel=0.2, transfer=0.1, read=0.05))
 
     def make_spec(self, rng: random.Random, site: str) -> TransactionSpec:
-        kind = rng.choices(
-            [name for name, _weight in self.config.mix.normalized()],
-            weights=[weight for _name, weight
-                     in self.config.mix.normalized()])[0]
-        flight = zipf_choice(rng, self.flights, self.config.zipf_skew)
-        seats = uniform_amount(rng, self.config)
-        if kind == "reserve":
-            ops = (DecrementOp(flight, seats),)
-        elif kind == "cancel":
+        kind, flight, seats, other = draw_op(rng, self.flights,
+                                             self.config)
+        if kind == "cancel":
             ops = (IncrementOp(flight, seats),)
-        elif kind == "transfer" and len(self.flights) > 1:
-            other = zipf_choice(rng, [name for name in self.flights
-                                      if name != flight],
-                                self.config.zipf_skew)
-            ops = (TransferOp(flight, other, seats),)
-            kind = "change-flight"
+        elif other is not None:
+            ops, kind = (TransferOp(flight, other, seats),), "change-flight"
         elif kind == "read":
             ops = (ReadFullOp(flight),)
         else:
-            ops = (DecrementOp(flight, seats),)
-            kind = "reserve"
+            ops, kind = (DecrementOp(flight, seats),), "reserve"
         return TransactionSpec(ops=ops, label=kind, work=self.config.work)

@@ -12,10 +12,10 @@ integration) but each arrival invokes a *façade call* sampled by an
 — routing, bounded queues, admission control, bounded-staleness view
 reads — is exercised end to end.
 
-Draw discipline: each traffic source makes exactly the same stream
-draws per arrival (kind, item via Zipf, amount) as its raw-spec twin
-in this package, so swapping a raw workload for its app traffic does
-not change which transactions a seeded run submits.
+Draw discipline: each traffic source takes its arrival's draws from
+:func:`~repro.workloads.base.draw_op`, as the raw-spec workloads do,
+so swapping a raw workload for its app traffic does not change which
+transactions a seeded run submits.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from repro.apps.airline import ReservationSystem
 from repro.apps.bank import Bank
 from repro.core.site import SiteDown
 from repro.core.transactions import UnsupportedSpec
-from repro.workloads.base import (
-    WorkloadConfig,
-    WorkloadDriver,
-    uniform_amount,
-    zipf_choice,
-)
+from repro.workloads.base import WorkloadConfig, WorkloadDriver, draw_op
 
 #: One sampled application request: call it with the completion
 #: callback to submit (through whatever target the façade wraps).
@@ -48,11 +43,10 @@ class AppTraffic(Protocol):
 class AppWorkloadDriver(WorkloadDriver):
     """The generic driver, arriving into façade calls.
 
-    Reuses every arrival mode of :class:`WorkloadDriver` (install /
-    open-loop / prescheduled) unchanged; only the arrival body differs:
-    the sampled :class:`AppCall` is invoked with the collector's result
-    callback, and the façade's own target decides whether that is a
-    direct submit or a serving front-end admission.
+    The arrival process is :class:`WorkloadDriver`'s; only the arrival
+    body differs: the sampled :class:`AppCall` is invoked with the
+    collector's result callback, and the façade's own target decides
+    whether that is a direct submit or a serving front-end admission.
     """
 
     def __init__(self, sim, sites: list[str], source: AppTraffic,
@@ -90,20 +84,13 @@ class AirlineAppTraffic:
         self.view_bound = view_bound
 
     def make_call(self, rng: random.Random, site: str) -> AppCall:
-        kind = rng.choices(
-            [name for name, _weight in self.config.mix.normalized()],
-            weights=[weight for _name, weight
-                     in self.config.mix.normalized()])[0]
-        flight = zipf_choice(rng, self.flights, self.config.zipf_skew)
-        seats = uniform_amount(rng, self.config)
+        kind, flight, seats, other = draw_op(rng, self.flights,
+                                             self.config)
         app, work = self.reservations, self.config.work
         if kind == "cancel":
             return lambda done: app.cancel(site, flight, seats,
                                            on_done=done, work=work)
-        if kind == "transfer" and len(self.flights) > 1:
-            other = zipf_choice(rng, [name for name in self.flights
-                                      if name != flight],
-                                self.config.zipf_skew)
+        if other is not None:
             return lambda done: app.change_flight(
                 site, other, flight, seats, on_done=done, work=work)
         if kind == "read":
@@ -138,20 +125,13 @@ class BankAppTraffic:
         self.view_bound = view_bound
 
     def make_call(self, rng: random.Random, site: str) -> AppCall:
-        kind = rng.choices(
-            [name for name, _weight in self.config.mix.normalized()],
-            weights=[weight for _name, weight
-                     in self.config.mix.normalized()])[0]
-        account = zipf_choice(rng, self.accounts, self.config.zipf_skew)
-        cents = uniform_amount(rng, self.config)
+        kind, account, cents, payee = draw_op(rng, self.accounts,
+                                              self.config)
         bank, work = self.bank, self.config.work
         if kind == "cancel":
             return lambda done: bank.deposit(site, account, cents,
                                              on_done=done, work=work)
-        if kind == "transfer" and len(self.accounts) > 1:
-            payee = zipf_choice(rng, [name for name in self.accounts
-                                      if name != account],
-                                self.config.zipf_skew)
+        if payee is not None:
             return lambda done: bank.transfer(site, account, payee,
                                               cents, on_done=done,
                                               work=work)

@@ -18,12 +18,7 @@ from repro.core.transactions import (
     TransactionSpec,
     TransferOp,
 )
-from repro.workloads.base import (
-    OpMix,
-    WorkloadConfig,
-    uniform_amount,
-    zipf_choice,
-)
+from repro.workloads.base import OpMix, WorkloadConfig, draw_op
 
 
 class BankingWorkload:
@@ -39,26 +34,14 @@ class BankingWorkload:
             amount_low=100, amount_high=5000)  # cents
 
     def make_spec(self, rng: random.Random, site: str) -> TransactionSpec:
-        kind = rng.choices(
-            [name for name, _weight in self.config.mix.normalized()],
-            weights=[weight for _name, weight
-                     in self.config.mix.normalized()])[0]
-        account = zipf_choice(rng, self.accounts, self.config.zipf_skew)
-        cents = uniform_amount(rng, self.config)
+        kind, account, cents, payee = draw_op(rng, self.accounts,
+                                              self.config)
         if kind == "reserve":
-            return TransactionSpec(ops=(DecrementOp(account, cents),),
-                                   label="withdraw", work=self.config.work)
-        if kind == "cancel":
-            return TransactionSpec(ops=(IncrementOp(account, cents),),
-                                   label="deposit", work=self.config.work)
-        if kind == "transfer" and len(self.accounts) > 1:
-            payee = zipf_choice(rng, [name for name in self.accounts
-                                      if name != account],
-                                self.config.zipf_skew)
-            return TransactionSpec(ops=(TransferOp(account, payee, cents),),
-                                   label="transfer", work=self.config.work)
-        if kind == "read":
-            return TransactionSpec(ops=(ReadFullOp(account),),
-                                   label="audit", work=self.config.work)
-        return TransactionSpec(ops=(IncrementOp(account, cents),),
-                               label="deposit", work=self.config.work)
+            ops, label = (DecrementOp(account, cents),), "withdraw"
+        elif payee is not None:
+            ops, label = (TransferOp(account, payee, cents),), "transfer"
+        elif kind == "read":
+            ops, label = (ReadFullOp(account),), "audit"
+        else:
+            ops, label = (IncrementOp(account, cents),), "deposit"
+        return TransactionSpec(ops=ops, label=label, work=self.config.work)

@@ -1,11 +1,13 @@
-"""Workload driving: arrival processes, mixes, and the generic driver.
+"""Workload driving: the arrival process, the mix sampler, the driver.
 
-A workload turns a random stream into :class:`TransactionSpec`s; the
-:class:`WorkloadDriver` schedules Poisson arrivals at every site and
-submits the specs through ``submit(site, spec, on_done)`` — the
-:class:`~repro.core.system.System` contract's, so DvP, the hybrid
-manager and every baseline are driven alike (a serving front-end
-offers the same call without being a system).
+A workload turns a random stream into :class:`TransactionSpec`s
+(:func:`draw_op` makes the draws, each generator maps them to its
+application's operations); :meth:`WorkloadDriver.install` is the
+arrival process — open-loop Poisson arrivals per site on named
+per-site streams — and submits the specs through ``submit(site, spec,
+on_done)``, the :class:`~repro.core.system.System` contract's, so DvP,
+the hybrid manager and every baseline are driven alike (a serving
+front-end offers the same call without being a system).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from typing import Any, Callable, Protocol
 
@@ -112,8 +115,40 @@ def zipf_choice(rng: random.Random, items: list[str], skew: float) -> str:
     return items[bisect(cum, rng.random() * total, 0, len(items) - 1)]
 
 
+def draw_op(rng: random.Random, items: list[str],
+            config: WorkloadConfig) -> tuple[str, str, int, str | None]:
+    """The draws of one arrival: ``(kind, item, amount, other)``.
+
+    Every generator in this package makes exactly these, in this
+    order, so swapping one for another (a raw-spec workload for its
+    façade traffic, an experiment's own source for a stock one) does
+    not change which operations a seeded run offers: the kind from the
+    mix, a Zipf item, a uniform amount and — only for a transfer over
+    more than one item — a second, distinct Zipf item (else ``None``).
+    """
+    mix = config.mix.normalized()
+    kind = rng.choices([name for name, _weight in mix],
+                       weights=[weight for _name, weight in mix])[0]
+    item = zipf_choice(rng, items, config.zipf_skew)
+    amount = rng.randint(config.amount_low, config.amount_high)
+    other = None
+    if kind == "transfer" and len(items) > 1:
+        other = zipf_choice(rng, [name for name in items if name != item],
+                            config.zipf_skew)
+    return kind, item, amount, other
+
+
 class WorkloadDriver:
-    """Schedules Poisson arrivals and submits generated transactions."""
+    """Poisson arrivals per site, submitted as generated transactions.
+
+    There is one arrival process: each site's gaps come from its own
+    stream ``{seed_stream}:gaps:{site}`` and its specs from
+    ``{seed_stream}:{site}``. Every stream belongs to one site and is
+    forked here, outside any event (inside one, ``sim.rng`` is the
+    executing shard's fork), so the offered load is a function of
+    (seed, site) alone: identical for every system compared on a seed,
+    for every shard count and for every worker count.
+    """
 
     def __init__(self, sim: Simulator, target: SubmitTarget,
                  sites: list[str], source: SpecSource,
@@ -125,114 +160,33 @@ class WorkloadDriver:
         self.source = source
         self.config = config
         self.collector = collector or Collector()
-        self._rng = sim.rng.stream(config.seed_stream)
-        # Spec draws happen inside arrival events, which execute on the
-        # site's shard when the simulation is sharded (repro.sim.shard);
-        # a per-site stream keeps those draws independent of the order
-        # shards execute in, so results cannot depend on worker count.
         self._site_rng = {
             site: sim.rng.stream(f"{config.seed_stream}:{site}")
             for site in sites}
-        self._gap_rng: dict[str, random.Random] = {}
+        self._gap_rng = {
+            site: sim.rng.stream(f"{config.seed_stream}:gaps:{site}")
+            for site in sites}
 
-    def install(self, start: float = 0.0) -> int:
-        """Pre-schedule every arrival in [start, start+duration].
+    def install(self) -> None:
+        """Start the arrivals of ``[0, duration)`` at every site.
 
-        Returns the number of scheduled arrivals. Pre-scheduling (rather
-        than chained timers) keeps the arrival process identical across
-        systems compared on the same seed.
+        Open loop: one pending event per site, and each arrival chains
+        its successor before it submits, so memory is O(sites) whatever
+        the horizon. ``collector.submitted`` is the count.
         """
-        scheduled = 0
         for site in self.sites:
-            time = start
-            while True:
-                time += self._next_gap()
-                if time >= start + self.config.duration:
-                    break
-                self.sim.at_site(site, time, self._make_arrival(site),
-                                 label=f"arrival:{site}")
-                scheduled += 1
-        return scheduled
+            self._schedule(site, 0.0)
 
-    # -- open-loop (lazy) arrival scheduling ---------------------------------
-    #
-    # ``install`` materializes the whole horizon up front — fine at
-    # harness scales, hopeless for 10^5-10^6 users. The open-loop mode
-    # keeps exactly one pending arrival per site: each arrival event
-    # draws the next gap and chains the next arrival. Gap draws use a
-    # *dedicated per-site stream* (``{seed_stream}:gaps:{site}``): the
-    # draw happens inside the site's own shard event, so a per-site
-    # stream keeps the arrival process independent of shard execution
-    # order (worker-invariant) — and identical to what
-    # ``install_prescheduled`` produces from the same seed.
-
-    def install_open_loop(self, start: float = 0.0) -> int:
-        """Schedule one chained arrival per site; O(sites) memory.
-
-        Returns the number of sites with at least one arrival.
-        """
-        self._make_gap_streams()
-        deadline = start + self.config.duration
-        live = 0
-        for site in self.sites:
-            first = start + self._next_site_gap(site)
-            if first >= deadline:
-                continue
-            self.sim.at_site(site, first,
-                             self._make_chained_arrival(site, deadline),
+    def _schedule(self, site: str, after: float) -> None:
+        time = after + self._gap_rng[site].expovariate(
+            self.config.arrival_rate)
+        if time < self.config.duration:
+            self.sim.at_site(site, time, partial(self._on_arrival, site),
                              label=f"arrival:{site}")
-            live += 1
-        return live
 
-    def install_prescheduled(self, start: float = 0.0) -> int:
-        """Pre-materialized twin of :meth:`install_open_loop`.
-
-        Draws gaps from the same per-site streams, so arrival instants
-        (and hence trace fingerprints) match the open-loop mode exactly
-        — the determinism oracle for the lazy path. Returns the number
-        of scheduled arrivals.
-        """
-        self._make_gap_streams()
-        deadline = start + self.config.duration
-        scheduled = 0
-        for site in self.sites:
-            time = start
-            while True:
-                time += self._next_site_gap(site)
-                if time >= deadline:
-                    break
-                self.sim.at_site(site, time, self._make_arrival(site),
-                                 label=f"arrival:{site}")
-                scheduled += 1
-        return scheduled
-
-    def _make_gap_streams(self) -> None:
-        # Streams must be forked from the root RNG (outside any shard
-        # event) — ``sim.rng`` inside an event is the shard's fork.
-        for site in self.sites:
-            if site not in self._gap_rng:
-                self._gap_rng[site] = self.sim.rng.stream(
-                    f"{self.config.seed_stream}:gaps:{site}")
-
-    def _next_gap(self) -> float:
-        return self._rng.expovariate(self.config.arrival_rate)
-
-    def _next_site_gap(self, site: str) -> float:
-        return self._gap_rng[site].expovariate(self.config.arrival_rate)
-
-    def _make_chained_arrival(self, site: str, deadline: float):
-        def arrive() -> None:
-            next_time = self.sim.now + self._next_site_gap(site)
-            if next_time < deadline:
-                self.sim.at_site(site, next_time, arrive,
-                                 label=f"arrival:{site}")
-            self._arrive(site)
-        return arrive
-
-    def _make_arrival(self, site: str):
-        def arrive() -> None:
-            self._arrive(site)
-        return arrive
+    def _on_arrival(self, site: str) -> None:
+        self._schedule(site, self.sim.now)
+        self._arrive(site)
 
     def _arrive(self, site: str) -> None:
         spec = self.source.make_spec(self._site_rng[site], site)
@@ -245,7 +199,3 @@ class WorkloadDriver:
             # walked away; counted as lost. Anything else is a
             # programming error and must propagate.
             pass
-
-
-def uniform_amount(rng: random.Random, config: WorkloadConfig) -> int:
-    return rng.randint(config.amount_low, config.amount_high)

@@ -16,12 +16,7 @@ from repro.core.transactions import (
     ReadFullOp,
     TransactionSpec,
 )
-from repro.workloads.base import (
-    OpMix,
-    WorkloadConfig,
-    uniform_amount,
-    zipf_choice,
-)
+from repro.workloads.base import OpMix, WorkloadConfig, draw_op
 
 
 class InventoryWorkload:
@@ -37,20 +32,11 @@ class InventoryWorkload:
             zipf_skew=1.5, amount_low=1, amount_high=3)
 
     def make_spec(self, rng: random.Random, site: str) -> TransactionSpec:
-        kind = rng.choices(
-            [name for name, _weight in self.config.mix.normalized()],
-            weights=[weight for _name, weight
-                     in self.config.mix.normalized()])[0]
-        item = zipf_choice(rng, self.items, self.config.zipf_skew)
-        units = uniform_amount(rng, self.config)
-        if kind == "reserve":
-            return TransactionSpec(ops=(DecrementOp(item, units),),
-                                   label="sell", work=self.config.work)
+        kind, item, units, _other = draw_op(rng, self.items, self.config)
         if kind == "cancel":
-            return TransactionSpec(ops=(IncrementOp(item, units),),
-                                   label="restock", work=self.config.work)
-        if kind == "read":
-            return TransactionSpec(ops=(ReadFullOp(item),),
-                                   label="stock-check", work=self.config.work)
-        return TransactionSpec(ops=(DecrementOp(item, units),),
-                               label="sell", work=self.config.work)
+            ops, label = (IncrementOp(item, units),), "restock"
+        elif kind == "read":
+            ops, label = (ReadFullOp(item),), "stock-check"
+        else:  # reserve; a transfer weight sells too (one item per spec)
+            ops, label = (DecrementOp(item, units),), "sell"
+        return TransactionSpec(ops=ops, label=label, work=self.config.work)

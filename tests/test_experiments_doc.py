@@ -58,3 +58,25 @@ def test_every_experiment_has_an_index_row():
         "## 4. Experiment index")[1].split("\n## 5.")[0]
     rows = re.findall(r"^\| (E\d+) \|", index, flags=re.MULTILINE)
     assert rows == experiments.all_ids()
+
+
+def test_the_module_map_lists_what_the_tree_holds():
+    """DESIGN.md §3 names every package and module under ``src/repro``
+    and nothing that is not there (``experiments/`` stands for its
+    modules, which §4 lists; ``__init__.py`` goes without saying)."""
+    source = ROOT / "src" / "repro"
+    tree = {path.relative_to(source).as_posix()
+            for path in source.rglob("*.py")
+            if path.name != "__init__.py"
+            and "experiments" not in path.parts}
+    tree.add("harness/experiments/")
+    section = (ROOT / "DESIGN.md").read_text().split(
+        "## 3. System inventory")[1].split("```")[1]
+    listed, package = set(), ""
+    for indent, name in re.findall(r"^(  |    )([\w/]+(?:\.py|/))(?= |$)",
+                                   section, flags=re.MULTILINE):
+        if len(indent) == 2 and name.endswith("/"):
+            package = name
+        else:
+            listed.add(name if len(indent) == 2 else package + name)
+    assert listed == tree

@@ -19,6 +19,10 @@ def make_network(sim=None, **link_kwargs):
     return sim, network, inboxes
 
 
+def dropped(sim, cause):
+    return sim.metrics.counter(f"net.dropped.{cause}").value
+
+
 class TestLinkConfig:
     @pytest.mark.parametrize("kwargs", [
         {"base_delay": -1.0},
@@ -103,7 +107,7 @@ class TestNetwork:
         sim.run()
         assert inboxes["B"] == []
         assert [e.payload for e in inboxes["C"]] == ["kept"]
-        assert network.dropped_partition == 1
+        assert dropped(sim, "partition") == 1
 
     def test_partition_drop_is_silent(self):
         sim, network, inboxes = make_network()
@@ -150,14 +154,14 @@ class TestNetwork:
         network.partition([["A"], ["B", "C"]])
         sim.run()
         assert inboxes["B"] == []
-        assert network.dropped_partition == 1
+        assert dropped(sim, "partition") == 1
 
     def test_loss_drops_messages(self):
         sim, network, inboxes = make_network(loss_probability=1.0)
         network.send("A", "B", "x")
         sim.run()
         assert inboxes["B"] == []
-        assert network.dropped_loss == 1
+        assert dropped(sim, "loss") == 1
 
     def test_duplication_delivers_twice(self):
         sim, network, inboxes = make_network(duplicate_probability=1.0)
@@ -252,8 +256,8 @@ class TestNetwork:
         network.send("A", "B", "x")
         sim.run()
         assert inboxes["B"] == []
-        assert network.dropped_partition == 1
-        assert network.dropped_loss == 0
+        assert dropped(sim, "partition") == 1
+        assert dropped(sim, "loss") == 0
 
     def test_loss_stream_not_perturbed_by_partition(self):
         # The loss draw is sampled whether or not the partition eats

@@ -109,7 +109,7 @@ class TestSynchronousNetwork:
         network.send("A", "B", "x")
         sim.run()
         assert inboxes["B"] == []
-        assert network.dropped_partition == 1
+        assert sim.metrics.counter("net.dropped.partition").value == 1
 
     def test_unknown_destination(self):
         _sim, network, _ = self.make()

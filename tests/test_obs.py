@@ -206,16 +206,19 @@ class TestMetricsRegistry:
                      if dict(h.labels)["outcome"] == "committed"]
         assert sum(h.count for h in decisions) == 1
 
-    def test_legacy_counter_views_still_read(self):
+    def test_per_site_counters_are_labelled_by_site(self):
         system = build_system()
         system.submit("A", TransactionSpec(ops=(DecrementOp("x", 40),)))
         system.run_for(30.0)
-        site = system.sites["B"]
-        assert site.vm.acks_sent >= 0
-        assert site.vm.accepts == system.sim.metrics.counter(
-            "vm.accepted", site="B").value
-        assert system.network.dropped_partition == 0
-        assert system.network.dropped_loss == 0
+        metrics = system.sim.metrics
+        # A was short of 40: its peers created the Vm, A accepted them.
+        accepted = {site: metrics.counter("vm.accepted", site=site).value
+                    for site in system.sites}
+        assert accepted["A"] == metrics.total("vm.created") >= 1
+        assert accepted["B"] == accepted["C"] == 0
+        assert metrics.counter("vm.created", site="A").value == 0
+        assert metrics.counter("net.dropped.partition").value == 0
+        assert metrics.counter("net.dropped.loss").value == 0
 
     def test_counters_survive_recovery_rebuild(self):
         """Recovery replaces the VmManager object; the registry-backed
@@ -223,11 +226,16 @@ class TestMetricsRegistry:
         system = build_system()
         system.submit("A", TransactionSpec(ops=(DecrementOp("x", 40),)))
         system.run_for(30.0)
-        accepted_before = system.sites["A"].vm.accepts
+        accepted = system.sim.metrics.counter("vm.accepted", site="A")
+        accepted_before = accepted.value
         assert accepted_before > 0
         system.crash("A")
         system.recover("A")
-        assert system.sites["A"].vm.accepts == accepted_before
+        assert accepted.value == accepted_before
+        # The rebuilt manager counts on from there, into the same counter.
+        system.submit("A", TransactionSpec(ops=(DecrementOp("x", 40),)))
+        system.run_for(30.0)
+        assert accepted.value > accepted_before
 
 
 def bundled_four_site_run():

@@ -1,10 +1,10 @@
-"""Open-loop arrivals: fingerprint equality and worker invariance.
+"""Open-loop arrivals: pinned to their definition, worker-invariant.
 
-The open-loop driver chains per-site timers lazily instead of
-pre-materializing the horizon, but it must describe the *same* arrival
-process: same per-site gap streams, same specs, same times. These
-tests pin that equivalence and the sharded-kernel worker invariance
-of the whole serving path.
+The driver keeps one pending arrival per site and chains the next one
+lazily, but the process it describes is fixed by the named streams
+alone (``tests/arrival_reference.py``). These tests pin the driver to
+that definition on both kernels, and the sharded-kernel worker
+invariance of the whole serving path.
 """
 
 from repro.core.domain import CounterDomain
@@ -13,26 +13,25 @@ from repro.metrics.collector import Collector
 from repro.serving import ServingConfig, ServingFrontend
 from repro.workloads.airline import AirlineWorkload
 from repro.workloads.base import OpMix, WorkloadConfig, WorkloadDriver
+from tests.arrival_reference import reference_arrivals
 
 ITEMS = [f"flight{index}" for index in range(8)]
+SITES = [f"S{index}" for index in range(4)]
+RATE, DURATION = 0.4, 40.0
 
 
-def run_driver(mode, seed=7, sites_n=4, rate=0.4, duration=40.0,
-               shards=1, shard_workers=1):
-    sites = [f"S{index}" for index in range(sites_n)]
-    system = DvPSystem(SystemConfig(
-        sites=sites, seed=seed, shards=shards,
-        shard_workers=shard_workers))
+def run_driver(seed=7, shards=1):
+    system = DvPSystem(SystemConfig(sites=SITES, seed=seed,
+                                    shards=shards))
     for item in ITEMS:
         system.add_item(item, CounterDomain(), total=1000)
-    config = WorkloadConfig(arrival_rate=rate, duration=duration,
+    config = WorkloadConfig(arrival_rate=RATE, duration=DURATION,
                             zipf_skew=0.5, work=0.5,
                             mix=OpMix(reserve=0.7, cancel=0.3))
-    driver = WorkloadDriver(system.sim, system, sites,
+    driver = WorkloadDriver(system.sim, system, SITES,
                             AirlineWorkload(ITEMS, config), config)
-    installed = getattr(driver, f"install_{mode}")()
-    assert installed > 0
-    system.sim.run_until(duration + 60.0)
+    driver.install()
+    system.sim.run_until(DURATION + 60.0)
     return driver.collector
 
 
@@ -42,23 +41,35 @@ def fingerprint(collector):
                   for r in collector.results)
 
 
+def submit_instants(collector):
+    """site -> the instants the driver submitted at, in order."""
+    instants = {site: [] for site in SITES}
+    for result in collector.results:
+        instants[result.site].append(result.submitted_at)
+    return {site: sorted(times) for site, times in instants.items()}
+
+
 class TestOpenLoopEquivalence:
     def test_matches_prescheduled_at_same_horizon(self):
-        open_loop = run_driver("open_loop")
-        prescheduled = run_driver("prescheduled")
-        assert open_loop.submitted == prescheduled.submitted
-        assert fingerprint(open_loop) == fingerprint(prescheduled)
+        reference = reference_arrivals(7, SITES, RATE, DURATION)
+        collector = run_driver()
+        assert collector.submitted == sum(map(len, reference.values())) > 0
+        assert collector.lost == 0
+        assert submit_instants(collector) == reference
 
     def test_deterministic_across_runs_and_seeds(self):
-        assert fingerprint(run_driver("open_loop")) == \
-            fingerprint(run_driver("open_loop"))
-        assert fingerprint(run_driver("open_loop", seed=7)) != \
-            fingerprint(run_driver("open_loop", seed=8))
+        assert fingerprint(run_driver()) == fingerprint(run_driver())
+        assert fingerprint(run_driver(seed=7)) != \
+            fingerprint(run_driver(seed=8))
 
     def test_equivalence_holds_on_sharded_kernel(self):
-        open_loop = run_driver("open_loop", shards=2)
-        prescheduled = run_driver("prescheduled", shards=2)
-        assert fingerprint(open_loop) == fingerprint(prescheduled)
+        sharded = run_driver(shards=2)
+        assert submit_instants(sharded) == \
+            reference_arrivals(7, SITES, RATE, DURATION)
+        # The specs too: what is offered does not depend on the kernel
+        # (what is decided may — link jitter streams are per shard).
+        assert [entry[:3] for entry in fingerprint(sharded)] == \
+            [entry[:3] for entry in fingerprint(run_driver())]
 
 
 def run_serving(shard_workers, router="least-queue", seed=13):
@@ -79,7 +90,7 @@ def run_serving(shard_workers, router="least-queue", seed=13):
                             AirlineWorkload(ITEMS, config), config,
                             collector)
     frontend.start()
-    driver.install_open_loop()
+    driver.install()
     system.sim.run_until(40.0)
     frontend.stop()
     system.sim.run_until(120.0)

@@ -19,9 +19,11 @@ from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import DecrementOp, TransactionSpec
 from repro.harness.experiments import e01_nonblocking as e01
 from repro.harness.experiments import e06_hotspot as e06
+from repro.harness.experiments import e13_reshard as e13
 from repro.net.link import LinkConfig
 from repro.workloads.base import WorkloadConfig, WorkloadDriver
 from repro.workloads.inventory import InventoryWorkload
+from tests.arrival_reference import RecordingTarget
 
 
 def _e01_params(shards, workers):
@@ -58,6 +60,34 @@ class TestExperimentOutcomes:
         classic = e06._run_rebalance(_e06_params(1, 1), "static-rr")
         sharded = e06._run_rebalance(_e06_params(3, 1), "static-rr")
         assert sharded == classic
+
+
+def _e13_offered_load(shards):
+    """What E13's quick cell submits: (site, instant, op, item, amount)."""
+    offered = []
+    submit = DvPSystem.submit
+
+    def recording(system, site, spec, on_done=None):
+        op, = spec.ops
+        offered.append((site, system.sim.now, type(op).__name__,
+                        op.item, op.amount))
+        return submit(system, site, spec, on_done)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DvPSystem, "submit", recording)
+        e13._run_one(replace(e13.Params.quick(), shards=shards), 16, False)
+    return sorted(offered)
+
+
+class TestOfferedLoad:
+    def test_e13_offered_load_is_kernel_independent(self):
+        """Regression: E13 drew inc / dec inside its arrival events from
+        one stream shared by every site, so the order shards executed
+        in decided which arrival got which draw."""
+        classic = _e13_offered_load(1)
+        assert len(classic) > 20
+        for shards in (2, 4):
+            assert _e13_offered_load(shards) == classic
 
 
 def _e01_style_fingerprint(shards, workers, seed=11):
@@ -159,7 +189,8 @@ def _reshard_style_fingerprint(shards, workers, seed=29):
     source = InventoryWorkload(["itemA", "itemB"], config)
     system.add_item("itemA", CounterDomain(), total=600)
     system.add_item("itemB", CounterDomain(), total=600)
-    WorkloadDriver(system.sim, system, sites, source, config).install()
+    target = RecordingTarget(system)
+    WorkloadDriver(system.sim, target, sites, source, config).install()
     system.sim.at_global(30.0, lambda: system.add_site("E0"),
                          label="join")
 
@@ -180,7 +211,8 @@ def _reshard_style_fingerprint(shards, workers, seed=29):
     return (system.sim.trace_fingerprint(), system.sim.steps,
             len(system.committed()), len(system.aborted()),
             system.sim.metrics.counter("migrate.ships").value,
-            system.directory.epoch)
+            system.directory.epoch,
+            sorted(target.offered, key=lambda entry: entry[:2]))
 
 
 class TestReshardDeterminism:
@@ -196,12 +228,20 @@ class TestReshardDeterminism:
             assert _reshard_style_fingerprint(2, workers) == baseline
 
     def test_reshard_outcomes_match_classic_kernel(self):
-        """Fingerprints differ between shard counts by construction
-        (per-shard streams); commits, aborts, migration ships, and the
-        final epoch may not."""
+        """What holds across kernels: the same submissions, all of them
+        decided, and a join plus a leave that ships value over two
+        epochs (the auditor is green inside the helper). Which of them
+        commit is not: links are created on first use inside shard
+        events, so their jitter streams are sub-seeded per shard, and
+        a transaction that gathers remote value can hinge on a jitter
+        draw."""
         classic = _reshard_style_fingerprint(1, 1)
         sharded = _reshard_style_fingerprint(3, 1)
-        assert sharded[2:] == classic[2:]
+        assert sharded[-1] == classic[-1] != []
+        for _trace, _steps, committed, aborted, ships, epoch, offered in (
+                classic, sharded):
+            assert committed + aborted == len(offered)
+            assert ships > 0 and epoch == 2
 
     def test_reshard_scenario_replays_bit_for_bit(self):
         assert _reshard_style_fingerprint(2, 2) == \
