@@ -7,7 +7,7 @@ byte-identical to the PR 9 seed (the digest pin below)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chaos import ChaosConfig, FaultPlan, explore
+from repro.chaos import ChaosConfig, FaultPlan, explore, reshard_grammar
 from repro.chaos.oracles import EPSILON
 from repro.chaos.runner import run_chaos
 from repro.cli import build_parser
@@ -23,6 +23,18 @@ ACCEPTANCE = [(7, None), (19, "view-aware"), (23, "least-queue")]
 #: randomness, so turning it off IS the seed read path, bit for bit.
 PR9_DIGEST = \
     "14baf8e2ca857e8631fa3a0cc97d89fc62e88a6db1cdf502c6f488ace9423d85"
+
+#: explore(ChaosConfig(views=12.0, ...), budget=80, master_seed=7),
+#: recorded while the view tier still kept its own copy of the
+#: auditor's books: publishing the auditor's N must change nothing.
+VIEWS_DIGESTS = [
+    ({}, False,
+     "ae9c659dd165214fe8e6cdbbe5a0c0216ded06372322b59491e3fd708e58c466"),
+    ({"serving": "view-aware"}, False,
+     "005467193598450bbb9755f91e4c3c512b19c0502924c1d76d902f853a3d6dc3"),
+    ({"partitioner": "consistent", "replicas": 2}, True,
+     "f1698613cdae4d0b7b764fcb7eb8d207b225d49e5751c08cdc692be203d11cf0"),
+]
 
 
 class TestExploreWithViews:
@@ -47,6 +59,14 @@ class TestExploreWithViews:
         report = explore(ChaosConfig(), budget=6, master_seed=7)
         assert report.ok, report.describe()
         assert report.digest() == PR9_DIGEST
+
+    @pytest.mark.parametrize("extra,reshard,digest", VIEWS_DIGESTS)
+    def test_views_on_digest_is_pinned(self, extra, reshard, digest):
+        report = explore(ChaosConfig(views=12.0, **extra), budget=80,
+                         master_seed=7,
+                         grammar=reshard_grammar() if reshard else None)
+        assert report.ok, report.describe()
+        assert report.digest() == digest
 
     def test_describe_names_the_views(self):
         report = explore(ChaosConfig(views=9.0, view_refresh=3.0),

@@ -294,7 +294,7 @@ def serving_slots() -> dict:
                 (s.site, s.arrived_at, s.dispatched_at, s.finished_at,
                  s.committed) for s in frontend.samples),
             "overloads": _digest(
-                (o.site, o.at, o.reason, o.depth, o.estimated_wait)
+                (o.site, o.at, o.reason, o.depth)
                 for o in frontend.overloads)}
 
 
@@ -340,7 +340,7 @@ GOLDEN: dict[str, dict] = {'chaos_crash_partition': {'committed': '25b580be8c897
                    'fingerprint': 'd043f9b2f9bda8c5eb62675965c15b875da98a2192bda732fb5d10e2bcbeebbd',
                    'log.forces': 185,
                    'net.sent': 245,
-                   'overloads': '1f4df0749662ad06',
+                   'overloads': 'cabbb33ad6e6494c',
                    'results': '2b7c9c732e084b6a',
                    'samples': 'a2fb53e0718aaebb',
                    'serve.dequeued': 91,
