@@ -56,9 +56,7 @@ class RebalanceConfig:
     ``max_ship`` caps a single push (None: ship the whole surplus —
     the historical behaviour); with a cap, every policy spends the same
     worst-case shipment budget per period, which is what makes policy
-    comparisons fair. ``cooldown`` is extra per-item quiet time after a
-    push or pull, on top of the period itself (hysteresis against
-    ping-ponging a fragment that hovers at a watermark).
+    comparisons fair.
     """
 
     period: float = 20.0
@@ -66,7 +64,6 @@ class RebalanceConfig:
     low_watermark: float = 0.5
     policy: str = "static-rr"
     max_ship: int | None = None
-    cooldown: float = 0.0
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -81,8 +78,6 @@ class RebalanceConfig:
                 f"choose from {sorted(REBALANCE_POLICIES)}")
         if self.max_ship is not None and self.max_ship < 1:
             raise ValueError("max_ship must be >= 1 (or None)")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
 
 
 class RebalanceDaemon:
@@ -97,7 +92,6 @@ class RebalanceDaemon:
         self.shipments = 0
         self.pulls = 0
         self.skipped_locked = 0
-        self._quiet_until: dict[str, float] = {}
         self._timer = PeriodicTimer(site.sim, self.config.period,
                                     self.tick,
                                     label=f"rebalance:{site.name}")
@@ -152,8 +146,6 @@ class RebalanceDaemon:
             if target is None:
                 target = value
                 self.targets[item] = target
-            if self.site.sim.now < self._quiet_until.get(item, 0.0):
-                continue
             if self.policy.pushes:
                 self._maybe_ship(item, target)
             if self.policy.pulls:
@@ -213,7 +205,6 @@ class RebalanceDaemon:
             site.create_vm(owner, item, remainder, ts, (entry,))
             self.shipments += 1
             self._c_ship.value += 1
-            self._quiet_until[item] = site.sim.now + self.config.cooldown
             self.policy.on_shipped(peer)
             if self._obs.enabled:
                 self._obs.emit(RebalShip(
@@ -252,7 +243,6 @@ class RebalanceDaemon:
             origin=site.name, item=item, mode=TRANSFER_MODE,
             need=need, ts=site.clock.next())
         site.send_request(peer, request)
-        self._quiet_until[item] = site.sim.now + self.config.cooldown
         self.policy.on_pulled(peer)
         if self._obs.enabled:
             self._obs.emit(RebalPull(

@@ -151,20 +151,3 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
             from_checkpoint=report.from_checkpoint))
     return report
 
-
-def derive_incoming_cumulative(site: "DvPSite") -> dict[str, int]:
-    """Log-derived accepted-up-to per source (for audits of dead sites)."""
-    cumulative: dict[str, int] = {}
-    checkpoint_env = site.log.last_matching(
-        lambda record: isinstance(record, CheckpointRecord))
-    start_lsn = 0
-    if checkpoint_env is not None:
-        start_lsn = checkpoint_env.lsn + 1
-        for src, value in checkpoint_env.record.incoming_cumulative:
-            cumulative[src] = max(cumulative.get(src, 0), value)
-    for envelope in site.log.scan(start_lsn):
-        record = envelope.record
-        if isinstance(record, VmAcceptRecord):
-            cumulative[record.src] = max(cumulative.get(record.src, 0),
-                                         record.channel_seq)
-    return cumulative

@@ -72,8 +72,6 @@ class SiteConfig:
     #: values" while the read completes; it is time-bounded, so the
     #: non-blocking property survives.
     read_freeze: float | None = None
-    #: Sliding-window cap on in-flight Vm per channel (None = unbounded).
-    vm_window: int | None = None
     #: Suppress explicit VmAcks already carried by a same-instant data
     #: message's piggyback field (see VmManager). Off by default; the
     #: system façade turns it on together with transport bundling.
@@ -171,7 +169,6 @@ class DvPSite:
             accept=self._accept_vm,
             clock_ts=self.clock.next,
             retransmit_period=self.config.retransmit_period,
-            window=self.config.vm_window,
             on_created=self._notify_vm_created,
             on_accepted=self._notify_vm_accepted,
             coalesce_acks=self.config.coalesce_acks)

@@ -59,7 +59,6 @@ class SystemConfig:
     checkpoint_interval: int = 0
     request_retries: int = 0
     read_freeze: float | None = None
-    vm_window: int | None = None
     link: LinkConfig = field(default_factory=LinkConfig)
     #: Conc2 requires the order-synchronous network; None = follow cc.
     synchronous: bool | None = None
@@ -68,9 +67,6 @@ class SystemConfig:
     #: behaviour. The synchronous network ignores it (it models a
     #: lossless ordered broadcast, there is nothing to coalesce).
     bundling: BundlingConfig | None = None
-    #: Suppress explicit acks covered by same-instant piggybacks; None
-    #: follows ``bundling`` (on when bundling is on).
-    coalesce_acks: bool | None = None
     #: Execute the simulation as this many site-group shards under
     #: conservative lookahead (repro.sim.shard; docs/PARALLEL.md).
     #: 1 = the classic single-queue kernel, byte-for-byte the seed
@@ -98,6 +94,12 @@ class SystemConfig:
             raise ValueError("site names must be unique")
         if not self.sites:
             raise ValueError("at least one site required")
+        if self.txn_timeout <= 0:
+            raise ValueError("txn_timeout must be positive")
+        if self.request_retries < 0:
+            raise ValueError("request_retries must be >= 0")
+        if self.read_freeze is not None and self.read_freeze < 0:
+            raise ValueError("read_freeze must be >= 0 (or None)")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.shard_workers < 1:
@@ -189,7 +191,6 @@ class DvPSystem:
         self.policy = make_policy(self.config.policy,
                                   **self.config.policy_kwargs)
         self.results: list[TxnResult] = []
-        self._result_hooks: list[Callable[[TxnResult], None]] = []
         self.directory = Directory(
             make_partitioner(self.config.partitioner),
             self.config.sites, replicas=self.config.replicas)
@@ -206,10 +207,9 @@ class DvPSystem:
             checkpoint_interval=self.config.checkpoint_interval,
             request_retries=self.config.request_retries,
             read_freeze=self.config.read_freeze,
-            vm_window=self.config.vm_window,
-            coalesce_acks=(self.config.coalesce_acks
-                           if self.config.coalesce_acks is not None
-                           else self.config.bundling is not None))
+            # Bundling coalesces the explicit acks a same-instant
+            # piggyback already carries.
+            coalesce_acks=self.config.bundling is not None)
         self._site_config = site_config
         self.sites: dict[str, DvPSite] = {}
         for rank, name in enumerate(self.config.sites):
@@ -229,9 +229,8 @@ class DvPSystem:
         self.auditor = ConservationAuditor(self)
         for site in self.sites.values():
             site.router = self.router
-        #: Bounded-staleness view service (docs/READS.md). Attaches
-        #: after the auditor: its adopt_site() replaces each site's
-        #: observer slot with a fanout keeping the auditor first.
+        #: Bounded-staleness view service (docs/READS.md); it
+        #: publishes off the auditor's books.
         self.views: ViewService | None = None
         if self.config.views is not None:
             self.views = ViewService(self, self.config.views)
@@ -425,12 +424,6 @@ class DvPSystem:
             self.views.fill_through(result.site, result.view_fallbacks)
         self.results.append(result)
         self.auditor.on_result(result)
-        for hook in self._result_hooks:
-            hook(result)
-
-    def add_result_hook(self, hook: Callable[[TxnResult], None]) -> None:
-        """Observe every transaction outcome (used by metrics)."""
-        self._result_hooks.append(hook)
 
     # -- running ------------------------------------------------------------
 
@@ -468,7 +461,7 @@ class DvPSystem:
     def close(self) -> None:
         """This system's purpose is over: every owner lets go of what
         ties it to the others, so that dropping the system frees it by
-        reference counting alone (DESIGN.md §7 has the cycle map).
+        reference counting alone (DESIGN.md §7, the close rule).
 
         Whoever built the system calls this when they are done with
         it; nothing runs afterwards. What a run *produced* stays
@@ -487,7 +480,6 @@ class DvPSystem:
             site.close()
         self.network.close()
         self.auditor.close()
-        self._result_hooks = []
         self.sim.close()
 
     # -- failure injection ----------------------------------------------------

@@ -103,17 +103,10 @@ class VmManager:
                  accept: Callable[[VmEntry, str], bool],
                  clock_ts: Callable[[], int],
                  retransmit_period: float = 5.0,
-                 window: int | None = None,
                  on_created: Callable[[VmEntry], None] | None = None,
                  on_accepted: Callable[[str, VmEntry], None] | None = None,
                  coalesce_acks: bool = False) -> None:
-        """*window* caps in-flight (sent-but-unacked) messages per
-        channel — the classic sliding window of the "common schemes
-        (e.g. 'window' protocols)" Section 4.2 leans on. None means
-        unbounded. Entries beyond the window stay live Vm (logged,
-        conserved) and transmit as acks open the window.
-
-        *coalesce_acks* defers explicit acks to the end of the current
+        """*coalesce_acks* defers explicit acks to the end of the current
         kernel event and suppresses them entirely when a data message to
         the same peer already left this instant carrying the same (or a
         newer) cumulative value in its piggyback field — the paper's
@@ -121,11 +114,8 @@ class VmManager:
         Correctness is unaffected either way: acks are idempotent
         hints, and the retransmission timer covers any that are elided
         or lost."""
-        if window is not None and window < 1:
-            raise ValueError("window must be >= 1 (or None)")
         self.site = site
         self.sim = sim
-        self.window = window
         self._send = send
         self._accept = accept
         self._clock_ts = clock_ts
@@ -233,16 +223,11 @@ class VmManager:
                     txn=entry.txn_id))
             if self.on_created is not None:
                 self.on_created(entry)
-            if transmit and self._in_window(channel, entry.channel_seq):
+            if transmit:
                 self._transmit(entry)
                 channel.highest_sent = max(channel.highest_sent,
                                            entry.channel_seq)
         self._ensure_timer()
-
-    def _in_window(self, channel: OutgoingChannel, seq: int) -> bool:
-        if self.window is None:
-            return True
-        return seq <= channel.cumulative_acked + self.window
 
     def has_outstanding(self, item: str) -> bool:
         """Any live (unaccepted) outgoing Vm for *item*? O(1).
@@ -317,9 +302,6 @@ class VmManager:
             if not channel.entries:
                 continue  # nothing live: unacked() would sort nothing
             for entry in channel.unacked():
-                if not self._in_window(channel, entry.channel_seq):
-                    live += 1  # still live, just outside the window
-                    continue
                 retransmit = entry.channel_seq <= channel.highest_sent
                 if retransmit:
                     channel.retransmissions += 1
@@ -339,8 +321,8 @@ class VmManager:
         """Fire the retransmission tick immediately (clock-skew hook).
 
         Equivalent to the periodic timer having fired early: every
-        in-window live Vm is re-sent right now. The periodic schedule
-        itself is untouched.
+        live Vm is re-sent right now. The periodic schedule itself is
+        untouched.
         """
         self._retransmit_tick()
         self._ensure_timer()
@@ -462,14 +444,6 @@ class VmManager:
             return
         for entry in channel.ack(ack.cumulative):
             self._note_dead(entry)
-        # The window may have slid open: transmit newly admitted
-        # entries right away instead of waiting for the next tick.
-        if self.window is not None:
-            for seq in sorted(channel.entries):
-                if seq > channel.highest_sent and \
-                        self._in_window(channel, seq):
-                    self._transmit(channel.entries[seq])
-                    channel.highest_sent = seq
 
     def _send_ack(self, dst: str) -> None:
         """Send — or, with coalescing on, schedule — an explicit ack.

@@ -3,8 +3,8 @@
 See docs/READS.md. Public surface:
 
 * :class:`ViewConfig` — knobs, passed as ``SystemConfig.views``;
-* :class:`ViewService` / :class:`ViewStore` / :class:`SiteViewCache` —
-  the authority, refresh, and per-site cache tiers;
+* :class:`ViewService` / :class:`SiteViewCache` — the refresh and
+  per-site cache tiers (the authority tier is the auditor's books);
 * :class:`ViewEntry` / :class:`ViewRefresh` /
   :class:`ViewCertificate` — the wire/value types;
 * ``set_view_leak`` — the chaos engine's planted certificate bug.
@@ -13,17 +13,15 @@ See docs/READS.md. Public surface:
 from repro.reads.messages import ViewCertificate, ViewEntry, ViewRefresh
 from repro.reads.views import (
     VIEW_LEAK_MODES,
-    ObserverFanout,
     SiteViewCache,
     ViewConfig,
     ViewService,
-    ViewStore,
     set_view_leak,
     view_leak,
 )
 
 __all__ = [
     "ViewCertificate", "ViewEntry", "ViewRefresh",
-    "ViewConfig", "ViewService", "ViewStore", "SiteViewCache",
-    "ObserverFanout", "VIEW_LEAK_MODES", "set_view_leak", "view_leak",
+    "ViewConfig", "ViewService", "SiteViewCache",
+    "VIEW_LEAK_MODES", "set_view_leak", "view_leak",
 ]

@@ -5,17 +5,13 @@ the exact protocol drains every remote fragment and every in-flight Vm
 to the reader (O(n) messages, plus read-freeze collateral aborts —
 e07). This module adds the read-scaling tier:
 
-* :class:`ViewStore` — the authority tier. It consumes the exact same
-  incremental observer feed the PR 1 conservation auditor consumes
-  (fragment register/write, Vm create/accept) and maintains one running
-  total per item. By the conservation equation N = Σ fragments +
-  Σ live Vm, that total IS the item's logical value — the view is
-  maintained *for free* off hooks that already exist and that
-  ``ConservationAuditor.verify_full`` cross-checks against brute-force
-  scans.
+* The authority tier is the conservation auditor's books: N =
+  Σ fragments + Σ live Vm, both sums kept incrementally by
+  ``ConservationAuditor`` (and cross-checked against brute-force scans
+  by ``verify_full``), so an item's N at any instant is two lookups.
 * :class:`ViewService` — the write-behind refresh loop. At global
   barriers (a consistent cut, so the totals are worker-invariant) it
-  snapshots the store into :class:`~repro.reads.messages.ViewEntry`
+  snapshots those books into :class:`~repro.reads.messages.ViewEntry`
   values and pushes one batched
   :class:`~repro.reads.messages.ViewRefresh` per (publisher,
   destination) pair over the ordinary network — riding the PR 5 outbox
@@ -44,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.domain import Domain
 from repro.obs.events import ReadViewMiss, ReadViewRefresh, ReadViewServe
 from repro.reads.messages import ViewCertificate, ViewEntry, ViewRefresh
 
@@ -90,10 +85,6 @@ class ViewConfig:
     #: reader's bound; None = 2 × refresh_period (one missed round of
     #: grace before the cache declares itself cold).
     ttl: float | None = None
-    #: Push refreshes to every site (the write-behind tier). False
-    #: keeps only the authority tier + read-through fills — caches warm
-    #: lazily from fallback reads instead of proactively.
-    push: bool = True
 
     def __post_init__(self) -> None:
         if self.refresh_period <= 0:
@@ -105,97 +96,6 @@ class ViewConfig:
     def resolved_ttl(self) -> float:
         return (self.ttl if self.ttl is not None
                 else 2.0 * self.refresh_period)
-
-
-class ObserverFanout:
-    """Tee the site/fragment observer feed to several consumers.
-
-    Sites carry a single ``observer`` slot (historically the
-    conservation auditor). With views enabled the slot holds one of
-    these, delegating every notification in order — the auditor stays
-    first so its books are settled before the view store's.
-    """
-
-    def __init__(self, targets: Iterable[Any]) -> None:
-        self.targets = list(targets)
-
-    def on_fragment_register(self, site: str, item: str, domain: Domain,
-                             value: Any) -> None:
-        for target in self.targets:
-            target.on_fragment_register(site, item, domain, value)
-
-    def on_fragment_write(self, site: str, item: str, old: Any,
-                          new: Any) -> None:
-        for target in self.targets:
-            target.on_fragment_write(site, item, old, new)
-
-    def on_vm_created(self, sender: str, entry) -> None:
-        for target in self.targets:
-            target.on_vm_created(sender, entry)
-
-    def on_vm_accepted(self, receiver: str, src: str, entry) -> None:
-        for target in self.targets:
-            target.on_vm_accepted(receiver, src, entry)
-
-
-class ViewStore:
-    """Authority tier: one exact running total per item.
-
-    Same books as the auditor's, folded into a single N per item:
-    registration adds the initial quota, a fragment write adds
-    (new − old), a Vm creation adds the in-flight amount, and an
-    acceptance retires it (keyed by (sender, receiver, seq) so a
-    retransmitted Vm retires exactly once). Redistribution is therefore
-    net-neutral and the total moves only when committed transactions
-    change value — N(t) at every instant.
-    """
-
-    def __init__(self) -> None:
-        self._domains: dict[str, Domain] = {}
-        self._totals: dict[str, Any] = {}
-        self._live_entries: dict[tuple[str, str, int], tuple[str, Any]] = {}
-
-    def items(self) -> list[str]:
-        return sorted(self._totals)
-
-    def total(self, item: str) -> Any:
-        return self._totals[item]
-
-    # -- the observer feed --------------------------------------------------
-
-    def on_fragment_register(self, site: str, item: str, domain: Domain,
-                             value: Any) -> None:
-        self._domains.setdefault(item, domain)
-        self._totals[item] = domain.combine(
-            self._totals.get(item, domain.zero()), value)
-
-    def on_fragment_write(self, site: str, item: str, old: Any,
-                          new: Any) -> None:
-        domain = self._domains.get(item)
-        if domain is None:  # pragma: no cover - item never registered
-            return
-        self._totals[item] = domain.subtract(
-            domain.combine(self._totals[item], new), old)
-
-    def on_vm_created(self, sender: str, entry) -> None:
-        domain = self._domains.get(entry.item)
-        if domain is None:  # pragma: no cover - item never registered
-            return
-        key = (sender, entry.dst, entry.channel_seq)
-        if key in self._live_entries:  # pragma: no cover - defensive
-            return
-        self._live_entries[key] = (entry.item, entry.amount)
-        self._totals[entry.item] = domain.combine(self._totals[entry.item],
-                                                  entry.amount)
-
-    def on_vm_accepted(self, receiver: str, src: str, entry) -> None:
-        info = self._live_entries.pop((src, receiver, entry.channel_seq),
-                                      None)
-        if info is None:  # pragma: no cover - unobserved creation
-            return
-        item, amount = info
-        self._totals[item] = self._domains[item].subtract(
-            self._totals[item], amount)
 
 
 class SiteViewCache:
@@ -275,14 +175,13 @@ class SiteViewCache:
 
 
 class ViewService:
-    """Owns the authority tier and drives the write-behind refreshes."""
+    """Drives the write-behind refreshes off the auditor's books."""
 
     def __init__(self, system: "DvPSystem", config: ViewConfig) -> None:
         self.system = system
         self.config = config
         self.sim = system.sim
-        self.store = ViewStore()
-        #: God's-eye freshest entry per item (the authority tier's own
+        #: God's-eye freshest entry per item (the authority tier's
         #: snapshot), used for read-through fills after fallback reads.
         #: Mutated only at global barriers, so shard events may read it
         #: between rounds without order dependence.
@@ -297,9 +196,7 @@ class ViewService:
                            self._tick, label="view:refresh")
 
     def adopt_site(self, site: "DvPSite") -> None:
-        """Wire the observer fanout and a cold cache into *site*."""
-        site.observer = ObserverFanout([self.system.auditor, self.store])
-        site.fragments.observer = site.observer
+        """Wire a cold cache into *site*."""
         site.views = SiteViewCache(
             site.name, self.sim, self.config.resolved_ttl,
             lambda: self.system.directory.epoch)
@@ -310,7 +207,7 @@ class ViewService:
 
     def close(self) -> None:
         """Stop, and let go of the system (which holds this service);
-        the store, ``latest`` and the counters stay readable."""
+        ``latest`` and the counters stay readable."""
         self.stop()
         self.system = None
 
@@ -327,22 +224,26 @@ class ViewService:
         """Snapshot every item at this barrier and push the batches.
 
         Runs at a consistent cut: every event with timestamp <= now has
-        executed on every shard, so ``store.total`` is exact and
+        executed on every shard, so the auditor's N is exact and
         worker-invariant. Each item's entry is published by its
         directory primary owner; owners known to be down publish
         nothing this round (their items' caches age toward fallback).
         """
         now = self.sim.now
         epoch = self.system.directory.epoch
-        items = self.store.items()
+        domains = self.system._items
+        items = sorted(domains)
         if not items:
             return
+        auditor = self.system.auditor
         if view_leak() == "view-staleness" and self._last_values is not None:
             # Planted bug: fresh as_of stamps over the first snapshot's
             # values — the certificate lies as soon as value moves.
             values = self._last_values
         else:
-            values = {item: self.store.total(item) for item in items}
+            values = {item: domains[item].combine(
+                auditor.fragments_total(item), auditor.live_vm_total(item))
+                for item in items}
             self._last_values = values
         by_owner: dict[str, list[ViewEntry]] = {}
         for item in items:
@@ -364,8 +265,6 @@ class ViewService:
             if publisher is not None and publisher.views is not None:
                 for entry in entries:
                     publisher.views.store(entry)
-            if not self.config.push:
-                continue
             for dst in sorted(self.system.sites):
                 if dst == owner:
                     continue

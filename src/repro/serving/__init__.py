@@ -5,9 +5,8 @@ See docs/SERVING.md. The front-end implements the same
 workload drivers and the chaos engine use it unchanged.
 """
 
-from repro.serving.admission import AdmissionPolicy, Overload
 from repro.serving.frontend import ServingConfig, ServingFrontend
-from repro.serving.queue import SiteQueue
+from repro.serving.queue import Overload, ServeSample, SiteQueue
 from repro.serving.router import (
     ROUTERS,
     DepthBoard,
@@ -20,12 +19,12 @@ from repro.serving.router import (
 
 __all__ = [
     "ROUTERS",
-    "AdmissionPolicy",
     "DepthBoard",
     "LeastQueueRouter",
     "LocalityRouter",
     "Overload",
     "RandomRouter",
+    "ServeSample",
     "ServingConfig",
     "ServingFrontend",
     "SiteQueue",

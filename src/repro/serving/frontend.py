@@ -6,10 +6,10 @@ driver (and the chaos engine) can point at it unchanged. A submitted
 request is routed to a target site, forwarded there (paying the route
 delay when it crosses sites), and offered to that site's bounded
 queue; admission control may shed it with a typed
-:class:`~repro.serving.admission.Overload` instead.
+:class:`~repro.serving.queue.Overload` instead.
 
 Determinism on the sharded kernel: routing draws use per-origin
-streams, cross-site forwards are scheduled ``route_delay >= lookahead``
+streams, cross-site forwards are scheduled the kernel's lookahead
 ahead (exactly like network sends), and the least-queue board
 refreshes only at global barriers — see docs/SERVING.md.
 """
@@ -22,10 +22,8 @@ from typing import Callable
 from repro.core.system import DvPSystem
 from repro.core.transactions import TransactionSpec, TxnResult
 from repro.metrics.collector import Collector
-from repro.metrics.windows import ServeSample
 from repro.obs.events import ServeShed
-from repro.serving.admission import Overload
-from repro.serving.queue import SiteQueue
+from repro.serving.queue import Overload, ServeSample, SiteQueue
 from repro.serving.router import ROUTERS, DepthBoard, make_router
 
 
@@ -37,26 +35,10 @@ class ServingConfig:
     #: Service slots per site: concurrent transactions inside the
     #: system. The load-leveling lever.
     max_inflight: int = 4
-    #: Admission bounds; None disables that bound (unbounded queue).
+    #: Admission bound on queued requests per site; None = unbounded.
     max_depth: int | None = 64
-    max_wait: float | None = None
-    #: Forwarding delay for cross-site routing. None = the kernel's
-    #: lookahead (0 on the single-queue kernel) — the least delay a
-    #: cross-shard hop can legally have.
-    route_delay: float | None = None
     #: Depth-board refresh period (global barriers).
     board_period: float = 5.0
-    #: Slot lease; None = txn_timeout + one board period of grace.
-    lease: float | None = None
-    #: Seed for the EWMA service-time estimate before completions.
-    service_estimate: float = 1.0
-    ewma_alpha: float = 0.2
-    #: Keep every ServeSample/Overload in ``frontend.samples`` /
-    #: ``frontend.overloads`` (the harness-scale default). Turn off for
-    #: 10^5-10^6-site runs and consume the ``on_sample``/``on_overload``
-    #: sinks instead (e.g. metrics.windows.StreamingWindowStats) — the
-    #: decision stream then costs O(1) memory per request.
-    retain_samples: bool = True
 
     def __post_init__(self) -> None:
         if self.router not in ROUTERS:
@@ -64,6 +46,8 @@ class ServingConfig:
                 f"unknown router {self.router!r}; choose from {ROUTERS}")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1 (or None)")
         if self.board_period <= 0:
             raise ValueError("board_period must be positive")
 
@@ -78,18 +62,13 @@ class ServingFrontend:
         self.sim = system.sim
         self.config = config or ServingConfig()
         self.collector = collector or Collector()
-        lookahead = getattr(self.sim, "lookahead", 0.0)
-        self.route_delay = (self.config.route_delay
-                            if self.config.route_delay is not None
-                            else lookahead)
-        if self.route_delay < lookahead:
-            raise ValueError(
-                f"route_delay {self.route_delay} below the kernel "
-                f"lookahead {lookahead}: cross-shard forwards would "
-                "be acausal")
-        self.lease = (self.config.lease if self.config.lease is not None
-                      else system.config.txn_timeout
-                      + self.config.board_period)
+        #: Cross-site forwarding delay: the kernel's lookahead (0 on
+        #: the single-queue kernel), the least delay a cross-shard hop
+        #: can legally have.
+        self.route_delay = getattr(self.sim, "lookahead", 0.0)
+        #: Slot lease: the transaction's timeout plus one board period
+        #: of grace.
+        self.lease = system.config.txn_timeout + self.config.board_period
         self.queues = {site: SiteQueue(self, site)
                        for site in system.sites}
         self.board = DepthBoard(self.queues)
@@ -102,15 +81,9 @@ class ServingFrontend:
                 name in system.sites
                 and system.sites[name].views is not None))
         #: Every shed, in decision order (typed Overload results).
-        #: Empty when ``retain_samples`` is off — use the sinks.
         self.overloads: list[Overload] = []
-        #: Enqueue->decision life of every decided request. Empty when
-        #: ``retain_samples`` is off — use the sinks.
+        #: Enqueue->decision life of every decided request.
         self.samples: list[ServeSample] = []
-        #: Streaming consumers, called per decision/shed before (and
-        #: regardless of) retention. Set before traffic starts.
-        self.on_sample: Callable[[ServeSample], None] | None = None
-        self.on_overload: Callable[[Overload], None] | None = None
         self.dispatched = 0
         self._running = False
         system.attach(self)
@@ -144,13 +117,12 @@ class ServingFrontend:
     def close(self) -> None:
         """The system is closing (it calls this: the front-end attached
         itself): stop, have each queue let go of this front-end and of
-        its occupied slots, and let go of the system and the sinks.
-        Samples, overloads and counts stay readable."""
+        its occupied slots, and let go of the system. Samples,
+        overloads and counts stay readable."""
         self.stop()
         for queue in self.queues.values():
             queue.close()
         self.system = None
-        self.on_sample = self.on_overload = None
 
     def _refresh_board(self) -> None:
         if not self._running:
@@ -182,10 +154,7 @@ class ServingFrontend:
     # -- queue callbacks -----------------------------------------------------
 
     def record_shed(self, overload: Overload, origin: str) -> None:
-        if self.on_overload is not None:
-            self.on_overload(overload)
-        if self.config.retain_samples:
-            self.overloads.append(overload)
+        self.overloads.append(overload)
         self.collector.on_shed(at=overload.at)
         self.sim.metrics.counter("serve.shed", site=overload.site,
                                  reason=overload.reason).inc()
@@ -194,12 +163,6 @@ class ServingFrontend:
             obs.emit(ServeShed(t=overload.at, site=overload.site,
                                origin=origin, reason=overload.reason,
                                depth=overload.depth))
-
-    def record_sample(self, sample: ServeSample) -> None:
-        if self.on_sample is not None:
-            self.on_sample(sample)
-        if self.config.retain_samples:
-            self.samples.append(sample)
 
     def note_dispatch(self) -> None:
         self.dispatched += 1

@@ -5,9 +5,12 @@ of *service slots* (``max_inflight``): at most that many transactions
 are inside the system per site at once, the rest wait in the queue.
 That is queue-based load leveling — bursts are absorbed by the queue
 instead of piling concurrent transactions (and lock contention) onto
-the site — and it gives admission control a meaningful signal: queue
-depth times the EWMA service time estimates the wait a new request
-would face.
+the site. Admission control puts a lid on the queue: past saturation
+an unbounded queue grows without limit and every client pays the
+whole backlog in latency, so a request arriving at a queue already
+``max_depth`` deep is *shed* with a typed :class:`Overload` the client
+can tell from an abort — it never entered the system, nothing needs
+undoing (docs/SERVING.md).
 
 Every queue mutation happens on the owning site's shard (arrivals run
 there, and a transaction's decision callback fires at its submit
@@ -25,13 +28,51 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.site import SiteDown
 from repro.core.transactions import TransactionSpec, TxnResult
-from repro.metrics.windows import ServeSample
-from repro.obs.events import ServeDequeue, ServeEnqueue, ServeShed
-from repro.serving.admission import AdmissionPolicy, Overload
+from repro.obs.events import ServeDequeue, ServeEnqueue
 from repro.sim.timers import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.frontend import ServingFrontend
+
+
+@dataclass(frozen=True)
+class Overload:
+    """A shed request: refused by admission control, never submitted.
+
+    ``reason`` is one of ``"depth"`` (queue at max_depth),
+    ``"site-down"`` (dispatch hit a crashed site), or ``"shutdown"``
+    (front-end quiesced with the request still queued).
+    """
+
+    site: str
+    at: float
+    reason: str
+    depth: int = 0
+
+
+@dataclass(frozen=True, slots=True)
+class ServeSample:
+    """One request's life through the serving front-end: client-
+    perceived latency (enqueue to decision) is strictly longer than
+    ``TxnResult.latency`` (dispatch to decision) whenever it queued.
+
+    Slotted: a front-end retains one per decided request, and a
+    ``__dict__`` each is most of what that costs."""
+
+    site: str                    # site the request was queued at
+    arrived_at: float            # enqueue time (admission passed)
+    dispatched_at: float         # left the queue, entered the system
+    finished_at: float           # decision time (commit or abort)
+    committed: bool
+
+    @property
+    def queue_wait(self) -> float:
+        return self.dispatched_at - self.arrived_at
+
+    @property
+    def latency(self) -> float:
+        """Client-perceived: enqueue to decision."""
+        return self.finished_at - self.arrived_at
 
 
 @dataclass(slots=True)
@@ -51,12 +92,9 @@ class _Request:
 
     def decided(self, result: TxnResult) -> None:
         queue = self.queue
-        now = queue.sim.now
-        queue.service_est += queue._alpha * (
-            (now - self.dispatched_at) - queue.service_est)
-        queue.frontend.record_sample(ServeSample(
+        queue.frontend.samples.append(ServeSample(
             site=queue.site, arrived_at=self.enqueued_at,
-            dispatched_at=self.dispatched_at, finished_at=now,
+            dispatched_at=self.dispatched_at, finished_at=queue.sim.now,
             committed=result.committed))
         if self.on_done is not None:
             self.on_done(result)
@@ -89,17 +127,14 @@ class SiteQueue:
         self.site = site
         self.sim = frontend.sim
         config = frontend.config
-        self.policy = AdmissionPolicy(config.max_depth, config.max_wait)
+        #: None = unbounded queue.
+        self.max_depth = config.max_depth
         self.slots = config.max_inflight
         self.lease = frontend.lease
         self._queue: deque[_Request] = deque()
         self.inflight = 0
         #: The armed leases, one per occupied slot; close() closes them.
         self._leases: set[Timer] = set()
-        #: EWMA of dispatch->decision time; seeds the wait estimate
-        #: before the first completion.
-        self.service_est = config.service_estimate
-        self._alpha = config.ewma_alpha
         self.accepting = True
         metrics = self.sim.metrics
         self._enqueued = metrics.counter("serve.enqueued", site=site)
@@ -119,12 +154,6 @@ class SiteQueue:
         """Queued + in service: the routing/board load signal."""
         return len(self._queue) + self.inflight
 
-    def estimated_wait(self) -> float:
-        """Time a new arrival would wait before its dispatch."""
-        if self.slots <= 0:
-            return 0.0
-        return len(self._queue) * self.service_est / self.slots
-
     # -- admission ----------------------------------------------------------
 
     def offer(self, spec: TransactionSpec, origin: str,
@@ -134,10 +163,8 @@ class SiteQueue:
         now = self.sim.now
         if not self.accepting:
             return self._shed(origin, "shutdown", now)
-        estimated = self.estimated_wait()
-        reason = self.policy.refuse_reason(len(self._queue), estimated)
-        if reason is not None:
-            return self._shed(origin, reason, now, estimated)
+        if self.max_depth is not None and len(self._queue) >= self.max_depth:
+            return self._shed(origin, "depth", now)
         self._queue.append(_Request(self, spec, origin, now, on_done))
         self._enqueued.inc()
         obs = self.sim.obs
@@ -147,11 +174,9 @@ class SiteQueue:
         self._pump()
         return None
 
-    def _shed(self, origin: str, reason: str, now: float,
-              estimated_wait: float = 0.0) -> Overload:
+    def _shed(self, origin: str, reason: str, now: float) -> Overload:
         overload = Overload(site=self.site, at=now, reason=reason,
-                            depth=len(self._queue),
-                            estimated_wait=estimated_wait)
+                            depth=len(self._queue))
         self.frontend.record_shed(overload, origin)
         return overload
 

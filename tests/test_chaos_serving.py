@@ -54,15 +54,19 @@ class TestServingRunSemantics:
         assert not first.failed, first.failures
 
     def test_submitted_counts_dispatches_not_arrivals(self):
-        """With a zero-depth bound every arrival is shed at the door:
-        nothing enters the system, submitted must be 0 (not the
-        arrival count), and the progress oracle still balances."""
-        config = ChaosConfig(serving="least-queue",
-                             serving_max_depth=0)
-        result = run_chaos(config, FaultPlan.from_dicts([]), seed=9)
+        """With every site down before the first arrival, every request
+        is shed at dispatch: nothing enters the system, submitted must
+        be 0 (not the arrival count), and the progress oracle still
+        balances."""
+        config = ChaosConfig(serving="least-queue")
+        plan = FaultPlan.from_dicts([
+            {"at": 0.1, "kind": "crash", "site": site}
+            for site in config.site_names()])
+        result = run_chaos(config, plan, seed=9)
         assert not result.failed, result.failures
         assert result.submitted == 0
         assert len(result.system.results) == 0
+        assert result.system.sim.metrics.total("serve.shed") == config.txns
 
     def test_dispatches_decide_under_an_open_door(self):
         config = ChaosConfig(serving="least-queue")

@@ -1,5 +1,5 @@
 """Edge-case failure tests: double recovery, freezes across crashes,
-delivery to dead sites, checkpoint/window interplay."""
+delivery to dead sites, checkpoints under a crash."""
 
 import pytest
 
@@ -124,20 +124,20 @@ class TestDeliveryToDeadSites:
         system.auditor.assert_ok()
 
 
-class TestWindowWithFailures:
-    def test_window_plus_crash_conserves(self):
-        system = build(vm_window=1, checkpoint_interval=4)
+class TestCheckpointWithFailures:
+    def test_granting_peer_crash_conserves(self):
+        system = build(checkpoint_interval=4)
         results = []
         system.submit("A", TransactionSpec(ops=(DecrementOp("x", 70),)),
                       results.append)
         system.run_for(2.5)
-        # Crash a granting peer while its windowed queue is non-empty.
+        # Crash a granting peer while its Vm are still unacknowledged.
         granting = [name for name in ("B", "C")
                     if system.sites[name].vm.unacked_count()]
-        if granting:
-            system.crash(granting[0])
-            system.run_for(10.0)
-            system.recover(granting[0])
+        assert granting
+        system.crash(granting[0])
+        system.run_for(10.0)
+        system.recover(granting[0])
         system.run_for(400.0)
         system.auditor.assert_ok()
         for site in system.sites.values():

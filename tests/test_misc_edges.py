@@ -83,7 +83,7 @@ class TestDeterminismAcrossFeatures:
         def run():
             system = DvPSystem(SystemConfig(
                 sites=["A", "B", "C"], seed=77, txn_timeout=8.0,
-                request_retries=1, vm_window=2, checkpoint_interval=5,
+                request_retries=1, checkpoint_interval=5,
                 retransmit_period=2.0,
                 link=LinkConfig(base_delay=1.0, jitter=1.0,
                                 loss_probability=0.3,

@@ -1,11 +1,8 @@
 """Unit coverage for the bounded-staleness read tier (docs/READS.md):
-the view store's conservation totals, the per-site cache's admission
+the published totals (the auditor's N), the per-site cache's admission
 rules, the certificate-first O(1) commit path, the view-aware router,
-the app façades' estimate calls through the serving front-end, and the
-streaming window aggregator the 10^5-site runs rely on.
+and the app façades' estimate calls through the serving front-end.
 """
-
-import pytest
 
 from repro.apps.airline import ReservationSystem
 from repro.apps.bank import Bank
@@ -18,7 +15,6 @@ from repro.core.transactions import (
     ReadViewOp,
     TransactionSpec,
 )
-from repro.metrics.windows import ServeSample, StreamingWindowStats
 from repro.net.link import LinkConfig
 from repro.reads import ViewConfig, ViewEntry
 from repro.serving import ServingConfig, ServingFrontend
@@ -50,13 +46,24 @@ def run_one(system, site, spec):
 
 class TestViewStoreTotals:
     def test_totals_track_the_logical_value(self):
-        """Σ fragments + Σ live Vm, folded incrementally, equals the
-        brute-force fragment sum at quiescence — after commits have
-        moved value around."""
+        """The published entry is the auditor's N (Σ fragments + Σ live
+        Vm): with granted Vm still on the wire, and at quiescence, where
+        it is the brute-force fragment sum after commits moved value."""
         system = build()
-        run_one(system, "A", TransactionSpec(ops=(DecrementOp("x", 50),)))
+        auditor = system.auditor
+        results = []
+        system.submit("A", TransactionSpec(ops=(DecrementOp("x", 50),)),
+                      results.append)
+        system.run_for(1.5)  # the granted Vm are on the wire
+        assert not results and auditor.live_vm_total("x") > 0
+        system.views.publish()
+        assert system.views.latest["x"].value == 90 == \
+            auditor.fragments_total("x") + auditor.live_vm_total("x")
+        system.run_for(50.0)
         run_one(system, "B", TransactionSpec(ops=(IncrementOp("x", 7),)))
-        assert system.views.store.total("x") == \
+        system.views.publish()
+        assert system.views.latest["x"].value == \
+            auditor.fragments_total("x") + auditor.live_vm_total("x") == \
             sum(system.fragment_values("x").values()) == 47
 
     def test_views_off_means_no_service(self):
@@ -269,36 +276,3 @@ class TestFacadeEstimates:
         assert stock and stock[0].committed
         assert stock[0].read_values["sku1"] == 12
 
-
-class TestStreamingWindows:
-    def test_bad_width_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingWindowStats(0.0, 10.0, 0.0)
-
-    def test_frontend_sinks_replace_retention(self):
-        """retain_samples=False: the lists stay empty, the sinks see
-        every decision, and the aggregate matches a retained twin."""
-        def serve(retain, sink=None):
-            system = DvPSystem(SystemConfig(
-                sites=["A", "B"], seed=4, txn_timeout=10.0,
-                link=LinkConfig(base_delay=1.0)))
-            system.add_item("x", CounterDomain(), total=100)
-            frontend = ServingFrontend(system, ServingConfig(
-                router="random", retain_samples=retain))
-            if sink is not None:
-                frontend.on_sample = sink
-            frontend.start()
-            for at in range(1, 11):
-                system.sim.at(float(at), lambda s=system, f=frontend:
-                              f.submit("A", TransactionSpec(
-                                  ops=(DecrementOp("x", 1),))))
-            system.run_until(60.0)
-            return frontend
-
-        retained = serve(retain=True)
-        streamed: list[ServeSample] = []
-        frontend = serve(retain=False, sink=streamed.append)
-        assert frontend.samples == []
-        assert len(streamed) == len(retained.samples) == 10
-        assert sorted(s.latency for s in streamed) == \
-            sorted(s.latency for s in retained.samples)

@@ -39,8 +39,6 @@ class TestConfig:
             RebalanceConfig(policy="no-such-policy")
         with pytest.raises(ValueError):
             RebalanceConfig(max_ship=0)
-        with pytest.raises(ValueError):
-            RebalanceConfig(cooldown=-1.0)
 
 
 class TestDaemon:
@@ -205,20 +203,6 @@ class TestDaemon:
         system.run_for(6.0)
         assert daemon.shipments == 1
         assert system.sites["A"].fragments.value("x") == 50 - 7
-        system.run_for(200.0)
-        system.auditor.assert_ok()
-
-    def test_cooldown_spaces_shipments(self):
-        system = build()
-        daemon = RebalanceDaemon(system.sites["A"],
-                                 RebalanceConfig(period=5.0,
-                                                 high_watermark=2.0,
-                                                 max_ship=5,
-                                                 cooldown=12.0))
-        daemon.start()
-        system.submit("A", TransactionSpec(ops=(IncrementOp("x", 40),)))
-        system.run_for(16.0)  # ticks at 5, 10, 15; cooldown allows one
-        assert daemon.shipments == 1
         system.run_for(200.0)
         system.auditor.assert_ok()
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.domain import CounterDomain
-from repro.core.recovery import derive_incoming_cumulative, recover_site
+from repro.core.recovery import recover_site
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import (
     DecrementOp,
@@ -191,14 +191,20 @@ class TestRecovery:
         # uniqueness survives the round trip.
         assert site.clock.next() > last_ts_before
 
-    def test_derive_incoming_cumulative_matches_volatile(self):
+    def test_recovery_restores_incoming_cumulative(self):
+        """Each incoming channel's accepted-up-to counter comes back
+        from the log alone, so no Vm is absorbed twice."""
         system = build()
         system.submit("A", TransactionSpec(ops=(DecrementOp("x", 50),)))
         system.run_for(60.0)
         site = system.sites["A"]
-        derived = derive_incoming_cumulative(site)
-        for src, value in derived.items():
-            assert site.vm.in_channel(src).cumulative_accepted == value
+        before = {src: channel.cumulative_accepted
+                  for src, channel in site.vm.incoming.items()}
+        assert sorted(before) == ["B", "C"] and all(before.values())
+        system.crash("A")
+        system.recover("A")
+        assert {src: site.vm.in_channel(src).cumulative_accepted
+                for src in before} == before
 
     def test_recover_site_direct_call(self):
         system = build()

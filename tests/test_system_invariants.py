@@ -24,6 +24,19 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(sites=[])
 
+    @pytest.mark.parametrize("bad", [
+        {"request_retries": -1},  # divides the timeout by zero rounds
+        {"read_freeze": -1.0},    # a negative delay inside a delivery
+        {"txn_timeout": -1.0},    # a negative delay at submit
+        {"txn_timeout": 0.0},     # aborts every waiting transaction
+    ])
+    def test_out_of_range_rejected_up_front(self, bad):
+        with pytest.raises(ValueError):
+            SystemConfig(**bad)
+
+    def test_boundary_values_accepted(self):
+        SystemConfig(request_retries=0, read_freeze=0.0, txn_timeout=0.5)
+
     def test_conc2_selects_synchronous_network(self):
         system = DvPSystem(SystemConfig(sites=["A", "B"], cc="conc2"))
         assert isinstance(system.network, SynchronousNetwork)
@@ -141,15 +154,6 @@ class TestAuditor:
 
 
 class TestSystemRunning:
-    def test_result_hook_invoked(self):
-        system = DvPSystem(SystemConfig(sites=["A"]))
-        system.add_item("x", CounterDomain(), total=5)
-        seen = []
-        system.add_result_hook(seen.append)
-        system.submit("A", TransactionSpec(ops=(IncrementOp("x", 1),)))
-        system.run_for(1.0)
-        assert len(seen) == 1
-
     def test_committed_and_aborted_views(self):
         system = DvPSystem(SystemConfig(sites=["A"], txn_timeout=5.0))
         system.add_item("x", CounterDomain(), total=5)
