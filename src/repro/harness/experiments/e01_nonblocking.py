@@ -143,9 +143,10 @@ def _assert_conserved(system: System, initial: dict[str, int]) -> None:
                 expected[item] += sign * amount
     for item, value in expected.items():
         held = system.total_value([item])
-        assert held == value, (
-            f"conservation violated: {item} holds {held}, the "
-            f"committed history gives {value}")
+        if held != value:
+            raise AssertionError(
+                f"conservation violated: {item} holds {held}, the "
+                f"committed history gives {value}")
 
 
 def _run(name: str, params: Params, duration: float) -> dict:

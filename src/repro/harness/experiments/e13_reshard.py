@@ -116,8 +116,10 @@ def _run_one(params: Params, sites: int, reshard: bool) -> dict:
     system.run_until(params.duration)
     system.run_for(params.txn_timeout + 200.0)
     system.auditor.assert_ok()
-    assert not probe_failures, probe_failures
-    assert not system.reshard_in_progress
+    if probe_failures:
+        raise AssertionError(f"conservation probes failed: {probe_failures}")
+    if system.reshard_in_progress:
+        raise AssertionError("a reshard is still in progress at the end")
 
     def window_rate(begin, end):
         pool = [r for r in results if begin <= r.submitted_at < end]
