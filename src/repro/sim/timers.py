@@ -73,8 +73,8 @@ class PeriodicTimer:
     """Fires *action* every *period* until stopped.
 
     Used by the Vm retransmission loop: as long as a site has
-    unacknowledged virtual messages it periodically re-sends the real
-    messages that carry them.
+    unacknowledged virtual messages the timer keeps ticking, and each
+    Vm is resent once it has gone a full period unacknowledged.
     """
 
     def __init__(self, sim: Simulator, period: float,
