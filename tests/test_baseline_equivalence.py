@@ -358,11 +358,11 @@ GOLDEN: dict[str, dict] = {'central_escrow': {'central': '61f7d845f1f0ec47',
                   'values': [62, 13]},
  'hybrid_forwarding': {'committed': 53,
                        'decided': 63,
-                       'fingerprint': '6b36f199616896ed970ab3aaacb47c68c8159662ba35fa5ea49cbe7b6971dcd5',
+                       'fingerprint': 'efb03e6801ad0580de7a828eb262b232d066e3b17a6c52f84b7f8bdc203fb6bc',
                        'forwarded': 39,
-                       'fragments': [[('S0', 53),
+                       'fragments': [[('S0', 0),
                                       ('S1', 10),
-                                      ('S2', 10),
+                                      ('S2', 63),
                                       ('S3', 0)],
                                      [('S0', 3),
                                       ('S1', 0),
@@ -371,13 +371,13 @@ GOLDEN: dict[str, dict] = {'central_escrow': {'central': '61f7d845f1f0ec47',
                        'heard': '651930212c65c808',
                        'heard_count': 70,
                        'local_commits': 0,
-                       'logs': 'c607255e4706cefa',
+                       'logs': '89f7aacb2afe6911',
                        'modes': [('a', 'dvp')],
                        'results': 'dafdb38fd90a8124',
                        'sent': {'DataRequest': 27,
                                 'ForwardReply': 30,
                                 'ForwardRequest': 39,
-                                'TsAdvisory': 3,
+                                'TsAdvisory': 2,
                                 'VmAck': 20,
                                 'VmTransfer': 20},
                        'transitions': 'cd6b6fe0dd789dd1'},

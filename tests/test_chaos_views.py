@@ -17,23 +17,26 @@ from repro.harness.chaos import config_from_args
 #: direct path, the view-aware front-end, and a view-blind router.
 ACCEPTANCE = [(7, None), (19, "view-aware"), (23, "least-queue")]
 
-#: explore(ChaosConfig(), budget=6, master_seed=7) on the PR 9 engine.
-#: Views off must keep producing this exact digest: the view service
-#: re-interprets an existing workload roll range and never draws extra
-#: randomness, so turning it off IS the seed read path, bit for bit.
+#: explore(ChaosConfig(), budget=6, master_seed=7), re-recorded when
+#: the Vm retransmission tick began skipping entries sent less than a
+#: period ago (docs/LEDGER.md). Views off must keep producing this
+#: exact digest: the view service re-interprets an existing workload
+#: roll range and never draws extra randomness, so turning it off IS
+#: the seed read path, bit for bit.
 PR9_DIGEST = \
-    "14baf8e2ca857e8631fa3a0cc97d89fc62e88a6db1cdf502c6f488ace9423d85"
+    "7822a0863cf812cf8745eaf34fce15cbf388af11c44ebb5cc11ed120a0da65ce"
 
 #: explore(ChaosConfig(views=12.0, ...), budget=80, master_seed=7),
-#: recorded while the view tier still kept its own copy of the
-#: auditor's books: publishing the auditor's N must change nothing.
+#: first recorded while the view tier still kept its own copy of the
+#: auditor's books (publishing the auditor's N changed nothing), then
+#: re-recorded for the age-gated retransmission tick.
 VIEWS_DIGESTS = [
     ({}, False,
-     "ae9c659dd165214fe8e6cdbbe5a0c0216ded06372322b59491e3fd708e58c466"),
+     "16598869b5b6d4febd0bc32ed154b5cc02bd6a8efb6953aa66e3820093034255"),
     ({"serving": "view-aware"}, False,
-     "005467193598450bbb9755f91e4c3c512b19c0502924c1d76d902f853a3d6dc3"),
+     "b0506732df8c4a37426278a409b87fadd0c0e9140e46ec619df1e63486bfcc4d"),
     ({"partitioner": "consistent", "replicas": 2}, True,
-     "f1698613cdae4d0b7b764fcb7eb8d207b225d49e5751c08cdc692be203d11cf0"),
+     "f3f99b668b31487c3d1deca1e8c3e3065646783ffbd8057ae040e1f188ef7103"),
 ]
 
 
@@ -60,7 +63,8 @@ class TestExploreWithViews:
         assert report.ok, report.describe()
         assert report.digest() == PR9_DIGEST
 
-    @pytest.mark.parametrize("extra,reshard,digest", VIEWS_DIGESTS)
+    @pytest.mark.parametrize("extra,reshard,digest", VIEWS_DIGESTS,
+                             ids=["plain", "view-aware", "reshard"])
     def test_views_on_digest_is_pinned(self, extra, reshard, digest):
         report = explore(ChaosConfig(views=12.0, **extra), budget=80,
                          master_seed=7,

@@ -316,56 +316,56 @@ GOLDEN: dict[str, dict] = {'chaos_crash_partition': {'committed': '25b580be8c897
                            'vm.created': 8},
  'conc2_retry_ties': {'round=1hop': {'committed': '53a7bde12df6defd',
                                      'decided': 70,
-                                     'fingerprint': 'cece5f4aa075f208856b382e135a9eb65922784f3d41a0d1efa4b3e299395c9e',
+                                     'fingerprint': '2254f073ff2d0806f927e2997fe482e825ac4abeb720c994e5b3ee8efd12fbc3',
                                      'log.forces': 322,
-                                     'net.sent': 699,
+                                     'net.sent': 599,
                                      'results': '1567084773173190',
                                      'vm.created': 136},
                       'round=2hops': {'committed': '3cd5c2267a716b3a',
                                       'decided': 70,
-                                      'fingerprint': 'f5fec8ff672ec0c06d2397fb4df96d89ff05655e8d16dcd649e7429407b8add4',
+                                      'fingerprint': '1a43f8ce1fbd9de7b3b76bc921464e00d7fbedda29cbf36edee2b0b36755ac58',
                                       'log.forces': 294,
-                                      'net.sent': 612,
+                                      'net.sent': 520,
                                       'results': '231418fff6fd8722',
                                       'vm.created': 122}},
- 'conc2_sharded': {'committed': 'fe065e3f87dc455a',
+ 'conc2_sharded': {'committed': '67bd468170f99a65',
                    'decided': 60,
-                   'fingerprint': '2eebf29089e46db9077558c0567a3b7962d37a7cc4540561becbe2515b7052f3',
+                   'fingerprint': 'f394f0d2e58a3fe97cad480b8a1f9985e94cdfa5f40b3aefd4b2c4fd1f7fd580',
                    'log.forces': 249,
-                   'net.sent': 365,
+                   'net.sent': 319,
                    'vm.created': 98},
- 'serving_slots': {'committed': '925a6a250e3b67f0',
-                   'decided': 83,
-                   'dispatched': 84,
-                   'fingerprint': 'd043f9b2f9bda8c5eb62675965c15b875da98a2192bda732fb5d10e2bcbeebbd',
-                   'log.forces': 185,
-                   'net.sent': 245,
-                   'overloads': 'cabbb33ad6e6494c',
-                   'results': '2b7c9c732e084b6a',
-                   'samples': 'a2fb53e0718aaebb',
-                   'serve.dequeued': 91,
+ 'serving_slots': {'committed': '1e7a3e70e5f43632',
+                   'decided': 85,
+                   'dispatched': 86,
+                   'fingerprint': '147155fcae32f9dbb3d17a73c60fb6d6832449c7e850290f643bf90993941eb1',
+                   'log.forces': 187,
+                   'net.sent': 208,
+                   'overloads': 'ef67334b63f8d75e',
+                   'results': '5f18208629794d56',
+                   'samples': '9d44c7f339b0d1bd',
+                   'serve.dequeued': 93,
                    'serve.enqueued': 93,
                    'serve.lease_expired': 1,
-                   'serve.shed': 9,
-                   'shed_reasons': ['shutdown', 'site-down'],
+                   'serve.shed': 7,
+                   'shed_reasons': ['site-down'],
                    'vm.created': 53},
- 'transfers_bundled': {'committed': '36a0919ae9e7e699',
+ 'transfers_bundled': {'committed': '9cdc9b36c9b9db93',
                        'decided': 60,
-                       'fingerprint': '55e3f41b6d93c1ba2816a594cec6b4deafec854252f1116cd2d89899d52aa662',
-                       'log.forces': 196,
-                       'net.sent': 235,
-                       'vm.created': 76},
- 'transfers_unbundled': {'committed': '3892248ef0a51a2e',
+                       'fingerprint': 'af070a54cfb583320b96533bafb12b552e60749980c50739f8d819e64923de6c',
+                       'log.forces': 197,
+                       'net.sent': 209,
+                       'vm.created': 77},
+ 'transfers_unbundled': {'committed': 'e13f90bfb7c3df3f',
                          'decided': 60,
-                         'fingerprint': '42f3ae5dacc75761ffa13b2d12b00ea2d32e5848c334cfb807dd20b530bac3da',
-                         'log.forces': 218,
-                         'net.sent': 346,
-                         'vm.created': 85},
+                         'fingerprint': 'fad23389d0099e6bd082dfdec9b63389dec20062bcbb32beef45d4b3aa8c9699',
+                         'log.forces': 216,
+                         'net.sent': 280,
+                         'vm.created': 84},
  'views_beside_writes': {'committed': 'bdf5cf69e09751fb',
                          'decided': 26,
-                         'fingerprint': '4a3ed45f236b1173afda27d110f22c057155c28fad9940bc879156e9ba64ddd0',
+                         'fingerprint': 'e1ff72b0ee15dea129cfd18253ef9f4b02ecccd145c3de9e84670cf82e754b7c',
                          'log.forces': 24,
-                         'net.sent': 61,
+                         'net.sent': 57,
                          'vm.created': 7}}
 
 
