@@ -63,7 +63,9 @@ class FragmentStore:
         self.site = site
         self.pages = pages
         self.observer: FragmentObserver | None = None
-        self._domains: dict[str, Domain] = {}
+        #: Item → its domain; one lookup answers both "is *item* here?"
+        #: and "which (Γ, Π)?". Read-only outside this class.
+        self.domains: dict[str, Domain] = {}
         #: The page store's own Page objects: a value read is one lookup.
         self._pages: dict[str, Page] = {}
         self._timestamps: dict[str, int] = {}
@@ -73,7 +75,7 @@ class FragmentStore:
     def register(self, item: str, domain: Domain, initial: Any) -> None:
         """Install *item*'s local fragment with its *initial* quota."""
         domain.validate(initial)
-        self._domains[item] = domain
+        self.domains[item] = domain
         self._pages[item] = self.pages.create(item, initial)
         self._timestamps[item] = 0
         if self.observer is not None:
@@ -81,29 +83,33 @@ class FragmentStore:
                                                initial)
 
     def knows(self, item: str) -> bool:
-        return item in self._domains
+        return item in self.domains
 
     def items(self) -> Iterator[str]:
-        yield from self._domains
+        yield from self.domains
 
     def domain(self, item: str) -> Domain:
-        return self._domains[item]
+        return self.domains[item]
 
     # -- values (stable) ----------------------------------------------------
 
     def value(self, item: str) -> Any:
         return self._pages[item].value
 
-    def write(self, item: str, value: Any, lsn: int) -> None:
+    def write(self, item: str, value: Any, lsn: int, ts: int = 0) -> None:
+        """Write *value* through to the stable page at *lsn*, and stamp
+        the fragment with *ts* if it is newer (0 never is)."""
         if _TEST_LEAK == "write" and isinstance(value, int) and value > 0:
             value -= 1  # planted bug: one unit silently destroyed
-        self._domains[item].validate(value)
+        self.domains[item].validate(value)
         if self.observer is not None:
             old = self._pages[item].value
             self.pages.write(item, value, lsn)
             self.observer.on_fragment_write(self.site, item, old, value)
         else:
             self.pages.write(item, value, lsn)
+        if ts > self._timestamps[item]:
+            self._timestamps[item] = ts
 
     def redo_write(self, item: str, value: Any, lsn: int) -> bool:
         """Idempotent redo (guarded by the page LSN)."""
@@ -130,7 +136,7 @@ class FragmentStore:
         for item in self._timestamps:
             self._timestamps[item] = 0
         if _TEST_LEAK == "crash":
-            for item in sorted(self._domains):
+            for item in sorted(self.domains):
                 value = self._pages[item].value
                 if isinstance(value, int) and value > 0:
                     # Planted bug: the crash tears the page, and the
@@ -141,7 +147,7 @@ class FragmentStore:
     def non_zero_items(self) -> list[str]:
         """Items whose local fragment currently carries value — what a
         decommission drain (repro.core.migration) still has to move."""
-        return [item for item, domain in self._domains.items()
+        return [item for item, domain in self.domains.items()
                 if not domain.is_zero(self._pages[item].value)]
 
     def snapshot(self) -> dict[str, Any]:

@@ -45,6 +45,8 @@ def _magnitude(amount: Any) -> float:
     (sets, tuples) their cardinality; anything else counts as one
     event. Only relative order matters to the policies.
     """
+    if type(amount) is int:
+        return float(abs(amount))
     if isinstance(amount, bool) or amount is None:
         return 1.0
     if isinstance(amount, (int, float)):
@@ -63,10 +65,6 @@ class _DecayedScore:
     def __init__(self) -> None:
         self.value = 0.0
         self.stamp = 0.0
-
-    def add(self, amount: float, now: float, half_life: float) -> None:
-        self.value = self.read(now, half_life) + amount
-        self.stamp = now
 
     def read(self, now: float, half_life: float) -> float:
         if self.value == 0.0:
@@ -118,10 +116,15 @@ class DemandTracker:
         self._bump(self._wealth, (peer, item), _magnitude(amount))
 
     def _bump(self, table: dict, key, amount: float) -> None:
+        """Decay *key*'s score to now (as :meth:`_DecayedScore.read`
+        does), then add *amount*."""
         score = table.get(key)
         if score is None:
             score = table[key] = _DecayedScore()
-        score.add(amount, self.sim.now, self.half_life)
+        now, value = self.sim.now, score.value
+        if value != 0.0 and now > score.stamp:
+            value *= 0.5 ** ((now - score.stamp) / self.half_life)
+        score.value, score.stamp = value + amount, now
 
     # -- reading ----------------------------------------------------------
 

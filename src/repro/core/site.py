@@ -12,6 +12,7 @@ and logging discipline as real transactions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.core.cc import ConcurrencyControl
@@ -164,8 +165,7 @@ class DvPSite:
     def _new_vm_manager(self) -> VmManager:
         return VmManager(
             self.name, self.sim,
-            send=lambda dst, payload: self.network.send(self.name, dst,
-                                                        payload),
+            send=partial(self.network.send, self.name),
             accept=self._accept_vm,
             clock_ts=self.clock.next,
             retransmit_period=self.config.retransmit_period,
@@ -304,15 +304,14 @@ class DvPSite:
                       lsn: int) -> None:
         """Write logged actions through to the stable pages."""
         for action in actions:
-            self.fragments.write(action.item, action.value, lsn)
-            self.fragments.stamp_if_newer(action.item, action.ts)
+            self.fragments.write(action.item, action.value, lsn, action.ts)
 
     def create_vm(self, owner: str, item: str, remainder: Any, ts: int,
                   entries: tuple[VmEntry, ...]) -> None:
         """Force ``[database-actions, message-sequence]`` as ONE record
         (*item*'s fragment becomes *remainder*, *entries* come into
         existence), apply it, transmit. The caller holds *item*'s lock."""
-        actions = (SetFragment(item, remainder, ts=ts),)
+        actions = (SetFragment(item, remainder, ts),)
         lsn = self.log_append(VmCreateRecord(
             txn_id=owner, actions=actions, messages=entries))
         self.apply_actions(actions, lsn)
@@ -325,22 +324,23 @@ class DvPSite:
         if not self.alive:
             return
         payload = envelope.payload
-        if isinstance(payload, DataRequest):
-            self.clock.observe(payload.ts)
-            self.handle_request(payload)
-        elif isinstance(payload, VmTransfer):
+        kind = type(payload)
+        if kind is VmTransfer:
             self.clock.observe(payload.ts)
             self.vm.on_transfer(payload)
             if self.wakeable:
                 self._wake()
-        elif isinstance(payload, VmAck):
+        elif kind is DataRequest:
+            self.clock.observe(payload.ts)
+            self.handle_request(payload)
+        elif kind is VmAck:
             self.clock.observe(payload.ts)
             self.vm.on_ack(payload)
             if self.wakeable:
                 self._wake()
-        elif isinstance(payload, TsAdvisory):
+        elif kind is TsAdvisory:
             self.clock.observe(payload.ts)
-        elif isinstance(payload, ViewRefresh):
+        elif kind is ViewRefresh:
             # No Lamport coupling: refreshes carry barrier snapshots,
             # not protocol state — a viewless site just drops them.
             if self.views is not None:
@@ -463,16 +463,17 @@ class DvPSite:
         into their own locked fragments (Section 5's refinement).
         """
         item = entry.item
-        if not self.fragments.knows(item):
+        fragments = self.fragments
+        domain = fragments.domains.get(item)
+        if domain is None:
             return False
-        new_value = self.fragments.domain(item).combine(
-            self.fragments.value(item), entry.amount)
-        holder = self.locks.holder(item)
+        new_value = domain.combine(fragments.value(item), entry.amount)
+        holder = self.locks.holders.get(item)
         txn = self.active.get(holder)
         if holder is not None and txn is None:
             return False
         ts = txn.ts if txn is not None else self.clock.next()
-        actions = (SetFragment(item, new_value, ts=ts),)
+        actions = (SetFragment(item, new_value, ts),)
         lsn = self.log_append(VmAcceptRecord(
             src=src, channel_seq=entry.channel_seq, actions=actions,
             txn_id=entry.txn_id))

@@ -463,6 +463,7 @@ class Transaction:
         for item in sorted(self._read_responders):
             self._request_read(item)
         fragments = site.fragments
+        rng = None
         for item, need in sorted(self._needs.items()):
             domain = fragments.domain(item)
             deficit = domain.deficit(fragments.value(item), need)
@@ -471,7 +472,7 @@ class Transaction:
             # Feed the rebalance planner: this site's clients want more
             # of *item* than its fragment holds (local pressure).
             site.demand.note_shortfall(item, deficit)
-            rng = site.sim.rng.stream(f"policy:{site.name}")
+            rng = rng or site.sim.rng.stream(f"policy:{site.name}")
             # Transfer requests target the item's directory owners
             # (identical to *peers* under the "all" partitioner); reads
             # above always fan to everyone, since any site may hold
@@ -493,8 +494,7 @@ class Transaction:
         if self._timer is None:
             self._arm()
         self.site.send_request(peer, DataRequest(
-            txn_id=self.id, origin=self.site.name, item=item,
-            mode=mode, need=need, ts=self.ts))
+            self.id, self.site.name, item, mode, need, self.ts))
         self.requests_sent += 1
 
     def on_vm_absorbed(self, entry: VmEntry, src: str) -> None:

@@ -180,20 +180,22 @@ class VmManager:
     # -- channel access -----------------------------------------------------
 
     def out_channel(self, dst: str) -> OutgoingChannel:
-        if dst not in self.outgoing:
-            self.outgoing[dst] = OutgoingChannel(dst)
+        channel = self.outgoing.get(dst)
+        if channel is None:
+            channel = self.outgoing[dst] = OutgoingChannel(dst)
             self._c_retx[dst] = self._metrics.counter(
                 "vm.retransmissions", site=self.site, peer=dst)
-        return self.outgoing[dst]
+        return channel
 
     def in_channel(self, src: str) -> IncomingChannel:
-        if src not in self.incoming:
-            self.incoming[src] = IncomingChannel(src)
+        channel = self.incoming.get(src)
+        if channel is None:
+            channel = self.incoming[src] = IncomingChannel(src)
             self._c_dup[src] = self._metrics.counter(
                 "vm.duplicates", site=self.site, peer=src)
             self._h_delivery[src] = self._metrics.histogram(
                 "vm.delivery", src=src, dst=self.site)
-        return self.incoming[src]
+        return channel
 
     # -- sender side ----------------------------------------------------------
 
@@ -292,16 +294,15 @@ class VmManager:
         return True
 
     def _transmit(self, entry: VmEntry, retransmit: bool = False) -> None:
+        dst, now = entry.dst, self.sim.now
         if self._obs.enabled:
             event_type = VmRetransmit if retransmit else VmTransmit
-            self._obs.emit(event_type(t=self.sim.now, site=self.site,
-                                      dst=entry.dst,
+            self._obs.emit(event_type(t=now, site=self.site, dst=dst,
                                       seq=entry.channel_seq))
-        piggyback = self.in_channel(entry.dst).cumulative_accepted
-        self._piggyback_sent[entry.dst] = (self.sim.now, piggyback)
-        self._send(entry.dst, VmTransfer(src=self.site, entry=entry,
-                                         piggyback_ack=piggyback,
-                                         ts=self._clock_ts()))
+        piggyback = self.in_channel(dst).cumulative_accepted
+        self._piggyback_sent[dst] = (now, piggyback)
+        self._send(dst, VmTransfer(self.site, entry, piggyback,
+                                   self._clock_ts()))
 
     def _retransmit_tick(self, overdue_only: bool = True) -> None:
         """Send every never-sent live Vm, and resend each one whose last
@@ -364,55 +365,60 @@ class VmManager:
 
     def on_transfer(self, transfer: VmTransfer) -> None:
         """Handle a real message: ack bookkeeping, dedup, in-order accept."""
-        self.on_ack(VmAck(src=transfer.src,
-                          cumulative=transfer.piggyback_ack,
-                          ts=transfer.ts))
-        channel = self.in_channel(transfer.src)
-        seq = transfer.entry.channel_seq
+        src, entry = transfer.src, transfer.entry
+        self._acked(src, transfer.piggyback_ack)
+        channel = self.in_channel(src)
+        seq = entry.channel_seq
         if seq <= channel.cumulative_accepted:
             # Duplicate (retransmission of something already absorbed):
             # discard, but re-ack so the sender can stop retransmitting.
             channel.duplicates_discarded += 1
-            self._c_dup[transfer.src].inc()
+            self._c_dup[src].inc()
             if self._obs.enabled:
                 self._obs.emit(VmDuplicateDiscard(
-                    t=self.sim.now, site=self.site, src=transfer.src,
-                    seq=seq))
-            self._send_ack(transfer.src)
+                    t=self.sim.now, site=self.site, src=src, seq=seq))
+            self._send_ack(src)
             return
-        channel.pending[seq] = transfer.entry
-        self._backlog.add(transfer.src)
-        self.drain(transfer.src)
+        channel.pending[seq] = entry
+        self._backlog.add(src)
+        self.drain(src)
 
     def drain(self, src: str) -> None:
-        """Absorb buffered messages strictly in sequence order."""
-        self._drain_queue.append(src)
+        """Absorb buffered messages strictly in sequence order.
+
+        A drain already running (an accept that released locks poked
+        the channels from inside it) takes *src* from the work queue
+        next; otherwise *src* is drained right away."""
         if self._draining:
+            self._drain_queue.append(src)
             return
         self._draining = True
         try:
-            while self._drain_queue:
-                self._drain_one(self._drain_queue.popleft())
+            self._drain_one(src)
+            queue = self._drain_queue
+            while queue:
+                self._drain_one(queue.popleft())
         finally:
             self._draining = False
 
     def _drain_one(self, src: str) -> None:
         channel = self.in_channel(src)
+        pending = channel.pending
         progressed = False
         while True:
             next_seq = channel.cumulative_accepted + 1
-            entry = channel.pending.get(next_seq)
+            entry = pending.get(next_seq)
             if entry is None:
                 break
             # Claim the sequence number BEFORE the accept callback runs:
             # acceptance may re-enter drain (commit -> release -> poke)
             # and must never see this entry as pending again.
-            del channel.pending[next_seq]
+            del pending[next_seq]
             channel.cumulative_accepted = next_seq
             if not self._accept(entry, src):
                 # Target fragment locked by an unrelated transaction;
                 # put the message back (head-of-line wait).
-                channel.pending[next_seq] = entry
+                pending[next_seq] = entry
                 channel.cumulative_accepted = next_seq - 1
                 break
             now = self.sim.now
@@ -428,7 +434,7 @@ class VmManager:
             if self.on_accepted is not None:
                 self.on_accepted(src, entry)
             progressed = True
-        if not channel.pending:
+        if not pending:
             self._backlog.discard(src)
         if progressed:
             self._send_ack(src)
@@ -449,7 +455,12 @@ class VmManager:
                 self.drain(src)
 
     def on_ack(self, ack: VmAck) -> None:
-        channel = self.outgoing.get(ack.src)
+        self._acked(ack.src, ack.cumulative)
+
+    def _acked(self, src: str, cumulative: int) -> None:
+        """*src* has accepted everything up to *cumulative* on the
+        channel toward it (an explicit or a piggybacked ack)."""
+        channel = self.outgoing.get(src)
         if channel is None:
             # An ack for a channel this site (per its stable state)
             # never sent on — e.g. a stale duplicate from before a peer
@@ -458,7 +469,7 @@ class VmManager:
             # sends would look already-acked and silently fall out of
             # retransmission. Ignore it; acks carry no value.
             return
-        for entry in channel.ack(ack.cumulative):
+        for entry in channel.ack(cumulative):
             self._note_dead(entry)
 
     def _send_ack(self, dst: str) -> None:
@@ -499,5 +510,4 @@ class VmManager:
         if self._obs.enabled:
             self._obs.emit(VmAckSent(t=self.sim.now, site=self.site,
                                      dst=dst, cumulative=cumulative))
-        self._send(dst, VmAck(src=self.site, cumulative=cumulative,
-                              ts=self._clock_ts()))
+        self._send(dst, VmAck(self.site, cumulative, self._clock_ts()))

@@ -127,36 +127,34 @@ class Link:
 
     # -- per-transmission fate --------------------------------------------
 
-    def draw_delay(self) -> float:
-        """Sample this transmission's latency."""
-        config = self._fault or self.config
-        if config.jitter == 0:
-            return config.base_delay
-        return config.base_delay + self._rng.uniform(0.0, config.jitter)
+    def fate(self) -> tuple[float, ...] | None:
+        """Draw one transmission's whole fate; count it on this link.
 
-    def should_drop(self) -> bool:
-        """Decide loss for one transmission (counts it either way).
+        The draws come in one fixed order: loss, then — for a message
+        that reaches its destination — its delay, the duplicate draw
+        and the duplicate's delay. The loss draw is taken even while
+        the link is down or a partition separates its ends, so a fault
+        window never shifts the draws made after it.
 
-        The loss draw is taken even while the link is down so that a
-        down window never perturbs the draws made after it: replaying
-        the same seed with and without the window keeps every later
-        transmission's fate aligned.
+        Returns the delays of the deliveries to schedule (one, or two
+        when the link duplicates), or a drop: ``None`` when a partition
+        separates the ends — counted once, as partitioned, even if the
+        loss draw also lost it — and ``()`` when the link lost it.
         """
+        config = self._fault or self.config
+        rng = self._rng
         self.transmissions += 1
-        lost = self._rng.random() < \
-            (self._fault or self.config).loss_probability
-        if not self.up:
-            self.losses += 1
-            return True
+        lost = rng.random() < config.loss_probability or not self.up
         if lost:
             self.losses += 1
-            return True
-        return False
-
-    def should_duplicate(self) -> bool:
-        """Decide whether this delivery is accompanied by a duplicate."""
-        if self._rng.random() < \
-                (self._fault or self.config).duplicate_probability:
+        if self.src_end.group != self.dst_end.group:
+            return None
+        if lost:
+            return ()
+        base, jitter = config.base_delay, config.jitter
+        delay = base if jitter == 0 else base + rng.uniform(0.0, jitter)
+        if rng.random() < config.duplicate_probability:
             self.duplicates += 1
-            return True
-        return False
+            return delay, (base if jitter == 0
+                           else base + rng.uniform(0.0, jitter))
+        return (delay,)

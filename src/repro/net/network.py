@@ -51,6 +51,7 @@ class Network:
         # (docs/OBSERVABILITY.md); the dropped_* properties below are
         # compatibility views over these counters.
         self._obs = sim.obs
+        self._after_for_site = sim.after_for_site
         self._c_dropped_partition = sim.metrics.counter(
             "net.dropped.partition")
         self._c_dropped_loss = sim.metrics.counter("net.dropped.loss")
@@ -261,16 +262,25 @@ class Network:
             self._outbox.enqueue(src, dst, payload)
             return
         self._c_sent.value += 1
-        link = self.link(src, dst)
-        if not self._survives(link, kind):
+        link = self._links.get((src, dst)) or self.link(src, dst)
+        delays = link.fate()
+        if not delays:
+            self._drop(src, dst, kind, partitioned=delays is None)
             return
         now = self.sim.now
-        self._schedule_delivery(link, Envelope(src, dst, payload, now),
-                                link.draw_delay(), kind)
-        if link.should_duplicate():
-            self._schedule_delivery(
-                link, Envelope(src, dst, payload, now, duplicated=True),
-                link.draw_delay(), kind)
+        label = link.labels.get(kind) or self._label(link, kind)
+        # Routed to the destination's shard when the simulation is
+        # sharded (repro.sim.shard): delivery events mutate receiver
+        # state, and the link's delay lower bound is exactly what the
+        # sharded kernel's lookahead is derived from.
+        self._after_for_site(dst, delays[0], partial(
+            self._deliver, link, Envelope(src, dst, payload, now), kind),
+            label=label)
+        if len(delays) > 1:
+            self._after_for_site(dst, delays[1], partial(
+                self._deliver, link,
+                Envelope(src, dst, payload, now, duplicated=True), kind),
+                label=label)
 
     def broadcast(self, src: str, payload: Any,
                   dsts: Iterable[str] | None = None) -> None:
@@ -280,30 +290,20 @@ class Network:
         for dst in targets:
             self.send(src, dst, payload)
 
-    def _survives(self, link: Link, kind: str) -> bool:
-        """Draw one envelope's loss fate; account for it if dropped.
-
-        The loss draw is sampled unconditionally (so a partition window
-        never shifts the stream), but a message both partitioned AND
-        lost is counted once, as partitioned: ``net.dropped.partition``
-        + ``net.dropped.loss`` + deliveries-scheduled always equals sends.
-        """
-        lost = link.should_drop()
-        if link.src_end.group != link.dst_end.group:
-            self._drop_partitioned(link, kind)
-            return False
-        if lost:
+    def _drop(self, src: str, dst: str, kind: str,
+              partitioned: bool = True) -> None:
+        """Count one envelope dropped by a partition (or by the link):
+        ``net.dropped.partition`` + ``net.dropped.loss`` + deliveries
+        scheduled always equals sends."""
+        if partitioned:
+            self._c_dropped_partition.value += 1
+            event = NetDropPartition
+        else:
             self._c_dropped_loss.value += 1
-            if self._obs.enabled:
-                self._obs.emit(NetDropLoss(t=self.sim.now, src=link.src,
-                                           dst=link.dst, payload=kind))
-        return not lost
-
-    def _drop_partitioned(self, link: Link, kind: str) -> None:
-        self._c_dropped_partition.value += 1
+            event = NetDropLoss
         if self._obs.enabled:
-            self._obs.emit(NetDropPartition(t=self.sim.now, src=link.src,
-                                            dst=link.dst, payload=kind))
+            self._obs.emit(event(t=self.sim.now, src=src, dst=dst,
+                                 payload=kind))
 
     def _label(self, link: Link, kind: str) -> str:
         """A delivery's kernel-event label, formatted once per kind."""
@@ -313,22 +313,12 @@ class Network:
                 f"{self.delivery_label}:{kind}:{link.src}->{link.dst}"
         return label
 
-    def _schedule_delivery(self, link: Link, envelope: Envelope,
-                           delay: float, kind: str) -> None:
-        # Routed to the destination's shard when the simulation is
-        # sharded (repro.sim.shard): delivery events mutate receiver
-        # state, and the link's delay lower bound is exactly what the
-        # sharded kernel's lookahead is derived from.
-        self.sim.after_for_site(link.dst, delay,
-                                partial(self._deliver, link, envelope, kind),
-                                label=self._label(link, kind))
-
     def _deliver(self, link: Link, envelope: Envelope, kind: str) -> None:
         """The kernel event of one envelope arriving over *link*."""
         # Re-check reachability at delivery time: a partition that
         # strikes while the message is in flight swallows it.
         if link.src_end.group != link.dst_end.group:
-            self._drop_partitioned(link, kind)
+            self._drop(link.src, link.dst, kind)
             return
         self.delivered_counts[kind] += 1
         self._c_delivered.value += 1
@@ -352,11 +342,7 @@ class Network:
         payloads = open_bundle.bundle.payloads
         now = self.sim.now
         if not self.reachable(src, dst):
-            self._c_dropped_partition.value += 1
-            if self._obs.enabled:
-                self._obs.emit(NetDropPartition(
-                    t=now, src=src, dst=dst,
-                    payload=type(payloads[0]).__name__))
+            self._drop(src, dst, type(payloads[0]).__name__)
             return
         self._c_delivered.value += 1
         self._h_bundle_size.observe(len(payloads))

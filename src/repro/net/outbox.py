@@ -116,9 +116,9 @@ class Outbox:
                   now: float) -> _OpenBundle:
         """Open a bundle: draw its fate once, schedule its one delivery.
 
-        The draws are a single message's (``Network._survives``, then
-        delay, then duplicate — the latter two only for survivors), so
-        enabling bundling never shifts a link's RNG stream.
+        The fate is a single message's (``Link.fate``, as
+        ``Network.send`` draws it), so enabling bundling never shifts a
+        link's RNG stream.
         """
         net = self._network
         open_bundle = _OpenBundle(src, dst, opened_at=now,
@@ -127,17 +127,15 @@ class Outbox:
         kind = type(payload).__name__
         net._c_sent.value += 1  # one real envelope, whatever its fate
         link = net.link(src, dst)
-        if not net._survives(link, kind):
+        delays = link.fate()
+        if not delays:
+            net._drop(src, dst, kind, partitioned=delays is None)
             open_bundle.doomed = True
             return open_bundle
         label = net._label(link, kind)
-        self._schedule(open_bundle, label,
-                       self.config.flush_delay + link.draw_delay(),
-                       duplicated=False)
-        if link.should_duplicate():
+        for duplicated, delay in zip((False, True), delays):
             self._schedule(open_bundle, label,
-                           self.config.flush_delay + link.draw_delay(),
-                           duplicated=True)
+                           self.config.flush_delay + delay, duplicated)
         return open_bundle
 
     def _schedule(self, open_bundle: _OpenBundle, label: str, delay: float,
@@ -152,8 +150,8 @@ class Outbox:
             net._deliver_bundle(open_bundle, duplicated)
 
         # Shard-routed like the unbundled transport: the delivery event
-        # runs on the destination's shard (see Network._schedule_delivery).
-        net.sim.after_for_site(open_bundle.dst, delay, deliver, label=label)
+        # runs on the destination's shard (see Network.send).
+        net._after_for_site(open_bundle.dst, delay, deliver, label=label)
 
     def _close(self, open_bundle: _OpenBundle) -> None:
         open_bundle.closed = True

@@ -60,7 +60,7 @@ class SynchronousNetwork(Network):
         if link.src_end.group != link.dst_end.group:
             # Partitions are outside Conc2's assumptions, but the mode is
             # still usable under them so E10 can demonstrate the unsoundness.
-            self._drop_partitioned(link, kind)
+            self._drop(src, dst, kind)
             return
         # Equal delay keeps send order and arrival order identical;
         # priority breaks simultaneous sends by sender rank at EVERY

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable
 
 #: Compaction triggers only above this store size (small queues never
@@ -100,6 +101,11 @@ class Event:
         self.action = None
         if self.queue is not None:
             self.queue._note_cancel()
+
+
+#: The pop order as a C-level sort key: the same (time, priority, seq)
+#: order ``Event.__lt__`` gives, without a Python call per comparison.
+_ORDER = attrgetter("time", "priority", "seq")
 
 
 def _husk(event: Event) -> None:
@@ -309,7 +315,7 @@ class CalendarEventQueue:
                 self._size -= 1
             else:
                 current.append(event)
-        current.sort(reverse=True)
+        current.sort(key=_ORDER, reverse=True)
         return True
 
     # -- compaction --------------------------------------------------------

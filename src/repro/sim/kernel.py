@@ -165,8 +165,13 @@ class Simulator:
     def after_for_site(self, site: str, delay: float,
                        action: Callable[[], Any], priority: int = 0,
                        label: str = "") -> Event:
-        """Schedule *action* after *delay*, placed with *site*'s state."""
-        return self.after(delay, action, priority, label)
+        """Schedule *action* after *delay*, placed with *site*'s state.
+
+        Every network delivery comes through here, so it pushes itself
+        rather than going through :meth:`after`."""
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        return self._queue.push(self._now + delay, action, priority, label)
 
     def at_global(self, time: float, action: Callable[[], Any],
                   priority: int = 0, label: str = "") -> Event:

@@ -45,33 +45,44 @@ class TestLink:
     def test_delay_without_jitter_is_constant(self):
         link = Link("A", "B", LinkConfig(base_delay=2.0),
                     RandomStreams(1).stream("l"))
-        assert all(link.draw_delay() == 2.0 for _ in range(5))
+        assert all(link.fate() == (2.0,) for _ in range(5))
 
     def test_delay_with_jitter_in_bounds(self):
         link = Link("A", "B", LinkConfig(base_delay=2.0, jitter=1.0),
                     RandomStreams(1).stream("l"))
         for _ in range(100):
-            assert 2.0 <= link.draw_delay() <= 3.0
+            (delay,) = link.fate()
+            assert 2.0 <= delay <= 3.0
 
     def test_down_link_drops_everything(self):
         link = Link("A", "B", LinkConfig(), RandomStreams(1).stream("l"))
         link.fail()
-        assert all(link.should_drop() for _ in range(10))
-        assert link.losses == 10
+        assert all(link.fate() == () for _ in range(10))
+        assert link.losses == 10 and link.transmissions == 10
         link.restore()
-        assert not link.should_drop()
+        assert link.fate() == (1.0,)
 
     def test_loss_rate_statistics(self):
         link = Link("A", "B", LinkConfig(loss_probability=0.5),
                     RandomStreams(1).stream("l"))
-        drops = sum(link.should_drop() for _ in range(2000))
+        drops = sum(not link.fate() for _ in range(2000))
         assert 850 < drops < 1150
+        assert link.losses == drops
 
     def test_duplicate_counter(self):
-        link = Link("A", "B", LinkConfig(duplicate_probability=1.0),
+        link = Link("A", "B", LinkConfig(duplicate_probability=1.0,
+                                         jitter=0.5),
                     RandomStreams(1).stream("l"))
-        assert link.should_duplicate()
+        first, second = link.fate()
+        assert 1.0 <= first <= 1.5 and 1.0 <= second <= 1.5
         assert link.duplicates == 1
+
+    def test_partition_wins_over_loss(self):
+        link = Link("A", "B", LinkConfig(loss_probability=1.0),
+                    RandomStreams(1).stream("l"))
+        link.dst_end.group = 1
+        assert link.fate() is None
+        assert link.losses == 1  # the loss draw still counts on the link
 
 
 class TestNetwork:
@@ -271,7 +282,10 @@ class TestNetwork:
                 network.send("A", "B", "eaten")
                 network.heal()
             else:
-                network.link("A", "B").should_drop()  # burn one draw
+                # A down link takes the loss draw and nothing else.
+                network.link("A", "B").fail()
+                network.send("A", "B", "eaten")
+                network.link("A", "B").restore()
             for index in range(20):
                 network.send("A", "B", index)
             sim.run()

@@ -31,13 +31,20 @@ def noop():
 
 # One random operation: (kind, value). Times deliberately span several
 # wheel laps of the smallest geometry below and reach the overflow heap
-# of the default one.
+# of the default one. A burst pushes several events at one instant with
+# priorities from a narrow range, so a day holds runs of events tied on
+# (time, priority) that only seq orders.
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("push"),
                   st.tuples(st.floats(min_value=0.0, max_value=400.0,
                                       allow_nan=False, width=32),
                             st.integers(min_value=-2, max_value=2))),
+        st.tuples(st.just("burst"),
+                  st.tuples(st.floats(min_value=0.0, max_value=400.0,
+                                      allow_nan=False, width=32),
+                            st.lists(st.integers(min_value=0, max_value=1),
+                                     min_size=2, max_size=12))),
         st.tuples(st.just("pop"), st.none()),
         st.tuples(st.just("pop_if_due"),
                   st.floats(min_value=0.0, max_value=400.0,
@@ -66,6 +73,11 @@ def _apply(queue, ops):
             time, priority = value
             handles.append(queue.push(time, noop, priority,
                                       label=f"e{len(handles)}"))
+        elif kind == "burst":
+            time, priorities = value
+            for priority in priorities:
+                handles.append(queue.push(time, noop, priority,
+                                          label=f"e{len(handles)}"))
         elif kind == "pop":
             event = queue.pop()
             observed.append(("pop", None) if event is None else
