@@ -31,6 +31,7 @@ from repro.obs.events import (
     TxnRedistribute,
     TxnSubmit,
 )
+from repro.reads.messages import ViewCertificate
 from repro.sim.timers import Timer
 from repro.storage.records import CommitRecord, SetFragment, VmEntry
 
@@ -236,7 +237,7 @@ def _empty() -> Mapping[str, Any]:
     return EMPTY
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, repr=False)
 class TxnResult:
     """Reported to the submitter's callback when the transaction ends.
 
@@ -261,11 +262,11 @@ class TxnResult:
     #: returns Π(everything) minus what was still in transmission
     #: (Section 3's N_M term) — see harness.serial for the check.
     inflight_at_commit: Mapping[str, Any] = field(default_factory=_empty)
-    #: Item → ViewCertificate for every view-served read (docs/READS.md).
-    #: The chaos ViewOracle replays the committed timeline against each
-    #: certificate: its value must be the item's exact logical value at
-    #: ``as_of`` and its accepted staleness must respect its bound.
-    view_reads: Mapping[str, Any] = field(default_factory=_empty)
+    #: One row ``tuple(cert)`` per view-served read, in serve order:
+    #: an exact tuple of atoms, so the collector untracks it (a
+    #: ViewCertificate is a tuple subclass, which it never would).
+    #: Read it as ``view_reads``.
+    view_rows: tuple[tuple, ...] = ()
     #: View items whose certificate could not be produced — served by
     #: the classic fan-out instead (the read-through tier repairs the
     #: cache from these, see DvPSystem._record_result).
@@ -278,6 +279,32 @@ class TxnResult:
     @property
     def latency(self) -> float:
         return self.finished_at - self.submitted_at
+
+    @property
+    def view_reads(self) -> Mapping[str, ViewCertificate]:
+        """Item → ViewCertificate for every view-served read
+        (docs/READS.md), built from the rows on access. The chaos
+        ViewOracle replays the committed timeline against each
+        certificate: its value must be the item's exact logical value
+        at ``as_of`` and its accepted staleness must respect its bound."""
+        if not self.view_rows:
+            return EMPTY
+        return {row[0]: ViewCertificate(*row) for row in self.view_rows}
+
+    def __repr__(self) -> str:
+        # The dataclass repr with the rows shown as ``view_reads``:
+        # digests of results hash this text.
+        return (f"{type(self).__qualname__}(txn_id={self.txn_id!r}, "
+                f"label={self.label!r}, outcome={self.outcome!r}, "
+                f"reason={self.reason!r}, site={self.site!r}, "
+                f"submitted_at={self.submitted_at!r}, "
+                f"finished_at={self.finished_at!r}, "
+                f"read_values={self.read_values!r}, "
+                f"semantic_deltas={self.semantic_deltas!r}, "
+                f"requests_sent={self.requests_sent!r}, "
+                f"inflight_at_commit={self.inflight_at_commit!r}, "
+                f"view_reads={self.view_reads!r}, "
+                f"view_fallbacks={self.view_fallbacks!r})")
 
 
 class Transaction:
@@ -748,12 +775,14 @@ class Transaction:
             site.locks.cancel_waiter(self.id)
         site.locks.release_all(self.id)
         # Positional, in TxnResult's field order (one per op, for good).
-        view_reads = (dict(self._view_certs) if self._view_certs
-                      and outcome is Outcome.COMMITTED else EMPTY)
+        view_rows = (tuple([tuple(cert)
+                            for cert in self._view_certs.values()])
+                     if self._view_certs and outcome is Outcome.COMMITTED
+                     else ())
         self.result = result = TxnResult(
             self.id, self.spec.label, outcome, reason, site.name,
             self.submitted_at, now, read_values, deltas, self.requests_sent,
-            EMPTY, view_reads, tuple(self._view_fallbacks))
+            EMPTY, view_rows, tuple(self._view_fallbacks))
         site.h_decision[outcome].observe(now - self.submitted_at)
         if site._obs.enabled:
             if outcome is Outcome.COMMITTED:

@@ -2,14 +2,15 @@
 
 Kept free of any other ``repro`` imports so the core transaction layer,
 the site delivery path, and the view service can all share these
-without import cycles. Everything is a small frozen dataclass carrying
-deterministic, JSON-representable values only.
+without import cycles. Everything is a small immutable value —
+a frozen dataclass, or a ``NamedTuple`` where a run makes one per
+read — carrying deterministic, JSON-representable values only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class ViewEntry:
 class ViewRefresh:
     """Write-behind refresh: a batch of view entries pushed by *origin*.
 
-    One network payload per (publisher, destination) pair per refresh
-    round — the batching tier. Rides the ordinary network (and the
+    One payload per publisher per refresh round, sent to every
+    destination — the batching tier. Rides the ordinary network (and the
     PR 5 outbox bundling when enabled), so it can be lost, delayed, or
     partitioned away; that is safe because admission is certificate
     based: a missing refresh only makes a cache staler, never wrong.
@@ -45,10 +46,12 @@ class ViewRefresh:
     published_at: float
 
 
-@dataclass(frozen=True, slots=True)
-class ViewCertificate:
-    """Proof-of-staleness attached to a view-served read (slotted: a
-    run retains one per view-served read, inside its ``TxnResult``).
+class ViewCertificate(NamedTuple):
+    """Proof-of-staleness attached to a view-served read.
+
+    A tuple, so a cache hit builds it without a dataclass ``__init__``;
+    a ``TxnResult`` keeps it as the plain row ``tuple(cert)``, which
+    the cycle collector stops tracking (DESIGN.md §7).
 
     ``checked_at - as_of`` is the staleness the reader actually
     accepted; admission requires it to be <= ``bound`` (None = only the

@@ -13,8 +13,8 @@ e07). This module adds the read-scaling tier:
   barriers (a consistent cut, so the totals are worker-invariant) it
   snapshots those books into :class:`~repro.reads.messages.ViewEntry`
   values and pushes one batched
-  :class:`~repro.reads.messages.ViewRefresh` per (publisher,
-  destination) pair over the ordinary network — riding the PR 5 outbox
+  :class:`~repro.reads.messages.ViewRefresh` per publisher to every
+  destination over the ordinary network — riding the PR 5 outbox
   bundling, suffering real loss/partition/crash. Each item is
   published by its directory primary owner, so a dead or partitioned
   owner degrades its items' views realistically (caches go stale,
@@ -169,9 +169,8 @@ class SiteViewCache:
             self._obs.emit(ReadViewServe(t=now, site=self.site, txn=txn,
                                          item=item, staleness=staleness,
                                          bound=bound))
-        return ViewCertificate(item=item, value=entry.value,
-                               as_of=entry.as_of, checked_at=now,
-                               bound=bound, epoch=entry.epoch)
+        return ViewCertificate(item, entry.value, entry.as_of, now, bound,
+                               entry.epoch)
 
 
 class ViewService:
@@ -265,11 +264,13 @@ class ViewService:
             if publisher is not None and publisher.views is not None:
                 for entry in entries:
                     publisher.views.store(entry)
+            # One immutable payload, sent to every destination.
+            refresh = ViewRefresh(origin=owner, entries=entries,
+                                  published_at=now)
             for dst in sorted(self.system.sites):
                 if dst == owner:
                     continue
-                network.send(owner, dst, ViewRefresh(
-                    origin=owner, entries=entries, published_at=now))
+                network.send(owner, dst, refresh)
                 sends += 1
         self.refresh_sends += sends
         if self.sim.obs.enabled:

@@ -16,6 +16,7 @@ refreshes only at global barriers — see docs/SERVING.md.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,8 +83,14 @@ class ServingFrontend:
                 and system.sites[name].views is not None))
         #: Every shed, in decision order (typed Overload results).
         self.overloads: list[Overload] = []
-        #: Enqueue->decision life of every decided request.
-        self.samples: list[ServeSample] = []
+        #: Enqueue->decision life of every decided request, one column
+        #: per ServeSample field (``samples`` builds the rows): a list
+        #: of site names and arrays, which the collector never walks.
+        self._site: list[str] = []
+        self._arrived_at = array("d")
+        self._dispatched_at = array("d")
+        self._finished_at = array("d")
+        self._committed = array("b")
         self.dispatched = 0
         self._running = False
         system.attach(self)
@@ -123,6 +130,15 @@ class ServingFrontend:
         for queue in self.queues.values():
             queue.close()
         self.system = None
+
+    @property
+    def samples(self) -> list[ServeSample]:
+        """Every decided request's ServeSample, in decision order."""
+        return [ServeSample(site, arrived_at, dispatched_at, finished_at,
+                            bool(committed))
+                for site, arrived_at, dispatched_at, finished_at, committed
+                in zip(self._site, self._arrived_at, self._dispatched_at,
+                       self._finished_at, self._committed)]
 
     def _refresh_board(self) -> None:
         if not self._running:

@@ -56,8 +56,8 @@ class ServeSample:
     perceived latency (enqueue to decision) is strictly longer than
     ``TxnResult.latency`` (dispatch to decision) whenever it queued.
 
-    Slotted: a front-end retains one per decided request, and a
-    ``__dict__`` each is most of what that costs."""
+    A front-end keeps these as columns, one row per decided request,
+    and builds the samples when ``ServingFrontend.samples`` is read."""
 
     site: str                    # site the request was queued at
     arrived_at: float            # enqueue time (admission passed)
@@ -92,10 +92,12 @@ class _Request:
 
     def decided(self, result: TxnResult) -> None:
         queue = self.queue
-        queue.frontend.samples.append(ServeSample(
-            site=queue.site, arrived_at=self.enqueued_at,
-            dispatched_at=self.dispatched_at, finished_at=queue.sim.now,
-            committed=result.committed))
+        frontend = queue.frontend
+        frontend._site.append(queue.site)
+        frontend._arrived_at.append(self.enqueued_at)
+        frontend._dispatched_at.append(self.dispatched_at)
+        frontend._finished_at.append(queue.sim.now)
+        frontend._committed.append(result.committed)
         if self.on_done is not None:
             self.on_done(result)
         self.release()

@@ -236,23 +236,41 @@ class TestServeSample:
         assert sample.queue_wait == pytest.approx(2.0)
 
     def test_slotted_values_round_trip(self):
-        """One of each is retained per op: no ``__dict__`` — and still
-        everything the harness does with a value object (pickle across
-        worker processes, deepcopy, asdict into a JSON row)."""
+        """No ``__dict__`` — and still everything the harness does with
+        a value object (pickle across worker processes, deepcopy,
+        asdict into a JSON row)."""
         import copy
         import dataclasses
         import json
         import pickle
-        from repro.reads import ViewCertificate
         sample = self.make(1.0)
+        assert not hasattr(sample, "__dict__")
+        assert pickle.loads(pickle.dumps(sample)) == sample
+        assert copy.deepcopy(sample) == sample
+        row = json.loads(json.dumps(dataclasses.asdict(sample)))
+        assert ServeSample(**row) == sample
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.site = None
+        assert sample.latency == 1.5
+
+    def test_certificate_is_a_named_tuple_that_round_trips(self):
+        """A ViewCertificate is a ``NamedTuple``: built without a
+        dataclass ``__init__``, kept in a result as ``tuple(cert)`` —
+        and it still survives pickle, deepcopy and a JSON row."""
+        import copy
+        import json
+        import pickle
+        from repro.reads import ViewCertificate
         cert = ViewCertificate(item="x", value=5, as_of=1.0,
                                checked_at=2.5, bound=None, epoch=3)
-        for value in (sample, cert):
-            assert not hasattr(value, "__dict__")
-            assert pickle.loads(pickle.dumps(value)) == value
-            assert copy.deepcopy(value) == value
-            row = json.loads(json.dumps(dataclasses.asdict(value)))
-            assert type(value)(**row) == value
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, dataclasses.fields(value)[0].name, None)
-        assert (sample.latency, cert.staleness) == (1.5, 1.5)
+        assert not hasattr(cert, "__dict__")
+        assert pickle.loads(pickle.dumps(cert)) == cert
+        assert copy.deepcopy(cert) == cert
+        row = json.loads(json.dumps(cert._asdict()))
+        assert ViewCertificate(**row) == cert
+        assert ViewCertificate(*tuple(cert)) == cert
+        with pytest.raises(AttributeError):
+            cert.value = 6
+        assert cert.staleness == 1.5
+        assert repr(cert) == ("ViewCertificate(item='x', value=5, as_of=1.0, "
+                              "checked_at=2.5, bound=None, epoch=3)")
