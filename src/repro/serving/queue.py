@@ -135,6 +135,7 @@ class SiteQueue:
         self.lease = frontend.lease
         self._queue: deque[_Request] = deque()
         self.inflight = 0
+        self._pumping = False
         #: The armed leases, one per occupied slot; close() closes them.
         self._leases: set[Timer] = set()
         self.accepting = True
@@ -185,8 +186,18 @@ class SiteQueue:
     # -- dispatch -----------------------------------------------------------
 
     def _pump(self) -> None:
-        while self._queue and self.inflight < self.slots:
-            self._dispatch(self._queue.popleft())
+        # A request that decides inside submit() releases its slot from
+        # within _dispatch, and release() pumps again: that nested call
+        # only returns, and this loop dispatches the next request — a
+        # backlog drains in one frame, not one frame per request.
+        if self._pumping:
+            return
+        self._pumping = True
+        try:
+            while self._queue and self.inflight < self.slots:
+                self._dispatch(self._queue.popleft())
+        finally:
+            self._pumping = False
 
     def _dispatch(self, entry: _Request) -> None:
         now = entry.dispatched_at = self.sim.now

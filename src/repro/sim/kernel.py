@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from math import inf
 from typing import Any, Callable
 
 from repro.obs.bus import TraceBus
@@ -128,17 +129,22 @@ class Simulator:
 
     def at(self, time: float, action: Callable[[], Any], priority: int = 0,
            label: str = "") -> Event:
-        """Schedule *action* at absolute virtual *time*."""
-        if time < self._now:
+        """Schedule *action* at absolute virtual *time*.
+
+        A NaN or infinite time is refused with the past: the queue
+        compares times, and NaN compares false both ways."""
+        if not self._now <= time < inf:
             raise SimulationError(
-                f"cannot schedule at {time} before now={self._now}")
+                f"cannot schedule at {time}: times must be finite and "
+                f"not before now={self._now}")
         return self._queue.push(time, action, priority, label)
 
     def after(self, delay: float, action: Callable[[], Any], priority: int = 0,
               label: str = "") -> Event:
-        """Schedule *action* after a non-negative *delay*."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        """Schedule *action* after a finite, non-negative *delay*."""
+        if not 0 <= delay < inf:
+            raise SimulationError(
+                f"delay {delay} must be finite and non-negative")
         return self._queue.push(self._now + delay, action, priority, label)
 
     # -- placement hooks (overridden by repro.sim.shard) -------------------
@@ -169,8 +175,9 @@ class Simulator:
 
         Every network delivery comes through here, so it pushes itself
         rather than going through :meth:`after`."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not 0 <= delay < inf:
+            raise SimulationError(
+                f"delay {delay} must be finite and non-negative")
         return self._queue.push(self._now + delay, action, priority, label)
 
     def at_global(self, time: float, action: Callable[[], Any],

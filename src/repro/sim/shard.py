@@ -43,6 +43,7 @@ shard passes it — a consistent cut.
 from __future__ import annotations
 
 import hashlib
+from math import inf
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.bus import TraceBus
@@ -254,15 +255,17 @@ class ShardedSimulator(Simulator):
     def at(self, time: float, action: Callable[[], Any], priority: int = 0,
            label: str = "") -> Event:
         shard = self._home()
-        if time < shard.now:
+        if not shard.now <= time < inf:
             raise SimulationError(
-                f"cannot schedule at {time} before now={shard.now}")
+                f"cannot schedule at {time}: times must be finite and "
+                f"not before now={shard.now}")
         return shard.queue.push(time, action, priority, label)
 
     def after(self, delay: float, action: Callable[[], Any],
               priority: int = 0, label: str = "") -> Event:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not 0 <= delay < inf:
+            raise SimulationError(
+                f"delay {delay} must be finite and non-negative")
         shard = self._home()
         return shard.queue.push(shard.now + delay, action, priority, label)
 
@@ -280,13 +283,17 @@ class ShardedSimulator(Simulator):
         if active is None:
             # Setup/barrier context: every queue is quiescent, push
             # directly (deterministic — no shard is running).
-            if time < target.now:
+            if not target.now <= time < inf:
                 raise SimulationError(
-                    f"cannot schedule at {time} before shard "
-                    f"{target.id} now={target.now}")
+                    f"cannot schedule at {time} on shard {target.id}: "
+                    f"times must be finite and not before "
+                    f"now={target.now}")
             return target.queue.push(time, action, priority, label)
         if target is active:
             return self.at(time, action, priority, label)
+        if not time < inf:
+            raise SimulationError(
+                f"cannot schedule at {time}: times must be finite")
         if time + _EPS < self._horizon:
             raise LookaheadError(
                 f"cross-shard event for site {site!r} at t={time} lands "
@@ -298,8 +305,9 @@ class ShardedSimulator(Simulator):
     def after_for_site(self, site: str, delay: float,
                        action: Callable[[], Any], priority: int = 0,
                        label: str = "") -> Event | None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not 0 <= delay < inf:
+            raise SimulationError(
+                f"delay {delay} must be finite and non-negative")
         return self.at_site(site, self.now + delay, action, priority, label)
 
     def at_global(self, time: float, action: Callable[[], Any],
@@ -317,10 +325,10 @@ class ShardedSimulator(Simulator):
                 f"global event at t={time} scheduled from inside the "
                 f"window ending at {self._horizon}: other shards may "
                 f"already have run past it")
-        if time < self._clock:
+        if not self._clock <= time < inf:
             raise SimulationError(
-                f"cannot schedule global event at {time} before "
-                f"barrier time {self._clock}")
+                f"cannot schedule global event at {time}: times must be "
+                f"finite and not before barrier time {self._clock}")
         return self._globals.push(time, action, priority, label)
 
     def call_in_site(self, site: str, action: Callable[[], Any]) -> Any:

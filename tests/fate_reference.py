@@ -6,7 +6,7 @@ bundling ``Outbox`` made four calls per envelope — the loss draw, the
 reachability check, the delay draw and the duplicate draw (plus the
 duplicate's delay), each re-reading the link's config. This module
 keeps that sequence as the *reference* (as ``tests/heap_queue.py``
-keeps the heap the calendar queue replaced):
+keeps a heap of bare events beside the kernel's queue):
 ``tests/test_link_fate_parity.py`` runs random schedules of sends,
 fault windows, down links, partitions and bundles through a
 :class:`ReferenceNetwork` and through the real :class:`Network`, and

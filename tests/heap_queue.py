@@ -1,10 +1,11 @@
-"""The binary-heap event queue the calendar queue replaced, kept as the
-ordering *reference*: ``tests/test_queue_properties.py`` replays random
-schedules against it and demands identical pop sequences, and the
-kernel, shard and lifetime suites substitute it through
+"""A binary heap of bare events, kept as the ordering *reference*:
+``tests/test_queue_properties.py`` replays random schedules against it
+and demands identical pop sequences, and the kernel, shard and
+lifetime suites substitute it through
 ``Simulator(queue_factory=HeapEventQueue)`` to pin contracts on both
-implementations. Every push and pop pays ``O(log pending)``
-Python-level ``Event.__lt__`` calls.
+implementations. It orders by ``Event.__lt__`` directly, so every push
+and pop pays ``O(log pending)`` Python-level calls — the cost the
+kernel's tuple heap avoids.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ from repro.net.link import LinkConfig
 from repro.net.outbox import BundlingConfig
 from repro.reads import ViewConfig
 from repro.serving import ServingConfig, ServingFrontend
-from repro.sim.events import CalendarEventQueue
+from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
 from tests.heap_queue import HeapEventQueue
@@ -269,7 +269,7 @@ class TestFinishedTransactionsAreFreed:
 # -- (b) a cancelled event is a husk -------------------------------------------
 
 class TestCancelledEventIsAHusk:
-    @pytest.mark.parametrize("queue", [CalendarEventQueue, HeapEventQueue])
+    @pytest.mark.parametrize("queue", [EventQueue, HeapEventQueue])
     def test_queued_corpse_references_no_callable(self, queue):
         sim = Simulator(seed=1, queue_factory=queue)
         fired = []

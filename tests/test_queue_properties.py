@@ -1,11 +1,11 @@
-"""Property tests for the calendar event queue, the Event back-reference
+"""Property tests for the event queue, the Event back-reference
 lifecycle, and the defer_to_event_end same-instant ordering contract.
 
-The calendar queue's correctness claim is *exact order parity* with the
-binary heap: for any interleaving of pushes (any times — including into
-days the calendar already passed — any priorities, ties), pops,
-cancellations and compactions, both implementations emit the identical
-event sequence. Hypothesis drives random interleavings against the
+The queue's correctness claim is *exact order parity* with the
+reference heap of bare events: for any interleaving of pushes (any
+times, any priorities, ties), pops, cancellations, compactions and
+clears, both implementations emit the identical event sequence.
+Hypothesis drives random interleavings against the
 :class:`~tests.heap_queue.HeapEventQueue` reference.
 """
 
@@ -15,11 +15,7 @@ import weakref
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sim.events import (
-    CalendarEventQueue,
-    EventQueue,
-    Event,
-)
+from repro.sim.events import EventQueue, Event
 from repro.sim.kernel import Simulator
 from repro.sim.shard import ShardPlan, ShardedSimulator
 from tests.heap_queue import HeapEventQueue
@@ -29,11 +25,9 @@ def noop():
     pass
 
 
-# One random operation: (kind, value). Times deliberately span several
-# wheel laps of the smallest geometry below and reach the overflow heap
-# of the default one. A burst pushes several events at one instant with
-# priorities from a narrow range, so a day holds runs of events tied on
-# (time, priority) that only seq orders.
+# One random operation: (kind, value). A burst pushes several events at
+# one instant with priorities from a narrow range, so the queue holds
+# runs of events tied on (time, priority) that only seq orders.
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("push"),
@@ -55,13 +49,6 @@ _ops = st.lists(
         st.tuples(st.just("clear"), st.none()),
     ),
     min_size=1, max_size=200)
-
-_geometries = st.sampled_from([
-    {},                                      # default calendar
-    {"day_width": 0.5, "wheel_days": 4},     # many laps, tiny wheel
-    {"day_width": 7.0, "wheel_days": 2},     # wide days, minimal wheel
-    {"day_width": 0.125, "wheel_days": 512},
-])
 
 
 def _apply(queue, ops):
@@ -113,20 +100,21 @@ def _apply(queue, ops):
 
 
 class TestCalendarHeapParity:
-    @given(ops=_ops, geometry=_geometries)
+    # The class keeps its name so its test ids stay stable; the queue
+    # under test is the tuple heap, against the heap of bare events.
+
+    @given(ops=_ops)
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_identical_event_streams(self, ops, geometry):
-        assert _apply(CalendarEventQueue(**geometry), ops) == \
-            _apply(HeapEventQueue(), ops)
+    def test_identical_event_streams(self, ops):
+        assert _apply(EventQueue(), ops) == _apply(HeapEventQueue(), ops)
 
     @given(times=st.lists(st.floats(min_value=0.0, max_value=1000.0,
                                     allow_nan=False),
-                          min_size=1, max_size=80),
-           geometry=_geometries)
+                          min_size=1, max_size=80))
     @settings(max_examples=150, deadline=None)
-    def test_pure_push_then_drain_is_sorted(self, times, geometry):
-        queue = CalendarEventQueue(**geometry)
+    def test_pure_push_then_drain_is_sorted(self, times):
+        queue = EventQueue()
         for time in times:
             queue.push(time, noop)
         drained = []
@@ -135,69 +123,13 @@ class TestCalendarHeapParity:
         assert drained == sorted(drained)
         assert len(drained) == len(times)
 
-    def test_same_instant_fifo_across_tiers(self):
-        """Ties break by seq even when the tied events took different
-        storage paths (current run vs wheel vs overflow)."""
-        queue = CalendarEventQueue(day_width=1.0, wheel_days=4)
-        # Force the calendar forward so 2.0 is a passed day for the
-        # second batch of pushes.
-        queue.push(2.0, noop, label="a")
-        queue.push(6.5, noop, label="far")
-        assert queue.pop().label == "a"        # calendar now at day 2
-        queue.push(2.0, noop, label="b")       # passed-day insert
-        queue.push(2.0, noop, label="c")
-        order = []
-        while (event := queue.pop_if_due(10.0)) is not None:
-            order.append(event.label)
-        assert order == ["b", "c", "far"]
-
-    def test_buckets_exist_only_while_populated(self):
-        """A wheel slot is None until a push lands in its day and None
-        again once the day is consumed (or compacted / cleared empty):
-        building, idling and burying a queue touches no empty list."""
-        queue = CalendarEventQueue()  # 256 one-unit days
-        assert queue._wheel == [None] * 256
-        near = queue.push(3.5, noop, label="near")
-        doomed = queue.push(7.5, noop, label="doomed")
-        queue.push(200.5, noop, label="far")
-        queue.push(900.0, noop, label="overflow")
-        assert sum(bucket is not None for bucket in queue._wheel) == 3
-        doomed.cancel()
-        queue.compact()     # the corpse's bucket goes with it
-        assert sum(bucket is not None for bucket in queue._wheel) == 2
-        assert queue.pop() is near
-        # The idle-gap jump walks ~200 never-allocated slots.
-        assert queue.peek_time() == 200.5
-        assert queue.pop().label == "far"
-        assert queue._wheel == [None] * 256
-        assert queue.pop().label == "overflow" and queue.pop() is None
-        # clear() on a populated wheel: back to nothing, still usable,
-        # and the calendar position and seq carry on.
-        seq = queue.push(905.0, noop).seq
-        queue.push(1100.0, noop)
-        queue.clear()
-        assert queue._wheel == [None] * 256 and len(queue) == 0
-        assert queue.pop() is None
-        late = queue.push(899.5, noop, label="passed-day insert")
-        assert late.seq == seq + 2
-        assert queue.pop() is late
-
-    def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            CalendarEventQueue(day_width=0.0)
-        with pytest.raises(ValueError):
-            CalendarEventQueue(wheel_days=1)
-
-    def test_default_queue_is_the_calendar(self):
-        assert EventQueue is CalendarEventQueue
-
     def test_a_protocol_run_is_the_same_run_on_either_queue(
             self, monkeypatch):
         """Parity where it matters: a lossy DvP run with timeouts,
         retransmissions and cancelled timers executes the same events
         in the same order — same trace fingerprint, hence the same
         step count and decisions — behind the reference heap as behind
-        the calendar queue."""
+        the kernel's queue."""
         from repro.core.domain import CounterDomain
         from repro.core.system import DvPSystem, SystemConfig
         from repro.core.transactions import DecrementOp, TransactionSpec
@@ -222,18 +154,17 @@ class TestCalendarHeapParity:
             return (system.sim.trace_fingerprint(), system.sim.steps,
                     len(system.committed()))
 
-        calendar = run(CalendarEventQueue)
+        tuples = run(EventQueue)
         heap = run(HeapEventQueue)
-        assert calendar == heap
-        assert calendar[2] > 0
+        assert tuples == heap
+        assert tuples[2] > 0
 
 
 class TestEventQueueBackref:
     """The Event.queue back-reference lifecycle: cleared on *every*
     removal path, so a held event handle never pins a dead queue."""
 
-    @pytest.mark.parametrize("factory", [CalendarEventQueue,
-                                         HeapEventQueue])
+    @pytest.mark.parametrize("factory", [EventQueue, HeapEventQueue])
     def test_cleared_on_pop(self, factory):
         queue = factory()
         event = queue.push(1.0, noop)
@@ -241,16 +172,14 @@ class TestEventQueueBackref:
         assert queue.pop() is event
         assert event.queue is None
 
-    @pytest.mark.parametrize("factory", [CalendarEventQueue,
-                                         HeapEventQueue])
+    @pytest.mark.parametrize("factory", [EventQueue, HeapEventQueue])
     def test_cleared_on_pop_if_due(self, factory):
         queue = factory()
         event = queue.push(1.0, noop)
         assert queue.pop_if_due(2.0) is event
         assert event.queue is None
 
-    @pytest.mark.parametrize("factory", [CalendarEventQueue,
-                                         HeapEventQueue])
+    @pytest.mark.parametrize("factory", [EventQueue, HeapEventQueue])
     def test_cleared_on_lazy_discard(self, factory):
         queue = factory()
         corpse = queue.push(1.0, noop)
@@ -259,8 +188,7 @@ class TestEventQueueBackref:
         assert queue.pop() is live       # discards the corpse on the way
         assert corpse.queue is None
 
-    @pytest.mark.parametrize("factory", [CalendarEventQueue,
-                                         HeapEventQueue])
+    @pytest.mark.parametrize("factory", [EventQueue, HeapEventQueue])
     def test_cleared_on_compaction(self, factory):
         queue = factory()
         corpses = [queue.push(float(index), noop) for index in range(10)]
@@ -271,16 +199,7 @@ class TestEventQueueBackref:
         assert all(corpse.queue is None for corpse in corpses)
         assert keeper.queue is queue
 
-    def test_cleared_on_calendar_refill_of_cancelled_bucket(self):
-        queue = CalendarEventQueue(day_width=1.0, wheel_days=8)
-        corpse = queue.push(3.5, noop)       # lands in a wheel bucket
-        live = queue.push(3.6, noop)
-        corpse.cancel()
-        assert queue.pop() is live           # refill sweeps the corpse
-        assert corpse.queue is None
-
-    @pytest.mark.parametrize("factory", [CalendarEventQueue,
-                                         HeapEventQueue])
+    @pytest.mark.parametrize("factory", [EventQueue, HeapEventQueue])
     def test_cleared_on_clear(self, factory):
         queue = factory()
         events = [queue.push(float(index), noop) for index in range(5)]
@@ -288,8 +207,7 @@ class TestEventQueueBackref:
         assert all(event.queue is None for event in events)
         assert len(queue) == 0
 
-    @pytest.mark.parametrize("factory", [CalendarEventQueue,
-                                         HeapEventQueue])
+    @pytest.mark.parametrize("factory", [EventQueue, HeapEventQueue])
     def test_popped_handle_does_not_pin_queue(self, factory):
         """gc regression: a long-lived event handle (timers hold them)
         must not keep its queue — and everything the queue references —
@@ -306,7 +224,7 @@ class TestEventQueueBackref:
         assert all(event.queue is None for event in held)
 
     def test_cancelled_handle_does_not_pin_queue_after_compact(self):
-        queue = CalendarEventQueue()
+        queue = EventQueue()
         held = [queue.push(float(index), noop) for index in range(20)]
         for event in held:
             event.cancel()
@@ -319,7 +237,7 @@ class TestEventQueueBackref:
     def test_cancel_after_removal_is_safe(self):
         """cancel() on an already-popped handle must not corrupt the
         (now detached) queue's cancelled-entry accounting."""
-        queue = CalendarEventQueue()
+        queue = EventQueue()
         event = queue.push(1.0, noop)
         queue.push(2.0, noop)
         assert queue.pop() is event
@@ -365,17 +283,15 @@ class TestDeferSameInstantOrdering:
     EXPECTED = ["body", "hook1", "hook2", "nested", "sibling",
                 "same-instant", "later"]
 
-    @pytest.mark.parametrize("factory", [CalendarEventQueue,
-                                         HeapEventQueue])
+    @pytest.mark.parametrize("factory", [EventQueue, HeapEventQueue])
     def test_order_on_plain_kernel(self, factory):
         order, _ = _defer_scenario(Simulator(queue_factory=factory))
         assert order == self.EXPECTED
 
     def test_fingerprint_stable_across_queue_implementations(self):
-        _, calendar = _defer_scenario(
-            Simulator(queue_factory=CalendarEventQueue))
+        _, tuples = _defer_scenario(Simulator(queue_factory=EventQueue))
         _, heap = _defer_scenario(Simulator(queue_factory=HeapEventQueue))
-        assert calendar == heap
+        assert tuples == heap
 
     def test_order_on_sharded_kernel(self):
         sim = ShardedSimulator(ShardPlan({"only": 0}, 1.0))

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.domain import CounterDomain
 from repro.core.system import DvPSystem, SystemConfig
-from repro.core.transactions import DecrementOp, TransactionSpec
+from repro.core.transactions import DecrementOp, ReadViewOp, TransactionSpec
 from repro.metrics.collector import Collector
+from repro.reads import ViewConfig
 from repro.serving import (
     DepthBoard,
     LeastQueueRouter,
@@ -119,6 +120,36 @@ class TestSiteQueue:
         assert queue.inflight == 0
         assert collector.shed == 1
         assert frontend.overloads[-1].reason == "site-down"
+
+    def test_backlog_deciding_inside_submit_drains_in_a_loop(self):
+        """2 000 cache-served view reads queue behind one write holding
+        the only slot. When it decides, each read decides inside its own
+        submit: they drain in FIFO order, without a stack frame per
+        request (recursion overflowed at ~100)."""
+        system = DvPSystem(SystemConfig(
+            sites=["A", "B", "C"], seed=9,
+            views=ViewConfig(refresh_period=2.0)))
+        system.add_item("f", CounterDomain(), total=1000)
+        system.add_item("v", CounterDomain(), total=1000)
+        frontend = ServingFrontend(system, ServingConfig(
+            max_inflight=1, max_depth=None))
+        system.run_until(4.0)        # a refresh round has landed
+        queue = frontend.queues["A"]
+        decided = []
+        queue.offer(spec(work=1.0), "A",
+                    lambda result: decided.append(("write",
+                                                   result.committed)))
+        read = TransactionSpec(ops=(ReadViewOp("v", bound=8.0),),
+                               label="estimate")
+        for index in range(2000):
+            queue.offer(read, "A", lambda result, index=index:
+                        decided.append((index, result.committed,
+                                        bool(result.view_rows))))
+        assert queue.inflight == 1 and queue.depth == 2000
+        system.run_until(10.0)
+        assert decided[0] == ("write", True)
+        assert decided[1:] == [(index, True, True) for index in range(2000)]
+        assert queue.inflight == 0 and queue.depth == 0
 
     def test_quiesce_sheds_backlog_and_refuses(self):
         system, frontend, collector = build(max_inflight=1, max_depth=10)
