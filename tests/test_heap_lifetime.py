@@ -720,11 +720,13 @@ class TestSystemLifetime:
         _run_and_leave_work_pending(system, frontend.submit)
         system.close()
         steps, decided = system.sim.steps, len(system.results)
-        counters = system.sim.metrics.snapshot()["counters"]
+        counters = [(counter.name, counter.labels, counter.value)
+                    for counter in system.sim.metrics.counters()]
         system.close()
         frontend.close()
         assert (system.sim.steps, len(system.results)) == (steps, decided)
-        assert system.sim.metrics.snapshot()["counters"] == counters
+        assert [(counter.name, counter.labels, counter.value)
+                for counter in system.sim.metrics.counters()] == counters
         del frontend
         closed = _close(system)
         del system

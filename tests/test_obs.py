@@ -268,6 +268,37 @@ def bundled_four_site_run():
     return system
 
 
+def metric_rows(metrics):
+    """Every counter and histogram of *metrics* as plain JSON rows."""
+    rows = {"counters": [], "histograms": []}
+    for metric in metrics.counters():
+        rows["counters"].append({"name": metric.name,
+                                 "labels": dict(metric.labels),
+                                 "value": metric.value})
+    for metric in metrics.histograms():
+        summary = metric.summary()
+        rows["histograms"].append({
+            "name": metric.name, "labels": dict(metric.labels),
+            "count": summary.count, "mean": summary.mean,
+            "p50": summary.p50, "p95": summary.p95, "p99": summary.p99,
+            "max": summary.maximum})
+    return rows
+
+
+class TestMetricRows:
+    #: sha256 of json.dumps(metric_rows(...), sort_keys=True) for the
+    #: run above: every counter and histogram a lossy, duplicating,
+    #: bundled, served run books.
+    ROWS_SHA256 = ("6d005321813b9b91e01f990ce2f9be8a"
+                   "8321074c21d6145845b8eae3b5b8f05e")
+
+    def test_counters_and_histograms_are_pinned(self):
+        metrics = bundled_four_site_run().sim.metrics
+        blob = json.dumps(metric_rows(metrics), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            self.ROWS_SHA256
+
+
 class TestGaugeProvider:
     #: sha256 of json.dumps(snapshot(), sort_keys=True) for the run
     #: above. The test also re-registers every link's three gauges the
