@@ -3,17 +3,20 @@
 The scenario the paper's introduction motivates: ticket counters at
 four airports keep selling seats while the network between coasts is
 down, with zero failure-detection machinery — sites only ever see
-their own timeouts. After the partition heals, the books balance to
-the seat.
+their own timeouts. Customers go through the reservation façade:
+they buy and return seats, change flights (the paper's A -> B case)
+and ask how many seats are left. After the partition heals, the books
+balance to the seat.
 
 Run:  python examples/airline_partition.py
 """
 
-from repro.core import CounterDomain, DvPSystem, SystemConfig
+from repro.apps import ReservationSystem
+from repro.core import DvPSystem, SystemConfig
 from repro.metrics.collector import Collector
 from repro.net.link import LinkConfig
-from repro.workloads.airline import AirlineWorkload
-from repro.workloads.base import OpMix, WorkloadConfig, WorkloadDriver
+from repro.workloads.apps import AirlineAppTraffic, AppWorkloadDriver
+from repro.workloads.base import OpMix, WorkloadConfig
 
 SITES = ["JFK", "ORD", "DEN", "SFO"]
 PARTITION = ([["JFK", "ORD"], ["DEN", "SFO"]], 100.0, 300.0)
@@ -26,18 +29,23 @@ def main() -> None:
         sites=list(SITES), seed=7, txn_timeout=15.0,
         link=LinkConfig(base_delay=2.0, jitter=1.0,
                         loss_probability=0.05)))
+    airline = ReservationSystem(system)
     for flight, seats in FLIGHTS.items():
-        system.add_item(flight, CounterDomain(), total=seats)
+        airline.add_flight(flight, seats)
         print(f"  {flight}: {seats} seats split across "
               f"{', '.join(SITES)}")
 
+    # Seat counts: an exact count drains every airport's quota; an
+    # estimate may answer from a view (none here, so it counts too).
     workload_config = WorkloadConfig(
         arrival_rate=0.06, duration=400.0,
-        mix=OpMix(reserve=0.6, cancel=0.25, transfer=0.15))
-    source = AirlineWorkload(list(FLIGHTS), workload_config)
+        mix=OpMix(reserve=0.55, cancel=0.25, transfer=0.15, read=0.03,
+                  read_view=0.02))
+    source = AirlineAppTraffic(airline, list(FLIGHTS), workload_config,
+                               view_bound=20.0)
     collector = Collector()
-    WorkloadDriver(system.sim, system, SITES, source, workload_config,
-                   collector).install()
+    AppWorkloadDriver(system.sim, SITES, source, workload_config,
+                      collector).install()
 
     groups, split_at, heal_at = PARTITION
     system.sim.at(split_at, lambda: system.network.partition(groups))
@@ -58,6 +66,12 @@ def main() -> None:
     for site in SITES:
         print(f"    {site}: {per_site.get(site, 0)} commits "
               f"(group {'A' if site in groups[0] else 'B'})")
+
+    print("\n  after healing, each airport's local quota (free to read):")
+    for flight in FLIGHTS:
+        quotas = ", ".join(f"{site} {airline.local_quota(site, flight)}"
+                           for site in SITES)
+        print(f"    {flight}: {quotas}")
 
     print("\n  after healing, the books:")
     for flight in FLIGHTS:

@@ -6,31 +6,24 @@ individual"). Deposits commit anywhere, withdrawals gather funds via
 virtual messages over links that lose 30% of their packets, and the
 downtown branch crashes while money addressed to it is in flight. The
 Vm machinery and independent recovery guarantee not a cent is lost.
+Afterwards Alice pays Bob at the harbor branch, where her share is
+gone: the transfer gathers it the way a withdrawal does.
 
 Run:  python examples/banking_recovery.py
 """
 
-from repro.core import (
-    DecrementOp,
-    DvPSystem,
-    IncrementOp,
-    MoneyDomain,
-    SystemConfig,
-    TransactionSpec,
-)
+from repro.apps import Bank
+from repro.core import DvPSystem, MoneyDomain, SystemConfig
 from repro.net.link import LinkConfig
 
 BRANCHES = ["downtown", "airport", "harbor"]
+money = MoneyDomain().describe
 
 
-def money(cents: int) -> str:
-    return f"${cents / 100:,.2f}"
-
-
-def show_balance(system: DvPSystem, label: str) -> None:
-    fragments = system.fragment_values("alice")
-    pretty = ", ".join(f"{branch} {money(value)}"
-                       for branch, value in fragments.items())
+def show_balance(bank: Bank, account: str, label: str) -> None:
+    pretty = ", ".join(
+        f"{branch} {money(bank.branch_share(branch, account))}"
+        for branch in BRANCHES)
     print(f"  {label:<44} {pretty}")
 
 
@@ -41,31 +34,28 @@ def main() -> None:
         retransmit_period=3.0, checkpoint_interval=6, request_retries=2,
         link=LinkConfig(base_delay=1.5, jitter=1.0,
                         loss_probability=0.3)))
-    system.add_item("alice", MoneyDomain(),
-                    split={"downtown": 40_000, "airport": 25_000,
-                           "harbor": 15_000})
-    show_balance(system, "opening balance ($800.00 total)")
+    bank = Bank(system)
+    bank.open_account("alice", {"downtown": 40_000, "airport": 25_000,
+                                "harbor": 15_000})
+    show_balance(bank, "alice", "opening balance ($800.00 total)")
 
-    def report(result):
-        verb = "committed" if result.committed else \
-            f"aborted ({result.reason})"
-        print(f"  {result.site}: {result.label} -> {verb}")
+    def report(what):
+        def done(result):
+            verb = "committed" if result.committed else \
+                f"aborted ({result.reason})"
+            print(f"  {result.site}: {what} -> {verb}")
+        return done
 
     # Deposits land anywhere, any time - they never need the network.
-    system.submit("harbor", TransactionSpec(
-        ops=(IncrementOp("alice", 12_000),), label="deposit $120"), report)
-    system.submit("airport", TransactionSpec(
-        ops=(IncrementOp("alice", 3_000),), label="deposit $30"), report)
-    system.submit("airport", TransactionSpec(
-        ops=(DecrementOp("alice", 8_000),), label="withdraw $80"), report)
+    bank.deposit("harbor", "alice", 12_000, report("deposit $120"))
+    bank.deposit("airport", "alice", 3_000, report("deposit $30"))
+    bank.withdraw("airport", "alice", 8_000, report("withdraw $80"))
     system.run_for(2)
 
     # A big withdrawal at the airport branch: $650 with only $250
     # local - it needs funds from BOTH other branches. The requests go
     # out; the granted money travels as virtual messages.
-    system.submit("airport", TransactionSpec(
-        ops=(DecrementOp("alice", 65_000),), label="withdraw $650"),
-        report)
+    bank.withdraw("airport", "alice", 65_000, report("withdraw $650"))
     system.run_for(6.0)  # the gather is in progress
 
     # Downtown crashes in the middle of the gather. Money already
@@ -75,7 +65,7 @@ def main() -> None:
           "(volatile state lost)")
     system.crash("downtown")
     system.run_for(8.0)
-    show_balance(system, "while downtown is dark")
+    show_balance(bank, "alice", "while downtown is dark")
 
     print("  .. downtown restarts: recovery reads ONLY its local log")
     recovery = system.recover("downtown")
@@ -87,10 +77,16 @@ def main() -> None:
 
     # Normal processing resumes immediately; the retransmission loop
     # re-drives any Vm the crash interrupted.
-    system.submit("downtown", TransactionSpec(
-        ops=(IncrementOp("alice", 7_500),), label="deposit $75"), report)
+    bank.deposit("downtown", "alice", 7_500, report("deposit $75"))
     system.run_for(200.0)
-    show_balance(system, "after recovery settles")
+    show_balance(bank, "alice", "after recovery settles")
+
+    bank.open_account("bob", {branch: 0 for branch in BRANCHES})
+    bank.transfer("harbor", "alice", "bob", 5_000,
+                  report("alice pays bob $50"))
+    system.run_for(60.0)
+    show_balance(bank, "alice", "alice after paying bob")
+    show_balance(bank, "bob", "bob")
 
     report_audit = system.auditor.check("alice")
     total = report_audit.observed

@@ -1,9 +1,10 @@
 """Application façades over the DvP core.
 
 The paper motivates DvP with three applications (airline reservation,
-banking, inventory control). These classes give each a domain-shaped
-API over :class:`~repro.core.system.DvPSystem`, so application code
-reads like the application, not like the protocol:
+banking, inventory control). The first two get a domain-shaped API
+over :class:`~repro.core.system.DvPSystem`, so application code reads
+like the application, not like the protocol (inventory runs as a
+workload, :class:`~repro.workloads.inventory.InventoryWorkload`):
 
     bank = Bank(system)
     bank.open_account("alice", {"downtown": 40_000})
@@ -12,8 +13,5 @@ reads like the application, not like the protocol:
 
 from repro.apps.airline import ReservationSystem
 from repro.apps.bank import Bank
-from repro.apps.bounded import BoundedQuantity
-from repro.apps.inventory import InventoryControl
 
-__all__ = ["Bank", "BoundedQuantity", "InventoryControl",
-           "ReservationSystem"]
+__all__ = ["Bank", "ReservationSystem"]

@@ -35,10 +35,6 @@ class ReservationSystem:
         self._estimates = ViewReadSpecs("estimate")
         self._flights: set[str] = set()
 
-    @property
-    def flights(self) -> set[str]:
-        return set(self._flights)
-
     def add_flight(self, flight: str, seats: int,
                    quotas: dict[str, int] | None = None) -> None:
         """Open a flight with *seats* split across the sites."""

@@ -39,10 +39,6 @@ class Bank:
         self._estimates = ViewReadSpecs("estimate")
         self._accounts: set[str] = set()
 
-    @property
-    def accounts(self) -> set[str]:
-        return set(self._accounts)
-
     def open_account(self, account: str,
                      branch_balances: dict[str, int]) -> None:
         """Open *account* with initial cents per branch."""

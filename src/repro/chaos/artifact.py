@@ -77,13 +77,27 @@ class ReproArtifact:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ReproArtifact":
-        if data.get("format") != FORMAT:
-            raise PlanError(
-                f"not a {FORMAT} artifact (format={data.get('format')!r})")
+    def from_dict(cls, data: Any) -> "ReproArtifact":
+        """Rebuild an artifact; :class:`PlanError` names what is wrong
+        with *data* if it is not one."""
+        if not isinstance(data, dict) or data.get("format") != FORMAT:
+            found = data.get("format") if isinstance(data, dict) \
+                else type(data).__name__
+            raise PlanError(f"not a {FORMAT} artifact ({found!r})")
+        missing = [key for key in ("seed", "config", "plan")
+                   if key not in data]
+        if missing:
+            raise PlanError(f"artifact has no {', '.join(missing)}")
+        if not isinstance(data["plan"], list) or not all(
+                isinstance(action, dict) for action in data["plan"]):
+            raise PlanError("artifact plan must be a list of actions")
+        try:
+            config = ChaosConfig.from_dict(data["config"])
+        except (TypeError, ValueError) as error:
+            raise PlanError(f"artifact config: {error}") from error
         return cls(
             seed=data["seed"],
-            config=ChaosConfig.from_dict(data["config"]),
+            config=config,
             plan=FaultPlan.from_dicts(data["plan"]),
             injection=data.get("injection"),
             failures={oracle: list(messages) for oracle, messages
@@ -100,7 +114,16 @@ class ReproArtifact:
 
     @classmethod
     def load(cls, path: "str | pathlib.Path") -> "ReproArtifact":
-        return cls.from_dict(json.loads(pathlib.Path(path).read_text()))
+        """Read one artifact file; an unreadable file, or one that is
+        not an artifact, raises :class:`PlanError`."""
+        try:
+            data = json.loads(pathlib.Path(path).read_text())
+        except OSError as error:
+            raise PlanError(f"cannot read {path}: {error.strerror}") \
+                from error
+        except ValueError as error:  # JSON and UTF-8 decode errors
+            raise PlanError(f"{path} is not JSON: {error}") from error
+        return cls.from_dict(data)
 
     def replay(self, oracles: "list | None" = None,
                trace_limit: int = 0,

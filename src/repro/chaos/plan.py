@@ -8,14 +8,14 @@ is parameterized by plain data and every callback draws no randomness
 of its own, a run is a pure function of ``(seed, plan)`` and replays
 bit-identically (checked via :meth:`Simulator.trace_fingerprint`).
 
-Plans serialize to JSON (``to_json`` / ``from_json``): the shrinker
-writes minimized failing plans as repro artifacts under
+Plans serialize to plain dicts (``to_dicts`` / ``from_dicts``), the
+``plan`` of a repro artifact (:mod:`repro.chaos.artifact`): the
+shrinker writes minimized failing plans as repro artifacts under
 ``tests/repros/`` and CI failures replay locally from the same file.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any, ClassVar
 
@@ -26,7 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class PlanError(ValueError):
-    """A fault plan is malformed or references unknown sites."""
+    """A fault plan or repro artifact is malformed, or a plan references
+    unknown sites."""
 
 
 @dataclass(frozen=True)
@@ -368,30 +369,14 @@ class FaultPlan:
         for action in self.actions:
             action.schedule(system)
 
-    def without(self, indices: set[int]) -> "FaultPlan":
-        """Copy with the actions at *indices* removed (shrinker step)."""
-        return FaultPlan(tuple(
-            action for position, action in enumerate(self.actions)
-            if position not in indices))
-
     # -- serialization ----------------------------------------------------
 
     def to_dicts(self) -> list[dict[str, Any]]:
         return [action.to_dict() for action in self.actions]
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dicts(), indent=indent)
-
     @classmethod
     def from_dicts(cls, data: list[dict[str, Any]]) -> "FaultPlan":
         return cls(tuple(action_from_dict(entry) for entry in data))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise PlanError("fault plan JSON must be a list of actions")
-        return cls.from_dicts(data)
 
     def describe(self) -> str:
         """One line per action, for failure reports and artifacts."""

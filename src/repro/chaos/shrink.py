@@ -35,10 +35,6 @@ class ShrinkResult:
     final: ChaosResult | None = None
     history: list[str] = field(default_factory=list)
 
-    @property
-    def removed(self) -> int:
-        return len(self.original) - len(self.minimal)
-
 
 def shrink(config: ChaosConfig, plan: FaultPlan, seed: int,
            target_oracles: "tuple[str, ...] | None" = None,

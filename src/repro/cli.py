@@ -82,12 +82,17 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.chaos.artifact import ReproArtifact
+    from repro.chaos.plan import PlanError
     from repro.obs import TraceFilter, event_to_json, render_timeline
 
     if args.limit < 1:
         print("--limit must be >= 1", file=sys.stderr)
         return 2
-    artifact = ReproArtifact.load(args.artifact)
+    try:
+        artifact = ReproArtifact.load(args.artifact)
+    except PlanError as error:
+        print(f"repro trace: {error}", file=sys.stderr)
+        return 2
     # The replayed system stays open: the trace bus is read below, and
     # the process ends with the command.
     result = artifact.replay(trace_limit=args.limit,

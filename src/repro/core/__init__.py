@@ -27,7 +27,6 @@ from repro.core.partition import (
     PARTITIONERS,
     Directory,
     Router,
-    StaleEpoch,
     make_partitioner,
 )
 from repro.core.system import DvPSystem, System, SystemConfig
@@ -55,7 +54,6 @@ __all__ = [
     "PARTITIONERS",
     "ReshardInProgress",
     "Router",
-    "StaleEpoch",
     "make_partitioner",
     "Increment",
     "IncrementOp",

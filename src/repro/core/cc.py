@@ -36,19 +36,23 @@ class ConcurrencyControl(ABC):
     #: Are remote requests broadcast at initiation (Conc2's requirement)?
     broadcast_at_init: bool = False
 
-    @abstractmethod
+    # A scheme that waits for locks is never asked the two admission
+    # questions: the lock queue decides (Transaction.start,
+    # DvPSite.handle_request).
+
     def may_lock_local(self, site: "DvPSite", ts: int,
                        items: Collection[str]) -> bool:
         """May a transaction with timestamp *ts* lock *items* here?"""
+        raise NotImplementedError
 
     @abstractmethod
     def on_lock_granted(self, site: "DvPSite", ts: int,
                         items: Collection[str]) -> None:
         """Bookkeeping once the locks are actually taken."""
 
-    @abstractmethod
     def may_honor(self, site: "DvPSite", ts: int, item: str) -> bool:
         """May this site honor a remote request with timestamp *ts*?"""
+        raise NotImplementedError
 
     def stamp_for_rds(self, site: "DvPSite", request_ts: int,
                       item: str) -> int:
@@ -86,11 +90,6 @@ class Conc2(ConcurrencyControl):
     waits_for_locks = True
     broadcast_at_init = True
 
-    def may_lock_local(self, site: "DvPSite", ts: int,
-                       items: Collection[str]) -> bool:
-        # 2PL has no timestamp admission test; the lock queue is the law.
-        return True
-
     def on_lock_granted(self, site: "DvPSite", ts: int,
                         items: Collection[str]) -> None:
         # Keep fragment stamps monotone for observability; Conc2's
@@ -98,9 +97,6 @@ class Conc2(ConcurrencyControl):
         # timestamps are the partial order induced by the broadcasts).
         for item in items:
             site.fragments.stamp_if_newer(item, ts)
-
-    def may_honor(self, site: "DvPSite", ts: int, item: str) -> bool:
-        return True
 
 
 def make_cc(name: str) -> ConcurrencyControl:

@@ -158,10 +158,6 @@ class ConservationAuditor:
         """Σ value of Vm created but not yet accepted (incremental)."""
         return self._live_total.get(item, self._domains[item].zero())
 
-    def live_vm_entries(self) -> int:
-        """How many Vm are live right now, across all channels."""
-        return len(self._live_entries)
-
     def check(self, item: str) -> AuditReport:
         domain = self._domains[item]
         fragments = self.fragments_total(item)

@@ -32,9 +32,6 @@ class LockTable:
     _owned: dict[str, list[str]] = field(default_factory=dict)
     _waiters: list[_Waiter] = field(default_factory=list)
 
-    def holder(self, item: str) -> str | None:
-        return self.holders.get(item)
-
     def held_by(self, owner: str) -> set[str]:
         return set(self._owned.get(owner, ()))
 

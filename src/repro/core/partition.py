@@ -10,9 +10,9 @@ module makes placement a first-class, *dynamic* mapping:
 * a :class:`Directory` wraps a partitioner with a *versioned epoch*
   that bumps on every topology change (site join/leave, replica-count
   reshard), so routers can detect staleness;
-* a :class:`Router` resolves item → owner sites and flags requests
-  made against an old epoch (:class:`StaleEpoch`), forcing the caller
-  to re-resolve against the new directory version.
+* a :class:`Router` resolves item → owner sites against the current
+  epoch and counts the requests that carried an older one
+  (``stale_retries``).
 
 Placement is a *planning* overlay: the conservation invariant
 N = Σ fragments + Σ live Vm never depends on it. A site outside an
@@ -49,9 +49,6 @@ class Partitioner:
     def owners(self, item: str, sites: tuple[str, ...],
                replicas: int) -> tuple[str, ...]:
         raise NotImplementedError
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name}
 
 
 class AllPartitioner(Partitioner):
@@ -154,9 +151,6 @@ class ConsistentHashPartitioner(Partitioner):
                     break
         return tuple(picked)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "vnodes": self.vnodes}
-
 
 PARTITIONERS: dict[str, type[Partitioner]] = {
     cls.name: cls for cls in (AllPartitioner, HashPartitioner,
@@ -182,8 +176,6 @@ class Directory:
     they resolved against; a mismatch means their placement may be
     stale and must be re-resolved (see :class:`Router`).
     """
-
-    FORMAT = "dvp-directory/1"
 
     def __init__(self, partitioner: Partitioner,
                  sites: list[str] | tuple[str, ...],
@@ -230,45 +222,14 @@ class Directory:
         self.epoch += 1
         return self.epoch
 
-    # -- wire form --------------------------------------------------------
-
-    def encode(self) -> dict[str, Any]:
-        return {"format": self.FORMAT,
-                "partitioner": self.partitioner.to_dict(),
-                "sites": list(self.sites),
-                "replicas": self.replicas,
-                "epoch": self.epoch}
-
-    @classmethod
-    def decode(cls, data: dict[str, Any]) -> "Directory":
-        if data.get("format") != cls.FORMAT:
-            raise ValueError(f"not a {cls.FORMAT} payload: "
-                             f"{data.get('format')!r}")
-        spec = dict(data["partitioner"])
-        partitioner = make_partitioner(spec.pop("name"), **spec)
-        return cls(partitioner, data["sites"],
-                   replicas=data["replicas"], epoch=data["epoch"])
-
-
-class StaleEpoch(RuntimeError):
-    """A placement resolved against a superseded directory epoch."""
-
 
 class Router:
-    """Resolves placement through the directory, detecting staleness."""
+    """Resolves placement through the directory, counting stale hints."""
 
     def __init__(self, directory: Directory) -> None:
         self.directory = directory
         #: How many times a stale epoch hint forced a re-resolve.
         self.stale_retries = 0
-
-    def resolve(self, item: str, epoch: int) -> tuple[str, ...]:
-        """Owners of *item* — but only if *epoch* is still current."""
-        if epoch != self.directory.epoch:
-            raise StaleEpoch(
-                f"epoch {epoch} is stale (directory is at "
-                f"{self.directory.epoch})")
-        return self.directory.owners(item)
 
     def route(self, item: str, epoch_hint: int | None = None
               ) -> tuple[tuple[str, ...], int]:
@@ -281,5 +242,5 @@ class Router:
 __all__ = [
     "stable_hash", "Partitioner", "AllPartitioner", "HashPartitioner",
     "RangePartitioner", "ConsistentHashPartitioner", "PARTITIONERS",
-    "make_partitioner", "Directory", "Router", "StaleEpoch",
+    "make_partitioner", "Directory", "Router",
 ]

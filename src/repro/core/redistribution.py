@@ -180,6 +180,7 @@ class RebalancePolicy:
 
     def push_target(self, demand: DemandTracker, item: str,
                     candidates: list[str]) -> str | None:
+        """Asked only of a policy that :attr:`pushes`."""
         raise NotImplementedError
 
     def pull_source(self, demand: DemandTracker, item: str,
@@ -269,10 +270,6 @@ class PullPolicy(RebalancePolicy):
 
     def __init__(self) -> None:
         self._rr = _RoundRobinCursor()
-
-    def push_target(self, demand: DemandTracker, item: str,
-                    candidates: list[str]) -> str | None:
-        return None
 
     def pull_source(self, demand: DemandTracker, item: str,
                     candidates: list[str]) -> str | None:

@@ -427,10 +427,6 @@ class DvPSystem:
 
     # -- running ------------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
     def run_for(self, duration: float) -> None:
         self.sim.run_until(self.sim.now + duration)
 
@@ -521,6 +517,3 @@ class DvPSystem:
 
     def committed(self) -> list[TxnResult]:
         return [result for result in self.results if result.committed]
-
-    def aborted(self) -> list[TxnResult]:
-        return [result for result in self.results if not result.committed]

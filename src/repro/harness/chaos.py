@@ -33,6 +33,7 @@ from typing import TextIO
 from repro.chaos import (
     TRACE_TAIL_EVENTS,
     ChaosConfig,
+    PlanError,
     ReproArtifact,
     default_name,
     explore,
@@ -123,9 +124,14 @@ def explore_main(args, out: "TextIO | None" = None) -> int:
 
 
 def replay_main(args, out: "TextIO | None" = None) -> int:
-    """Replay one frozen artifact; exit 1 iff it still fails."""
+    """Replay one frozen artifact; exit 1 iff it still fails, 2 if
+    the file is not an artifact."""
     out = out if out is not None else sys.stdout
-    artifact = ReproArtifact.load(args.replay)
+    try:
+        artifact = ReproArtifact.load(args.replay)
+    except PlanError as error:
+        print(f"repro chaos: {error}", file=sys.stderr)
+        return 2
     print(f"replaying {args.replay}", file=out)
     print(f"  seed={artifact.seed} actions={len(artifact.plan)} "
           f"injection={artifact.injection or 'none'}", file=out)

@@ -126,10 +126,6 @@ class HybridSystem:
     def mode_of(self, item: str) -> ItemMode:
         return self.modes.get(item, ItemMode.DVP)
 
-    def home_of(self, item: str) -> str | None:
-        return self.homes.get(item) \
-            if self.mode_of(item) is ItemMode.CENTRAL else None
-
     # -- mode transitions -------------------------------------------------------
 
     def consolidate(self, item: str, home: str,

@@ -51,14 +51,10 @@ class Summary:
     p99: float
     maximum: float
 
-    @classmethod
-    def empty(cls) -> "Summary":
-        return cls(0, math.nan, math.nan, math.nan, math.nan, math.nan)
-
 
 def summarize(values: list[float]) -> Summary:
     if not values:
-        return Summary.empty()
+        return Summary(0, math.nan, math.nan, math.nan, math.nan, math.nan)
     ordered = sorted(values)
     return Summary(
         count=len(ordered),

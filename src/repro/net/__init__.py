@@ -1,4 +1,5 @@
-"""Network substrate: failure-prone links, partitions, ordered broadcast.
+"""Network substrate: failure-prone links, partitions, bundling, and
+the order-synchronous mode Conc2 needs.
 
 The fault model follows the paper exactly: links may lose, delay,
 duplicate, or reorder messages, and may fail outright; sites may crash;
@@ -11,7 +12,6 @@ from repro.net.link import Link, LinkConfig
 from repro.net.message import Envelope
 from repro.net.network import Network
 from repro.net.outbox import BundleEnvelope, BundlingConfig, Outbox
-from repro.net.partitions import PartitionSchedule, PartitionScheduler
 from repro.net.sync import SynchronousNetwork
 
 __all__ = [
@@ -22,7 +22,5 @@ __all__ = [
     "LinkConfig",
     "Network",
     "Outbox",
-    "PartitionSchedule",
-    "PartitionScheduler",
     "SynchronousNetwork",
 ]

@@ -93,11 +93,6 @@ class Link:
 
     # -- scripted faults (chaos engine) -----------------------------------
 
-    @property
-    def active_config(self) -> LinkConfig:
-        """The behaviour in force: an injected fault shadows the base."""
-        return self._fault if self._fault is not None else self.config
-
     def inject_fault(self, config: LinkConfig) -> None:
         """Shadow the base config (loss/duplication/jitter windows).
 
@@ -109,21 +104,6 @@ class Link:
 
     def clear_fault(self) -> None:
         self._fault = None
-
-    # -- observability ------------------------------------------------------
-
-    def counter_reader(self, name: str):
-        """A zero-cost read hook for one of this link's counters.
-
-        The network hands these to the simulation's metrics registry
-        when it is queried (``Network._link_gauges``), so per-link
-        transmission/loss/duplicate counts are queryable without the
-        link paying any per-send bookkeeping beyond the plain
-        attributes it already keeps — or anything at creation.
-        """
-        if name not in ("transmissions", "losses", "duplicates"):
-            raise KeyError(f"unknown link counter {name!r}")
-        return lambda: getattr(self, name)
 
     # -- per-transmission fate --------------------------------------------
 

@@ -26,7 +26,3 @@ class Envelope:
     payload: Any
     sent_at: float = 0.0
     duplicated: bool = False
-
-    def kind(self) -> str:
-        """Short payload type name, used for metrics."""
-        return type(self.payload).__name__

@@ -63,17 +63,11 @@ class Network:
         # per-kind sent_counts / delivered_counts keep counting logical
         # payloads. None (the default) keeps the one-envelope-per-send
         # path below byte-for-byte untouched.
-        sim.metrics.gauge_provider(self._link_gauges)
         self._outbox: Outbox | None = None
         self._h_bundle_size = None
         if bundling is not None:
             self._outbox = Outbox(self, bundling)
             self._h_bundle_size = sim.metrics.histogram("net.bundle.size")
-
-    @property
-    def bundling(self) -> BundlingConfig | None:
-        """The active bundling configuration (None = disabled)."""
-        return self._outbox.config if self._outbox is not None else None
 
     # -- topology ---------------------------------------------------------
 
@@ -116,26 +110,11 @@ class Network:
                     self.sim.rng.stream(f"link:{src}->{dst}"),
                     self._end(src), self._end(dst))
 
-    def _link_gauges(self):
-        """Every link's own counters, for the metrics registry: read
-        when a query asks (see MetricsRegistry.gauge_provider), so a
-        link created on first use registers nothing."""
-        for link in self._links.values():
-            labels = {"src": link.src, "dst": link.dst}
-            for name in ("transmissions", "losses", "duplicates"):
-                yield f"link.{name}", labels, link.counter_reader(name)
-
     def configure_link(self, src: str, dst: str,
                        config: LinkConfig) -> Link:
         """Override one directed link's behaviour."""
         self._links[src, dst] = link = self._new_link(src, dst, config)
         return link
-
-    def configure_all_links(self, config: LinkConfig) -> None:
-        """Set the default and reset every existing link to *config*."""
-        self.default_link = config
-        for (src, dst) in list(self._links):
-            self.configure_link(src, dst, config)
 
     def delay_lower_bound(self) -> float:
         """The least delay any message on any link can have.
@@ -281,14 +260,6 @@ class Network:
                 self._deliver, link,
                 Envelope(src, dst, payload, now, duplicated=True), kind),
                 label=label)
-
-    def broadcast(self, src: str, payload: Any,
-                  dsts: Iterable[str] | None = None) -> None:
-        """Send *payload* to every other site (or to *dsts*)."""
-        targets = list(dsts) if dsts is not None else [
-            name for name in self._handlers if name != src]
-        for dst in targets:
-            self.send(src, dst, payload)
 
     def _drop(self, src: str, dst: str, kind: str,
               partitioned: bool = True) -> None:

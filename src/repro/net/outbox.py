@@ -60,9 +60,6 @@ class BundleEnvelope:
 
     payloads: list[Any] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.payloads)
-
 
 @dataclass
 class _OpenBundle:

@@ -11,7 +11,7 @@ site crashed — so this package gives every
 * ``sim.metrics`` — a :class:`~repro.obs.registry.MetricsRegistry` of
   per-site / per-channel counters and latency histograms.
 
-:mod:`repro.obs.export` streams traces as canonical JSONL;
+:mod:`repro.obs.export` writes events as canonical JSON lines;
 :mod:`repro.obs.timeline` filters and renders them for the
 ``repro trace`` CLI. See docs/OBSERVABILITY.md.
 """
@@ -40,34 +40,18 @@ from repro.obs.events import (
     VmDuplicateDiscard,
     VmRetransmit,
     VmTransmit,
-    event_from_dict,
 )
-from repro.obs.export import (
-    JsonlSink,
-    attach_jsonl,
-    dump_jsonl,
-    dumps_jsonl,
-    event_to_json,
-    read_jsonl,
-    write_jsonl,
-)
-from repro.obs.registry import (
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    MetricsRegistry,
-)
+from repro.obs.export import event_to_json
+from repro.obs.registry import CounterMetric, HistogramMetric, MetricsRegistry
 from repro.obs.timeline import TraceFilter, render_timeline
 
 __all__ = [
     "DEFAULT_RING_LIMIT", "EVENT_TYPES", "TraceBus", "TraceEvent",
-    "TraceFilter", "render_timeline", "event_from_dict",
+    "TraceFilter", "render_timeline",
     "KernelStep", "LogForce", "NetDeliver", "NetDropLoss",
     "NetDropPartition", "NetSend", "SiteCrash", "SiteRecover",
     "TxnAbort", "TxnCommit", "TxnLockWait", "TxnLocksGranted",
     "TxnRedistribute", "TxnSubmit", "VmAccept", "VmAckSent", "VmCreate",
     "VmDuplicateDiscard", "VmRetransmit", "VmTransmit",
-    "CounterMetric", "GaugeMetric", "HistogramMetric", "MetricsRegistry",
-    "JsonlSink", "attach_jsonl", "dump_jsonl", "dumps_jsonl",
-    "event_to_json", "read_jsonl", "write_jsonl",
+    "CounterMetric", "HistogramMetric", "MetricsRegistry", "event_to_json",
 ]

@@ -14,16 +14,14 @@ instrumented point and emits nothing (``tests/test_obs.py``); every
 benchmark-suite workload runs with it disabled.
 
 When enabled, the bus keeps the most recent *ring_limit* events in a
-ring buffer (``events()``/``tail()``), counts everything it ever saw
-(``emitted``), and fans each event out to any registered *sinks* —
-streaming consumers such as the JSONL exporter in
-:mod:`repro.obs.export`.
+ring buffer (``events()``) and counts everything it ever saw
+(``emitted``); :mod:`repro.obs.export` turns events into canonical
+JSON lines.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 from repro.obs.events import TraceEvent
 
@@ -31,13 +29,11 @@ from repro.obs.events import TraceEvent
 #: without an explicit limit.
 DEFAULT_RING_LIMIT = 65536
 
-Sink = Callable[[TraceEvent], None]
-
 
 class TraceBus:
-    """Ring-buffered, sink-fanning event bus; disabled by default."""
+    """Ring-buffered event bus; disabled by default."""
 
-    __slots__ = ("enabled", "kernel_steps", "emitted", "_ring", "_sinks")
+    __slots__ = ("enabled", "kernel_steps", "emitted", "_ring")
 
     def __init__(self) -> None:
         self.enabled = False
@@ -47,7 +43,6 @@ class TraceBus:
         self.kernel_steps = False
         self.emitted = 0
         self._ring: deque[TraceEvent] = deque(maxlen=DEFAULT_RING_LIMIT)
-        self._sinks: list[Sink] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -55,20 +50,15 @@ class TraceBus:
                kernel_steps: bool = False) -> None:
         """Start recording. *ring_limit* caps retained events (None =
         unbounded — use only for short runs); older events fall off the
-        ring but still count toward :attr:`emitted` and still reach
-        sinks, so a streaming export is always complete."""
+        ring but still count toward :attr:`emitted`."""
         if ring_limit is not None and ring_limit < 1:
             raise ValueError("ring_limit must be >= 1 (or None)")
         self.enabled = True
         self.kernel_steps = kernel_steps
         self._ring = deque(self._ring, maxlen=ring_limit)
 
-    def disable(self) -> None:
-        self.enabled = False
-        self.kernel_steps = False
-
     def clear(self) -> None:
-        """Forget retained events and the emitted count (keep sinks)."""
+        """Forget retained events and the emitted count."""
         self.emitted = 0
         self._ring.clear()
 
@@ -78,14 +68,8 @@ class TraceBus:
         """Record one event (callers guard on :attr:`enabled` first)."""
         self.emitted += 1
         self._ring.append(event)
-        for sink in self._sinks:
-            sink(event)
 
     # -- consumption -------------------------------------------------------
-
-    @property
-    def ring_limit(self) -> int | None:
-        return self._ring.maxlen
 
     @property
     def truncated(self) -> int:
@@ -96,18 +80,5 @@ class TraceBus:
         """Retained events, oldest first."""
         return list(self._ring)
 
-    def tail(self, count: int) -> list[TraceEvent]:
-        """The most recent *count* retained events, oldest first."""
-        if count <= 0:
-            return []
-        return list(self._ring)[-count:]
 
-    def add_sink(self, sink: Sink) -> None:
-        """Stream every future event to *sink* (order of emission)."""
-        self._sinks.append(sink)
-
-    def remove_sink(self, sink: Sink) -> None:
-        self._sinks.remove(sink)
-
-
-__all__ = ["TraceBus", "DEFAULT_RING_LIMIT", "Sink"]
+__all__ = ["TraceBus", "DEFAULT_RING_LIMIT"]

@@ -417,15 +417,5 @@ EVENT_TYPES: dict[str, type[TraceEvent]] = {
 }
 
 
-def event_from_dict(data: dict[str, Any]) -> TraceEvent:
-    """Inverse of :meth:`TraceEvent.to_dict` (JSONL import)."""
-    payload = dict(data)
-    kind = payload.pop("kind", None)
-    cls = EVENT_TYPES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown trace event kind {kind!r}")
-    return cls(**payload)
-
-
-__all__ = ["TraceEvent", "EVENT_TYPES", "event_from_dict"] + [
+__all__ = ["TraceEvent", "EVENT_TYPES"] + [
     cls.__name__ for cls in EVENT_TYPES.values()]

@@ -1,4 +1,4 @@
-"""Streaming JSONL export / import for trace events.
+"""Canonical JSON lines for trace events.
 
 One event per line, ``sort_keys=True`` and no whitespace so the same
 event stream always serializes to the same bytes — `repro trace
@@ -8,13 +8,9 @@ are diffable across replays.
 
 from __future__ import annotations
 
-import io
 import json
-import pathlib
-from typing import IO, Iterable, Iterator
 
-from repro.obs.bus import TraceBus
-from repro.obs.events import TraceEvent, event_from_dict
+from repro.obs.events import TraceEvent
 
 
 def event_to_json(event: TraceEvent) -> str:
@@ -23,73 +19,4 @@ def event_to_json(event: TraceEvent) -> str:
                       separators=(",", ":"), default=str)
 
 
-def write_jsonl(events: Iterable[TraceEvent], out: "IO[str]") -> int:
-    """Write one canonical JSON line per event; returns lines written."""
-    count = 0
-    for event in events:
-        out.write(event_to_json(event))
-        out.write("\n")
-        count += 1
-    return count
-
-
-def dump_jsonl(events: Iterable[TraceEvent],
-               path: "str | pathlib.Path") -> int:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        return write_jsonl(events, handle)
-
-
-def dumps_jsonl(events: Iterable[TraceEvent]) -> str:
-    buffer = io.StringIO()
-    write_jsonl(events, buffer)
-    return buffer.getvalue()
-
-
-def read_jsonl(source: "IO[str] | str | pathlib.Path"
-               ) -> Iterator[TraceEvent]:
-    """Parse events back out of a JSONL stream or file."""
-    if isinstance(source, (str, pathlib.Path)):
-        with open(source) as handle:
-            yield from read_jsonl(handle)
-        return
-    for line in source:
-        line = line.strip()
-        if line:
-            yield event_from_dict(json.loads(line))
-
-
-class JsonlSink:
-    """A :class:`TraceBus` sink that streams events to a text handle.
-
-    Unlike exporting the ring buffer after the fact, a sink sees every
-    event — nothing is lost to ring truncation on long runs::
-
-        with open("trace.jsonl", "w") as handle:
-            sink = JsonlSink(handle)
-            sim.obs.add_sink(sink)
-            sim.obs.enable(ring_limit=1024)
-            ...
-            sim.obs.remove_sink(sink)
-    """
-
-    def __init__(self, out: "IO[str]") -> None:
-        self._out = out
-        self.written = 0
-
-    def __call__(self, event: TraceEvent) -> None:
-        self._out.write(event_to_json(event))
-        self._out.write("\n")
-        self.written += 1
-
-
-def attach_jsonl(bus: TraceBus, out: "IO[str]") -> JsonlSink:
-    """Convenience: create a sink, attach it, return it for removal."""
-    sink = JsonlSink(out)
-    bus.add_sink(sink)
-    return sink
-
-
-__all__ = ["event_to_json", "write_jsonl", "dump_jsonl", "dumps_jsonl",
-           "read_jsonl", "JsonlSink", "attach_jsonl"]
+__all__ = ["event_to_json"]

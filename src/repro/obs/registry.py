@@ -1,4 +1,4 @@
-"""Per-simulation metrics registry: counters, histograms, gauges.
+"""Per-simulation metrics registry: counters and histograms.
 
 One :class:`MetricsRegistry` hangs off every
 :class:`~repro.sim.kernel.Simulator`; components obtain their metric
@@ -19,7 +19,6 @@ name                    labels                   meaning
 ``net.dropped.partition`` —                      partition drops
 ``net.dropped.loss``    —                        sampled-loss drops
 ``net.bundle.size``     — (histogram)            payloads per bundle
-``link.*``              ``src, dst``             per-link gauges
 ``vm.created``          ``site``                 Vm create records
 ``vm.accepted``         ``site``                 Vm accept records
 ``vm.acks``             ``site``                 explicit acks sent
@@ -35,23 +34,17 @@ name                    labels                   meaning
 ``serve.shed``          ``site, reason``         admission refusals
 ``serve.lease_expired`` ``site``                 slots reclaimed (wipes)
 ``serve.wait``          ``site`` (histogram)     enqueue→dispatch wait
-``serve.depth``         ``site`` (gauge)         live queue depth
-``serve.inflight``      ``site`` (gauge)         live slots in use
 ======================  =======================  =========================
 
-Histograms keep raw samples and summarize lazily through
-:func:`repro.metrics.stats.summarize` (imported at call time to keep
-the obs layer importable from the simulation kernel without cycles).
+Histograms keep raw samples; readers summarize them with
+:func:`repro.metrics.stats.summarize`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any
 
 LabelKey = tuple[tuple[str, str], ...]
-
-#: What a gauge provider yields per gauge: name, labels, reader.
-ProvidedGauge = tuple[str, dict[str, Any], Callable[[], Any]]
 
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
@@ -81,12 +74,9 @@ class CounterMetric:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}{dict(self.labels)}={self.value})"
-
 
 class HistogramMetric:
-    """Raw-sample histogram with on-demand summary statistics."""
+    """Raw samples of one latency family."""
 
     __slots__ = ("name", "labels", "values")
 
@@ -98,42 +88,15 @@ class HistogramMetric:
     def observe(self, value: float) -> None:
         self.values.append(value)
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    def summary(self):
-        from repro.metrics.stats import summarize
-        return summarize(self.values)
-
-
-class GaugeMetric:
-    """A read-through view of state owned elsewhere (e.g. link counters)."""
-
-    __slots__ = ("name", "labels", "_read")
-
-    def __init__(self, name: str, labels: LabelKey,
-                 read: Callable[[], Any]) -> None:
-        self.name = name
-        self.labels = labels
-        self._read = read
-
-    @property
-    def value(self) -> Any:
-        return self._read()
-
 
 class MetricsRegistry:
     """Index of every metric in one simulation, by (name, labels)."""
 
-    __slots__ = ("_counters", "_histograms", "_gauges", "_providers",
-                 "_marks")
+    __slots__ = ("_counters", "_histograms", "_marks")
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, LabelKey], CounterMetric] = {}
         self._histograms: dict[tuple[str, LabelKey], HistogramMetric] = {}
-        self._gauges: dict[tuple[str, LabelKey], GaugeMetric] = {}
-        self._providers: list[Callable[[], Iterable[ProvidedGauge]]] = []
         # Cross-component latency marks (e.g. Vm create at the sender,
         # accept at the receiver): key -> start time.
         self._marks: dict[Any, float] = {}
@@ -154,31 +117,9 @@ class MetricsRegistry:
             metric = self._histograms[key] = HistogramMetric(name, key[1])
         return metric
 
-    def gauge(self, name: str, read: Callable[[], Any],
-              **labels: Any) -> GaugeMetric:
-        key = (name, _label_key(labels))
-        metric = GaugeMetric(name, key[1], read)
-        self._gauges[key] = metric
-        return metric
-
-    def gauge_provider(
-            self, provider: Callable[[], Iterable[ProvidedGauge]]) -> None:
-        """Register a source of gauges that is asked at query time.
-
-        For state that comes into being lazily and in bulk (a network's
-        links): one registration per owner, and a ``GaugeMetric`` and
-        its reader exist only while a query looks at them — instead of
-        three of each per link, live for the whole run. To
-        :meth:`gauges` and :meth:`snapshot` a provided gauge is a
-        registered one."""
-        self._providers.append(provider)
-
     def close(self) -> None:
-        """Let go of what reads other components' state — gauge
-        readers and providers — and of the marks nothing will collect.
-        Counters and histograms stay readable."""
-        self._gauges = {}
-        self._providers = []
+        """Let go of the marks nothing will collect. Counters and
+        histograms stay readable."""
         self._marks = {}
 
     # -- cross-component latency marks ------------------------------------
@@ -206,41 +147,9 @@ class MetricsRegistry:
                 in sorted(self._histograms.items())
                 if name is None or metric_name == name]
 
-    def gauges(self, name: str | None = None) -> list[GaugeMetric]:
-        found = dict(self._gauges)
-        for provider in self._providers:
-            for gauge_name, labels, read in provider():
-                key = (gauge_name, _label_key(labels))
-                found[key] = GaugeMetric(gauge_name, key[1], read)
-        return [metric for (metric_name, _), metric
-                in sorted(found.items())
-                if name is None or metric_name == name]
-
     def total(self, name: str) -> int:
         """Sum of a counter family across all label sets."""
         return sum(metric.value for metric in self.counters(name))
 
-    def snapshot(self) -> dict[str, Any]:
-        """Deterministic dump of every metric (for export / debugging)."""
-        data: dict[str, Any] = {"counters": [], "gauges": [],
-                                "histograms": []}
-        for metric in self.counters():
-            data["counters"].append({"name": metric.name,
-                                     "labels": dict(metric.labels),
-                                     "value": metric.value})
-        for metric in self.gauges():
-            data["gauges"].append({"name": metric.name,
-                                   "labels": dict(metric.labels),
-                                   "value": metric.value})
-        for metric in self.histograms():
-            summary = metric.summary()
-            data["histograms"].append({
-                "name": metric.name, "labels": dict(metric.labels),
-                "count": summary.count, "mean": summary.mean,
-                "p50": summary.p50, "p95": summary.p95,
-                "p99": summary.p99, "max": summary.maximum})
-        return data
 
-
-__all__ = ["MetricsRegistry", "CounterMetric", "HistogramMetric",
-           "GaugeMetric"]
+__all__ = ["MetricsRegistry", "CounterMetric", "HistogramMetric"]

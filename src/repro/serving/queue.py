@@ -145,8 +145,6 @@ class SiteQueue:
         self._wait_hist = metrics.histogram("serve.wait", site=site)
         self._lease_expired = metrics.counter("serve.lease_expired",
                                               site=site)
-        metrics.gauge("serve.depth", lambda: len(self._queue), site=site)
-        metrics.gauge("serve.inflight", lambda: self.inflight, site=site)
 
     @property
     def depth(self) -> int:

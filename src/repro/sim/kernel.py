@@ -202,7 +202,7 @@ class Simulator:
     def close(self) -> None:
         """The simulation's purpose is over: forget what was going to
         run. Every pending event becomes a husk, end-of-event hooks
-        and the registry's gauge readers are dropped — after which the
+        and the registry's pending marks are dropped — after which the
         kernel references nothing that references it (DESIGN.md §7).
         Clock, step count, counters, histograms, the trace bus and the
         fingerprint stay readable; call from outside the event loop."""

@@ -6,7 +6,6 @@ from repro.workloads.apps import (
     AppWorkloadDriver,
     BankAppTraffic,
 )
-from repro.workloads.banking import BankingWorkload
 from repro.workloads.base import OpMix, WorkloadConfig, WorkloadDriver
 from repro.workloads.inventory import InventoryWorkload
 
@@ -15,7 +14,6 @@ __all__ = [
     "AirlineWorkload",
     "AppWorkloadDriver",
     "BankAppTraffic",
-    "BankingWorkload",
     "InventoryWorkload",
     "OpMix",
     "WorkloadConfig",

@@ -1,8 +1,8 @@
-"""Tests for the application façades (airline / bank / inventory)."""
+"""Tests for the application façades (airline / bank)."""
 
 import pytest
 
-from repro.apps import Bank, InventoryControl, ReservationSystem
+from repro.apps import Bank, ReservationSystem
 from repro.core.domain import CounterDomain
 from repro.core.system import DvPSystem, SystemConfig
 from repro.net.link import LinkConfig
@@ -141,43 +141,6 @@ class TestBank:
             bank.open_account("alice", {"downtown": 1})
 
 
-class TestInventoryControl:
-    def build(self):
-        system = build_system(("wh1", "wh2", "wh3"))
-        inventory = InventoryControl(system)
-        inventory.add_sku("widget", 90)
-        return system, inventory
-
-    def test_sell_and_restock(self):
-        system, inventory = self.build()
-        results = []
-        inventory.sell("wh1", "widget", 10, results.append)
-        inventory.restock("wh2", "widget", 5, results.append)
-        system.run_for(5.0)
-        assert all(result.committed for result in results)
-        assert system.auditor.expected("widget") == 85
-
-    def test_stock_check(self):
-        system, inventory = self.build()
-        results = []
-        inventory.stock_check("wh3", "widget", results.append)
-        system.run_for(30.0)
-        assert results and results[0].committed
-        assert results[0].read_values["widget"] == 90
-
-    def test_on_hand_locally(self):
-        _system, inventory = self.build()
-        assert inventory.on_hand_locally("wh1", "widget") == 30
-
-    def test_sell_more_than_exists_aborts(self):
-        system, inventory = self.build()
-        results = []
-        inventory.sell("wh1", "widget", 500, results.append)
-        system.run_for(60.0)
-        assert results and not results[0].committed
-        system.auditor.assert_ok()
-
-
 class TestEstimateSpecsAreBuiltOnce:
     """The read façades keep one frozen spec per (item, bound, work);
     ids, labels and results are a fresh spec's."""
@@ -197,9 +160,7 @@ class TestEstimateSpecsAreBuiltOnce:
          "estimate_balance", "estimate:k"),
         (ReservationSystem, lambda res: res.add_flight("k", 40),
          "seats_estimate", "estimate:k"),
-        (InventoryControl, lambda inv: inv.add_sku("k", 40),
-         "stock_estimate", "stock-estimate:k"),
-    ], ids=["bank", "airline", "inventory"])
+    ], ids=["bank", "airline"])
     def test_same_question_same_spec(self, facade, opener, verb, label):
         from repro.core.transactions import ReadViewOp, TransactionSpec
         system = build_system()

@@ -73,4 +73,4 @@ class TestDivergenceDetection:
         system = self._system()
         reports = system.auditor.verify_full()
         assert all(report.ok for report in reports)
-        assert system.auditor.live_vm_entries() == 0
+        assert not system.auditor._live_entries

@@ -74,7 +74,6 @@ class TestConc2:
         scheme = Conc2()
         assert scheme.waits_for_locks
         assert scheme.broadcast_at_init
-        assert scheme.may_honor(None, 0, "x")
 
     def test_conflicting_local_transactions_queue(self):
         system = build("conc2")

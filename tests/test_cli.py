@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPRO = (pathlib.Path(__file__).parent / "repros" /
+         "chaos_auditor-serial_crash_seed16220008651848166696_1act.json")
 
 
 class TestParser:
@@ -104,6 +110,32 @@ class TestCommands:
     def test_chaos_bad_budget(self, capsys):
         assert main(["chaos", "--budget", "0"]) == 2
         assert "--budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["chaos", "--replay"], ["trace"]],
+                             ids=["replay", "trace"])
+    @pytest.mark.parametrize("case", ["missing", "not-json", "list",
+                                      "no-config", "plan-not-list"])
+    def test_a_bad_artifact_is_a_usage_error(self, capsys, tmp_path,
+                                             command, case):
+        """Exit 1 means "the recorded failure reproduces": a file that
+        is not an artifact says so on one stderr line and exits 2."""
+        artifact = json.loads(REPRO.read_text())
+        path = tmp_path / "artifact.json"
+        if case == "not-json":
+            path.write_text("{not json")
+        elif case == "list":
+            path.write_text(json.dumps([artifact]))
+        elif case == "no-config":
+            del artifact["config"]
+            path.write_text(json.dumps(artifact))
+        elif case == "plan-not-list":
+            artifact["plan"] = {"kind": "crash"}
+            path.write_text(json.dumps(artifact))
+        assert main(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
 
     def test_chaos_inject_shrink_and_replay(self, capsys, tmp_path):
         from repro.core import fragments

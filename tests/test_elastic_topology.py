@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.domain import CounterDomain
 from repro.core.migration import ReshardInProgress
-from repro.core.partition import Router, StaleEpoch
+from repro.core.partition import Router
 from repro.core.site import SiteDown
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import DecrementOp, IncrementOp, TransactionSpec
@@ -85,13 +85,6 @@ class TestRemoveSiteRefusals:
 
 
 class TestRouterEpochFencing:
-    def test_resolve_against_stale_epoch_raises(self):
-        system = _system()
-        epoch_before = system.directory.epoch
-        system.reshard(1)
-        with pytest.raises(StaleEpoch):
-            system.router.resolve("item0", epoch_before)
-
     def test_route_with_stale_hint_retries_against_new_version(self):
         system = _system()
         stale_hint = system.directory.epoch

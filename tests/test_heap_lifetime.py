@@ -460,7 +460,7 @@ def _assert_budget(system, before: Counter, ops: int, per_op: float,
                    what: str) -> None:
     committed = len(system.committed())
     assert committed == len(system.results), Counter(
-        result.reason for result in system.aborted())
+        result.reason for result in system.results if not result.committed)
     cyclic = gc.collect()
     # The collector stops tracking a tuple of atoms when it sees it,
     # one level of nesting per pass: a result's ``semantic_deltas``

@@ -34,13 +34,13 @@ class TestModes:
     def test_items_start_in_dvp_mode(self):
         _system, hybrid = build()
         assert hybrid.mode_of("x") is ItemMode.DVP
-        assert hybrid.home_of("x") is None
+        assert "x" not in hybrid.homes
 
     def test_consolidate_flips_to_central(self):
         system, hybrid = build()
         consolidate(system, hybrid)
         assert hybrid.mode_of("x") is ItemMode.CENTRAL
-        assert hybrid.home_of("x") == "A"
+        assert hybrid.homes["x"] == "A"
         assert system.fragment_values("x") == {"A": 90, "B": 0, "C": 0}
 
     def test_failed_consolidation_keeps_dvp(self):

@@ -77,9 +77,10 @@ class TestConservationUnderChaos:
 
     def test_duplicating_reordering_links(self):
         system = build(seed=9)
-        system.network.configure_all_links(LinkConfig(
+        # No link exists yet: every link is made from the default.
+        system.network.default_link = LinkConfig(
             base_delay=1.0, jitter=6.0, loss_probability=0.2,
-            duplicate_probability=0.3))
+            duplicate_probability=0.3)
         drive(system)
         system.auditor.assert_ok()
 

@@ -1,4 +1,4 @@
-"""Remaining edge coverage: overlapping partition schedules, domain
+"""Remaining edge coverage: overlapping partitions, domain
 corner cases, collector windows, table rendering, sim determinism."""
 
 import pytest
@@ -12,7 +12,6 @@ from repro.core.transactions import (
     TransactionSpec,
 )
 from repro.net.link import LinkConfig
-from repro.net.partitions import PartitionSchedule, PartitionScheduler
 
 
 class TestOverlappingPartitions:
@@ -21,11 +20,12 @@ class TestOverlappingPartitions:
             sites=["A", "B", "C", "D"],
             link=LinkConfig(base_delay=1.0)))
         system.add_item("x", CounterDomain(), total=40)
-        schedule = PartitionSchedule()
-        schedule.split_at(10.0, [["A"], ["B", "C", "D"]])
-        schedule.split_at(20.0, [["A", "B"], ["C", "D"]])
-        schedule.heal_at(30.0)
-        PartitionScheduler(system.sim, system.network, schedule).install()
+        network = system.network
+        system.sim.at(10.0, lambda: network.partition(
+            [["A"], ["B", "C", "D"]]))
+        system.sim.at(20.0, lambda: network.partition(
+            [["A", "B"], ["C", "D"]]))
+        system.sim.at(30.0, network.heal)
         system.run_until(15.0)
         assert not system.network.reachable("A", "B")
         system.run_until(25.0)

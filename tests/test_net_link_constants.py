@@ -66,12 +66,11 @@ def test_delivery_labels_are_formatted_once_and_keep_their_text():
         "int": "deliver:int:A->B", "str": "deliver:str:A->B"}
 
 
-def test_synchronous_links_draw_nothing_and_register_no_gauges():
+def test_synchronous_links_draw_nothing():
     sim, network, inbox = _network(SynchronousNetwork, delay=1.0)
     sim.enable_trace()
     network.send("A", "B", 1)
     sim.run_until(2.0)
     assert [label for _t, label in sim.trace] == ["sync-deliver:int:A->B"]
     assert network.link("A", "B")._rng is None
-    assert sim.metrics.gauges("link.transmissions") == []
     assert len(inbox) == 1 and not inbox[0].duplicated

@@ -193,35 +193,12 @@ class TestNetwork:
         assert sorted(received) == list(range(30))
         assert received != list(range(30))
 
-    def test_broadcast_reaches_all_others(self):
-        sim, network, inboxes = make_network()
-        network.broadcast("A", "hi")
-        sim.run()
-        assert len(inboxes["A"]) == 0
-        assert len(inboxes["B"]) == 1
-        assert len(inboxes["C"]) == 1
-
-    def test_broadcast_with_explicit_targets(self):
-        sim, network, inboxes = make_network()
-        network.broadcast("A", "hi", dsts=["C"])
-        sim.run()
-        assert len(inboxes["B"]) == 0
-        assert len(inboxes["C"]) == 1
-
     def test_configure_link_overrides(self):
         sim, network, inboxes = make_network(base_delay=1.0)
         network.configure_link("A", "B", LinkConfig(base_delay=9.0))
         network.send("A", "B", "x")
         sim.run()
         assert sim.now == 9.0
-
-    def test_configure_all_links(self):
-        sim, network, inboxes = make_network(base_delay=1.0)
-        network.send("A", "B", "warm")  # materialize the link
-        network.configure_all_links(LinkConfig(loss_probability=1.0))
-        network.send("A", "B", "x")
-        sim.run()
-        assert [e.payload for e in inboxes["B"]] == ["warm"]
 
     def test_inject_link_fault_shadows_base_config(self):
         sim, network, inboxes = make_network(base_delay=1.0)
@@ -301,4 +278,4 @@ class TestNetwork:
         assert envelope.src == "A"
         assert envelope.dst == "B"
         assert envelope.sent_at == 0.0
-        assert envelope.kind() == "int"
+        assert envelope.payload == 42

@@ -1,61 +1,9 @@
-"""Unit tests for partition schedules and the synchronous network."""
+"""Unit tests for the synchronous network."""
 
 import pytest
 
-from repro.net.link import LinkConfig
-from repro.net.network import Network
-from repro.net.partitions import (
-    PartitionEvent,
-    PartitionSchedule,
-    PartitionScheduler,
-)
 from repro.net.sync import SynchronousNetwork
 from repro.sim.kernel import Simulator
-
-
-class TestPartitionSchedule:
-    def test_window_builder(self):
-        schedule = PartitionSchedule.window(10.0, 20.0, [["A"], ["B"]])
-        assert len(schedule.events) == 2
-        assert schedule.events[0].time == 10.0
-        assert not schedule.events[0].heals
-        assert schedule.events[1].heals
-
-    def test_window_rejects_reversed(self):
-        with pytest.raises(ValueError):
-            PartitionSchedule.window(20.0, 10.0, [["A"]])
-
-    def test_fluent_chaining(self):
-        schedule = PartitionSchedule().split_at(1.0, [["A"]]).heal_at(2.0)
-        assert [event.time for event in schedule.events] == [1.0, 2.0]
-
-    def test_event_groups_frozen(self):
-        event = PartitionEvent(1.0, (("A",), ("B",)))
-        assert event.groups == (("A",), ("B",))
-
-
-class TestPartitionScheduler:
-    def test_applies_split_and_heal(self):
-        sim = Simulator()
-        network = Network(sim)
-        for name in ("A", "B"):
-            network.register(name, lambda e: None)
-        schedule = PartitionSchedule.window(5.0, 10.0, [["A"], ["B"]])
-        PartitionScheduler(sim, network, schedule).install()
-        sim.run_until(6.0)
-        assert not network.reachable("A", "B")
-        sim.run_until(11.0)
-        assert network.reachable("A", "B")
-
-    def test_records_applied_events(self):
-        sim = Simulator()
-        network = Network(sim)
-        network.register("A", lambda e: None)
-        scheduler = PartitionScheduler(
-            sim, network, PartitionSchedule().heal_at(1.0))
-        scheduler.install()
-        sim.run()
-        assert len(scheduler.applied) == 1
 
 
 class TestSynchronousNetwork:
@@ -96,8 +44,14 @@ class TestSynchronousNetwork:
         # Two sites broadcast at the same instant: every receiver must
         # observe the two broadcasts in the same (rank) order.
         sim, network, inboxes = self.make()
-        sim.at(1.0, lambda: network.broadcast("B", "from-B"))
-        sim.at(1.0, lambda: network.broadcast("A", "from-A"))
+
+        def broadcast(src, payload):
+            for dst in inboxes:
+                if dst != src:
+                    network.send(src, dst, payload)
+
+        sim.at(1.0, lambda: broadcast("B", "from-B"))
+        sim.at(1.0, lambda: broadcast("A", "from-A"))
         sim.run()
         # A registered before B -> rank order puts A's message first.
         assert inboxes["C"] == ["from-A", "from-B"]

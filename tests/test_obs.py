@@ -1,8 +1,7 @@
-"""The structured observability layer: TraceBus, typed events, JSONL
-export, metrics registry, timeline rendering, chaos trace tails."""
+"""The structured observability layer: TraceBus, typed events, JSON
+lines, metrics registry, timeline rendering, chaos trace tails."""
 
 import hashlib
-import io
 import json
 import pathlib
 
@@ -17,18 +16,17 @@ from repro.core.transactions import (
     TransactionSpec,
     TransferOp,
 )
+from repro.metrics.stats import summarize
 from repro.net.link import LinkConfig
 from repro.net.outbox import BundlingConfig
 from repro.obs import (
+    EVENT_TYPES,
     KernelStep,
     MetricsRegistry,
     TraceBus,
     TraceFilter,
     VmCreate,
-    dumps_jsonl,
-    event_from_dict,
     event_to_json,
-    read_jsonl,
     render_timeline,
 )
 from repro.serving import ServingConfig, ServingFrontend
@@ -36,6 +34,12 @@ from repro.sim.kernel import Simulator
 
 REPRO = (pathlib.Path(__file__).parent / "repros" /
          "chaos_auditor-serial_crash_seed16220008651848166696_1act.json")
+
+
+def event_from_json(line):
+    """The event one canonical JSON line describes."""
+    payload = json.loads(line)
+    return EVENT_TYPES[payload.pop("kind")](**payload)
 
 
 def build_system(**kwargs):
@@ -80,22 +84,10 @@ class TestTraceBus:
         assert bus.emitted == 10
         assert bus.truncated == 7
         assert [event.label for event in bus.events()] == ["e7", "e8", "e9"]
-        assert [event.label for event in bus.tail(2)] == ["e8", "e9"]
-        assert bus.tail(0) == []
 
     def test_ring_limit_validated(self):
         with pytest.raises(ValueError):
             TraceBus().enable(ring_limit=0)
-
-    def test_sinks_see_truncated_events(self):
-        bus = TraceBus()
-        seen = []
-        bus.add_sink(seen.append)
-        bus.enable(ring_limit=2)
-        for index in range(5):
-            bus.emit(KernelStep(t=float(index), label=f"e{index}"))
-        assert len(seen) == 5  # the stream is complete despite the ring
-        bus.remove_sink(seen.append)
 
     def test_clear_resets_counts(self):
         bus = TraceBus()
@@ -132,17 +124,14 @@ class TestTraceBus:
 
 class TestJsonl:
     def test_round_trip(self):
-        bus = TraceBus()
-        bus.enable()
         system = build_system()
         system.sim.obs.enable()
         system.submit("A", TransactionSpec(ops=(DecrementOp("x", 40),)))
         system.run_for(30.0)
         events = system.sim.obs.events()
         assert events
-        text = dumps_jsonl(events)
-        parsed = list(read_jsonl(io.StringIO(text)))
-        assert parsed == events
+        lines = [event_to_json(event) for event in events]
+        assert [event_from_json(line) for line in lines] == events
 
     def test_canonical_lines_are_stable(self):
         event = VmCreate(t=1.5, site="A", dst="B", item="x", seq=3,
@@ -151,14 +140,32 @@ class TestJsonl:
         assert line == ('{"amount":7,"dst":"B","item":"x",'
                         '"kind":"vm.create","seq":3,"site":"A",'
                         '"t":1.5,"txn":"A#1","vm_kind":"transfer"}')
-        assert event_from_dict(json.loads(line)) == event
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            event_from_dict({"kind": "no.such.event", "t": 0.0})
+        assert event_from_json(line) == event
 
 
 class TestMetricsRegistry:
+    def test_label_key_is_canonical_without_sorting(self):
+        from repro.obs.registry import _label_key
+        assert _label_key({}) == ()
+        assert _label_key({"site": "A"}) == (("site", "A"),)
+        assert _label_key({"site": "A", "outcome": 3}) == \
+            _label_key({"outcome": 3, "site": "A"}) == \
+            (("outcome", "3"), ("site", "A"))
+        assert _label_key({"c": 1, "a": 2, "b": 3}) == \
+            (("a", "2"), ("b", "3"), ("c", "1"))
+        registry = MetricsRegistry()
+        assert registry.counter("n", src="A", dst="B") is \
+            registry.counter("n", dst="B", src="A")
+
+    def test_close_drops_marks_and_keeps_the_rest(self):
+        system = bundled_four_site_run()
+        metrics = system.sim.metrics
+        metrics.mark("pending", 1.0)  # nothing will collect it
+        rows = metric_rows(metrics)
+        system.close()
+        assert metrics._marks == {}
+        assert metric_rows(metrics) == rows
+
     def test_counters_memoized_by_name_and_labels(self):
         registry = MetricsRegistry()
         a = registry.counter("vm.created", site="A")
@@ -175,8 +182,8 @@ class TestMetricsRegistry:
         h = registry.histogram("vm.delivery", src="A", dst="B")
         for value in (1.0, 2.0, 3.0):
             h.observe(value)
-        summary = h.summary()
-        assert h.count == 3
+        summary = summarize(h.values)
+        assert summary.count == 3
         assert summary.mean == 2.0
 
     def test_marks_pair_up_across_components(self):
@@ -200,11 +207,11 @@ class TestMetricsRegistry:
         deliveries = metrics.histograms("vm.delivery")
         # One delivery-latency sample per accepted Vm (channels that
         # never delivered keep empty histograms — that's fine).
-        assert sum(h.count for h in deliveries) == \
+        assert sum(len(h.values) for h in deliveries) == \
             metrics.total("vm.accepted")
         decisions = [h for h in metrics.histograms("txn.decision")
                      if dict(h.labels)["outcome"] == "committed"]
-        assert sum(h.count for h in decisions) == 1
+        assert sum(len(h.values) for h in decisions) == 1
 
     def test_per_site_counters_are_labelled_by_site(self):
         system = build_system()
@@ -240,8 +247,8 @@ class TestMetricsRegistry:
 
 def bundled_four_site_run():
     """Lossy, duplicating, bundled links under a one-slot front-end —
-    every metric family incl. both kinds of gauge — and one link
-    configured again mid-run."""
+    every counter and histogram family of the transport, Vm, txn and
+    serving layers — and one link configured again mid-run."""
     sites = ["A", "B", "C", "D"]
     system = DvPSystem(SystemConfig(
         sites=sites, seed=11, txn_timeout=10.0, retransmit_period=2.0,
@@ -276,7 +283,7 @@ def metric_rows(metrics):
                                  "labels": dict(metric.labels),
                                  "value": metric.value})
     for metric in metrics.histograms():
-        summary = metric.summary()
+        summary = summarize(metric.values)
         rows["histograms"].append({
             "name": metric.name, "labels": dict(metric.labels),
             "count": summary.count, "mean": summary.mean,
@@ -297,73 +304,6 @@ class TestMetricRows:
         blob = json.dumps(metric_rows(metrics), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == \
             self.ROWS_SHA256
-
-
-class TestGaugeProvider:
-    #: sha256 of json.dumps(snapshot(), sort_keys=True) for the run
-    #: above. The test also re-registers every link's three gauges the
-    #: old way and compares; the hash was re-recorded when the Vm
-    #: retransmission tick began skipping entries sent less than a
-    #: period ago (docs/LEDGER.md).
-    SNAPSHOT_SHA256 = ("2b18ee913bb8942ae9fc4a919857d9d7"
-                       "3fc7d4c4433e7a90a9c3027cdbc8111c")
-
-    def test_snapshot_is_byte_equal_to_per_link_registration(self):
-        system = bundled_four_site_run()
-        metrics = system.sim.metrics
-        blob = json.dumps(metrics.snapshot(), sort_keys=True)
-        assert hashlib.sha256(blob.encode()).hexdigest() == \
-            self.SNAPSHOT_SHA256
-        # ...and to what registering them here, the old way, gives.
-        links = list(system.network._links.values())
-        assert len(links) == 10  # every pair the run used
-        assert len(metrics._gauges) == 8  # serve.depth / .inflight x 4
-        assert len(metrics.gauges()) == 3 * 10 + 8
-        metrics._providers = []
-        for link in links:
-            for name in ("transmissions", "losses", "duplicates"):
-                metrics.gauge(f"link.{name}", link.counter_reader(name),
-                              src=link.src, dst=link.dst)
-        assert json.dumps(metrics.snapshot(), sort_keys=True) == blob
-
-    def test_provided_gauges_read_live_and_follow_a_reconfigured_link(self):
-        system = build_system()
-        metrics = system.sim.metrics
-        assert metrics.gauges("link.transmissions") == []  # no link yet
-        system.network.send("A", "B", "ping")
-        gauge, = metrics.gauges("link.transmissions")
-        assert dict(gauge.labels) == {"src": "A", "dst": "B"}
-        assert gauge.value == 1
-        system.network.send("A", "B", "ping")
-        assert gauge.value == 2  # a read-through view, not a copy
-        system.network.configure_link("A", "B", LinkConfig(base_delay=2.0))
-        fresh, = metrics.gauges("link.transmissions")
-        assert fresh.value == 0 and gauge.value == 2
-
-    def test_label_key_is_canonical_without_sorting(self):
-        from repro.obs.registry import _label_key
-        assert _label_key({}) == ()
-        assert _label_key({"site": "A"}) == (("site", "A"),)
-        assert _label_key({"site": "A", "outcome": 3}) == \
-            _label_key({"outcome": 3, "site": "A"}) == \
-            (("outcome", "3"), ("site", "A"))
-        assert _label_key({"c": 1, "a": 2, "b": 3}) == \
-            (("a", "2"), ("b", "3"), ("c", "1"))
-        registry = MetricsRegistry()
-        assert registry.counter("n", src="A", dst="B") is \
-            registry.counter("n", dst="B", src="A")
-
-    def test_close_drops_gauges_and_marks_and_keeps_the_rest(self):
-        system = bundled_four_site_run()
-        metrics = system.sim.metrics
-        counters = metrics.snapshot()["counters"]
-        histograms = metrics.snapshot()["histograms"]
-        assert metrics.gauges()
-        system.close()
-        after = metrics.snapshot()
-        assert after["gauges"] == [] and metrics._marks == {}
-        assert after["counters"] == counters
-        assert after["histograms"] == histograms
 
 
 class TestTimeline:
@@ -411,8 +351,7 @@ class TestChaosTraceTail:
         assert len(artifact.trace_tail) == TRACE_TAIL_EVENTS
         # every line is canonical JSON for a known event kind
         for line in artifact.trace_tail:
-            event = event_from_dict(json.loads(line))
-            assert event_to_json(event) == line
+            assert event_to_json(event_from_json(line)) == line
 
     def test_replay_tail_byte_identical(self):
         """The embedded tail reproduces byte-for-byte on replay — the

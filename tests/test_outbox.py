@@ -128,8 +128,9 @@ class TestCoalescing:
 
     def test_broadcast_bundles_per_destination(self):
         sim, network, inboxes = make_network(base_delay=2.0)
-        network.broadcast("A", "hello")
-        network.broadcast("A", "again")
+        for payload in ("hello", "again"):  # each to every peer
+            for name in ("B", "C"):
+                network.send("A", name, payload)
         sim.run()
         assert counter_total(sim, "net.sent") == 2  # one per peer
         for name in ("B", "C"):

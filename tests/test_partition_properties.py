@@ -8,8 +8,7 @@ These pin the placement contracts docs/PARTITIONING.md relies on:
 * placement is a pure function of (item, site list, replicas) — no
   hidden state, no dependence on ``PYTHONHASHSEED``, identical across
   process boundaries (checked in real subprocesses with different
-  hash seeds);
-* the directory's wire form round-trips exactly.
+  hash seeds).
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core.partition import (
     ConsistentHashPartitioner,
-    Directory,
     HashPartitioner,
     RangePartitioner,
     make_partitioner,
@@ -135,35 +133,6 @@ class TestPlacementIsPure:
             outputs.append(json.loads(proc.stdout))
         assert outputs[0] == outputs[1]
         assert outputs[0]  # the map is non-trivial
-
-
-class TestDirectoryWireForm:
-    @given(site_names,
-           st.one_of(st.none(), replica_counts),
-           st.integers(min_value=0, max_value=50),
-           st.sampled_from(["all", "hash", "range", "consistent"]))
-    @settings(max_examples=40)
-    def test_encode_decode_round_trip(self, sites, replicas, epoch, name):
-        directory = Directory(make_partitioner(name), sites,
-                              replicas=replicas, epoch=epoch)
-        clone = Directory.decode(directory.encode())
-        assert clone.sites == directory.sites
-        assert clone.replicas == directory.replicas
-        assert clone.epoch == directory.epoch
-        assert clone.partitioner.name == name
-        for item in ("a", "zz", "item17"):
-            assert clone.owners(item) == directory.owners(item)
-        assert clone.encode() == directory.encode()
-
-    def test_consistent_vnodes_survive_the_round_trip(self):
-        directory = Directory(ConsistentHashPartitioner(vnodes=16),
-                              ["A", "B"], replicas=1)
-        clone = Directory.decode(directory.encode())
-        assert clone.partitioner.vnodes == 16
-
-    def test_decode_rejects_foreign_payloads(self):
-        with pytest.raises(ValueError, match="dvp-directory/1"):
-            Directory.decode({"format": "something-else"})
 
 
 class TestOwnerSetShape:

@@ -6,7 +6,6 @@ and the app façades' estimate calls through the serving front-end.
 
 from repro.apps.airline import ReservationSystem
 from repro.apps.bank import Bank
-from repro.apps.inventory import InventoryControl
 from repro.core.domain import CounterDomain
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import (
@@ -159,7 +158,7 @@ class TestCertificateFastPath:
         assert result.committed
         assert result.requests_sent == 0
         # And the fast path left the foreign lock alone.
-        assert site.locks.holder("x") == "rds:freeze"
+        assert site.locks.holders.get("x") == "rds:freeze"
 
     def test_miss_falls_back_to_fanout_and_fills_through(self):
         system = build()
@@ -253,7 +252,7 @@ class TestFacadeEstimates:
         assert results[0].read_values["acct"] == 100
         assert results[0].view_reads["acct"].staleness <= 50.0
 
-    def test_airline_and_inventory_estimates(self):
+    def test_airline_estimate_via_frontend(self):
         system = DvPSystem(SystemConfig(
             sites=["A", "B"], seed=3, txn_timeout=10.0,
             link=LinkConfig(base_delay=1.0),
@@ -261,18 +260,13 @@ class TestFacadeEstimates:
         frontend = self._frontend(system)
         airline = ReservationSystem(system, via=frontend)
         airline.add_flight("fl1", 50)
-        inventory = InventoryControl(system, via=frontend)
-        inventory.add_sku("sku1", 12, stocking={"A": 5, "B": 7})
         frontend.start()
         warm(system)
-        seats, stock = [], []
+        seats = []
         airline.seats_estimate("A", "fl1", bound=50.0,
                                on_done=seats.append)
-        inventory.stock_estimate("B", "sku1", bound=50.0,
-                                 on_done=stock.append)
         system.run_for(30.0)
         assert seats and seats[0].committed
         assert seats[0].read_values["fl1"] == 50
-        assert stock and stock[0].committed
-        assert stock[0].read_values["sku1"] == 12
+        assert seats[0].view_reads["fl1"].staleness <= 50.0
 

@@ -122,7 +122,9 @@ class TestPolicies:
         policy = PullPolicy()
         tracker = DemandTracker(FakeSim())
         assert policy.pushes is False and policy.pulls is True
-        assert policy.push_target(tracker, "x", ["B", "C"]) is None
+        # ...so the daemon never asks it where to push.
+        with pytest.raises(NotImplementedError):
+            policy.push_target(tracker, "x", ["B", "C"])
 
     def test_pull_prefers_richest_peer(self):
         policy = PullPolicy()
@@ -142,5 +144,6 @@ class TestPolicies:
         tracker = DemandTracker(FakeSim())
         for name in REBALANCE_POLICIES:
             policy = make_rebalance_policy(name)
-            assert policy.push_target(tracker, "x", []) is None
+            if policy.pushes:
+                assert policy.push_target(tracker, "x", []) is None
             assert policy.pull_source(tracker, "x", []) is None

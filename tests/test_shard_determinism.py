@@ -121,7 +121,7 @@ def _e01_style_fingerprint(shards, workers, seed=11):
     system.run_for(75.0)
     system.auditor.assert_ok()
     return (system.sim.trace_fingerprint(), system.sim.steps,
-            len(system.committed()), len(system.aborted()))
+            len(system.committed()), len(system.results) - len(system.committed()))
 
 
 def _e06_style_fingerprint(shards, workers, seed=67):
@@ -209,7 +209,7 @@ def _reshard_style_fingerprint(shards, workers, seed=29):
     system.auditor.assert_ok()
     assert not system.reshard_in_progress
     return (system.sim.trace_fingerprint(), system.sim.steps,
-            len(system.committed()), len(system.aborted()),
+            len(system.committed()), len(system.results) - len(system.committed()),
             system.sim.metrics.counter("migrate.ships").value,
             system.directory.epoch,
             sorted(target.offered, key=lambda entry: entry[:2]))

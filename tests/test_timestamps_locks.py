@@ -59,8 +59,8 @@ class TestLockTableImmediate:
     def test_acquire_all_atomic(self):
         table = LockTable()
         assert table.try_acquire_all("t1", {"a", "b"})
-        assert table.holder("a") == "t1"
-        assert table.holder("b") == "t1"
+        assert table.holders.get("a") == "t1"
+        assert table.holders.get("b") == "t1"
 
     def test_acquire_all_or_nothing(self):
         table = LockTable()
@@ -101,7 +101,7 @@ class TestLockTableWaiting:
                                              lambda: granted.append("t2"))
         table.release_all("t1")
         assert granted == ["t2"]
-        assert table.holder("a") == "t2"
+        assert table.holders.get("a") == "t2"
 
     def test_fifo_no_overtake(self):
         table = LockTable()
