@@ -1,8 +1,11 @@
 """Unit coverage for the bounded-staleness read tier (docs/READS.md):
 the published totals (the auditor's N), the per-site cache's admission
 rules, the certificate-first O(1) commit path, the view-aware router,
-and the app façades' estimate calls through the serving front-end.
+the app façades' estimate calls through the serving front-end, and a
+digest over the result text of a served run.
 """
+
+import hashlib
 
 from repro.apps.airline import ReservationSystem
 from repro.apps.bank import Bank
@@ -18,6 +21,7 @@ from repro.net.link import LinkConfig
 from repro.reads import ViewConfig, ViewEntry
 from repro.serving import ServingConfig, ServingFrontend
 from repro.serving.router import DepthBoard, ViewAwareRouter, make_router
+from tests.test_heap_lifetime import _served_run
 
 
 def build(views=ViewConfig(refresh_period=2.0), sites=("A", "B", "C"),
@@ -270,3 +274,20 @@ class TestFacadeEstimates:
         assert seats[0].read_values["fl1"] == 50
         assert seats[0].view_reads["fl1"].staleness <= 50.0
 
+
+
+class TestServedResultText:
+    #: sha256 over ``repr(result)`` of every result of the 600-request
+    #: served run, recorded before view reads shared their mappings:
+    #: sharing must not move one character of what a result prints.
+    DIGEST = ("9b101fac0130f955a5c4fc9395f6e0ed"
+              "6c6b9c8d31814b880975e2ad4305c446")
+
+    def test_every_result_prints_as_recorded(self):
+        system, _, _ = _served_run(ops=400, views=True)
+        assert len(system.results) == 600
+        digest = hashlib.sha256()
+        for result in system.results:
+            digest.update(repr(result).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == self.DIGEST
