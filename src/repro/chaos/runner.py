@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from math import inf
 from typing import Any, Callable, NamedTuple
 
 from repro.chaos.oracles import commit_oracles, default_oracles
@@ -121,6 +122,27 @@ class ChaosConfig:
     #: which system failed — so every DvP artifact, old or new, carries
     #: no key, loads as "dvp" and replays byte-for-byte.
     system: str = "dvp"
+
+    def __post_init__(self) -> None:
+        # What ``repro chaos`` sets from its flags, refused here rather
+        # than deep inside a run. Chained compares: NaN fails them all.
+        if self.sites < 1 or self.items < 1 or self.txns < 0:
+            raise ValueError("sites and items must be >= 1, txns >= 0")
+        for name in ("duration", "txn_timeout", "rebalance_period",
+                     "view_refresh"):
+            if not 0 < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.bundle_flush_delay is not None \
+                and not 0 <= self.bundle_flush_delay < inf:
+            raise ValueError(
+                "bundle_flush_delay must be >= 0 and finite (or None)")
+        if self.replicas is not None and self.replicas < 1:
+            raise ValueError("replicas must be >= 1 (or None)")
+        if self.serving_max_depth < 1 or self.serving_max_inflight < 1:
+            raise ValueError(
+                "serving_max_depth and serving_max_inflight must be >= 1")
+        if self.views is not None and not 0 <= self.views:
+            raise ValueError("views (the view bound) must be >= 0 (or None)")
 
     def site_names(self) -> list[str]:
         return [f"S{index}" for index in range(self.sites)]

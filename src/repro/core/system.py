@@ -15,6 +15,8 @@ This is the library's main entry point::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, Protocol
 
 from repro.core.cc import make_cc
@@ -94,12 +96,15 @@ class SystemConfig:
             raise ValueError("site names must be unique")
         if not self.sites:
             raise ValueError("at least one site required")
-        if self.txn_timeout <= 0:
-            raise ValueError("txn_timeout must be positive")
+        # Chained compares: NaN fails every one of them.
+        if not 0 < self.txn_timeout < inf:
+            raise ValueError("txn_timeout must be positive and finite")
+        if not 0 < self.retransmit_period < inf:
+            raise ValueError("retransmit_period must be positive and finite")
         if self.request_retries < 0:
             raise ValueError("request_retries must be >= 0")
-        if self.read_freeze is not None and self.read_freeze < 0:
-            raise ValueError("read_freeze must be >= 0 (or None)")
+        if self.read_freeze is not None and not 0 <= self.read_freeze < inf:
+            raise ValueError("read_freeze must be >= 0 and finite (or None)")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.shard_workers < 1:
@@ -227,6 +232,9 @@ class DvPSystem:
         # lifecycles (incremental accounting), so it attaches after
         # the sites exist.
         self.auditor = ConservationAuditor(self)
+        #: Item → the read-only ``{item: live Vm total}`` that single-
+        #: item reads share as their ``inflight_at_commit``.
+        self._inflight: dict[str, Mapping[str, Any]] = {}
         for site in self.sites.values():
             site.router = self.router
         #: Bounded-staleness view service (docs/READS.md); it
@@ -406,16 +414,28 @@ class DvPSystem:
         return self.sites[site].submit(spec, on_done)
 
     def _record_result(self, result: TxnResult) -> None:
-        if result.committed and result.read_values:
+        reads = result.read_values
+        if result.committed and reads:
             # Sample, at the commit instant, how much of each read item
             # was still in transmission: the read protocol's inherent
             # blind spot (Section 3's N_M). The serializability checker
             # uses this as the permitted under-report bound. The
             # auditor's incremental books make this an O(1) lookup per
             # item instead of a full sender × receiver channel scan.
-            result.inflight_at_commit = {
-                item: self.auditor.live_vm_total(item)
-                for item in result.read_values}
+            live_vm_total = self.auditor.live_vm_total
+            if len(reads) == 1:
+                # One read-only sample per item, shared by every read
+                # until the live total moves (DESIGN.md §7).
+                (item,) = reads
+                total = live_vm_total(item)
+                sample = self._inflight.get(item)
+                if sample is None or sample[item] is not total:
+                    sample = self._inflight[item] = MappingProxyType(
+                        {item: total})
+                result.inflight_at_commit = sample
+            else:
+                result.inflight_at_commit = {
+                    item: live_vm_total(item) for item in reads}
         if self.views is not None and result.committed \
                 and result.view_fallbacks:
             # Read-through: a view miss paid the fan-out; repair the

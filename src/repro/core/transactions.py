@@ -173,6 +173,12 @@ class TransactionSpec:
         updates: dict[str, None] = {}
         for op in self.ops:
             if isinstance(op, ReadViewOp):
+                if op.bound is not None and not 0 <= op.bound:
+                    # NaN too: "staleness > nan" is never true, so a
+                    # NaN bound would admit every entry.
+                    raise ValueError(
+                        f"view bound {op.bound!r} on {op.item!r} must be "
+                        ">= 0 (or None)")
                 if op.item in full:
                     continue  # the exact read serves both ops' values
                 prior = bounds.get(op.item)
@@ -237,13 +243,25 @@ def _empty() -> Mapping[str, Any]:
     return EMPTY
 
 
+def _text(mapping: Mapping[str, Any]) -> str:
+    """A result's mapping field as its repr shows it: a shared read-only
+    mapping prints as the dict it stands for; ``EMPTY`` and a dict as
+    themselves."""
+    if mapping is EMPTY or type(mapping) is not MappingProxyType:
+        return repr(mapping)
+    return repr(dict(mapping))
+
+
 @dataclass(slots=True, repr=False)
 class TxnResult:
     """Reported to the submitter's callback when the transaction ends.
 
     A run keeps every result, so one is a single slotted object whose
     unused fields cost nothing (DESIGN.md §7): to fill a mapping field,
-    assign a new dict — never write into the default.
+    assign a new dict, or a read-only mapping minted once and shared
+    (a view entry's ``reads``, the system's single-item in-flight
+    sample) — never write into the default. The repr prints a shared
+    mapping as the dict it stands for.
     """
 
     txn_id: str
@@ -292,17 +310,18 @@ class TxnResult:
         return {row[0]: ViewCertificate(*row) for row in self.view_rows}
 
     def __repr__(self) -> str:
-        # The dataclass repr with the rows shown as ``view_reads``:
-        # digests of results hash this text.
+        # The dataclass repr with the rows shown as ``view_reads`` and a
+        # shared mapping as the dict it stands for: digests of results
+        # hash this text.
         return (f"{type(self).__qualname__}(txn_id={self.txn_id!r}, "
                 f"label={self.label!r}, outcome={self.outcome!r}, "
                 f"reason={self.reason!r}, site={self.site!r}, "
                 f"submitted_at={self.submitted_at!r}, "
                 f"finished_at={self.finished_at!r}, "
-                f"read_values={self.read_values!r}, "
+                f"read_values={_text(self.read_values)}, "
                 f"semantic_deltas={self.semantic_deltas!r}, "
                 f"requests_sent={self.requests_sent!r}, "
-                f"inflight_at_commit={self.inflight_at_commit!r}, "
+                f"inflight_at_commit={_text(self.inflight_at_commit)}, "
                 f"view_reads={self.view_reads!r}, "
                 f"view_fallbacks={self.view_fallbacks!r})")
 
@@ -444,8 +463,18 @@ class Transaction:
                 # still-pending items, so no hit is counted twice.
                 return False
             del self._view_pending[item]
-        self.state = _State.GATHERING
-        self._commit()
+        # Every op is a certified view read: nothing to apply, nothing
+        # to log. The read values are the certificates' — for one
+        # item, the mapping minted with the entry that just certified
+        # it, shared by every read that entry serves (DESIGN.md §7).
+        certs = self._view_certs
+        if len(certs) == 1:
+            (item,) = certs
+            read_values = self.site.views.entries[item].reads
+        else:
+            read_values = {item: certs[item].value
+                           for item in self.spec._view_bounds}
+        self._finish(Outcome.COMMITTED, "ok", read_values, ())
         return True
 
     def _locks_granted(self) -> None:

@@ -76,7 +76,11 @@ def config_from_args(args) -> ChaosConfig:
 def explore_main(args, out: "TextIO | None" = None) -> int:
     """Explore (and optionally shrink); return a process exit code."""
     out = out if out is not None else sys.stdout
-    config = config_from_args(args)
+    try:
+        config = config_from_args(args)
+    except ValueError as error:
+        print(f"repro chaos: {error}", file=sys.stderr)
+        return 2
     previous = arm_injection(args.inject)
     try:
         grammar = (reshard_grammar() if getattr(args, "reshard", False)

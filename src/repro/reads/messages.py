@@ -10,6 +10,7 @@ read — carrying deterministic, JSON-representable values only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, NamedTuple
 
 
@@ -22,12 +23,21 @@ class ViewEntry:
     Σ live Vm are the logical value, see docs/READS.md). ``epoch``
     fences the entry against topology changes: a cache never serves an
     entry minted under a directory epoch other than the current one.
+
+    ``reads`` is the read-only ``{item: value}`` minted once with the
+    entry: every cache holding the entry shares it, and so does the
+    ``read_values`` of every single-item read it serves (DESIGN.md §7).
+    It is not a field, so it takes no part in ``repr`` or equality.
     """
 
     item: str
     value: Any
     as_of: float
     epoch: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "reads",
+                           MappingProxyType({self.item: self.value}))
 
 
 @dataclass(frozen=True)

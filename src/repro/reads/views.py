@@ -38,6 +38,7 @@ chaos ViewOracle (repro.chaos.oracles) proves exactly this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.obs.events import ReadViewMiss, ReadViewRefresh, ReadViewServe
@@ -87,10 +88,11 @@ class ViewConfig:
     ttl: float | None = None
 
     def __post_init__(self) -> None:
-        if self.refresh_period <= 0:
-            raise ValueError("refresh_period must be positive")
-        if self.ttl is not None and self.ttl <= 0:
-            raise ValueError("ttl must be positive (or None)")
+        # Chained compares: NaN fails every one of them.
+        if not 0 < self.refresh_period < inf:
+            raise ValueError("refresh_period must be positive and finite")
+        if self.ttl is not None and not 0 < self.ttl < inf:
+            raise ValueError("ttl must be positive and finite (or None)")
 
     @property
     def resolved_ttl(self) -> float:

@@ -111,6 +111,34 @@ class TestCommands:
         assert main(["chaos", "--budget", "0"]) == 2
         assert "--budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("flag", [
+        "--views", "--view-refresh", "--timeout", "--duration",
+        "--rebalance-period", "--bundle-delay"])
+    def test_chaos_refuses_a_bad_number(self, capsys, flag, value):
+        """A view bound may be infinite (no bound but the TTL); every
+        other number must be finite. Exit 1 means "a plan failed", so a
+        refused number is a usage error: one stderr line, exit 2."""
+        argv = ["chaos", "--budget", "1", flag, value]
+        if flag == "--views" and value == "inf":
+            assert main(argv) == 0
+            return
+        self._assert_refused(capsys, argv)
+
+    @pytest.mark.parametrize("flag", [
+        "--sites", "--items", "--replicas", "--serving-depth",
+        "--serving-inflight"])
+    def test_chaos_refuses_a_count_below_one(self, capsys, flag):
+        self._assert_refused(capsys, ["chaos", "--budget", "1", flag, "0"])
+
+    @staticmethod
+    def _assert_refused(capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command", [["chaos", "--replay"], ["trace"]],
                              ids=["replay", "trace"])
     @pytest.mark.parametrize("case", ["missing", "not-json", "list",

@@ -25,8 +25,9 @@ returning 0 proves a run built no cyclic garbage at all.
 """
 
 import gc
+import tracemalloc
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -56,6 +57,7 @@ from repro.core.transactions import (
 from repro.net.link import LinkConfig
 from repro.net.outbox import BundlingConfig
 from repro.reads import ViewConfig
+from repro.reads.views import ViewService
 from repro.serving import ServingConfig, ServingFrontend
 from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
@@ -415,11 +417,13 @@ def _fanout_run(ops: int, warm: int = 80):
     return system, before
 
 
-def _served_run(ops: int, views: bool, warm: int = 200):
+def _served_run(ops: int, views: bool, warm: int = 200, census=_census):
     """Requests through a serving front-end, one arrival every 0.05.
     With *views*: mostly bounded view reads behind the view-aware
     router, beside a deposit in every eighth request; without: single-
-    op local commits with a service time behind least-queue."""
+    op local commits with a service time behind least-queue. *census*
+    is what the returned ``before`` is: it runs once, after *warm*
+    requests."""
     system = DvPSystem(SystemConfig(
         sites=SITES, seed=14, txn_timeout=30.0,
         link=LinkConfig(base_delay=1.0, jitter=0.5),
@@ -448,7 +452,7 @@ def _served_run(ops: int, views: bool, warm: int = 200):
     for index in range(warm + ops):
         if index == warm:
             gc.collect()
-            before = _census()
+            before = census()
         system.run_until(start + index * 0.05)
         frontend.submit(SITES[index % 4], specs[index % len(specs)])
     system.run_until(start + (warm + ops) * 0.05 + 60.0)
@@ -512,6 +516,60 @@ class TestRetainedObjectBudget:
         served = [result for result in system.results if result.view_reads]
         assert len(served) > 1500
         _assert_budget(system, before, 2000, 1.5, "served view reads")
+
+    def test_view_reads_retain_few_bytes(self):
+        # The census counts tracked objects only; a dict of atoms is
+        # never tracked, so bytes are what shows a per-read mapping.
+        # Measured: 560 B per op; 840 while each view-served read built
+        # its own read_values and inflight_at_commit dicts.
+        at_warm = []
+
+        def census():
+            at_warm.append(tracemalloc.get_traced_memory()[0])
+            return _census()
+
+        tracemalloc.start()
+        try:
+            system, _, _ = _served_run(ops=2000, views=True, census=census)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - at_warm[0]
+        finally:
+            tracemalloc.stop()
+        assert len(system.results) == 2200
+        assert retained <= 640 * 2000, (
+            f"{retained / 2000:.0f} B retained per op, budget 640")
+
+    def test_a_served_read_shares_its_mappings(self, monkeypatch):
+        """A view-served read's ``read_values`` is the read-only mapping
+        its entry was minted with — one object at every site the entry
+        served — and single-item reads at one in-flight total share one
+        ``inflight_at_commit``."""
+        published = {}
+        publish = ViewService.publish
+
+        def recording(service):
+            publish(service)
+            for item, entry in service.latest.items():
+                published[item, entry.as_of] = entry
+
+        monkeypatch.setattr(ViewService, "publish", recording)
+        system, _, _ = _served_run(ops=400, views=True)
+        served = [result for result in system.results if result.view_rows]
+        assert len(served) > 400
+        sites = defaultdict(set)
+        samples = defaultdict(set)
+        for result in served:
+            ((item, _value, as_of, *_rest),) = result.view_rows
+            assert result.read_values is published[item, as_of].reads
+            sites[id(result.read_values)].add(result.site)
+            samples[item, result.inflight_at_commit[item]].add(
+                id(result.inflight_at_commit))
+        assert max(len(at) for at in sites.values()) == len(SITES)
+        assert set(map(len, samples.values())) == {1}
+        with pytest.raises(TypeError):
+            served[0].read_values["item0"] = 0
+        with pytest.raises(TypeError):
+            served[0].inflight_at_commit["item0"] = 0
 
     def test_plain_serving(self):
         # Measured: 1.0 per op; 2.0 while a front-end kept a ServeSample

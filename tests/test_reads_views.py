@@ -7,6 +7,8 @@ digest over the result text of a served run.
 
 import hashlib
 
+import pytest
+
 from repro.apps.airline import ReservationSystem
 from repro.apps.bank import Bank
 from repro.core.domain import CounterDomain
@@ -291,3 +293,27 @@ class TestServedResultText:
             digest.update(repr(result).encode())
             digest.update(b"\n")
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestRefusedNumbers:
+    """A NaN compares false both ways, so "staleness > bound" or
+    "age > ttl" against one is never true: each number is refused
+    where it enters."""
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")],
+                             ids=["nan", "-1", "inf"])
+    @pytest.mark.parametrize("name", ["refresh_period", "ttl"])
+    def test_view_config(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ViewConfig(**{name: value})
+
+    @pytest.mark.parametrize("bound", [float("nan"), -1.0],
+                             ids=["nan", "-1"])
+    def test_view_bound(self, bound):
+        with pytest.raises(ValueError, match="bound"):
+            TransactionSpec(ops=(ReadViewOp("x", bound=bound),))
+
+    def test_boundary_values_accepted(self):
+        ViewConfig(refresh_period=0.5, ttl=0.5)
+        TransactionSpec(ops=(ReadViewOp("x", bound=0.0),
+                             ReadViewOp("y", bound=float("inf"))))

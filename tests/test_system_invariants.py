@@ -14,6 +14,7 @@ from repro.core.transactions import (
 from repro.net.link import LinkConfig
 from repro.net.sync import SynchronousNetwork
 
+NAN, INF = float("nan"), float("inf")
 
 class TestSystemConfig:
     def test_duplicate_sites_rejected(self):
@@ -33,6 +34,15 @@ class TestSystemConfig:
     def test_out_of_range_rejected_up_front(self, bad):
         with pytest.raises(ValueError):
             SystemConfig(**bad)
+
+    @pytest.mark.parametrize("value", [NAN, -1.0, INF],
+                             ids=["nan", "-1", "inf"])
+    @pytest.mark.parametrize("name", ["txn_timeout", "retransmit_period",
+                                      "read_freeze"])
+    def test_a_non_finite_or_negative_time_is_refused(self, name, value):
+        # NaN slips past "<= 0"; a timer refuses it only once armed.
+        with pytest.raises(ValueError, match=name):
+            SystemConfig(**{name: value})
 
     def test_boundary_values_accepted(self):
         SystemConfig(request_retries=0, read_freeze=0.0, txn_timeout=0.5)
