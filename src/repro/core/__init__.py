@@ -23,12 +23,7 @@ from repro.core.operators import (
     PartitionableOperator,
     SetToZero,
 )
-from repro.core.partition import (
-    PARTITIONERS,
-    Directory,
-    Router,
-    make_partitioner,
-)
+from repro.core.partition import PARTITIONERS, Directory, make_partitioner
 from repro.core.system import DvPSystem, System, SystemConfig
 from repro.core.transactions import (
     ApplyOp,
@@ -53,7 +48,6 @@ __all__ = [
     "MigrationController",
     "PARTITIONERS",
     "ReshardInProgress",
-    "Router",
     "make_partitioner",
     "Increment",
     "IncrementOp",

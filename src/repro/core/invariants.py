@@ -77,13 +77,6 @@ class ConservationAuditor:
         self._frag_total: dict[str, Any] = {}
         self._live_total: dict[str, Any] = {}
         self._live_entries: dict[tuple[str, str, int], tuple[str, Any]] = {}
-        self.attach()
-
-    def attach(self) -> None:
-        """Hook into every site's fragment store and Vm lifecycle."""
-        for site in self.system.sites.values():
-            site.observer = self
-            site.fragments.observer = self
 
     def close(self) -> None:
         """Let go of the system (which holds this auditor). The books

@@ -157,7 +157,7 @@ class MigrationController:
     def _old_epoch_txns(self) -> bool:
         for site in self.system.sites.values():
             for txn in site.active.values():
-                if getattr(txn, "epoch", self.epoch) < self.epoch:
+                if txn.epoch < self.epoch:
                     return True
         return False
 

@@ -9,10 +9,9 @@ module makes placement a first-class, *dynamic* mapping:
   seed-compatible "all" placement);
 * a :class:`Directory` wraps a partitioner with a *versioned epoch*
   that bumps on every topology change (site join/leave, replica-count
-  reshard), so routers can detect staleness;
-* a :class:`Router` resolves item → owner sites against the current
-  epoch and counts the requests that carried an older one
-  (``stale_retries``).
+  reshard). Every site holds its system's directory and resolves
+  owners through it; a transaction records the epoch it started
+  under, and the migration controller fences on that.
 
 Placement is a *planning* overlay: the conservation invariant
 N = Σ fragments + Σ live Vm never depends on it. A site outside an
@@ -172,9 +171,9 @@ class Directory:
     """Versioned item → owner-sites mapping.
 
     Every topology change (:meth:`add_site`, :meth:`remove_site`,
-    :meth:`set_replicas`) bumps :attr:`epoch`. Routers carry the epoch
-    they resolved against; a mismatch means their placement may be
-    stale and must be re-resolved (see :class:`Router`).
+    :meth:`set_replicas`) bumps :attr:`epoch`. Transactions and view
+    entries carry the epoch they were made under; a mismatch means
+    their placement may be stale.
     """
 
     def __init__(self, partitioner: Partitioner,
@@ -223,24 +222,8 @@ class Directory:
         return self.epoch
 
 
-class Router:
-    """Resolves placement through the directory, counting stale hints."""
-
-    def __init__(self, directory: Directory) -> None:
-        self.directory = directory
-        #: How many times a stale epoch hint forced a re-resolve.
-        self.stale_retries = 0
-
-    def route(self, item: str, epoch_hint: int | None = None
-              ) -> tuple[tuple[str, ...], int]:
-        """Owners + current epoch; a stale hint retries transparently."""
-        if epoch_hint is not None and epoch_hint != self.directory.epoch:
-            self.stale_retries += 1
-        return self.directory.owners(item), self.directory.epoch
-
-
 __all__ = [
     "stable_hash", "Partitioner", "AllPartitioner", "HashPartitioner",
     "RangePartitioner", "ConsistentHashPartitioner", "PARTITIONERS",
-    "make_partitioner", "Directory", "Router",
+    "make_partitioner", "Directory",
 ]

@@ -29,6 +29,7 @@ peer's ordinary ``VmCreateRecord``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING
 
 from repro.core.messages import TRANSFER_MODE, DataRequest
@@ -66,9 +67,10 @@ class RebalanceConfig:
     max_ship: int | None = None
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if self.high_watermark < 1.0:
+        # Chained compares: NaN fails every one of them.
+        if not 0 < self.period < inf:
+            raise ValueError("period must be positive and finite")
+        if not self.high_watermark >= 1.0:
             raise ValueError("high_watermark must be >= 1")
         if not 0.0 <= self.low_watermark < 1.0:
             raise ValueError("low_watermark must be in [0, 1)")
@@ -161,7 +163,7 @@ class RebalanceDaemon:
         useless — the Vm strands in flight while the local fragment has
         already been drained. The liveness registry is planning-only
         input (the transport still never reports failures). Placement
-        comes from the site's router (``peers_for``), so under a
+        comes from the site's directory (``peers_for``), so under a
         non-"all" partitioner the planner moves value only among the
         item's owners; under "all" this is exactly the old full peer
         list.

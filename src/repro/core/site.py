@@ -11,9 +11,8 @@ and logging discipline as real transactions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.cc import ConcurrencyControl
 from repro.core.fragments import FragmentStore
@@ -40,7 +39,6 @@ from repro.net.network import Network
 from repro.reads.messages import ViewRefresh
 from repro.obs.events import LogForce, SiteCrash
 from repro.sim.kernel import Simulator
-from repro.storage.checkpoint import CheckpointPolicy
 from repro.storage.log import StableLog
 from repro.storage.pages import PageStore
 from repro.storage.records import (
@@ -51,32 +49,9 @@ from repro.storage.records import (
     VmEntry,
 )
 
-
-@dataclass
-class SiteConfig:
-    """Per-site protocol knobs."""
-
-    txn_timeout: float = 30.0
-    retransmit_period: float = 5.0
-    checkpoint_interval: int = 0  # log records between checkpoints; 0 = off
-    #: Retry request rounds before the timeout fires (Section 5 mentions
-    #: "the requests could be re-tried a few more times" as a variation;
-    #: 0 reproduces the paper's pessimistic base protocol).
-    request_retries: int = 0
-    #: After honoring a read-drain, keep the drained fragment locked for
-    #: this long (None = txn_timeout). Reproduction finding: without
-    #: this freeze a drained site can be re-funded (local increments,
-    #: arriving Vm) before the reader commits, and the committed read
-    #: misses that value non-serializably. The freeze realizes the
-    #: paper's implicit serial-execution assumption that "all sites
-    #: other than the site where the read is performed will have null
-    #: values" while the read completes; it is time-bounded, so the
-    #: non-blocking property survives.
-    read_freeze: float | None = None
-    #: Suppress explicit VmAcks already carried by a same-instant data
-    #: message's piggyback field (see VmManager). Off by default; the
-    #: system façade turns it on together with transport bundling.
-    coalesce_acks: bool = False
+if TYPE_CHECKING:
+    from repro.core.partition import Directory
+    from repro.core.system import SystemConfig
 
 
 class SiteDown(RuntimeError):
@@ -84,20 +59,24 @@ class SiteDown(RuntimeError):
 
 
 class DvPSite:
-    """One failure-prone site in a DvP system."""
+    """One failure-prone site in a DvP system; ``DvPSystem._new_site``
+    builds and wires every one."""
 
     def __init__(self, name: str, rank: int, sim: Simulator,
                  network: Network, cc: ConcurrencyControl,
-                 policy: RedistributionPolicy,
-                 config: SiteConfig | None = None,
-                 on_result: Callable[[TxnResult], None] | None = None) -> None:
+                 policy: RedistributionPolicy, config: SystemConfig,
+                 directory: Directory,
+                 on_result: Callable[[TxnResult], None]) -> None:
         self.name = name
         self.rank = rank
         self.sim = sim
         self.network = network
         self.cc = cc
         self.policy = policy
-        self.config = config or SiteConfig()
+        #: The system's config, shared by all its sites.
+        self.config = config
+        #: The system's partition directory: placement and its epoch.
+        self.directory = directory
         self.on_result = on_result
 
         # Observability handles (docs/OBSERVABILITY.md): the shared
@@ -116,16 +95,12 @@ class DvPSite:
         #: by DvPSystem after construction; the notify methods below
         #: look it up late so VmManagers rebuilt by recovery stay wired.
         self.observer = None
-        #: Placement router (repro.core.partition.Router). Set by
-        #: DvPSystem after construction; None = static topology (every
-        #: peer owns every item — the seed behaviour).
-        self.router = None
         #: True once the directory dropped this site (System.remove_site).
         #: The site stays alive and registered until its value drains.
         self.decommissioned = False
         #: Bounded-staleness view cache (repro.reads; docs/READS.md).
-        #: Wired by the system's ViewService when views are enabled;
-        #: None = the classic fan-out-only read path.
+        #: Wired by the system when views are enabled; None = the
+        #: classic fan-out-only read path.
         self.views = None
         self.locks = LockTable()
         self.clock = LamportClock(rank)
@@ -133,8 +108,6 @@ class DvPSite:
         #: (repro.core.redistribution). Volatile, like the lock table.
         self.demand = DemandTracker(sim)
         self.vm = self._new_vm_manager()
-        self.checkpoint_policy = CheckpointPolicy(
-            self.config.checkpoint_interval)
 
         self.alive = True
         self.active: dict[str, Transaction] = {}
@@ -171,7 +144,9 @@ class DvPSite:
             retransmit_period=self.config.retransmit_period,
             on_created=self._notify_vm_created,
             on_accepted=self._notify_vm_accepted,
-            coalesce_acks=self.config.coalesce_acks)
+            # Bundling coalesces the explicit acks a same-instant
+            # piggyback already carries.
+            coalesce_acks=self.config.bundling is not None)
 
     def _notify_vm_created(self, entry) -> None:
         if self.observer is not None:
@@ -189,31 +164,22 @@ class DvPSite:
     def peers(self) -> tuple[str, ...]:
         """Every other site (all sites hold fragments of all items);
         cached until network membership or the directory epoch moves."""
-        key = (self.network.membership, self.current_epoch())
+        key = (self.network.membership, self.directory.epoch)
         if self._peers[0] != key:
             self._peers = (key, tuple(site for site in self.network.sites
                                       if site != self.name))
         return self._peers[1]
 
-    def current_epoch(self) -> int:
-        """The directory epoch placement is currently resolved against."""
-        if self.router is None:
-            return 0
-        return self.router.directory.epoch
-
-    def peers_for(self, item: str, epoch_hint: int | None = None
-                  ) -> tuple[str, ...]:
+    def peers_for(self, item: str) -> tuple[str, ...]:
         """Peers worth asking for *item*'s value: its directory owners.
 
-        Falls back to :meth:`peers` with no router (static topology)
-        or when this site is the item's only owner — a transaction
-        short of value may still find it at a non-owner holding strays
-        (reads always fan to everyone, so nothing is unreachable).
+        Falls back to :meth:`peers` when this site is the item's only
+        owner — a transaction short of value may still find it at a
+        non-owner holding strays (reads always fan to everyone, so
+        nothing is unreachable).
         """
-        if self.router is None:
-            return self.peers()
-        owners, _epoch = self.router.route(item, epoch_hint)
-        targets = tuple(site for site in owners if site != self.name)
+        targets = tuple(site for site in self.directory.owners(item)
+                        if site != self.name)
         return targets or self.peers()
 
     # -- client API -------------------------------------------------------
@@ -247,7 +213,10 @@ class DvPSite:
     # -- logging ----------------------------------------------------------
 
     def log_append(self, record: Any) -> int:
-        """Force a record; take a checkpoint when the policy says so.
+        """Force a record; take a checkpoint every
+        ``config.checkpoint_interval`` appends (0 = never). Section 7:
+        checkpointing cuts the redo scan "in the usual manner" —
+        recovery replays only the suffix after the last checkpoint.
 
         The checkpoint itself is deferred to a fresh event: callers
         apply a record's actions immediately after appending it, and a
@@ -260,7 +229,8 @@ class DvPSite:
             self._obs.emit(LogForce(t=self.sim.now, site=self.name,
                                     record=type(record).__name__, lsn=lsn))
         self._records_since_checkpoint += 1
-        if self.checkpoint_policy.due(self._records_since_checkpoint) \
+        interval = self.config.checkpoint_interval
+        if interval and self._records_since_checkpoint >= interval \
                 and not self._checkpoint_scheduled:
             self._checkpoint_scheduled = True
             self.sim.after(0.0, self._deferred_checkpoint,
@@ -406,7 +376,7 @@ class DvPSite:
         Transfer grants release the lock immediately. Read drains keep
         the fragment locked for the configured freeze window so the
         reading transaction observes a stable "all other fragments are
-        null" state (see SiteConfig.read_freeze).
+        null" state (see SystemConfig.read_freeze).
         """
         freeze = False
         try:
@@ -531,9 +501,9 @@ class DvPSite:
         """The system is closing (``DvPSystem.close``): let go of what
         points back at this site or out at the system. The Vm manager
         and the undecided transactions' timers hold this site's bound
-        methods, lock waiters hold its closures, and the observer,
-        ``on_result``, router and view cache lead to the system that
-        holds the site. Stable storage, channel state and every
+        methods, lock waiters hold its closures, and the observer and
+        ``on_result`` lead to the system that holds the site; the view
+        cache goes with them. Stable storage, channel state and every
         counter stay readable."""
         self.vm.close()
         for txn in self.active.values():
@@ -542,7 +512,7 @@ class DvPSite:
         self.wakeable = set()
         self.locks.clear()
         self.observer = self.fragments.observer = None
-        self.on_result = self.router = self.views = None
+        self.on_result = self.views = None
 
     def skew_fire_timers(self) -> None:
         """Model a clock-skew jump: every armed local timer fires NOW.

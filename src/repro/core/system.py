@@ -27,22 +27,17 @@ from repro.core.migration import (
     ReshardInProgress,
     plan_moves,
 )
-from repro.core.partition import (
-    PARTITIONERS,
-    Directory,
-    Router,
-    make_partitioner,
-)
+from repro.core.partition import PARTITIONERS, Directory, make_partitioner
 from repro.core.policies import make_policy
 from repro.core.recovery import RecoveryReport
-from repro.core.site import DvPSite, SiteConfig, SiteDown
+from repro.core.site import DvPSite, SiteDown
 from repro.core.transactions import Transaction, TransactionSpec, TxnResult
 from repro.net.link import LinkConfig
 from repro.net.network import Network
 from repro.obs.events import DirectoryEpoch, SiteDecommission, SiteJoin
 from repro.net.outbox import BundlingConfig
 from repro.net.sync import SynchronousNetwork
-from repro.reads.views import ViewConfig, ViewService
+from repro.reads.views import SiteViewCache, ViewConfig, ViewService
 from repro.sim.kernel import Simulator
 from repro.sim.shard import ShardPlan, ShardedSimulator
 
@@ -58,8 +53,21 @@ class SystemConfig:
     policy_kwargs: dict = field(default_factory=dict)
     txn_timeout: float = 30.0
     retransmit_period: float = 5.0
+    #: A site checkpoints every this many log appends; 0 = never.
     checkpoint_interval: int = 0
+    #: Retry request rounds before the timeout fires (Section 5 mentions
+    #: "the requests could be re-tried a few more times" as a variation;
+    #: 0 reproduces the paper's pessimistic base protocol).
     request_retries: int = 0
+    #: After honoring a read-drain, keep the drained fragment locked for
+    #: this long (None = txn_timeout). Reproduction finding: without
+    #: this freeze a drained site can be re-funded (local increments,
+    #: arriving Vm) before the reader commits, and the committed read
+    #: misses that value non-serializably. The freeze realizes the
+    #: paper's implicit serial-execution assumption that "all sites
+    #: other than the site where the read is performed will have null
+    #: values" while the read completes; it is time-bounded, so the
+    #: non-blocking property survives.
     read_freeze: float | None = None
     link: LinkConfig = field(default_factory=LinkConfig)
     #: Conc2 requires the order-synchronous network; None = follow cc.
@@ -101,10 +109,14 @@ class SystemConfig:
             raise ValueError("txn_timeout must be positive and finite")
         if not 0 < self.retransmit_period < inf:
             raise ValueError("retransmit_period must be positive and finite")
-        if self.request_retries < 0:
-            raise ValueError("request_retries must be >= 0")
+        if not 0 <= self.checkpoint_interval < inf:
+            raise ValueError("checkpoint_interval must be >= 0 and finite")
+        if not 0 <= self.request_retries < inf:
+            raise ValueError("request_retries must be >= 0 and finite")
         if self.read_freeze is not None and not 0 <= self.read_freeze < inf:
             raise ValueError("read_freeze must be >= 0 and finite (or None)")
+        if not 0 <= self.sync_delay < inf:
+            raise ValueError("sync_delay must be >= 0 and finite")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.shard_workers < 1:
@@ -199,49 +211,52 @@ class DvPSystem:
         self.directory = Directory(
             make_partitioner(self.config.partitioner),
             self.config.sites, replicas=self.config.replicas)
-        self.router = Router(self.directory)
         self._items: dict[str, Domain] = {}
         self._migration: MigrationController | None = None
         self.migrations: list[MigrationController] = []
         #: Components built around this system that :meth:`close` must
         #: close with it (see :meth:`attach`).
         self._attached: list[Any] = []
-        site_config = SiteConfig(
-            txn_timeout=self.config.txn_timeout,
-            retransmit_period=self.config.retransmit_period,
-            checkpoint_interval=self.config.checkpoint_interval,
-            request_retries=self.config.request_retries,
-            read_freeze=self.config.read_freeze,
-            # Bundling coalesces the explicit acks a same-instant
-            # piggyback already carries.
-            coalesce_acks=self.config.bundling is not None)
-        self._site_config = site_config
-        self.sites: dict[str, DvPSite] = {}
-        for rank, name in enumerate(self.config.sites):
-            # Built in the site's own scheduling context so anything a
-            # site arms at construction lands on its shard (a no-op on
-            # the single-queue kernel).
-            self.sites[name] = self.sim.call_in_site(
-                name,
-                lambda name=name, rank=rank: DvPSite(
-                    name, rank, self.sim, self.network, self.cc,
-                    self.policy, site_config,
-                    on_result=self._record_result))
-        self._next_rank = len(self.config.sites)
-        # The auditor hooks into the sites' fragment stores and Vm
-        # lifecycles (incremental accounting), so it attaches after
-        # the sites exist.
         self.auditor = ConservationAuditor(self)
+        self.sites: dict[str, DvPSite] = {}
+        for name in self.config.sites:
+            self._new_site(name)
         #: Item → the read-only ``{item: live Vm total}`` that single-
         #: item reads share as their ``inflight_at_commit``.
         self._inflight: dict[str, Mapping[str, Any]] = {}
-        for site in self.sites.values():
-            site.router = self.router
         #: Bounded-staleness view service (docs/READS.md); it
         #: publishes off the auditor's books.
         self.views: ViewService | None = None
         if self.config.views is not None:
             self.views = ViewService(self, self.config.views)
+
+    def _new_site(self, name: str) -> DvPSite:
+        """Build site *name* and wire it into this system: the shared
+        config, directory, cc and policy; the auditor as its accounting
+        observer; a cold view cache when views are on; and the zero
+        fragment of every known item (conservation-neutral).
+
+        Built in the site's own scheduling context so anything it arms
+        lands on its shard (a no-op on the single-queue kernel). Sites
+        are never dropped from :attr:`sites`, so its size is the next
+        rank (the Lamport clock's tie-breaker)."""
+        rank = len(self.sites)
+
+        def build() -> DvPSite:
+            site = DvPSite(name, rank, self.sim, self.network, self.cc,
+                           self.policy, self.config, self.directory,
+                           self._record_result)
+            site.observer = site.fragments.observer = self.auditor
+            if self.config.views is not None:
+                site.views = SiteViewCache(
+                    name, self.sim, self.config.views.resolved_ttl,
+                    self.directory)
+            for item, domain in self._items.items():
+                site.fragments.register(item, domain, domain.zero())
+            return site
+
+        self.sites[name] = site = self.sim.call_in_site(name, build)
+        return site
 
     # -- item registration --------------------------------------------------
 
@@ -333,23 +348,7 @@ class DvPSystem:
             raise ValueError(f"site {name!r} already exists")
         self._check_reshardable()
         self.sim.adopt_site(name)
-        rank = self._next_rank
-        self._next_rank += 1
-        site = self.sim.call_in_site(
-            name,
-            lambda: DvPSite(name, rank, self.sim, self.network, self.cc,
-                            self.policy, self._site_config,
-                            on_result=self._record_result))
-        self.sites[name] = site
-        site.observer = self.auditor
-        site.fragments.observer = self.auditor
-        site.router = self.router
-        if self.views is not None:
-            self.views.adopt_site(site)
-        for item, domain in self._items.items():
-            self.sim.call_in_site(
-                name, lambda item=item, domain=domain:
-                site.fragments.register(item, domain, domain.zero()))
+        site = self._new_site(name)
         old = self._snapshot_owners()
         self.directory.add_site(name)
         if self.sim.obs.enabled:

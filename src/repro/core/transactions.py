@@ -350,7 +350,7 @@ class Transaction:
         #: Directory epoch this transaction resolved placement against.
         #: The migration controller's fence waits for transactions with
         #: older epochs to drain before moving fragments.
-        self.epoch = site.current_epoch()
+        self.epoch = site.directory.epoch
         self.state = _State.NEW
         self.submitted_at = site.sim.now
         self.requests_sent = 0
@@ -533,7 +533,7 @@ class Transaction:
             # (identical to *peers* under the "all" partitioner); reads
             # above always fan to everyone, since any site may hold
             # stray value.
-            targets = site.peers_for(item, self.epoch)
+            targets = site.peers_for(item)
             for peer, ask in site.policy.targets(
                     site.name, targets, deficit, domain, rng):
                 self._ask(peer, item, TRANSFER_MODE, ask)
@@ -625,7 +625,7 @@ class Transaction:
         reshard invalidates their epoch. A failed re-check retries the
         cache once (a fresher refresh may have landed), then escalates."""
         now = self.site.sim.now
-        epoch = self.site.current_epoch()
+        epoch = self.site.directory.epoch
         for item in sorted(self._view_certs):
             cert = self._view_certs[item]
             aged = cert.bound is not None and now - cert.as_of > cert.bound

@@ -98,8 +98,6 @@ class HybridSystem:
         self.path_sensitive = path_sensitive
         self.modes: dict[str, ItemMode] = {}
         self.homes: dict[str, str] = {}
-        self.forwarded = 0
-        self.local_commits = 0
         self._c_local = system.sim.metrics.counter("hybrid.local_commits")
         self._c_forward = system.sim.metrics.counter("hybrid.forwards")
         #: Centralized items whose value leaked away from the home via
@@ -211,7 +209,6 @@ class HybridSystem:
             # commits from the local fragment alone, so skip the
             # forward entirely and decide here. Remember which
             # centralized items just leaked value away from home.
-            self.local_commits += 1
             self._c_local.inc()
             for item in spec.update_items():
                 if self.mode_of(item) is ItemMode.CENTRAL and \
@@ -278,7 +275,6 @@ class HybridSystem:
 
     def _forward(self, origin: str, home: str, spec: TransactionSpec,
                  on_done: Callable[[TxnResult], None] | None) -> None:
-        self.forwarded += 1
         self._c_forward.inc()
         forward_id = next(self._forward_ids)
         self._pending[forward_id] = _PendingForward(

@@ -47,9 +47,6 @@ class Network:
         self._up: dict[str, bool] = {}
         self.sent_counts: Counter[str] = Counter()
         self.delivered_counts: Counter[str] = Counter()
-        # Drop accounting lives in the simulation's metrics registry
-        # (docs/OBSERVABILITY.md); the dropped_* properties below are
-        # compatibility views over these counters.
         self._obs = sim.obs
         self._after_for_site = sim.after_for_site
         self._c_dropped_partition = sim.metrics.counter(

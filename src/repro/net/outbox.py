@@ -30,6 +30,7 @@ retransmission re-offers whatever a dropped bundle carried.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
@@ -50,8 +51,8 @@ class BundlingConfig:
     flush_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.flush_delay < 0:
-            raise ValueError("flush_delay must be >= 0")
+        if not 0 <= self.flush_delay < inf:
+            raise ValueError("flush_delay must be >= 0 and finite")
 
 
 @dataclass

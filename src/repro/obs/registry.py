@@ -6,8 +6,7 @@ handles once (at construction or on first use) and bump them directly,
 so the hot path is an attribute add — no name lookup per increment.
 The registry is the *queryable* side: it indexes every metric by
 ``(name, labels)`` so experiments, the CLI, and tests read one place
-instead of scraping ad-hoc fields scattered over the Vm/network layers
-(which are now thin property views over these counters).
+instead of scraping ad-hoc fields scattered over the Vm/network layers.
 
 Metric families in use:
 

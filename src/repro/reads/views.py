@@ -39,13 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.obs.events import ReadViewMiss, ReadViewRefresh, ReadViewServe
 from repro.reads.messages import ViewCertificate, ViewEntry, ViewRefresh
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.site import DvPSite
+    from repro.core.partition import Directory
     from repro.core.system import DvPSystem
     from repro.sim.kernel import Simulator
 
@@ -111,11 +111,11 @@ class SiteViewCache:
     """
 
     def __init__(self, site: str, sim: "Simulator", ttl: float,
-                 epoch_of: Callable[[], int]) -> None:
+                 directory: "Directory") -> None:
         self.site = site
         self.sim = sim
         self.ttl = ttl
-        self.epoch_of = epoch_of
+        self.directory = directory
         self.entries: dict[str, ViewEntry] = {}
         self._obs = sim.obs
         self.c_hits = sim.metrics.counter("view.hits", site=site)
@@ -148,7 +148,7 @@ class SiteViewCache:
         reason = ""
         if entry is None:
             reason = "cold"
-        elif entry.epoch != self.epoch_of():
+        elif entry.epoch != self.directory.epoch:
             # PR 7 fencing: the topology changed since this entry was
             # minted; evict so the next refresh re-populates it.
             del self.entries[item]
@@ -191,16 +191,8 @@ class ViewService:
         self.refresh_sends = 0
         self._running = True
         self._last_values: dict[str, Any] | None = None
-        for site in system.sites.values():
-            self.adopt_site(site)
         self.sim.at_global(self.sim.now + config.refresh_period,
                            self._tick, label="view:refresh")
-
-    def adopt_site(self, site: "DvPSite") -> None:
-        """Wire a cold cache into *site*."""
-        site.views = SiteViewCache(
-            site.name, self.sim, self.config.resolved_ttl,
-            lambda: self.system.directory.epoch)
 
     def stop(self) -> None:
         """Stop the refresh chain (the pending tick becomes a no-op)."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from math import inf
 from typing import Callable
 
 from repro.core.system import DvPSystem
@@ -49,8 +50,8 @@ class ServingConfig:
             raise ValueError("max_inflight must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 (or None)")
-        if self.board_period <= 0:
-            raise ValueError("board_period must be positive")
+        if not 0 < self.board_period < inf:
+            raise ValueError("board_period must be positive and finite")
 
 
 class ServingFrontend:

@@ -8,7 +8,6 @@ survivability contract the Vm lifecycle and the independent-recovery
 algorithm rely on.
 """
 
-from repro.storage.checkpoint import CheckpointPolicy
 from repro.storage.log import LogRecordEnvelope, StableLog
 from repro.storage.pages import PageStore
 from repro.storage.records import (
@@ -23,7 +22,6 @@ from repro.storage.records import (
 
 __all__ = [
     "AppliedRecord",
-    "CheckpointPolicy",
     "CheckpointRecord",
     "CommitRecord",
     "LogRecordEnvelope",

@@ -304,8 +304,8 @@ def _hybrid(path_sensitive: bool) -> dict:
     pins["transitions"] = _digest(transitions)
     pins["modes"] = sorted((item, mode.value)
                            for item, mode in hybrid.modes.items())
-    pins["forwarded"] = hybrid.forwarded
-    pins["local_commits"] = hybrid.local_commits
+    pins["forwarded"] = hybrid.sim.metrics.total("hybrid.forwards")
+    pins["local_commits"] = hybrid.sim.metrics.total("hybrid.local_commits")
     pins["heard_count"] = len(heard)
     return pins
 

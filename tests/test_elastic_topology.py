@@ -1,19 +1,21 @@
 """Negative paths and liveness for elastic topology changes.
 
 The happy paths live in the chaos suites and E13; these tests pin the
-refusals — re-entrant reshards, removing crashed or already-gone sites,
-routing against a stale epoch — and one live join+leave under workload
-with the full conservation cross-check green throughout."""
+refusals (re-entrant reshards, removing crashed or already-gone sites),
+how a joining site is wired, where a site routes after a reshard, and
+one live join+leave under workload with the full conservation
+cross-check green throughout."""
 
 import pytest
 
 from repro.core.domain import CounterDomain
 from repro.core.migration import ReshardInProgress
-from repro.core.partition import Router
 from repro.core.site import SiteDown
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import DecrementOp, IncrementOp, TransactionSpec
 from repro.net.link import LinkConfig
+from repro.net.outbox import BundlingConfig
+from repro.reads.views import ViewConfig
 
 
 def _system(sites=4, partitioner="consistent", replicas=2, seed=9,
@@ -84,24 +86,51 @@ class TestRemoveSiteRefusals:
             system.add_site("S0")
 
 
-class TestRouterEpochFencing:
-    def test_route_with_stale_hint_retries_against_new_version(self):
-        system = _system()
-        stale_hint = system.directory.epoch
-        system.reshard(1)
-        retries_before = system.router.stale_retries
-        owners, epoch = system.router.route("item0", epoch_hint=stale_hint)
-        assert system.router.stale_retries == retries_before + 1
-        assert epoch == system.directory.epoch
-        assert owners == system.directory.owners("item0")
+class TestJoinWiring:
+    @pytest.mark.parametrize("views", [False, True],
+                             ids=["fanout", "views"])
+    @pytest.mark.parametrize("bundling", [False, True],
+                             ids=["unbundled", "bundled"])
+    def test_a_joiner_is_wired_like_a_founder(self, bundling, views):
+        system = DvPSystem(SystemConfig(
+            sites=["S0", "S1", "S2"], seed=9,
+            link=LinkConfig(base_delay=1.0),
+            bundling=BundlingConfig() if bundling else None,
+            views=ViewConfig() if views else None))
+        system.add_item("item0", CounterDomain(), total=30)
+        joiner = system.add_site("S3")
+        founder = system.sites["S0"]
+        assert system.sites["S3"] is joiner and joiner.rank == 3
+        for site in (founder, joiner):
+            assert site.config is system.config
+            assert site.directory is system.directory
+            assert site.observer is system.auditor
+            assert site.fragments.observer is system.auditor
+            assert site.on_result == system._record_result
+            assert (site.views is not None) is views
+            assert site.vm._coalesce is bundling
+        if views:
+            assert joiner.views.directory is system.directory
+            assert joiner.views.ttl == founder.views.ttl
+        assert joiner.fragments.value("item0") == 0
 
-    def test_route_with_fresh_hint_is_free(self):
+
+class TestReshardRouting:
+    def test_a_site_asks_the_current_owners(self):
+        """After a reshard every site routes by the new directory: a
+        non-owner asks exactly the item's current owners, an owner
+        that is alone falls back to every peer."""
         system = _system()
-        retries_before = system.router.stale_retries
-        owners, epoch = system.router.route(
-            "item0", epoch_hint=system.directory.epoch)
-        assert system.router.stale_retries == retries_before
-        assert owners == system.directory.owners("item0")
+        before = system.directory.epoch
+        system.reshard(1)
+        assert system.directory.epoch == before + 1
+        for item in ("item0", "item1"):
+            owners = system.directory.owners(item)
+            assert len(owners) == 1
+            for name, site in system.sites.items():
+                expected = tuple(owner for owner in owners
+                                 if owner != name) or site.peers()
+                assert site.peers_for(item) == expected
 
 
 class TestLiveReshardUnderWorkload:

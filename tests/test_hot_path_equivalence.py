@@ -98,7 +98,7 @@ def transfers_bundled() -> dict:
     system = _transfer_system(
         link=LinkConfig(base_delay=1.0, jitter=0.5),
         bundling=BundlingConfig(flush_delay=0.5))
-    assert system.sites["S0"].config.coalesce_acks
+    assert system.sites["S0"].vm._coalesce
     system.run_until(120.0)
     return pins(system)
 

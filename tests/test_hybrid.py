@@ -22,6 +22,14 @@ def build(timeout=12.0):
     return system, HybridSystem(system)
 
 
+def forwards(hybrid):
+    return hybrid.sim.metrics.total("hybrid.forwards")
+
+
+def local_commits(hybrid):
+    return hybrid.sim.metrics.total("hybrid.local_commits")
+
+
 def consolidate(system, hybrid, item="x", home="A"):
     results = []
     hybrid.consolidate(item, home, results.append)
@@ -82,7 +90,7 @@ class TestRouting:
         system.run_for(5.0)
         assert results and results[0].committed
         assert results[0].latency == 0.0
-        assert hybrid.forwarded == 0
+        assert forwards(hybrid) == 0
 
     def test_remote_submissions_forwarded(self):
         system, hybrid = build()
@@ -92,7 +100,7 @@ class TestRouting:
             ops=(DecrementOp("x", 5),)), results.append)
         system.run_for(20.0)
         assert results and results[0].committed
-        assert hybrid.forwarded == 1
+        assert forwards(hybrid) == 1
         assert results[0].latency >= 2.0  # one round trip
         assert system.fragment_values("x")["A"] == 85
         system.auditor.assert_ok()
@@ -125,7 +133,7 @@ class TestRouting:
             ops=(DecrementOp("x", 5),)), results.append)
         system.run_for(10.0)
         assert results and results[0].committed
-        assert hybrid.forwarded == 0
+        assert forwards(hybrid) == 0
 
     def test_partition_aborts_forwarded_transactions(self):
         system, hybrid = build()
@@ -194,14 +202,14 @@ class TestPathSensitive:
     def test_increment_at_non_home_commits_locally(self):
         system, hybrid = build_path_sensitive()
         consolidate(system, hybrid)
-        forwards_before = hybrid.forwarded
+        forwards_before = forwards(hybrid)
         results = []
         hybrid.submit("B", TransactionSpec(
             ops=(IncrementOp("x", 5),)), results.append)
         system.run_for(10.0)
         assert results and results[0].committed
-        assert hybrid.local_commits == 1
-        assert hybrid.forwarded == forwards_before
+        assert local_commits(hybrid) == 1
+        assert forwards(hybrid) == forwards_before
 
     def test_covered_decrement_commits_locally_after_dispersal(self):
         system, hybrid = build_path_sensitive()
@@ -214,19 +222,19 @@ class TestPathSensitive:
             ops=(DecrementOp("x", 3),)), results.append)
         system.run_for(10.0)
         assert results and results[0].committed
-        assert hybrid.local_commits == 2
+        assert local_commits(hybrid) == 2
 
     def test_uncovered_decrement_still_forwards(self):
         system, hybrid = build_path_sensitive()
         consolidate(system, hybrid)
-        forwards_before = hybrid.forwarded
+        forwards_before = forwards(hybrid)
         results = []
         hybrid.submit("B", TransactionSpec(
             ops=(DecrementOp("x", 5),)), results.append)
         system.run_for(20.0)
         assert results and results[0].committed
-        assert hybrid.forwarded == forwards_before + 1
-        assert hybrid.local_commits == 0
+        assert forwards(hybrid) == forwards_before + 1
+        assert local_commits(hybrid) == 0
 
     def test_full_read_always_forwards(self):
         system, hybrid = build_path_sensitive()
@@ -237,7 +245,7 @@ class TestPathSensitive:
         system.run_for(20.0)
         assert results and results[0].committed
         assert results[0].read_values["x"] == 90
-        assert hybrid.local_commits == 0
+        assert local_commits(hybrid) == 0
 
     def test_dispersal_disables_home_read_rewrite(self):
         system, hybrid = build_path_sensitive()
@@ -261,8 +269,8 @@ class TestPathSensitive:
             ops=(IncrementOp("x", 5),)), results.append)
         system.run_for(20.0)
         assert results and results[0].committed
-        assert hybrid.forwarded == 1
-        assert hybrid.local_commits == 0
+        assert forwards(hybrid) == 1
+        assert local_commits(hybrid) == 0
 
     def test_mixed_traffic_conserves(self):
         system, hybrid = build_path_sensitive()
@@ -276,7 +284,7 @@ class TestPathSensitive:
         system.run_for(60.0)
         system.auditor.assert_ok()
         assert system.auditor.expected("x") == 89
-        assert hybrid.local_commits > 0
+        assert local_commits(hybrid) > 0
 
     def test_fast_path_sends_fewer_messages_for_the_same_outcome(self):
         """Soethout et al.'s point, in counts: the same traffic at
@@ -302,7 +310,7 @@ class TestPathSensitive:
 
         forwarding, forwarded_sent, forwarded_value = run(False)
         local, local_sent, local_value = run(True)
-        assert forwarding.local_commits == 0 < local.local_commits
-        assert local.forwarded < forwarding.forwarded
+        assert local_commits(forwarding) == 0 < local_commits(local)
+        assert forwards(local) < forwards(forwarding)
         assert local_sent < forwarded_sent
         assert local_value == forwarded_value == 90 + 5 * (2 + 2 - 1)

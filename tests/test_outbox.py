@@ -42,6 +42,12 @@ def counter_total(sim, name):
 
 
 class TestBundlingConfig:
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_a_non_finite_flush_delay_is_refused(self, delay):
+        with pytest.raises(ValueError, match="flush_delay"):
+            BundlingConfig(flush_delay=delay)
+
     def test_negative_flush_delay_rejected(self):
         with pytest.raises(ValueError):
             BundlingConfig(flush_delay=-0.5)

@@ -28,6 +28,14 @@ def build(**kwargs):
 
 
 class TestConfig:
+    @pytest.mark.parametrize("name,value", [
+        ("period", float("nan")), ("period", float("inf")),
+        ("high_watermark", float("nan")),
+    ], ids=lambda value: str(value))
+    def test_a_non_finite_number_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RebalanceConfig(**{name: value})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RebalanceConfig(period=0)

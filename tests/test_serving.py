@@ -61,6 +61,12 @@ class TestServingConfig:
         with pytest.raises(ValueError):
             ServingConfig(board_period=0.0)
 
+    @pytest.mark.parametrize("period", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_a_non_finite_board_period_is_refused(self, period):
+        with pytest.raises(ValueError, match="board_period"):
+            ServingConfig(board_period=period)
+
     @pytest.mark.parametrize("depth", [0, -1])
     def test_bad_depth_rejected(self, depth):
         """A bound below one would shed every request ``depth``."""

@@ -13,7 +13,11 @@ from repro.core.transactions import (
     TransactionSpec,
 )
 from repro.net.link import LinkConfig
-from repro.storage.records import CheckpointRecord, VmCreateRecord
+from repro.storage.records import (
+    CheckpointRecord,
+    CommitRecord,
+    VmCreateRecord,
+)
 
 
 def build(**kwargs):
@@ -189,6 +193,24 @@ class TestCheckpointing:
         records = [env.record for env in system.sites["A"].log.scan()]
         assert any(isinstance(record, CheckpointRecord)
                    for record in records)
+
+    @pytest.mark.parametrize("interval", [1, 5])
+    def test_checkpoint_after_exactly_interval_appends(self, interval):
+        system = build(checkpoint_interval=interval)
+        site = system.sites["A"]
+
+        def checkpoints():
+            return sum(isinstance(envelope.record, CheckpointRecord)
+                       for envelope in site.log.scan())
+
+        for _ in range(interval - 1):
+            site.log_append(CommitRecord(txn_id="t"))
+        system.run_for(1.0)
+        assert checkpoints() == 0
+        site.log_append(CommitRecord(txn_id="t"))
+        assert checkpoints() == 0  # deferred to a fresh event
+        system.run_for(1.0)
+        assert checkpoints() == 1
 
     def test_checkpoint_contains_fragment_snapshot(self):
         system = build(checkpoint_interval=1)

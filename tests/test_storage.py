@@ -1,8 +1,7 @@
-"""Unit tests for the stable log, page store and checkpoint policy."""
+"""Unit tests for the stable log, page store and log records."""
 
 import pytest
 
-from repro.storage.checkpoint import CheckpointPolicy
 from repro.storage.log import StableLog
 from repro.storage.pages import PageStore
 from repro.storage.records import (
@@ -115,21 +114,6 @@ class TestPageStore:
         pages.write_if_newer("x", 3, 1)
         pages.write_if_newer("x", 4, 1)  # skipped
         assert pages.writes == 2
-
-
-class TestCheckpointPolicy:
-    def test_disabled_by_default(self):
-        assert not CheckpointPolicy().due(10_000)
-
-    def test_due_at_interval(self):
-        policy = CheckpointPolicy(interval_records=5)
-        assert not policy.due(4)
-        assert policy.due(5)
-        assert policy.due(6)
-
-    def test_negative_interval_rejected(self):
-        with pytest.raises(ValueError):
-            CheckpointPolicy(interval_records=-1)
 
 
 class TestRecords:

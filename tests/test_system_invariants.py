@@ -44,8 +44,21 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=name):
             SystemConfig(**{name: value})
 
+    @pytest.mark.parametrize("name,value", [
+        ("checkpoint_interval", NAN), ("checkpoint_interval", -1),
+        ("checkpoint_interval", INF),
+        ("request_retries", NAN), ("request_retries", INF),
+        ("sync_delay", NAN), ("sync_delay", -1.0), ("sync_delay", INF),
+    ], ids=lambda value: str(value))
+    def test_a_bad_count_or_delay_is_refused_by_name(self, name, value):
+        # Each slipped through to fail later: inside the system, at the
+        # first wait or send, or named as the link's base_delay.
+        with pytest.raises(ValueError, match=name):
+            SystemConfig(**{name: value})
+
     def test_boundary_values_accepted(self):
-        SystemConfig(request_retries=0, read_freeze=0.0, txn_timeout=0.5)
+        SystemConfig(request_retries=0, read_freeze=0.0, txn_timeout=0.5,
+                     checkpoint_interval=0, sync_delay=0.0)
 
     def test_conc2_selects_synchronous_network(self):
         system = DvPSystem(SystemConfig(sites=["A", "B"], cc="conc2"))
