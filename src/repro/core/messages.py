@@ -2,11 +2,14 @@
 
 Three payload kinds exist (Sections 4.2 and 5):
 
-* :class:`DataRequest` — "send me value for item d"; *not* critical
-  data, so requests are fire-and-forget (no unique ids, no
+* :class:`DataRequest` — "send me value for items d, e, ..."; *not*
+  critical data, so requests are fire-and-forget (no unique ids, no
   retransmission — the paper notes request delivery is not critical).
-* :class:`VmTransfer` — a real message carrying a virtual message's
-  value; retransmitted until acknowledged.
+  A transaction sends one per peer per round, naming every item it is
+  short of.
+* :class:`VmTransfer` — a real message carrying the virtual messages
+  one create record made for one destination; each is retransmitted
+  on its own until acknowledged.
 * :class:`VmAck` — cumulative acknowledgement for a Vm channel (also
   piggybacked on every VmTransfer in the reverse direction).
 """
@@ -22,24 +25,27 @@ TRANSFER_MODE = "transfer"
 
 
 class DataRequest(NamedTuple):
-    """Ask *origin*'s transaction for value of *item* held remotely.
+    """Ask *origin*'s transaction for value of the items held remotely.
 
-    ``mode == TRANSFER_MODE``: send up to *need* (a partial drain is
-    useful). ``mode == READ_MODE``: send the *entire* fragment, and only
-    if the responder has no outstanding Vm for the item — the condition
-    Section 3 places on evaluating N.
+    ``wants`` is ``((item, need), ...)`` in sorted item order, each item
+    once. ``mode == TRANSFER_MODE``: send up to *need* of each item (a
+    partial drain is useful). ``mode == READ_MODE`` (every need is
+    None): send each *entire* fragment, and only if the responder has
+    no outstanding Vm for the item — the condition Section 3 places on
+    evaluating N. The responder judges each item on its own.
     """
 
     txn_id: str
     origin: str
-    item: str
     mode: str
-    need: Any
+    wants: tuple[tuple[str, Any], ...]
     ts: int
 
 
 class VmTransfer(NamedTuple):
-    """A real message carrying one virtual message.
+    """A real message carrying virtual messages to one destination:
+    the entries of one create record on its first transmission, one
+    entry on a retransmission.
 
     ``piggyback_ack`` acknowledges the reverse channel (dst → src) up to
     that sequence number, as Section 4.2 requires of every message.
@@ -47,7 +53,7 @@ class VmTransfer(NamedTuple):
     """
 
     src: str
-    entry: VmEntry
+    entries: tuple[VmEntry, ...]
     piggyback_ack: int
     ts: int
 

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.partition import stable_hash
 from repro.obs.events import MigrationDone, MigrationShip
+from repro.storage.records import SetFragment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import DvPSystem
@@ -189,7 +190,8 @@ class MigrationController:
             remainder = domain.zero()
             entry = site.vm.allocate_entry(move.dst, move.item, value,
                                            "transfer", owner)
-            site.create_vm(owner, move.item, remainder, ts, (entry,))
+            site.create_vm(owner, (SetFragment(move.item, remainder, ts),),
+                           (entry,))
             move.seq = entry.channel_seq
             move.state = "shipped"
             move.shipped = value if isinstance(value, int) else None

@@ -39,6 +39,7 @@ from repro.core.redistribution import (
 )
 from repro.obs.events import RebalPull, RebalShip
 from repro.sim.timers import PeriodicTimer
+from repro.storage.records import SetFragment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.site import DvPSite
@@ -204,7 +205,8 @@ class RebalanceDaemon:
             remainder = value - surplus
             entry = site.vm.allocate_entry(peer, item, surplus,
                                            "transfer", owner)
-            site.create_vm(owner, item, remainder, ts, (entry,))
+            site.create_vm(owner, (SetFragment(item, remainder, ts),),
+                           (entry,))
             self.shipments += 1
             self._c_ship.value += 1
             self.policy.on_shipped(peer)
@@ -242,8 +244,8 @@ class RebalanceDaemon:
         self._c_pull.value += 1
         request = DataRequest(
             txn_id=f"rebalance-pull:{site.name}:{self.pulls}",
-            origin=site.name, item=item, mode=TRANSFER_MODE,
-            need=need, ts=site.clock.next())
+            origin=site.name, mode=TRANSFER_MODE, wants=((item, need),),
+            ts=site.clock.next())
         site.send_request(peer, request)
         self.policy.on_pulled(peer)
         if self._obs.enabled:

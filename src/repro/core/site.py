@@ -276,12 +276,12 @@ class DvPSite:
         for action in actions:
             self.fragments.write(action.item, action.value, lsn, action.ts)
 
-    def create_vm(self, owner: str, item: str, remainder: Any, ts: int,
+    def create_vm(self, owner: str, actions: tuple[SetFragment, ...],
                   entries: tuple[VmEntry, ...]) -> None:
         """Force ``[database-actions, message-sequence]`` as ONE record
-        (*item*'s fragment becomes *remainder*, *entries* come into
-        existence), apply it, transmit. The caller holds *item*'s lock."""
-        actions = (SetFragment(item, remainder, ts),)
+        (the *actions*' fragments take their new values, *entries* come
+        into existence), apply it, transmit. The caller holds the
+        actions' locks."""
         lsn = self.log_append(VmCreateRecord(
             txn_id=owner, actions=actions, messages=entries))
         self.apply_actions(actions, lsn)
@@ -333,77 +333,106 @@ class DvPSite:
     # -- remote request handling (Rds transactions) --------------------------
 
     def handle_request(self, request: DataRequest) -> None:
-        """Decide whether to honor a remote request (Section 5).
+        """Decide which of a remote request's items to honor (Section 5).
 
-        Any reason suffices to ignore a request — the requester relies
-        only on its timeout. Honoring runs as an Rds transaction under
-        the site's own locks and logging.
+        Each named item is judged on its own: known here, lock free,
+        admitted by the CC scheme, a non-zero grant. Any reason suffices
+        to ignore an item — the requester relies only on its timeout.
+        The honorable items are answered together as ONE Rds
+        transaction under the site's own locks and logging: one create
+        record, one real message. A timestamp refusal sends at most one
+        TsAdvisory, carrying the largest refused stamp.
         """
-        if not self.fragments.knows(request.item):
-            self.requests_ignored += 1
+        fragments = self.fragments
+        wants: dict[str, Any] = {}
+        for item, need in request.wants:
+            # An item named twice is granted once: both would read the
+            # same fragment, and granting it twice would create value.
+            if item in wants or not fragments.knows(item):
+                self.requests_ignored += 1
+                continue
+            wants[item] = need
+        if not wants:
             return
-        if request.mode != READ_MODE and request.need is not None:
+        if request.mode != READ_MODE:
             # Whatever we decide below, the request itself is a demand
-            # signal: *origin* wants value of this item. The rebalance
+            # signal: *origin* wants value of these items. The rebalance
             # planner pushes toward recently-demanding peers.
-            self.demand.note_remote_demand(request.origin, request.item,
-                                           request.need)
+            for item, need in wants.items():
+                if need is not None:
+                    self.demand.note_remote_demand(request.origin, item,
+                                                   need)
         self._rds_counter += 1
         owner = f"rds:{self.name}:{self._rds_counter}"
         if self.cc.waits_for_locks:
             granted = self.locks.acquire_all_or_wait(
-                owner, {request.item},
-                lambda: self._honor_locked(owner, request))
+                owner, wants, lambda: self._honor_locked(owner, request,
+                                                         wants))
             if granted:
-                self._honor_locked(owner, request)
+                self._honor_locked(owner, request, wants)
             return
-        if not self.locks.is_free(request.item):
-            self.requests_ignored += 1
-            return
-        if not self.cc.may_honor(self, request.ts, request.item):
-            self.requests_ignored += 1
-            self.network.send(self.name, request.origin, TsAdvisory(
-                self.fragments.timestamp(request.item)))
-            return
-        if not self.locks.try_acquire_all(owner, {request.item}):
-            self.requests_ignored += 1
-            return
-        self._honor_locked(owner, request)
+        locks, cc = self.locks, self.cc
+        honorable: dict[str, Any] = {}
+        refused_ts = None
+        for item, need in wants.items():
+            if not locks.is_free(item):
+                self.requests_ignored += 1
+            elif not cc.may_honor(self, request.ts, item):
+                self.requests_ignored += 1
+                stamp = fragments.timestamp(item)
+                if refused_ts is None or stamp > refused_ts:
+                    refused_ts = stamp
+            else:
+                honorable[item] = need
+        if refused_ts is not None:
+            self.network.send(self.name, request.origin,
+                              TsAdvisory(refused_ts))
+        if honorable:
+            # Every item was just found free: nothing can fail this.
+            locks.try_acquire_all(owner, honorable)
+            self._honor_locked(owner, request, honorable)
 
-    def _honor_locked(self, owner: str, request: DataRequest) -> None:
-        """Create and dispatch the response Vm while holding the lock.
+    def _honor_locked(self, owner: str, request: DataRequest,
+                      wants: dict[str, Any]) -> None:
+        """Create and dispatch the response Vm while holding the locks.
 
-        Transfer grants release the lock immediately. Read drains keep
-        the fragment locked for the configured freeze window so the
+        Transfer grants release the locks immediately. Read drains keep
+        the fragments locked for the configured freeze window so the
         reading transaction observes a stable "all other fragments are
         null" state (see SystemConfig.read_freeze).
         """
         freeze = False
         try:
-            item = request.item
-            domain = self.fragments.domain(item)
-            available = self.fragments.value(item)
-            if request.mode == READ_MODE:
-                # A site still owing value elsewhere cannot claim its
-                # fragment is complete — refuse (Section 5's rule).
-                if self.vm.has_outstanding(item):
-                    self.requests_ignored += 1
-                    return
-                granted, remainder = available, domain.zero()
-                kind = "read-drain"
-                freeze = True
-            else:
-                granted = self.policy.grant(domain, available, request.need)
-                if domain.is_zero(granted):
-                    self.requests_ignored += 1
-                    return
-                remainder = domain.subtract(available, granted)
-                kind = "transfer"
-            stamp_ts = self.cc.stamp_for_rds(self, request.ts, item)
-            entry = self.vm.allocate_entry(request.origin, item, granted,
-                                           kind, request.txn_id)
-            self.create_vm(owner, item, remainder, stamp_ts, (entry,))
-            self.requests_honored += 1
+            read = request.mode == READ_MODE
+            kind = "read-drain" if read else "transfer"
+            fragments, vm = self.fragments, self.vm
+            actions: list[SetFragment] = []
+            entries: list[VmEntry] = []
+            for item, need in wants.items():
+                domain = fragments.domain(item)
+                available = fragments.value(item)
+                if read:
+                    # A site still owing value elsewhere cannot claim its
+                    # fragment is complete — refuse (Section 5's rule).
+                    if vm.has_outstanding(item):
+                        self.requests_ignored += 1
+                        continue
+                    granted, remainder = available, domain.zero()
+                else:
+                    granted = self.policy.grant(domain, available, need)
+                    if domain.is_zero(granted):
+                        self.requests_ignored += 1
+                        continue
+                    remainder = domain.subtract(available, granted)
+                actions.append(SetFragment(
+                    item, remainder,
+                    self.cc.stamp_for_rds(self, request.ts, item)))
+                entries.append(vm.allocate_entry(
+                    request.origin, item, granted, kind, request.txn_id))
+            if entries:
+                self.create_vm(owner, tuple(actions), tuple(entries))
+                self.requests_honored += len(entries)
+                freeze = read
         finally:
             if freeze:
                 window = (self.config.read_freeze

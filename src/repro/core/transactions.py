@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.core.messages import READ_MODE, TRANSFER_MODE, DataRequest
 from repro.core.operators import BoundedDecrement, PartitionableOperator
@@ -511,15 +511,17 @@ class Transaction:
     # -- redistribution phase -------------------------------------------------
 
     def _send_requests(self) -> None:
-        """Step 2: request value for every inadequate item."""
+        """Step 2: request value for every inadequate item — one request
+        per peer, naming every item that peer is asked for."""
         if not self._needs and not self._read_responders:
             return
         site = self.site
         sent_before = self.requests_sent
-        for item in sorted(self._read_responders):
-            self._request_read(item)
+        if self._read_responders:
+            self._request_reads(sorted(self._read_responders))
         fragments = site.fragments
         rng = None
+        asks: dict[str, dict[str, Any]] = {}
         for item, need in sorted(self._needs.items()):
             domain = fragments.domain(item)
             deficit = domain.deficit(fragments.value(item), need)
@@ -536,7 +538,13 @@ class Transaction:
             targets = site.peers_for(item)
             for peer, ask in site.policy.targets(
                     site.name, targets, deficit, domain, rng):
-                self._ask(peer, item, TRANSFER_MODE, ask)
+                wants = asks.setdefault(peer, {})
+                # A peer picked twice for one item is asked once, for
+                # the sum: the responder grants each item once.
+                wants[item] = (domain.combine(wants[item], ask)
+                               if item in wants else ask)
+        for peer, wants in asks.items():
+            self._ask(peer, TRANSFER_MODE, tuple(wants.items()))
         self._note_requests(sent_before)
 
     def _note_requests(self, sent_before: int) -> None:
@@ -545,12 +553,13 @@ class Transaction:
                 t=self.site.sim.now, site=self.site.name, txn=self.id,
                 requests=self.requests_sent - sent_before))
 
-    def _ask(self, peer: str, item: str, mode: str, need: Any) -> None:
+    def _ask(self, peer: str, mode: str,
+             wants: tuple[tuple[str, Any], ...]) -> None:
         """Send one request; the first one arms the timeout."""
         if self._timer is None:
             self._arm()
         self.site.send_request(peer, DataRequest(
-            self.id, self.site.name, item, mode, need, self.ts))
+            self.id, self.site.name, mode, wants, self.ts))
         self.requests_sent += 1
 
     def on_vm_absorbed(self, entry: VmEntry, src: str) -> None:
@@ -608,15 +617,17 @@ class Transaction:
         if fan:
             self._fan_read(item)
 
-    def _request_read(self, item: str) -> None:
-        """Ask every peer to drain its fragment of *item* to this site."""
+    def _request_reads(self, items: Iterable[str]) -> None:
+        """Ask every peer to drain its fragments of *items* (sorted) to
+        this site: one request per peer."""
+        wants = tuple([(item, None) for item in items])
         for peer in self.site.peers():
-            self._ask(peer, item, READ_MODE, None)
+            self._ask(peer, READ_MODE, wants)
 
     def _fan_read(self, item: str) -> None:
         """Fan READ requests for one late-escalated item."""
         sent_before = self.requests_sent
-        self._request_read(item)
+        self._request_reads((item,))
         self._note_requests(sent_before)
 
     def _revalidate_views(self) -> None:

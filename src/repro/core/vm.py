@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.core.messages import VmAck, VmTransfer
 from repro.obs.events import (
@@ -212,28 +212,35 @@ class VmManager:
                        channel_seq=channel.allocate(), kind=kind,
                        txn_id=txn_id)
 
-    def register_created(self, entries: Iterator[VmEntry] | list[VmEntry],
+    def register_created(self, entries: Sequence[VmEntry],
                          transmit: bool = True) -> None:
-        """Track logged entries as live and (optionally) transmit them."""
+        """Track one create record's logged entries as live and
+        (optionally) transmit them: one real message per destination,
+        carrying all of that destination's entries."""
         now = self.sim.now
+        by_dst: dict[str, list[VmEntry]] = {}
         for entry in entries:
-            channel = self.out_channel(entry.dst)
-            channel.entries[entry.channel_seq] = entry
-            self._note_live(entry)
-            self._c_created.value += 1
-            self._metrics.mark(("vm", self.site, entry.dst,
-                                entry.channel_seq), now)
-            if self._obs.enabled:
-                self._obs.emit(VmCreate(
-                    t=now, site=self.site, dst=entry.dst,
-                    item=entry.item, seq=entry.channel_seq,
-                    amount=entry.amount, vm_kind=entry.kind,
-                    txn=entry.txn_id))
-            if self.on_created is not None:
-                self.on_created(entry)
+            by_dst.setdefault(entry.dst, []).append(entry)
+        for dst, group in by_dst.items():
+            channel = self.out_channel(dst)
+            for entry in group:
+                channel.entries[entry.channel_seq] = entry
+                self._note_live(entry)
+                self._c_created.value += 1
+                self._metrics.mark(("vm", self.site, dst,
+                                    entry.channel_seq), now)
+                if self._obs.enabled:
+                    self._obs.emit(VmCreate(
+                        t=now, site=self.site, dst=dst,
+                        item=entry.item, seq=entry.channel_seq,
+                        amount=entry.amount, vm_kind=entry.kind,
+                        txn=entry.txn_id))
+                if self.on_created is not None:
+                    self.on_created(entry)
+                if transmit:
+                    channel.sent_at[entry.channel_seq] = now
             if transmit:
-                channel.sent_at[entry.channel_seq] = now
-                self._transmit(entry)
+                self._transmit(dst, tuple(group))
         self._ensure_timer()
 
     def has_outstanding(self, item: str) -> bool:
@@ -293,15 +300,17 @@ class VmManager:
                                  f"counter={self._live_by_item}")
         return True
 
-    def _transmit(self, entry: VmEntry, retransmit: bool = False) -> None:
-        dst, now = entry.dst, self.sim.now
+    def _transmit(self, dst: str, entries: tuple[VmEntry, ...],
+                  retransmit: bool = False) -> None:
+        now = self.sim.now
         if self._obs.enabled:
             event_type = VmRetransmit if retransmit else VmTransmit
-            self._obs.emit(event_type(t=now, site=self.site, dst=dst,
-                                      seq=entry.channel_seq))
+            for entry in entries:
+                self._obs.emit(event_type(t=now, site=self.site, dst=dst,
+                                          seq=entry.channel_seq))
         piggyback = self.in_channel(dst).cumulative_accepted
         self._piggyback_sent[dst] = (now, piggyback)
-        self._send(dst, VmTransfer(self.site, entry, piggyback,
+        self._send(dst, VmTransfer(self.site, entries, piggyback,
                                    self._clock_ts()))
 
     def _retransmit_tick(self, overdue_only: bool = True) -> None:
@@ -327,7 +336,7 @@ class VmManager:
                     channel.retransmissions += 1
                     self._c_retx[channel.dst].inc()
                 sent_at[seq] = now
-                self._transmit(entry, retransmit=retransmit)
+                self._transmit(channel.dst, (entry,), retransmit=retransmit)
         if live == 0:
             self._timer.stop()
 
@@ -364,24 +373,31 @@ class VmManager:
     # -- receiver side --------------------------------------------------------
 
     def on_transfer(self, transfer: VmTransfer) -> None:
-        """Handle a real message: ack bookkeeping, dedup, in-order accept."""
-        src, entry = transfer.src, transfer.entry
+        """Handle a real message: ack bookkeeping, then dedup and
+        in-order buffering of each entry it carries."""
+        src = transfer.src
         self._acked(src, transfer.piggyback_ack)
         channel = self.in_channel(src)
-        seq = entry.channel_seq
-        if seq <= channel.cumulative_accepted:
-            # Duplicate (retransmission of something already absorbed):
-            # discard, but re-ack so the sender can stop retransmitting.
-            channel.duplicates_discarded += 1
-            self._c_dup[src].inc()
-            if self._obs.enabled:
-                self._obs.emit(VmDuplicateDiscard(
-                    t=self.sim.now, site=self.site, src=src, seq=seq))
+        fresh = duplicate = False
+        for entry in transfer.entries:
+            seq = entry.channel_seq
+            if seq <= channel.cumulative_accepted:
+                # Retransmission of something already absorbed: discard.
+                duplicate = True
+                channel.duplicates_discarded += 1
+                self._c_dup[src].inc()
+                if self._obs.enabled:
+                    self._obs.emit(VmDuplicateDiscard(
+                        t=self.sim.now, site=self.site, src=src, seq=seq))
+            else:
+                channel.pending[seq] = entry
+                fresh = True
+        if duplicate:
+            # Re-ack so the sender can stop retransmitting.
             self._send_ack(src)
-            return
-        channel.pending[seq] = entry
-        self._backlog.add(src)
-        self.drain(src)
+        if fresh:
+            self._backlog.add(src)
+            self.drain(src)
 
     def drain(self, src: str) -> None:
         """Absorb buffered messages strictly in sequence order.

@@ -37,6 +37,7 @@ from repro.core.transactions import (
     TxnResult,
 )
 from repro.net.message import Envelope
+from repro.storage.records import SetFragment
 
 
 class ItemMode(enum.Enum):
@@ -182,7 +183,8 @@ class HybridSystem:
                                        owner)
                 for peer, amount in sorted(split.items())
                 if not domain.is_zero(amount))
-            site.create_vm(owner, item, remainder, ts, entries)
+            site.create_vm(owner, (SetFragment(item, remainder, ts),),
+                           entries)
         finally:
             site.locks.release_all(owner)
             site.after_lock_release()

@@ -84,8 +84,8 @@ class TestFreezeAcrossCrash:
         system = build(read_freeze=6.0)
         site_b = system.sites["B"]
         ts = 1 << 40
-        site_b.handle_request(DataRequest("A#1", "A", "x", READ_MODE,
-                                          None, ts))
+        site_b.handle_request(DataRequest("A#1", "A", READ_MODE,
+                                          (("x", None),), ts))
         assert not site_b.locks.is_free("x")
         system.crash("B")
         system.run_for(10.0)  # the freeze-release event fires while dead

@@ -80,21 +80,22 @@ class TestFragmentStore:
 
 class TestMessages:
     def test_data_request_modes(self):
-        read = DataRequest("t", "A", "x", READ_MODE, None, 1)
-        transfer = DataRequest("t", "A", "x", TRANSFER_MODE, 5, 1)
+        read = DataRequest("t", "A", READ_MODE, (("x", None),), 1)
+        transfer = DataRequest("t", "A", TRANSFER_MODE, (("x", 5),), 1)
         assert read.mode == "read"
-        assert transfer.need == 5
+        assert transfer.wants == (("x", 5),)
 
     def test_messages_are_frozen(self):
-        request = DataRequest("t", "A", "x", READ_MODE, None, 1)
+        request = DataRequest("t", "A", READ_MODE, (("x", None),), 1)
         with pytest.raises(Exception):
             request.ts = 99  # type: ignore[misc]
 
     def test_vm_transfer_carries_piggyback(self):
         entry = VmEntry(dst="B", item="x", amount=5, channel_seq=1)
-        transfer = VmTransfer(src="A", entry=entry, piggyback_ack=7, ts=3)
+        transfer = VmTransfer(src="A", entries=(entry,), piggyback_ack=7,
+                              ts=3)
         assert transfer.piggyback_ack == 7
-        assert transfer.entry.amount == 5
+        assert transfer.entries[0].amount == 5
 
     def test_ack_fields(self):
         ack = VmAck(src="B", cumulative=4, ts=1)

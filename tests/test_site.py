@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.domain import CounterDomain
 from repro.core.messages import READ_MODE, TRANSFER_MODE, DataRequest
+from repro.core.policies import AskAllPolicy
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import (
     DecrementOp,
@@ -37,8 +38,8 @@ class TestTransferHonoring:
     def test_honors_and_creates_vm(self):
         system = build()
         site_b = system.sites["B"]
-        request = DataRequest(txn_id="A#1", origin="A", item="x",
-                              mode=TRANSFER_MODE, need=10,
+        request = DataRequest(txn_id="A#1", origin="A", mode=TRANSFER_MODE,
+                              wants=(("x", 10),),
                               ts=fresh_ts(system.sites["A"]) + (1 << 40))
         site_b.handle_request(request)
         assert site_b.requests_honored == 1
@@ -52,16 +53,16 @@ class TestTransferHonoring:
     def test_ignores_unknown_item(self):
         system = build()
         site_b = system.sites["B"]
-        site_b.handle_request(DataRequest("A#1", "A", "nope",
-                                          TRANSFER_MODE, 10, 1 << 40))
+        site_b.handle_request(DataRequest("A#1", "A", TRANSFER_MODE,
+                                          (("nope", 10),), 1 << 40))
         assert site_b.requests_ignored == 1
 
     def test_ignores_when_locked(self):
         system = build()
         site_b = system.sites["B"]
         site_b.locks.try_acquire_all("someone", {"x"})
-        site_b.handle_request(DataRequest("A#1", "A", "x",
-                                          TRANSFER_MODE, 10, 1 << 40))
+        site_b.handle_request(DataRequest("A#1", "A", TRANSFER_MODE,
+                                          (("x", 10),), 1 << 40))
         assert site_b.requests_honored == 0
         assert site_b.requests_ignored == 1
 
@@ -69,8 +70,8 @@ class TestTransferHonoring:
         system = build()
         site_b = system.sites["B"]
         site_b.fragments.stamp("x", 1 << 50)
-        site_b.handle_request(DataRequest("A#1", "A", "x",
-                                          TRANSFER_MODE, 10, 5))
+        site_b.handle_request(DataRequest("A#1", "A", TRANSFER_MODE,
+                                          (("x", 10),), 5))
         assert site_b.requests_ignored == 1
         system.sim.run()
         # The advisory bumped A's clock past the winning stamp.
@@ -80,23 +81,23 @@ class TestTransferHonoring:
         system = build()
         site_b = system.sites["B"]
         site_b.fragments.write("x", 0, 0)
-        site_b.handle_request(DataRequest("A#1", "A", "x",
-                                          TRANSFER_MODE, 10, 1 << 40))
+        site_b.handle_request(DataRequest("A#1", "A", TRANSFER_MODE,
+                                          (("x", 10),), 1 << 40))
         assert site_b.requests_ignored == 1
 
     def test_lock_released_after_honor(self):
         system = build()
         site_b = system.sites["B"]
-        site_b.handle_request(DataRequest("A#1", "A", "x",
-                                          TRANSFER_MODE, 10, 1 << 40))
+        site_b.handle_request(DataRequest("A#1", "A", TRANSFER_MODE,
+                                          (("x", 10),), 1 << 40))
         assert site_b.locks.is_free("x")
 
     def test_fragment_stamped_with_requester_ts(self):
         system = build()
         site_b = system.sites["B"]
         ts = 1 << 40
-        site_b.handle_request(DataRequest("A#1", "A", "x",
-                                          TRANSFER_MODE, 10, ts))
+        site_b.handle_request(DataRequest("A#1", "A", TRANSFER_MODE,
+                                          (("x", 10),), ts))
         assert site_b.fragments.timestamp("x") == ts
 
 
@@ -104,8 +105,8 @@ class TestReadHonoring:
     def test_read_drains_full_fragment(self):
         system = build()
         site_b = system.sites["B"]
-        site_b.handle_request(DataRequest("A#1", "A", "x",
-                                          READ_MODE, None, 1 << 40))
+        site_b.handle_request(DataRequest("A#1", "A", READ_MODE,
+                                          (("x", None),), 1 << 40))
         assert site_b.fragments.value("x") == 0
         assert site_b.requests_honored == 1
 
@@ -113,18 +114,18 @@ class TestReadHonoring:
         system = build()
         site_b = system.sites["B"]
         # First create an outstanding Vm via a transfer honor.
-        site_b.handle_request(DataRequest("A#1", "A", "x",
-                                          TRANSFER_MODE, 10, 1 << 40))
+        site_b.handle_request(DataRequest("A#1", "A", TRANSFER_MODE,
+                                          (("x", 10),), 1 << 40))
         assert site_b.vm.has_outstanding("x")
-        site_b.handle_request(DataRequest("A#2", "A", "x",
-                                          READ_MODE, None, 2 << 40))
+        site_b.handle_request(DataRequest("A#2", "A", READ_MODE,
+                                          (("x", None),), 2 << 40))
         assert site_b.requests_ignored == 1
 
     def test_read_freeze_holds_lock(self):
         system = build(read_freeze=8.0)
         site_b = system.sites["B"]
-        site_b.handle_request(DataRequest("A#1", "A", "x",
-                                          READ_MODE, None, 1 << 40))
+        site_b.handle_request(DataRequest("A#1", "A", READ_MODE,
+                                          (("x", None),), 1 << 40))
         assert not site_b.locks.is_free("x")
         system.sim.run_until(system.sim.now + 8.5)
         assert site_b.locks.is_free("x")
@@ -132,8 +133,8 @@ class TestReadHonoring:
     def test_freeze_defers_vm_acceptance(self):
         system = build(read_freeze=8.0)
         site_b = system.sites["B"]
-        site_b.handle_request(DataRequest("A#1", "A", "x",
-                                          READ_MODE, None, 1 << 40))
+        site_b.handle_request(DataRequest("A#1", "A", READ_MODE,
+                                          (("x", None),), 1 << 40))
         # A Vm arriving for the frozen item stays pending...
         entry = system.sites["C"].vm.allocate_entry("B", "x", 4,
                                                     "transfer", "t")
@@ -143,6 +144,116 @@ class TestReadHonoring:
         # ...and is absorbed once the freeze lifts.
         system.run_for(30.0)
         assert site_b.fragments.value("x") == 4
+
+
+def create_records(site) -> list[VmCreateRecord]:
+    return [envelope.record for envelope in site.log.scan()
+            if isinstance(envelope.record, VmCreateRecord)]
+
+
+def build_many(**kwargs):
+    """Five items at 30 a site: ``a`` .. ``e``."""
+    system = build(**kwargs)
+    for item in "abcde":
+        system.add_item(item, CounterDomain(), total=90)
+    return system
+
+
+class TestBatchedHonoring:
+    """One request names every item a peer is asked for; the responder
+    judges each item on its own and answers the honorable ones with one
+    create record and one real message."""
+
+    def test_mixed_request_forces_one_record_of_the_honorable_item(self):
+        system = build_many()
+        site_b = system.sites["B"]
+        site_b.locks.try_acquire_all("someone", {"b"})
+        site_b.fragments.stamp("c", 1 << 41)
+        site_b.fragments.stamp("d", 1 << 42)
+        site_b.fragments.write("e", 0, 0)
+        sent = dict(system.network.sent_counts)
+        site_b.handle_request(DataRequest(
+            "A#1", "A", TRANSFER_MODE,
+            (("a", 10), ("b", 10), ("c", 10), ("d", 10), ("e", 10),
+             ("nope", 10)), 1 << 40))
+        (record,) = create_records(site_b)
+        assert [action.item for action in record.actions] == ["a"]
+        assert [(entry.item, entry.amount) for entry in record.messages] \
+            == [("a", 10)]
+        assert (site_b.requests_honored, site_b.requests_ignored) == (1, 5)
+        # One advisory (for c and d together) and one Vm message.
+        assert system.network.sent_counts["TsAdvisory"] \
+            - sent.get("TsAdvisory", 0) == 1
+        assert system.network.sent_counts["VmTransfer"] \
+            - sent.get("VmTransfer", 0) == 1
+        site_b.locks.release_all("someone")
+        assert site_b.locks.holders == {}
+        system.sim.run()
+        # The advisory carried the largest refused stamp.
+        assert system.sites["A"].clock.next() > (1 << 42)
+
+    def test_item_named_twice_is_granted_once(self):
+        system = build()
+        site_b = system.sites["B"]
+        site_b.handle_request(DataRequest(
+            "A#1", "A", TRANSFER_MODE, (("x", 20), ("x", 20)), 1 << 40))
+        (record,) = create_records(site_b)
+        assert [entry.amount for entry in record.messages] == [20]
+        assert site_b.fragments.value("x") == 10
+        assert (site_b.requests_honored, site_b.requests_ignored) == (1, 1)
+        system.run_for(30.0)
+        system.auditor.assert_ok()
+
+    def test_peer_picked_twice_for_an_item_is_asked_once(self):
+        class Twice(AskAllPolicy):
+            def targets(self, origin, peers, deficit, domain, rng):
+                return [(peer, deficit) for peer in peers for _ in (1, 2)]
+
+        system = build_many()
+        site_a = system.sites["A"]
+        site_a.policy = Twice()
+        requests = []
+        send = site_a.send_request
+        site_a.send_request = lambda dst, request: (
+            requests.append((dst, request)), send(dst, request))
+        results = []
+        system.submit("A", TransactionSpec(
+            ops=(DecrementOp("a", 40), DecrementOp("b", 35))),
+            results.append)
+        assert [(dst, request.wants) for dst, request in requests] == [
+            ("B", (("a", 20), ("b", 10))), ("C", (("a", 20), ("b", 10)))]
+        system.run_for(60.0)
+        assert results[0].committed and results[0].requests_sent == 2
+        system.auditor.assert_ok()
+
+    def test_conc2_wait_path_honors_every_item_once_locks_come_free(self):
+        system = build_many(cc="conc2")
+        site_b = system.sites["B"]
+        site_b.locks.try_acquire_all("someone", {"b"})
+        site_b.handle_request(DataRequest(
+            "A#1", "A", TRANSFER_MODE, (("a", 10), ("b", 10)), 1))
+        assert create_records(site_b) == [] and site_b.locks.is_free("a")
+        site_b.locks.release_all("someone")
+        (record,) = create_records(site_b)
+        assert [(entry.item, entry.amount) for entry in record.messages] \
+            == [("a", 10), ("b", 10)]
+        assert site_b.locks.holders == {}
+        assert site_b.requests_honored == 2
+
+    def test_read_batch_freezes_then_releases(self):
+        system = build_many(read_freeze=8.0)
+        site_b = system.sites["B"]
+        site_b.handle_request(DataRequest(
+            "A#1", "A", READ_MODE, (("a", None), ("b", None)), 1 << 40))
+        (record,) = create_records(site_b)
+        assert [(entry.item, entry.amount, entry.kind)
+                for entry in record.messages] == [
+            ("a", 30, "read-drain"), ("b", 30, "read-drain")]
+        assert not site_b.locks.is_free("a")
+        assert not site_b.locks.is_free("b")
+        system.sim.run_until(system.sim.now + 8.5)
+        assert site_b.locks.holders == {}
+        system.auditor.assert_ok()
 
 
 class TestVmAcceptance:
@@ -238,7 +349,7 @@ class TestDeliverDispatch:
         site_b = system.sites["B"]
         before = site_b.requests_honored
         system.sites["A"].send_request("B", DataRequest(
-            "A#1", "A", "x", TRANSFER_MODE, 10, 1 << 40))
+            "A#1", "A", TRANSFER_MODE, (("x", 10),), 1 << 40))
         system.run_for(5.0)
         assert site_b.requests_honored == before
 
@@ -246,6 +357,6 @@ class TestDeliverDispatch:
         system = build()
         site_b = system.sites["B"]
         system.sites["A"].send_request("B", DataRequest(
-            "A#1", "A", "x", TRANSFER_MODE, 10, (123 << 16)))
+            "A#1", "A", TRANSFER_MODE, (("x", 10),), (123 << 16)))
         system.run_for(5.0)
         assert site_b.clock.counter >= 123

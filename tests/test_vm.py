@@ -65,10 +65,16 @@ class Harness:
 
     def send_value(self, src: str, dst: str, item: str, amount: int,
                    transmit: bool = True):
+        return self.send_values(src, dst, ((item, amount),),
+                                transmit=transmit)[0]
+
+    def send_values(self, src: str, dst: str, amounts, transmit=True):
+        """One create record's entries: ``(item, amount)`` each."""
         manager = self.managers[src]
-        entry = manager.allocate_entry(dst, item, amount, "transfer", "t")
-        manager.register_created([entry], transmit=transmit)
-        return entry
+        entries = [manager.allocate_entry(dst, item, amount, "transfer", "t")
+                   for item, amount in amounts]
+        manager.register_created(entries, transmit=transmit)
+        return entries
 
 
 class TestHappyPath:
@@ -147,7 +153,8 @@ def _sends_to_b(h: Harness) -> list[tuple[float, int]]:
 
     def recording(dst, payload):
         if dst == "B" and isinstance(payload, VmTransfer):
-            log.append((h.sim.now, payload.entry.channel_seq))
+            log.extend((h.sim.now, entry.channel_seq)
+                       for entry in payload.entries)
         send(dst, payload)
 
     manager._send = recording
@@ -221,8 +228,8 @@ class TestOverdueRetransmission:
         rebuilt.restore_entry(entry)
         rebuilt.start()
         h.sim.run_until(7.0)
-        assert [(dst, p.entry.channel_seq) for _s, dst, p in h.wire] == \
-            [("B", 1)]
+        assert [(dst, [entry.channel_seq for entry in p.entries])
+                for _s, dst, p in h.wire] == [("B", [1])]
         assert rebuilt.out_channel("B").retransmissions == 0
 
     def test_timer_stays_armed_while_only_young_entries_are_live(self):
@@ -248,9 +255,9 @@ class TestOrdering:
         second = h.send_value("A", "B", "x", 2, transmit=False)
         manager = h.managers["A"]
         # Deliver second first: B must buffer it.
-        h.managers["B"].on_transfer(VmTransfer("A", second, 0, 1))
+        h.managers["B"].on_transfer(VmTransfer("A", (second,), 0, 1))
         assert h.accepted["B"] == []
-        h.managers["B"].on_transfer(VmTransfer("A", first, 0, 2))
+        h.managers["B"].on_transfer(VmTransfer("A", (first,), 0, 2))
         assert [entry.amount for _s, entry in h.accepted["B"]] == [1, 2]
 
     def test_cumulative_ack_covers_all_accepted(self):
@@ -270,6 +277,59 @@ class TestOrdering:
         h.send_value("B", "A", "y", 1)
         h.flush()
         assert h.managers["A"].out_channel("B").cumulative_acked == 1
+
+
+class TestOneMessagePerRecord:
+    """A create record's entries leave as one real message per
+    destination; acceptance, duplicates and retransmission stay per
+    entry."""
+
+    def test_record_entries_share_one_transfer_per_destination(self):
+        h = Harness()
+        manager = h.managers["A"]
+        entries = [manager.allocate_entry(dst, item, 1, "transfer", "t")
+                   for dst, item in (("B", "x"), ("B", "y"), ("C", "x"))]
+        manager.register_created(entries)
+        assert [(dst, [entry.item for entry in p.entries])
+                for _s, dst, p in h.wire] == [("B", ["x", "y"]),
+                                              ("C", ["x"])]
+        h.flush(drop=_to_b_and_not_c)
+        assert [entry.item for _src, entry in h.accepted["B"]] == ["x", "y"]
+        h.flush(drop=_to_b_and_not_c)  # one cumulative ack
+        assert manager.out_channel("B").cumulative_acked == 2
+
+    def test_retransmission_is_per_entry(self):
+        h = Harness(retransmit_period=5.0)
+        h.send_values("A", "B", (("x", 1), ("y", 2)))
+        h.wire.clear()  # lost
+        sends = _sends_to_b(h)
+        h.sim.run_until(5.0)
+        assert sends == [(5.0, 1), (5.0, 2)]
+        assert [len(p.entries) for _s, _d, p in h.wire] == [1, 1]
+
+    def test_duplicate_transfer_is_discarded_whole_and_reacked(self):
+        h = Harness()
+        h.send_values("A", "B", (("x", 1), ("y", 2)))
+        (transfer,) = [p for _s, _d, p in h.wire]
+        h.flush()
+        h.wire.clear()  # B's ack is lost
+        h.managers["B"].on_transfer(transfer)  # the network duplicated it
+        assert [entry.amount for _s, entry in h.accepted["B"]] == [1, 2]
+        assert h.managers["B"].in_channel("A").duplicates_discarded == 2
+        assert [(d, p.cumulative) for _s, d, p in h.wire
+                if isinstance(p, VmAck)] == [("A", 2)]
+
+    def test_transfer_after_a_gap_is_buffered(self):
+        h = Harness()
+        h.send_value("A", "B", "x", 1)
+        h.wire.clear()  # seq 1 lost
+        h.send_values("A", "B", (("x", 2), ("y", 3)))
+        h.flush()
+        channel = h.managers["B"].in_channel("A")
+        assert h.accepted["B"] == [] and sorted(channel.pending) == [2, 3]
+        h.sim.run_until(5.0)  # seq 1 is resent
+        h.flush()
+        assert [entry.amount for _s, entry in h.accepted["B"]] == [1, 2, 3]
 
 
 class TestRefusalAndPoke:
