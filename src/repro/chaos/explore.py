@@ -197,13 +197,15 @@ class ExploreReport:
         views = ("" if self.config.views is None else
                  f" views={self.config.views:g}"
                  f"@{self.config.view_refresh:g}")
+        waves = ("" if not self.config.waves else
+                 f" waves={self.config.waves:g}")
         system = ("" if self.config.system == "dvp" else
                   f" ({self.config.system})")
         lines = [f"chaos explore{system}: budget={self.budget} "
                  f"seed={self.master_seed} sites={self.config.sites} "
                  f"items={self.config.items} txns={self.config.txns} "
                  f"duration={self.config.duration:g}"
-                 f"{rebalance}{bundling}{partition}{serving}{views}",
+                 f"{rebalance}{bundling}{partition}{serving}{views}{waves}",
                  f"plans run: {self.runs}  failing: {len(self.failures)}"]
         for case in self.failures:
             lines.append(f"  plan #{case.index} (run seed {case.seed}) "

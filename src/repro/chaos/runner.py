@@ -50,6 +50,11 @@ from repro.sim.random import derive_seed
 #: against a full scan while faults are still active.
 PROBE_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 0.97)
 
+#: A wave's ops, and its origin's accounts (``ChaosConfig.waves``).
+WAVE_OPS = 5
+#: Each peer's initial fragment of a site's account.
+WAVE_FUNDS = 10
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -116,6 +121,16 @@ class ChaosConfig:
     views: float | None = None
     #: View refresh (write-behind publish) period in virtual time.
     view_refresh: float = 4.0
+    #: Share of DvP arrivals that become a *wave*: the benchmark suite's
+    #: 5-op transfer shape (:func:`_wave_ops`), each source short at
+    #: the origin, so every peer is asked for several items in one
+    #: request and answers with one multi-entry message. The wave's
+    #: draws come from a stream of their own, so the other arrivals
+    #: keep their sites, times and specs. 0 (the default) adds no item
+    #: and draws nothing: the seed spec stream. Written to an artifact
+    #: only when set, so old artifacts load as 0 and replay
+    #: byte-for-byte.
+    waves: float = 0.0
     #: Which :data:`SCENARIOS` entry runs: "dvp", or a commit-protocol
     #: baseline. Written to an artifact only when it is not "dvp" —
     #: a baseline failure cannot replay from a file that does not say
@@ -143,6 +158,8 @@ class ChaosConfig:
                 "serving_max_depth and serving_max_inflight must be >= 1")
         if self.views is not None and not 0 <= self.views:
             raise ValueError("views (the view bound) must be >= 0 (or None)")
+        if not 0 <= self.waves <= 1:
+            raise ValueError("waves (a share of arrivals) must be in [0, 1]")
 
     def site_names(self) -> list[str]:
         return [f"S{index}" for index in range(self.sites)]
@@ -150,10 +167,23 @@ class ChaosConfig:
     def item_names(self) -> list[str]:
         return [f"item{index}" for index in range(self.items)]
 
+    def wave_accounts(self) -> dict[str, dict[str, int]]:
+        """The wave family's items, each with its initial split: every
+        site's :data:`WAVE_OPS` accounts, funded at its peers only (none
+        without waves)."""
+        if not self.waves:
+            return {}
+        sites = self.site_names()
+        return {f"acct_{site}_{index}": {peer: WAVE_FUNDS for peer in sites
+                                         if peer != site}
+                for site in sites for index in range(WAVE_OPS)}
+
     def to_dict(self) -> dict[str, Any]:
         data = asdict(self)
         if self.system == "dvp":
             del data["system"]
+        if not self.waves:
+            del data["waves"]
         return data
 
     @classmethod
@@ -222,10 +252,11 @@ def _build_dvp(config: ChaosConfig, seed: int
         partitioner=config.partitioner, replicas=config.replicas,
         views=views))
     per_site = _quota_split(config, seed)
-    for item in config.item_names():
-        system.add_item(item, CounterDomain(), split=per_site[item])
-    return system, {item: sum(per_site[item].values())
-                    for item in config.item_names()}
+    per_site.update(config.wave_accounts())
+    for item, split in per_site.items():
+        system.add_item(item, CounterDomain(), split=split)
+    return system, {item: sum(split.values())
+                    for item, split in per_site.items()}
 
 
 def _build_commit(name: str, config: ChaosConfig, seed: int
@@ -294,6 +325,8 @@ def _build_workload(system: DvPSystem, config: ChaosConfig,
     run.
     """
     rng = system.sim.rng.stream("chaos:workload")
+    waves = (system.sim.rng.stream("chaos:waves") if config.waves
+             else None)
     sites = config.site_names()
     items = config.item_names()
     for _ in range(config.txns):
@@ -327,9 +360,12 @@ def _build_workload(system: DvPSystem, config: ChaosConfig,
         label = ("chaos:local-read" if isinstance(op, ReadLocalOp)
                  else "chaos:view-read" if isinstance(op, ReadViewOp)
                  else "chaos")
+        ops = (op,)
+        if waves is not None and waves.random() < config.waves:
+            ops, label = _wave_ops(waves, site, sites), "chaos"
 
-        def arrive(site=site, op=op, label=label) -> None:
-            spec = TransactionSpec(ops=(op,), label=label)
+        def arrive(site=site, ops=ops, label=label) -> None:
+            spec = TransactionSpec(ops=ops, label=label)
             if frontend is not None:
                 frontend.submit(site, spec)
                 return
@@ -342,6 +378,21 @@ def _build_workload(system: DvPSystem, config: ChaosConfig,
         # Site-targeted arrival: lands on the shard owning the site.
         system.sim.at_site(site, when, arrive,
                            label=f"chaos-arrival:{site}")
+
+
+def _wave_ops(rng: random.Random, site: str, sites: list[str]
+              ) -> tuple[TransferOp, ...]:
+    """The benchmark suite's transfer shape: :data:`WAVE_OPS` moves of
+    1..4 from *site*'s accounts to one peer's, account for account.
+    Each account is drawn with replacement, so a wave may draw one
+    twice: the requester sums the two, and names the account once."""
+    peer = rng.choice([name for name in sites if name != site] or sites)
+    moves = []
+    for _ in range(WAVE_OPS):
+        index = rng.randrange(WAVE_OPS)
+        moves.append(TransferOp(f"acct_{site}_{index}",
+                                f"acct_{peer}_{index}", rng.randint(1, 4)))
+    return tuple(moves)
 
 
 def _install_probes(system: DvPSystem, config: ChaosConfig,

@@ -158,11 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
                                    "instead of exploring")
     chaos_parser.add_argument("--inject", default=None,
                               choices=["write", "crash",
+                                       "duplicate-grant",
                                        "view-staleness"],
                               help="arm a test-only injection (oracle "
-                                   "self-test): a conservation leak, or "
-                                   "a view service that republishes "
-                                   "stale snapshots as fresh")
+                                   "self-test): a conservation leak, a "
+                                   "wave that grants an item once per "
+                                   "naming (needs --waves), or a view "
+                                   "service that republishes stale "
+                                   "snapshots as fresh")
     chaos_parser.add_argument("--repro-dir", default="tests/repros",
                               help="where --shrink writes artifacts "
                                    "(default tests/repros)")
@@ -212,6 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--view-refresh", type=float, default=4.0, metavar="T",
         help="view refresh (write-behind publish) period in virtual "
              "time (default: 4.0)")
+    chaos_parser.add_argument(
+        "--waves", type=float, default=0.0, metavar="SHARE",
+        help="turn this share of arrivals into 5-op transfer waves, "
+             "each short of several items at once (default: 0, the "
+             "single-item spec stream)")
     chaos_parser.add_argument("--reshard", action="store_true",
                               help="sample elastic-topology motifs too "
                                    "(site joins, decommissions, replica "

@@ -29,9 +29,14 @@ from repro.storage.pages import Page, PageStore
 #: ``"crash"`` — each crash burns one unit of the first non-zero
 #: integer fragment (a torn page the redo guard can never restore; only
 #: plans containing a crash violate conservation).
+#: ``"duplicate-grant"`` — a redistribution wave names an item once per
+#: transfer op drawing on it, and the responder grants every naming
+#: from one read of its fragment (read by ``Transaction`` and
+#: ``DvPSite``; only multi-op waves that draw an item twice create
+#: value).
 _TEST_LEAK: str | None = None
 
-_LEAK_MODES = (None, "write", "crash")
+_LEAK_MODES = (None, "write", "crash", "duplicate-grant")
 
 
 def set_test_leak(mode: str | None) -> None:

@@ -15,7 +15,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.cc import ConcurrencyControl
-from repro.core.fragments import FragmentStore
+from repro.core.fragments import FragmentStore, test_leak
 from repro.core.locks import LockTable
 from repro.core.messages import (
     READ_MODE,
@@ -408,7 +408,11 @@ class DvPSite:
             fragments, vm = self.fragments, self.vm
             actions: list[SetFragment] = []
             entries: list[VmEntry] = []
-            for item, need in wants.items():
+            named = wants.items()
+            if test_leak() == "duplicate-grant":
+                # Planted bug (docs/CHAOS.md): every naming is granted.
+                named = [want for want in request.wants if want[0] in wants]
+            for item, need in named:
                 domain = fragments.domain(item)
                 available = fragments.value(item)
                 if read:

@@ -22,6 +22,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.core.messages import READ_MODE, TRANSFER_MODE, DataRequest
+from repro.core.fragments import test_leak
 from repro.core.operators import BoundedDecrement, PartitionableOperator
 from repro.obs.events import (
     TxnAbort,
@@ -544,7 +545,13 @@ class Transaction:
                 wants[item] = (domain.combine(wants[item], ask)
                                if item in wants else ask)
         for peer, wants in asks.items():
-            self._ask(peer, TRANSFER_MODE, tuple(wants.items()))
+            named = tuple(wants.items())
+            if test_leak() == "duplicate-grant":
+                # Planted bug (docs/CHAOS.md): once per op drawing on it.
+                named = tuple(want for want in named for op in self.spec.ops
+                              if isinstance(op, TransferOp)
+                              and op.src_item == want[0]) or named
+            self._ask(peer, TRANSFER_MODE, named)
         self._note_requests(sent_before)
 
     def _note_requests(self, sent_before: int) -> None:

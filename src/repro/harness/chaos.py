@@ -50,7 +50,7 @@ MAX_SHRINKS = 5
 #: exploring without them.
 DVP_ONLY = {"inject": None, "rebalance": None, "bundle_delay": None,
             "partitioner": "all", "replicas": None, "serving": None,
-            "views": None, "reshard": False}
+            "views": None, "reshard": False, "waves": 0.0}
 
 
 def config_from_args(args) -> ChaosConfig:
@@ -70,7 +70,8 @@ def config_from_args(args) -> ChaosConfig:
                        serving_max_inflight=getattr(
                            args, "serving_inflight", 2),
                        views=getattr(args, "views", None),
-                       view_refresh=getattr(args, "view_refresh", 4.0))
+                       view_refresh=getattr(args, "view_refresh", 4.0),
+                       waves=getattr(args, "waves", 0.0))
 
 
 def explore_main(args, out: "TextIO | None" = None) -> int:
@@ -154,6 +155,9 @@ def replay_main(args, out: "TextIO | None" = None) -> int:
         for message in messages[:3]:
             print(f"  [{oracle}] {message}", file=out)
     recorded = tuple(sorted(artifact.failures))
+    if not recorded and not result.failed:
+        print("clean, as recorded", file=out)
+        return 0
     if result.failed:
         verdict = ("reproduced" if result.failed_oracles == recorded
                    else f"fails {sorted(result.failed_oracles)} but was "

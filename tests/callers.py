@@ -195,7 +195,7 @@ CHAOS_FLAGS = [
     ["--views", "12"], ["--views", "12", "--serving", "view-aware"],
     ["--partitioner", "consistent", "--replicas", "2", "--reshard"],
     ["--partitioner", "hash", "--reshard"],
-    ["--baseline", "paxos"], ["--baseline", "2pc"]]
+    ["--waves", "0.5"], ["--baseline", "paxos"], ["--baseline", "2pc"]]
 
 
 def entry_points(group: str, scratch: Path) -> list[list[str]]:
@@ -215,6 +215,8 @@ def entry_points(group: str, scratch: Path) -> list[list[str]]:
                               "--inject", mode, "--shrink",
                               "--repro-dir", repros] + extra
                      for mode, extra in (("write", []), ("crash", []),
+                                         ("duplicate-grant",
+                                          ["--waves", "0.5"]),
                                          ("view-staleness",
                                           ["--views", "12"]))]
         for artifact in _artifacts():

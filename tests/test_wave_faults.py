@@ -2,15 +2,20 @@
 
 A request names every item its peer is asked for, and the responder
 answers with one create record and one real message carrying all its
-entries. The chaos explorer's specs short at most one item, so this
-seeded run drives the batched path through the faults instead: the
-benchmark suite's 5-op transfer shape on four sites, over lossy,
-duplicating, jittery links, with a responder crashed right after a
-multi-entry create record and recovered.
+entries. The seeded run here drives the batched path through the
+faults: the benchmark suite's 5-op transfer shape on four sites, over
+lossy, duplicating, jittery links, with a responder crashed right after
+a multi-entry create record and recovered. The chaos explorer runs the
+same shape under its oracles (``ChaosConfig.waves``); the last test
+replays the committed artifact of a crash before a wave's message
+leaves.
 """
 
+import pathlib
+
+from repro.chaos import ReproArtifact
 from repro.core.domain import CounterDomain
-from repro.core.site import SiteDown
+from repro.core.site import DvPSite, SiteDown
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import TransactionSpec, TransferOp
 from repro.core.vm import VmManager
@@ -155,3 +160,51 @@ def test_multi_entry_wave_survives_loss_duplication_and_a_crash(monkeypatch):
     wiped = sum(site.txns_wiped for site in system.sites.values())
     assert len(results) + wiped == submitted
     assert sum(result.committed for result in results) > submitted // 2
+
+
+CRASH_BEFORE_SEND = (pathlib.Path(__file__).parent / "repros" /
+                     "chaos_wave-crash-before-send_seed"
+                     "16220008651848166696_3act.json")
+
+
+def test_crash_before_the_waves_message_leaves_replays_clean(monkeypatch):
+    """The committed artifact: the responder's multi-entry create record
+    is forced, its one message dies on a severed link, and the
+    responder crashes before any retransmission. Recovery re-drives
+    every entry from the log alone, and every oracle holds."""
+    artifact = ReproArtifact.load(CRASH_BEFORE_SEND)
+    link, crash, recover = artifact.plan.actions
+    created: list[tuple[float, tuple]] = []
+    received: list[tuple[float, str, int]] = []
+    create_vm, on_transfer = DvPSite.create_vm, VmManager.on_transfer
+
+    def spy_create_vm(site, owner, actions, entries):
+        if site.name == crash.site and len(entries) > 1:
+            created.append((site.sim.now, entries))
+        create_vm(site, owner, actions, entries)
+
+    def spy_on_transfer(manager, transfer):
+        received.extend((manager.sim.now, transfer.src, entry.channel_seq)
+                        for entry in transfer.entries)
+        on_transfer(manager, transfer)
+
+    monkeypatch.setattr(DvPSite, "create_vm", spy_create_vm)
+    monkeypatch.setattr(VmManager, "on_transfer", spy_on_transfer)
+    result = artifact.replay()
+    try:
+        assert not result.failed, result.failures
+        at, entries = next((at, entries) for at, entries in created
+                           if link.at <= at < crash.at)
+        assert entries[0].dst == link.dst and len(entries) > 1
+        for entry in entries:
+            arrivals = [t for t, src, seq in received
+                        if src == crash.site and seq == entry.channel_seq
+                        and t >= at]
+            # Nothing of it reached the requester before the crash...
+            assert arrivals and min(arrivals) >= recover.at, entry
+            # ...and recovery re-drove it to acceptance.
+            receiver = result.system.sites[entry.dst].vm
+            assert receiver.in_channel(crash.site).cumulative_accepted \
+                >= entry.channel_seq
+    finally:
+        result.system.close()
