@@ -159,13 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--inject", default=None,
                               choices=["write", "crash",
                                        "duplicate-grant",
+                                       "run-first-seq",
                                        "view-staleness"],
                               help="arm a test-only injection (oracle "
                                    "self-test): a conservation leak, a "
                                    "wave that grants an item once per "
-                                   "naming (needs --waves), or a view "
-                                   "service that republishes stale "
-                                   "snapshots as fresh")
+                                   "naming or a recovery that restores "
+                                   "an accept run's first seq (both "
+                                   "need --waves), or a view service "
+                                   "that republishes stale snapshots "
+                                   "as fresh")
     chaos_parser.add_argument("--repro-dir", default="tests/repros",
                               help="where --shrink writes artifacts "
                                    "(default tests/repros)")

@@ -34,9 +34,12 @@ from repro.storage.pages import Page, PageStore
 #: from one read of its fragment (read by ``Transaction`` and
 #: ``DvPSite``; only multi-op waves that draw an item twice create
 #: value).
+#: ``"run-first-seq"`` — recovery restores an accept run record's first
+#: sequence number instead of its last (read by ``recover_site``), so
+#: the rest of the run is absorbed again when retransmitted.
 _TEST_LEAK: str | None = None
 
-_LEAK_MODES = (None, "write", "crash", "duplicate-grant")
+_LEAK_MODES = (None, "write", "crash", "duplicate-grant", "run-first-seq")
 
 
 def set_test_leak(mode: str | None) -> None:

@@ -8,8 +8,8 @@ The recovering site consults nothing but its own stable log and pages:
    (guarded by page LSNs), starting from the last checkpoint;
 3. Vm channel state is rebuilt: outgoing entries from create records
    (re-sent — receivers deduplicate and re-acknowledge), incoming
-   cumulative-accepted counters from accept records (so nothing is
-   absorbed twice);
+   cumulative-accepted counters from accept records — a run record's
+   last sequence number (so nothing is absorbed twice);
 4. fragment timestamps are rebuilt from the committed records — aborted
    lockers' stamps are forgotten, which Section 7 shows is safe;
 5. the Lamport counter restarts from the largest timestamp in the log
@@ -24,12 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.fragments import test_leak
 from repro.core.timestamps import encode
 from repro.obs.events import SiteRecover
 from repro.storage.records import (
     CheckpointRecord,
     CommitRecord,
     VmAcceptRecord,
+    VmAcceptRunRecord,
     VmCreateRecord,
 )
 
@@ -105,7 +107,7 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
         record = envelope.record
         report.scanned_records += 1
         if isinstance(record, (CommitRecord, VmCreateRecord,
-                               VmAcceptRecord)):
+                               VmAcceptRecord, VmAcceptRunRecord)):
             for action in record.actions:
                 if not site.fragments.knows(action.item):
                     continue
@@ -127,6 +129,13 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
             channel = vm.in_channel(record.src)
             channel.cumulative_accepted = max(channel.cumulative_accepted,
                                               record.channel_seq)
+        elif isinstance(record, VmAcceptRunRecord):
+            channel = vm.in_channel(record.src)
+            # Planted bug (docs/CHAOS.md): restore the run's first seq.
+            seq = (record.first_seq if test_leak() == "run-first-seq"
+                   else record.last_seq)
+            channel.cumulative_accepted = max(channel.cumulative_accepted,
+                                              seq)
 
     report.incoming_channels = len(vm.incoming)
 

@@ -45,6 +45,7 @@ from repro.storage.records import (
     CheckpointRecord,
     SetFragment,
     VmAcceptRecord,
+    VmAcceptRunRecord,
     VmCreateRecord,
     VmEntry,
 )
@@ -146,7 +147,8 @@ class DvPSite:
             on_accepted=self._notify_vm_accepted,
             # Bundling coalesces the explicit acks a same-instant
             # piggyback already carries.
-            coalesce_acks=self.config.bundling is not None)
+            coalesce_acks=self.config.bundling is not None,
+            on_absorbed=self._vm_absorbed)
 
     def _notify_vm_created(self, entry) -> None:
         if self.observer is not None:
@@ -457,33 +459,58 @@ class DvPSite:
 
     # -- Vm acceptance (Rds transactions) ------------------------------------
 
-    def _accept_vm(self, entry, src: str) -> bool:
-        """Complete a Vm's lifespan: log [database-actions], absorb.
+    def _accept_vm(self, run: tuple[VmEntry, ...], src: str) -> int:
+        """Complete the lifespans of a run of Vm — the in-order entries
+        of one real message: force ONE record of their
+        [database-actions], apply it, and return how many it covers.
 
-        Returns False (leave pending) only when the fragment is locked
-        by an owner that is not an active transaction of this site —
-        i.e. a transient Rds lock; active transactions always absorb
-        into their own locked fragments (Section 5's refinement).
+        The run stops at the first entry whose fragment is locked by an
+        owner that is not an active transaction of this site — i.e. a
+        transient Rds lock — and that entry and the rest stay pending;
+        active transactions always absorb into their own locked
+        fragments (Section 5's refinement). A run of one is logged as a
+        :class:`VmAcceptRecord`.
         """
-        item = entry.item
-        fragments = self.fragments
-        domain = fragments.domains.get(item)
-        if domain is None:
-            return False
-        new_value = domain.combine(fragments.value(item), entry.amount)
-        holder = self.locks.holders.get(item)
-        txn = self.active.get(holder)
-        if holder is not None and txn is None:
-            return False
-        ts = txn.ts if txn is not None else self.clock.next()
-        actions = (SetFragment(item, new_value, ts),)
-        lsn = self.log_append(VmAcceptRecord(
-            src=src, channel_seq=entry.channel_seq, actions=actions,
-            txn_id=entry.txn_id))
-        self.apply_actions(actions, lsn)
+        fragments, holders, active = (self.fragments, self.locks.holders,
+                                      self.active)
+        actions: list[SetFragment] = []
+        values: dict[str, Any] = {}
+        for entry in run:
+            item = entry.item
+            domain = fragments.domains.get(item)
+            if domain is None:
+                break
+            new_value = domain.combine(
+                values[item] if item in values else fragments.value(item),
+                entry.amount)
+            holder = holders.get(item)
+            txn = active.get(holder)
+            if holder is not None and txn is None:
+                break
+            values[item] = new_value
+            ts = txn.ts if txn is not None else self.clock.next()
+            actions.append(SetFragment(item, new_value, ts))
+        if not actions:
+            return 0
+        head = run[0]
+        if len(actions) == 1:
+            record = VmAcceptRecord(
+                src=src, channel_seq=head.channel_seq,
+                actions=(actions[0],), txn_id=head.txn_id)
+        else:
+            record = VmAcceptRunRecord(
+                src=src, first_seq=head.channel_seq,
+                last_seq=run[len(actions) - 1].channel_seq,
+                actions=tuple(actions), txn_id=head.txn_id)
+        self.apply_actions(actions, self.log_append(record))
+        return len(actions)
+
+    def _vm_absorbed(self, src: str, entry: VmEntry) -> None:
+        """An accepted entry's value is in its fragment: tell the
+        transaction holding that fragment, if any."""
+        txn = self.active.get(self.locks.holders.get(entry.item))
         if txn is not None:
             txn.on_vm_absorbed(entry, src)
-        return True
 
     # -- failure injection -----------------------------------------------------
 

@@ -240,6 +240,16 @@ class TransactionSpec:
         return needed
 
 
+def _named_per_op(wants: tuple[tuple[str, Any], ...],
+                  ops: tuple[Op, ...]) -> tuple[tuple[str, Any], ...]:
+    """The planted bug ``fragments.set_test_leak("duplicate-grant")``
+    (docs/CHAOS.md): a request names each item once per transfer op
+    drawing on it, instead of once."""
+    return tuple(want for want in wants for _ in range(max(1, sum(
+        isinstance(op, TransferOp) and op.src_item == want[0]
+        for op in ops))))
+
+
 def _empty() -> Mapping[str, Any]:
     return EMPTY
 
@@ -547,10 +557,7 @@ class Transaction:
         for peer, wants in asks.items():
             named = tuple(wants.items())
             if test_leak() == "duplicate-grant":
-                # Planted bug (docs/CHAOS.md): once per op drawing on it.
-                named = tuple(want for want in named for op in self.spec.ops
-                              if isinstance(op, TransferOp)
-                              and op.src_item == want[0]) or named
+                named = _named_per_op(named, self.spec.ops)
             self._ask(peer, TRANSFER_MODE, named)
         self._note_requests(sent_before)
 

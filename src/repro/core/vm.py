@@ -12,12 +12,14 @@ gone a full period unacknowledged; one sent less than a period ago
 waits for the next tick.
 
 The manager is deliberately ignorant of transactions and locks: the
-owning site supplies an ``accept`` callback that either absorbs a Vm
-(forcing the accept record) or refuses it because the target fragment is
-locked by an unrelated transaction — in which case the Vm simply stays
-pending and is retried on the next poke or retransmission, exactly the
-paper's "if it is locked, the message can be ignored; it will eventually
-be sent again anyway".
+owning site supplies an ``accept`` callback that absorbs a *run* — the
+in-order entries one real message delivered — forcing one accept
+record for the longest prefix it can take, and says how many that was.
+An entry whose target fragment is locked by an unrelated transaction
+stops the run: it and the entries behind it simply stay pending and are
+retried, as the rest of the run, on the next poke or retransmission —
+exactly the paper's "if it is locked, the message can be ignored; it
+will eventually be sent again anyway".
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ class IncomingChannel:
     src: str
     cumulative_accepted: int = 0
     pending: dict[int, VmEntry] = field(default_factory=dict)
+    #: First -> last sequence number of each buffered run: entries one
+    #: real message carried, accepted together. A pending entry that
+    #: starts no run here is accepted on its own.
+    runs: dict[int, int] = field(default_factory=dict)
     duplicates_discarded: int = 0
 
 
@@ -106,12 +112,14 @@ class VmManager:
     """Per-site engine driving every virtual message's lifespan."""
 
     def __init__(self, site: str, sim, send: Callable[[str, object], None],
-                 accept: Callable[[VmEntry, str], bool],
+                 accept: Callable[[tuple[VmEntry, ...], str], int],
                  clock_ts: Callable[[], int],
                  retransmit_period: float = 5.0,
                  on_created: Callable[[VmEntry], None] | None = None,
                  on_accepted: Callable[[str, VmEntry], None] | None = None,
-                 coalesce_acks: bool = False) -> None:
+                 coalesce_acks: bool = False,
+                 on_absorbed: Callable[[str, VmEntry], None] | None = None
+                 ) -> None:
         """*coalesce_acks* defers explicit acks to the end of the current
         kernel event and suppresses them entirely when a data message to
         the same peer already left this instant carrying the same (or a
@@ -128,9 +136,12 @@ class VmManager:
         #: Lifecycle hooks for the incremental conservation accounting:
         #: fired exactly once per Vm — at the create-record instant and
         #: at the accept-record instant. Recovery rebuilds channel state
-        #: directly (the Vm already existed), so it fires neither.
+        #: directly (the Vm already existed), so it fires neither. Of an
+        #: accepted run, each entry in turn fires *on_absorbed* (the
+        #: site tells the transaction it feeds), then *on_accepted*.
         self.on_created = on_created
         self.on_accepted = on_accepted
+        self.on_absorbed = on_absorbed
         self.outgoing: dict[str, OutgoingChannel] = {}
         self.incoming: dict[str, IncomingChannel] = {}
         # Observability (docs/OBSERVABILITY.md): typed trace events go
@@ -362,23 +373,25 @@ class VmManager:
 
     def close(self) -> None:
         """Stop for good and release the owning site: the timer's
-        action is this manager's bound method, and the five callbacks
+        action is this manager's bound method, and the six callbacks
         are the site's — which holds the manager. Called when recovery
         replaces the manager and when the system closes; channel state,
         counters and the E3 timestamps stay readable."""
         self._timer.close()
         self._send = self._accept = self._clock_ts = None
-        self.on_created = self.on_accepted = None
+        self.on_created = self.on_accepted = self.on_absorbed = None
 
     # -- receiver side --------------------------------------------------------
 
     def on_transfer(self, transfer: VmTransfer) -> None:
         """Handle a real message: ack bookkeeping, then dedup and
-        in-order buffering of each entry it carries."""
+        in-order buffering of each entry it carries. The fresh entries
+        of a multi-entry message are buffered as one run."""
         src = transfer.src
         self._acked(src, transfer.piggyback_ack)
         channel = self.in_channel(src)
-        fresh = duplicate = False
+        duplicate = False
+        first = last = 0
         for entry in transfer.entries:
             seq = entry.channel_seq
             if seq <= channel.cumulative_accepted:
@@ -391,11 +404,14 @@ class VmManager:
                         t=self.sim.now, site=self.site, src=src, seq=seq))
             else:
                 channel.pending[seq] = entry
-                fresh = True
+                first = first or seq
+                last = seq
         if duplicate:
             # Re-ack so the sender can stop retransmitting.
             self._send_ack(src)
-        if fresh:
+        if first:
+            if last > first:
+                channel.runs[first] = last
             self._backlog.add(src)
             self.drain(src)
 
@@ -419,41 +435,54 @@ class VmManager:
 
     def _drain_one(self, src: str) -> None:
         channel = self.in_channel(src)
-        pending = channel.pending
+        pending, runs = channel.pending, channel.runs
         progressed = False
         while True:
-            next_seq = channel.cumulative_accepted + 1
-            entry = pending.get(next_seq)
-            if entry is None:
+            first = channel.cumulative_accepted + 1
+            if first not in pending:
                 break
-            # Claim the sequence number BEFORE the accept callback runs:
-            # acceptance may re-enter drain (commit -> release -> poke)
-            # and must never see this entry as pending again.
-            del pending[next_seq]
-            channel.cumulative_accepted = next_seq
-            if not self._accept(entry, src):
-                # Target fragment locked by an unrelated transaction;
-                # put the message back (head-of-line wait).
-                pending[next_seq] = entry
-                channel.cumulative_accepted = next_seq - 1
+            last = runs.pop(first, first)
+            # Claim the run BEFORE anything is told of it: telling a
+            # transaction may re-enter drain (commit -> release ->
+            # poke), which must never see these entries as pending.
+            run = (tuple([pending.pop(seq) for seq in range(first, last + 1)])
+                   if last > first else (pending.pop(first),))
+            absorbed = self._accept(run, src)
+            if absorbed < len(run):
+                # Target fragment locked by an unrelated transaction:
+                # the rest of the run goes back (head-of-line wait).
+                for entry in run[absorbed:]:
+                    pending[entry.channel_seq] = entry
+                if last > first + absorbed:
+                    runs[first + absorbed] = last
+            channel.cumulative_accepted = first + absorbed - 1
+            for entry in run[:absorbed]:
+                self._absorbed(src, entry)
+                progressed = True
+            if absorbed < len(run):
                 break
-            now = self.sim.now
-            self._c_accepted.value += 1
-            elapsed = self._metrics.elapsed_since_mark(
-                ("vm", src, self.site, next_seq), now)
-            if elapsed is not None:
-                self._h_delivery[src].observe(elapsed)
-            if self._obs.enabled:
-                self._obs.emit(VmAccept(t=now, site=self.site,
-                                        src=src, item=entry.item,
-                                        seq=next_seq))
-            if self.on_accepted is not None:
-                self.on_accepted(src, entry)
-            progressed = True
         if not pending:
             self._backlog.discard(src)
         if progressed:
             self._send_ack(src)
+
+    def _absorbed(self, src: str, entry: VmEntry) -> None:
+        """One accepted entry's lifespan is over: tell the site, count
+        it, then retire it from the books."""
+        if self.on_absorbed is not None:
+            self.on_absorbed(src, entry)
+        now = self.sim.now
+        self._c_accepted.value += 1
+        seq = entry.channel_seq
+        elapsed = self._metrics.elapsed_since_mark(
+            ("vm", src, self.site, seq), now)
+        if elapsed is not None:
+            self._h_delivery[src].observe(elapsed)
+        if self._obs.enabled:
+            self._obs.emit(VmAccept(t=now, site=self.site, src=src,
+                                    item=entry.item, seq=seq))
+        if self.on_accepted is not None:
+            self.on_accepted(src, entry)
 
     def poke(self) -> None:
         """Retry pending heads on every channel (called on lock release).

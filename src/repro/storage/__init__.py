@@ -16,6 +16,7 @@ from repro.storage.records import (
     AppliedRecord,
     SetFragment,
     VmAcceptRecord,
+    VmAcceptRunRecord,
     VmCreateRecord,
     VmEntry,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "SetFragment",
     "StableLog",
     "VmAcceptRecord",
+    "VmAcceptRunRecord",
     "VmCreateRecord",
     "VmEntry",
 ]

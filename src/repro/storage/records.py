@@ -7,7 +7,9 @@ Two record shapes come straight from Section 4.2 of the paper:
   as the commit record when a transaction both updates fragments and
   ships value);
 * completing a Vm's lifespan at the receiver writes
-  ``[database-actions]`` (:class:`VmAcceptRecord`).
+  ``[database-actions]`` (:class:`VmAcceptRecord`; one
+  :class:`VmAcceptRunRecord` when the entries of one delivered message
+  are accepted together).
 
 Database actions are *absolute* fragment assignments
 (:class:`SetFragment`). Because a fragment is only changed under its
@@ -92,6 +94,24 @@ class VmAcceptRecord(NamedTuple):
     txn_id: str = ""
 
 
+class VmAcceptRunRecord(NamedTuple):
+    """[database-actions] — the lifespans of a run of Vm end together.
+
+    The run is the entries ``first_seq`` .. ``last_seq`` from *src*,
+    all carried by one real message, with one action per entry in
+    sequence order; *txn_id* is the transaction that requested them.
+    Recovery replays ``last_seq`` into the channel dedup state, so no
+    entry of the run is ever absorbed twice. A run of one is logged as
+    a :class:`VmAcceptRecord`.
+    """
+
+    src: str
+    first_seq: int
+    last_seq: int
+    actions: tuple[SetFragment, ...] = ()
+    txn_id: str = ""
+
+
 class CommitRecord(NamedTuple):
     """Commit of a purely local transaction (no messages created)."""
 
@@ -133,7 +153,7 @@ def _rows(cls: type, flat: tuple) -> tuple:
 
 
 #: Record class -> (kind, encoder, decoder). Kind 0 is reserved for
-#: everything that is not one of these five classes (see encode).
+#: everything that is not one of these six classes (see encode).
 _CODECS: dict[type, tuple[int, Callable, Callable]] = {
     VmCreateRecord: (
         1,
@@ -158,6 +178,11 @@ _CODECS: dict[type, tuple[int, Callable, Callable]] = {
         lambda r: (r[0], r[1], tuple(_flat(r[2])), r[3], r[4], r[5]),
         lambda p: CheckpointRecord(p[0], p[1], _rows(VmEntry, p[2]),
                                    p[3], p[4], p[5])),
+    VmAcceptRunRecord: (
+        6,
+        lambda r: (r[0], r[1], r[2], r[4], *_flat(r[3])),
+        lambda p: VmAcceptRunRecord(p[0], p[1], p[2],
+                                    _rows(SetFragment, p[4:]), p[3])),
 }
 _DECODERS = {kind: decoder for kind, _, decoder in _CODECS.values()}
 
@@ -165,7 +190,7 @@ _DECODERS = {kind: decoder for kind, _, decoder in _CODECS.values()}
 def encode(record: Any) -> tuple[int, Any]:
     """*record* as ``(kind, payload)`` for stable storage.
 
-    Only an exact instance of one of the five record classes is
+    Only an exact instance of one of the six record classes is
     encoded. Anything else — the baselines log string-tagged plain
     tuples through the same ``StableLog`` — is kind 0 and is its own
     payload, so it can never be mistaken for an encoding.

@@ -217,6 +217,8 @@ def entry_points(group: str, scratch: Path) -> list[list[str]]:
                      for mode, extra in (("write", []), ("crash", []),
                                          ("duplicate-grant",
                                           ["--waves", "0.5"]),
+                                         ("run-first-seq",
+                                          ["--waves", "0.5"]),
                                          ("view-staleness",
                                           ["--views", "12"]))]
         for artifact in _artifacts():

@@ -1,0 +1,186 @@
+"""One accept record per delivered Vm message (docs/PROTOCOL.md step 5).
+
+The receiver accepts the entries one real message carried as a *run*:
+it forces ONE record for the run's lock-free prefix, then tells each
+entry's transaction and retires it from the books, in run order. A run
+of one is today's ``VmAcceptRecord``, byte for byte; a longer one is a
+``VmAcceptRunRecord`` naming the run's first and last sequence number,
+whose last one recovery restores.
+"""
+
+from repro.core.domain import CounterDomain
+from repro.core.system import DvPSystem, SystemConfig
+from repro.core.transactions import (
+    Transaction,
+    TransactionSpec,
+    TransferOp,
+)
+from repro.net.link import LinkConfig
+from repro.storage.records import (
+    CommitRecord,
+    SetFragment,
+    VmAcceptRecord,
+    VmAcceptRunRecord,
+    encode,
+)
+
+ITEMS = ("x", "y", "z")
+
+
+def build() -> DvPSystem:
+    system = DvPSystem(SystemConfig(
+        sites=["A", "B"], seed=4, txn_timeout=10.0, retransmit_period=5.0,
+        link=LinkConfig(base_delay=1.0)))
+    for item in ITEMS:
+        system.add_item(item, CounterDomain(), split={"A": 30, "B": 30})
+    return system
+
+
+def send_wave(system: DvPSystem, amounts: dict[str, int],
+              txn_id: str = "B#1") -> tuple:
+    """A's answer to one request from B: one create record carving
+    *amounts* from A's fragments, one real message."""
+    site = system.sites["A"]
+    actions = tuple(SetFragment(item, site.fragments.value(item) - amount,
+                                site.clock.next())
+                    for item, amount in amounts.items())
+    entries = tuple(site.vm.allocate_entry("B", item, amount, "transfer",
+                                           txn_id)
+                    for item, amount in amounts.items())
+    site.create_vm(f"rds:A:{txn_id}", actions, entries)
+    return entries
+
+
+def accept_records(system: DvPSystem, name: str = "B") -> list:
+    return [envelope.record for envelope in system.sites[name].log.scan()
+            if isinstance(envelope.record,
+                          (VmAcceptRecord, VmAcceptRunRecord))]
+
+
+def audited(system: DvPSystem) -> None:
+    assert all(report.ok for report in system.auditor.verify_full())
+    for site in system.sites.values():
+        assert site.vm.check_accounting()
+
+
+class TestOneRecordPerMessage:
+    def test_a_message_is_accepted_by_one_run_record(self):
+        system = build()
+        send_wave(system, {"x": 1, "y": 2, "z": 3})
+        system.run_for(3.0)
+        (record,) = accept_records(system)
+        assert type(record) is VmAcceptRunRecord
+        assert (record.src, record.first_seq, record.last_seq,
+                record.txn_id) == ("A", 1, 3, "B#1")
+        assert [(a.item, a.value) for a in record.actions] == [
+            ("x", 31), ("y", 32), ("z", 33)]
+        audited(system)
+
+    def test_prefix_stops_at_an_rds_lock_and_the_rest_is_one_record(self):
+        system = build()
+        site_b = system.sites["B"]
+        site_b.locks.try_acquire_all("rds:frozen", {"y"})
+        send_wave(system, {"x": 1, "y": 2, "z": 3})
+        system.run_for(3.0)
+        (first,) = accept_records(system)
+        assert type(first) is VmAcceptRecord and first.channel_seq == 1
+        assert site_b.vm.in_channel("A").cumulative_accepted == 1
+        assert (site_b.fragments.value("y"),
+                site_b.fragments.value("z")) == (30, 30)
+        site_b.locks.release_all("rds:frozen")
+        site_b.after_lock_release()
+        rest = accept_records(system)[1]
+        assert type(rest) is VmAcceptRunRecord
+        assert (rest.first_seq, rest.last_seq) == (2, 3)
+        assert [a.item for a in rest.actions] == ["y", "z"]
+        system.run_for(3.0)
+        audited(system)
+        assert system.sites["A"].vm.unacked_count() == 0
+
+    def test_gap_fill_keeps_one_record_per_message(self):
+        system = build()
+        link = system.network.link("A", "B")
+        link.fail()
+        send_wave(system, {"x": 1})  # seq 1: lost
+        link.restore()
+        send_wave(system, {"x": 1, "y": 1}, txn_id="B#2")   # seqs 2, 3
+        send_wave(system, {"y": 1, "z": 1}, txn_id="B#3")   # seqs 4, 5
+        system.run_for(3.0)
+        assert accept_records(system) == []  # buffered behind the gap
+        system.run_for(5.0)  # seq 1 is resent alone; the backlog drains
+        records = accept_records(system)
+        assert [type(r).__name__ for r in records] == [
+            "VmAcceptRecord", "VmAcceptRunRecord", "VmAcceptRunRecord"]
+        assert [(r.first_seq, r.last_seq) for r in records[1:]] == [
+            (2, 3), (4, 5)]
+        audited(system)
+
+
+class TestSingleEntryRecord:
+    def test_a_single_entry_message_encodes_to_the_pinned_bytes(self):
+        system = build()
+        send_wave(system, {"y": 4})
+        system.run_for(3.0)
+        (record,) = accept_records(system)
+        assert type(record) is VmAcceptRecord
+        ts = record.actions[0].ts
+        assert encode(record) == (2, ("A", 1, "B#1", "y", 34, ts))
+
+
+class TestCrashAfterARunRecord:
+    def test_retransmissions_are_discarded_and_reacked(self):
+        """B forces the run record, its ack is lost, B crashes: its
+        recovery restores the run's LAST seq, so A's per-entry
+        retransmissions are all duplicates, discarded and re-acked."""
+        system = build()
+        site_b = system.sites["B"]
+        back = system.network.link("B", "A")
+        back.fail()
+        send_wave(system, {"x": 1, "y": 2, "z": 3})
+        system.run_for(3.0)
+        assert [type(r) for r in accept_records(system)] == [
+            VmAcceptRunRecord]
+        system.crash("B")
+        back.restore()
+        system.recover("B")
+        assert site_b.vm.in_channel("A").cumulative_accepted == 3
+        system.run_for(12.0)  # A resends each entry once
+        channel = site_b.vm.in_channel("A")
+        assert channel.duplicates_discarded == 3
+        assert len(accept_records(system)) == 1
+        assert system.sites["A"].vm.unacked_count() == 0
+        assert [site_b.fragments.value(item) for item in ITEMS] == [
+            31, 32, 33]
+        audited(system)
+
+
+class TestTransactionHoldingTheRun:
+    def test_commits_once(self, monkeypatch):
+        """A transaction at B holding every item of the run commits
+        exactly once: the whole run is in its fragments before it is
+        told of the first entry, which completes it; the rest find its
+        locks released and tell nobody."""
+        system = build()
+        results, absorbed = [], []
+        on_vm_absorbed = Transaction.on_vm_absorbed
+
+        def spy(txn, entry, src):
+            absorbed.append(entry.item)
+            on_vm_absorbed(txn, entry, src)
+
+        monkeypatch.setattr(Transaction, "on_vm_absorbed", spy)
+        spec = TransactionSpec(ops=tuple(
+            TransferOp(item, "x" if item != "x" else "y", 31)
+            for item in ITEMS))
+        system.sites["B"].submit(spec, results.append)
+        system.run_for(20.0)
+        assert [r.committed for r in results] == [True]
+        runs = [r for r in accept_records(system)
+                if type(r) is VmAcceptRunRecord]
+        assert [(r.first_seq, r.last_seq) for r in runs] == [(1, 3)]
+        assert absorbed == ["x"]
+        commits = [env.record for env in system.sites["B"].log.scan()
+                   if isinstance(env.record, CommitRecord)]
+        assert len(commits) == 1
+        system.run_for(20.0)
+        audited(system)

@@ -135,3 +135,28 @@ class TestDuplicateGrant:
         fragments.set_test_leak(None)
         clean = explore(ChaosConfig(), budget=10, master_seed=7)
         assert armed.ok and armed.digest() == clean.digest()
+
+
+class TestRunFirstSeq:
+    """Planted in recovery: an accept run record restores its FIRST
+    sequence number. The receiver then waits for an entry its sender
+    has already retired (or absorbs a resent one twice). Only multi-
+    entry runs tell first from last, and only waves make them."""
+
+    @pytest.fixture(autouse=True)
+    def _disarm(self):
+        yield
+        fragments.set_test_leak(None)
+
+    def test_convicted_with_waves(self):
+        fragments.set_test_leak("run-first-seq")
+        report = explore(ChaosConfig(waves=0.5), budget=4, master_seed=7)
+        assert report.failures
+        assert "progress" in report.failures[0].failures
+
+    def test_invisible_without_waves(self):
+        fragments.set_test_leak("run-first-seq")
+        armed = explore(ChaosConfig(), budget=10, master_seed=7)
+        fragments.set_test_leak(None)
+        clean = explore(ChaosConfig(), budget=10, master_seed=7)
+        assert armed.ok and armed.digest() == clean.digest()

@@ -423,12 +423,13 @@ class TestDrainFifo:
         order = []
         manager_box = {}
 
-        def accept(entry, src):
-            order.append((src, entry.channel_seq))
-            if src == "B" and entry.channel_seq == 1:
-                # Re-entrant poke mid-accept, as a lock release does.
-                manager_box["m"].drain("C")
-            return True
+        def accept(run, src):
+            for entry in run:
+                order.append((src, entry.channel_seq))
+                if src == "B" and entry.channel_seq == 1:
+                    # Re-entrant poke mid-accept, as a lock release does.
+                    manager_box["m"].drain("C")
+            return len(run)
 
         manager = VmManager("A", sim, send=lambda d, p: None,
                             accept=accept, clock_ts=lambda: 0)

@@ -25,7 +25,11 @@ class Harness:
         self.sim = Simulator(1)
         self.wire: list[tuple[str, str, object]] = []  # (src, dst, payload)
         self.accepted: dict[str, list] = {"A": [], "B": []}
+        #: The sequence numbers of each run an accept call absorbed.
+        self.runs: dict[str, list] = {"A": [], "B": []}
         self.refuse: dict[str, bool] = {"A": False, "B": False}
+        #: Items a site's accept stops at (a held Rds lock).
+        self.locked: dict[str, set] = {"A": set(), "B": set()}
         self.managers: dict[str, VmManager] = {}
         clock = {"t": 0}
 
@@ -37,11 +41,18 @@ class Harness:
             def send(dst, payload, src=name):
                 self.wire.append((src, dst, payload))
 
-            def accept(entry, src, me=name):
+            def accept(run, src, me=name):
                 if self.refuse[me]:
-                    return False
-                self.accepted[me].append((src, entry))
-                return True
+                    return 0
+                taken = 0
+                while taken < len(run) \
+                        and run[taken].item not in self.locked[me]:
+                    taken += 1
+                if taken:
+                    self.accepted[me].extend((src, e) for e in run[:taken])
+                    self.runs[me].append(tuple(
+                        e.channel_seq for e in run[:taken]))
+                return taken
 
             self.managers[name] = VmManager(
                 name, self.sim, send=send, accept=accept, clock_ts=ts,
@@ -281,8 +292,8 @@ class TestOrdering:
 
 class TestOneMessagePerRecord:
     """A create record's entries leave as one real message per
-    destination; acceptance, duplicates and retransmission stay per
-    entry."""
+    destination, and are accepted as one run; duplicates and
+    retransmission stay per entry."""
 
     def test_record_entries_share_one_transfer_per_destination(self):
         h = Harness()
@@ -330,6 +341,82 @@ class TestOneMessagePerRecord:
         h.sim.run_until(5.0)  # seq 1 is resent
         h.flush()
         assert [entry.amount for _s, entry in h.accepted["B"]] == [1, 2, 3]
+
+
+class TestAcceptRuns:
+    """The fresh entries one real message carried are accepted as one
+    run: the site takes the lock-free prefix, and the rest waits as a
+    run. Entries of separate messages are never joined."""
+
+    def test_one_message_is_one_run(self):
+        h = Harness()
+        h.send_values("A", "B", (("x", 1), ("y", 2), ("z", 3)))
+        h.flush()
+        assert h.runs["B"] == [(1, 2, 3)]
+        assert h.managers["B"].in_channel("A").cumulative_accepted == 3
+
+    def test_prefix_stops_at_a_locked_item_and_the_rest_waits_as_a_run(self):
+        h = Harness()
+        h.locked["B"] = {"y"}
+        h.send_values("A", "B", (("x", 1), ("y", 2), ("z", 3)))
+        h.flush()
+        channel = h.managers["B"].in_channel("A")
+        assert h.runs["B"] == [(1,)]
+        assert channel.cumulative_accepted == 1
+        assert sorted(channel.pending) == [2, 3] and channel.runs == {2: 3}
+        h.flush()  # the ack covers the prefix only
+        assert h.managers["A"].out_channel("B").cumulative_acked == 1
+        h.locked["B"] = set()
+        h.managers["B"].poke()
+        assert h.runs["B"] == [(1,), (2, 3)]
+        assert not channel.pending and not channel.runs
+
+    def test_a_locked_head_takes_nothing(self):
+        h = Harness()
+        h.locked["B"] = {"x"}
+        h.send_values("A", "B", (("x", 1), ("y", 2)))
+        h.flush()
+        channel = h.managers["B"].in_channel("A")
+        assert h.runs["B"] == [] and channel.runs == {1: 2}
+        h.locked["B"] = set()
+        h.managers["B"].poke()
+        assert h.runs["B"] == [(1, 2)]
+
+    def test_gap_fill_accepts_one_run_per_message(self):
+        h = Harness(retransmit_period=5.0)
+        h.send_value("A", "B", "x", 1)
+        h.wire.clear()  # seq 1 lost
+        h.send_values("A", "B", (("x", 2), ("y", 3)))
+        h.send_values("A", "B", (("x", 4), ("y", 5)))
+        h.send_value("A", "B", "z", 6)
+        h.flush()
+        assert h.runs["B"] == []
+        h.sim.run_until(5.0)  # seq 1 is resent, alone
+        h.flush()
+        assert h.runs["B"] == [(1,), (2, 3), (4, 5), (6,)]
+
+    def test_duplicate_of_a_waiting_run_keeps_it_one_run(self):
+        h = Harness()
+        h.locked["B"] = {"x"}
+        h.send_values("A", "B", (("x", 1), ("y", 2)))
+        (transfer,) = [p for _s, _d, p in h.wire]
+        h.flush()
+        h.managers["B"].on_transfer(transfer)  # the network duplicated it
+        h.locked["B"] = set()
+        h.managers["B"].poke()
+        assert h.runs["B"] == [(1, 2)]
+        assert [entry.amount for _s, entry in h.accepted["B"]] == [1, 2]
+
+    def test_each_entry_is_told_then_retired_in_order(self):
+        h = Harness()
+        manager = h.managers["B"]
+        calls = []
+        manager.on_absorbed = lambda src, e: calls.append(("told", e.item))
+        manager.on_accepted = lambda src, e: calls.append(("books", e.item))
+        h.send_values("A", "B", (("x", 1), ("y", 2)))
+        h.flush()
+        assert calls == [("told", "x"), ("books", "x"),
+                         ("told", "y"), ("books", "y")]
 
 
 class TestRefusalAndPoke:
@@ -445,10 +532,10 @@ class TestReentrancy:
         manager_b = h.managers["B"]
         absorbed = []
 
-        def accept(entry, src):
-            absorbed.append(entry.channel_seq)
+        def accept(run, src):
+            absorbed.extend(entry.channel_seq for entry in run)
             manager_b.drain(src)  # re-entrant poke from inside accept
-            return True
+            return len(run)
 
         manager_b._accept = accept
         for amount in (1, 2, 3):
