@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from repro.core.messages import READ_MODE, TRANSFER_MODE, DataRequest
 from repro.core.fragments import test_leak
+from repro.core.messages import READ_MODE, TRANSFER_MODE, DataRequest
 from repro.core.operators import BoundedDecrement, PartitionableOperator
 from repro.obs.events import (
     TxnAbort,

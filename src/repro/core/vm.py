@@ -456,8 +456,24 @@ class VmManager:
                 if last > first + absorbed:
                     runs[first + absorbed] = last
             channel.cumulative_accepted = first + absorbed - 1
+            # Each accepted entry in turn: tell the site, count it, then
+            # retire it from the books.
             for entry in run[:absorbed]:
-                self._absorbed(src, entry)
+                if self.on_absorbed is not None:
+                    self.on_absorbed(src, entry)
+                now = self.sim.now
+                self._c_accepted.value += 1
+                seq = entry.channel_seq
+                elapsed = self._metrics.elapsed_since_mark(
+                    ("vm", src, self.site, seq), now)
+                if elapsed is not None:
+                    self._h_delivery[src].observe(elapsed)
+                if self._obs.enabled:
+                    self._obs.emit(VmAccept(t=now, site=self.site,
+                                            src=src, item=entry.item,
+                                            seq=seq))
+                if self.on_accepted is not None:
+                    self.on_accepted(src, entry)
                 progressed = True
             if absorbed < len(run):
                 break
@@ -465,24 +481,6 @@ class VmManager:
             self._backlog.discard(src)
         if progressed:
             self._send_ack(src)
-
-    def _absorbed(self, src: str, entry: VmEntry) -> None:
-        """One accepted entry's lifespan is over: tell the site, count
-        it, then retire it from the books."""
-        if self.on_absorbed is not None:
-            self.on_absorbed(src, entry)
-        now = self.sim.now
-        self._c_accepted.value += 1
-        seq = entry.channel_seq
-        elapsed = self._metrics.elapsed_since_mark(
-            ("vm", src, self.site, seq), now)
-        if elapsed is not None:
-            self._h_delivery[src].observe(elapsed)
-        if self._obs.enabled:
-            self._obs.emit(VmAccept(t=now, site=self.site, src=src,
-                                    item=entry.item, seq=seq))
-        if self.on_accepted is not None:
-            self.on_accepted(src, entry)
 
     def poke(self) -> None:
         """Retry pending heads on every channel (called on lock release).
