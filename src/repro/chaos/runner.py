@@ -139,14 +139,21 @@ class ChaosConfig:
     system: str = "dvp"
 
     def __post_init__(self) -> None:
-        # What ``repro chaos`` sets from its flags, refused here rather
-        # than deep inside a run. Chained compares: NaN fails them all.
+        # What ``repro chaos`` sets from its flags or an artifact
+        # carries, refused here rather than deep inside a run (or a
+        # settle that never ends). Chained compares: NaN fails them all.
         if self.sites < 1 or self.items < 1 or self.txns < 0:
             raise ValueError("sites and items must be >= 1, txns >= 0")
-        for name in ("duration", "txn_timeout", "rebalance_period",
+        for name in ("duration", "txn_timeout", "retransmit_period",
+                     "rebalance_period", "serving_board_period",
                      "view_refresh"):
             if not 0 < getattr(self, name) < inf:
                 raise ValueError(f"{name} must be positive and finite")
+        for name in ("settle", "base_delay", "base_jitter"):
+            if not 0 <= getattr(self, name) < inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
+        if not 0 <= self.checkpoint_interval:
+            raise ValueError("checkpoint_interval must be >= 0")
         if self.bundle_flush_delay is not None \
                 and not 0 <= self.bundle_flush_delay < inf:
             raise ValueError(

@@ -13,9 +13,7 @@ reproduces the tables recorded in EXPERIMENTS.md. Each table is judged
 by its experiment's own ``claims``: a violated claim is named on stderr
 and the exit status is 1 (stdout is the tables, nothing else). Each
 experiment is a grid of independent cells: ``--jobs N`` computes them
-on N worker processes, and results are memoized under ``--cache-dir``
-(default ``.repro-cache``) so repeat runs with unchanged parameters
-replay instantly; ``--no-cache`` recomputes everything.
+on N worker processes. Every run computes every cell it prints.
 """
 
 from __future__ import annotations
@@ -37,13 +35,12 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.harness.parallel import GridEvaluator, ResultCache
+    from repro.harness.parallel import GridEvaluator
 
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    evaluator = GridEvaluator(jobs=args.jobs, cache=cache)
+    evaluator = GridEvaluator(jobs=args.jobs)
     targets = (experiments.all_ids() if args.experiment.lower() == "all"
                else [args.experiment])
     violated = False
@@ -63,11 +60,6 @@ def _cmd_run(args) -> int:
             print(f"{module.EXPERIMENT}: claim violated: {claim}",
                   file=sys.stderr)
             violated = True
-    if cache is not None:
-        print(f"[cells: {evaluator.cache_hits} cached, "
-              f"{evaluator.computed} computed "
-              f"(jobs={args.jobs}, cache={cache.root})]",
-              file=sys.stderr)
     return 1 if violated else 0
 
 
@@ -131,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--jobs", type=int, default=1, metavar="N",
                             help="worker processes for grid cells "
                                  "(default 1: in-process)")
-    run_parser.add_argument("--no-cache", action="store_true",
-                            help="do not read or write the result cache")
-    run_parser.add_argument("--cache-dir", default=".repro-cache",
-                            help="result cache directory "
-                                 "(default .repro-cache)")
     run_parser.set_defaults(func=_cmd_run)
 
     chaos_parser = commands.add_parser(

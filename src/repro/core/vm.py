@@ -137,8 +137,9 @@ class VmManager:
         #: fired exactly once per Vm — at the create-record instant and
         #: at the accept-record instant. Recovery rebuilds channel state
         #: directly (the Vm already existed), so it fires neither. Of an
-        #: accepted run, each entry in turn fires *on_absorbed* (the
-        #: site tells the transaction it feeds), then *on_accepted*.
+        #: accepted run, every entry fires *on_accepted* first, then each
+        #: in turn fires *on_absorbed* (the site tells the transaction
+        #: it feeds).
         self.on_created = on_created
         self.on_accepted = on_accepted
         self.on_absorbed = on_absorbed
@@ -456,9 +457,14 @@ class VmManager:
                 if last > first + absorbed:
                     runs[first + absorbed] = last
             channel.cumulative_accepted = first + absorbed - 1
-            # Each accepted entry in turn: tell the site, count it, then
-            # retire it from the books.
-            for entry in run[:absorbed]:
+            accepted = run[:absorbed]
+            # Retire the accepted prefix before any transaction is told:
+            # one that commits at once must not sample the value it was
+            # handed as in flight (DESIGN.md §6, finding 8).
+            if self.on_accepted is not None:
+                for entry in accepted:
+                    self.on_accepted(src, entry)
+            for entry in accepted:  # then tell the site, count it
                 if self.on_absorbed is not None:
                     self.on_absorbed(src, entry)
                 now = self.sim.now
@@ -472,8 +478,6 @@ class VmManager:
                     self._obs.emit(VmAccept(t=now, site=self.site,
                                             src=src, item=entry.item,
                                             seq=seq))
-                if self.on_accepted is not None:
-                    self.on_accepted(src, entry)
                 progressed = True
             if absorbed < len(run):
                 break

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Callable
 
 
@@ -35,10 +36,9 @@ class LinkConfig:
         return self.base_delay
 
     def __post_init__(self) -> None:
-        if self.base_delay < 0:
-            raise ValueError("base_delay must be non-negative")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
+        for name in ("base_delay", "jitter"):  # NaN fails the compare
+            if not 0 <= getattr(self, name) < inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError("loss_probability must be within [0, 1]")
         if not 0.0 <= self.duplicate_probability <= 1.0:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from math import inf
+from math import inf, isnan
 from typing import Any, Callable
 
 from repro.obs.bus import TraceBus
@@ -246,8 +246,11 @@ class Simulator:
         ``_executing`` is flipped once for the whole loop, not per
         event: between one action returning (and its end-of-event hooks
         draining) and the next pop, no foreign code runs, so the flag
-        is still truthful for defer_to_event_end.
+        is still truthful for defer_to_event_end. A NaN *time* is
+        refused: no event is later than it, so none would stop the loop.
         """
+        if isnan(time):
+            raise SimulationError(f"cannot run until {time}")
         queue = self._queue
         trace = self._trace
         obs = self.obs

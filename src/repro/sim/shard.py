@@ -43,7 +43,7 @@ shard passes it — a consistent cut.
 from __future__ import annotations
 
 import hashlib
-from math import inf
+from math import inf, isnan
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.bus import TraceBus
@@ -526,7 +526,10 @@ class ShardedSimulator(Simulator):
         return horizon
 
     def run_until(self, time: float) -> None:
-        """Run all events with timestamp <= *time* in barrier rounds."""
+        """Run all events with timestamp <= *time* in barrier rounds;
+        a NaN *time* is refused, as on the single-queue kernel."""
+        if isnan(time):
+            raise SimulationError(f"cannot run until {time}")
         while True:
             next_time = self._next_timestamp()
             if next_time is None or next_time > time:

@@ -22,8 +22,7 @@ calls it:
   class's default hook that the classes which run override;
 * ``reference — <test id>`` — that test compares against it;
 * ``reached only by <groups> — <test id>`` — exactly those of the
-  conditional groups (``cache``, ``full``) reach it, and the test
-  covers it;
+  conditional groups (``full``) reach it, and the test covers it;
 * ``awaits item <N>`` — ROADMAP item N (or its part, ``3(a)``) gives it
   a caller or deletes it.
 
@@ -53,7 +52,7 @@ BEGIN, END = "<!-- callers:begin -->", "<!-- callers:end -->"
 #: Groups every function must be reached by or carry a verdict for.
 BASE_GROUPS = ("quick", "chaos")
 #: Groups a ``reached only by`` verdict may name.
-CONDITIONAL_GROUPS = ("cache", "full")
+CONDITIONAL_GROUPS = ("full",)
 
 HOOK = '''\
 import os
@@ -202,7 +201,7 @@ def entry_points(group: str, scratch: Path) -> list[list[str]]:
     """The command lines of one group, run from the repository root."""
     repro = [sys.executable, "-m", "repro"]
     if group == "quick":
-        return ([repro + ["list"], repro + ["run", "all", "--no-cache"]]
+        return ([repro + ["list"], repro + ["run", "all"]]
                 + [[sys.executable, str(path)] for path
                    in sorted((ROOT / "examples").glob("*.py"))]
                 + [[sys.executable, "benchmarks/suite/run.py",
@@ -227,11 +226,8 @@ def entry_points(group: str, scratch: Path) -> list[list[str]]:
                          repro + ["trace", artifact, "--jsonl"],
                          repro + ["trace", artifact, "--kernel"]]
         return commands
-    if group == "cache":
-        cache = ["--cache-dir", str(scratch / "cache")]
-        return [repro + ["run", "all"] + cache] * 2
     if group == "full":
-        return [repro + ["run", "all", "--full", "--no-cache"]]
+        return [repro + ["run", "all", "--full"]]
     raise ValueError(group)
 
 
@@ -258,13 +254,8 @@ def trace(group: str, scratch: Path, jobs: int) -> set[tuple[str, int]]:
             raise SystemExit(f"{' '.join(command)} failed:\n"
                              f"{done.stderr[-2000:]}")
 
-    commands = entry_points(group, scratch)
-    if group == "cache":  # the second run must find the first's cells
-        for command in commands:
-            run(command)
-    else:
-        with ThreadPoolExecutor(jobs) as pool:
-            list(pool.map(run, commands))
+    with ThreadPoolExecutor(jobs) as pool:
+        list(pool.map(run, entry_points(group, scratch)))
     reached = set()
     for path in out.glob("*.txt"):
         for line in path.read_text().splitlines():

@@ -368,19 +368,19 @@ GOLDEN: dict[str, dict] = {'central_escrow': {'central': '61f7d845f1f0ec47',
                                       ('S1', 0),
                                       ('S2', 42),
                                       ('S3', 0)]],
-                       'heard': '651930212c65c808',
+                       'heard': 'da971da7e0f11bd7',
                        'heard_count': 70,
                        'local_commits': 0,
                        'logs': '89f7aacb2afe6911',
                        'modes': [('a', 'dvp')],
-                       'results': 'dafdb38fd90a8124',
+                       'results': '2cfc9ae15228ecc6',
                        'sent': {'DataRequest': 27,
                                 'ForwardReply': 30,
                                 'ForwardRequest': 39,
                                 'TsAdvisory': 2,
                                 'VmAck': 20,
                                 'VmTransfer': 20},
-                       'transitions': 'cd6b6fe0dd789dd1'},
+                       'transitions': '21cb656095fe49ae'},
  'hybrid_path_sensitive': {'committed': 43,
                            'decided': 65,
                            'fingerprint': '1b821d24b4a315d653c8f02cde922d671f338a3dda34611eb118a5435d2f7885',
@@ -398,14 +398,14 @@ GOLDEN: dict[str, dict] = {'central_escrow': {'central': '61f7d845f1f0ec47',
                            'local_commits': 18,
                            'logs': '8ea5c68bf5f62cff',
                            'modes': [('a', 'dvp')],
-                           'results': '632aeeacd6fd1016',
+                           'results': 'de6c82c922663027',
                            'sent': {'DataRequest': 42,
                                     'ForwardReply': 14,
                                     'ForwardRequest': 21,
                                     'TsAdvisory': 2,
                                     'VmAck': 28,
                                     'VmTransfer': 28},
-                           'transitions': '3a1281f40a548f97'},
+                           'transitions': 'b943d88f147418ea'},
  'paxos': {'committed': 17,
            'decided': 57,
            'fingerprint': '777f1f0a9eaa145e141e71bf6b5145fd56cd6ac2095d22aea3dd762b44ffaefe',

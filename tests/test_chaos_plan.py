@@ -38,6 +38,8 @@ from repro.chaos.plan import ACTION_TYPES, action_from_dict
 from repro.core.domain import CounterDomain
 from repro.core.system import DvPSystem, SystemConfig
 
+NAN, INF = float("nan"), float("inf")
+
 
 def json_round_trip(plan: FaultPlan) -> FaultPlan:
     """The plan as a repro artifact stores and reloads it."""
@@ -117,6 +119,37 @@ class TestValidation:
         plan = FaultPlan((CrashSite(at=1.0, site="S9"),))
         with pytest.raises(PlanError, match="unknown sites"):
             plan.validate(["S0", "S1"])
+
+
+class TestConfigRefusals:
+    """What only an artifact sets is refused when it is read: with
+    views on, a NaN settle horizon never ends, and a NaN delay would
+    fail deep inside the first send."""
+
+    @pytest.mark.parametrize("name,value", [
+        ("settle", NAN), ("settle", -1.0), ("settle", INF),
+        ("base_delay", NAN), ("base_delay", -1.0), ("base_delay", INF),
+        ("base_jitter", NAN), ("base_jitter", -1.0), ("base_jitter", INF),
+        ("retransmit_period", NAN), ("retransmit_period", 0.0),
+        ("retransmit_period", INF),
+        ("serving_board_period", NAN), ("serving_board_period", 0.0),
+        ("serving_board_period", INF),
+        ("checkpoint_interval", NAN), ("checkpoint_interval", -1),
+    ], ids=lambda value: str(value))
+    def test_a_bad_number_is_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ChaosConfig(**{name: value})
+
+    def test_boundary_values_accepted(self):
+        ChaosConfig(settle=0.0, base_delay=0.0, base_jitter=0.0,
+                    checkpoint_interval=0)
+
+    def test_a_nan_settle_artifact_is_a_plan_error(self):
+        data = ReproArtifact(seed=1, config=ChaosConfig(views=5.0),
+                             plan=FaultPlan(())).to_dict()
+        data["config"]["settle"] = NAN
+        with pytest.raises(PlanError, match="settle"):
+            ReproArtifact.from_dict(json.loads(json.dumps(data)))
 
 
 class TestCompiledSemantics:

@@ -11,6 +11,14 @@ REPRO = (pathlib.Path(__file__).parent / "repros" /
          "chaos_auditor-serial_crash_seed16220008651848166696_1act.json")
 
 
+def _chatty(honest):
+    """An E5 cell whose recovering DvP site exchanged three messages
+    before it resumed: a violation of the experiment's claim."""
+    def chatty(params):
+        return {**honest(params), "messages_before_resume": 3}
+    return chatty
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -21,16 +29,10 @@ class TestParser:
         assert args.experiment == "E1"
         assert not args.full
         assert args.jobs == 1
-        assert not args.no_cache
-        assert args.cache_dir == ".repro-cache"
 
     def test_run_parallel_flags(self):
-        args = build_parser().parse_args(
-            ["run", "E6", "--jobs", "4", "--no-cache",
-             "--cache-dir", "/tmp/elsewhere"])
+        args = build_parser().parse_args(["run", "E6", "--jobs", "4"])
         assert args.jobs == 4
-        assert args.no_cache
-        assert args.cache_dir == "/tmp/elsewhere"
 
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
@@ -54,28 +56,36 @@ class TestCommands:
         assert "E1" in out and "E12" in out
 
     def test_run_quick(self, capsys):
-        assert main(["run", "E5", "--no-cache"]) == 0
+        assert main(["run", "E5"]) == 0
         out = capsys.readouterr().out
         assert "recovery independence" in out
 
-    def test_run_cached_replay(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["run", "E5", "--cache-dir", cache_dir]) == 0
-        cold = capsys.readouterr()
-        assert "0 cached, 4 computed" in cold.err
-        assert main(["run", "E5", "--cache-dir", cache_dir]) == 0
-        warm = capsys.readouterr()
-        assert "4 cached, 0 computed" in warm.err
-        assert warm.out == cold.out
+    def test_run_recomputes_after_a_code_change(self, capsys, monkeypatch,
+                                                tmp_path):
+        """A second run of an unchanged experiment on changed code
+        prints the table the new code computes, and judges that table:
+        no cell of the first run is replayed, wherever it ran."""
+        from repro.harness.experiments import e05_recovery
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "E5"]) == 0
+        first = capsys.readouterr()
+        assert "dvp-one        0" in first.out
+        monkeypatch.setattr(e05_recovery, "_dvp_one",
+                            _chatty(e05_recovery._dvp_one))
+        assert main(["run", "E5"]) == 1
+        second = capsys.readouterr()
+        assert "dvp-one        3" in second.out
+        assert "dvp-one exchanged 3 messages" in second.err
 
     def test_run_unknown(self, capsys):
-        assert main(["run", "E99", "--no-cache"]) == 2
+        assert main(["run", "E99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_run_all_quick(self, capsys):
         """Exit 0 is every experiment's claims holding on its quick
         table; stderr is where a violated one would be named."""
-        assert main(["run", "all", "--no-cache"]) == 0
+        assert main(["run", "all"]) == 0
         captured = capsys.readouterr()
         assert "E1:" in captured.out and "E16:" in captured.out
         assert captured.err == ""
@@ -86,13 +96,9 @@ class TestCommands:
         the claim is named on stderr, the exit status is 1."""
         from repro.harness.experiments import e05_recovery
 
-        honest = e05_recovery._dvp_one
-
-        def chatty(params):
-            return {**honest(params), "messages_before_resume": 3}
-
-        monkeypatch.setattr(e05_recovery, "_dvp_one", chatty)
-        assert main(["run", "E5", "--no-cache"]) == 1
+        monkeypatch.setattr(e05_recovery, "_dvp_one",
+                            _chatty(e05_recovery._dvp_one))
+        assert main(["run", "E5"]) == 1
         planted = capsys.readouterr()
         assert planted.err == ("E5: claim violated: dvp-one exchanged 3 "
                                "messages before resuming\n")
@@ -142,7 +148,8 @@ class TestCommands:
     @pytest.mark.parametrize("command", [["chaos", "--replay"], ["trace"]],
                              ids=["replay", "trace"])
     @pytest.mark.parametrize("case", ["missing", "not-json", "list",
-                                      "no-config", "plan-not-list"])
+                                      "no-config", "plan-not-list",
+                                      "nan-settle"])
     def test_a_bad_artifact_is_a_usage_error(self, capsys, tmp_path,
                                              command, case):
         """Exit 1 means "the recorded failure reproduces": a file that
@@ -158,6 +165,9 @@ class TestCommands:
             path.write_text(json.dumps(artifact))
         elif case == "plan-not-list":
             artifact["plan"] = {"kind": "crash"}
+            path.write_text(json.dumps(artifact))
+        elif case == "nan-settle":  # no event is later than NaN
+            artifact["config"]["settle"] = float("nan")
             path.write_text(json.dumps(artifact))
         assert main(command + [str(path)]) == 2
         captured = capsys.readouterr()

@@ -3,7 +3,7 @@ reproduces the claim.
 
 Every experiment whose full preset runs in seconds is rendered from its
 ``--full`` preset; the render must appear in the document *verbatim* —
-what ``python -m repro run EN --full --no-cache`` prints — and the
+what ``python -m repro run EN --full`` prints — and the
 module's own ``claims`` must find nothing violated in it. A change that
 moves a recorded number fails here until the table (and the prose
 quoting it) is regenerated. Every experiment in the registry has a
@@ -39,7 +39,7 @@ def test_full_table_is_what_the_document_records(experiment_id):
     rendered = str(table)
     assert rendered in DOCUMENT, (
         f"EXPERIMENTS.md does not record what `python -m repro run "
-        f"{experiment_id} --full --no-cache` prints "
+        f"{experiment_id} --full` prints "
         f"({time.perf_counter() - started:.1f} s):\n{rendered}")
     assert module.claims(table, params) == []
 

@@ -1,101 +1,15 @@
-"""Tests for the parallel cached grid evaluator.
+"""Tests for the parallel grid evaluator.
 
 Logic tests run in-process against a stub experiment module (fast);
 one integration test fans a real experiment's quick grid over worker
 processes and checks the rendered table matches the sequential path.
 """
 
-import json
-
 import pytest
 
 from repro.harness import experiments
-from repro.harness.experiments import e03_vm_delivery as e03
 from repro.harness.experiments import e05_recovery as e05
-from repro.harness.parallel import (
-    CACHE_VERSION,
-    GridEvaluator,
-    ResultCache,
-    cache_key,
-    canonical,
-    evaluate_cells,
-)
-
-
-class TestCanonical:
-    def test_dataclass_carries_class_name(self):
-        rendered = canonical(e03.Params.quick())
-        assert rendered["__dataclass__"] == "Params"
-        assert rendered["loss_rates"] == [0.0, 0.5]
-
-    def test_tuples_collapse_to_lists(self):
-        assert canonical({"window": (1.0, 2.0)}) == {"window": [1.0, 2.0]}
-
-    def test_nested_structures(self):
-        value = {"policies": [("ask-few", {"fanout": 1})]}
-        assert canonical(value) == {"policies": [["ask-few",
-                                                 {"fanout": 1}]]}
-
-    def test_exotic_values_fall_back_to_repr(self):
-        assert isinstance(canonical(object()), str)
-
-    def test_is_json_serializable(self):
-        json.dumps(canonical({"params": e05.Params.quick(), "k": None}))
-
-
-class TestCacheKey:
-    def test_stable_across_equal_inputs(self):
-        first = cache_key("E3", "_run_one",
-                          {"params": e03.Params.quick(), "loss": 0.5})
-        second = cache_key("E3", "_run_one",
-                           {"params": e03.Params.quick(), "loss": 0.5})
-        assert first == second
-
-    def test_sensitive_to_params_fields(self):
-        changed = e03.Params.quick()
-        changed.seed += 1
-        assert (cache_key("E3", "_run_one",
-                          {"params": e03.Params.quick(), "loss": 0.5})
-                != cache_key("E3", "_run_one",
-                             {"params": changed, "loss": 0.5}))
-
-    def test_sensitive_to_experiment_and_fn(self):
-        kwargs = {"loss": 0.5}
-        assert cache_key("E3", "_run_one", kwargs) \
-            != cache_key("E4", "_run_one", kwargs)
-        assert cache_key("E3", "_run_one", kwargs) \
-            != cache_key("E3", "_other", kwargs)
-
-
-class TestResultCache:
-    def test_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache_key("ET", "_cell", {"value": 1})
-        cache.put(key, "ET", "_cell", {"answer": 42})
-        assert cache.get(key) == {"answer": 42}
-
-    def test_miss_when_absent(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        missing = cache.get("0" * 64)
-        assert missing != {"answer": 42}
-        assert missing is not None  # sentinel, not a value
-
-    def test_version_mismatch_is_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache_key("ET", "_cell", {"value": 2})
-        cache.put(key, "ET", "_cell", {"answer": 1})
-        path = cache._path(key)
-        payload = json.loads(path.read_text())
-        payload["version"] = CACHE_VERSION + 1
-        path.write_text(json.dumps(payload))
-        assert cache.get(key) != {"answer": 1}
-
-    def test_corrupt_entry_is_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache_key("ET", "_cell", {"value": 3})
-        cache.put(key, "ET", "_cell", {"answer": 1})
-        cache._path(key).write_text("not json {")
-        assert cache.get(key) != {"answer": 1}
+from repro.harness.parallel import GridEvaluator, evaluate_cells
 
 
 class _StubModule:
@@ -125,52 +39,23 @@ class TestGridEvaluator:
         with pytest.raises(ValueError):
             GridEvaluator(jobs=0)
 
-    def test_computes_then_replays_from_cache(self, tmp_path,
-                                              stub_experiment):
+    def test_computes_in_grid_order(self, stub_experiment):
         grid = [("_cell", {"value": 1}), ("_cell", {"value": 2})]
-        evaluator = GridEvaluator(jobs=1, cache=ResultCache(tmp_path))
-        first = evaluator("ET", grid)
-        # Computed results are JSON round-tripped: tuples become lists.
-        assert first == [{"doubled": 2, "pair": [1, 1]},
-                         {"doubled": 4, "pair": [2, 2]}]
-        assert evaluator.computed == 2 and evaluator.cache_hits == 0
-
-        second = evaluator("ET", grid)
-        assert second == first
-        assert evaluator.cache_hits == 2
-        assert stub_experiment.calls == [1, 2]  # nothing recomputed
-
-    def test_cache_shared_across_evaluators(self, tmp_path,
-                                            stub_experiment):
-        grid = [("_cell", {"value": 7})]
-        GridEvaluator(jobs=1, cache=ResultCache(tmp_path))("ET", grid)
-        warm = GridEvaluator(jobs=1, cache=ResultCache(tmp_path))
-        warm("ET", grid)
-        assert warm.cache_hits == 1 and warm.computed == 0
+        assert GridEvaluator(jobs=1)("ET", grid) == [
+            {"doubled": 2, "pair": (1, 1)}, {"doubled": 4, "pair": (2, 2)}]
+        assert stub_experiment.calls == [1, 2]
 
     def test_no_cache_recomputes(self, stub_experiment):
         grid = [("_cell", {"value": 5})]
-        evaluator = GridEvaluator(jobs=1, cache=None)
+        evaluator = GridEvaluator(jobs=1)
         evaluator("ET", grid)
         evaluator("ET", grid)
         assert stub_experiment.calls == [5, 5]
-
-    def test_partial_hits_only_compute_misses(self, tmp_path,
-                                              stub_experiment):
-        cache = ResultCache(tmp_path)
-        GridEvaluator(jobs=1, cache=cache)("ET", [("_cell", {"value": 1})])
-        evaluator = GridEvaluator(jobs=1, cache=cache)
-        results = evaluator("ET", [("_cell", {"value": 1}),
-                                   ("_cell", {"value": 9})])
-        assert results[0]["doubled"] == 2 and results[1]["doubled"] == 18
-        assert evaluator.cache_hits == 1 and evaluator.computed == 1
-        assert stub_experiment.calls == [1, 9]
 
 
 class TestEvaluateCells:
     def test_none_falls_back_to_direct_calls(self, stub_experiment):
         results = evaluate_cells("ET", [("_cell", {"value": 4})], None)
-        # Direct path: no JSON round trip, tuples survive.
         assert results == [{"doubled": 8, "pair": (4, 4)}]
 
     def test_custom_evaluate_receives_grid(self):
@@ -196,16 +81,8 @@ class TestExperimentGrids:
                 assert callable(getattr(module, fn)), (experiment_id, fn)
                 assert isinstance(kwargs, dict)
 
-    def test_parallel_run_matches_sequential(self, tmp_path):
+    def test_parallel_run_matches_sequential(self):
         params = e05.Params.quick()
         sequential = e05.run(params).render()
-        evaluator = GridEvaluator(jobs=2, cache=ResultCache(tmp_path))
-        parallel = e05.run(params, evaluate=evaluator).render()
+        parallel = e05.run(params, evaluate=GridEvaluator(jobs=2)).render()
         assert parallel == sequential
-        assert evaluator.computed == len(e05.cells(params))
-
-        warm = GridEvaluator(jobs=2, cache=ResultCache(tmp_path))
-        replay = e05.run(params, evaluate=warm).render()
-        assert replay == sequential
-        assert warm.cache_hits == len(e05.cells(params))
-        assert warm.computed == 0

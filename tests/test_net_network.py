@@ -30,6 +30,10 @@ class TestLinkConfig:
         {"loss_probability": 1.5},
         {"loss_probability": -0.1},
         {"duplicate_probability": 2.0},
+        {"base_delay": float("nan")},
+        {"base_delay": float("inf")},
+        {"jitter": float("nan")},
+        {"jitter": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,7 +1,5 @@
 """Unit tests for the serializability replay checker."""
 
-import pytest
-
 from repro.core.domain import CounterDomain
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import (
@@ -131,15 +129,12 @@ class TestTieGroups:
 
 
 class TestInflightSampleOnAQuiescentSystem:
-    """Finding 8 (DESIGN.md §6), open: a drain that completes a full
-    read is retired from the auditor's books only after the read has
-    committed, so the read's ``inflight_at_commit`` still counts it.
-    On a quiescent system nothing is in transmission when the read
-    commits, yet the sample says 30: the serial oracle's under-report
-    band is that much looser than it should be."""
+    """Finding 8 (DESIGN.md §6): the receiver retires an accepted Vm
+    from the auditor's books before it tells the transaction the Vm
+    completes, so a full read on a quiescent system samples nothing in
+    flight, and the drain that completed it does not loosen the serial
+    oracle's under-report band."""
 
-    @pytest.mark.xfail(strict=True, reason="the auditor retires a Vm "
-                       "after the transaction it completed commits")
     def test_a_quiescent_full_read_reports_nothing_in_flight(self):
         system = DvPSystem(SystemConfig(
             sites=["A", "B", "C"], seed=1, txn_timeout=10.0,

@@ -226,6 +226,16 @@ class TestSimulator:
                 schedule()
         assert sim.pending == 0
 
+    def test_a_nan_horizon_is_refused(self):
+        # No event compares later than NaN: a run until it would pop
+        # every event, and a timer that re-arms itself forever.
+        sim = Simulator()
+        hits = []
+        sim.at(1.0, lambda: hits.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.run_until(float("nan"))
+        assert hits == [] and sim.now == 0.0
+
     def test_run_until_stops_at_time(self):
         sim = Simulator()
         hits = []
@@ -395,3 +405,11 @@ class TestShardedNonFinite:
         assert refused == ["at", "after", "at_site", "after_for_site",
                            "at_global"]
         assert sim.pending == 0 and sim.steps == 1
+
+    def test_a_nan_horizon_is_refused(self):
+        sim = ShardedSimulator(ShardPlan.round_robin(["A", "B"], 2, 1.0))
+        hits = []
+        sim.at_site("A", 1.0, lambda: hits.append(1.0))
+        with pytest.raises(SimulationError):
+            sim.run_until(float("nan"))
+        assert hits == [] and sim.now == 0.0

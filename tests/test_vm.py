@@ -407,7 +407,7 @@ class TestAcceptRuns:
         assert h.runs["B"] == [(1, 2)]
         assert [entry.amount for _s, entry in h.accepted["B"]] == [1, 2]
 
-    def test_each_entry_is_told_then_retired_in_order(self):
+    def test_the_run_is_retired_before_any_entry_is_told(self):
         h = Harness()
         manager = h.managers["B"]
         calls = []
@@ -415,8 +415,8 @@ class TestAcceptRuns:
         manager.on_accepted = lambda src, e: calls.append(("books", e.item))
         h.send_values("A", "B", (("x", 1), ("y", 2)))
         h.flush()
-        assert calls == [("told", "x"), ("books", "x"),
-                         ("told", "y"), ("books", "y")]
+        assert calls == [("books", "x"), ("books", "y"),
+                         ("told", "x"), ("told", "y")]
 
 
 class TestRefusalAndPoke:
