@@ -145,12 +145,14 @@ def make_result(txn_id: str, label: str, outcome: Outcome, reason: str,
                 site: str, submitted_at: float, finished_at: float,
                 deltas: list[tuple[str, int, Any]] | None = None,
                 read_values: dict[str, Any] | None = None) -> TxnResult:
-    """Build a TxnResult in baseline code without core's Transaction."""
+    """Build a TxnResult in baseline code without core's Transaction;
+    *deltas* are ``(item, sign, amount)`` triples, stored as one flat
+    row."""
     return TxnResult(
         txn_id=txn_id, label=label, outcome=outcome, reason=reason,
         site=site, submitted_at=submitted_at, finished_at=finished_at,
         read_values=read_values or EMPTY,
-        semantic_deltas=tuple(deltas or ()))
+        delta_row=tuple([atom for delta in deltas or () for atom in delta]))
 
 
 class IdSource:

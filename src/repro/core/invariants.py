@@ -95,7 +95,8 @@ class ConservationAuditor:
         if not result.committed:
             return
         self.commits_seen += 1
-        for item, sign, amount in result.semantic_deltas:
+        atoms = iter(result.delta_row)  # (item, sign, amount), flat
+        for item, sign, amount in zip(atoms, atoms, atoms):
             domain = self._domains[item]
             if sign > 0:
                 self._expected[item] = domain.combine(self._expected[item],

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING
 from repro.core.messages import TRANSFER_MODE, DataRequest
 from repro.core.redistribution import (
     REBALANCE_POLICIES,
+    DemandTracker,
     make_rebalance_policy,
 )
 from repro.obs.events import RebalPull, RebalShip
@@ -89,6 +90,10 @@ class RebalanceDaemon:
     def __init__(self, site: "DvPSite",
                  config: RebalanceConfig | None = None) -> None:
         self.site = site
+        if site.demand is None:
+            # The planner is the ledger's one reader: its site starts
+            # feeding one now.
+            site.demand = DemandTracker(site.sim)
         self.config = config or RebalanceConfig()
         self.policy = make_rebalance_policy(self.config.policy)
         self.targets: dict[str, int] = {}
@@ -261,7 +266,9 @@ def install_rebalancing(system, config: RebalanceConfig | None = None
     Each daemon is built and armed in its site's scheduling context so
     its periodic tick lives on the site's shard when the simulation is
     sharded (a no-op on the single-queue kernel). The daemons are
-    attached to the system, so ``system.close()`` closes them.
+    attached to the system, so ``system.close()`` closes them. Each
+    builds its site's demand ledger, which hears only what happens
+    after: install before the first arrival.
     """
     daemons = {}
     for name, site in system.sites.items():

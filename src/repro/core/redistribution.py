@@ -12,7 +12,8 @@ site fetch ahead of demand?*. This module supplies both halves:
   local aborts, remote ``DataRequest`` traffic (peers asking *us* for
   value are demand we can push toward), and received Vm (peers sending
   us value are wealthy — candidates to pull from). Nothing here adds
-  messages; it only listens.
+  messages; it only listens — and only at a site whose daemon built
+  it: a site with no planner keeps no ledger.
 
 * A pluggable :class:`RebalancePolicy` registry deciding, per item,
   which peer a surplus push targets and which peer a deficit pull asks:
@@ -78,10 +79,12 @@ class _DecayedScore:
 class DemandTracker:
     """Volatile per-site demand/wealth ledger (decays over virtual time).
 
-    Fed by hooks on the protocol's own transitions (transaction
-    shortfall and abort, incoming requests, accepted Vm); read by the
-    rebalance policies. Like the lock table it does not survive a
-    crash — :meth:`reset` is called from ``DvPSite.crash``.
+    Built by the site's :class:`~repro.core.rebalance.RebalanceDaemon`
+    (``DvPSite.demand`` is None until then); fed by hooks on the
+    protocol's own transitions (transaction shortfall and abort,
+    incoming requests, accepted Vm); read by the rebalance policies.
+    Like the lock table it does not survive a crash — :meth:`reset` is
+    called from ``DvPSite.crash``.
     """
 
     #: A local abort carries this much pressure (shortfall signals are

@@ -107,7 +107,9 @@ class DvPSite:
         self.clock = LamportClock(rank)
         #: Decayed demand/wealth ledger feeding the rebalance planner
         #: (repro.core.redistribution). Volatile, like the lock table.
-        self.demand = DemandTracker(sim)
+        #: None until a RebalanceDaemon, its one reader, builds it: a
+        #: site without a planner feeds no ledger.
+        self.demand: DemandTracker | None = None
         self.vm = self._new_vm_manager()
 
         self.alive = True
@@ -155,9 +157,10 @@ class DvPSite:
             self.observer.on_vm_created(self.name, entry)
 
     def _notify_vm_accepted(self, src: str, entry) -> None:
-        # A peer that sends value demonstrably has it — wealth evidence
-        # for the pull policy's "richest reachable peer" estimate.
-        self.demand.note_supply(src, entry.item, entry.amount)
+        if self.demand is not None:
+            # A peer that sends value demonstrably has it — wealth
+            # evidence for the pull policy's "richest reachable peer".
+            self.demand.note_supply(src, entry.item, entry.amount)
         if self.observer is not None:
             self.observer.on_vm_accepted(self.name, src, entry)
 
@@ -356,7 +359,7 @@ class DvPSite:
             wants[item] = need
         if not wants:
             return
-        if request.mode != READ_MODE:
+        if request.mode != READ_MODE and self.demand is not None:
             # Whatever we decide below, the request itself is a demand
             # signal: *origin* wants value of these items. The rebalance
             # planner pushes toward recently-demanding peers.
@@ -539,7 +542,8 @@ class DvPSite:
         self.locks.clear()
         self.fragments.reset_timestamps()
         self.clock.reset()
-        self.demand.reset()
+        if self.demand is not None:
+            self.demand.reset()
         if self.views is not None:
             # The cache is volatile: recover cold, warm from refreshes.
             self.views.clear()

@@ -389,7 +389,7 @@ class DvPSystem:
         self.directory.remove_site(name)
         site.decommissioned = True
         for other in self.sites.values():
-            if other is not site:
+            if other is not site and other.demand is not None:
                 other.demand.forget_peer(name)
         if self.sim.obs.enabled:
             self.sim.obs.emit(SiteDecommission(

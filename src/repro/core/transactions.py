@@ -72,7 +72,7 @@ EMPTY: Mapping[str, Any] = MappingProxyType({})
 
 # -- operations --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncrementOp:
     """Add *amount* to *item* (cancel seats, deposit money, restock)."""
 
@@ -80,7 +80,7 @@ class IncrementOp:
     amount: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecrementOp:
     """Remove *amount* from *item* if possible (reserve, withdraw, sell)."""
 
@@ -88,7 +88,7 @@ class DecrementOp:
     amount: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferOp:
     """Move *amount* from one item to another (change flight A -> B)."""
 
@@ -97,7 +97,7 @@ class TransferOp:
     amount: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApplyOp:
     """Apply an arbitrary partitionable operator to *item*."""
 
@@ -105,7 +105,7 @@ class ApplyOp:
     operator: PartitionableOperator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadFullOp:
     """Read the item's full value N = Π(Π⁻¹(d)) — requires draining
     every remote fragment (and all in-flight Vm) to this site."""
@@ -113,7 +113,7 @@ class ReadFullOp:
     item: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadLocalOp:
     """Read only the local fragment (the site's own quota).
 
@@ -125,7 +125,7 @@ class ReadLocalOp:
     item: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadViewOp:
     """Read the item's value from a materialized Π(b) view, accepting
     up to *bound* of staleness (docs/READS.md).
@@ -147,7 +147,7 @@ Op = (IncrementOp | DecrementOp | TransferOp | ApplyOp | ReadFullOp
       | ReadLocalOp | ReadViewOp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionSpec:
     """What a transaction does; ops execute in order at commit.
 
@@ -160,13 +160,23 @@ class TransactionSpec:
     ops: tuple[Op, ...]
     label: str = ""
     work: float = 0.0
+    # Derived, not fields a caller sets: slots of their own, outside
+    # ``==``, ``hash`` and ``repr``.
+    _takes: bool = field(init=False, repr=False, compare=False)
+    _full_reads: tuple[str, ...] = field(init=False, repr=False,
+                                         compare=False)
+    _view_bounds: Mapping[str, float | None] = field(
+        init=False, repr=False, compare=False)
+    _updates: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _items: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A spec is frozen, so its item sets are derived here, once,
         # and every later use — by this spec's methods and by each
         # Transaction running it — reads them back. They are tuples of
         # distinct items in op order, and the empty and the identical
-        # ones are shared: a workload holds one spec per request.
+        # ones are shared: a workload holds one spec per request, and
+        # a slotted one carries no ``__dict__``.
         # ``_takes``: does any op take value (only those have needs)?
         full = dict.fromkeys(op.item for op in self.ops
                              if isinstance(op, ReadFullOp))
@@ -283,7 +293,10 @@ class TxnResult:
     submitted_at: float
     finished_at: float
     read_values: Mapping[str, Any] = field(default_factory=_empty)
-    semantic_deltas: tuple[tuple[str, int, Any], ...] = ()
+    #: Every semantic delta as one flat row of atoms, ``(item, sign,
+    #: amount, item, sign, amount, ...)``: one tuple the collector
+    #: untracks, not a tuple of triples. Read it as ``semantic_deltas``.
+    delta_row: tuple = ()
     requests_sent: int = 0
     #: Value of each read item that was inside live Vm at the commit
     #: instant (sampled by the system's god's-eye auditor). The paper's
@@ -308,6 +321,13 @@ class TxnResult:
     @property
     def latency(self) -> float:
         return self.finished_at - self.submitted_at
+
+    @property
+    def semantic_deltas(self) -> tuple[tuple[str, int, Any], ...]:
+        """``(item, sign, amount)`` per delta, in op order, built from
+        the flat row on access."""
+        atoms = iter(self.delta_row)
+        return tuple(zip(atoms, atoms, atoms))
 
     @property
     def view_reads(self) -> Mapping[str, ViewCertificate]:
@@ -538,9 +558,10 @@ class Transaction:
             deficit = domain.deficit(fragments.value(item), need)
             if domain.is_zero(deficit):
                 continue
-            # Feed the rebalance planner: this site's clients want more
-            # of *item* than its fragment holds (local pressure).
-            site.demand.note_shortfall(item, deficit)
+            if site.demand is not None:
+                # Feed the rebalance planner: this site's clients want
+                # more of *item* than its fragment holds.
+                site.demand.note_shortfall(item, deficit)
             rng = rng or site.sim.rng.stream(f"policy:{site.name}")
             # Transfer requests target the item's directory owners
             # (identical to *peers* under the "all" partitioner); reads
@@ -715,24 +736,25 @@ class Transaction:
                   for item in self.spec._items if item not in certs}
         working = dict(stored)
         read_values: dict[str, Any] = {}
-        deltas: list[tuple[str, int, Any]] = []
+        # TxnResult.delta_row: (item, sign, amount) per delta, flat.
+        deltas: list[Any] = []
         for op in self.spec.ops:
             kind = type(op)
             if kind is IncrementOp:
                 working[op.item] = fragments.domain(op.item).combine(
                     working[op.item], op.amount)
-                deltas.append((op.item, +1, op.amount))
+                deltas += (op.item, +1, op.amount)
             elif kind is DecrementOp:
                 if not self._take(op.item, op.amount, working):
                     return
-                deltas.append((op.item, -1, op.amount))
+                deltas += (op.item, -1, op.amount)
             elif kind is TransferOp:
                 if not self._take(op.src_item, op.amount, working):
                     return
                 working[op.dst_item] = fragments.domain(op.dst_item).combine(
                     working[op.dst_item], op.amount)
-                deltas.append((op.src_item, -1, op.amount))
-                deltas.append((op.dst_item, +1, op.amount))
+                deltas += (op.src_item, -1, op.amount,
+                           op.dst_item, +1, op.amount)
             elif kind is ApplyOp:
                 domain = fragments.domain(op.item)
                 application = op.operator.apply(domain, working[op.item])
@@ -742,7 +764,7 @@ class Transaction:
                 working[op.item] = application.value
                 try:
                     sign, magnitude = op.operator.delta(domain)
-                    deltas.append((op.item, sign, magnitude))
+                    deltas += (op.item, sign, magnitude)
                 except NotImplementedError:
                     pass
             elif kind is ReadViewOp and op.item in certs:
@@ -801,16 +823,18 @@ class Transaction:
         self._abort("timeout")
 
     def _abort(self, reason: str) -> None:
-        if reason in ("timeout", "ineffective-decrement"):
+        demand = self.site.demand
+        if demand is not None and reason in ("timeout",
+                                             "ineffective-decrement"):
             # A client walked away unserved for lack of local value —
             # the strongest demand signal the planner gets.
             for item in self._needs:
-                self.site.demand.note_abort(item)
+                demand.note_abort(item)
         self._finish(Outcome.ABORTED, reason, EMPTY, ())
 
     def _finish(self, outcome: Outcome, reason: str,
                 read_values: Mapping[str, Any],
-                deltas: tuple[tuple[str, int, Any], ...]) -> None:
+                delta_row: tuple) -> None:
         if self.state is _State.FINISHED:
             return
         was_waiting = self.state is _State.WAITING_LOCKS
@@ -835,8 +859,9 @@ class Transaction:
                      else ())
         self.result = result = TxnResult(
             self.id, self.spec.label, outcome, reason, site.name,
-            self.submitted_at, now, read_values, deltas, self.requests_sent,
-            EMPTY, view_rows, tuple(self._view_fallbacks))
+            self.submitted_at, now, read_values, delta_row,
+            self.requests_sent, EMPTY, view_rows,
+            tuple(self._view_fallbacks))
         site.h_decision[outcome].observe(now - self.submitted_at)
         if site._obs.enabled:
             if outcome is Outcome.COMMITTED:

@@ -60,7 +60,7 @@ class ForwardReply:
     outcome: Outcome
     reason: str
     read_values: tuple[tuple[str, Any], ...] = ()
-    semantic_deltas: tuple[tuple[str, int, Any], ...] = ()
+    delta_row: tuple = ()  # TxnResult.delta_row
 
 
 @dataclass
@@ -320,8 +320,7 @@ class HybridSystem:
         def done(result: TxnResult) -> None:
             self.system.network.send(home, request.origin, ForwardReply(
                 request.forward_id, result.outcome, result.reason,
-                tuple(result.read_values.items()),
-                result.semantic_deltas))
+                tuple(result.read_values.items()), result.delta_row))
 
         try:
             self.system.sites[home].submit(
@@ -332,4 +331,4 @@ class HybridSystem:
     def _on_forward_reply(self, reply: ForwardReply) -> None:
         self._conclude(reply.forward_id, reply.outcome, reply.reason,
                        read_values=dict(reply.read_values),
-                       semantic_deltas=reply.semantic_deltas)
+                       delta_row=reply.delta_row)

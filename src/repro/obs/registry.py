@@ -35,12 +35,17 @@ name                    labels                   meaning
 ``serve.wait``          ``site`` (histogram)     enqueue→dispatch wait
 ======================  =======================  =========================
 
-Histograms keep raw samples; readers summarize them with
-:func:`repro.metrics.stats.summarize`.
+Histograms keep raw samples, each an 8-byte slot of a float
+``array('d')`` — not a float object behind a list slot — so a run that
+keeps one sample per op keeps 8 B for it. An integer sample reads back
+as a float. Readers summarize them with
+:func:`repro.metrics.stats.summarize` (``len``, ``sorted`` and
+iteration work on the array as on a list).
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Any
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -75,14 +80,14 @@ class CounterMetric:
 
 
 class HistogramMetric:
-    """Raw samples of one latency family."""
+    """Raw samples of one latency family, as C doubles."""
 
     __slots__ = ("name", "labels", "values")
 
     def __init__(self, name: str, labels: LabelKey) -> None:
         self.name = name
         self.labels = labels
-        self.values: list[float] = []
+        self.values: array[float] = array("d")
 
     def observe(self, value: float) -> None:
         self.values.append(value)

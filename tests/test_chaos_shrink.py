@@ -23,6 +23,7 @@ from repro.chaos import (
     RecoverSite,
     ReproArtifact,
     SkewTick,
+    TRACE_TAIL_EVENTS,
     default_name,
     run_chaos,
     shrink,
@@ -195,7 +196,8 @@ class TestArtifactFormat:
 
 
 class TestCommittedRepro:
-    """The repro checked in under tests/repros/ must keep reproducing."""
+    """The repro checked in under tests/repros/ must keep reproducing,
+    and replay the very trace tail it recorded."""
 
     def test_committed_artifacts_replay(self):
         import pathlib
@@ -205,9 +207,13 @@ class TestCommittedRepro:
         assert paths, "no committed repro artifacts found"
         for path in paths:
             artifact = ReproArtifact.load(path)
-            result = artifact.replay()
+            # Traced as ``repro chaos --replay`` traces it: a schedule
+            # change that moves the tail must re-record it.
+            result = artifact.replay(trace_limit=TRACE_TAIL_EVENTS)
             assert result.failed_oracles == \
                 tuple(sorted(artifact.failures)), path.name
+            assert result.trace_tail == artifact.trace_tail, \
+                f"{path.name}: trace tail DIFFERS from recorded"
             # Same scenario without the planted bug is healthy: the
             # failure is the injection's, not the protocol's.
             artifact.injection = None

@@ -356,8 +356,9 @@ class TestCancelledEventIsAHusk:
 
 # -- (c) retained-object budget ------------------------------------------------
 
-def _local_commit_run(ops: int, warm: int = 200):
-    """Single-op local commits with a service time, 16 items."""
+def _local_commit_run(ops: int, warm: int = 200, census=_census):
+    """Single-op local commits with a service time, 16 items. *census*
+    runs once, after *warm* requests (as in :func:`_served_run`)."""
     system = DvPSystem(SystemConfig(sites=SITES, seed=14, txn_timeout=30.0))
     items = [f"item{index}" for index in range(16)]
     for item in items:
@@ -370,7 +371,7 @@ def _local_commit_run(ops: int, warm: int = 200):
     for index in range(warm + ops):
         if index == warm:
             gc.collect()
-            before = _census()
+            before = census()
         site, spec = SITES[index % 4], specs[index % len(specs)]
         # One arrival every 0.01: an item is reused every 0.32, long
         # after its 0.004 of work released the lock.
@@ -380,7 +381,7 @@ def _local_commit_run(ops: int, warm: int = 200):
     return system, before
 
 
-def _fanout_run(ops: int, warm: int = 80):
+def _fanout_run(ops: int, warm: int = 80, census=_census):
     """Two-op transfers whose sources are funded only at the peers:
     commits pull remote value as Vm (the suite's transfer shape)."""
     system = DvPSystem(SystemConfig(
@@ -398,7 +399,7 @@ def _fanout_run(ops: int, warm: int = 80):
     for index in range(warm + ops):
         if index == warm:
             gc.collect()
-            before = _census()
+            before = census()
         site, peer = SITES[index % 4], SITES[(index + 1 + index // 4) % 4]
         if peer == site:
             peer = SITES[(index + 2) % 4]
@@ -460,6 +461,28 @@ def _served_run(ops: int, views: bool, warm: int = 200, census=_census):
     return system, frontend, before
 
 
+def _retained_bytes(run, **kwargs):
+    """Run ``run(census=..., **kwargs)`` under tracemalloc: the system
+    and the bytes the heap grew by from the warm-up census to the end.
+
+    The census counts tracked objects only; a tuple or dict of atoms
+    is never tracked, and a histogram sample is no object at all, so
+    bytes are what shows them."""
+    at_warm = []
+
+    def census():
+        at_warm.append(tracemalloc.get_traced_memory()[0])
+        return _census()
+
+    tracemalloc.start()
+    try:
+        system, *_ = run(census=census, **kwargs)
+        gc.collect()
+        return system, tracemalloc.get_traced_memory()[0] - at_warm[0]
+    finally:
+        tracemalloc.stop()
+
+
 def _assert_budget(system, before: Counter, ops: int, per_op: float,
                    what: str) -> None:
     committed = len(system.committed())
@@ -467,9 +490,10 @@ def _assert_budget(system, before: Counter, ops: int, per_op: float,
         result.reason for result in system.results if not result.committed)
     cyclic = gc.collect()
     # The collector stops tracking a tuple of atoms when it sees it,
-    # one level of nesting per pass: a result's ``semantic_deltas``
-    # (tuples in a tuple) needs the second. A live run's young passes
-    # do both long before anything reaches the oldest generation.
+    # one level of nesting per pass: a result's ``view_rows`` (rows in
+    # a tuple) needs the second; its ``delta_row`` is one flat row. A
+    # live run's young passes do both long before anything reaches the
+    # oldest generation.
     gc.collect()
     grown = _census() - before
     total = sum(grown.values())
@@ -517,24 +541,32 @@ class TestRetainedObjectBudget:
         assert len(served) > 1500
         _assert_budget(system, before, 2000, 1.5, "served view reads")
 
+    def test_local_commit_retains_few_bytes(self):
+        # Per op a result, its flat delta row, its id and two times, one
+        # encoded commit record and an 8-byte latency sample. Measured:
+        # 469 B per op; 536 while a sample was a float in a list and the
+        # deltas a tuple of triples.
+        system, retained = _retained_bytes(_local_commit_run, ops=2000)
+        assert len(system.results) == 2200
+        assert retained <= 530 * 2000, (
+            f"{retained / 2000:.0f} B retained per op, budget 530")
+
+    def test_transfer_fanout_retains_few_bytes(self):
+        # Measured: 2091 B per op; 2446 while samples were floats in
+        # lists, the deltas a tuple of triples, and every site fed a
+        # demand ledger that no planner read.
+        system, retained = _retained_bytes(_fanout_run, ops=500)
+        assert len(system.results) == 580
+        assert retained <= 2400 * 500, (
+            f"{retained / 500:.0f} B retained per op, budget 2400")
+
     def test_view_reads_retain_few_bytes(self):
-        # The census counts tracked objects only; a dict of atoms is
-        # never tracked, so bytes are what shows a per-read mapping.
-        # Measured: 560 B per op; 840 while each view-served read built
-        # its own read_values and inflight_at_commit dicts.
-        at_warm = []
-
-        def census():
-            at_warm.append(tracemalloc.get_traced_memory()[0])
-            return _census()
-
-        tracemalloc.start()
-        try:
-            system, _, _ = _served_run(ops=2000, views=True, census=census)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - at_warm[0]
-        finally:
-            tracemalloc.stop()
+        # A dict of atoms is never tracked, so bytes are what shows a
+        # per-read mapping. Measured: 560 B per op; 840 while each
+        # view-served read built its own read_values and
+        # inflight_at_commit dicts.
+        system, retained = _retained_bytes(_served_run, ops=2000,
+                                           views=True)
         assert len(system.results) == 2200
         assert retained <= 640 * 2000, (
             f"{retained / 2000:.0f} B retained per op, budget 640")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.domain import CounterDomain
+from repro.core.redistribution import DemandTracker
 from repro.core.rebalance import (
     RebalanceConfig,
     RebalanceDaemon,
@@ -300,6 +301,59 @@ class TestPolicies:
         assert system.sites["A"].requests_honored == 0
         system.network.heal()
         system.run_for(100.0)
+        system.auditor.assert_ok()
+
+
+class TestDemandLedgerBelongsToTheDaemon:
+    """Only a RebalanceDaemon reads a site's DemandTracker, so only a
+    daemon builds one; a system without daemons feeds no ledger."""
+
+    @staticmethod
+    def feed(system):
+        # Every feed: a shortfall and its requests, accepted Vm, a
+        # timeout abort.
+        system.submit("A", TransactionSpec(ops=(DecrementOp("x", 25),)))
+        system.run_for(20.0)
+        system.submit("B", TransactionSpec(ops=(DecrementOp("x", 500),)))
+        system.run_for(40.0)
+
+    @staticmethod
+    def forget(system):
+        # Both forgetting paths: a crash and a decommissioned peer.
+        system.crash("B")
+        system.recover("B")
+        system.remove_site("C")
+        system.run_for(100.0)
+
+    def test_a_system_without_daemons_builds_none(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(DemandTracker, "__init__",
+                            lambda self, *args, **kwargs: built.append(1))
+        system = build()
+        self.feed(system)
+        self.forget(system)
+        assert [result.reason for result in system.results] == [
+            "ok", "timeout"]
+        assert built == []
+        assert all(site.demand is None for site in system.sites.values())
+        system.auditor.assert_ok()
+
+    def test_install_gives_every_site_its_own(self):
+        system = build()
+        daemons = install_rebalancing(system, RebalanceConfig(period=50.0))
+        ledgers = [site.demand for site in system.sites.values()]
+        assert all(type(ledger) is DemandTracker for ledger in ledgers)
+        assert len(set(map(id, ledgers))) == len(ledgers) == len(daemons)
+        self.feed(system)
+        a, b = system.sites["A"].demand, system.sites["B"].demand
+        assert a.local_pressure("x") > 0  # A fell short of x
+        assert b.local_pressure("x") > 0  # and B, who gave up
+        assert a.remote_demand("x", "B") > 0  # B asked A for x
+        assert a.wealth("x", "C") > 0  # C sent A some x
+        self.forget(system)
+        assert b.local_pressure("x") == 0  # B crashed
+        assert a.wealth("x", "C") == 0  # C left the topology
+        assert a.remote_demand("x", "B") > 0
         system.auditor.assert_ok()
 
 

@@ -23,7 +23,7 @@ def result(txn_id, finished_at, deltas=(), reads=None, inflight=None,
         outcome=Outcome.COMMITTED if committed else Outcome.ABORTED,
         reason="ok", submitted_at=0.0, finished_at=finished_at,
         read_values=dict(reads or {}),
-        semantic_deltas=list(deltas),
+        delta_row=tuple(atom for delta in deltas for atom in delta),
         inflight_at_commit=dict(inflight or {}))
 
 

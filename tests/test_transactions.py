@@ -1,5 +1,7 @@
 """Unit tests for transaction specs and the transaction state machine."""
 
+import pickle
+
 import pytest
 
 from repro.core.domain import CounterDomain
@@ -11,8 +13,11 @@ from repro.core.transactions import (
     IncrementOp,
     Outcome,
     ReadFullOp,
+    ReadLocalOp,
+    ReadViewOp,
     TransactionSpec,
     TransferOp,
+    TxnResult,
 )
 from repro.net.link import LinkConfig
 
@@ -63,6 +68,84 @@ class TestSpec:
         domain = CounterDomain()
         spec = TransactionSpec(ops=(ApplyOp("a", SetToZero()),))
         assert spec.needs(lambda item: domain) == {}
+
+
+class TestSlottedSpecs:
+    """A workload holds one spec per request: specs and ops are slotted,
+    and the derived item sets are slots outside ``==``, ``hash`` and
+    ``repr`` — every one of which reads as it did with a ``__dict__``."""
+
+    OPS = (IncrementOp("a", 1), DecrementOp("b", 2), TransferOp("c", "d", 3),
+           ApplyOp("e", Increment(4)), ReadFullOp("f"), ReadLocalOp("g"),
+           ReadViewOp("h", bound=2.5))
+
+    def spec(self):
+        return TransactionSpec(ops=self.OPS, label="mixed", work=0.25)
+
+    def test_no_instance_dict(self):
+        spec = self.spec()
+        for obj in (spec, *spec.ops):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+        with pytest.raises(AttributeError):
+            object.__setattr__(spec, "extra", 1)
+
+    def test_equality_and_hash_see_only_the_three_fields(self):
+        spec = self.spec()
+        assert spec == self.spec()
+        assert hash(spec) == hash(self.spec()) == hash(
+            (spec.ops, spec.label, spec.work))
+        assert spec != TransactionSpec(ops=self.OPS, label="other",
+                                       work=0.25)
+        assert hash(IncrementOp("a", 1)) == hash(("a", 1))
+
+    def test_repr_prints_fields_only(self):
+        spec = TransactionSpec(ops=(TransferOp("c", "d", 3),
+                                    ReadViewOp("h", bound=2.5)), label="t")
+        assert repr(spec) == (
+            "TransactionSpec(ops=(TransferOp(src_item='c', dst_item='d', "
+            "amount=3), ReadViewOp(item='h', bound=2.5)), label='t', "
+            "work=0.0)")
+
+    def test_pickle_round_trip_keeps_derived_sets(self):
+        spec = self.spec()
+        again = pickle.loads(pickle.dumps(spec))
+        assert again == spec and repr(again) == repr(spec)
+        for name in ("_takes", "_full_reads", "_view_bounds", "_updates",
+                     "_items"):
+            assert getattr(again, name) == getattr(spec, name), name
+        assert again._items == ("f", "h", "a", "b", "c", "d", "e", "g")
+        for op in spec.ops:
+            assert pickle.loads(pickle.dumps(op)) == op
+
+
+class TestDeltaRow:
+    """A result keeps its deltas as one flat row of atoms and builds
+    the ``(item, sign, amount)`` triples on access."""
+
+    def test_semantic_deltas_round_trip(self):
+        triples = (("x", -1, 2), ("x", -1, 3), ("y", +1, 3))
+        result = TxnResult("t", "", Outcome.COMMITTED, "ok", "A", 0.0, 1.0,
+                           delta_row=tuple(atom for triple in triples
+                                           for atom in triple))
+        assert result.delta_row == ("x", -1, 2, "x", -1, 3, "y", 1, 3)
+        assert result.semantic_deltas == triples
+        assert tuple(atom for triple in result.semantic_deltas
+                     for atom in triple) == result.delta_row
+        assert "semantic_deltas=(('x', -1, 2), ('x', -1, 3), " \
+            "('y', 1, 3))" in repr(result)
+
+    def test_no_deltas_is_the_empty_row(self):
+        result = TxnResult("t", "", Outcome.ABORTED, "timeout", "A", 0.0, 1.0)
+        assert result.delta_row == () and result.semantic_deltas == ()
+        assert "semantic_deltas=()" in repr(result)
+
+    def test_a_commit_stores_its_deltas_flat_in_op_order(self):
+        system = build()
+        system.add_item("y", CounterDomain(), total=0)
+        result = run_one(system, "A", TransactionSpec(
+            ops=(DecrementOp("x", 2), TransferOp("x", "y", 3))))
+        assert result.delta_row == ("x", -1, 2, "x", -1, 3, "y", 1, 3)
+        assert type(result.delta_row) is tuple
 
 
 class TestLocalCommit:

@@ -520,7 +520,7 @@ class TestOutstanding:
         h.flush()
         metrics = h.sim.metrics
         assert metrics.total("vm.created") == 1
-        assert {tuple(sorted(hist.labels)): hist.values
+        assert {tuple(sorted(hist.labels)): hist.values.tolist()
                 for hist in metrics.histograms("vm.delivery")
                 if hist.values} \
             == {(("dst", "B"), ("src", "A")): [2.0]}
