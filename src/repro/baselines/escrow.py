@@ -147,7 +147,7 @@ class CentralCounterSystem(BaselineSystem):
                                               self._retry_commits)
         self.site_names = list(sites)
         for name in sites:
-            self.network.register(name, self._make_handler(name))
+            self.network.register(name, self._deliver)
 
     # -- setup -------------------------------------------------------------
 
@@ -183,36 +183,30 @@ class CentralCounterSystem(BaselineSystem):
 
     # -- message plumbing -------------------------------------------------------
 
-    def _make_handler(self, name: str):
-        def handler(envelope: Envelope) -> None:
-            payload = envelope.payload
-            if name == self.central and isinstance(payload, AcquireReq):
-                self._central_acquire(payload)
-            elif name == self.central and isinstance(payload, CommitReq):
-                self._central_commit(payload)
-            elif name == self.central and isinstance(payload, AbandonReq):
-                self._central_abandon(payload)
-            elif isinstance(payload, AcquireReply):
-                self._client_granted(payload)
-            elif isinstance(payload, CommitDone):
-                self._client_done(payload)
-        return handler
+    def _deliver(self, envelope: Envelope) -> None:
+        """Every site's delivery handler: the central site serves
+        requests, any site hears its own clients' replies."""
+        payload = envelope.payload
+        central = envelope.dst == self.central
+        if central and isinstance(payload, AcquireReq):
+            self._central_acquire(payload)
+        elif central and isinstance(payload, CommitReq):
+            self._central_commit(payload)
+        elif central and isinstance(payload, AbandonReq):
+            self._central_abandon(payload)
+        elif isinstance(payload, AcquireReply):
+            self._client_granted(payload)
+        elif isinstance(payload, CommitDone):
+            self._client_done(payload)
 
     def _route(self, src: str, dst: str, payload: Any) -> None:
         if src == dst:
             # Local client at the central site: no network hop.
-            self.sim.after(0.0, lambda: self._dispatch_local(dst, payload),
-                           label="hot-local")
+            self.sim.after(
+                0.0, lambda: self._deliver(Envelope(dst, dst, payload)),
+                label="hot-local")
         else:
             self.network.send(src, dst, payload)
-
-    def _dispatch_local(self, name: str, payload: Any) -> None:
-        handler = self._make_handler(name)
-        self._deliver_direct(handler, name, payload)
-
-    @staticmethod
-    def _deliver_direct(handler, name: str, payload: Any) -> None:
-        handler(Envelope(src=name, dst=name, payload=payload))
 
     # -- central site -------------------------------------------------------------
 

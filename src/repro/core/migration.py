@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.partition import stable_hash
 from repro.obs.events import MigrationDone, MigrationShip
-from repro.storage.records import SetFragment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import DvPSystem
@@ -183,28 +182,18 @@ class MigrationController:
             return
         self._ship_counter += 1
         owner = f"migrate:{move.src}:{self._ship_counter}"
-        if not site.locks.try_acquire_all(owner, {move.item}):
+        announce = (MigrationShip(
+            t=site.sim.now, site=move.src, dst=move.dst, item=move.item,
+            amount=value, epoch=self.epoch) if self._obs.enabled else None)
+        entries = site.ship(owner, move.item, ((move.dst, value),), announce)
+        if entries is None:
             return                # busy; retry next tick
-        try:
-            ts = site.clock.next()
-            remainder = domain.zero()
-            entry = site.vm.allocate_entry(move.dst, move.item, value,
-                                           "transfer", owner)
-            site.create_vm(owner, (SetFragment(move.item, remainder, ts),),
-                           (entry,))
-            move.seq = entry.channel_seq
-            move.state = "shipped"
-            move.shipped = value if isinstance(value, int) else None
-            self._c_ship.value += 1
-            if isinstance(value, int):
-                self._c_value.value += value
-            if self._obs.enabled:
-                self._obs.emit(MigrationShip(
-                    t=site.sim.now, site=move.src, dst=move.dst,
-                    item=move.item, amount=value, epoch=self.epoch))
-        finally:
-            site.locks.release_all(owner)
-            site.after_lock_release()
+        move.seq = entries[0].channel_seq
+        move.state = "shipped"
+        move.shipped = value if isinstance(value, int) else None
+        self._c_ship.value += 1
+        if isinstance(value, int):
+            self._c_value.value += value
 
     def _check_accepted(self, move: Move) -> None:
         receiver = self.system.sites[move.dst]

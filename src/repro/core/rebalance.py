@@ -40,7 +40,6 @@ from repro.core.redistribution import (
 )
 from repro.obs.events import RebalPull, RebalShip
 from repro.sim.timers import PeriodicTimer
-from repro.storage.records import SetFragment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.site import DvPSite
@@ -196,32 +195,21 @@ class RebalanceDaemon:
         peer = self.policy.push_target(site.demand, item, candidates)
         if peer is None:
             return
-        # Ship as an Rds transaction: lock, log [actions, messages],
-        # apply, send, release — identical discipline to honoring a
-        # request. Peer selection above was a pure peek: the cursor
-        # advances only via on_shipped, after the create record is
-        # forced, so a failed acquisition cannot burn a peer's turn.
+        # Ship as an Rds transaction (DvPSite.ship). Peer selection
+        # above was a pure peek: the cursor advances only via
+        # on_shipped, after the create record is forced, so a failed
+        # acquisition cannot burn a peer's turn.
         owner = f"rebalance:{site.name}:{self.shipments}"
-        if not site.locks.try_acquire_all(owner, {item}):
+        announce = (RebalShip(
+            t=site.sim.now, site=site.name, dst=peer, item=item,
+            amount=surplus, policy=self.policy.name)
+            if self._obs.enabled else None)
+        if site.ship(owner, item, ((peer, surplus),), announce) is None:
             self.skipped_locked += 1
             return
-        try:
-            ts = site.clock.next()
-            remainder = value - surplus
-            entry = site.vm.allocate_entry(peer, item, surplus,
-                                           "transfer", owner)
-            site.create_vm(owner, (SetFragment(item, remainder, ts),),
-                           (entry,))
-            self.shipments += 1
-            self._c_ship.value += 1
-            self.policy.on_shipped(peer)
-            if self._obs.enabled:
-                self._obs.emit(RebalShip(
-                    t=site.sim.now, site=site.name, dst=peer, item=item,
-                    amount=surplus, policy=self.policy.name))
-        finally:
-            site.locks.release_all(owner)
-            site.after_lock_release()
+        self.shipments += 1
+        self._c_ship.value += 1
+        self.policy.on_shipped(peer)
 
     # -- pull -------------------------------------------------------------
 

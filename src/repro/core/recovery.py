@@ -8,7 +8,7 @@ The recovering site consults nothing but its own stable log and pages:
    (guarded by page LSNs), starting from the last checkpoint;
 3. Vm channel state is rebuilt: outgoing entries from create records
    (re-sent — receivers deduplicate and re-acknowledge), incoming
-   cumulative-accepted counters from accept records — a run record's
+   cumulative-accepted counters from accept records — each record's
    last sequence number (so nothing is absorbed twice);
 4. fragment timestamps are rebuilt from the committed records — aborted
    lockers' stamps are forgotten, which Section 7 shows is safe;
@@ -29,9 +29,7 @@ from repro.core.timestamps import encode
 from repro.obs.events import SiteRecover
 from repro.storage.records import (
     CheckpointRecord,
-    CommitRecord,
     VmAcceptRecord,
-    VmAcceptRunRecord,
     VmCreateRecord,
 )
 
@@ -106,8 +104,7 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
     for envelope in site.log.scan(start_lsn):
         record = envelope.record
         report.scanned_records += 1
-        if isinstance(record, (CommitRecord, VmCreateRecord,
-                               VmAcceptRecord, VmAcceptRunRecord)):
+        if isinstance(record, (VmCreateRecord, VmAcceptRecord)):
             for action in record.actions:
                 if not site.fragments.knows(action.item):
                     continue
@@ -126,10 +123,6 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
                                        entry.channel_seq + 1)
                 report.vm_rebuilt += 1
         elif isinstance(record, VmAcceptRecord):
-            channel = vm.in_channel(record.src)
-            channel.cumulative_accepted = max(channel.cumulative_accepted,
-                                              record.channel_seq)
-        elif isinstance(record, VmAcceptRunRecord):
             channel = vm.in_channel(record.src)
             # Planted bug (docs/CHAOS.md): restore the run's first seq.
             seq = (record.first_seq if test_leak() == "run-first-seq"

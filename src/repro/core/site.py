@@ -12,7 +12,7 @@ and logging discipline as real transactions.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.core.cc import ConcurrencyControl
 from repro.core.fragments import FragmentStore, test_leak
@@ -37,7 +37,7 @@ from repro.core.vm import VmManager
 from repro.net.message import Envelope
 from repro.net.network import Network
 from repro.reads.messages import ViewRefresh
-from repro.obs.events import LogForce, SiteCrash
+from repro.obs.events import LogForce, SiteCrash, TraceEvent
 from repro.sim.kernel import Simulator
 from repro.storage.log import StableLog
 from repro.storage.pages import PageStore
@@ -45,7 +45,6 @@ from repro.storage.records import (
     CheckpointRecord,
     SetFragment,
     VmAcceptRecord,
-    VmAcceptRunRecord,
     VmCreateRecord,
     VmEntry,
 )
@@ -292,6 +291,39 @@ class DvPSite:
         self.apply_actions(actions, lsn)
         self.vm.register_created(entries)
 
+    def ship(self, owner: str, item: str,
+             shares: Sequence[tuple[str, Any]],
+             announce: TraceEvent | None = None
+             ) -> tuple[VmEntry, ...] | None:
+        """Move *shares* of *item* — ``(dst, amount)`` pairs — out of
+        this site as one Rds transaction: lock the fragment, stamp,
+        force one create record that subtracts them, release.
+
+        Returns the created entries, or None (nothing done) when the
+        fragment is locked. *announce*, a trace event, is emitted once
+        the record is forced and before the release lets anything else
+        run. Migration, rebalancing and deconsolidation all ship here.
+        """
+        if not self.locks.try_acquire_all(owner, (item,)):
+            return None
+        try:
+            ts = self.clock.next()
+            domain = self.fragments.domain(item)
+            remainder = domain.subtract(
+                self.fragments.value(item),
+                domain.pi(amount for _dst, amount in shares))
+            entries = tuple(
+                self.vm.allocate_entry(dst, item, amount, "transfer", owner)
+                for dst, amount in shares)
+            self.create_vm(owner, (SetFragment(item, remainder, ts),),
+                           entries)
+            if announce is not None:
+                self._obs.emit(announce)
+        finally:
+            self.locks.release_all(owner)
+            self.after_lock_release()
+        return entries
+
     # -- message plumbing ---------------------------------------------------
 
     def deliver(self, envelope: Envelope) -> None:
@@ -471,8 +503,7 @@ class DvPSite:
         owner that is not an active transaction of this site — i.e. a
         transient Rds lock — and that entry and the rest stay pending;
         active transactions always absorb into their own locked
-        fragments (Section 5's refinement). A run of one is logged as a
-        :class:`VmAcceptRecord`.
+        fragments (Section 5's refinement).
         """
         fragments, holders, active = (self.fragments, self.locks.holders,
                                       self.active)
@@ -496,15 +527,10 @@ class DvPSite:
         if not actions:
             return 0
         head = run[0]
-        if len(actions) == 1:
-            record = VmAcceptRecord(
-                src=src, channel_seq=head.channel_seq,
-                actions=(actions[0],), txn_id=head.txn_id)
-        else:
-            record = VmAcceptRunRecord(
-                src=src, first_seq=head.channel_seq,
-                last_seq=run[len(actions) - 1].channel_seq,
-                actions=tuple(actions), txn_id=head.txn_id)
+        record = VmAcceptRecord(
+            src=src, first_seq=head.channel_seq,
+            last_seq=run[len(actions) - 1].channel_seq,
+            actions=tuple(actions), txn_id=head.txn_id)
         self.apply_actions(actions, self.log_append(record))
         return len(actions)
 

@@ -34,7 +34,7 @@ from repro.obs.events import (
 )
 from repro.reads.messages import ViewCertificate
 from repro.sim.timers import Timer
-from repro.storage.records import CommitRecord, SetFragment, VmEntry
+from repro.storage.records import SetFragment, VmCreateRecord, VmEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.site import DvPSite
@@ -779,8 +779,9 @@ class Transaction:
         actions = tuple([SetFragment(item, value, self.ts)
                          for item, value in rows if value != stored[item]])
         if actions:
-            # Step 5: the forced commit record IS the commit point.
-            lsn = site.log_append(CommitRecord(self.id, actions))
+            # Step 5: the forced commit record IS the commit point: a
+            # create record that creates no Vm.
+            lsn = site.log_append(VmCreateRecord(self.id, actions))
             # Step 6: make the changes and record that they were made.
             site.apply_actions(actions, lsn)
         self._finish(Outcome.COMMITTED, "ok", read_values or EMPTY,
@@ -851,7 +852,6 @@ class Transaction:
         on_done, self.on_done = self.on_done, None
         if was_waiting:
             site.locks.cancel_waiter(self.id)
-        site.locks.release_all(self.id)
         # Positional, in TxnResult's field order (one per op, for good).
         view_rows = (tuple([tuple(cert)
                             for cert in self._view_certs.values()])
@@ -869,8 +869,12 @@ class Transaction:
             else:
                 site._obs.emit(TxnAbort(
                     t=now, site=site.name, txn=self.id, reason=reason))
-        site.transaction_finished(self)
         if site.on_result is not None:
             site.on_result(result)
+        # Only now let the locks go: a release can grant a Conc2 waiter
+        # that commits inside it, and its result must not reach the
+        # books ahead of this one (DESIGN.md §6, finding 9).
+        site.locks.release_all(self.id)
+        site.transaction_finished(self)
         if on_done is not None:
             on_done(result)

@@ -72,7 +72,7 @@ def _schedule_phase(system, hybrid: HybridSystem, params: Params,
     read, which nothing retries: on the driver's arrival instants a
     peer commits an update inside that read's gather window in both
     ``central`` and ``hybrid``, the read aborts ``timeout`` and the
-    regime never forms (ROADMAP, *Twins and shims*). Until
+    regime never forms (ROADMAP, item 6). Until
     ``consolidate`` retries, the instants it was designed on stay.
     """
     rng = random.Random(params.seed + int(start))

@@ -37,7 +37,6 @@ from repro.core.transactions import (
     TxnResult,
 )
 from repro.net.message import Envelope
-from repro.storage.records import SetFragment
 
 
 class ItemMode(enum.Enum):
@@ -164,30 +163,14 @@ class HybridSystem:
         home = self.homes[item]
         site = self.system.sites[home]
         domain = site.fragments.domain(item)
-        total = domain.zero()
-        for amount in split.values():
-            total = domain.combine(total, amount)
-        if not site.locks.is_free(item):
+        if not domain.covers(site.fragments.value(item),
+                             domain.pi(split.values())):
             return False
-        if not domain.covers(site.fragments.value(item), total):
-            return False
-        owner = f"deconsolidate:{item}"
-        if not site.locks.try_acquire_all(owner, {item}):
-            return False
-        try:
-            value = site.fragments.value(item)
-            remainder = domain.subtract(value, total)
-            ts = site.clock.next()
-            entries = tuple(
-                site.vm.allocate_entry(peer, item, amount, "transfer",
-                                       owner)
-                for peer, amount in sorted(split.items())
-                if not domain.is_zero(amount))
-            site.create_vm(owner, (SetFragment(item, remainder, ts),),
-                           entries)
-        finally:
-            site.locks.release_all(owner)
-            site.after_lock_release()
+        shares = tuple((peer, amount)
+                       for peer, amount in sorted(split.items())
+                       if not domain.is_zero(amount))
+        if site.ship(f"deconsolidate:{item}", item, shares) is None:
+            return False  # locked right now
         self.modes[item] = ItemMode.DVP
         del self.homes[item]
         self._dispersed.discard(item)

@@ -12,11 +12,9 @@ from repro.storage.log import LogRecordEnvelope, StableLog
 from repro.storage.pages import PageStore
 from repro.storage.records import (
     CheckpointRecord,
-    CommitRecord,
     AppliedRecord,
     SetFragment,
     VmAcceptRecord,
-    VmAcceptRunRecord,
     VmCreateRecord,
     VmEntry,
 )
@@ -24,13 +22,11 @@ from repro.storage.records import (
 __all__ = [
     "AppliedRecord",
     "CheckpointRecord",
-    "CommitRecord",
     "LogRecordEnvelope",
     "PageStore",
     "SetFragment",
     "StableLog",
     "VmAcceptRecord",
-    "VmAcceptRunRecord",
     "VmCreateRecord",
     "VmEntry",
 ]

@@ -1,15 +1,15 @@
 """Typed log records.
 
-Two record shapes come straight from Section 4.2 of the paper:
+Section 4.2 of the paper has two write-ahead shapes, and the log has
+one record class for each:
 
 * creating virtual messages writes ``[database-actions,
-  message-sequence]`` as ONE record (:class:`VmCreateRecord` — also used
-  as the commit record when a transaction both updates fragments and
-  ships value);
-* completing a Vm's lifespan at the receiver writes
-  ``[database-actions]`` (:class:`VmAcceptRecord`; one
-  :class:`VmAcceptRunRecord` when the entries of one delivered message
-  are accepted together).
+  message-sequence]`` as ONE record (:class:`VmCreateRecord`). A
+  purely local commit is the same record with no messages;
+* completing Vm lifespans at the receiver writes
+  ``[database-actions]`` (:class:`VmAcceptRecord`), one record for the
+  run of entries one delivered message carries — a run of one has
+  ``first_seq == last_seq``.
 
 Database actions are *absolute* fragment assignments
 (:class:`SetFragment`). Because a fragment is only changed under its
@@ -73,6 +73,7 @@ class VmCreateRecord(NamedTuple):
     Writing this record is the *commit point*: the fragment updates in
     ``actions`` are now permanent and each entry in ``messages`` is a
     live virtual message that will be retransmitted until acknowledged.
+    A transaction that ships nothing commits with ``messages=()``.
     """
 
     txn_id: str
@@ -81,28 +82,13 @@ class VmCreateRecord(NamedTuple):
 
 
 class VmAcceptRecord(NamedTuple):
-    """[database-actions] — a Vm's lifespan ends at the receiver.
-
-    ``src``/``channel_seq`` identify the accepted Vm; recovery replays
-    them into the channel dedup state so an already-accepted Vm is never
-    absorbed twice.
-    """
-
-    src: str
-    channel_seq: int
-    actions: tuple[SetFragment, ...] = ()
-    txn_id: str = ""
-
-
-class VmAcceptRunRecord(NamedTuple):
     """[database-actions] — the lifespans of a run of Vm end together.
 
     The run is the entries ``first_seq`` .. ``last_seq`` from *src*,
     all carried by one real message, with one action per entry in
     sequence order; *txn_id* is the transaction that requested them.
     Recovery replays ``last_seq`` into the channel dedup state, so no
-    entry of the run is ever absorbed twice. A run of one is logged as
-    a :class:`VmAcceptRecord`.
+    entry of the run is ever absorbed twice.
     """
 
     src: str
@@ -110,13 +96,6 @@ class VmAcceptRunRecord(NamedTuple):
     last_seq: int
     actions: tuple[SetFragment, ...] = ()
     txn_id: str = ""
-
-
-class CommitRecord(NamedTuple):
-    """Commit of a purely local transaction (no messages created)."""
-
-    txn_id: str
-    actions: tuple[SetFragment, ...] = ()
 
 
 class AppliedRecord(NamedTuple):
@@ -153,7 +132,7 @@ def _rows(cls: type, flat: tuple) -> tuple:
 
 
 #: Record class -> (kind, encoder, decoder). Kind 0 is reserved for
-#: everything that is not one of these six classes (see encode).
+#: everything that is not one of these four classes (see encode).
 _CODECS: dict[type, tuple[int, Callable, Callable]] = {
     VmCreateRecord: (
         1,
@@ -163,26 +142,17 @@ _CODECS: dict[type, tuple[int, Callable, Callable]] = {
             _rows(VmEntry, p[2 + 3 * p[1]:]))),
     VmAcceptRecord: (
         2,
-        lambda r: (r[0], r[1], r[3], *_flat(r[2])),
-        lambda p: VmAcceptRecord(p[0], p[1], _rows(SetFragment, p[3:]),
-                                 p[2])),
-    CommitRecord: (
-        3,
-        lambda r: (r[0], *_flat(r[1])),
-        lambda p: CommitRecord(p[0], _rows(SetFragment, p[1:]))),
-    AppliedRecord: (4, tuple, AppliedRecord._make),
+        lambda r: (r[0], r[1], r[2], r[4], *_flat(r[3])),
+        lambda p: VmAcceptRecord(p[0], p[1], p[2],
+                                 _rows(SetFragment, p[4:]), p[3])),
+    AppliedRecord: (3, tuple, AppliedRecord._make),
     # Rare (one per checkpoint interval): only the Vm rows are
     # flattened, the snapshot's pair tuples stay as they are.
     CheckpointRecord: (
-        5,
+        4,
         lambda r: (r[0], r[1], tuple(_flat(r[2])), r[3], r[4], r[5]),
         lambda p: CheckpointRecord(p[0], p[1], _rows(VmEntry, p[2]),
                                    p[3], p[4], p[5])),
-    VmAcceptRunRecord: (
-        6,
-        lambda r: (r[0], r[1], r[2], r[4], *_flat(r[3])),
-        lambda p: VmAcceptRunRecord(p[0], p[1], p[2],
-                                    _rows(SetFragment, p[4:]), p[3])),
 }
 _DECODERS = {kind: decoder for kind, _, decoder in _CODECS.values()}
 
@@ -190,7 +160,7 @@ _DECODERS = {kind: decoder for kind, _, decoder in _CODECS.values()}
 def encode(record: Any) -> tuple[int, Any]:
     """*record* as ``(kind, payload)`` for stable storage.
 
-    Only an exact instance of one of the six record classes is
+    Only an exact instance of one of the four record classes is
     encoded. Anything else — the baselines log string-tagged plain
     tuples through the same ``StableLog`` — is kind 0 and is its own
     payload, so it can never be mistaken for an encoding.

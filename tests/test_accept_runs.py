@@ -2,10 +2,9 @@
 
 The receiver accepts the entries one real message carried as a *run*:
 it forces ONE record for the run's lock-free prefix, then tells each
-entry's transaction and retires it from the books, in run order. A run
-of one is today's ``VmAcceptRecord``, byte for byte; a longer one is a
-``VmAcceptRunRecord`` naming the run's first and last sequence number,
-whose last one recovery restores.
+entry's transaction and retires it from the books, in run order. The
+record is a ``VmAcceptRecord`` naming the run's first and last sequence
+number (equal for a run of one), whose last one recovery restores.
 """
 
 from repro.core.domain import CounterDomain
@@ -16,11 +15,11 @@ from repro.core.transactions import (
     TransferOp,
 )
 from repro.net.link import LinkConfig
+from repro.core.fragments import set_test_leak
 from repro.storage.records import (
-    CommitRecord,
     SetFragment,
     VmAcceptRecord,
-    VmAcceptRunRecord,
+    VmCreateRecord,
     encode,
 )
 
@@ -53,8 +52,7 @@ def send_wave(system: DvPSystem, amounts: dict[str, int],
 
 def accept_records(system: DvPSystem, name: str = "B") -> list:
     return [envelope.record for envelope in system.sites[name].log.scan()
-            if isinstance(envelope.record,
-                          (VmAcceptRecord, VmAcceptRunRecord))]
+            if isinstance(envelope.record, VmAcceptRecord)]
 
 
 def audited(system: DvPSystem) -> None:
@@ -69,7 +67,6 @@ class TestOneRecordPerMessage:
         send_wave(system, {"x": 1, "y": 2, "z": 3})
         system.run_for(3.0)
         (record,) = accept_records(system)
-        assert type(record) is VmAcceptRunRecord
         assert (record.src, record.first_seq, record.last_seq,
                 record.txn_id) == ("A", 1, 3, "B#1")
         assert [(a.item, a.value) for a in record.actions] == [
@@ -83,14 +80,13 @@ class TestOneRecordPerMessage:
         send_wave(system, {"x": 1, "y": 2, "z": 3})
         system.run_for(3.0)
         (first,) = accept_records(system)
-        assert type(first) is VmAcceptRecord and first.channel_seq == 1
+        assert (first.first_seq, first.last_seq) == (1, 1)
         assert site_b.vm.in_channel("A").cumulative_accepted == 1
         assert (site_b.fragments.value("y"),
                 site_b.fragments.value("z")) == (30, 30)
         site_b.locks.release_all("rds:frozen")
         site_b.after_lock_release()
         rest = accept_records(system)[1]
-        assert type(rest) is VmAcceptRunRecord
         assert (rest.first_seq, rest.last_seq) == (2, 3)
         assert [a.item for a in rest.actions] == ["y", "z"]
         system.run_for(3.0)
@@ -109,10 +105,8 @@ class TestOneRecordPerMessage:
         assert accept_records(system) == []  # buffered behind the gap
         system.run_for(5.0)  # seq 1 is resent alone; the backlog drains
         records = accept_records(system)
-        assert [type(r).__name__ for r in records] == [
-            "VmAcceptRecord", "VmAcceptRunRecord", "VmAcceptRunRecord"]
-        assert [(r.first_seq, r.last_seq) for r in records[1:]] == [
-            (2, 3), (4, 5)]
+        assert [(r.first_seq, r.last_seq) for r in records] == [
+            (1, 1), (2, 3), (4, 5)]
         audited(system)
 
 
@@ -122,9 +116,56 @@ class TestSingleEntryRecord:
         send_wave(system, {"y": 4})
         system.run_for(3.0)
         (record,) = accept_records(system)
-        assert type(record) is VmAcceptRecord
         ts = record.actions[0].ts
-        assert encode(record) == (2, ("A", 1, "B#1", "y", 34, ts))
+        assert encode(record) == (2, ("A", 1, 1, "B#1", "y", 34, ts))
+
+
+class TestRecoveryFromMixedRuns:
+    """Recovery reads every accept record the same way, whatever the
+    length of its run: the last seq goes into the channel's dedup
+    state, each action is redone."""
+
+    RECORDS = (
+        VmAcceptRecord("A", 1, 1, (SetFragment("x", 31, 5),), "B#1"),
+        VmAcceptRecord("C", 1, 3, (SetFragment("x", 32, 6),
+                                   SetFragment("y", 31, 6),
+                                   SetFragment("z", 31, 6)), "B#2"),
+        VmAcceptRecord("A", 2, 4, (SetFragment("y", 33, 7),
+                                   SetFragment("z", 32, 7),
+                                   SetFragment("x", 34, 7)), "B#3"),
+        VmAcceptRecord("C", 4, 4, (SetFragment("z", 35, 8),), "B#4"),
+    )
+
+    def recovered(self):
+        system = DvPSystem(SystemConfig(
+            sites=["A", "B", "C"], seed=4, txn_timeout=10.0,
+            link=LinkConfig(base_delay=1.0)))
+        for item in ITEMS:
+            system.add_item(item, CounterDomain(),
+                            split={"A": 30, "B": 30, "C": 30})
+        site_b = system.sites["B"]
+        for record in self.RECORDS:
+            site_b.log.append(record)  # forced, never applied
+        system.crash("B")
+        return site_b, system.recover("B")
+
+    def test_each_source_and_every_action(self):
+        site_b, report = self.recovered()
+        assert report.redo_applied == 8 and report.redo_skipped == 0
+        assert [site_b.fragments.value(item) for item in ITEMS] == [
+            34, 33, 35]
+        assert {src: site_b.vm.in_channel(src).cumulative_accepted
+                for src in ("A", "C")} == {"A": 4, "C": 4}
+        assert site_b.fragments.timestamp("z") == 8
+
+    def test_the_planted_bug_restores_the_first_seq(self):
+        set_test_leak("run-first-seq")
+        try:
+            site_b, _report = self.recovered()
+        finally:
+            set_test_leak(None)
+        assert {src: site_b.vm.in_channel(src).cumulative_accepted
+                for src in ("A", "C")} == {"A": 2, "C": 4}
 
 
 class TestCrashAfterARunRecord:
@@ -138,8 +179,8 @@ class TestCrashAfterARunRecord:
         back.fail()
         send_wave(system, {"x": 1, "y": 2, "z": 3})
         system.run_for(3.0)
-        assert [type(r) for r in accept_records(system)] == [
-            VmAcceptRunRecord]
+        assert [(r.first_seq, r.last_seq)
+                for r in accept_records(system)] == [(1, 3)]
         system.crash("B")
         back.restore()
         system.recover("B")
@@ -176,11 +217,11 @@ class TestTransactionHoldingTheRun:
         system.run_for(20.0)
         assert [r.committed for r in results] == [True]
         runs = [r for r in accept_records(system)
-                if type(r) is VmAcceptRunRecord]
+                if r.first_seq < r.last_seq]
         assert [(r.first_seq, r.last_seq) for r in runs] == [(1, 3)]
         assert absorbed == ["x"]
         commits = [env.record for env in system.sites["B"].log.scan()
-                   if isinstance(env.record, CommitRecord)]
+                   if isinstance(env.record, VmCreateRecord)]
         assert len(commits) == 1
         system.run_for(20.0)
         audited(system)

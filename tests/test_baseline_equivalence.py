@@ -371,7 +371,7 @@ GOLDEN: dict[str, dict] = {'central_escrow': {'central': '61f7d845f1f0ec47',
                        'heard': 'da971da7e0f11bd7',
                        'heard_count': 70,
                        'local_commits': 0,
-                       'logs': '89f7aacb2afe6911',
+                       'logs': 'deb98413df5c7dd2',
                        'modes': [('a', 'dvp')],
                        'results': '2cfc9ae15228ecc6',
                        'sent': {'DataRequest': 27,
@@ -396,7 +396,7 @@ GOLDEN: dict[str, dict] = {'central_escrow': {'central': '61f7d845f1f0ec47',
                            'heard': '4bdb23b456587745',
                            'heard_count': 70,
                            'local_commits': 18,
-                           'logs': '8ea5c68bf5f62cff',
+                           'logs': 'dcae3e0da32e3b29',
                            'modes': [('a', 'dvp')],
                            'results': 'de6c82c922663027',
                            'sent': {'DataRequest': 42,

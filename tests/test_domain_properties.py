@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.domain import (
     CounterDomain,
+    MoneyDomain,
     TokenSetDomain,
     check_partitionable,
 )
@@ -88,6 +89,14 @@ class TestCounterProperties:
         redistributed[-1] = domain.combine(redistributed[-1], moved)
         assert domain.pi(redistributed) == total
 
+    @given(counters)
+    def test_subtracting_a_value_from_itself_leaves_zero(self, value):
+        # A migration ships a whole fragment through DvPSite.ship, which
+        # writes subtract(v, v) as the fragment left behind.
+        for domain in (self.domain, MoneyDomain()):
+            assert domain.subtract(value, value) == domain.zero()
+            assert domain.is_zero(domain.subtract(value, value))
+
 
 class TestTokenProperties:
     domain = TokenSetDomain()
@@ -119,3 +128,8 @@ class TestTokenProperties:
         groupings = [[[fragment] for fragment in fragments],
                      [fragments]]
         assert check_partitionable(self.domain, fragments, groupings)
+
+    @given(tokens)
+    def test_subtracting_a_value_from_itself_leaves_zero(self, value):
+        assert self.domain.subtract(value, value) == self.domain.zero()
+        assert self.domain.is_zero(self.domain.subtract(value, value))

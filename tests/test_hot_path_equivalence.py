@@ -328,7 +328,7 @@ GOLDEN: dict[str, dict] = {'chaos_crash_partition': {'committed': '25b580be8c897
                                       'net.sent': 520,
                                       'results': '231418fff6fd8722',
                                       'vm.created': 122}},
- 'conc2_sharded': {'committed': '67bd468170f99a65',
+ 'conc2_sharded': {'committed': 'f52f3c984aee104f',
                    'decided': 60,
                    'fingerprint': 'f394f0d2e58a3fe97cad480b8a1f9985e94cdfa5f40b3aefd4b2c4fd1f7fd580',
                    'log.forces': 249,

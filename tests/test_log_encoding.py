@@ -1,10 +1,10 @@
 """The stable log stores an encoding, readers get the record back.
 
-``StableLog.append`` keeps each of the six DvP record types as one
+``StableLog.append`` keeps each of the four DvP record types as one
 flat tuple (``repro.storage.records.encode``) and every reader decodes.
 No caller may see the difference: for every record, all four readers
 return an equal record *of the same type, rows included*; anything
-that is not one of the six types is stored and returned untouched —
+that is not one of the four types is stored and returned untouched —
 the baselines log string-tagged plain tuples through the same class;
 and recovery, the one consumer that matters, reports what it always
 reported.
@@ -29,10 +29,8 @@ from repro.storage.log import LogRecordEnvelope, StableLog
 from repro.storage.records import (
     AppliedRecord,
     CheckpointRecord,
-    CommitRecord,
     SetFragment,
     VmAcceptRecord,
-    VmAcceptRunRecord,
     VmCreateRecord,
     VmEntry,
 )
@@ -59,10 +57,8 @@ def rows(strategy):
 
 dvp_records = st.one_of(
     st.builds(VmCreateRecord, names, rows(fragments), rows(entries)),
-    st.builds(VmAcceptRecord, names, counts, rows(fragments), names),
-    st.builds(VmAcceptRunRecord, names, counts, counts, rows(fragments),
+    st.builds(VmAcceptRecord, names, counts, counts, rows(fragments),
               names),
-    st.builds(CommitRecord, names, rows(fragments)),
     st.builds(AppliedRecord, counts),
     st.builds(CheckpointRecord,
               st.lists(st.tuples(names, values), max_size=3).map(tuple),
@@ -139,9 +135,8 @@ class TestRoundTrip:
 
     def test_empty_rows_and_defaults(self):
         log = StableLog("A")
-        for record in (VmCreateRecord("t"), VmAcceptRecord("B", 1),
-                       VmAcceptRunRecord("B", 1, 2),
-                       CommitRecord("t"), CheckpointRecord(),
+        for record in (VmCreateRecord("t"), VmAcceptRecord("B", 1, 1),
+                       VmAcceptRecord("B", 1, 2), CheckpointRecord(),
                        VmCreateRecord("t", (), (VmEntry("B", "x", 1, 1),)),
                        VmCreateRecord("t", (SetFragment("x", 1),), ())):
             assert same(record, log.read(log.append(record)))
@@ -155,7 +150,7 @@ class TestRoundTrip:
         # Interleaved with real records, each LSN still decodes as
         # what was appended there.
         mixed = StableLog("B")
-        commit = CommitRecord("t#1", (SetFragment("x", 3, 0),))
+        commit = VmCreateRecord("t#1", (SetFragment("x", 3, 0),))
         for record in FOREIGN:
             mixed.append(record)
             mixed.append(commit)
@@ -166,7 +161,7 @@ class TestRoundTrip:
                 assert envelope.record is FOREIGN[lsn // 2]
 
     def test_subclass_of_a_record_type_is_foreign(self):
-        class Tagged(CommitRecord):
+        class Tagged(VmCreateRecord):
             pass
 
         log = StableLog("A")
@@ -177,7 +172,7 @@ class TestRoundTrip:
         # What is logged is a copy: the log never hands back (nor
         # keeps) the object volatile code still holds.
         log = StableLog("A")
-        record = CommitRecord("t", (SetFragment("x", 1, 2),))
+        record = VmCreateRecord("t", (SetFragment("x", 1, 2),))
         lsn = log.append(record)
         assert log.read(lsn) is not record
         assert log.read(lsn) is not log.read(lsn)
@@ -281,5 +276,5 @@ class TestRecoveryReadsTheEncoding:
                 for item in PINNED_FRAGMENTS} == before
         kinds = Counter(type(envelope.record).__name__
                         for envelope in system.sites["B"].log.scan())
-        assert set(kinds) == {"CommitRecord", "VmCreateRecord",
-                              "VmAcceptRunRecord", "CheckpointRecord"}
+        assert set(kinds) == {"VmCreateRecord", "VmAcceptRecord",
+                              "CheckpointRecord"}

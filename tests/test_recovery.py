@@ -11,7 +11,7 @@ from repro.core.transactions import (
     TransactionSpec,
 )
 from repro.net.link import LinkConfig
-from repro.storage.records import CommitRecord, SetFragment
+from repro.storage.records import SetFragment, VmCreateRecord
 
 
 def build(**kwargs):
@@ -90,8 +90,8 @@ class TestRecovery:
         system = build()
         site = system.sites["A"]
         ts = site.clock.next()
-        site.log.append(CommitRecord("manual",
-                                     (SetFragment("x", 3, ts=ts),)))
+        site.log.append(VmCreateRecord("manual",
+                                       (SetFragment("x", 3, ts=ts),)))
         system.crash("A")
         report = system.recover("A")
         assert report.redo_applied == 1

@@ -4,8 +4,10 @@ acceptance, checkpointing, read freezes, clock gossip."""
 import pytest
 
 from repro.core.domain import CounterDomain
+from repro.core.migration import MigrationController, Move
 from repro.core.messages import READ_MODE, TRANSFER_MODE, DataRequest
 from repro.core.policies import AskAllPolicy
+from repro.core.rebalance import RebalanceConfig, RebalanceDaemon
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import (
     DecrementOp,
@@ -13,10 +15,10 @@ from repro.core.transactions import (
     ReadFullOp,
     TransactionSpec,
 )
+from repro.hybrid import HybridSystem, ItemMode
 from repro.net.link import LinkConfig
 from repro.storage.records import (
     CheckpointRecord,
-    CommitRecord,
     VmCreateRecord,
 )
 
@@ -315,10 +317,10 @@ class TestCheckpointing:
                        for envelope in site.log.scan())
 
         for _ in range(interval - 1):
-            site.log_append(CommitRecord(txn_id="t"))
+            site.log_append(VmCreateRecord(txn_id="t"))
         system.run_for(1.0)
         assert checkpoints() == 0
-        site.log_append(CommitRecord(txn_id="t"))
+        site.log_append(VmCreateRecord(txn_id="t"))
         assert checkpoints() == 0  # deferred to a fresh event
         system.run_for(1.0)
         assert checkpoints() == 1
@@ -360,3 +362,46 @@ class TestDeliverDispatch:
             "A#1", "A", TRANSFER_MODE, (("x", 10),), (123 << 16)))
         system.run_for(5.0)
         assert site_b.clock.counter >= 123
+
+
+def _migrate(system, site):
+    controller = MigrationController(system, [], system.directory.epoch)
+    move = Move(src=site.name, dst="B", item="x")
+    controller._ship_locked(move)
+    return move.state == "shipped"
+
+
+def _rebalance(system, site):
+    daemon = RebalanceDaemon(site, RebalanceConfig())
+    daemon._maybe_ship("x", 10)
+    return daemon.shipments == 1
+
+
+def _deconsolidate(system, site):
+    hybrid = HybridSystem(system)
+    hybrid.modes["x"] = ItemMode.CENTRAL  # as if consolidated at *site*
+    hybrid.homes["x"] = site.name
+    return hybrid.deconsolidate("x", {"B": 5, "C": 5})
+
+
+class TestShip:
+    """``DvPSite.ship`` is the one way value leaves a site outside a
+    request: migration, rebalancing and deconsolidation."""
+
+    CALLERS = {"migration": _migrate, "rebalance": _rebalance,
+               "deconsolidate": _deconsolidate}
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_a_locked_fragment_refuses_the_ship(self, caller):
+        system = build()
+        site = system.sites["A"]
+        site.locks.try_acquire_all("t", {"x"})
+        forces, counter = site.log.forces, site.clock.counter
+        assert not self.CALLERS[caller](system, site)
+        assert (site.log.forces, site.clock.counter) == (forces, counter)
+        assert site.fragments.value("x") == 30
+        assert site.vm.unacked_count() == 0
+        assert system.auditor.live_vm_total("x") == 0
+        site.locks.release_all("t")
+        assert self.CALLERS[caller](system, site)  # free: it ships
+        assert site.log.forces == forces + 1

@@ -7,7 +7,6 @@ from repro.storage.pages import PageStore
 from repro.storage.records import (
     AppliedRecord,
     CheckpointRecord,
-    CommitRecord,
     SetFragment,
     VmAcceptRecord,
     VmCreateRecord,
@@ -126,7 +125,7 @@ class TestRecords:
         assert record.messages[0].dst == "B"
 
     def test_records_are_frozen(self):
-        record = CommitRecord("t1", ())
+        record = VmCreateRecord("t1", ())
         with pytest.raises(Exception):
             record.txn_id = "t2"  # type: ignore[misc]
 
@@ -136,8 +135,9 @@ class TestRecords:
         assert entry.txn_id == ""
 
     def test_accept_record_identifies_channel(self):
-        record = VmAcceptRecord(src="A", channel_seq=7)
-        assert (record.src, record.channel_seq) == ("A", 7)
+        record = VmAcceptRecord(src="A", first_seq=7, last_seq=7)
+        assert (record.src, record.first_seq, record.last_seq) \
+            == ("A", 7, 7)
 
     def test_applied_record(self):
         assert AppliedRecord(applied_lsn=12).applied_lsn == 12

@@ -13,7 +13,7 @@ a crash/recovery and a live reshard,
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.domain import CounterDomain
 from repro.core.system import DvPSystem, SystemConfig
@@ -100,6 +100,30 @@ ARRIVALS = st.lists(
        outage=st.floats(min_value=2.0, max_value=12.0),
        reshard_at=st.floats(min_value=5.0, max_value=35.0),
        replicas=st.sampled_from((1, 3)))
+# Results in commit order (DESIGN.md §6, finding 9): S0-S2 spend b down
+# to 6 on the books, S3#2 (decrement b 7) queues under Conc2 behind
+# S3#1 (transfer c -> b 7) and is granted b inside S3#1's release. A
+# release ahead of the releaser's result put S3#2's -7 on the books
+# before S3#1's +7, and the auditor refused it.
+@example(seed=0, arrivals=[(4.0, "S0", (DecrementOp("b", 6),)),
+                           (4.0, "S1", (DecrementOp("b", 6),)),
+                           (4.0, "S2", (DecrementOp("b", 6),)),
+                           (5.0, "S3", (TransferOp("c", "b", 7),)),
+                           (5.5, "S3", (DecrementOp("b", 7),))],
+         cc="conc2", crash_at=35.0, outage=2.0, reshard_at=35.0,
+         replicas=3)
+# The same order, as a random search (the `search` profile) found it
+# under a crash and a reshard to one replica.
+@example(seed=0, arrivals=[(4.0, "S0", (ReadFullOp("a"),)),
+                           (4.0, "S0", (ReadFullOp("a"),)),
+                           (4.0, "S0", (ReadFullOp("a"),)),
+                           (19.0, "S0", (ReadFullOp("a"),)),
+                           (21.0, "S0", (DecrementOp("c", 11),)),
+                           (4.0, "S0", (TransferOp("c", "b", 3),)),
+                           (4.0, "S2", (TransferOp("c", "b", 11),)),
+                           (19.0, "S0", (TransferOp("a", "c", 3),))],
+         cc="conc2", crash_at=5.0, outage=2.0, reshard_at=5.0,
+         replicas=1)
 @settings(max_examples=30, deadline=None)
 def test_no_unwoken_transaction_is_ever_sufficient(
         seed, arrivals, cc, crash_at, outage, reshard_at, replicas):
