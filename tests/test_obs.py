@@ -390,3 +390,45 @@ class TestKernelIntegration:
         sim.run_until(1.5)
         sim.run()
         assert [event.label for event in sim.obs.events()] == ["a", "b"]
+
+
+class TestTimelinePins:
+    """What `repro trace NAME` prints, run from tests/repros, for every
+    committed artifact: a renamed, reordered or dropped field, or a
+    changed value format, moves a hash."""
+
+    SHA256 = {
+        "chaos_auditor-serial_crash_seed14253557195298170862_1act.json":
+            "7f8fadcd239557ac22eabc5f898edeb12a990a7cbb27f883996190fa8244f1ec",
+        "chaos_auditor-serial_crash_seed16220008651848166696_1act.json":
+            "94c825ecea23c9911c6cc76b1619e6dea73c8ce06aac9658187c1a433dd7610d",
+        "chaos_auditor-serial_duplicate-grant_seed16220008651848166696_0act.json":
+            "87e9ebe652587cc2ef187ecfa0d1e3094f941ad1e84558b6af91654aefef5c02",
+        "chaos_auditor-serial_write_seed12522134497235605397_1act.json":
+            "a90d9147017a2d296754fd8b11de69428cb7a5f53a8743de32976724d55990b5",
+        "chaos_auditor-serial_write_seed14253557195298170862_1act.json":
+            "580ee41c2023a7d1bf3670e2fdc5d7f2e3fc88a787a7b0df1aa7eb5e0ae6cc12",
+        "chaos_auditor-serial_write_seed16220008651848166696_1act.json":
+            "ec7713e01e24e19ca168c6fca8916ae4d23acebf212a8b7deac5b5fe4870db16",
+        "chaos_auditor-serial_write_seed6335850603464525492_0act.json":
+            "bb368f9827337b6a30c5041601f3706a8138680f41fb465d1573ad4b93583cea",
+        "chaos_progress_run-first-seq_seed16220008651848166696_2act.json":
+            "085562a60859c45b34ab23368d7e17435879ce92078538323884c618b70b470c",
+        "chaos_view_view-staleness_seed14253557195298170862_0act.json":
+            "3765ba66dcdce6ea202bad2233747ea6dc48ca7bf1b11903a3240707cbcc0c44",
+        "chaos_wave-crash-before-send_seed16220008651848166696_3act.json":
+            "90642d587211092533da8d2f8c6cf490d47105e0c2b423cdb8d650864eb30cfd",
+    }
+
+    def test_every_artifact_is_pinned(self):
+        assert sorted(self.SHA256) == sorted(
+            path.name for path in REPRO.parent.glob("*.json"))
+
+    @pytest.mark.parametrize("name", sorted(SHA256))
+    def test_timeline_text(self, name, monkeypatch, capsys):
+        from repro.cli import main
+        monkeypatch.chdir(REPRO.parent)
+        assert main(["trace", name]) == 0
+        printed = capsys.readouterr().out
+        assert hashlib.sha256(printed.encode()).hexdigest() == \
+            self.SHA256[name]
