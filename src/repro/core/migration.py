@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.partition import stable_hash
-from repro.obs.events import MigrationDone, MigrationShip
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import DvPSystem
@@ -182,10 +181,8 @@ class MigrationController:
             return
         self._ship_counter += 1
         owner = f"migrate:{move.src}:{self._ship_counter}"
-        announce = (MigrationShip(
-            t=site.sim.now, site=move.src, dst=move.dst, item=move.item,
-            amount=value, epoch=self.epoch) if self._obs.enabled else None)
-        entries = site.ship(owner, move.item, ((move.dst, value),), announce)
+        entries = site.ship(owner, move.item, ((move.dst, value),),
+                            "migrate.ship", epoch=self.epoch)
         if entries is None:
             return                # busy; retry next tick
         move.seq = entries[0].channel_seq
@@ -235,9 +232,9 @@ class MigrationController:
     def _finish(self) -> None:
         self.done = True
         if self._obs.enabled:
-            self._obs.emit(MigrationDone(
-                t=self.system.sim.now, epoch=self.epoch,
-                moves=len(self.moves), fence_waits=self.fence_waits))
+            self._obs.emit("migrate.done", self.system.sim.now,
+                           epoch=self.epoch, moves=len(self.moves),
+                           fence_waits=self.fence_waits)
         self.system._migration_finished(self)
 
 

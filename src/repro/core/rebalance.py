@@ -38,7 +38,6 @@ from repro.core.redistribution import (
     DemandTracker,
     make_rebalance_policy,
 )
-from repro.obs.events import RebalPull, RebalShip
 from repro.sim.timers import PeriodicTimer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -200,11 +199,8 @@ class RebalanceDaemon:
         # on_shipped, after the create record is forced, so a failed
         # acquisition cannot burn a peer's turn.
         owner = f"rebalance:{site.name}:{self.shipments}"
-        announce = (RebalShip(
-            t=site.sim.now, site=site.name, dst=peer, item=item,
-            amount=surplus, policy=self.policy.name)
-            if self._obs.enabled else None)
-        if site.ship(owner, item, ((peer, surplus),), announce) is None:
+        if site.ship(owner, item, ((peer, surplus),), "rebal.ship",
+                     policy=self.policy.name) is None:
             self.skipped_locked += 1
             return
         self.shipments += 1
@@ -242,9 +238,9 @@ class RebalanceDaemon:
         site.send_request(peer, request)
         self.policy.on_pulled(peer)
         if self._obs.enabled:
-            self._obs.emit(RebalPull(
-                t=site.sim.now, site=site.name, src=peer, item=item,
-                amount=need, policy=self.policy.name))
+            self._obs.emit("rebal.pull", site.sim.now, site=site.name,
+                           src=peer, item=item, amount=need,
+                           policy=self.policy.name)
 
 
 def install_rebalancing(system, config: RebalanceConfig | None = None

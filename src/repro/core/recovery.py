@@ -5,7 +5,8 @@ The recovering site consults nothing but its own stable log and pages:
 1. locks do not survive (the lock table is volatile — the paper argues
    releasing all of them is always safe);
 2. committed-but-unapplied database actions are redone, idempotently
-   (guarded by page LSNs), starting from the last checkpoint;
+   (guarded by page LSNs), starting from the last checkpoint; a record
+   that assigns one item twice redoes the last assignment;
 3. Vm channel state is rebuilt: outgoing entries from create records
    (re-sent — receivers deduplicate and re-acknowledge), incoming
    cumulative-accepted counters from accept records — each record's
@@ -26,7 +27,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.fragments import test_leak
 from repro.core.timestamps import encode
-from repro.obs.events import SiteRecover
 from repro.storage.records import (
     CheckpointRecord,
     VmAcceptRecord,
@@ -105,16 +105,21 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
         record = envelope.record
         report.scanned_records += 1
         if isinstance(record, (VmCreateRecord, VmAcceptRecord)):
-            for action in record.actions:
-                if not site.fragments.knows(action.item):
+            # A record may assign one item twice (a message carrying two
+            # entries of it); the page LSN guard would keep the first,
+            # so redo only each item's last assignment.
+            last = {action.item: action.value for action in record.actions}
+            for item, value in last.items():
+                if not site.fragments.knows(item):
                     continue
-                if site.fragments.redo_write(action.item, action.value,
-                                             envelope.lsn):
+                if site.fragments.redo_write(item, value, envelope.lsn):
                     report.redo_applied += 1
                 else:
                     report.redo_skipped += 1
-                site.fragments.stamp_if_newer(action.item, action.ts)
-                max_ts_seen = max(max_ts_seen, action.ts)
+            for action in record.actions:
+                if site.fragments.knows(action.item):
+                    site.fragments.stamp_if_newer(action.item, action.ts)
+                    max_ts_seen = max(max_ts_seen, action.ts)
         if isinstance(record, VmCreateRecord):
             for entry in record.messages:
                 vm.restore_entry(entry)
@@ -146,10 +151,9 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
     site.vm.close()  # the pre-crash manager: read until now, done
     site.vm = vm
     if site._obs.enabled:
-        site._obs.emit(SiteRecover(
-            t=site.sim.now, site=site.name,
-            redo_applied=report.redo_applied,
-            vm_rebuilt=report.vm_rebuilt,
-            from_checkpoint=report.from_checkpoint))
+        site._obs.emit("site.recover", site.sim.now, site=site.name,
+                       redo_applied=report.redo_applied,
+                       vm_rebuilt=report.vm_rebuilt,
+                       from_checkpoint=report.from_checkpoint)
     return report
 

@@ -37,7 +37,6 @@ from repro.core.vm import VmManager
 from repro.net.message import Envelope
 from repro.net.network import Network
 from repro.reads.messages import ViewRefresh
-from repro.obs.events import LogForce, SiteCrash, TraceEvent
 from repro.sim.kernel import Simulator
 from repro.storage.log import StableLog
 from repro.storage.pages import PageStore
@@ -230,8 +229,8 @@ class DvPSite:
         """
         lsn = self.log.append(record)
         if self._obs.enabled:
-            self._obs.emit(LogForce(t=self.sim.now, site=self.name,
-                                    record=type(record).__name__, lsn=lsn))
+            self._obs.emit("site.log-force", self.sim.now, site=self.name,
+                           record=type(record).__name__, lsn=lsn)
         self._records_since_checkpoint += 1
         interval = self.config.checkpoint_interval
         if interval and self._records_since_checkpoint >= interval \
@@ -293,16 +292,18 @@ class DvPSite:
 
     def ship(self, owner: str, item: str,
              shares: Sequence[tuple[str, Any]],
-             announce: TraceEvent | None = None
+             announce: str | None = None, **detail: Any
              ) -> tuple[VmEntry, ...] | None:
         """Move *shares* of *item* — ``(dst, amount)`` pairs — out of
         this site as one Rds transaction: lock the fragment, stamp,
         force one create record that subtracts them, release.
 
         Returns the created entries, or None (nothing done) when the
-        fragment is locked. *announce*, a trace event, is emitted once
-        the record is forced and before the release lets anything else
-        run. Migration, rebalancing and deconsolidation all ship here.
+        fragment is locked. *announce*, a trace event kind, is emitted
+        per share with its ``site``, ``dst``, ``item``, ``amount`` and
+        the *detail* fields once the record is forced and before the
+        release lets anything else run. Migration, rebalancing and
+        deconsolidation all ship here.
         """
         if not self.locks.try_acquire_all(owner, (item,)):
             return None
@@ -317,8 +318,11 @@ class DvPSite:
                 for dst, amount in shares)
             self.create_vm(owner, (SetFragment(item, remainder, ts),),
                            entries)
-            if announce is not None:
-                self._obs.emit(announce)
+            if announce is not None and self._obs.enabled:
+                for dst, amount in shares:
+                    self._obs.emit(announce, self.sim.now, site=self.name,
+                                   dst=dst, item=item, amount=amount,
+                                   **detail)
         finally:
             self.locks.release_all(owner)
             self.after_lock_release()
@@ -556,8 +560,8 @@ class DvPSite:
         self.alive = False
         self.crash_count += 1
         if self._obs.enabled:
-            self._obs.emit(SiteCrash(t=self.sim.now, site=self.name,
-                                     txns_wiped=len(self.active)))
+            self._obs.emit("site.crash", self.sim.now, site=self.name,
+                           txns_wiped=len(self.active))
         self.txns_wiped += len(self.active)
         self.downtime.append([self.sim.now, None])
         self.vm.stop()

@@ -34,7 +34,6 @@ from repro.core.site import DvPSite, SiteDown
 from repro.core.transactions import Transaction, TransactionSpec, TxnResult
 from repro.net.link import LinkConfig
 from repro.net.network import Network
-from repro.obs.events import DirectoryEpoch, SiteDecommission, SiteJoin
 from repro.net.outbox import BundlingConfig
 from repro.net.sync import SynchronousNetwork
 from repro.reads.views import SiteViewCache, ViewConfig, ViewService
@@ -311,10 +310,9 @@ class DvPSystem:
 
     def _emit_epoch(self, reason: str, site: str = "") -> None:
         if self.sim.obs.enabled:
-            self.sim.obs.emit(DirectoryEpoch(
-                t=self.sim.now, epoch=self.directory.epoch,
-                reason=reason, site=site,
-                sites=len(self.directory.sites)))
+            self.sim.obs.emit(
+                "dir.epoch", self.sim.now, epoch=self.directory.epoch,
+                reason=reason, site=site, sites=len(self.directory.sites))
 
     def _snapshot_owners(self) -> dict[str, tuple[str, ...]]:
         return {item: self.directory.owners(item) for item in self._items}
@@ -352,8 +350,8 @@ class DvPSystem:
         old = self._snapshot_owners()
         self.directory.add_site(name)
         if self.sim.obs.enabled:
-            self.sim.obs.emit(SiteJoin(t=self.sim.now, site=name,
-                                       epoch=self.directory.epoch))
+            self.sim.obs.emit("site.join", self.sim.now, site=name,
+                              epoch=self.directory.epoch)
         self._emit_epoch("add-site", name)
         self._start_migration(old)
         return site
@@ -392,8 +390,8 @@ class DvPSystem:
             if other is not site and other.demand is not None:
                 other.demand.forget_peer(name)
         if self.sim.obs.enabled:
-            self.sim.obs.emit(SiteDecommission(
-                t=self.sim.now, site=name, epoch=self.directory.epoch))
+            self.sim.obs.emit("site.decommission", self.sim.now,
+                              site=name, epoch=self.directory.epoch)
         self._emit_epoch("remove-site", name)
         return self._start_migration(old, drain=name)
 

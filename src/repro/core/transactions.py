@@ -24,14 +24,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 from repro.core.fragments import test_leak
 from repro.core.messages import READ_MODE, TRANSFER_MODE, DataRequest
 from repro.core.operators import BoundedDecrement, PartitionableOperator
-from repro.obs.events import (
-    TxnAbort,
-    TxnCommit,
-    TxnLocksGranted,
-    TxnLockWait,
-    TxnRedistribute,
-    TxnSubmit,
-)
 from repro.reads.messages import ViewCertificate
 from repro.sim.timers import Timer
 from repro.storage.records import SetFragment, VmCreateRecord, VmEntry
@@ -410,8 +402,8 @@ class Transaction:
         site = self.site
         obs = site._obs
         if obs.enabled:
-            obs.emit(TxnSubmit(t=site.sim.now, site=site.name,
-                               txn=self.id, label=self.spec.label))
+            obs.emit("txn.submit", site.sim.now, site=site.name,
+                     txn=self.id, label=self.spec.label)
         if self._read_responders:
             site.wakeable.add(self.id)
         if self._view_pending and self._try_view_fast_path():
@@ -428,8 +420,8 @@ class Transaction:
             if granted:
                 self._locks_granted()
             elif obs.enabled:
-                obs.emit(TxnLockWait(t=site.sim.now, site=site.name,
-                                     txn=self.id))
+                obs.emit("txn.lock-wait", site.sim.now, site=site.name,
+                         txn=self.id)
         elif not cc.may_lock_local(site, self.ts, items):
             self._abort("timestamp-refused")
         elif not site.locks.try_acquire_all(self.id, items):
@@ -520,8 +512,8 @@ class Transaction:
         if cc.waits_for_locks:
             cc.on_lock_granted(site, self.ts, self.spec._items)
         if site._obs.enabled:
-            site._obs.emit(TxnLocksGranted(
-                t=site.sim.now, site=site.name, txn=self.id))
+            site._obs.emit("txn.locks-granted", site.sim.now,
+                           site=site.name, txn=self.id)
         self.state = _State.GATHERING
         if self._view_pending:
             # Views first: an escalated view item joins the fan-out set
@@ -584,9 +576,9 @@ class Transaction:
 
     def _note_requests(self, sent_before: int) -> None:
         if self.site._obs.enabled and self.requests_sent > sent_before:
-            self.site._obs.emit(TxnRedistribute(
-                t=self.site.sim.now, site=self.site.name, txn=self.id,
-                requests=self.requests_sent - sent_before))
+            self.site._obs.emit(
+                "txn.redistribute", self.site.sim.now, site=self.site.name,
+                txn=self.id, requests=self.requests_sent - sent_before)
 
     def _ask(self, peer: str, mode: str,
              wants: tuple[tuple[str, Any], ...]) -> None:
@@ -865,10 +857,11 @@ class Transaction:
         site.h_decision[outcome].observe(now - self.submitted_at)
         if site._obs.enabled:
             if outcome is Outcome.COMMITTED:
-                site._obs.emit(TxnCommit(t=now, site=site.name, txn=self.id))
+                site._obs.emit("txn.commit", now, site=site.name,
+                               txn=self.id)
             else:
-                site._obs.emit(TxnAbort(
-                    t=now, site=site.name, txn=self.id, reason=reason))
+                site._obs.emit("txn.abort", now, site=site.name,
+                               txn=self.id, reason=reason)
         if site.on_result is not None:
             site.on_result(result)
         # Only now let the locks go: a release can grant a Conc2 waiter

@@ -29,14 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.messages import VmAck, VmTransfer
-from repro.obs.events import (
-    VmAccept,
-    VmAckSent,
-    VmCreate,
-    VmDuplicateDiscard,
-    VmRetransmit,
-    VmTransmit,
-)
 from repro.sim.timers import PeriodicTimer
 from repro.storage.records import VmEntry
 
@@ -242,11 +234,11 @@ class VmManager:
                 self._metrics.mark(("vm", self.site, dst,
                                     entry.channel_seq), now)
                 if self._obs.enabled:
-                    self._obs.emit(VmCreate(
-                        t=now, site=self.site, dst=dst,
+                    self._obs.emit(
+                        "vm.create", now, site=self.site, dst=dst,
                         item=entry.item, seq=entry.channel_seq,
                         amount=entry.amount, vm_kind=entry.kind,
-                        txn=entry.txn_id))
+                        txn=entry.txn_id)
                 if self.on_created is not None:
                     self.on_created(entry)
                 if transmit:
@@ -316,10 +308,10 @@ class VmManager:
                   retransmit: bool = False) -> None:
         now = self.sim.now
         if self._obs.enabled:
-            event_type = VmRetransmit if retransmit else VmTransmit
+            kind = "vm.retransmit" if retransmit else "vm.transmit"
             for entry in entries:
-                self._obs.emit(event_type(t=now, site=self.site, dst=dst,
-                                          seq=entry.channel_seq))
+                self._obs.emit(kind, now, site=self.site, dst=dst,
+                               seq=entry.channel_seq)
         piggyback = self.in_channel(dst).cumulative_accepted
         self._piggyback_sent[dst] = (now, piggyback)
         self._send(dst, VmTransfer(self.site, entries, piggyback,
@@ -401,8 +393,8 @@ class VmManager:
                 channel.duplicates_discarded += 1
                 self._c_dup[src].inc()
                 if self._obs.enabled:
-                    self._obs.emit(VmDuplicateDiscard(
-                        t=self.sim.now, site=self.site, src=src, seq=seq))
+                    self._obs.emit("vm.duplicate-discard", self.sim.now,
+                                   site=self.site, src=src, seq=seq)
             else:
                 channel.pending[seq] = entry
                 first = first or seq
@@ -475,9 +467,8 @@ class VmManager:
                 if elapsed is not None:
                     self._h_delivery[src].observe(elapsed)
                 if self._obs.enabled:
-                    self._obs.emit(VmAccept(t=now, site=self.site,
-                                            src=src, item=entry.item,
-                                            seq=seq))
+                    self._obs.emit("vm.accept", now, site=self.site,
+                                   src=src, item=entry.item, seq=seq)
                 progressed = True
             if absorbed < len(run):
                 break
@@ -555,6 +546,6 @@ class VmManager:
         self._c_acks.inc()
         cumulative = self.in_channel(dst).cumulative_accepted
         if self._obs.enabled:
-            self._obs.emit(VmAckSent(t=self.sim.now, site=self.site,
-                                     dst=dst, cumulative=cumulative))
+            self._obs.emit("vm.ack", self.sim.now, site=self.site,
+                           dst=dst, cumulative=cumulative)
         self._send(dst, VmAck(self.site, cumulative, self._clock_ts()))

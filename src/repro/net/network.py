@@ -9,13 +9,6 @@ from typing import Any, Callable, Iterable
 from repro.net.link import Endpoint, Link, LinkConfig
 from repro.net.message import Envelope
 from repro.net.outbox import BundlingConfig, Outbox, _OpenBundle
-from repro.obs.events import (
-    NetBundle,
-    NetDeliver,
-    NetDropLoss,
-    NetDropPartition,
-    NetSend,
-)
 from repro.sim.kernel import Simulator
 
 Handler = Callable[[Envelope], None]
@@ -232,8 +225,8 @@ class Network:
         self.sent_counts[kind] += 1
         obs = self._obs
         if obs.enabled:
-            obs.emit(NetSend(t=self.sim.now, src=src, dst=dst,
-                             payload=kind))
+            obs.emit("net.send", self.sim.now, src=src, dst=dst,
+                     payload=kind)
         if self._outbox is not None:
             self._outbox.enqueue(src, dst, payload)
             return
@@ -265,13 +258,13 @@ class Network:
         scheduled always equals sends."""
         if partitioned:
             self._c_dropped_partition.value += 1
-            event = NetDropPartition
+            event = "net.drop-partition"
         else:
             self._c_dropped_loss.value += 1
-            event = NetDropLoss
+            event = "net.drop-loss"
         if self._obs.enabled:
-            self._obs.emit(event(t=self.sim.now, src=src, dst=dst,
-                                 payload=kind))
+            self._obs.emit(event, self.sim.now, src=src, dst=dst,
+                           payload=kind)
 
     def _label(self, link: Link, kind: str) -> str:
         """A delivery's kernel-event label, formatted once per kind."""
@@ -291,8 +284,8 @@ class Network:
         self.delivered_counts[kind] += 1
         self._c_delivered.value += 1
         if self._obs.enabled:
-            self._obs.emit(NetDeliver(t=self.sim.now, src=link.src,
-                                      dst=link.dst, payload=kind))
+            self._obs.emit("net.deliver", self.sim.now, src=link.src,
+                           dst=link.dst, payload=kind)
         link.dst_end.handler(envelope)
 
     def _deliver_bundle(self, open_bundle: _OpenBundle,
@@ -315,15 +308,15 @@ class Network:
         self._c_delivered.value += 1
         self._h_bundle_size.observe(len(payloads))
         if self._obs.enabled:
-            self._obs.emit(NetBundle(t=now, src=src, dst=dst,
-                                     size=len(payloads)))
+            self._obs.emit("net.bundle", now, src=src, dst=dst,
+                           size=len(payloads))
         handler = self._handlers[dst]
         for payload in payloads:
             kind = type(payload).__name__
             self.delivered_counts[kind] += 1
             if self._obs.enabled:
-                self._obs.emit(NetDeliver(t=now, src=src, dst=dst,
-                                          payload=kind))
+                self._obs.emit("net.deliver", now, src=src, dst=dst,
+                               payload=kind)
             handler(Envelope(src, dst, payload,
                              sent_at=open_bundle.opened_at,
                              duplicated=duplicated))

@@ -19,7 +19,6 @@ from typing import Any
 from repro.net.link import Link, LinkConfig
 from repro.net.message import Envelope
 from repro.net.network import Network
-from repro.obs.events import NetSend
 from repro.sim.kernel import Simulator
 
 
@@ -52,7 +51,7 @@ class SynchronousNetwork(Network):
         self.sent_counts[kind] += 1
         self._c_sent.inc()
         if self._obs.enabled:
-            self._obs.emit(NetSend(t=now, src=src, dst=dst, payload=kind))
+            self._obs.emit("net.send", now, src=src, dst=dst, payload=kind)
         link = self.link(src, dst)
         if link.src_end.group != link.dst_end.group:
             # Partitions are outside Conc2's assumptions, but the mode is

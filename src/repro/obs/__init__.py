@@ -1,13 +1,13 @@
-"""Structured observability: typed trace events, metrics, export.
+"""Structured observability: trace events, metrics, export.
 
 The paper's claims are claims about *instants* — when a Vm came into
 existence, when it was accepted, when a transaction decided, when a
 site crashed — so this package gives every
 :class:`~repro.sim.kernel.Simulator` two always-present companions:
 
-* ``sim.obs`` — a :class:`~repro.obs.bus.TraceBus` publishing the typed
-  events of :mod:`repro.obs.events` (disabled by default; zero hot-path
-  cost until enabled);
+* ``sim.obs`` — a :class:`~repro.obs.bus.TraceBus` publishing the
+  events of :mod:`repro.obs.events`, one record type and a table of
+  kinds (disabled by default; zero hot-path cost until enabled);
 * ``sim.metrics`` — a :class:`~repro.obs.registry.MetricsRegistry` of
   per-site / per-channel counters and latency histograms.
 
@@ -17,41 +17,13 @@ site crashed — so this package gives every
 """
 
 from repro.obs.bus import DEFAULT_RING_LIMIT, TraceBus
-from repro.obs.events import (
-    EVENT_TYPES,
-    KernelStep,
-    LogForce,
-    NetDeliver,
-    NetDropLoss,
-    NetDropPartition,
-    NetSend,
-    SiteCrash,
-    SiteRecover,
-    TraceEvent,
-    TxnAbort,
-    TxnCommit,
-    TxnLockWait,
-    TxnLocksGranted,
-    TxnRedistribute,
-    TxnSubmit,
-    VmAccept,
-    VmAckSent,
-    VmCreate,
-    VmDuplicateDiscard,
-    VmRetransmit,
-    VmTransmit,
-)
+from repro.obs.events import KINDS, TraceEvent
 from repro.obs.export import event_to_json
 from repro.obs.registry import CounterMetric, HistogramMetric, MetricsRegistry
 from repro.obs.timeline import TraceFilter, render_timeline
 
 __all__ = [
-    "DEFAULT_RING_LIMIT", "EVENT_TYPES", "TraceBus", "TraceEvent",
+    "DEFAULT_RING_LIMIT", "KINDS", "TraceBus", "TraceEvent",
     "TraceFilter", "render_timeline",
-    "KernelStep", "LogForce", "NetDeliver", "NetDropLoss",
-    "NetDropPartition", "NetSend", "SiteCrash", "SiteRecover",
-    "TxnAbort", "TxnCommit", "TxnLockWait", "TxnLocksGranted",
-    "TxnRedistribute", "TxnSubmit", "VmAccept", "VmAckSent", "VmCreate",
-    "VmDuplicateDiscard", "VmRetransmit", "VmTransmit",
     "CounterMetric", "HistogramMetric", "MetricsRegistry", "event_to_json",
 ]

@@ -1,13 +1,13 @@
 """The per-:class:`~repro.sim.kernel.Simulator` trace-event bus.
 
-Components publish :mod:`repro.obs.events` dataclasses through one
+Components publish the events of :mod:`repro.obs.events` through one
 shared bus. The contract is *zero cost when disabled*: instrumentation
-sites guard on the plain ``enabled`` attribute and only construct the
-event object inside the guard::
+sites guard on the plain ``enabled`` attribute and only name the
+event's fields inside the guard::
 
     obs = self.sim.obs
     if obs.enabled:
-        obs.emit(VmCreate(t=self.sim.now, ...))
+        obs.emit("vm.create", self.sim.now, site=self.site, ...)
 
 so a disabled bus costs one attribute load and one branch per
 instrumented point and emits nothing (``tests/test_obs.py``); every
@@ -22,8 +22,9 @@ JSON lines.
 from __future__ import annotations
 
 from collections import deque
+from typing import Any
 
-from repro.obs.events import TraceEvent
+from repro.obs.events import KINDS, TraceEvent
 
 #: Default ring-buffer retention when :meth:`TraceBus.enable` is called
 #: without an explicit limit.
@@ -37,7 +38,7 @@ class TraceBus:
 
     def __init__(self) -> None:
         self.enabled = False
-        #: When True the kernel also publishes a KernelStep per executed
+        #: When True the kernel also publishes a kernel.step per executed
         #: simulator event (heavyweight; used by ordering tests and the
         #: full `repro trace --kernel` view).
         self.kernel_steps = False
@@ -64,10 +65,24 @@ class TraceBus:
 
     # -- publishing --------------------------------------------------------
 
-    def emit(self, event: TraceEvent) -> None:
-        """Record one event (callers guard on :attr:`enabled` first)."""
+    def emit(self, kind: str, t: float, **fields: Any) -> None:
+        """Record the event of *kind* at *t* (callers guard on
+        :attr:`enabled` first). *fields* must name every field
+        :data:`~repro.obs.events.KINDS` lists for *kind*, and no other.
+        """
+        names = KINDS.get(kind)
+        if names is None:
+            raise ValueError(f"unknown trace event kind {kind!r}")
+        try:
+            values = tuple([fields[name] for name in names])
+        except KeyError as missing:
+            raise TypeError(
+                f"a {kind} event needs field {missing}") from None
+        if len(fields) != len(names):
+            extra = sorted(set(fields) - set(names))
+            raise TypeError(f"a {kind} event has no field {extra[0]!r}")
         self.emitted += 1
-        self._ring.append(event)
+        self._ring.append(TraceEvent(kind, t, values))
 
     # -- consumption -------------------------------------------------------
 

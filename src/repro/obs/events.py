@@ -1,13 +1,15 @@
-"""Typed trace events — the vocabulary of the observability layer.
+"""Trace events — the vocabulary of the observability layer.
 
-Every event is a small frozen dataclass carrying only deterministic,
-JSON-representable fields: the virtual time ``t`` plus names (sites,
-items, transaction ids) and integers. Nothing here references live
-objects, wall clocks, or memory addresses, so a trace captured from a
-``(seed, plan)`` replay is byte-identical across runs — the property
-``repro trace`` and the embedded chaos trace tails rely on.
+One record type carries every event: a :class:`TraceEvent` is a
+``kind``, the virtual time ``t`` and ``values``, the kind's fields in
+the order :data:`KINDS` lists them. The fields are deterministic,
+JSON-representable names (sites, items, transaction ids) and numbers;
+nothing references live objects, wall clocks or memory addresses, so a
+trace captured from a ``(seed, plan)`` replay is byte-identical across
+runs — the property ``repro trace`` and the embedded chaos trace tails
+rely on.
 
-The event families mirror the protocol's moving parts:
+The families mirror the protocol's moving parts:
 
 * **txn** — the Section 5 lifecycle: submit, lock wait/grant,
   redistribution requests, commit, abort (with reason);
@@ -16,406 +18,153 @@ The event families mirror the protocol's moving parts:
 * **rebal** — planned redistribution: a surplus push (Vm created by
   the daemon) or a deficit pull request, with the policy that chose
   the peer;
+* **dir** / **migrate** — the partition directory and resharding;
 * **net** — physical transmissions: send, partition drop, loss drop,
-  deliver;
-* **site** — crash, recover, log force;
+  deliver, bundle;
+* **site** — join, decommission, crash, recover, log force;
 * **serve** — the serving front-end's admission path: enqueue,
   dequeue (dispatch into the system), shed (typed Overload refusal);
+* **read** — bounded-staleness view reads and refresh rounds;
 * **kernel** — one event per executed simulator event (optional,
   heavyweight; lines up with :meth:`Simulator.trace_fingerprint`).
 
-``to_dict``/``event_from_dict`` round-trip events through plain dicts
-for the JSONL export; ``EVENT_TYPES`` is the kind → class registry.
+A new kind is one row of :data:`KINDS` — ``"family.what": ("site",
+...)`` under a comment saying what happened — and one guarded emit
+naming every field::
+
+    if obs.enabled:
+        obs.emit("family.what", now, site=self.site, ...)
+
+:meth:`~repro.obs.bus.TraceBus.emit` refuses a kind the table does not
+list and a field it does not name for that kind, or one it leaves out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, ClassVar
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """Base shape: every event happens at one virtual instant."""
-
-    kind: ClassVar[str] = "event"
-    t: float
-
-    def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {"kind": self.kind}
-        for spec in fields(self):
-            data[spec.name] = getattr(self, spec.name)
-        return data
-
-
-# -- transaction lifecycle (Section 5) ---------------------------------------
-
-@dataclass(frozen=True)
-class TxnSubmit(TraceEvent):
-    kind: ClassVar[str] = "txn.submit"
-    site: str = ""
-    txn: str = ""
-    label: str = ""
-
-
-@dataclass(frozen=True)
-class TxnLockWait(TraceEvent):
-    """Step 1 stalled: the CC scheme queued the lock acquisition."""
-
-    kind: ClassVar[str] = "txn.lock-wait"
-    site: str = ""
-    txn: str = ""
-
-
-@dataclass(frozen=True)
-class TxnLocksGranted(TraceEvent):
-    kind: ClassVar[str] = "txn.locks-granted"
-    site: str = ""
-    txn: str = ""
-
-
-@dataclass(frozen=True)
-class TxnRedistribute(TraceEvent):
-    """Step 2: requests for value fanned out to peers."""
-
-    kind: ClassVar[str] = "txn.redistribute"
-    site: str = ""
-    txn: str = ""
-    requests: int = 0
-
-
-@dataclass(frozen=True)
-class TxnCommit(TraceEvent):
-    kind: ClassVar[str] = "txn.commit"
-    site: str = ""
-    txn: str = ""
-
-
-@dataclass(frozen=True)
-class TxnAbort(TraceEvent):
-    kind: ClassVar[str] = "txn.abort"
-    site: str = ""
-    txn: str = ""
-    reason: str = ""
-
-
-# -- virtual messages (Section 4.2) ------------------------------------------
-
-@dataclass(frozen=True)
-class VmCreate(TraceEvent):
-    """The Vm came into existence (create record forced at *site*)."""
-
-    kind: ClassVar[str] = "vm.create"
-    site: str = ""
-    dst: str = ""
-    item: str = ""
-    seq: int = 0
-    amount: Any = None
-    vm_kind: str = "transfer"
-    txn: str = ""
-
-
-@dataclass(frozen=True)
-class VmTransmit(TraceEvent):
-    """A real message carrying the Vm left *site* (first send)."""
-
-    kind: ClassVar[str] = "vm.transmit"
-    site: str = ""
-    dst: str = ""
-    seq: int = 0
-
-
-@dataclass(frozen=True)
-class VmRetransmit(TraceEvent):
-    kind: ClassVar[str] = "vm.retransmit"
-    site: str = ""
-    dst: str = ""
-    seq: int = 0
-
-
-@dataclass(frozen=True)
-class VmDuplicateDiscard(TraceEvent):
-    """An already-absorbed sequence number arrived again at *site*."""
-
-    kind: ClassVar[str] = "vm.duplicate-discard"
-    site: str = ""
-    src: str = ""
-    seq: int = 0
-
-
-@dataclass(frozen=True)
-class VmAccept(TraceEvent):
-    """The Vm ceased to exist (accept record forced at *site*)."""
-
-    kind: ClassVar[str] = "vm.accept"
-    site: str = ""
-    src: str = ""
-    item: str = ""
-    seq: int = 0
-
-
-@dataclass(frozen=True)
-class VmAckSent(TraceEvent):
-    """An explicit cumulative acknowledgement left *site*."""
-
-    kind: ClassVar[str] = "vm.ack"
-    site: str = ""
-    dst: str = ""
-    cumulative: int = 0
-
-
-# -- network -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NetSend(TraceEvent):
-    kind: ClassVar[str] = "net.send"
-    src: str = ""
-    dst: str = ""
-    payload: str = ""
-
-
-@dataclass(frozen=True)
-class NetDropPartition(TraceEvent):
-    kind: ClassVar[str] = "net.drop-partition"
-    src: str = ""
-    dst: str = ""
-    payload: str = ""
-
-
-@dataclass(frozen=True)
-class NetDropLoss(TraceEvent):
-    kind: ClassVar[str] = "net.drop-loss"
-    src: str = ""
-    dst: str = ""
-    payload: str = ""
-
-
-@dataclass(frozen=True)
-class NetDeliver(TraceEvent):
-    kind: ClassVar[str] = "net.deliver"
-    src: str = ""
-    dst: str = ""
-    payload: str = ""
-
-
-@dataclass(frozen=True)
-class NetBundle(TraceEvent):
-    """One real envelope delivered carrying *size* coalesced payloads.
-
-    Emitted only when transport bundling is enabled (see
-    ``repro.net.outbox``); ``size`` counts the logical payloads the
-    bundle carried — 1 means no same-window partner was found.
-    """
-
-    kind: ClassVar[str] = "net.bundle"
-    src: str = ""
-    dst: str = ""
-    size: int = 0
-
-
-# -- rebalancing (planned redistribution) ------------------------------------
-
-@dataclass(frozen=True)
-class RebalShip(TraceEvent):
-    """The rebalance daemon pushed surplus toward *dst* (Vm created)."""
-
-    kind: ClassVar[str] = "rebal.ship"
-    site: str = ""
-    dst: str = ""
-    item: str = ""
-    amount: Any = None
-    policy: str = ""
-
-
-@dataclass(frozen=True)
-class RebalPull(TraceEvent):
-    """The rebalance daemon requested deficit value from *src*."""
-
-    kind: ClassVar[str] = "rebal.pull"
-    site: str = ""
-    src: str = ""
-    item: str = ""
-    amount: Any = None
-    policy: str = ""
-
-
-# -- partition directory + migration (docs/PARTITIONING.md) ------------------
-
-@dataclass(frozen=True)
-class DirectoryEpoch(TraceEvent):
-    """The partition directory advanced to a new epoch."""
-
-    kind: ClassVar[str] = "dir.epoch"
-    epoch: int = 0
-    reason: str = ""
-    site: str = ""
-    sites: int = 0
-
-
-@dataclass(frozen=True)
-class MigrationShip(TraceEvent):
-    """The migration controller moved a fragment toward its new owner
-    (an ordinary transfer-mode Vm; the auditor sees nothing special)."""
-
-    kind: ClassVar[str] = "migrate.ship"
-    site: str = ""
-    dst: str = ""
-    item: str = ""
-    amount: Any = None
-    epoch: int = 0
-
-
-@dataclass(frozen=True)
-class MigrationDone(TraceEvent):
-    """Every planned move of a reshard was shipped and accepted."""
-
-    kind: ClassVar[str] = "migrate.done"
-    epoch: int = 0
-    moves: int = 0
-    fence_waits: int = 0
-
-
-@dataclass(frozen=True)
-class SiteJoin(TraceEvent):
-    """A new site joined the running topology."""
-
-    kind: ClassVar[str] = "site.join"
-    site: str = ""
-    epoch: int = 0
-
-
-@dataclass(frozen=True)
-class SiteDecommission(TraceEvent):
-    """A site left the directory (stays alive to drain its value)."""
-
-    kind: ClassVar[str] = "site.decommission"
-    site: str = ""
-    epoch: int = 0
-
-
-# -- site --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SiteCrash(TraceEvent):
-    kind: ClassVar[str] = "site.crash"
-    site: str = ""
-    txns_wiped: int = 0
-
-
-@dataclass(frozen=True)
-class SiteRecover(TraceEvent):
-    kind: ClassVar[str] = "site.recover"
-    site: str = ""
-    redo_applied: int = 0
-    vm_rebuilt: int = 0
-    from_checkpoint: bool = False
-
-
-@dataclass(frozen=True)
-class LogForce(TraceEvent):
-    """A record hit stable storage (the protocol's commit points)."""
-
-    kind: ClassVar[str] = "site.log-force"
-    site: str = ""
-    record: str = ""
-    lsn: int = 0
-
-
-# -- serving front-end (docs/SERVING.md) -------------------------------------
-
-@dataclass(frozen=True)
-class ServeEnqueue(TraceEvent):
-    """A routed request passed admission and entered *site*'s queue."""
-
-    kind: ClassVar[str] = "serve.enqueue"
-    site: str = ""
-    origin: str = ""
-    depth: int = 0
-
-
-@dataclass(frozen=True)
-class ServeDequeue(TraceEvent):
-    """A queued request was dispatched into the system at *site*."""
-
-    kind: ClassVar[str] = "serve.dequeue"
-    site: str = ""
-    waited: float = 0.0
-    inflight: int = 0
-
-
-@dataclass(frozen=True)
-class ServeShed(TraceEvent):
-    """Admission control refused a request (typed Overload to client)."""
-
-    kind: ClassVar[str] = "serve.shed"
-    site: str = ""
-    origin: str = ""
-    reason: str = ""
-    depth: int = 0
-
-
-# -- bounded-staleness read views (docs/READS.md) ----------------------------
-
-@dataclass(frozen=True)
-class ReadViewServe(TraceEvent):
-    """A cached view entry satisfied a reader's staleness bound."""
-
-    kind: ClassVar[str] = "read.view-serve"
-    site: str = ""
-    txn: str = ""
-    item: str = ""
-    staleness: float = 0.0
-    bound: float | None = None
-
-
-@dataclass(frozen=True)
-class ReadViewMiss(TraceEvent):
-    """The cache could not certify the bound; the reader escalates."""
-
-    kind: ClassVar[str] = "read.view-miss"
-    site: str = ""
-    txn: str = ""
-    item: str = ""
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class ReadViewRefresh(TraceEvent):
-    """One write-behind refresh round published at a global barrier."""
-
-    kind: ClassVar[str] = "read.refresh"
-    publishers: int = 0
-    items: int = 0
-    sends: int = 0
-
-
-# -- kernel ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KernelStep(TraceEvent):
-    """One executed simulator event; mirrors the trace fingerprint."""
-
-    kind: ClassVar[str] = "kernel.step"
-    label: str = ""
-
-
-EVENT_TYPES: dict[str, type[TraceEvent]] = {
-    cls.kind: cls for cls in (
-        TxnSubmit, TxnLockWait, TxnLocksGranted, TxnRedistribute,
-        TxnCommit, TxnAbort,
-        VmCreate, VmTransmit, VmRetransmit, VmDuplicateDiscard,
-        VmAccept, VmAckSent,
-        RebalShip, RebalPull,
-        DirectoryEpoch, MigrationShip, MigrationDone,
-        SiteJoin, SiteDecommission,
-        NetSend, NetDropPartition, NetDropLoss, NetDeliver, NetBundle,
-        SiteCrash, SiteRecover, LogForce,
-        ServeEnqueue, ServeDequeue, ServeShed,
-        ReadViewServe, ReadViewMiss, ReadViewRefresh,
-        KernelStep,
-    )
+from typing import Any, Iterator
+
+#: Each event kind's fields, in output order (after ``t``).
+KINDS: dict[str, tuple[str, ...]] = {
+    # -- transaction lifecycle (Section 5) -------------------------------
+    "txn.submit": ("site", "txn", "label"),
+    # Step 1 stalled: the CC scheme queued the lock acquisition.
+    "txn.lock-wait": ("site", "txn"),
+    "txn.locks-granted": ("site", "txn"),
+    # Step 2: requests for value fanned out to peers.
+    "txn.redistribute": ("site", "txn", "requests"),
+    "txn.commit": ("site", "txn"),
+    "txn.abort": ("site", "txn", "reason"),
+    # -- virtual messages (Section 4.2) ----------------------------------
+    # The Vm came into existence (create record forced at *site*).
+    "vm.create": ("site", "dst", "item", "seq", "amount", "vm_kind", "txn"),
+    # A real message carrying the Vm left *site* (first send).
+    "vm.transmit": ("site", "dst", "seq"),
+    "vm.retransmit": ("site", "dst", "seq"),
+    # An already-absorbed sequence number arrived again at *site*.
+    "vm.duplicate-discard": ("site", "src", "seq"),
+    # The Vm ceased to exist (accept record forced at *site*).
+    "vm.accept": ("site", "src", "item", "seq"),
+    # An explicit cumulative acknowledgement left *site*.
+    "vm.ack": ("site", "dst", "cumulative"),
+    # -- rebalancing (planned redistribution) ----------------------------
+    # The rebalance daemon pushed surplus toward *dst* (Vm created).
+    "rebal.ship": ("site", "dst", "item", "amount", "policy"),
+    # The rebalance daemon requested deficit value from *src*.
+    "rebal.pull": ("site", "src", "item", "amount", "policy"),
+    # -- partition directory + migration (docs/PARTITIONING.md) ----------
+    # The partition directory advanced to a new epoch.
+    "dir.epoch": ("epoch", "reason", "site", "sites"),
+    # The migration controller moved a fragment toward its new owner
+    # (an ordinary transfer-mode Vm; the auditor sees nothing special).
+    "migrate.ship": ("site", "dst", "item", "amount", "epoch"),
+    # Every planned move of a reshard was shipped and accepted.
+    "migrate.done": ("epoch", "moves", "fence_waits"),
+    # A new site joined the running topology.
+    "site.join": ("site", "epoch"),
+    # A site left the directory (stays alive to drain its value).
+    "site.decommission": ("site", "epoch"),
+    # -- network ---------------------------------------------------------
+    "net.send": ("src", "dst", "payload"),
+    "net.drop-partition": ("src", "dst", "payload"),
+    "net.drop-loss": ("src", "dst", "payload"),
+    "net.deliver": ("src", "dst", "payload"),
+    # One real envelope delivered carrying *size* coalesced payloads
+    # (transport bundling only; 1 means no same-window partner).
+    "net.bundle": ("src", "dst", "size"),
+    # -- site ------------------------------------------------------------
+    "site.crash": ("site", "txns_wiped"),
+    "site.recover": ("site", "redo_applied", "vm_rebuilt",
+                     "from_checkpoint"),
+    # A record hit stable storage (the protocol's commit points).
+    "site.log-force": ("site", "record", "lsn"),
+    # -- serving front-end (docs/SERVING.md) -----------------------------
+    # A routed request passed admission and entered *site*'s queue.
+    "serve.enqueue": ("site", "origin", "depth"),
+    # A queued request was dispatched into the system at *site*.
+    "serve.dequeue": ("site", "waited", "inflight"),
+    # Admission control refused a request (typed Overload to client).
+    "serve.shed": ("site", "origin", "reason", "depth"),
+    # -- bounded-staleness read views (docs/READS.md) --------------------
+    # A cached view entry satisfied a reader's staleness bound.
+    "read.view-serve": ("site", "txn", "item", "staleness", "bound"),
+    # The cache could not certify the bound; the reader escalates.
+    "read.view-miss": ("site", "txn", "item", "reason"),
+    # One write-behind refresh round published at a global barrier.
+    "read.refresh": ("publishers", "items", "sends"),
+    # -- kernel ----------------------------------------------------------
+    # One executed simulator event; mirrors the trace fingerprint.
+    "kernel.step": ("label",),
 }
 
 
-__all__ = ["TraceEvent", "EVENT_TYPES"] + [
-    cls.__name__ for cls in EVENT_TYPES.values()]
+class TraceEvent:
+    """One event of *kind* at virtual time *t*; *values* are the kind's
+    fields in :data:`KINDS` order, each also readable by name
+    (``event.site``). Built by :meth:`TraceBus.emit
+    <repro.obs.bus.TraceBus.emit>`; read-only by convention."""
+
+    __slots__ = ("kind", "t", "values")
+
+    def __init__(self, kind: str, t: float, values: tuple) -> None:
+        self.kind = kind
+        self.t = t
+        self.values = values
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for names that are not set slots. ``copy`` and
+        # ``pickle`` probe an instance before its slots are set, so an
+        # unset slot must fail here rather than recurse through
+        # ``self.kind``.
+        if name in TraceEvent.__slots__:
+            raise AttributeError(name)
+        names = KINDS[self.kind]
+        if name not in names:
+            raise AttributeError(
+                f"a {self.kind} event has no field {name!r}")
+        return self.values[names.index(name)]
+
+    def fields(self) -> Iterator[tuple[str, Any]]:
+        """``(name, value)`` for each field after ``t``, in order."""
+        return zip(KINDS[self.kind], self.values)
+
+    def to_dict(self) -> dict[str, Any]:
+        data: dict[str, Any] = {"kind": self.kind, "t": self.t}
+        data.update(self.fields())
+        return data
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceEvent):
+            return NotImplemented
+        return (self.kind, self.t, self.values) == \
+            (other.kind, other.t, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.t, self.values))
+
+    def __repr__(self) -> str:
+        fields = "".join(f", {name}={value!r}"
+                         for name, value in self.fields())
+        return f"TraceEvent({self.kind!r}, t={self.t!r}{fields})"
+
+
+__all__ = ["KINDS", "TraceEvent"]

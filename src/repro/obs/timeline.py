@@ -9,11 +9,10 @@ the event fields, so the same trace always renders to the same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.obs.events import TraceEvent
-
 
 
 @dataclass(frozen=True)
@@ -66,15 +65,8 @@ def _detail(event: TraceEvent, actor_field: str) -> str:
     dropped — e.g. a ``vm.accept`` attributed to its ``site`` still
     shows ``src=...`` so the channel direction survives in the line.
     """
-    parts = []
-    for spec in fields(event):
-        if spec.name == "t" or spec.name == actor_field:
-            continue
-        value = getattr(event, spec.name)
-        if value in ("", None):
-            continue
-        parts.append(f"{spec.name}={value}")
-    return " ".join(parts)
+    return " ".join(f"{name}={value}" for name, value in event.fields()
+                    if name != actor_field and value not in ("", None))
 
 
 def render_timeline(events: Iterable[TraceEvent], title: str = "trace"

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from math import inf
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.obs.events import ReadViewMiss, ReadViewRefresh, ReadViewServe
 from repro.reads.messages import ViewCertificate, ViewEntry, ViewRefresh
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -161,16 +160,16 @@ class SiteViewCache:
         if reason:
             self.c_misses.inc()
             if self._obs.enabled:
-                self._obs.emit(ReadViewMiss(t=now, site=self.site, txn=txn,
-                                            item=item, reason=reason))
+                self._obs.emit("read.view-miss", now, site=self.site,
+                               txn=txn, item=item, reason=reason)
             return None
         staleness = now - entry.as_of
         self.c_hits.inc()
         self.h_staleness.observe(staleness)
         if self._obs.enabled:
-            self._obs.emit(ReadViewServe(t=now, site=self.site, txn=txn,
-                                         item=item, staleness=staleness,
-                                         bound=bound))
+            self._obs.emit("read.view-serve", now, site=self.site,
+                           txn=txn, item=item, staleness=staleness,
+                           bound=bound)
         return ViewCertificate(item, entry.value, entry.as_of, now, bound,
                                entry.epoch)
 
@@ -268,9 +267,9 @@ class ViewService:
                 sends += 1
         self.refresh_sends += sends
         if self.sim.obs.enabled:
-            self.sim.obs.emit(ReadViewRefresh(
-                t=now, publishers=len(by_owner),
-                items=len(items), sends=sends))
+            self.sim.obs.emit("read.refresh", now,
+                              publishers=len(by_owner), items=len(items),
+                              sends=sends)
 
     # -- read-through fills -------------------------------------------------
 

@@ -24,7 +24,6 @@ from typing import Callable
 from repro.core.system import DvPSystem
 from repro.core.transactions import TransactionSpec, TxnResult
 from repro.metrics.collector import Collector
-from repro.obs.events import ServeShed
 from repro.serving.queue import Overload, ServeSample, SiteQueue
 from repro.serving.router import ROUTERS, DepthBoard, make_router
 
@@ -177,9 +176,9 @@ class ServingFrontend:
                                  reason=overload.reason).inc()
         obs = self.sim.obs
         if obs.enabled:
-            obs.emit(ServeShed(t=overload.at, site=overload.site,
-                               origin=origin, reason=overload.reason,
-                               depth=overload.depth))
+            obs.emit("serve.shed", overload.at, site=overload.site,
+                     origin=origin, reason=overload.reason,
+                     depth=overload.depth)
 
     def note_dispatch(self) -> None:
         self.dispatched += 1

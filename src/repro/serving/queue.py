@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.site import SiteDown
 from repro.core.transactions import TransactionSpec, TxnResult
-from repro.obs.events import ServeDequeue, ServeEnqueue
 from repro.sim.timers import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -170,8 +169,8 @@ class SiteQueue:
         self._enqueued.inc()
         obs = self.sim.obs
         if obs.enabled:
-            obs.emit(ServeEnqueue(t=now, site=self.site, origin=origin,
-                                  depth=len(self._queue)))
+            obs.emit("serve.enqueue", now, site=self.site, origin=origin,
+                     depth=len(self._queue))
         self._pump()
         return None
 
@@ -204,9 +203,8 @@ class SiteQueue:
         self._wait_hist.observe(now - entry.enqueued_at)
         obs = self.sim.obs
         if obs.enabled:
-            obs.emit(ServeDequeue(t=now, site=self.site,
-                                  waited=now - entry.enqueued_at,
-                                  inflight=self.inflight))
+            obs.emit("serve.dequeue", now, site=self.site,
+                     waited=now - entry.enqueued_at, inflight=self.inflight)
         try:
             self.frontend.system.submit(self.site, entry.spec, entry.decided)
         except SiteDown:

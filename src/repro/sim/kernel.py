@@ -7,7 +7,6 @@ from math import inf, isnan
 from typing import Any, Callable
 
 from repro.obs.bus import TraceBus
-from repro.obs.events import KernelStep
 from repro.obs.registry import MetricsRegistry
 from repro.sim.events import Event, EventQueue
 from repro.sim.random import RandomStreams
@@ -220,7 +219,7 @@ class Simulator:
         if self._trace is not None:
             self._record(event.time, event.label)
         if self.obs.kernel_steps:
-            self.obs.emit(KernelStep(t=event.time, label=event.label))
+            self.obs.emit("kernel.step", event.time, label=event.label)
         self._executing = True
         try:
             event.action()
@@ -266,7 +265,7 @@ class Simulator:
                 if trace is not None:
                     self._record(event.time, event.label)
                 if obs.kernel_steps:
-                    obs.emit(KernelStep(t=event.time, label=event.label))
+                    obs.emit("kernel.step", event.time, label=event.label)
                 event.action()
                 if event_end:
                     self._drain_event_end()

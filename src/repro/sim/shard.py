@@ -47,7 +47,6 @@ from math import inf, isnan
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.bus import TraceBus
-from repro.obs.events import KernelStep
 from repro.obs.registry import MetricsRegistry
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import LookaheadError, SimulationError, Simulator
@@ -459,7 +458,7 @@ class ShardedSimulator(Simulator):
                 if traced:
                     self._record_shard(shard, event.time, event.label)
                 if obs.kernel_steps:
-                    obs.emit(KernelStep(t=event.time, label=event.label))
+                    obs.emit("kernel.step", event.time, label=event.label)
                 event.action()
                 if event_end:
                     index = 0
@@ -494,7 +493,7 @@ class ShardedSimulator(Simulator):
                 self._global_hash.update(
                     f"{event.time!r}\x1f{event.label}\x1e".encode())
             if self.obs.kernel_steps:
-                self.obs.emit(KernelStep(t=event.time, label=event.label))
+                self.obs.emit("kernel.step", event.time, label=event.label)
             event.action()
 
     def _run_round(self, horizon: float) -> None:

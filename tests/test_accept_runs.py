@@ -136,7 +136,7 @@ class TestRecoveryFromMixedRuns:
         VmAcceptRecord("C", 4, 4, (SetFragment("z", 35, 8),), "B#4"),
     )
 
-    def recovered(self):
+    def recovered(self, records=RECORDS):
         system = DvPSystem(SystemConfig(
             sites=["A", "B", "C"], seed=4, txn_timeout=10.0,
             link=LinkConfig(base_delay=1.0)))
@@ -144,7 +144,7 @@ class TestRecoveryFromMixedRuns:
             system.add_item(item, CounterDomain(),
                             split={"A": 30, "B": 30, "C": 30})
         site_b = system.sites["B"]
-        for record in self.RECORDS:
+        for record in records:
             site_b.log.append(record)  # forced, never applied
         system.crash("B")
         return site_b, system.recover("B")
@@ -157,6 +157,17 @@ class TestRecoveryFromMixedRuns:
         assert {src: site_b.vm.in_channel(src).cumulative_accepted
                 for src in ("A", "C")} == {"A": 4, "C": 4}
         assert site_b.fragments.timestamp("z") == 8
+
+    def test_an_item_assigned_twice_recovers_its_last_value(self):
+        """A message carrying two entries of one item is one record
+        that assigns the item twice: redo keeps the last assignment."""
+        site_b, report = self.recovered((
+            VmAcceptRecord("A", 1, 2, (SetFragment("x", 32, 5),
+                                       SetFragment("x", 33, 5)), "B#1"),))
+        assert site_b.fragments.value("x") == 33
+        assert report.redo_applied == 1
+        assert site_b.fragments.timestamp("x") == 5
+        assert site_b.vm.in_channel("A").cumulative_accepted == 2
 
     def test_the_planted_bug_restores_the_first_seq(self):
         set_test_leak("run-first-seq")

@@ -1,9 +1,12 @@
-"""The structured observability layer: TraceBus, typed events, JSON
+"""The structured observability layer: TraceBus, the kind table, JSON
 lines, metrics registry, timeline rendering, chaos trace tails."""
 
+import ast
+import copy
 import hashlib
 import json
 import pathlib
+import pickle
 
 import pytest
 
@@ -20,12 +23,10 @@ from repro.metrics.stats import summarize
 from repro.net.link import LinkConfig
 from repro.net.outbox import BundlingConfig
 from repro.obs import (
-    EVENT_TYPES,
-    KernelStep,
+    KINDS,
     MetricsRegistry,
     TraceBus,
     TraceFilter,
-    VmCreate,
     event_to_json,
     render_timeline,
 )
@@ -36,10 +37,21 @@ REPRO = (pathlib.Path(__file__).parent / "repros" /
          "chaos_auditor-serial_crash_seed16220008651848166696_1act.json")
 
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def make_event(kind, t, **fields):
+    """The event a bus records for ``emit(kind, t, **fields)``."""
+    bus = TraceBus()
+    bus.enable()
+    bus.emit(kind, t, **fields)
+    return bus.events()[0]
+
+
 def event_from_json(line):
     """The event one canonical JSON line describes."""
     payload = json.loads(line)
-    return EVENT_TYPES[payload.pop("kind")](**payload)
+    return make_event(payload.pop("kind"), payload.pop("t"), **payload)
 
 
 def build_system(**kwargs):
@@ -80,7 +92,7 @@ class TestTraceBus:
         bus = TraceBus()
         bus.enable(ring_limit=3)
         for index in range(10):
-            bus.emit(KernelStep(t=float(index), label=f"e{index}"))
+            bus.emit("kernel.step", float(index), label=f"e{index}")
         assert bus.emitted == 10
         assert bus.truncated == 7
         assert [event.label for event in bus.events()] == ["e7", "e8", "e9"]
@@ -92,15 +104,15 @@ class TestTraceBus:
     def test_clear_resets_counts(self):
         bus = TraceBus()
         bus.enable()
-        bus.emit(KernelStep(t=0.0, label="e"))
+        bus.emit("kernel.step", 0.0, label="e")
         bus.clear()
         assert bus.emitted == 0
         assert bus.events() == []
 
     def test_event_order_matches_trace_fingerprint_order(self):
-        """KernelStep events and the kernel's fingerprint trace are the
-        same sequence: the structured trace is a faithful, typed view
-        of exactly what the fingerprint hashes."""
+        """kernel.step events and the kernel's fingerprint trace are
+        the same sequence: the structured trace is a faithful, typed
+        view of exactly what the fingerprint hashes."""
         def run(collect_obs: bool):
             system = build_system()
             system.sim.enable_trace()
@@ -114,7 +126,7 @@ class TestTraceBus:
         traced = run(collect_obs=True)
         steps = [(event.t, event.label)
                  for event in traced.sim.obs.events()
-                 if isinstance(event, KernelStep)]
+                 if event.kind == "kernel.step"]
         assert steps == traced.sim.trace
         # And observation is passive: same fingerprint without the bus.
         untraced = run(collect_obs=False)
@@ -134,13 +146,79 @@ class TestJsonl:
         assert [event_from_json(line) for line in lines] == events
 
     def test_canonical_lines_are_stable(self):
-        event = VmCreate(t=1.5, site="A", dst="B", item="x", seq=3,
-                         amount=7, vm_kind="transfer", txn="A#1")
+        event = make_event("vm.create", 1.5, site="A", dst="B", item="x",
+                           seq=3, amount=7, vm_kind="transfer", txn="A#1")
         line = event_to_json(event)
         assert line == ('{"amount":7,"dst":"B","item":"x",'
                         '"kind":"vm.create","seq":3,"site":"A",'
                         '"t":1.5,"txn":"A#1","vm_kind":"transfer"}')
         assert event_from_json(line) == event
+
+
+class TestKindTable:
+    """One record type; KINDS names each kind's fields in output order."""
+
+    def test_unknown_kind_is_refused(self):
+        bus = TraceBus()
+        bus.enable()
+        with pytest.raises(ValueError, match="txn.finish"):
+            bus.emit("txn.finish", 0.0, site="A", txn="A#1")
+        assert bus.emitted == 0 and bus.events() == []
+
+    def test_missing_field_is_refused(self):
+        bus = TraceBus()
+        bus.enable()
+        with pytest.raises(TypeError, match="'txn'"):
+            bus.emit("txn.commit", 0.0, site="A")
+        assert bus.emitted == 0
+
+    def test_extra_field_is_refused(self):
+        bus = TraceBus()
+        bus.enable()
+        with pytest.raises(TypeError, match="'item'"):
+            bus.emit("txn.commit", 0.0, site="A", txn="A#1", item="x")
+        assert bus.emitted == 0
+
+    def test_every_kind_is_named_by_an_emitter(self):
+        """A kind no module under src/ names is a dead row."""
+        named = set()
+        for path in SRC.rglob("*.py"):
+            if path == SRC / "obs" / "events.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and \
+                        isinstance(node.value, str):
+                    named.add(node.value)
+        assert sorted(set(KINDS) - named) == []
+
+    def test_fields_in_table_order(self):
+        event = make_event("vm.ack", 2.0, cumulative=4, dst="B", site="A")
+        assert event.values == ("A", "B", 4)
+        assert list(event.to_dict()) == ["kind", "t", "site", "dst",
+                                         "cumulative"]
+        assert (event.site, event.dst, event.cumulative) == ("A", "B", 4)
+        assert getattr(event, "item", None) is None
+        with pytest.raises(AttributeError, match="vm.ack"):
+            event.item
+
+    def test_equality_hash_and_repr(self):
+        event = make_event("txn.abort", 1.0, site="A", txn="A#1",
+                           reason="locked")
+        same = make_event("txn.abort", 1.0, site="A", txn="A#1",
+                          reason="locked")
+        assert event == same and hash(event) == hash(same)
+        assert event != make_event("txn.abort", 1.0, site="A",
+                                   txn="A#1", reason="timeout")
+        assert event != make_event("txn.commit", 1.0, site="A", txn="A#1")
+        assert repr(event) == ("TraceEvent('txn.abort', t=1.0, site='A', "
+                               "txn='A#1', reason='locked')")
+
+    def test_copy_and_pickle(self):
+        event = make_event("site.recover", 3.0, site="B", redo_applied=2,
+                           vm_rebuilt=1, from_checkpoint=False)
+        for clone in (copy.copy(event), copy.deepcopy(event),
+                      pickle.loads(pickle.dumps(event))):
+            assert clone == event and clone.redo_applied == 2
 
 
 class TestMetricsRegistry:
