@@ -196,15 +196,18 @@ class ConservationAuditor:
         A Vm is live iff its sequence number exceeds the *receiver's*
         accepted-up-to counter — sender-side ack state may lag (a lost
         ack leaves the sender retransmitting an already-absorbed Vm,
-        which must not be double counted).
+        which must not be double counted). A receiver that has not yet
+        heard from the sender has accepted nothing; the scan reads its
+        channels and never opens one.
         """
         domain = self._domains[item]
         total = domain.zero()
         for sender in self.system.sites.values():
             for dst, channel in sender.vm.outgoing.items():
-                receiver = self.system.sites[dst]
-                accepted = receiver.vm.in_channel(sender.name) \
-                    .cumulative_accepted
+                incoming = self.system.sites[dst].vm.incoming.get(
+                    sender.name)
+                accepted = (0 if incoming is None
+                            else incoming.cumulative_accepted)
                 for seq, entry in channel.entries.items():
                     if seq > accepted and entry.item == item:
                         total = domain.combine(total, entry.amount)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.messages import VmAck, VmTransfer
+from repro.obs.registry import CounterMetric, HistogramMetric
 from repro.sim.timers import PeriodicTimer
 from repro.storage.records import VmEntry
 
@@ -37,7 +38,7 @@ from repro.storage.records import VmEntry
 _NO_ENTRIES: tuple = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class OutgoingChannel:
     """Sender-side state of the FIFO channel to one destination."""
 
@@ -86,7 +87,7 @@ class OutgoingChannel:
         return pruned
 
 
-@dataclass
+@dataclass(slots=True)
 class IncomingChannel:
     """Receiver-side state of the FIFO channel from one source."""
 
@@ -148,9 +149,11 @@ class VmManager:
         self._c_acks = metrics.counter("vm.acks", site=site)
         self._c_suppressed = metrics.counter("vm.acks_suppressed",
                                              site=site)
-        self._c_retx: dict[str, object] = {}
-        self._c_dup: dict[str, object] = {}
-        self._h_delivery: dict[str, object] = {}
+        # Per-peer handles, registered on their first count: a pair
+        # that never retransmits, discards or delivers books no row.
+        self._c_retx: dict[str, CounterMetric] = {}
+        self._c_dup: dict[str, CounterMetric] = {}
+        self._h_delivery: dict[str, HistogramMetric] = {}
         self._timer = PeriodicTimer(sim, retransmit_period,
                                     self._retransmit_tick,
                                     label=f"vm-retx:{site}")
@@ -187,19 +190,23 @@ class VmManager:
         channel = self.outgoing.get(dst)
         if channel is None:
             channel = self.outgoing[dst] = OutgoingChannel(dst)
-            self._c_retx[dst] = self._metrics.counter(
-                "vm.retransmissions", site=self.site, peer=dst)
         return channel
 
     def in_channel(self, src: str) -> IncomingChannel:
         channel = self.incoming.get(src)
         if channel is None:
             channel = self.incoming[src] = IncomingChannel(src)
-            self._c_dup[src] = self._metrics.counter(
-                "vm.duplicates", site=self.site, peer=src)
-            self._h_delivery[src] = self._metrics.histogram(
-                "vm.delivery", src=src, dst=self.site)
         return channel
+
+    def _count(self, handles: dict[str, CounterMetric], name: str,
+               peer: str) -> None:
+        """Bump this site's *name* counter for *peer*, registering it
+        on its first count."""
+        counter = handles.get(peer)
+        if counter is None:
+            counter = handles[peer] = self._metrics.counter(
+                name, site=self.site, peer=peer)
+        counter.value += 1
 
     # -- sender side ----------------------------------------------------------
 
@@ -338,7 +345,8 @@ class VmManager:
                     if overdue_only and last + period > now:
                         continue  # its ack is not overdue yet
                     channel.retransmissions += 1
-                    self._c_retx[channel.dst].inc()
+                    self._count(self._c_retx, "vm.retransmissions",
+                                channel.dst)
                 sent_at[seq] = now
                 self._transmit(channel.dst, (entry,), retransmit=retransmit)
         if live == 0:
@@ -391,7 +399,7 @@ class VmManager:
                 # Retransmission of something already absorbed: discard.
                 duplicate = True
                 channel.duplicates_discarded += 1
-                self._c_dup[src].inc()
+                self._count(self._c_dup, "vm.duplicates", src)
                 if self._obs.enabled:
                     self._obs.emit("vm.duplicate-discard", self.sim.now,
                                    site=self.site, src=src, seq=seq)
@@ -465,7 +473,12 @@ class VmManager:
                 elapsed = self._metrics.elapsed_since_mark(
                     ("vm", src, self.site, seq), now)
                 if elapsed is not None:
-                    self._h_delivery[src].observe(elapsed)
+                    delivery = self._h_delivery.get(src)
+                    if delivery is None:
+                        delivery = self._h_delivery[src] = \
+                            self._metrics.histogram("vm.delivery",
+                                                    src=src, dst=self.site)
+                    delivery.observe(elapsed)
                 if self._obs.enabled:
                     self._obs.emit("vm.accept", now, site=self.site,
                                    src=src, item=entry.item, seq=seq)

@@ -35,6 +35,12 @@ name                    labels                   meaning
 ``serve.wait``          ``site`` (histogram)     enqueue→dispatch wait
 ======================  =======================  =========================
 
+The three per-pair families (``vm.retransmissions``, ``vm.duplicates``,
+``vm.delivery``) get a row for a pair on its first count, not when its
+channel opens: a pair that never retransmits, discards or delivers
+books nothing, and a family with no row reads 0 through
+:meth:`MetricsRegistry.total`.
+
 Histograms keep raw samples, each an 8-byte slot of a float
 ``array('d')`` — not a float object behind a list slot — so a run that
 keeps one sample per op keeps 8 B for it. An integer sample reads back

@@ -20,6 +20,8 @@ from repro.chaos import ChaosConfig, explore
 from repro.core.domain import CounterDomain
 from repro.core.invariants import IncrementalDivergence
 from repro.core.system import DvPSystem, SystemConfig
+from repro.core.transactions import DecrementOp, TransactionSpec
+from tests.test_obs import metric_rows
 
 SEEDS_PER_BATCH = 11
 BATCHES = 20  # 220 randomized runs in all
@@ -74,3 +76,27 @@ class TestDivergenceDetection:
         reports = system.auditor.verify_full()
         assert all(report.ok for report in reports)
         assert not system.auditor._live_entries
+
+
+class TestAuditIsReadOnly:
+    """An audit reads the system it audits and changes none of it."""
+
+    def test_verify_full_opens_no_channel_and_books_no_metric(self):
+        system = DvPSystem(SystemConfig(sites=["A", "B", "C"], seed=11))
+        system.add_item("x", CounterDomain(), total=90)
+        # A is short of 40: B and C create Vm toward A, and the audit
+        # runs while they are in flight, before A has heard from them.
+        system.submit("A", TransactionSpec(ops=(DecrementOp("x", 40),)))
+        system.run_for(1.5)
+        assert any(dst == "A" and name not in system.sites["A"].vm.incoming
+                   for name, site in system.sites.items()
+                   for dst in site.vm.outgoing)
+        incoming = {name: list(site.vm.incoming)
+                    for name, site in system.sites.items()}
+        rows = metric_rows(system.sim.metrics)
+        reports = system.auditor.verify_full()
+        assert all(report.ok for report in reports)
+        assert reports[0].live_vm_total > 0
+        assert {name: list(site.vm.incoming)
+                for name, site in system.sites.items()} == incoming
+        assert metric_rows(system.sim.metrics) == rows

@@ -283,10 +283,11 @@ class TestMetricsRegistry:
         assert metrics.total("vm.accepted") == metrics.total("vm.created")
         assert metrics.total("net.sent") > 0
         deliveries = metrics.histograms("vm.delivery")
-        # One delivery-latency sample per accepted Vm (channels that
-        # never delivered keep empty histograms — that's fine).
+        # One delivery-latency sample per accepted Vm, and a histogram
+        # only for a pair that delivered.
         assert sum(len(h.values) for h in deliveries) == \
             metrics.total("vm.accepted")
+        assert all(h.values for h in deliveries)
         decisions = [h for h in metrics.histograms("txn.decision")
                      if dict(h.labels)["outcome"] == "committed"]
         assert sum(len(h.values) for h in decisions) == 1
@@ -374,16 +375,73 @@ class TestMetricRows:
     #: sha256 of json.dumps(metric_rows(...), sort_keys=True) for the
     #: run above: every counter and histogram a lossy, duplicating,
     #: bundled, served run books.
-    #: (net.bundle.size's integer max and p50 print as floats since
-    #: samples are C doubles: 3 -> 3.0, 1 -> 1.0; nothing else moved.)
-    ROWS_SHA256 = ("1f3e796bdcb53ac696f2469e1b408bad"
-                   "00a788919bf96ebf124f9046e7f4ce18")
+    #: (Per-pair Vm families are booked on their first count, so the
+    #: four zero per-peer counters and three empty vm.delivery
+    #: histograms a channel's opening used to register are gone;
+    #: every other row is unchanged.)
+    ROWS_SHA256 = ("714e35bce3e84788e3b0915400457383"
+                   "a1821f47c488d6e75f78ebcc79e91c2a")
 
     def test_counters_and_histograms_are_pinned(self):
         metrics = bundled_four_site_run().sim.metrics
         blob = json.dumps(metric_rows(metrics), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == \
             self.ROWS_SHA256
+
+
+#: The per-pair Vm counter families and the channel field each mirrors.
+PER_PEER = {"vm.retransmissions": ("outgoing", "retransmissions"),
+            "vm.duplicates": ("incoming", "duplicates_discarded")}
+
+
+def per_peer_rows(metrics):
+    """``{(family, site, peer): value}`` of every per-pair counter row."""
+    rows = {}
+    for metric in metrics.counters():
+        if metric.name in PER_PEER:
+            labels = dict(metric.labels)
+            rows[metric.name, labels["site"], labels["peer"]] = metric.value
+    return rows
+
+
+class TestPerPeerRows:
+    """A per-pair family gets a row on its first count: the registry
+    and the channels keep the same books, and a pair that never
+    retransmits, discards or delivers books nothing."""
+
+    def test_rows_and_channels_agree_on_a_lossy_run(self):
+        system = bundled_four_site_run()
+        held = {}
+        for name, site in system.sites.items():
+            for family, (side, field) in PER_PEER.items():
+                for peer, channel in getattr(site.vm, side).items():
+                    if getattr(channel, field):
+                        held[family, name, peer] = getattr(channel, field)
+        rows = per_peer_rows(system.sim.metrics)
+        assert rows == held
+        assert {family for family, _, _ in rows} == set(PER_PEER)
+        assert all(h.values
+                   for h in system.sim.metrics.histograms("vm.delivery"))
+
+    def test_a_lossless_synchronous_run_books_no_per_peer_row(self):
+        sites = [f"S{index}" for index in range(8)]
+        system = DvPSystem(SystemConfig(sites=sites, seed=11,
+                                        synchronous=True))
+        system.add_item("x", CounterDomain(), total=160)
+        results = []
+        for index, site in enumerate(sites):
+            # Each takes 25 of a 20-unit share: every commit pulls Vm.
+            system.sim.at(3.0 * index, lambda site=site: system.submit(
+                site, TransactionSpec(ops=(DecrementOp("x", 25),)),
+                results.append), label="arrival")
+        system.run_for(80.0)
+        metrics = system.sim.metrics
+        assert sum(result.committed for result in results) >= 6
+        assert metrics.total("vm.accepted") > 0
+        assert per_peer_rows(metrics) == {}
+        assert metrics.total("vm.retransmissions") == 0
+        deliveries = metrics.histograms("vm.delivery")
+        assert deliveries and all(h.values for h in deliveries)
 
 
 class TestTimeline:

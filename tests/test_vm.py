@@ -147,6 +147,41 @@ class TestLossAndRetransmission:
         assert h.managers["A"].out_channel("B").retransmissions == 0
 
 
+class TestPerPairMetrics:
+    """A pair's registry rows appear on its first count, not when its
+    channel opens."""
+
+    @staticmethod
+    def rows(h: Harness) -> dict:
+        metrics = h.sim.metrics
+        rows = {(metric.name, metric.labels): metric.value
+                for metric in metrics.counters()
+                if metric.name in ("vm.retransmissions", "vm.duplicates")}
+        rows.update({(metric.name, metric.labels): len(metric.values)
+                     for metric in metrics.histograms("vm.delivery")})
+        return rows
+
+    def test_each_family_books_its_first_count(self):
+        h = Harness(retransmit_period=5.0)
+        h.send_value("A", "B", "x", 5)
+        h.flush(drop=lambda s, d, p: isinstance(p, VmAck))  # ack lost
+        # Both channels are open; only the delivery has counted.
+        delivery = ("vm.delivery", (("dst", "B"), ("src", "A")))
+        assert self.rows(h) == {delivery: 1}
+        assert h.sim.metrics.total("vm.retransmissions") == 0
+        h.sim.run_until(5.0)  # A resends, B discards the duplicate
+        h.flush()
+        assert self.rows(h) == {
+            delivery: 1,
+            ("vm.retransmissions", (("peer", "B"), ("site", "A"))): 1,
+            ("vm.duplicates", (("peer", "A"), ("site", "B"))): 1}
+
+    def test_channels_are_slotted(self):
+        h = Harness()
+        assert not hasattr(h.managers["A"].out_channel("B"), "__dict__")
+        assert not hasattr(h.managers["A"].in_channel("B"), "__dict__")
+
+
 def _anchor(h: Harness) -> None:
     """A Vm from A to a silent peer C, live for good: A's timer then
     ticks at 5, 10, 15, ... for the whole test (flushes drop C's mail)."""
