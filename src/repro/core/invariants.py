@@ -31,10 +31,11 @@ scan — tests run it after every failure scenario; a mismatch raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.domain import Domain
 from repro.core.transactions import TxnResult
+from repro.storage.records import VmEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import DvPSystem
@@ -190,28 +191,27 @@ class ConservationAuditor:
                   if site.fragments.knows(item)]
         return domain.pi(values)
 
-    def live_vm_total_scan(self, item: str) -> Any:
-        """Σ live Vm by walking every sender × receiver channel.
+    def live_entries(self) -> Iterator[VmEntry]:
+        """Every live Vm, by walking every sender × receiver channel.
 
         A Vm is live iff its sequence number exceeds the *receiver's*
         accepted-up-to counter — sender-side ack state may lag (a lost
         ack leaves the sender retransmitting an already-absorbed Vm,
-        which must not be double counted). A receiver that has not yet
-        heard from the sender has accepted nothing; the scan reads its
-        channels and never opens one.
+        which must not be double counted). The walk opens no channel.
         """
-        domain = self._domains[item]
-        total = domain.zero()
-        for sender in self.system.sites.values():
+        sites = self.system.sites
+        for sender in sites.values():
             for dst, channel in sender.vm.outgoing.items():
-                incoming = self.system.sites[dst].vm.incoming.get(
-                    sender.name)
-                accepted = (0 if incoming is None
-                            else incoming.cumulative_accepted)
+                accepted = sites[dst].vm.accepted_from(sender.name)
                 for seq, entry in channel.entries.items():
-                    if seq > accepted and entry.item == item:
-                        total = domain.combine(total, entry.amount)
-        return total
+                    if seq > accepted:
+                        yield entry
+
+    def live_vm_total_scan(self, item: str) -> Any:
+        """Σ live Vm of *item*, from :meth:`live_entries`."""
+        return self._domains[item].pi(entry.amount for entry
+                                      in self.live_entries()
+                                      if entry.item == item)
 
     def check_scan(self, item: str) -> AuditReport:
         """The original brute-force conservation check for one item."""

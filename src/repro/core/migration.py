@@ -194,8 +194,7 @@ class MigrationController:
 
     def _check_accepted(self, move: Move) -> None:
         receiver = self.system.sites[move.dst]
-        channel = receiver.vm.in_channel(move.src)
-        if channel.cumulative_accepted >= move.seq:
+        if receiver.vm.accepted_from(move.src) >= move.seq:
             move.state = "done"
 
     # -- decommission drain ------------------------------------------------

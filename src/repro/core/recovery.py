@@ -46,7 +46,6 @@ class RecoveryReport:
     redo_applied: int = 0
     redo_skipped: int = 0
     vm_rebuilt: int = 0
-    incoming_channels: int = 0
     from_checkpoint: bool = False
     start_lsn: int = 0
     messages_needed: int = 0  # always 0: the headline property
@@ -78,16 +77,10 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
             if site.fragments.knows(item):
                 site.fragments.stamp_if_newer(item, ts)
                 max_ts_seen = max(max_ts_seen, ts)
-        for src, cumulative in checkpoint.incoming_cumulative:
-            channel = vm.in_channel(src)
-            channel.cumulative_accepted = max(channel.cumulative_accepted,
-                                              cumulative)
-        for dst, next_seq in checkpoint.next_channel_seq:
-            channel = vm.out_channel(dst)
-            channel.next_seq = max(channel.next_seq, next_seq)
-        for entry in checkpoint.outgoing_unacked:
-            vm.restore_entry(entry)
-            report.vm_rebuilt += 1
+        vm.restore(checkpoint.outgoing_unacked,
+                   checkpoint.incoming_cumulative,
+                   checkpoint.next_channel_seq)
+        report.vm_rebuilt += len(checkpoint.outgoing_unacked)
         for key, value in checkpoint.extra:
             if key == "clock":
                 # The checkpoint stores the bare Lamport *counter*, but
@@ -121,21 +114,13 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
                     site.fragments.stamp_if_newer(action.item, action.ts)
                     max_ts_seen = max(max_ts_seen, action.ts)
         if isinstance(record, VmCreateRecord):
-            for entry in record.messages:
-                vm.restore_entry(entry)
-                channel = vm.out_channel(entry.dst)
-                channel.next_seq = max(channel.next_seq,
-                                       entry.channel_seq + 1)
-                report.vm_rebuilt += 1
+            vm.restore(entries=record.messages)
+            report.vm_rebuilt += len(record.messages)
         elif isinstance(record, VmAcceptRecord):
-            channel = vm.in_channel(record.src)
             # Planted bug (docs/CHAOS.md): restore the run's first seq.
             seq = (record.first_seq if test_leak() == "run-first-seq"
                    else record.last_seq)
-            channel.cumulative_accepted = max(channel.cumulative_accepted,
-                                              seq)
-
-    report.incoming_channels = len(vm.incoming)
+            vm.restore(accepted=((record.src, seq),))
 
     # Step 5: bump the clock past every committed timestamp we saw.
     if max_ts_seen:

@@ -254,20 +254,14 @@ class DvPSite:
             self.vm.check_accounting()
         snapshot = sorted(self.fragments.snapshot().items(),
                           key=lambda kv: kv[0])
+        unacked, accepted, next_seqs = self.vm.snapshot()
         record = CheckpointRecord(
             fragments=tuple(snapshot),
             fragment_timestamps=tuple(
                 (item, self.fragments.timestamp(item))
                 for item, _value in snapshot),
-            outgoing_unacked=tuple(
-                entry for channel in self.vm.outgoing.values()
-                for entry in channel.unacked()),
-            incoming_cumulative=tuple(
-                (src, channel.cumulative_accepted)
-                for src, channel in sorted(self.vm.incoming.items())),
-            next_channel_seq=tuple(
-                (dst, channel.next_seq)
-                for dst, channel in sorted(self.vm.outgoing.items())),
+            outgoing_unacked=unacked, incoming_cumulative=accepted,
+            next_channel_seq=next_seqs,
             extra=(("clock", self.clock.counter),))
         lsn = self.log.append(record)
         self._records_since_checkpoint = 0

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Callable, Sequence
 
 from repro.core.messages import VmAck, VmTransfer
@@ -45,27 +46,25 @@ class OutgoingChannel:
     dst: str
     next_seq: int = 1
     cumulative_acked: int = 0
+    #: The live entries, ascending and all above ``cumulative_acked``:
+    #: they join in allocation order (on recovery, in log order from an
+    #: ack of 0), and ack progress prunes them from the front.
     entries: dict[int, VmEntry] = field(default_factory=dict)
-    retransmissions: int = 0
     #: Time of each live entry's last transmission; an entry absent
     #: here has never been sent (created with ``transmit=False`` or
     #: restored by recovery).
     sent_at: dict[int, float] = field(default_factory=dict)
-
-    def allocate(self) -> int:
-        seq = self.next_seq
-        self.next_seq += 1
-        return seq
+    #: This pair's registry row, registered on its first count.
+    retx_counter: CounterMetric | None = None  # vm.retransmissions
 
     def unacked(self) -> list[VmEntry]:
-        return [entry for seq, entry in sorted(self.entries.items())
-                if seq > self.cumulative_acked]
+        return list(self.entries.values())
 
     def ack(self, cumulative: int) -> Sequence[VmEntry]:
         """Advance the cumulative ack; returns entries newly confirmed.
 
-        Progress immediately prunes confirmed entries so channel memory
-        (and every ``unacked()`` scan) stays proportional to the
+        Progress immediately prunes confirmed entries — a prefix of
+        ``entries`` — so channel memory stays proportional to the
         *in-flight* Vm count, not to everything ever sent. The pruned
         entries come back so the owning manager can keep its O(1)
         live-Vm counters exact without rescanning. No-progress acks
@@ -75,12 +74,8 @@ class OutgoingChannel:
         if cumulative <= self.cumulative_acked:
             return _NO_ENTRIES
         self.cumulative_acked = cumulative
-        return self.prune()
-
-    def prune(self) -> list[VmEntry]:
-        """Drop (and return) entries whose acceptance is confirmed."""
-        pruned = [entry for seq, entry in self.entries.items()
-                  if seq <= self.cumulative_acked]
+        pruned = list(takewhile(lambda entry: entry.channel_seq
+                                <= cumulative, self.entries.values()))
         for entry in pruned:
             del self.entries[entry.channel_seq]
             self.sent_at.pop(entry.channel_seq, None)
@@ -98,7 +93,9 @@ class IncomingChannel:
     #: real message carried, accepted together. A pending entry that
     #: starts no run here is accepted on its own.
     runs: dict[int, int] = field(default_factory=dict)
-    duplicates_discarded: int = 0
+    #: This pair's registry rows, each registered on its first count.
+    dup_counter: CounterMetric | None = None  # vm.duplicates
+    delivery_histogram: HistogramMetric | None = None  # vm.delivery
 
 
 class VmManager:
@@ -129,13 +126,16 @@ class VmManager:
         #: Lifecycle hooks for the incremental conservation accounting:
         #: fired exactly once per Vm — at the create-record instant and
         #: at the accept-record instant. Recovery rebuilds channel state
-        #: directly (the Vm already existed), so it fires neither. Of an
-        #: accepted run, every entry fires *on_accepted* first, then each
-        #: in turn fires *on_absorbed* (the site tells the transaction
-        #: it feeds).
+        #: with restore() (the Vm already existed), so it fires neither.
+        #: Of an accepted run, every entry fires *on_accepted* first,
+        #: then each in turn fires *on_absorbed* (the site tells the
+        #: transaction it feeds).
         self.on_created = on_created
         self.on_accepted = on_accepted
         self.on_absorbed = on_absorbed
+        #: Opened by the protocol alone: an outgoing channel by its first
+        #: allocated entry, an incoming one by its first Vm, either by
+        #: recovery's restore(). Other modules only read them.
         self.outgoing: dict[str, OutgoingChannel] = {}
         self.incoming: dict[str, IncomingChannel] = {}
         # Observability (docs/OBSERVABILITY.md): typed trace events go
@@ -149,11 +149,6 @@ class VmManager:
         self._c_acks = metrics.counter("vm.acks", site=site)
         self._c_suppressed = metrics.counter("vm.acks_suppressed",
                                              site=site)
-        # Per-peer handles, registered on their first count: a pair
-        # that never retransmits, discards or delivers books no row.
-        self._c_retx: dict[str, CounterMetric] = {}
-        self._c_dup: dict[str, CounterMetric] = {}
-        self._h_delivery: dict[str, HistogramMetric] = {}
         self._timer = PeriodicTimer(sim, retransmit_period,
                                     self._retransmit_tick,
                                     label=f"vm-retx:{site}")
@@ -169,12 +164,9 @@ class VmManager:
         #: source joins when on_transfer buffers for it and leaves when
         #: a drain finds its buffer empty, so this is never short of one.
         self._backlog: set[str] = set()
-        # O(1) live-Vm accounting. Invariant: every OutgoingChannel's
-        # ``entries`` dict holds exactly its live (unacked) entries —
-        # ack() prunes confirmed ones on the spot, and recovery rebuilds
-        # channels from cumulative_acked=0 — so these counters mirror
-        # the old O(live Vm) unacked() scans exactly. check_accounting()
-        # cross-checks the two under __debug__.
+        # O(1) live-Vm accounting: these mirror a scan of every
+        # channel's ``entries``, which check_accounting() cross-checks
+        # under __debug__.
         self._live_total = 0
         self._live_by_item: dict[str, int] = {}
         # Ack coalescing state (see __init__ docstring): peers owed an
@@ -186,27 +178,58 @@ class VmManager:
 
     # -- channel access -----------------------------------------------------
 
-    def out_channel(self, dst: str) -> OutgoingChannel:
+    def _out_channel(self, dst: str) -> OutgoingChannel:
         channel = self.outgoing.get(dst)
         if channel is None:
             channel = self.outgoing[dst] = OutgoingChannel(dst)
         return channel
 
-    def in_channel(self, src: str) -> IncomingChannel:
+    def _in_channel(self, src: str) -> IncomingChannel:
         channel = self.incoming.get(src)
         if channel is None:
             channel = self.incoming[src] = IncomingChannel(src)
         return channel
 
-    def _count(self, handles: dict[str, CounterMetric], name: str,
-               peer: str) -> None:
-        """Bump this site's *name* counter for *peer*, registering it
-        on its first count."""
-        counter = handles.get(peer)
-        if counter is None:
-            counter = handles[peer] = self._metrics.counter(
-                name, site=self.site, peer=peer)
-        counter.value += 1
+    def accepted_from(self, src: str) -> int:
+        """Sequence number up to which this site has accepted *src*'s
+        Vm: 0 before the first arrives. Reads; opens no channel."""
+        channel = self.incoming.get(src)
+        return 0 if channel is None else channel.cumulative_accepted
+
+    def snapshot(self) -> tuple[tuple, tuple, tuple]:
+        """A checkpoint's channel state, :meth:`restore`'s arguments:
+        the live entries, each source's accepted-up-to and each
+        destination's next sequence number."""
+        return (
+            tuple(entry for channel in self.outgoing.values()
+                  for entry in channel.entries.values()),
+            tuple((src, channel.cumulative_accepted)
+                  for src, channel in sorted(self.incoming.items())),
+            tuple((dst, channel.next_seq)
+                  for dst, channel in sorted(self.outgoing.items())))
+
+    def restore(self, entries: Sequence[VmEntry] = (),
+                accepted: Sequence[tuple[str, int]] = (),
+                next_seqs: Sequence[tuple[str, int]] = ()) -> None:
+        """Recovery: rebuild channel state from a :meth:`snapshot` or
+        one log record, forcing nothing. Sequence numbers only rise; a
+        live entry named again (by a checkpoint and its create record)
+        is skipped. Channels open in the order given, *next_seqs*
+        first."""
+        for dst, next_seq in next_seqs:
+            channel = self._out_channel(dst)
+            channel.next_seq = max(channel.next_seq, next_seq)
+        for entry in entries:
+            channel = self._out_channel(entry.dst)
+            seq = entry.channel_seq
+            channel.next_seq = max(channel.next_seq, seq + 1)
+            if seq not in channel.entries:
+                channel.entries[seq] = entry
+                self._note_live(entry)
+        for src, seq in accepted:
+            channel = self._in_channel(src)
+            channel.cumulative_accepted = max(channel.cumulative_accepted,
+                                              seq)
 
     # -- sender side ----------------------------------------------------------
 
@@ -218,9 +241,10 @@ class VmManager:
         from the moment the create record hits stable storage) and then
         calls :meth:`register_created`.
         """
-        channel = self.out_channel(dst)
+        channel = self._out_channel(dst)
+        channel.next_seq += 1
         return VmEntry(dst=dst, item=item, amount=amount,
-                       channel_seq=channel.allocate(), kind=kind,
+                       channel_seq=channel.next_seq - 1, kind=kind,
                        txn_id=txn_id)
 
     def register_created(self, entries: Sequence[VmEntry],
@@ -233,7 +257,7 @@ class VmManager:
         for entry in entries:
             by_dst.setdefault(entry.dst, []).append(entry)
         for dst, group in by_dst.items():
-            channel = self.out_channel(dst)
+            channel = self._out_channel(dst)
             for entry in group:
                 channel.entries[entry.channel_seq] = entry
                 self._note_live(entry)
@@ -280,32 +304,29 @@ class VmManager:
         else:
             del self._live_by_item[entry.item]
 
-    def restore_entry(self, entry: VmEntry) -> None:
-        """Re-insert a live entry during recovery (no create record —
-        the Vm already exists). Duplicate sequence numbers are ignored:
-        a checkpointed entry and its create record describe the same
-        Vm."""
-        channel = self.out_channel(entry.dst)
-        if entry.channel_seq in channel.entries:
-            return
-        channel.entries[entry.channel_seq] = entry
-        self._note_live(entry)
-
     def check_accounting(self) -> bool:
-        """Cross-check the O(1) counters against the full channel scan.
+        """Cross-check the O(1) counters against the full channel scan,
+        and every channel's entries against their order: ascending and
+        all above its cumulative ack.
 
         Called from tests and (under ``__debug__``) at checkpoint time;
         raises AssertionError on any drift, also under ``python -O``.
         """
-        total = sum(len(channel.unacked())
-                    for channel in self.outgoing.values())
+        total = 0
+        by_item: dict[str, int] = {}
+        for channel in self.outgoing.values():
+            seqs = list(channel.entries)
+            if seqs != sorted(seqs) or \
+                    (seqs and seqs[0] <= channel.cumulative_acked):
+                raise AssertionError(
+                    f"entries to {channel.dst} out of order: {seqs}, "
+                    f"acked up to {channel.cumulative_acked}")
+            for entry in channel.entries.values():
+                total += 1
+                by_item[entry.item] = by_item.get(entry.item, 0) + 1
         if total != self._live_total:
             raise AssertionError(f"live total drifted: scan={total} "
                                  f"counter={self._live_total}")
-        by_item: dict[str, int] = {}
-        for channel in self.outgoing.values():
-            for entry in channel.unacked():
-                by_item[entry.item] = by_item.get(entry.item, 0) + 1
         if by_item != self._live_by_item:
             raise AssertionError(f"per-item drifted: scan={by_item} "
                                  f"counter={self._live_by_item}")
@@ -319,7 +340,7 @@ class VmManager:
             for entry in entries:
                 self._obs.emit(kind, now, site=self.site, dst=dst,
                                seq=entry.channel_seq)
-        piggyback = self.in_channel(dst).cumulative_accepted
+        piggyback = self.accepted_from(dst)
         self._piggyback_sent[dst] = (now, piggyback)
         self._send(dst, VmTransfer(self.site, entries, piggyback,
                                    self._clock_ts()))
@@ -334,7 +355,7 @@ class VmManager:
         live = 0
         for channel in self.outgoing.values():
             if not channel.entries:
-                continue  # nothing live: unacked() would sort nothing
+                continue  # nothing live: skip the copy
             sent_at = channel.sent_at
             for entry in channel.unacked():
                 live += 1
@@ -344,9 +365,11 @@ class VmManager:
                 if retransmit:
                     if overdue_only and last + period > now:
                         continue  # its ack is not overdue yet
-                    channel.retransmissions += 1
-                    self._count(self._c_retx, "vm.retransmissions",
-                                channel.dst)
+                    if channel.retx_counter is None:
+                        channel.retx_counter = self._metrics.counter(
+                            "vm.retransmissions", site=self.site,
+                            peer=channel.dst)
+                    channel.retx_counter.value += 1
                 sent_at[seq] = now
                 self._transmit(channel.dst, (entry,), retransmit=retransmit)
         if live == 0:
@@ -390,7 +413,7 @@ class VmManager:
         of a multi-entry message are buffered as one run."""
         src = transfer.src
         self._acked(src, transfer.piggyback_ack)
-        channel = self.in_channel(src)
+        channel = self._in_channel(src)
         duplicate = False
         first = last = 0
         for entry in transfer.entries:
@@ -398,8 +421,10 @@ class VmManager:
             if seq <= channel.cumulative_accepted:
                 # Retransmission of something already absorbed: discard.
                 duplicate = True
-                channel.duplicates_discarded += 1
-                self._count(self._c_dup, "vm.duplicates", src)
+                if channel.dup_counter is None:
+                    channel.dup_counter = self._metrics.counter(
+                        "vm.duplicates", site=self.site, peer=src)
+                channel.dup_counter.value += 1
                 if self._obs.enabled:
                     self._obs.emit("vm.duplicate-discard", self.sim.now,
                                    site=self.site, src=src, seq=seq)
@@ -435,7 +460,7 @@ class VmManager:
             self._draining = False
 
     def _drain_one(self, src: str) -> None:
-        channel = self.in_channel(src)
+        channel = self.incoming[src]
         pending, runs = channel.pending, channel.runs
         progressed = False
         while True:
@@ -473,12 +498,10 @@ class VmManager:
                 elapsed = self._metrics.elapsed_since_mark(
                     ("vm", src, self.site, seq), now)
                 if elapsed is not None:
-                    delivery = self._h_delivery.get(src)
-                    if delivery is None:
-                        delivery = self._h_delivery[src] = \
-                            self._metrics.histogram("vm.delivery",
-                                                    src=src, dst=self.site)
-                    delivery.observe(elapsed)
+                    if channel.delivery_histogram is None:
+                        channel.delivery_histogram = self._metrics.histogram(
+                            "vm.delivery", src=src, dst=self.site)
+                    channel.delivery_histogram.observe(elapsed)
                 if self._obs.enabled:
                     self._obs.emit("vm.accept", now, site=self.site,
                                    src=src, item=entry.item, seq=seq)
@@ -495,8 +518,12 @@ class VmManager:
 
         Channels with nothing buffered are skipped: draining them is a
         no-op (no accept, no ack). Lock releases are frequent and a
-        backlog is rare, so the common poke looks at no channel at all;
-        a backlog is visited in channel-creation order, as ever.
+        backlog is rare, so the common poke looks at no channel at all.
+        A backlog drains in the order each source's first Vm reached
+        this incarnation of the site (``incoming``'s order; after
+        recovery, the channels it restored come first, in its order).
+        Any order is correct — a blocked Vm "will eventually be sent
+        again" — and this one moves only with deliveries.
         """
         backlog = self._backlog
         if not backlog:
@@ -550,14 +577,14 @@ class VmManager:
         for dst in due:
             record = self._piggyback_sent.get(dst)
             if record is not None and record[0] == now and \
-                    record[1] >= self.in_channel(dst).cumulative_accepted:
+                    record[1] >= self.accepted_from(dst):
                 self._c_suppressed.inc()
                 continue
             self._send_ack_now(dst)
 
     def _send_ack_now(self, dst: str) -> None:
         self._c_acks.inc()
-        cumulative = self.in_channel(dst).cumulative_accepted
+        cumulative = self.accepted_from(dst)
         if self._obs.enabled:
             self._obs.emit("vm.ack", self.sim.now, site=self.site,
                            dst=dst, cumulative=cumulative)

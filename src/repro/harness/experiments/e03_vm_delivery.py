@@ -77,19 +77,13 @@ def _run_one(params: Params, loss: float) -> dict:
     mid_audit_ok = system.auditor.all_ok()
     system.run_for(params.settle)
 
-    # From the registry, which outlives the crashed site's rebuilt
-    # VmManager (a per-incarnation tally forgets its pre-crash Vm).
+    # From the registry, which outlives the crashed site's VmManager.
     metrics = system.sim.metrics
     created = metrics.total("vm.created")
     retransmissions = metrics.total("vm.retransmissions")
     latencies = [value for histogram in metrics.histograms("vm.delivery")
                  for value in histogram.values]
-    live = sum(
-        1 for sender in system.sites.values()
-        for dst, channel in sender.vm.outgoing.items()
-        for seq in channel.entries
-        if seq > system.sites[dst].vm.in_channel(sender.name)
-        .cumulative_accepted)
+    live = sum(1 for _entry in system.auditor.live_entries())
     system.auditor.assert_ok()
     return {
         "committed": len(collector.committed),

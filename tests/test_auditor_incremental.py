@@ -19,6 +19,7 @@ import pytest
 from repro.chaos import ChaosConfig, explore
 from repro.core.domain import CounterDomain
 from repro.core.invariants import IncrementalDivergence
+from repro.core.migration import MigrationController, Move
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import DecrementOp, TransactionSpec
 from tests.test_obs import metric_rows
@@ -78,25 +79,49 @@ class TestDivergenceDetection:
         assert not system.auditor._live_entries
 
 
+def _in_flight_toward_a():
+    """B and C have created Vm toward A that A has not heard of yet."""
+    system = DvPSystem(SystemConfig(sites=["A", "B", "C"], seed=11))
+    system.add_item("x", CounterDomain(), total=90)
+    # A is short of 40: B and C create Vm toward A, and the checks run
+    # while they are in flight, before A has heard from them.
+    system.submit("A", TransactionSpec(ops=(DecrementOp("x", 40),)))
+    system.run_for(1.5)
+    assert any(dst == "A" and name not in system.sites["A"].vm.incoming
+               for name, site in system.sites.items()
+               for dst in site.vm.outgoing)
+    return system
+
+
+def _incoming(system):
+    return {name: list(site.vm.incoming)
+            for name, site in system.sites.items()}
+
+
 class TestAuditIsReadOnly:
     """An audit reads the system it audits and changes none of it."""
 
     def test_verify_full_opens_no_channel_and_books_no_metric(self):
-        system = DvPSystem(SystemConfig(sites=["A", "B", "C"], seed=11))
-        system.add_item("x", CounterDomain(), total=90)
-        # A is short of 40: B and C create Vm toward A, and the audit
-        # runs while they are in flight, before A has heard from them.
-        system.submit("A", TransactionSpec(ops=(DecrementOp("x", 40),)))
-        system.run_for(1.5)
-        assert any(dst == "A" and name not in system.sites["A"].vm.incoming
-                   for name, site in system.sites.items()
-                   for dst in site.vm.outgoing)
-        incoming = {name: list(site.vm.incoming)
-                    for name, site in system.sites.items()}
+        system = _in_flight_toward_a()
+        incoming = _incoming(system)
         rows = metric_rows(system.sim.metrics)
         reports = system.auditor.verify_full()
         assert all(report.ok for report in reports)
         assert reports[0].live_vm_total > 0
-        assert {name: list(site.vm.incoming)
-                for name, site in system.sites.items()} == incoming
+        assert _incoming(system) == incoming
         assert metric_rows(system.sim.metrics) == rows
+
+    def test_progress_reads_open_no_channel(self):
+        """E3's residual count walks the auditor's live entries, and a
+        migration reads the receiver's progress: neither opens a
+        channel, so neither can reorder a later drain."""
+        system = _in_flight_toward_a()
+        incoming = _incoming(system)
+        live = list(system.auditor.live_entries())
+        assert {entry.dst for entry in live} == {"A"}
+        controller = MigrationController(system, [], epoch=1)
+        for src in ("B", "C"):
+            move = Move(src=src, dst="A", item="x", state="shipped", seq=1)
+            controller._check_accepted(move)
+            assert move.state == "shipped"
+        assert _incoming(system) == incoming

@@ -324,16 +324,19 @@ class TestMetricsRegistry:
         assert accepted.value > accepted_before
 
 
-def bundled_four_site_run():
+def bundled_four_site_run(trace: bool = False):
     """Lossy, duplicating, bundled links under a one-slot front-end —
     every counter and histogram family of the transport, Vm, txn and
-    serving layers — and one link configured again mid-run."""
+    serving layers — and one link configured again mid-run. *trace*
+    records the run's trace events as well."""
     sites = ["A", "B", "C", "D"]
     system = DvPSystem(SystemConfig(
         sites=sites, seed=11, txn_timeout=10.0, retransmit_period=2.0,
         link=LinkConfig(base_delay=1.0, jitter=0.5, loss_probability=0.1,
                         duplicate_probability=0.1),
         bundling=BundlingConfig(flush_delay=0.5)))
+    if trace:
+        system.sim.obs.enable()
     system.add_item("x", CounterDomain(),
                     split={"A": 0, "B": 40, "C": 40, "D": 40})
     system.add_item("y", CounterDomain(), total=80)
@@ -389,9 +392,10 @@ class TestMetricRows:
             self.ROWS_SHA256
 
 
-#: The per-pair Vm counter families and the channel field each mirrors.
-PER_PEER = {"vm.retransmissions": ("outgoing", "retransmissions"),
-            "vm.duplicates": ("incoming", "duplicates_discarded")}
+#: The per-pair Vm counter families, and the trace event each counts
+#: with the field naming its peer.
+PER_PEER = {"vm.retransmissions": ("vm.retransmit", "dst"),
+            "vm.duplicates": ("vm.duplicate-discard", "src")}
 
 
 def per_peer_rows(metrics):
@@ -406,19 +410,19 @@ def per_peer_rows(metrics):
 
 class TestPerPeerRows:
     """A per-pair family gets a row on its first count: the registry
-    and the channels keep the same books, and a pair that never
-    retransmits, discards or delivers books nothing."""
+    counts what the trace records, and a pair that never retransmits,
+    discards or delivers books nothing."""
 
-    def test_rows_and_channels_agree_on_a_lossy_run(self):
-        system = bundled_four_site_run()
-        held = {}
-        for name, site in system.sites.items():
-            for family, (side, field) in PER_PEER.items():
-                for peer, channel in getattr(site.vm, side).items():
-                    if getattr(channel, field):
-                        held[family, name, peer] = getattr(channel, field)
+    def test_rows_and_trace_events_agree_on_a_lossy_run(self):
+        system = bundled_four_site_run(trace=True)
+        traced = {}
+        for event in system.sim.obs.events():
+            for family, (kind, peer) in PER_PEER.items():
+                if event.kind == kind:
+                    key = family, event.site, getattr(event, peer)
+                    traced[key] = traced.get(key, 0) + 1
         rows = per_peer_rows(system.sim.metrics)
-        assert rows == held
+        assert rows == traced
         assert {family for family, _, _ in rows} == set(PER_PEER)
         assert all(h.values
                    for h in system.sim.metrics.histograms("vm.delivery"))

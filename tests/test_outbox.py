@@ -16,7 +16,7 @@ from repro.core.domain import CounterDomain
 from repro.core.messages import VmAck, VmTransfer
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import TransactionSpec, TransferOp
-from repro.core.vm import VmManager
+from repro.core.vm import IncomingChannel, VmManager
 from repro.metrics.collector import Collector
 from repro.net.link import LinkConfig
 from repro.net.network import Network
@@ -344,7 +344,7 @@ class TestAckCoalescing:
         h.sim.after(1.0, deliver_and_reply)
         h.sim.run_until(1.0)
         h.flush()  # B's transfer (with piggyback) reaches A
-        assert h.managers["A"].out_channel("B").cumulative_acked == 1
+        assert h.managers["A"].outgoing["B"].cumulative_acked == 1
         assert h.managers["A"].unacked_count() == 0
 
 
@@ -407,8 +407,8 @@ class TestChannelAccounting:
         rebuilt = VmManager("A", h.sim, send=lambda d, p: None,
                             accept=lambda e, s: True,
                             clock_ts=lambda: 0)
-        rebuilt.restore_entry(entry)
-        rebuilt.restore_entry(entry)  # checkpoint + log replay overlap
+        rebuilt.restore(entries=(entry,))
+        rebuilt.restore(entries=(entry,))  # checkpoint + log replay overlap
         assert rebuilt.unacked_count() == 1
         assert rebuilt.has_outstanding("x")
         assert rebuilt.check_accounting()
@@ -436,7 +436,7 @@ class TestDrainFifo:
                             accept=accept, clock_ts=lambda: 0)
         manager_box["m"] = manager
         for src, seq in (("B", 1), ("B", 2), ("C", 1)):
-            channel = manager.in_channel(src)
+            channel = manager.incoming.setdefault(src, IncomingChannel(src))
             channel.pending[seq] = type(
                 "E", (), {"channel_seq": seq, "item": "x", "amount": 1,
                           "kind": "transfer", "txn_id": "t",

@@ -147,7 +147,7 @@ class TestRecovery:
         system.crash("A")
         system.recover("A")
         for src, value in accepted_before.items():
-            assert system.sites["A"].vm.in_channel(src) \
+            assert system.sites["A"].vm.incoming[src] \
                 .cumulative_accepted == value
         # No double absorption on retransmissions.
         system.run_for(300.0)
@@ -203,7 +203,7 @@ class TestRecovery:
         assert sorted(before) == ["B", "C"] and all(before.values())
         system.crash("A")
         system.recover("A")
-        assert {src: site.vm.in_channel(src).cumulative_accepted
+        assert {src: site.vm.incoming[src].cumulative_accepted
                 for src in before} == before
 
     def test_recover_site_direct_call(self):

@@ -163,7 +163,7 @@ class TestAuditor:
                       results.append)
         system.run_for(2.5)  # request honored at B, Vm accepted at A
         # Pretend the ack back to B was lost: clear B's ack state.
-        channel = system.sites["B"].vm.out_channel("A")
+        channel = system.sites["B"].vm.outgoing["A"]
         channel.cumulative_acked = 0
         system.auditor.assert_ok()  # would double count if buggy
         system.run_for(100.0)

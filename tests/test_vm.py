@@ -14,8 +14,25 @@ import sys
 import pytest
 
 from repro.core.messages import VmAck, VmTransfer
-from repro.core.vm import VmManager
+from repro.core.vm import IncomingChannel, OutgoingChannel, VmManager
 from repro.sim.kernel import Simulator
+from repro.storage.records import VmEntry
+
+
+def retransmissions(h, site: str, peer: str) -> int:
+    return pair_count(h, "vm.retransmissions", site, peer)
+
+
+def duplicates(h, site: str, peer: str) -> int:
+    return pair_count(h, "vm.duplicates", site, peer)
+
+
+def pair_count(h, family: str, site: str, peer: str) -> int:
+    """The registry's *family* count of *site* toward *peer*: 0 before
+    the pair's first count, which books its row."""
+    labels = (("peer", peer), ("site", site))
+    return sum(metric.value for metric in h.sim.metrics.counters(family)
+               if metric.labels == labels)
 
 
 class Harness:
@@ -95,7 +112,7 @@ class TestHappyPath:
         h.flush()  # transfer A->B
         assert [entry.amount for _src, entry in h.accepted["B"]] == [5]
         h.flush()  # ack B->A
-        assert h.managers["A"].out_channel("B").cumulative_acked == 1
+        assert h.managers["A"].outgoing["B"].cumulative_acked == 1
         assert h.managers["A"].unacked_count() == 0
 
     def test_sequence_numbers_increase_per_destination(self):
@@ -122,7 +139,7 @@ class TestLossAndRetransmission:
         h.sim.run_until(5.0)  # retransmission timer fires
         h.flush()
         assert len(h.accepted["B"]) == 1
-        assert h.managers["A"].out_channel("B").retransmissions >= 1
+        assert retransmissions(h, "A", "B") >= 1
 
     def test_lost_ack_causes_duplicate_which_is_discarded(self):
         h = Harness(retransmit_period=5.0)
@@ -133,7 +150,7 @@ class TestLossAndRetransmission:
         h.flush(drop=lambda s, d, p: isinstance(p, VmAck))
         # Duplicate discarded: still exactly one acceptance.
         assert len(h.accepted["B"]) == 1
-        assert h.managers["B"].in_channel("A").duplicates_discarded == 1
+        assert duplicates(h, "B", "A") == 1
         h.sim.run_until(10.0)
         h.flush()  # this time the (re-)ack gets through
         assert h.managers["A"].unacked_count() == 0
@@ -144,7 +161,7 @@ class TestLossAndRetransmission:
         h.flush()
         h.flush()
         h.sim.run_until(30.0)
-        assert h.managers["A"].out_channel("B").retransmissions == 0
+        assert retransmissions(h, "A", "B") == 0
 
 
 class TestPerPairMetrics:
@@ -177,9 +194,8 @@ class TestPerPairMetrics:
             ("vm.duplicates", (("peer", "A"), ("site", "B"))): 1}
 
     def test_channels_are_slotted(self):
-        h = Harness()
-        assert not hasattr(h.managers["A"].out_channel("B"), "__dict__")
-        assert not hasattr(h.managers["A"].in_channel("B"), "__dict__")
+        assert not hasattr(OutgoingChannel("B"), "__dict__")
+        assert not hasattr(IncomingChannel("A"), "__dict__")
 
 
 def _anchor(h: Harness) -> None:
@@ -221,9 +237,9 @@ class TestOverdueRetransmission:
             h.flush(drop=_to_b_and_not_c)  # the transfer...
             h.flush(drop=_to_b_and_not_c)  # ...and its ack
         assert len(h.accepted["B"]) == 20
-        assert h.managers["A"].out_channel("B").retransmissions == 0
-        assert h.managers["B"].in_channel("A").duplicates_discarded == 0
-        assert h.managers["A"].out_channel("C").retransmissions > 0
+        assert retransmissions(h, "A", "B") == 0
+        assert duplicates(h, "B", "A") == 0
+        assert retransmissions(h, "A", "C") > 0
 
     @pytest.mark.parametrize("offset", [0.0, 0.5, 2.5, 4.5])
     def test_lost_vm_resent_between_one_and_two_periods(self, offset):
@@ -245,7 +261,7 @@ class TestOverdueRetransmission:
         sends = _sends_to_b(h)
         h.managers["A"].tick_now()
         assert sends == [(0.0, 1), (0.0, 2)]
-        assert h.managers["A"].out_channel("B").retransmissions == 2
+        assert retransmissions(h, "A", "B") == 2
 
     def test_unsent_entry_goes_out_on_next_tick_as_a_transmit(self):
         h = Harness(retransmit_period=5.0)
@@ -256,27 +272,33 @@ class TestOverdueRetransmission:
         sends = _sends_to_b(h)
         h.sim.run_until(5.0)  # one unit old, but never sent
         assert sends == [(5.0, 1)]
-        assert h.managers["A"].out_channel("B").retransmissions == 0
+        assert retransmissions(h, "A", "B") == 0
         assert [event.kind for event in h.sim.obs.events()
                 if getattr(event, "dst", None) == "B"] == \
             ["vm.create", "vm.transmit"]
 
     def test_restored_entry_goes_out_on_next_tick_as_a_transmit(self):
+        """The registry row, not the rebuilt manager's channel, is the
+        pair's record: it carries the pre-crash resend across."""
         h = Harness(retransmit_period=5.0)
         entry = h.send_value("A", "B", "x", 1)
+        h.sim.run_until(5.0)  # lost at 0, resent at 5
         h.wire.clear()
-        h.sim.run_until(2.0)
+        h.sim.run_until(7.0)
         h.managers["A"].close()  # A crashes; recovery builds a new one
         rebuilt = VmManager("A", h.sim, send=lambda dst, p: h.wire.append(
                                 ("A", dst, p)),
                             accept=lambda entry, src: True,
                             clock_ts=lambda: 0, retransmit_period=5.0)
-        rebuilt.restore_entry(entry)
+        rebuilt.restore(entries=(entry,))
         rebuilt.start()
-        h.sim.run_until(7.0)
+        h.sim.run_until(12.0)
         assert [(dst, [entry.channel_seq for entry in p.entries])
                 for _s, dst, p in h.wire] == [("B", [1])]
-        assert rebuilt.out_channel("B").retransmissions == 0
+        assert retransmissions(h, "A", "B") == 1
+        assert rebuilt.outgoing["B"].retx_counter is None
+        h.sim.run_until(17.0)  # lost again: the rebuilt manager resends
+        assert retransmissions(h, "A", "B") == 2
 
     def test_timer_stays_armed_while_only_young_entries_are_live(self):
         h = Harness(retransmit_period=5.0)
@@ -311,9 +333,9 @@ class TestOrdering:
         for amount in (1, 2, 3):
             h.send_value("A", "B", "x", amount)
         h.flush()
-        assert h.managers["B"].in_channel("A").cumulative_accepted == 3
+        assert h.managers["B"].incoming["A"].cumulative_accepted == 3
         h.flush()
-        assert h.managers["A"].out_channel("B").cumulative_acked == 3
+        assert h.managers["A"].outgoing["B"].cumulative_acked == 3
 
     def test_piggyback_ack_on_reverse_traffic(self):
         h = Harness()
@@ -322,7 +344,7 @@ class TestOrdering:
         # B now sends its own value to A; the transfer carries the ack.
         h.send_value("B", "A", "y", 1)
         h.flush()
-        assert h.managers["A"].out_channel("B").cumulative_acked == 1
+        assert h.managers["A"].outgoing["B"].cumulative_acked == 1
 
 
 class TestOneMessagePerRecord:
@@ -342,7 +364,7 @@ class TestOneMessagePerRecord:
         h.flush(drop=_to_b_and_not_c)
         assert [entry.item for _src, entry in h.accepted["B"]] == ["x", "y"]
         h.flush(drop=_to_b_and_not_c)  # one cumulative ack
-        assert manager.out_channel("B").cumulative_acked == 2
+        assert manager.outgoing["B"].cumulative_acked == 2
 
     def test_retransmission_is_per_entry(self):
         h = Harness(retransmit_period=5.0)
@@ -361,7 +383,7 @@ class TestOneMessagePerRecord:
         h.wire.clear()  # B's ack is lost
         h.managers["B"].on_transfer(transfer)  # the network duplicated it
         assert [entry.amount for _s, entry in h.accepted["B"]] == [1, 2]
-        assert h.managers["B"].in_channel("A").duplicates_discarded == 2
+        assert duplicates(h, "B", "A") == 2
         assert [(d, p.cumulative) for _s, d, p in h.wire
                 if isinstance(p, VmAck)] == [("A", 2)]
 
@@ -371,7 +393,7 @@ class TestOneMessagePerRecord:
         h.wire.clear()  # seq 1 lost
         h.send_values("A", "B", (("x", 2), ("y", 3)))
         h.flush()
-        channel = h.managers["B"].in_channel("A")
+        channel = h.managers["B"].incoming["A"]
         assert h.accepted["B"] == [] and sorted(channel.pending) == [2, 3]
         h.sim.run_until(5.0)  # seq 1 is resent
         h.flush()
@@ -388,19 +410,19 @@ class TestAcceptRuns:
         h.send_values("A", "B", (("x", 1), ("y", 2), ("z", 3)))
         h.flush()
         assert h.runs["B"] == [(1, 2, 3)]
-        assert h.managers["B"].in_channel("A").cumulative_accepted == 3
+        assert h.managers["B"].incoming["A"].cumulative_accepted == 3
 
     def test_prefix_stops_at_a_locked_item_and_the_rest_waits_as_a_run(self):
         h = Harness()
         h.locked["B"] = {"y"}
         h.send_values("A", "B", (("x", 1), ("y", 2), ("z", 3)))
         h.flush()
-        channel = h.managers["B"].in_channel("A")
+        channel = h.managers["B"].incoming["A"]
         assert h.runs["B"] == [(1,)]
         assert channel.cumulative_accepted == 1
         assert sorted(channel.pending) == [2, 3] and channel.runs == {2: 3}
         h.flush()  # the ack covers the prefix only
-        assert h.managers["A"].out_channel("B").cumulative_acked == 1
+        assert h.managers["A"].outgoing["B"].cumulative_acked == 1
         h.locked["B"] = set()
         h.managers["B"].poke()
         assert h.runs["B"] == [(1,), (2, 3)]
@@ -411,7 +433,7 @@ class TestAcceptRuns:
         h.locked["B"] = {"x"}
         h.send_values("A", "B", (("x", 1), ("y", 2)))
         h.flush()
-        channel = h.managers["B"].in_channel("A")
+        channel = h.managers["B"].incoming["A"]
         assert h.runs["B"] == [] and channel.runs == {1: 2}
         h.locked["B"] = set()
         h.managers["B"].poke()
@@ -461,7 +483,7 @@ class TestRefusalAndPoke:
         h.send_value("A", "B", "x", 5)
         h.flush()
         assert h.accepted["B"] == []
-        assert h.managers["B"].in_channel("A").pending
+        assert h.managers["B"].incoming["A"].pending
 
     def test_poke_retries_pending_head(self):
         h = Harness()
@@ -488,9 +510,41 @@ class TestRefusalAndPoke:
         h.refuse["B"] = True
         h.send_value("A", "B", "x", 5)
         h.flush()
-        channel = h.managers["B"].in_channel("A")
+        channel = h.managers["B"].incoming["A"]
         assert channel.cumulative_accepted == 0
         assert 1 in channel.pending
+
+
+class TestDrainOrder:
+    """A backlog drains in the order each source's first Vm reached the
+    site; sending toward a peer opens no channel from it."""
+
+    def test_release_drains_in_first_arrival_order(self):
+        h = Harness()
+        h.locked["A"] = {"x"}
+        h.send_value("A", "B", "y", 1)  # A sends to B first...
+        assert "B" not in h.managers["A"].incoming
+        from_c = VmEntry(dst="A", item="x", amount=2, channel_seq=1)
+        h.managers["A"].on_transfer(VmTransfer("C", (from_c,), 0, 1))
+        h.send_value("B", "A", "x", 3)  # ...then hears from C, then B
+        h.flush(drop=lambda src, dst, payload: dst != "A")
+        assert list(h.managers["A"].incoming) == ["C", "B"]
+        assert h.accepted["A"] == []  # both back up behind the lock
+        h.locked["A"] = set()
+        h.managers["A"].poke()
+        assert [(src, entry.amount) for src, entry in h.accepted["A"]] \
+            == [("C", 2), ("B", 3)]
+
+    def test_acks_and_piggybacks_open_no_channel(self):
+        h = Harness()
+        h.send_value("A", "B", "x", 1)
+        h.flush()  # B accepts and acks; A sent, but received nothing
+        h.flush()
+        assert h.managers["A"].outgoing["B"].cumulative_acked == 1
+        assert "B" not in h.managers["A"].incoming
+        assert "A" not in h.managers["B"].outgoing
+        assert h.managers["A"].accepted_from("B") == 0
+        assert "B" not in h.managers["A"].incoming
 
 
 class TestOutstanding:
@@ -510,7 +564,7 @@ class TestOutstanding:
         h = Harness()
         h.send_value("A", "B", "x", 5)
         h.flush()  # transfer delivered
-        channel = h.managers["A"].out_channel("B")
+        channel = h.managers["A"].outgoing["B"]
         assert channel.entries  # unacked: must be retained
         h.flush()  # ack delivered — prune happens on ack progress
         assert channel.cumulative_acked == 1
@@ -523,7 +577,7 @@ class TestOutstanding:
             h.send_value("A", "B", "x", 1)
             h.flush()
             h.flush()
-        channel = h.managers["A"].out_channel("B")
+        channel = h.managers["A"].outgoing["B"]
         assert channel.cumulative_acked == 200
         assert len(channel.entries) == 0
 
@@ -542,7 +596,7 @@ class TestOutstanding:
         entry = manager.allocate_entry("C", "x", 5, "transfer", "t")
         manager.register_created([entry])
         h.wire.clear()  # initial transmission lost
-        assert manager.out_channel("C").unacked(), \
+        assert manager.outgoing["C"].unacked(), \
             "entry must still be outstanding (pre-fix: looked acked)"
         h.sim.run_until(5.0)  # retransmission timer must re-send it
         assert any(isinstance(p, VmTransfer) and d == "C"

@@ -71,14 +71,16 @@ class Spy:
                 return on_transfer(manager, transfer)
             src, seqs = transfer.src, [e.channel_seq
                                        for e in transfer.entries]
-            channel = manager.in_channel(src)
-            accepted = channel.cumulative_accepted
-            discarded = channel.duplicates_discarded
+            metrics = manager.sim.metrics
+            accepted = manager.accepted_from(src)
+            discarded = metrics.total("vm.duplicates")
             acks.clear()
             on_transfer(manager, transfer)
+            channel = manager.incoming[src]
             if max(seqs) <= accepted:
                 # Discarded whole, and re-acked.
-                assert channel.duplicates_discarded - discarded == len(seqs)
+                assert metrics.total("vm.duplicates") - discarded \
+                    == len(seqs)
                 assert (manager.site, src) in acks
                 assert channel.cumulative_accepted == accepted
                 self.whole_duplicates += 1
@@ -146,7 +148,7 @@ def test_multi_entry_wave_survives_loss_duplication_and_a_crash(monkeypatch):
         assert any(site == CRASH_AT_SITE and dst == entry.dst
                    and entry.channel_seq in seqs and t >= recovered_at
                    for t, site, dst, seqs in spy.transmits), entry
-        receiver = system.sites[entry.dst].vm.in_channel(CRASH_AT_SITE)
+        receiver = system.sites[entry.dst].vm.incoming[CRASH_AT_SITE]
         assert receiver.cumulative_accepted >= entry.channel_seq
     assert spy.whole_duplicates > 0
     assert spy.buffered_after_gap > 0
@@ -204,7 +206,7 @@ def test_crash_before_the_waves_message_leaves_replays_clean(monkeypatch):
             assert arrivals and min(arrivals) >= recover.at, entry
             # ...and recovery re-drove it to acceptance.
             receiver = result.system.sites[entry.dst].vm
-            assert receiver.in_channel(crash.site).cumulative_accepted \
+            assert receiver.incoming[crash.site].cumulative_accepted \
                 >= entry.channel_seq
     finally:
         result.system.close()
