@@ -65,9 +65,9 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
     vm = site._new_vm_manager()
     max_ts_seen = 0
 
-    # Locate the most recent checkpoint and restore channel baselines.
-    checkpoint_env = site.log.last_matching(
-        lambda record: isinstance(record, CheckpointRecord))
+    # Locate the most recent checkpoint and restore channel baselines;
+    # only it and the suffix after it are decoded.
+    checkpoint_env = site.log.last_of(CheckpointRecord)
     start_lsn = 0
     if checkpoint_env is not None:
         checkpoint: CheckpointRecord = checkpoint_env.record

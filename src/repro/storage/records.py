@@ -22,13 +22,14 @@ a record only with its own type.
 
 The stable log does not keep these objects. It keeps each record's
 *encoding* (:func:`encode`): its fields laid end to end in ONE flat
-tuple, the ``SetFragment`` / ``VmEntry`` rows flattened in with them.
-A flat tuple of atoms is something CPython's cycle collector stops
-tracking the first time it sees it — which it never does for a
-``NamedTuple`` instance, nor for a tuple nested inside another before
-as many passes as it is deep — so a run's whole history costs the
-collector nothing (DESIGN.md §7). :func:`decode` rebuilds the typed
-record when a reader asks for it.
+tuple, the ``SetFragment`` / ``VmEntry`` rows flattened in with them,
+serialised into the log's byte arena (:mod:`repro.storage.log`).
+:mod:`marshal` writes a tuple of atoms but refuses a ``NamedTuple``,
+and the flat tuple is also the cheaper thing to write: encoding an
+accept record of three actions and marshalling that takes 1.7 µs and
+80 B, where pickling the typed record whole takes 7.7 µs and 167 B
+(CPython 3.11). :func:`decode` rebuilds the typed record when a reader
+asks for it.
 """
 
 from __future__ import annotations
@@ -169,6 +170,11 @@ def encode(record: Any) -> tuple[int, Any]:
     if codec is None:
         return 0, record
     return codec[0], codec[1](record)
+
+
+def kind_of(record_type: type) -> int:
+    """The kind byte :func:`encode` gives a *record_type* record."""
+    return _CODECS[record_type][0]
 
 
 def decode(kind: int, payload: Any) -> Any:

@@ -1,7 +1,7 @@
 """Lifetimes of finished work (ISSUES 14 and 15; DESIGN.md §7).
 
 The rule these tests pin: a run retains, per committed op, one
-``TxnResult`` and one encoded log record — nothing else — and
+``TxnResult`` and one log record's bytes — nothing else — and
 everything a finished transaction owned is freed *by reference
 counting*, never left for the cycle collector. Every test runs with
 the collector **disabled** (tests may; ``src/`` may not), so a dead
@@ -514,8 +514,8 @@ def _assert_budget(system, before: Counter, ops: int, per_op: float,
 @pytest.mark.skipif(
     not _untracks_tuples(),
     reason="this interpreter's collector does not untrack tuples of "
-           "atoms, which the encoded-log budget relies on; the weakref "
-           "and husk checks above still run")
+           "atoms, which the object budget relies on for a result's "
+           "rows; the weakref and husk checks above still run")
 class TestRetainedObjectBudget:
     # Measured: 1.02 (the TxnResult) and 1.29 per op; before ISSUE 14,
     # 4.9 and 44 — every log record and its rows, tracked for good.
@@ -543,22 +543,25 @@ class TestRetainedObjectBudget:
 
     def test_local_commit_retains_few_bytes(self):
         # Per op a result, its flat delta row, its id and two times, one
-        # encoded commit record and an 8-byte latency sample. Measured:
-        # 469 B per op; 536 while a sample was a float in a list and the
-        # deltas a tuple of triples.
+        # commit record's bytes in the log arena and an 8-byte latency
+        # sample. Measured: 366 B per op; 477 while the log kept each
+        # record as a tuple, and 536 before that while a sample was a
+        # float in a list and the deltas a tuple of triples.
         system, retained = _retained_bytes(_local_commit_run, ops=2000)
         assert len(system.results) == 2200
-        assert retained <= 530 * 2000, (
-            f"{retained / 2000:.0f} B retained per op, budget 530")
+        assert retained <= 420 * 2000, (
+            f"{retained / 2000:.0f} B retained per op, budget 420")
 
     def test_transfer_fanout_retains_few_bytes(self):
-        # Measured: 2091 B per op; 2446 while samples were floats in
-        # lists, the deltas a tuple of triples, and every site fed a
+        # Measured: 1239 B per op; 2099 while the log kept each record
+        # as a tuple with the owner names, stamps and channel seqs only
+        # it referenced, and 2446 before that while samples were floats
+        # in lists, the deltas a tuple of triples, and every site fed a
         # demand ledger that no planner read.
         system, retained = _retained_bytes(_fanout_run, ops=500)
         assert len(system.results) == 580
-        assert retained <= 2400 * 500, (
-            f"{retained / 500:.0f} B retained per op, budget 2400")
+        assert retained <= 1400 * 500, (
+            f"{retained / 500:.0f} B retained per op, budget 1400")
 
     def test_view_reads_retain_few_bytes(self):
         # A dict of atoms is never tracked, so bytes are what shows a

@@ -1,18 +1,21 @@
-"""The stable log stores an encoding, readers get the record back.
+"""The stable log stores bytes, readers get the record back.
 
-``StableLog.append`` keeps each of the four DvP record types as one
-flat tuple (``repro.storage.records.encode``) and every reader decodes.
-No caller may see the difference: for every record, all four readers
-return an equal record *of the same type, rows included*; anything
-that is not one of the four types is stored and returned untouched —
-the baselines log string-tagged plain tuples through the same class;
-and recovery, the one consumer that matters, reports what it always
-reported.
+``StableLog.append`` serialises each record into the site's byte arena
+— the four DvP record types as their flat encoding
+(``repro.storage.records.encode``), anything else as itself — and every
+reader deserialises and decodes. No caller may see the difference but
+one: for every record, all four readers return an equal record *of the
+same type, rows included*, and never the object that was appended —
+the baselines' string-tagged plain tuples included. Recovery, the one
+consumer that matters, reports what it always reported, and decodes
+only the last checkpoint and what follows it.
 """
 
+import gc
 from collections import Counter
 from dataclasses import asdict, dataclass
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.domain import CounterDomain, MoneyDomain, TokenSetDomain
@@ -33,6 +36,8 @@ from repro.storage.records import (
     VmAcceptRecord,
     VmCreateRecord,
     VmEntry,
+    decode,
+    encode,
 )
 
 names = st.text(alphabet="abcxyz:#_0123456789", max_size=6)
@@ -69,6 +74,10 @@ dvp_records = st.one_of(
 @dataclass
 class _Custom:
     payload: int
+
+
+class Tagged(VmCreateRecord):
+    """A subclass of a record type: not one of the four, so foreign."""
 
 
 #: What the baselines (and anybody else) put through a StableLog.
@@ -142,11 +151,15 @@ class TestRoundTrip:
             assert same(record, log.read(log.append(record)))
 
     def test_foreign_records_pass_through_untouched(self):
+        # Untouched by the codec, and still a copy: equal, of the same
+        # type, and never the appended object (None and () excepted:
+        # there is one of each).
         log = StableLog("A")
         for record in FOREIGN:
             lsn = log.append(record)
             for back in read_every_way(log, lsn):
-                assert back is record
+                assert same(record, back), (record, back)
+                assert back is not record or record in (None, ())
         # Interleaved with real records, each LSN still decodes as
         # what was appended there.
         mixed = StableLog("B")
@@ -158,15 +171,15 @@ class TestRoundTrip:
             if lsn % 2:
                 assert same(commit, envelope.record)
             else:
-                assert envelope.record is FOREIGN[lsn // 2]
+                assert same(FOREIGN[lsn // 2], envelope.record)
 
     def test_subclass_of_a_record_type_is_foreign(self):
-        class Tagged(VmCreateRecord):
-            pass
-
-        log = StableLog("A")
         record = Tagged("t", (SetFragment("x", 1),))
-        assert log.read(log.append(record)) is record
+        kind, payload = encode(record)
+        assert kind == 0 and payload is record
+        log = StableLog("A")
+        back = log.read(log.append(record))
+        assert same(record, back) and back is not record
 
     def test_stable_storage_cannot_be_aliased(self):
         # What is logged is a copy: the log never hands back (nor
@@ -186,6 +199,60 @@ class TestRoundTrip:
             seen.append(envelope.record.applied_lsn)
             log.append(AppliedRecord(99))
         assert seen == [1, 2]
+
+
+class TestTheLogIsBytes:
+    def test_a_negative_or_missing_lsn_is_refused(self):
+        log = StableLog("A")
+        for index in range(5):
+            log.append(AppliedRecord(index))
+        for lsn in (-1, -5, 5, 99):
+            with pytest.raises(IndexError):
+                log.read(lsn)
+        for lsn in (-2, -1, 6):
+            with pytest.raises(ValueError):
+                list(log.scan(lsn))
+        assert [envelope.lsn for envelope in log.scan(5)] == []
+        assert [envelope.lsn for envelope in log.scan()] == [0, 1, 2, 3, 4]
+
+    def test_a_record_that_cannot_be_serialised_is_refused(self):
+        class Local:
+            pass
+
+        log = StableLog("A")
+        log.append(AppliedRecord(0))
+        for record in (("coord-begin", "t#1", lambda: 0), Local(),
+                       VmCreateRecord("t", (SetFragment("x", Local()),))):
+            with pytest.raises(TypeError, match=type(record).__name__):
+                log.append(record)
+        assert len(log) == log.forces == 1
+        assert [envelope.record for envelope in log.scan()] \
+            == [AppliedRecord(0)]
+
+    def test_a_long_log_references_a_constant_number_of_objects(self):
+        def reachable(log) -> list:
+            seen, todo = {}, [log]
+            while todo:
+                for obj in gc.get_referents(todo.pop()):
+                    if not isinstance(obj, type) and id(obj) not in seen:
+                        seen[id(obj)] = obj
+                        todo.append(obj)
+            return list(seen.values())
+
+        def record(index):
+            if index % 10 == 3:
+                return FOREIGN[index % len(FOREIGN)]
+            return VmCreateRecord(
+                f"t#{index}", (SetFragment("x", index, 2**40 + index),),
+                (VmEntry("B", "x", Counter(red=index), index),))
+
+        short, long = StableLog("A"), StableLog("A")
+        short.append(record(0))
+        for index in range(10_000):
+            long.append(record(index))
+        assert len(reachable(long)) == len(reachable(short))
+        assert {type(obj).__name__ for obj in reachable(long)} \
+            <= {"bytearray", "array", "str", "int"}
 
 
 # -- recovery reads what was written --------------------------------------------
@@ -254,6 +321,22 @@ PINNED_LOG_LENGTHS = {"A": 15, "B": 8, "C": 1}
 
 
 class TestRecoveryReadsTheEncoding:
+    def test_recovery_decodes_the_checkpoint_and_its_suffix_only(
+            self, monkeypatch):
+        system, _ = _crash_recover_run()
+        system.crash("B")
+        decoded = []
+
+        def counting(kind, payload):
+            decoded.append(kind)
+            return decode(kind, payload)
+
+        monkeypatch.setattr("repro.storage.log.decode", counting)
+        report = system.recover("B")
+        suffix = len(system.sites["B"].log) - report.start_lsn
+        assert report.from_checkpoint and suffix > 0
+        assert len(decoded) == suffix + 1
+
     def test_report_and_fragments_are_what_they_were(self):
         system, report = _crash_recover_run()
         assert asdict(report) == PINNED_REPORT
