@@ -68,12 +68,13 @@ def main() -> None:
     show_balance(bank, "alice", "while downtown is dark")
 
     print("  .. downtown restarts: recovery reads ONLY its local log")
+    sent = system.network.total_sent
     recovery = system.recover("downtown")
     print(f"     scanned {recovery.scanned_records} records "
           f"(checkpointed: {recovery.from_checkpoint}), "
           f"redid {recovery.redo_applied}, rebuilt "
           f"{recovery.vm_rebuilt} outgoing Vm, asked other branches "
-          f"for {recovery.messages_needed} messages")
+          f"for {system.network.total_sent - sent} messages")
 
     # Normal processing resumes immediately; the retransmission loop
     # re-drives any Vm the crash interrupted.

@@ -278,10 +278,8 @@ class RemoveSite(FaultAction):
         from repro.core.site import SiteDown
 
         def fire() -> None:
-            site = system.sites.get(self.site)
-            if site is None or not site.alive or site.decommissioned:
-                return
-            if self.site not in system.directory.sites:
+            if self.site not in system.directory.sites \
+                    or not system.sites[self.site].alive:
                 return
             if len(system.directory.sites) == 1:
                 return

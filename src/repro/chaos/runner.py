@@ -32,6 +32,8 @@ from repro.chaos.oracles import commit_oracles, default_oracles
 from repro.chaos.plan import FaultPlan
 from repro.core.domain import CounterDomain
 from repro.core.invariants import IncrementalDivergence
+from repro.core.partition import PARTITIONERS
+from repro.core.redistribution import REBALANCE_POLICIES
 from repro.core.system import DvPSystem, System, SystemConfig
 from repro.core.transactions import (
     DecrementOp,
@@ -44,6 +46,7 @@ from repro.core.transactions import (
 )
 from repro.net.link import LinkConfig
 from repro.obs.export import event_to_json
+from repro.serving.router import ROUTERS
 from repro.sim.random import derive_seed
 
 #: Horizon fractions at which the incremental books are cross-checked
@@ -144,16 +147,25 @@ class ChaosConfig:
         # settle that never ends). Chained compares: NaN fails them all.
         if self.sites < 1 or self.items < 1 or self.txns < 0:
             raise ValueError("sites and items must be >= 1, txns >= 0")
+        if self.shards < 1 or self.shard_workers < 1:
+            raise ValueError("shards and shard_workers must be >= 1")
         for name in ("duration", "txn_timeout", "retransmit_period",
                      "rebalance_period", "serving_board_period",
                      "view_refresh"):
             if not 0 < getattr(self, name) < inf:
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("settle", "base_delay", "base_jitter"):
+        for name in ("settle", "base_delay", "base_jitter",
+                     "checkpoint_interval"):
             if not 0 <= getattr(self, name) < inf:
                 raise ValueError(f"{name} must be >= 0 and finite")
-        if not 0 <= self.checkpoint_interval:
-            raise ValueError("checkpoint_interval must be >= 0")
+        for name, known in (("system", SCENARIOS),
+                            ("rebalance", REBALANCE_POLICIES),
+                            ("partitioner", PARTITIONERS),
+                            ("serving", ROUTERS)):
+            value = getattr(self, name)
+            if value is not None and value not in known:
+                raise ValueError(f"unknown {name} {value!r}; choose from "
+                                 f"{sorted(known)}")
         if self.bundle_flush_delay is not None \
                 and not 0 <= self.bundle_flush_delay < inf:
             raise ValueError(

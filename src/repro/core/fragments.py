@@ -27,8 +27,9 @@ from repro.storage.pages import Page, PageStore
 #: silently loses one unit (value destroyed on the hot path; any
 #: committing workload violates conservation, no faults required).
 #: ``"crash"`` — each crash burns one unit of the first non-zero
-#: integer fragment (a torn page the redo guard can never restore; only
-#: plans containing a crash violate conservation).
+#: integer fragment (``FragmentStore.tear``: a torn page the redo guard
+#: can never restore; only plans containing a crash violate
+#: conservation).
 #: ``"duplicate-grant"`` — a redistribution wave names an item once per
 #: transfer op drawing on it, and the responder grants every naming
 #: from one read of its fragment (read by ``Transaction`` and
@@ -67,10 +68,11 @@ class FragmentObserver(Protocol):
 class FragmentStore:
     """Domain-aware view over a site's stable pages."""
 
-    def __init__(self, site: str, pages: PageStore) -> None:
+    def __init__(self, site: str, pages: PageStore,
+                 observer: FragmentObserver | None = None) -> None:
         self.site = site
         self.pages = pages
-        self.observer: FragmentObserver | None = None
+        self.observer = observer
         #: Item → its domain; one lookup answers both "is *item* here?"
         #: and "which (Γ, Π)?". Read-only outside this class.
         self.domains: dict[str, Domain] = {}
@@ -83,12 +85,20 @@ class FragmentStore:
     def register(self, item: str, domain: Domain, initial: Any) -> None:
         """Install *item*'s local fragment with its *initial* quota."""
         domain.validate(initial)
-        self.domains[item] = domain
-        self._pages[item] = self.pages.create(item, initial)
-        self._timestamps[item] = 0
+        self.pages.create(item, initial)
+        self.adopt(item, domain)
         if self.observer is not None:
             self.observer.on_fragment_register(self.site, item, domain,
                                                initial)
+
+    def adopt(self, item: str, domain: Domain) -> None:
+        """Take over *item*'s page as it stands — after a crash, the
+        surviving one: no value is written and the observer, which
+        already counts it, hears nothing. Its stamp starts at 0
+        (recovery rebuilds it from the log)."""
+        self.domains[item] = domain
+        self._pages[item] = self.pages.page(item)
+        self._timestamps[item] = 0
 
     def knows(self, item: str) -> bool:
         return item in self.domains
@@ -139,18 +149,15 @@ class FragmentStore:
         if ts > self._timestamps[item]:
             self._timestamps[item] = ts
 
-    def reset_timestamps(self) -> None:
-        """Crash: volatile timestamps vanish (rebuilt by recovery)."""
-        for item in self._timestamps:
-            self._timestamps[item] = 0
-        if _TEST_LEAK == "crash":
-            for item in sorted(self.domains):
-                value = self._pages[item].value
-                if isinstance(value, int) and value > 0:
-                    # Planted bug: the crash tears the page, and the
-                    # same-LSN stamp means redo can never restore it.
-                    self.write(item, value - 1, self.pages.page_lsn(item))
-                    break
+    def tear(self) -> None:
+        """The planted ``"crash"`` bug, run by ``DvPSystem.crash``: burn
+        one unit of the first non-zero integer fragment at its page's
+        own LSN, a torn page redo can never restore."""
+        for item in sorted(self.domains):
+            value = self._pages[item].value
+            if isinstance(value, int) and value > 0:
+                self.write(item, value - 1, self.pages.page_lsn(item))
+                return
 
     def non_zero_items(self) -> list[str]:
         """Items whose local fragment currently carries value — what a

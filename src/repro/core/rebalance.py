@@ -123,6 +123,12 @@ class RebalanceDaemon:
         method (DESIGN.md §7). Counters and targets stay readable."""
         self._timer.close()
 
+    def follow(self, site: "DvPSite") -> None:
+        """Plan for *site* from now on if it is this daemon's site's
+        next incarnation (``DvPSystem.recover`` calls it)."""
+        if site.name == self.site.name:
+            self.site = site
+
     @property
     def running(self) -> bool:
         return self._timer.running
@@ -140,12 +146,13 @@ class RebalanceDaemon:
         with their first-seen value as the default target — a snapshot
         taken once at start would silently exempt them forever.
         """
-        if not self.site.alive or self.site.decommissioned:
+        site = self.site
+        if not site.alive or site.name not in site.directory.sites:
             # A decommissioned site's value is being drained by the
             # migration controller; planning against it would fight it.
             return
-        for item in list(self.site.fragments.items()):
-            value = self.site.fragments.value(item)
+        for item in list(site.fragments.items()):
+            value = site.fragments.value(item)
             if not isinstance(value, int):
                 continue
             target = self.targets.get(item)
@@ -250,7 +257,8 @@ def install_rebalancing(system, config: RebalanceConfig | None = None
     Each daemon is built and armed in its site's scheduling context so
     its periodic tick lives on the site's shard when the simulation is
     sharded (a no-op on the single-queue kernel). The daemons are
-    attached to the system, so ``system.close()`` closes them. Each
+    attached to the system, so ``system.close()`` closes them, and
+    follow their site across recoveries. Each
     builds its site's demand ledger, which hears only what happens
     after: install before the first arrival.
     """
@@ -262,4 +270,5 @@ def install_rebalancing(system, config: RebalanceConfig | None = None
             return daemon
         daemons[name] = system.sim.call_in_site(name, build)
         system.attach(daemons[name])
+        system.on_recover.append(daemons[name].follow)
     return daemons

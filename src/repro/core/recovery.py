@@ -1,9 +1,11 @@
 """Independent recovery (Section 7).
 
-The recovering site consults nothing but its own stable log and pages:
+The recovering site is a new incarnation, built by ``DvPSystem.recover``
+over the crashed one's stable log and pages; everything volatile starts
+empty. It consults nothing but that log and those pages:
 
-1. locks do not survive (the lock table is volatile — the paper argues
-   releasing all of them is always safe);
+1. locks do not survive (the new incarnation's lock table is empty —
+   the paper argues releasing all of them is always safe);
 2. committed-but-unapplied database actions are redone, idempotently
    (guarded by page LSNs), starting from the last checkpoint; a record
    that assigns one item twice redoes the last assignment;
@@ -17,7 +19,7 @@ The recovering site consults nothing but its own stable log and pages:
    (still possibly stale; incoming messages bump it further).
 
 No messages are sent or awaited before normal processing resumes: the
-recovery really is *independent*.
+recovery really is *independent* (E5 counts the sends).
 """
 
 from __future__ import annotations
@@ -48,36 +50,25 @@ class RecoveryReport:
     vm_rebuilt: int = 0
     from_checkpoint: bool = False
     start_lsn: int = 0
-    messages_needed: int = 0  # always 0: the headline property
     details: dict = field(default_factory=dict)
 
 
 def recover_site(site: "DvPSite") -> RecoveryReport:
     """Run the Section 7 algorithm over *site*'s stable state."""
     report = RecoveryReport(site=site.name)
-
-    # Step 1: all locks released (the volatile table is already empty
-    # after a crash; clear defensively for direct invocations).
-    site.locks.clear()
-    site.active.clear()
-    site.wakeable.clear()
-
-    vm = site._new_vm_manager()
     max_ts_seen = 0
 
     # Locate the most recent checkpoint and restore channel baselines;
     # only it and the suffix after it are decoded.
     checkpoint_env = site.log.last_of(CheckpointRecord)
-    start_lsn = 0
     if checkpoint_env is not None:
         checkpoint: CheckpointRecord = checkpoint_env.record
-        start_lsn = checkpoint_env.lsn + 1
+        report.start_lsn = checkpoint_env.lsn + 1
         report.from_checkpoint = True
         for item, ts in checkpoint.fragment_timestamps:
-            if site.fragments.knows(item):
-                site.fragments.stamp_if_newer(item, ts)
-                max_ts_seen = max(max_ts_seen, ts)
-        vm.restore(checkpoint.outgoing_unacked,
+            site.fragments.stamp_if_newer(item, ts)
+            max_ts_seen = max(max_ts_seen, ts)
+        site.vm.restore(checkpoint.outgoing_unacked,
                    checkpoint.incoming_cumulative,
                    checkpoint.next_channel_seq)
         report.vm_rebuilt += len(checkpoint.outgoing_unacked)
@@ -91,10 +82,8 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
                 # checkpointed one, never off by the field shift.
                 site.clock.observe(encode(value, 0))
 
-    report.start_lsn = start_lsn
-
     # Step 2: redo scan.
-    for envelope in site.log.scan(start_lsn):
+    for envelope in site.log.scan(report.start_lsn):
         record = envelope.record
         report.scanned_records += 1
         if isinstance(record, (VmCreateRecord, VmAcceptRecord)):
@@ -103,42 +92,34 @@ def recover_site(site: "DvPSite") -> RecoveryReport:
             # so redo only each item's last assignment.
             last = {action.item: action.value for action in record.actions}
             for item, value in last.items():
-                if not site.fragments.knows(item):
-                    continue
                 if site.fragments.redo_write(item, value, envelope.lsn):
                     report.redo_applied += 1
                 else:
                     report.redo_skipped += 1
             for action in record.actions:
-                if site.fragments.knows(action.item):
-                    site.fragments.stamp_if_newer(action.item, action.ts)
-                    max_ts_seen = max(max_ts_seen, action.ts)
+                site.fragments.stamp_if_newer(action.item, action.ts)
+                max_ts_seen = max(max_ts_seen, action.ts)
         if isinstance(record, VmCreateRecord):
-            vm.restore(entries=record.messages)
+            site.vm.restore(entries=record.messages)
             report.vm_rebuilt += len(record.messages)
         elif isinstance(record, VmAcceptRecord):
             # Planted bug (docs/CHAOS.md): restore the run's first seq.
             seq = (record.first_seq if test_leak() == "run-first-seq"
                    else record.last_seq)
-            vm.restore(accepted=((record.src, seq),))
+            site.vm.restore(accepted=((record.src, seq),))
 
     # Step 5: bump the clock past every committed timestamp we saw.
-    if max_ts_seen:
-        site.clock.observe(max_ts_seen)
+    site.clock.observe(max_ts_seen)
+    # Every append since the last checkpoint is in the suffix just
+    # scanned: the checkpoint schedule carries on where it stood.
+    site._records_since_checkpoint = report.scanned_records
 
-    # Chaos-engine observability: stamp the outage window this recovery
-    # closes (crash injection records it; direct recover() calls on a
-    # never-crashed site leave it absent).
-    if site.downtime and site.downtime[-1][1] is None:
-        report.details["crashed_at"] = site.downtime[-1][0]
+    if site.crashed_at is not None:
+        report.details["crashed_at"] = site.crashed_at
         report.details["recovered_at"] = site.sim.now
-
-    site.vm.close()  # the pre-crash manager: read until now, done
-    site.vm = vm
     if site._obs.enabled:
         site._obs.emit("site.recover", site.sim.now, site=site.name,
                        redo_applied=report.redo_applied,
                        vm_rebuilt=report.vm_rebuilt,
                        from_checkpoint=report.from_checkpoint)
     return report
-

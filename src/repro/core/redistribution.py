@@ -83,8 +83,8 @@ class DemandTracker:
     (``DvPSite.demand`` is None until then); fed by hooks on the
     protocol's own transitions (transaction shortfall and abort,
     incoming requests, accepted Vm); read by the rebalance policies.
-    Like the lock table it does not survive a crash — :meth:`reset` is
-    called from ``DvPSite.crash``.
+    Like the lock table it does not survive a crash: it goes with the
+    site, and the next incarnation starts an empty one.
     """
 
     #: A local abort carries this much pressure (shortfall signals are
@@ -155,12 +155,6 @@ class DemandTracker:
         for table in (self._remote, self._wealth):
             for key in [key for key in table if key[0] == peer]:
                 del table[key]
-
-    def reset(self) -> None:
-        """Crash: the ledger is volatile state and does not survive."""
-        self._local.clear()
-        self._remote.clear()
-        self._wealth.clear()
 
 
 # -- policies ----------------------------------------------------------------

@@ -49,7 +49,9 @@ from repro.storage.records import (
 )
 
 if TYPE_CHECKING:
+    from repro.core.invariants import ConservationAuditor
     from repro.core.partition import Directory
+    from repro.core.recovery import RecoveryReport
     from repro.core.system import SystemConfig
 
 
@@ -57,15 +59,34 @@ class SiteDown(RuntimeError):
     """Submission attempted at a crashed site."""
 
 
-class DvPSite:
-    """One failure-prone site in a DvP system; ``DvPSystem._new_site``
-    builds and wires every one."""
+class SiteUp(RuntimeError):
+    """Recovery asked of a site that has not crashed."""
 
-    def __init__(self, name: str, rank: int, sim: Simulator,
-                 network: Network, cc: ConcurrencyControl,
-                 policy: RedistributionPolicy, config: SystemConfig,
-                 directory: Directory,
-                 on_result: Callable[[TxnResult], None]) -> None:
+
+class DvPSite:
+    """One incarnation of a failure-prone site in a DvP system.
+
+    ``DvPSystem._new_site`` builds and wires every one: a new site with
+    fresh stable storage, or, at a recovery, the next incarnation of a
+    crashed one over its log and pages. A crash closes the incarnation
+    (:meth:`close`); of its state only the stable storage, the rank and
+    the attributes :data:`SURVIVES` names outlive it."""
+
+    #: What the system carries from a crashed incarnation to the next
+    #: beside its log, pages and rank: its counts of the site — crashes,
+    #: the transactions they wiped, the last crash instant, recovery
+    #: reports, request verdicts — and the id counters, so that no
+    #: transaction or Rds id repeats. Everything else is built fresh.
+    SURVIVES = ("crash_count", "txns_wiped", "crashed_at",
+                "recovery_reports", "requests_honored", "requests_ignored",
+                "_txn_counter", "_rds_counter")
+
+    def __init__(self, name: str, rank: int, log: StableLog,
+                 pages: PageStore, sim: Simulator, network: Network,
+                 cc: ConcurrencyControl, policy: RedistributionPolicy,
+                 config: SystemConfig, directory: Directory,
+                 on_result: Callable[[TxnResult], None],
+                 observer: ConservationAuditor) -> None:
         self.name = name
         self.rank = rank
         self.sim = sim
@@ -87,16 +108,11 @@ class DvPSite:
             for outcome in (Outcome.COMMITTED, Outcome.ABORTED)
         }
 
-        self.log = StableLog(name)
-        self.pages = PageStore(name)
-        self.fragments = FragmentStore(name, self.pages)
-        #: Accounting observer (the system's conservation auditor). Set
-        #: by DvPSystem after construction; the notify methods below
-        #: look it up late so VmManagers rebuilt by recovery stay wired.
-        self.observer = None
-        #: True once the directory dropped this site (System.remove_site).
-        #: The site stays alive and registered until its value drains.
-        self.decommissioned = False
+        self.log = log
+        self.pages = pages
+        #: Its pages and Vm manager tell *observer*, the system's
+        #: conservation auditor, of every value change.
+        self.fragments = FragmentStore(name, pages, observer)
         #: Bounded-staleness view cache (repro.reads; docs/READS.md).
         #: Wired by the system when views are enabled; None = the
         #: classic fan-out-only read path.
@@ -108,59 +124,43 @@ class DvPSite:
         #: None until a RebalanceDaemon, its one reader, builds it: a
         #: site without a planner feeds no ledger.
         self.demand: DemandTracker | None = None
-        self.vm = self._new_vm_manager()
+        self.vm = VmManager(
+            name, sim,
+            send=partial(network.send, name),
+            accept=self._accept_vm,
+            clock_ts=self.clock.next,
+            retransmit_period=config.retransmit_period,
+            on_created=partial(observer.on_vm_created, name),
+            on_accepted=partial(observer.on_vm_accepted, name),
+            # Bundling coalesces the explicit acks a same-instant
+            # piggyback already carries.
+            coalesce_acks=config.bundling is not None,
+            on_absorbed=self._vm_absorbed)
 
         self.alive = True
         self.active: dict[str, Transaction] = {}
         #: Ids of the active transactions a delivery can change (see
         #: _wake): those awaiting read responders or holding view
-        #: certificates. Each adds itself; finish and crash remove.
+        #: certificates. Each adds itself; finish and close remove.
         self.wakeable: set[str] = set()
         self._peers: tuple[Any, tuple[str, ...]] = (None, ())  # key, peers
+        self._records_since_checkpoint = 0
+        self._checkpoint_scheduled = False
+        # SURVIVES, as a new site starts them.
         self.crash_count = 0
         #: Transactions whose volatile state a crash destroyed — their
         #: clients never hear back. The chaos progress oracle uses this
         #: to prove every undecided submission is attributable to a
         #: crash (and not to a transaction blocking on a dead peer).
         self.txns_wiped = 0
-        #: [start, end] virtual-time windows this site spent dead (end
-        #: is None while still down). Fault plans and oracles read it.
-        self.downtime: list[list[float | None]] = []
-        self.recovery_reports: list["RecoveryReport"] = []
+        #: Virtual time of the last crash (None: never crashed); the
+        #: recovery report's ``crashed_at``.
+        self.crashed_at: float | None = None
+        self.recovery_reports: list[RecoveryReport] = []
         self.requests_honored = 0
         self.requests_ignored = 0
         self._txn_counter = 0
         self._rds_counter = 0
-        self._records_since_checkpoint = 0
-        self._checkpoint_scheduled = False
-
-        network.register(name, self.deliver)
-
-    def _new_vm_manager(self) -> VmManager:
-        return VmManager(
-            self.name, self.sim,
-            send=partial(self.network.send, self.name),
-            accept=self._accept_vm,
-            clock_ts=self.clock.next,
-            retransmit_period=self.config.retransmit_period,
-            on_created=self._notify_vm_created,
-            on_accepted=self._notify_vm_accepted,
-            # Bundling coalesces the explicit acks a same-instant
-            # piggyback already carries.
-            coalesce_acks=self.config.bundling is not None,
-            on_absorbed=self._vm_absorbed)
-
-    def _notify_vm_created(self, entry) -> None:
-        if self.observer is not None:
-            self.observer.on_vm_created(self.name, entry)
-
-    def _notify_vm_accepted(self, src: str, entry) -> None:
-        if self.demand is not None:
-            # A peer that sends value demonstrably has it — wealth
-            # evidence for the pull policy's "richest reachable peer".
-            self.demand.note_supply(src, entry.item, entry.amount)
-        if self.observer is not None:
-            self.observer.on_vm_accepted(self.name, src, entry)
 
     # -- topology ---------------------------------------------------------
 
@@ -293,13 +293,13 @@ class DvPSite:
         force one create record that subtracts them, release.
 
         Returns the created entries, or None (nothing done) when the
-        fragment is locked. *announce*, a trace event kind, is emitted
+        site is down or the fragment is locked. *announce*, a trace event kind, is emitted
         per share with its ``site``, ``dst``, ``item``, ``amount`` and
         the *detail* fields once the record is forced and before the
         release lets anything else run. Migration, rebalancing and
         deconsolidation all ship here.
         """
-        if not self.locks.try_acquire_all(owner, (item,)):
+        if not self.alive or not self.locks.try_acquire_all(owner, (item,)):
             return None
         try:
             ts = self.clock.next()
@@ -535,71 +535,33 @@ class DvPSite:
     def _vm_absorbed(self, src: str, entry: VmEntry) -> None:
         """An accepted entry's value is in its fragment: tell the
         transaction holding that fragment, if any."""
+        if self.demand is not None:
+            # A peer that sends value demonstrably has it — wealth
+            # evidence for the pull policy's "richest reachable peer".
+            self.demand.note_supply(src, entry.item, entry.amount)
         txn = self.active.get(self.locks.holders.get(entry.item))
         if txn is not None:
             txn.on_vm_absorbed(entry, src)
 
-    # -- failure injection -----------------------------------------------------
-
-    def crash(self) -> None:
-        """Fail-stop: all volatile state vanishes; stable storage stays.
-
-        In-flight transactions silently disappear (their clients learn
-        nothing — exactly the scenario remote requesters' timeouts are
-        for). The stale pre-crash VmManager object is retained until
-        recovery so the god's-eye auditor can still read channel state.
-        """
-        if not self.alive:
-            return
-        self.alive = False
-        self.crash_count += 1
-        if self._obs.enabled:
-            self._obs.emit("site.crash", self.sim.now, site=self.name,
-                           txns_wiped=len(self.active))
-        self.txns_wiped += len(self.active)
-        self.downtime.append([self.sim.now, None])
-        self.vm.stop()
-        for txn in self.active.values():
-            txn.close()  # not cancel: the wiped graph must die
-        self.active.clear()
-        self.wakeable.clear()
-        self.locks.clear()
-        self.fragments.reset_timestamps()
-        self.clock.reset()
-        if self.demand is not None:
-            self.demand.reset()
-        if self.views is not None:
-            # The cache is volatile: recover cold, warm from refreshes.
-            self.views.clear()
-        self.network.note_down(self.name)
-
-    def recover(self) -> "RecoveryReport":
-        """Independent recovery (Section 7): local log only."""
-        from repro.core.recovery import recover_site
-        report = recover_site(self)
-        self.alive = True
-        self.network.note_up(self.name)
-        if self.downtime and self.downtime[-1][1] is None:
-            self.downtime[-1][1] = self.sim.now
-        self.recovery_reports.append(report)
-        self.vm.start()
-        return report
+    # -- lifetime -------------------------------------------------------------
 
     def close(self) -> None:
-        """The system is closing (``DvPSystem.close``): let go of what
-        points back at this site or out at the system. The Vm manager
-        and the undecided transactions' timers hold this site's bound
-        methods, lock waiters hold its closures, and the observer and
-        ``on_result`` lead to the system that holds the site; the view
-        cache goes with them. Stable storage, channel state and every
-        counter stay readable."""
+        """This incarnation is over: the site crashed (``DvPSystem.crash``)
+        or the system is closing (``DvPSystem.close``). It hears and
+        decides nothing more, and lets go of what points back at it or
+        out at the system: the Vm manager and the undecided
+        transactions' timers hold its bound methods, lock waiters hold
+        its closures, and ``on_result`` leads to the system that holds
+        it; the view cache goes with them. Stable storage, channel
+        state and every counter stay readable, and the pages stay
+        wired to the auditor: they outlive the incarnation."""
+        self.alive = False
         self.vm.close()
         for txn in self.active.values():
-            txn.close()
+            txn.close()  # not cancel: the undecided graph must die
         self.active = {}
         self.wakeable = set()
         self.locks.clear()
-        self.observer = self.fragments.observer = None
         self.on_result = self.views = None
 
     def skew_fire_timers(self) -> None:

@@ -15,12 +15,15 @@ This is the library's main entry point::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import inf
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Protocol
 
+from repro.core import recovery
 from repro.core.cc import make_cc
 from repro.core.domain import Domain
+from repro.core.fragments import test_leak
 from repro.core.invariants import AuditReport, ConservationAuditor
 from repro.core.migration import (
     MigrationController,
@@ -29,8 +32,8 @@ from repro.core.migration import (
 )
 from repro.core.partition import PARTITIONERS, Directory, make_partitioner
 from repro.core.policies import make_policy
-from repro.core.recovery import RecoveryReport
-from repro.core.site import DvPSite, SiteDown
+from repro.core.redistribution import DemandTracker
+from repro.core.site import DvPSite, SiteDown, SiteUp
 from repro.core.transactions import Transaction, TransactionSpec, TxnResult
 from repro.net.link import LinkConfig
 from repro.net.network import Network
@@ -39,6 +42,8 @@ from repro.net.sync import SynchronousNetwork
 from repro.reads.views import SiteViewCache, ViewConfig, ViewService
 from repro.sim.kernel import Simulator
 from repro.sim.shard import ShardPlan, ShardedSimulator
+from repro.storage.log import StableLog
+from repro.storage.pages import PageStore
 
 
 @dataclass
@@ -216,6 +221,11 @@ class DvPSystem:
         #: Components built around this system that :meth:`close` must
         #: close with it (see :meth:`attach`).
         self._attached: list[Any] = []
+        #: Called with each recovered site: whoever holds a site object
+        #: beyond :attr:`sites` and the network re-points it here, once
+        #: per recovery (the hybrid manager's delivery interposer, the
+        #: rebalance daemons).
+        self.on_recover: list[Callable[[DvPSite], None]] = []
         self.auditor = ConservationAuditor(self)
         self.sites: dict[str, DvPSite] = {}
         for name in self.config.sites:
@@ -229,29 +239,45 @@ class DvPSystem:
         if self.config.views is not None:
             self.views = ViewService(self, self.config.views)
 
-    def _new_site(self, name: str) -> DvPSite:
+    def _new_site(self, name: str,
+                  crashed: DvPSite | None = None) -> DvPSite:
         """Build site *name* and wire it into this system: the shared
         config, directory, cc and policy; the auditor as its accounting
-        observer; a cold view cache when views are on; and the zero
-        fragment of every known item (conservation-neutral).
+        observer; a cold view cache when views are on.
+
+        A new site gets fresh stable storage, the next rank (sites are
+        never dropped from :attr:`sites`, so its size is the Lamport
+        clock's tie-breaker) and the zero fragment of every known item
+        (conservation-neutral). Given the *crashed* incarnation, the
+        site is its next one: the same log, pages and rank, the pages
+        adopted as they stand, :data:`DvPSite.SURVIVES` carried over,
+        and a demand ledger exactly when the crashed one fed one.
 
         Built in the site's own scheduling context so anything it arms
-        lands on its shard (a no-op on the single-queue kernel). Sites
-        are never dropped from :attr:`sites`, so its size is the next
-        rank (the Lamport clock's tie-breaker)."""
-        rank = len(self.sites)
+        lands on its shard (a no-op on the single-queue kernel)."""
 
         def build() -> DvPSite:
-            site = DvPSite(name, rank, self.sim, self.network, self.cc,
+            stable = ((len(self.sites), StableLog(name), PageStore(name))
+                      if crashed is None else
+                      (crashed.rank, crashed.log, crashed.pages))
+            site = DvPSite(name, *stable, self.sim, self.network, self.cc,
                            self.policy, self.config, self.directory,
-                           self._record_result)
-            site.observer = site.fragments.observer = self.auditor
+                           self._record_result, self.auditor)
             if self.config.views is not None:
                 site.views = SiteViewCache(
                     name, self.sim, self.config.views.resolved_ttl,
                     self.directory)
-            for item, domain in self._items.items():
-                site.fragments.register(item, domain, domain.zero())
+            if crashed is None:
+                self.network.register(name, site.deliver)
+                for item, domain in self._items.items():
+                    site.fragments.register(item, domain, domain.zero())
+            else:
+                for item, domain in self._items.items():
+                    site.fragments.adopt(item, domain)
+                for attribute in DvPSite.SURVIVES:
+                    setattr(site, attribute, getattr(crashed, attribute))
+                if crashed.demand is not None:
+                    site.demand = DemandTracker(self.sim)
             return site
 
         self.sites[name] = site = self.sim.call_in_site(name, build)
@@ -372,10 +398,8 @@ class DvPSystem:
             raise SiteDown(
                 f"site {name!r} is down; its stable fragments must be "
                 "recovered before they can be migrated away")
-        if site.decommissioned:
-            raise ValueError(f"site {name!r} is already decommissioned")
         if name not in self.directory.sites:
-            raise ValueError(f"site {name!r} is not in the directory")
+            raise ValueError(f"site {name!r} is already decommissioned")
         self._check_reshardable()
         old = self._snapshot_owners()
         # The leaver drains everything it holds, owner or not —
@@ -385,7 +409,6 @@ class DvPSystem:
             if name not in old[item]:
                 old[item] = old[item] + (name,)
         self.directory.remove_site(name)
-        site.decommissioned = True
         for other in self.sites.values():
             if other is not site and other.demand is not None:
                 other.demand.forget_peer(name)
@@ -485,6 +508,7 @@ class DvPSystem:
         for component in self._attached:
             component.close()
         self._attached = []
+        self.on_recover = []
         for controller in self.migrations:
             controller.close()
         if self.views is not None:
@@ -495,17 +519,57 @@ class DvPSystem:
         self.auditor.close()
         self.sim.close()
 
-    # -- failure injection ----------------------------------------------------
+    # -- failure injection (Section 7's fail-stop model) ----------------------
 
     def crash(self, site: str) -> None:
-        # call_in_site: crash/recover arm site-owned timers (recovery
-        # retransmits, checkpoints), which must land on the site's
-        # shard whether this is called from setup code or from an
-        # event already running there.
-        self.sim.call_in_site(site, self.sites[site].crash)
+        """Fail-stop *site*: its incarnation closes and only its stable
+        storage and :data:`DvPSite.SURVIVES` outlive it. The closed
+        object stays in :attr:`sites` while the site is down — dead to
+        submissions and deliveries, its last channel state readable
+        by the auditor — until :meth:`recover` replaces it. In-flight
+        transactions silently disappear: their clients learn nothing,
+        which is what remote requesters' timeouts are for."""
+        # call_in_site: whatever a crash and a recovery touch belongs
+        # to the site's shard, whether this is called from setup code
+        # or from an event already running there.
+        self.sim.call_in_site(site, partial(self._crash, self.sites[site]))
 
-    def recover(self, site: str) -> RecoveryReport:
-        return self.sim.call_in_site(site, self.sites[site].recover)
+    def _crash(self, site: DvPSite) -> None:
+        if not site.alive:
+            return
+        site.crash_count += 1
+        site.txns_wiped += len(site.active)
+        site.crashed_at = self.sim.now
+        if self.sim.obs.enabled:
+            self.sim.obs.emit("site.crash", self.sim.now, site=site.name,
+                              txns_wiped=len(site.active))
+        if test_leak() == "crash":
+            site.fragments.tear()  # planted bug (docs/CHAOS.md)
+        site.close()
+        self.network.note_down(site.name)
+
+    def recover(self, site: str) -> recovery.RecoveryReport:
+        """Independent recovery (Section 7): build *site*'s next
+        incarnation over its stable storage, run ``recover_site`` on it
+        (its local log only), and re-point whoever holds the site.
+        Only a crashed site recovers: a live one raises
+        :class:`SiteUp` and nothing changes."""
+        if self.sites[site].alive:
+            raise SiteUp(f"site {site!r} is up; only a crashed site "
+                         "recovers")
+        return self.sim.call_in_site(site, partial(self._recover, site))
+
+    def _recover(self, name: str) -> recovery.RecoveryReport:
+        site = self._new_site(name, self.sites[name])
+        # Looked up on the module, so whoever wraps it sees each call.
+        report = recovery.recover_site(site)
+        self.network.replace_handler(name, site.deliver)
+        for repoint in self.on_recover:
+            repoint(site)
+        self.network.note_up(name)
+        site.recovery_reports.append(report)
+        site.vm.start()
+        return report
 
     # -- observation ------------------------------------------------------------
 

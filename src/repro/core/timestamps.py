@@ -24,7 +24,12 @@ def decode(timestamp: int) -> tuple[int, int]:
 
 
 class LamportClock:
-    """Per-site logical clock issuing unique, totally ordered stamps."""
+    """Per-site logical clock issuing unique, totally ordered stamps.
+
+    Volatile: a crash drops it with its site, and the next incarnation
+    starts a fresh one at 0 that recovery bumps past every stamp in the
+    log (Section 7's stale-clock scenario, deliberately reproducible).
+    """
 
     def __init__(self, site_rank: int) -> None:
         if not 0 <= site_rank < MAX_SITES:
@@ -46,8 +51,3 @@ class LamportClock:
         counter, _rank = decode(timestamp)
         if counter > self._counter:
             self._counter = counter
-
-    def reset(self) -> None:
-        """Crash: the volatile counter is lost (Section 7's stale-clock
-        scenario — deliberately reproducible)."""
-        self._counter = 0

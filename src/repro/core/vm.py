@@ -392,9 +392,6 @@ class VmManager:
         """(Re)arm retransmission after construction or recovery."""
         self._ensure_timer()
 
-    def stop(self) -> None:
-        self._timer.stop()
-
     def close(self) -> None:
         """Stop for good and release the owning site: the timer's
         action is this manager's bound method, and the six callbacks

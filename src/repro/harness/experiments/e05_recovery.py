@@ -10,8 +10,9 @@ coordinator is unreachable the items stay locked indefinitely.
 Scenarios:
 
 * ``dvp-one``      — one site crashes mid-run with Vm in flight;
-  recovers; measure messages-before-resume (0), redo work, and time
-  from recovery to its first local commit.
+  recovers; measure what it sends from the recovery to its first
+  decision (0), the locks it holds after recovery (0), redo work, and
+  time from recovery to its first local commit.
 * ``dvp-all``      — every site crashes; a single site recovers alone
   (others stay down) and must immediately commit local transactions.
 * ``2pc-reachable``— a participant crashes after voting YES; recovers
@@ -79,35 +80,56 @@ def _warm_dvp(params: Params) -> DvPSystem:
     return system
 
 
-def _dvp_one(params: Params) -> dict:
-    system = _warm_dvp(params)
-    victim = params.sites[1]
-    sent_before = system.network.total_sent
-    system.crash(victim)
-    system.run_for(3.0)
-    report = system.recover(victim)
-    # Messages the recovery itself needed: none may be sent by the
-    # recovering site before it can commit (retransmissions of old Vm
-    # resume later, but the first local commit needs no network at all).
-    commit_times: list[float] = []
-    system.submit(victim, TransactionSpec(
-        ops=(IncrementOp("stock", 5),), label="post-recovery"),
-        lambda result: commit_times.append(result.finished_at))
+def _recover_and_resume(system: DvPSystem, name: str, amount: int,
+                        label: str, window: float) -> dict:
+    """Recover *name* and submit one local increment there at once.
+
+    Measured: the locks the new incarnation holds right after recovery,
+    and what *name* sends from the ``recover`` call to that increment's
+    decision (to the end of *window* if it never decides) — read off
+    the trace, so a recovery that asked anyone anything would show."""
+    obs = system.sim.obs
+    obs.enable(ring_limit=None)
     recovery_instant = system.sim.now
-    system.run_for(60.0)
-    system.run_for(300.0)  # settle retransmissions
-    system.auditor.assert_ok()
+    report = system.recover(name)
+    locked = len(system.sites[name].locks.holders)
+    commit_times: list[float] = []
+
+    def decided(result) -> None:
+        obs.enabled = False
+        commit_times.append(result.finished_at)
+
+    system.submit(name, TransactionSpec(
+        ops=(IncrementOp("stock", amount),), label=label), decided)
+    system.run_for(window)
+    obs.enabled = False
     return {
-        "messages_before_resume": report.messages_needed,
+        "messages_before_resume": sum(
+            1 for event in obs.events()
+            if event.kind == "net.send" and event.src == name),
         "redo": report.redo_applied,
         "vm_rebuilt": report.vm_rebuilt,
         "scanned": report.scanned_records,
         "from_checkpoint": report.from_checkpoint,
         "resume_latency": (commit_times[0] - recovery_instant
                            if commit_times else float("nan")),
-        "locked_after_recovery": 0,
-        "note": f"net sent before crash {sent_before}",
+        "locked_after_recovery": locked,
     }
+
+
+def _dvp_one(params: Params) -> dict:
+    system = _warm_dvp(params)
+    victim = params.sites[1]
+    sent_before = system.network.total_sent
+    system.crash(victim)
+    system.run_for(3.0)
+    # Retransmissions of old Vm resume later, but the first local
+    # commit needs no network at all.
+    stats = _recover_and_resume(system, victim, 5, "post-recovery", 60.0)
+    system.run_for(300.0)  # settle retransmissions
+    system.auditor.assert_ok()
+    stats["note"] = f"net sent before crash {sent_before}"
+    return stats
 
 
 def _dvp_all(params: Params) -> dict:
@@ -115,31 +137,15 @@ def _dvp_all(params: Params) -> dict:
     for site in params.sites:
         system.crash(site)
     system.run_for(5.0)
-    survivor = params.sites[0]
-    report = system.recover(survivor)
-    commit_times: list[float] = []
-    recovery_instant = system.sim.now
-    system.submit(survivor, TransactionSpec(
-        ops=(IncrementOp("stock", 1),), label="lone-survivor"),
-        lambda result: commit_times.append(result.finished_at))
-    system.run_for(30.0)
-    resumed = bool(commit_times)
+    stats = _recover_and_resume(system, params.sites[0], 1,
+                                "lone-survivor", 30.0)
     # Bring the rest back so conservation can be audited quiescently.
     for site in params.sites[1:]:
         system.recover(site)
     system.run_for(400.0)
     system.auditor.assert_ok()
-    return {
-        "messages_before_resume": report.messages_needed,
-        "redo": report.redo_applied,
-        "vm_rebuilt": report.vm_rebuilt,
-        "scanned": report.scanned_records,
-        "from_checkpoint": report.from_checkpoint,
-        "resume_latency": (commit_times[0] - recovery_instant
-                           if resumed else float("nan")),
-        "locked_after_recovery": 0,
-        "note": "all sites down; one recovers alone",
-    }
+    stats["note"] = "all sites down; one recovers alone"
+    return stats
 
 
 def _twopc(params: Params, coordinator_reachable: bool) -> dict:
@@ -224,9 +230,9 @@ def run(params: Params | None = None, evaluate=None) -> Table:
 
 
 def claims(table: Table, params: Params) -> list[str]:
-    """A DvP site resumes after exchanging no message, even as the
-    lone survivor; a 2PC participant must reach its coordinator, and
-    cut off from it keeps its in-doubt items locked."""
+    """A DvP site resumes after exchanging no message and holding no
+    lock, even as the lone survivor; a 2PC participant must reach its
+    coordinator, and cut off from it keeps its in-doubt items locked."""
     violated = []
     rows = {row["scenario"]: row for row in table.records()}
     for scenario in ("dvp-one", "dvp-all"):
@@ -234,6 +240,8 @@ def claims(table: Table, params: Params) -> list[str]:
         if messages != 0:
             violated.append(f"{scenario} exchanged {messages} messages "
                             "before resuming")
+        if rows[scenario]["items still locked"] != 0:
+            violated.append(f"{scenario} recovered holding a lock")
     for scenario in ("2pc-reachable", "2pc-cut-off"):
         if rows[scenario]["msgs before resume"] < 1:
             violated.append(f"{scenario} resumed without a message")

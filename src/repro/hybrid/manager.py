@@ -108,10 +108,11 @@ class HybridSystem:
         self._pending: dict[int, _PendingForward] = {}
         self._deadlines = Timers(system.sim, system.config, "forward")
         system.attach(self._deadlines)
-        # Interpose on every site's delivery to catch Forward* payloads.
-        for name, site in system.sites.items():
-            system.network.replace_handler(
-                name, self._make_handler(name, site.deliver))
+        # Interpose on every site's delivery to catch Forward* payloads,
+        # and on each recovered incarnation's.
+        for site in system.sites.values():
+            self._interpose(site)
+        system.on_recover.append(self._interpose)
 
     def __getattr__(self, name: str) -> Any:
         # Whatever the manager does not route or track itself — the
@@ -156,7 +157,7 @@ class HybridSystem:
         *split* maps peer site -> amount; anything not shipped stays at
         the home. Returns False (mode unchanged) if the item is not
         centralized, the home fragment cannot cover the split, or the
-        item is locked right now.
+        home is down or the item locked right now.
         """
         if self.mode_of(item) is not ItemMode.CENTRAL:
             return False
@@ -170,7 +171,7 @@ class HybridSystem:
                        for peer, amount in sorted(split.items())
                        if not domain.is_zero(amount))
         if site.ship(f"deconsolidate:{item}", item, shares) is None:
-            return False  # locked right now
+            return False  # down or locked right now
         self.modes[item] = ItemMode.DVP
         del self.homes[item]
         self._dispersed.discard(item)
@@ -287,7 +288,11 @@ class HybridSystem:
 
     # -- message handling --------------------------------------------------------
 
-    def _make_handler(self, name: str, inner) -> Callable[[Envelope], None]:
+    def _interpose(self, site) -> None:
+        """Put a handler that takes Forward* payloads before *site*'s
+        own delivery on the network."""
+        name, inner = site.name, site.deliver
+
         def handler(envelope: Envelope) -> None:
             payload = envelope.payload
             if isinstance(payload, ForwardRequest):
@@ -296,7 +301,8 @@ class HybridSystem:
                 self._on_forward_reply(payload)
             else:
                 inner(envelope)
-        return handler
+
+        self.system.network.replace_handler(name, handler)
 
     def _on_forward_request(self, home: str,
                             request: ForwardRequest) -> None:

@@ -160,7 +160,7 @@ class Network:
     # -- liveness registry -------------------------------------------------
 
     def note_down(self, name: str) -> None:
-        """Record that *name* crashed (called from the site itself).
+        """Record that *name* crashed (called by ``DvPSystem.crash``).
 
         Planning-only input: the transport semantics are unchanged — a
         message to a down site is still silently dropped, never

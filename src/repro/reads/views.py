@@ -102,8 +102,9 @@ class ViewConfig:
 class SiteViewCache:
     """Read-through per-site cache of view entries.
 
-    Volatile like the lock table: a crash wipes it (the site recovers
-    cold and warms from the next refresh or its own fallback reads).
+    Volatile like the lock table: it goes with its site at a crash, and
+    the next incarnation starts cold and warms from the next refresh or
+    its own fallback reads.
     Serving re-validates staleness, TTL, and the directory epoch at
     admission time — an entry is *never* trusted just because it is
     present.
@@ -132,9 +133,6 @@ class SiteViewCache:
         current = self.entries.get(entry.item)
         if current is None or entry.as_of >= current.as_of:
             self.entries[entry.item] = entry
-
-    def clear(self) -> None:
-        self.entries.clear()
 
     # -- admission ----------------------------------------------------------
 

@@ -76,11 +76,10 @@ class ServingFrontend:
         self.router = make_router(
             self.config.router, self.sim, list(system.sites),
             self.board, system.directory,
-            # Live lookup, not a frozen set: sites may join later and
-            # a crashed site's wiped cache still serves after refill.
+            # Live lookup, not a frozen set: sites may join later, and
+            # every site, down or up, has a cache whenever views are on.
             view_capable=lambda name: (
-                name in system.sites
-                and system.sites[name].views is not None))
+                name in system.sites and system.config.views is not None))
         #: Every shed, in decision order (typed Overload results).
         self.overloads: list[Overload] = []
         #: Enqueue->decision life of every decided request, one column

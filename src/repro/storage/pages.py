@@ -40,6 +40,10 @@ class PageStore:
         page = self._pages[item] = Page(value)
         return page
 
+    def page(self, item: str) -> Page:
+        """*item*'s page, for a store built over surviving pages."""
+        return self._pages[item]
+
     def read(self, item: str) -> Any:
         return self._pages[item].value
 

@@ -147,7 +147,8 @@ class TestRecoveryFromMixedRuns:
         for record in records:
             site_b.log.append(record)  # forced, never applied
         system.crash("B")
-        return site_b, system.recover("B")
+        report = system.recover("B")
+        return system.sites["B"], report
 
     def test_each_source_and_every_action(self):
         site_b, report = self.recovered()

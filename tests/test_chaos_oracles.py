@@ -74,7 +74,7 @@ class TestSerialOracle:
 class TestProgressOracle:
     def test_flags_site_still_down(self):
         result = run_chaos(CONFIG, FaultPlan(), seed=42)
-        result.system.sites["S0"].crash()
+        result.system.crash("S0")
         messages = ProgressOracle().check(result)
         assert any("still down" in message for message in messages)
 

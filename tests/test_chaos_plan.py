@@ -144,6 +144,21 @@ class TestConfigRefusals:
         ChaosConfig(settle=0.0, base_delay=0.0, base_jitter=0.0,
                     checkpoint_interval=0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("system", "nope"), ("checkpoint_interval", INF),
+        ("rebalance", "nope"), ("partitioner", "nope"),
+        ("serving", "nope"), ("shards", 0), ("shard_workers", 0),
+    ], ids=lambda value: str(value))
+    def test_what_the_run_would_refuse_is_a_plan_error(self, name, value):
+        """An artifact names a system, a policy, a partitioner or a
+        router the run cannot build, or a number it refuses: refused
+        when it is read, not deep inside the run."""
+        data = ReproArtifact(seed=1, config=ChaosConfig(),
+                             plan=FaultPlan(())).to_dict()
+        data["config"][name] = value
+        with pytest.raises(PlanError, match=name.split("_")[0]):
+            ReproArtifact.from_dict(json.loads(json.dumps(data)))
+
     def test_a_nan_settle_artifact_is_a_plan_error(self):
         data = ReproArtifact(seed=1, config=ChaosConfig(views=5.0),
                              plan=FaultPlan(())).to_dict()

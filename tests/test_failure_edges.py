@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.domain import CounterDomain
 from repro.core.messages import READ_MODE, DataRequest
+from repro.core.site import SiteUp
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import (
     DecrementOp,
@@ -25,13 +26,38 @@ def build(**kwargs):
 
 
 class TestRepeatedFailures:
-    def test_recover_without_crash_is_safe(self):
+    def test_recover_without_crash_is_refused(self):
         system = build()
         system.submit("A", TransactionSpec(ops=(DecrementOp("x", 5),)))
         system.run_for(2.0)
-        report = system.recover("A")  # no crash happened
-        assert report.messages_needed == 0
-        assert system.sites["A"].fragments.value("x") == 25
+        site = system.sites["A"]
+        records = len(site.log)
+        with pytest.raises(SiteUp):
+            system.recover("A")  # no crash happened
+        assert system.sites["A"] is site and site.alive
+        assert len(site.log) == records and site.recovery_reports == []
+        assert site.fragments.value("x") == 25
+        assert site.vm.unacked_count() == 0
+        system.auditor.assert_ok()
+
+    def test_recover_of_a_live_site_keeps_its_transactions(self):
+        """Recovering a live site used to drop its undecided transaction
+        from ``active`` unclosed and clear its locks: a zombie that ran
+        on believing it held ``x`` while a later transaction committed
+        under the same lock. Now the call is refused first."""
+        system = build()
+        results = []
+        txn = system.submit("A", TransactionSpec(
+            ops=(DecrementOp("x", 60),)), results.append)
+        site = system.sites["A"]
+        assert site.locks.holders["x"] == txn.id  # gathering remote value
+        with pytest.raises(SiteUp):
+            system.recover("A")
+        assert site.active == {txn.id: txn}
+        assert site.locks.holders["x"] == txn.id
+        system.run_for(30.0)
+        assert [result.txn_id for result in results] == [txn.id]
+        assert not site.active and site.locks.is_free("x")
         system.auditor.assert_ok()
 
     def test_crash_recover_crash_recover(self):

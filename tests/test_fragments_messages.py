@@ -58,12 +58,6 @@ class TestFragmentStore:
         store.stamp_if_newer("x", 9)
         assert store.timestamp("x") == 9
 
-    def test_reset_timestamps(self):
-        store = build_store()
-        store.stamp("x", 5)
-        store.reset_timestamps()
-        assert store.timestamp("x") == 0
-
     def test_snapshot(self):
         store = build_store()
         store.register("y", CounterDomain(), 3)

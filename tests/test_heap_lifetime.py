@@ -825,6 +825,20 @@ class TestSystemLifetime:
         del system
         assert _freed(closed)
 
+    def test_a_crashed_incarnation_dies_by_refcount(self):
+        """A crash drops the site: once recovery has replaced it and the
+        last timer it armed has passed, nothing holds the old object."""
+        system = _build()
+        system.submit("A", TransactionSpec(ops=(ReadFullOp("x"),)))
+        system.run_for(3.0)
+        assert system.sites["B"].locks.holders  # B froze x for A's read
+        crashed = weakref.ref(system.sites["B"])
+        system.crash("B")
+        system.recover("B")
+        assert crashed() is not None  # the freeze timer still holds it
+        system.run_for(system.config.txn_timeout)
+        assert crashed() is None, f"held by {_holders(crashed())}"
+
     def test_recovery_closes_the_manager_it_replaces(self):
         system = _build()
         stale = weakref.ref(system.sites["B"].vm)

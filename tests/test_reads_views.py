@@ -170,7 +170,7 @@ class TestCertificateFastPath:
         system = build()
         warm(system)
         cache = system.sites["A"].views
-        cache.clear()
+        cache.entries.clear()
         result = run_one(system, "A", TransactionSpec(
             ops=(ReadViewOp("x", bound=100.0),)))
         assert result.committed

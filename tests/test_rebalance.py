@@ -351,7 +351,11 @@ class TestDemandLedgerBelongsToTheDaemon:
         assert a.remote_demand("x", "B") > 0  # B asked A for x
         assert a.wealth("x", "C") > 0  # C sent A some x
         self.forget(system)
-        assert b.local_pressure("x") == 0  # B crashed
+        recovered = system.sites["B"]  # B crashed: a new incarnation
+        assert daemons["B"].site is recovered
+        assert type(recovered.demand) is DemandTracker
+        assert recovered.demand is not b
+        assert recovered.demand.local_pressure("x") == 0
         assert a.wealth("x", "C") == 0  # C left the topology
         assert a.remote_demand("x", "B") > 0
         system.auditor.assert_ok()

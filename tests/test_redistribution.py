@@ -57,16 +57,6 @@ class TestDemandTracker:
         tracker.note_remote_demand("B", "t", object())
         assert tracker.remote_demand("t", "B") == pytest.approx(1.0)
 
-    def test_reset_clears_everything(self):
-        tracker = DemandTracker(FakeSim())
-        tracker.note_shortfall("x", 4)
-        tracker.note_remote_demand("B", "x", 4)
-        tracker.note_supply("B", "x", 4)
-        tracker.reset()
-        assert tracker.local_pressure("x") == 0.0
-        assert tracker.remote_demand("x", "B") == 0.0
-        assert tracker.wealth("x", "B") == 0.0
-
     def test_half_life_validated(self):
         with pytest.raises(ValueError):
             DemandTracker(FakeSim(), half_life=0.0)

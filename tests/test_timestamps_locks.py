@@ -47,13 +47,6 @@ class TestTimestamps:
         clock.observe(encode(2, 1))
         assert clock.counter == 10
 
-    def test_reset_loses_counter(self):
-        clock = LamportClock(0)
-        for _ in range(5):
-            clock.next()
-        clock.reset()
-        assert clock.counter == 0
-
 
 class TestLockTableImmediate:
     def test_acquire_all_atomic(self):
