@@ -47,6 +47,7 @@ def main() -> None:
             config=BaselineConfig(txn_timeout=30.0))
         system.add_item("sku-hot", 1_000_000)
         collector = drive(system, list(WAREHOUSES))
+        system.close()  # whoever builds a system closes it
         rows.append((f"central {mode}", collector))
 
     system = DvPSystem(SystemConfig(
@@ -55,6 +56,7 @@ def main() -> None:
     system.add_item("sku-hot", CounterDomain(), total=1_000_000)
     collector = drive(system, list(WAREHOUSES))
     system.auditor.assert_ok()
+    system.close()
     rows.append(("DvP fragments", collector))
 
     print(f"  {'design':<16} {'commits':>8} {'commit%':>8} "

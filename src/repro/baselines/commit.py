@@ -88,8 +88,9 @@ class CommitSite(BaselineSite):
     handlers = {DecisionMsg: "_on_decision",
                 DecisionAck: "_on_decision_ack"}
 
-    def __init__(self, name: str, system: "CommitSystem") -> None:
-        super().__init__(name, system)
+    def __init__(self, name: str, system: "CommitSystem",
+                 crashed: "CommitSite | None" = None) -> None:
+        super().__init__(name, system, crashed)
         self._coordinations: dict[str, _Coordination] = {}
         self._led: dict[str, Any] = {}
         self._prepared: dict[str, _Prepared] = {}
@@ -171,7 +172,7 @@ class CommitSite(BaselineSite):
         reads = self._try(request.ops)
         if reads is not None:
             for op in request.ops:
-                self.store.get(op.item).locked_by = txn_id
+                self.locks[op.item] = txn_id
             self.log.append(("prepared", *request))
             self._prepared[txn_id] = _Prepared(request, self.sim.now)
             self._watcher.start()
@@ -183,8 +184,7 @@ class CommitSite(BaselineSite):
         items (checked against a shadow copy, so two decrements that
         fit alone but not together are refused); None is NO."""
         items = {op.item for op in ops}
-        if any(self.store.get(item).locked_by is not None
-               for item in items):
+        if any(item in self.locks for item in items):
             return None
         shadow = {item: self.store.get(item).value for item in items}
         reads = []
@@ -206,10 +206,9 @@ class CommitSite(BaselineSite):
             self.system.lock_holds.append(
                 (self.name, message.txn_id,
                  self.sim.now - prepared.prepared_at))
-            items = [self.store.get(op.item)
-                     for op in prepared.request.ops]
             if message.commit:
-                for op, item in zip(prepared.request.ops, items):
+                for op in prepared.request.ops:
+                    item = self.store.get(op.item)
                     if op.kind == "dec":
                         item.value -= op.amount
                     elif op.kind == "inc":
@@ -217,9 +216,8 @@ class CommitSite(BaselineSite):
                     item.version += 1
             self.log.append(("participant-commit" if message.commit
                              else "participant-abort", message.txn_id))
-            for item in items:
-                if item.locked_by == message.txn_id:
-                    item.locked_by = None
+            for op in prepared.request.ops:
+                self._unlock(op.item, message.txn_id)
         self._route(message.sender,
                     DecisionAck(message.txn_id, self.name))
 
@@ -242,21 +240,13 @@ class CommitSite(BaselineSite):
                 self.system.recovery_messages += 1
         return outstanding
 
-    # -- failure injection ------------------------------------------------
-
-    def crash(self) -> None:
-        super().crash()
-        self._coordinations = {}
-        self._led = {}
-        self._prepared = {}
-        self._applied = set()
+    # -- recovery ---------------------------------------------------------
 
     def recover(self) -> dict[str, Any]:
         """Rebuild the in-doubt participations from the log: re-lock
         their items (they stay unavailable until the decision is
         learned) and start acting at once — they are back-dated by the
         timeout. Returns a report mirroring DvP's for E5."""
-        self.alive = True
         requests: dict[str, Any] = {}
         scanned = 0
         for envelope in self.log.scan():
@@ -270,7 +260,7 @@ class CommitSite(BaselineSite):
                     if txn_id not in self._applied]
         for request in in_doubt:
             for op in request.ops:
-                self.store.get(op.item).locked_by = request.txn_id
+                self.locks[op.item] = request.txn_id
             self._prepared[request.txn_id] = _Prepared(
                 request, self.sim.now - self.config.txn_timeout)
         if in_doubt:

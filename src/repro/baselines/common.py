@@ -6,15 +6,21 @@ the :class:`~repro.core.transactions.TxnResult` shape so every
 comparison against DvP isolates the protocol difference.
 
 What the protocols do *not* differ in lives here, once:
-:class:`BaselineSite` (identity, store, log, liveness; message dispatch
-and the one place that decides "deliver locally or send"; finishing a
-transaction exactly once; the common half of ``crash``),
+:class:`BaselineSite` (identity, store, log, liveness, its volatile
+locks; message dispatch and the one place that decides "deliver
+locally or send"; finishing a transaction exactly once),
 :class:`Timers` (a deadline per open transaction, resend loops that
 stop themselves) and :class:`BaselineSystem` — the baselines' answer to
 the :class:`~repro.core.system.System` contract (``submit``,
 ``run_for`` / ``run_until``, ``crash`` / ``recover``, ``total_value``,
 ``blocked``, ``close``). Item registration stays per system: homes,
 primaries and quorums really differ.
+
+A crash follows Section 7's fail-stop rule as DvP's does (DESIGN.md §7,
+"A crash drops the site"): it closes the site, and recovery builds a
+new one over the same store and log, carrying only what
+:data:`BaselineSite.SURVIVES` names; each protocol's ``recover``
+replays the log into it.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.core.site import SiteDown, SiteUp
 from repro.core.transactions import (
     EMPTY,
     DecrementOp,
@@ -70,7 +77,6 @@ class WholeItem:
 
     value: Any
     version: int = 0
-    locked_by: str | None = None
 
 
 class WholeStore:
@@ -187,8 +193,8 @@ class PendingDone:
 class Timers:
     """One process's clockwork: a deadline per open transaction, and
     resend loops giving its control messages at-least-once delivery.
-    A crash stops all of it; whoever owns the process closes it
-    (DESIGN.md §7)."""
+    Whoever owns the process closes it, at a crash too (DESIGN.md
+    §7)."""
 
     def __init__(self, sim: Simulator, config: BaselineConfig,
                  tag: str) -> None:
@@ -229,40 +235,53 @@ class Timers:
         self._loops.append(loop)
         return loop
 
-    def stop(self) -> None:
+    def close(self) -> None:
         for loop in self._loops:
-            loop.stop()
+            loop.close()
         for deadline in self._deadlines.values():
             deadline.cancel()
         self._deadlines = {}
 
-    def close(self) -> None:
-        self.stop()
-        for loop in self._loops:
-            loop.close()
-
 
 class BaselineSite:
-    """One site of a baseline system; protocols subclass it."""
+    """One incarnation of a site of a baseline system; protocols
+    subclass it.
+
+    Given the *crashed* incarnation, the site is its next one: the same
+    store and log, and the attributes :data:`SURVIVES` names. A crash
+    closes an incarnation (:meth:`close`)."""
 
     #: Prefix of this protocol's kernel-event labels.
     tag = ""
     #: Payload type -> name of the method that handles it.
     handlers: dict[type, str] = {}
+    #: What a recovery carries from the crashed incarnation besides its
+    #: store and log: the crash count, and the id counter, so that no
+    #: transaction id repeats. Everything else is built fresh.
+    SURVIVES = ("crash_count", "_ids")
 
-    def __init__(self, name: str, system: "BaselineSystem") -> None:
+    def __init__(self, name: str, system: "BaselineSystem",
+                 crashed: "BaselineSite | None" = None) -> None:
         self.name = name
         self.system = system
         self.sim = system.sim
         self.network = system.network
         self.config = system.config
-        self.store = WholeStore()
-        self.log = StableLog(name)
         self.alive = True
-        self.crash_count = 0
-        self._ids = IdSource(name)
+        #: Item -> the transaction holding its lock. Volatile: a crash
+        #: loses it with the incarnation.
+        self.locks: dict[str, str] = {}
         self.timers = Timers(self.sim, self.config, self.tag)
-        self.network.register(name, self.deliver)
+        if crashed is None:
+            self.store = WholeStore()
+            self.log = StableLog(name)
+            self.crash_count = 0
+            self._ids = IdSource(name)
+            self.network.register(name, self.deliver)
+        else:
+            self.store, self.log = crashed.store, crashed.log
+            for attribute in self.SURVIVES:
+                setattr(self, attribute, getattr(crashed, attribute))
 
     def deliver(self, envelope: Envelope) -> None:
         if self.alive:
@@ -293,21 +312,23 @@ class BaselineSite:
         ever does; every other wait ends at its own timeout."""
         return ()
 
-    def crash(self) -> None:
-        """Fail-stop: timers, locks (they lived in memory) and — in the
-        subclass — volatile protocol state are gone; the versioned
-        store and the log survive."""
-        self.alive = False
-        self.crash_count += 1
-        self.timers.stop()
-        for item in self.store.items().values():
-            item.locked_by = None
+    def _unlock(self, item: str, txn_id: str) -> None:
+        """Release *item*'s lock if *txn_id* holds it."""
+        if self.locks.get(item) == txn_id:
+            del self.locks[item]
 
     def recover(self) -> dict[str, Any]:
-        self.alive = True
+        """Replay the stable log into this new incarnation and report
+        what it found; a protocol without a replay has nothing in
+        doubt."""
         return {"site": self.name, "in_doubt": 0}
 
     def close(self) -> None:
+        """This incarnation is over: the site crashed or the system is
+        closing. It hears and decides nothing more; its timers stop
+        and let go of it. The store, the log and every counter stay
+        readable."""
+        self.alive = False
         self.timers.close()
         self.system = None
 
@@ -317,8 +338,6 @@ class BaselineSystem:
     and the results they produce."""
 
     site_class: type[BaselineSite] = BaselineSite
-    #: Label prefix of the system's own :attr:`timers`.
-    tag = ""
 
     def __init__(self, sites: Iterable[str], seed: int = 0,
                  link: LinkConfig | None = None,
@@ -328,9 +347,6 @@ class BaselineSystem:
         self.config = config or BaselineConfig()
         self.results: list[TxnResult] = []
         self.item_names: list[str] = []
-        #: Clockwork of a system that is itself a process (the central
-        #: counter); site-based systems keep theirs per site.
-        self.timers = Timers(self.sim, self.config, self.tag)
         self.sites = {name: self.site_class(name, self) for name in sites}
 
     def _create(self, item: str, initial: Any,
@@ -350,7 +366,10 @@ class BaselineSystem:
 
     def submit(self, origin: str, spec: TransactionSpec,
                on_done: Callable[[TxnResult], None] | None = None) -> str:
-        return self.sites[origin].submit(spec, on_done)
+        site = self.sites[origin]
+        if not site.alive:
+            raise SiteDown(f"site {origin} is down")
+        return site.submit(spec, on_done)
 
     def record_result(self, result: TxnResult) -> None:
         self.results.append(result)
@@ -361,7 +380,7 @@ class BaselineSystem:
         exposes for 2PC; with a majority of acceptors connected Paxos
         Commit's drains."""
         return [(site.name, txn_id, self.sim.now - since)
-                for site in self.sites.values()
+                for site in self.sites.values() if site.alive
                 for txn_id, since in site.in_doubt()]
 
     def run_for(self, duration: float) -> None:
@@ -371,17 +390,32 @@ class BaselineSystem:
         self.sim.run_until(time)
 
     def crash(self, site: str) -> None:
-        self.sites[site].crash()
+        """Fail-stop *site*: count the crash and close the site. The
+        closed object stays in :attr:`sites`, not alive, until
+        :meth:`recover` replaces it. Crashing a down site does
+        nothing."""
+        crashed = self.sites[site]
+        if crashed.alive:
+            crashed.crash_count += 1
+            crashed.close()
 
     def recover(self, site: str) -> dict[str, Any]:
-        return self.sites[site].recover()
+        """Build *site*'s next incarnation over its store and log, and
+        replay its log. Only a crashed site recovers: a live one raises
+        :class:`SiteUp` and nothing changes."""
+        crashed = self.sites[site]
+        if crashed.alive:
+            raise SiteUp(f"site {site!r} is up; only a crashed site "
+                         "recovers")
+        self.sites[site] = recovered = self.site_class(site, self, crashed)
+        self.network.replace_handler(site, recovered.deliver)
+        return recovered.recover()
 
     def close(self) -> None:
         """Whoever built the system is done with it: nothing runs
         afterwards, ``results``, logs and stores stay readable, and
         dropping the system frees it by reference counting alone
         (DESIGN.md §7). Closing twice is a no-op."""
-        self.timers.close()
         for site in self.sites.values():
             site.close()
         self.network.close()

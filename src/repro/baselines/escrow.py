@@ -33,6 +33,7 @@ from repro.baselines.common import (
     BaselineSystem,
     IdSource,
     PendingDone,
+    Timers,
     UnknownItem,
     make_result,
 )
@@ -126,8 +127,6 @@ class CentralCounterSystem(BaselineSystem):
     system's own :attr:`timers`.
     """
 
-    tag = "hot"
-
     def __init__(self, sites: list[str], central: str, mode: str = "escrow",
                  seed: int = 0, link: LinkConfig | None = None,
                  config: BaselineConfig | None = None) -> None:
@@ -143,6 +142,7 @@ class CentralCounterSystem(BaselineSystem):
         self._ids = IdSource("hot")
         self._clients: dict[str, _ClientTxn] = {}
         self._pending_requests: dict[str, AcquireReq] = {}
+        self.timers = Timers(self.sim, self.config, "hot")
         self._commit_retry = self.timers.loop("escrow-commit-retry",
                                               self._retry_commits)
         self.site_names = list(sites)
@@ -362,3 +362,7 @@ class CentralCounterSystem(BaselineSystem):
                              self.sim.now, deltas=deltas)
         if client.done.fire(result):
             self.record_result(result)
+
+    def close(self) -> None:
+        self.timers.close()
+        super().close()

@@ -168,8 +168,9 @@ class PaxosCommitSite(CommitSite):
                 Phase2a: "_on_phase2a",
                 Phase2b: "_on_phase2b"}
 
-    def __init__(self, name: str, system: "PaxosCommitSystem") -> None:
-        super().__init__(name, system)
+    def __init__(self, name: str, system: "PaxosCommitSystem",
+                 crashed: "PaxosCommitSite | None" = None) -> None:
+        super().__init__(name, system, crashed)
         self._acc: dict[tuple[str, str], _AcceptorSlot] = {}
 
     # -- origin -----------------------------------------------------------
@@ -345,11 +346,7 @@ class PaxosCommitSite(CommitSite):
             message.value, self.name, message.participants,
             message.reads))
 
-    # -- failure injection ------------------------------------------------
-
-    def crash(self) -> None:
-        super().crash()
-        self._acc = {}
+    # -- recovery ---------------------------------------------------------
 
     def recover(self) -> dict[str, Any]:
         """Rebuild acceptor state from the log, then the in-doubt

@@ -68,8 +68,9 @@ class PrimaryCopySite(BaselineSite):
                 ForwardReply: "_on_reply",
                 PropagateMsg: "_on_propagate"}
 
-    def __init__(self, name: str, system: "PrimaryCopySystem") -> None:
-        super().__init__(name, system)
+    def __init__(self, name: str, system: "PrimaryCopySystem",
+                 crashed: "PrimaryCopySite | None" = None) -> None:
+        super().__init__(name, system, crashed)
         #: txn -> (client callback, submitted at, label), awaiting the
         #: primary's reply. Volatile: a crash forgets them.
         self._pending: dict[str, tuple[PendingDone, float, str]] = {}
@@ -169,12 +170,6 @@ class PrimaryCopySite(BaselineSite):
         self._finish(txn_id, done, make_result(
             txn_id, label, outcome, reason, self.name, submitted_at,
             self.sim.now, deltas=deltas, read_values=reads))
-
-    # -- failure injection -------------------------------------------------
-
-    def crash(self) -> None:
-        super().crash()
-        self._pending = {}
 
 
 class PrimaryCopySystem(BaselineSystem):

@@ -93,8 +93,9 @@ class QuorumSite(BaselineSite):
                 WriteReq: "_on_write",
                 ReleaseReq: "_on_release"}
 
-    def __init__(self, name: str, system: "QuorumSystem") -> None:
-        super().__init__(name, system)
+    def __init__(self, name: str, system: "QuorumSystem",
+                 crashed: "QuorumSite | None" = None) -> None:
+        super().__init__(name, system, crashed)
         self._attempts: dict[str, _Attempt] = {}
 
     # -- client API --------------------------------------------------------
@@ -126,8 +127,9 @@ class QuorumSite(BaselineSite):
 
     def _on_lock_req(self, request: LockReq) -> None:
         item = self.store.get(request.item)
-        if item.locked_by is None or item.locked_by == request.txn_id:
-            item.locked_by = request.txn_id
+        # Granted when the replica is free (it locks) or already ours.
+        if self.locks.setdefault(request.item,
+                                 request.txn_id) == request.txn_id:
             reply = LockReply(request.txn_id, self.name, request.item,
                               True, item.version, item.value,
                               request.round)
@@ -143,13 +145,10 @@ class QuorumSite(BaselineSite):
             item.version = request.version
             self.log.append(("replica-write", request.txn_id, request.item,
                              request.value, request.version))
-        if item.locked_by == request.txn_id:
-            item.locked_by = None
+        self._unlock(request.item, request.txn_id)
 
     def _on_release(self, request: ReleaseReq) -> None:
-        item = self.store.get(request.item)
-        if item.locked_by == request.txn_id:
-            item.locked_by = None
+        self._unlock(request.item, request.txn_id)
 
     # -- coordinator side --------------------------------------------------------
 
@@ -196,6 +195,11 @@ class QuorumSite(BaselineSite):
                        label=f"quorum-retry:{attempt.txn_id}")
 
     def _retry_fire(self, txn_id: str, round_number: int) -> None:
+        if not self.alive:
+            # A backoff armed before a crash fires on the closed
+            # incarnation and does nothing. A crash leaves it armed:
+            # the quorum pins count its kernel event.
+            return
         attempt = self._attempts.get(txn_id)
         if attempt is None or attempt.finished or \
                 attempt.round != round_number:
@@ -250,18 +254,6 @@ class QuorumSite(BaselineSite):
     def _release(self, txn_id: str, item: str, replicas) -> None:
         for replica in replicas:
             self._route(replica, ReleaseReq(txn_id, item))
-
-    # -- failure injection ------------------------------------------------
-
-    def crash(self) -> None:
-        """Fail-stop: volatile coordination state is gone. Replica
-        locks are released (they lived in memory); versioned values
-        survive, so a coordinator's later write still version-checks.
-        Retry backoffs armed before the crash hit ``_retry_fire`` with
-        no matching attempt and fall through — nothing re-arms against
-        the pre-crash incarnation."""
-        super().crash()
-        self._attempts = {}
 
 
 class QuorumSystem(BaselineSystem):

@@ -154,15 +154,21 @@ class System(Protocol):
 
     def submit(self, site: str, spec: TransactionSpec,
                on_done: Callable[[TxnResult], None] | None = None
-               ) -> Any: ...
+               ) -> Any:
+        """Start a transaction at *site*; a down site raises
+        :class:`~repro.core.site.SiteDown`."""
 
     def run_for(self, duration: float) -> None: ...
 
     def run_until(self, time: float) -> None: ...
 
-    def crash(self, site: str) -> None: ...
+    def crash(self, site: str) -> None:
+        """Fail-stop *site*: close it (it stays in ``sites``, not
+        alive); crashing a down site does nothing."""
 
-    def recover(self, site: str) -> Any: ...
+    def recover(self, site: str) -> Any:
+        """Put a new incarnation of the crashed *site* in ``sites``; a
+        live one raises :class:`~repro.core.site.SiteUp`."""
 
     def total_value(self, items: list[str] | None = None) -> Any:
         """The summed logical value of *items* (default: all)."""

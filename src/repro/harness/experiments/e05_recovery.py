@@ -171,15 +171,11 @@ def _twopc(params: Params, coordinator_reachable: bool) -> dict:
     report = system.recover(participant)
     system.run_for(30.0)
     messages_needed = system.recovery_messages - messages_before
-    locked = sum(
-        1 for item in system.sites[participant].store.items().values()
-        if item.locked_by is not None)
+    locked = len(system.sites[participant].locks)
     if not coordinator_reachable:
         system.network.heal()
         system.run_for(30.0)
-    locked_after_heal = sum(
-        1 for item in system.sites[participant].store.items().values()
-        if item.locked_by is not None)
+    locked_after_heal = len(system.sites[participant].locks)
     return {
         "messages_before_resume": max(messages_needed,
                                       report["messages_needed"]),

@@ -185,8 +185,11 @@ class HybridSystem:
 
         All centralized items of one transaction must share a home (the
         manager enforces this at consolidation time by routing, not by
-        distributed locking).
+        distributed locking). A down site refuses, even where it
+        would forward: it sends nothing.
         """
+        if not self.system.sites[site].alive:
+            raise SiteDown(f"site {site} is down")
         homes = {self.homes[item] for item in spec.items()
                  if self.mode_of(item) is ItemMode.CENTRAL}
         if self.path_sensitive and homes - {site} and \

@@ -102,12 +102,10 @@ def _site_pins(system) -> dict:
         "log_records": sum(len(site.log)
                            for site in system.sites.values()),
         "stores": _digest((name, item, whole.value, whole.version,
-                           whole.locked_by)
+                           site.locks.get(item))
                           for name, site in system.sites.items()
                           for item, whole in site.store.items().items()),
-        "locked": sum(1 for site in system.sites.values()
-                      for whole in site.store.items().values()
-                      if whole.locked_by is not None),
+        "locked": sum(len(site.locks) for site in system.sites.values()),
     }
 
 

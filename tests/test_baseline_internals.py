@@ -89,7 +89,7 @@ class TestTwoPCDedup:
         log_length = len(site_b.log)
         site_b._on_prepare(message)  # duplicate delivery
         assert len(site_b.log) == log_length
-        assert site_b.store.get("acct_B").locked_by == "A#1"
+        assert site_b.locks.get("acct_B") == "A#1"
 
     def test_prepare_checks_feasibility_against_shadow(self):
         # Two decrements in one prepare whose SUM overdraws must be
@@ -99,7 +99,7 @@ class TestTwoPCDedup:
         message = PrepareMsg("A#1", "A", (SimpleOp("dec", "acct_B", 60),
                                           SimpleOp("dec", "acct_B", 60)))
         site_b._on_prepare(message)
-        assert site_b.store.get("acct_B").locked_by is None  # voted no
+        assert "acct_B" not in site_b.locks  # voted no
 
     def test_decision_for_unknown_txn_is_acked_not_crashed(self):
         from repro.baselines.twopc import DecisionMsg

@@ -60,8 +60,8 @@ class TestCommitPaths:
         assert not result.committed
         assert result.reason == "vote-no"
         assert system.total_value() == 500
-        assert system.sites["A"].store.get("acct_A").locked_by is None
-        assert system.sites["B"].store.get("acct_B").locked_by is None
+        assert "acct_A" not in system.sites["A"].locks
+        assert "acct_B" not in system.sites["B"].locks
 
     def test_read_op(self):
         system = build()
@@ -108,7 +108,7 @@ class TestCoordinatorFailure:
         system.run_for(60.0)
         assert not system.sites["A"].alive
         assert system.blocked() == []
-        assert system.sites["B"].store.get("acct_B").locked_by is None
+        assert "acct_B" not in system.sites["B"].locks
         outcomes = [record.record for record in
                     system.sites["B"].log.scan()
                     if record.record[0].startswith("participant-")]
@@ -139,7 +139,7 @@ class TestCoordinatorFailure:
         self._prepare_then_crash(system)
         system.run_for(60.0)
         assert system.blocked() == []
-        assert system.sites["B"].store.get("acct_B").locked_by is None
+        assert "acct_B" not in system.sites["B"].locks
 
     def test_agreement_across_all_logs(self):
         system = build()

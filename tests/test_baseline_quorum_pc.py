@@ -96,7 +96,7 @@ class TestQuorum:
                 ops=(DecrementOp("x", 1),)))
         system.run_for(120.0)
         for site in system.sites.values():
-            assert site.store.get("x").locked_by is None
+            assert "x" not in site.locks
 
     def test_multi_item_spec_rejected(self):
         system = build_quorum()

@@ -63,11 +63,11 @@ class TestCommitPaths:
         assert result.reason == "vote-no"
         # Nothing moved, no locks leaked.
         assert system.total_value() == 300
-        assert system.sites["A"].store.get("acct_A").locked_by is None
+        assert "acct_A" not in system.sites["A"].locks
 
     def test_busy_participant_votes_no(self):
         system = build()
-        system.sites["B"].store.get("acct_B").locked_by = "ghost"
+        system.sites["B"].locks["acct_B"] = "ghost"
         result = run_one(system, "A", TransactionSpec(
             ops=(TransferOp("acct_A", "acct_B", 5),)))
         assert not result.committed
@@ -107,7 +107,7 @@ class TestBlocking:
         assert site == "B"
         assert age > 90.0
         # The in-doubt item is untouchable.
-        assert system.sites["B"].store.get("acct_B").locked_by == txn_id
+        assert system.sites["B"].locks.get("acct_B") == txn_id
 
     def test_coordinator_client_still_decides(self):
         system, results = self.prepare_and_cut()
@@ -137,7 +137,7 @@ class TestRecovery:
         report = system.recover("B")
         assert report["in_doubt"] == 1
         assert report["messages_needed"] >= 1
-        assert system.sites["B"].store.get("acct_B").locked_by is not None
+        assert "acct_B" in system.sites["B"].locks
 
     def test_recovery_resolves_via_coordinator(self):
         system = build()
@@ -190,7 +190,7 @@ class TestParticipantRegressions:
             ops=(TransferOp("a", "b", 5),)))
         assert not result.committed
         assert system.blocked() == []
-        assert system.sites["B"].store.get("b").locked_by is None
+        assert "b" not in system.sites["B"].locks
         follow_up = run_one(system, "B", TransactionSpec(
             ops=(TransferOp("b", "c", 5),)))
         assert follow_up.committed
@@ -206,7 +206,7 @@ class TestParticipantRegressions:
         site_c._on_prepare(PrepareMsg(
             "B#1", "B", (SimpleOp("inc", "c", 5),)))
         assert len(site_c.log) == log_length
-        assert site_c.store.get("c").locked_by is None
+        assert "c" not in site_c.locks
 
     def test_live_participant_asks_a_repaired_coordinator(self):
         """The coordinator crashes after logging its decision and

@@ -84,7 +84,7 @@ class TestCrashBetweenPrepareAndDecide:
         plan.compile(system)
         system.run_for(150.0)
         assert system.blocked() == []
-        assert system.sites["S1"].store.get("acct_1").locked_by is None
+        assert "acct_1" not in system.sites["S1"].locks
         assert system.total_value() == 300
 
     def test_paxos_decides_inside_the_same_window(self):
@@ -124,11 +124,11 @@ class TestQuorumStaleGrant:
     def test_stale_grant_from_abandoned_round_is_released(self):
         system = self._build()
         coordinator, _attempt_state = self._attempt(system, 1)
-        system.sites["C"].store.get("x").locked_by = "A#1"
+        system.sites["C"].locks["x"] = "A#1"
         coordinator._on_lock_reply(LockReply("A#1", "C", "x", True,
                                              0, 10, round=0))
         system.run_for(5.0)
-        assert system.sites["C"].store.get("x").locked_by is None
+        assert "x" not in system.sites["C"].locks
 
     def test_regranted_replica_keeps_its_current_lock(self):
         system = self._build()
@@ -136,20 +136,20 @@ class TestQuorumStaleGrant:
         # The *current* round already re-granted at C — the late
         # round-0 echo must not release a lock we still hold.
         attempt.grants["C"] = (0, 10)
-        system.sites["C"].store.get("x").locked_by = "A#1"
+        system.sites["C"].locks["x"] = "A#1"
         coordinator._on_lock_reply(LockReply("A#1", "C", "x", True,
                                              0, 10, round=0))
         system.run_for(5.0)
-        assert system.sites["C"].store.get("x").locked_by == "A#1"
+        assert system.sites["C"].locks.get("x") == "A#1"
 
     def test_straggler_grant_after_finish_is_released(self):
         system = self._build()
         coordinator = system.sites["A"]
-        system.sites["C"].store.get("x").locked_by = "A#9"
+        system.sites["C"].locks["x"] = "A#9"
         coordinator._on_lock_reply(LockReply("A#9", "C", "x", True,
                                              0, 10, round=0))
         system.run_for(5.0)
-        assert system.sites["C"].store.get("x").locked_by is None
+        assert "x" not in system.sites["C"].locks
 
     def test_contention_leaves_no_replica_locked(self):
         system = self._build()
@@ -158,7 +158,7 @@ class TestQuorumStaleGrant:
                 o, TransactionSpec(ops=(IncrementOp("x", 1),))))
         system.run_for(60.0)
         for site in system.sites.values():
-            assert site.store.get("x").locked_by is None
+            assert "x" not in site.locks
 
 
 class TestBaselineExplorer:

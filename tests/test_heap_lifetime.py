@@ -939,10 +939,14 @@ class TestEverySystemUnderTheContract:
         sim = system.sim
         for index in range(30):
             site = SITES[index % 4]
-            sim.at(0.5 + index, lambda site=site, index=index:
-                   system.submit(site, TransactionSpec(
-                       ops=_baseline_ops(index, multi_item), work=0.2)),
-                   label="arrival")
+
+            def arrive(site=site, index=index) -> None:
+                if site in system.sites and not system.sites[site].alive:
+                    return  # a down site takes no work
+                system.submit(site, TransactionSpec(
+                    ops=_baseline_ops(index, multi_item), work=0.2))
+
+            sim.at(0.5 + index, arrive, label="arrival")
         if system.sites:  # the central counter has no crash model
             sim.at(8.0, lambda: system.crash("B"), label="crash")
             sim.at(16.0, lambda: system.recover("B"), label="recover")

@@ -41,9 +41,9 @@ def drive(system, rate=0.1, duration=150.0, mix=None, settle=300.0):
                    config, collector).install()
     system.run_until(duration)
     system.network.heal()
-    for site in system.sites.values():
+    for name, site in system.sites.items():
         if not site.alive:
-            site.recover()
+            system.recover(name)
     system.run_for(settle)
     return collector
 

@@ -68,9 +68,9 @@ def run_script(seed, script, failures, loss):
                       lambda v=victim: (system.sites[v].alive
                                         or system.recover(v)))
     system.run_until(100.0)
-    for site in system.sites.values():
+    for name, site in system.sites.items():
         if not site.alive:
-            site.recover()
+            system.recover(name)
     system.run_for(400.0)
     return system, results
 

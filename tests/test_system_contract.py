@@ -7,6 +7,12 @@ registers its items (that really differs), and after that nothing
 here knows which protocol it is driving. At quiescence nobody is
 blocked and value is conserved; after ``close()`` (twice) the results
 and the logs are still readable.
+
+A crash is the same fail-stop rule for all six (DESIGN.md §7, "A crash
+drops the site"): a down site refuses work and waits for nothing,
+crashing it again does nothing, recovering a live one is refused, and
+recovery puts a new site in ``sites`` that carries only the crash count
+and the id counter.
 """
 
 import pytest
@@ -26,6 +32,7 @@ from repro.chaos.plan import (
     RecoverSite,
 )
 from repro.core.domain import CounterDomain
+from repro.core.site import SiteDown, SiteUp
 from repro.core.system import DvPSystem, System, SystemConfig
 from repro.core.transactions import (
     DecrementOp,
@@ -160,3 +167,104 @@ def test_blocked_names_who_waits_and_for_how_long():
     assert dvp.blocked() == []
     for system in (twopc, dvp):
         system.close()
+
+
+# -- the crash contract: one fail-stop rule for every system ---------------
+
+
+def _decrement(amount: int = 1) -> TransactionSpec:
+    return TransactionSpec(ops=(DecrementOp("x", amount),))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_a_down_site_refuses_work_and_sends_nothing(name):
+    system = BUILDERS[name]()
+    system.run_for(20.0)
+    system.crash("B")
+    sent, decided = system.network.total_sent, len(system.results)
+    with pytest.raises(SiteDown):
+        system.submit("B", _decrement())
+    system.run_for(100.0)
+    assert system.network.total_sent == sent
+    assert len(system.results) == decided
+    system.close()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_recovering_a_live_site_is_refused_and_changes_nothing(name):
+    """Against a twin that never asked: the refused recovery moves no
+    answer, no message and no wait (a 2PC participant prepared at A)."""
+    runs = []
+    for ask in (False, True):
+        system = BUILDERS[name]()
+        system.run_for(1.0)
+        system.submit("B", _decrement())
+        system.run_for(1.7)
+        live, waiting = system.sites["A"], system.blocked()
+        if ask:
+            with pytest.raises(SiteUp):
+                system.recover("A")
+            assert system.sites["A"] is live and live.alive
+            assert system.blocked() == waiting
+        system.run_for(100.0)
+        runs.append((list(map(repr, system.results)),
+                     dict(system.network.sent_counts)))
+        system.close()
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_crashing_a_down_site_counts_one_outage(name):
+    system = BUILDERS[name]()
+    system.run_for(1.0)
+    system.crash("B")
+    closed = system.sites["B"]
+    system.crash("B")
+    assert system.sites["B"] is closed and closed.crash_count == 1
+    system.recover("B")
+    assert system.sites["B"].crash_count == 1
+    system.close()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_a_crash_drops_the_site(name):
+    """The closed object stays in ``sites`` while the site is down; the
+    recovered one is new: what was set on the live object is gone, the
+    crash count and the transaction ids carry on."""
+    system = BUILDERS[name]()
+    heard = []
+    system.submit("B", _decrement(), heard.append)
+    system.run_for(20.0)
+    live = system.sites["B"]
+    live.scribble = "volatile"
+    system.crash("B")
+    assert system.sites["B"] is live and not live.alive
+    system.run_for(5.0)
+    assert system.sites["B"] is live
+    system.recover("B")
+    recovered = system.sites["B"]
+    assert recovered is not live and recovered.alive
+    assert not hasattr(recovered, "scribble")
+    assert recovered.crash_count == 1
+    system.submit("B", _decrement(), heard.append)
+    system.run_for(20.0)
+    ids = [result.txn_id for result in heard]
+    assert len(ids) == 2 and len(set(ids)) == 2
+    system.close()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_blocked_names_no_down_site(name):
+    system = BUILDERS[name]()
+    system.run_for(1.0)
+    system.submit("B", _decrement())
+    system.run_for(1.7)
+    if name in ("2pc", "paxos"):
+        # Prepared at A, the vote in flight: the closed object keeps
+        # that state, and a down site waits for nothing.
+        assert "A" in {site for site, _txn, _age in system.blocked()}
+    system.crash("A")
+    assert "A" not in {site for site, _txn, _age in system.blocked()}
+    system.run_for(50.0)
+    assert "A" not in {site for site, _txn, _age in system.blocked()}
+    system.close()
