@@ -28,6 +28,7 @@ from repro.core.policies import RedistributionPolicy
 from repro.core.redistribution import DemandTracker
 from repro.core.timestamps import LamportClock
 from repro.core.transactions import (
+    EMPTY,
     Outcome,
     Transaction,
     TransactionSpec,
@@ -193,20 +194,94 @@ class DvPSite:
 
     def submit(self, spec: TransactionSpec,
                on_done: Callable[[TxnResult], None] | None = None
-               ) -> Transaction:
-        """Initiate a transaction at this site (Section 5's sequence)."""
+               ) -> Transaction | None:
+        """Initiate a transaction at this site (Section 5's sequence).
+
+        A pure view read without work whose every item certifies from
+        the view cache is decided here, before this returns, and builds
+        no Transaction: it returns None (docs/READS.md, the
+        certificate-first path). Anything else — such a read too, from
+        its first miss on — runs as the returned Transaction."""
         if not self.alive:
             raise SiteDown(f"site {self.name} is down")
-        txn = Transaction(self, spec, on_done)
-        self.active[txn.id] = txn
-        txn.start()
+        txn_id = self.next_txn_id()
+        ts = self.clock.next()
+        if self._obs.enabled:
+            self._obs.emit("txn.submit", self.sim.now, site=self.name,
+                           txn=txn_id, label=spec.label)
+        certs = EMPTY
+        # Work holds the locks by definition (step 4): only a read
+        # without it may skip acquisition.
+        if self.views is not None and not spec.work and spec.pure_view:
+            certs = self._certify(spec, txn_id)
+            if len(certs) == len(spec._view_bounds):
+                self._commit_certified(spec, on_done, txn_id, certs)
+                return None
+        txn = Transaction(self, spec, on_done, txn_id, ts)
+        self.active[txn_id] = txn
+        txn.start(certs)
         return txn
 
-    def transaction_finished(self, txn: Transaction) -> None:
-        """Step 7 aftermath: drop it from the active set, poke waiters."""
-        self.active.pop(txn.id, None)
-        self.wakeable.discard(txn.id)
+    def _certify(self, spec: TransactionSpec,
+                 txn_id: str) -> dict[str, Any]:
+        """Certificates for a pure view read's items from the view
+        cache, in sorted order, up to its first miss."""
+        views, bounds = self.views, spec._view_bounds
+        certs = {}
+        for item in sorted(bounds):
+            cert = views.serve(item, bounds[item], txn_id)
+            if cert is None:
+                break
+            certs[item] = cert
+        return certs
+
+    def _commit_certified(self, spec: TransactionSpec,
+                          on_done: Callable[[TxnResult], None] | None,
+                          txn_id: str, certs: dict[str, Any]) -> None:
+        """Commit a read whose every item certified: no locks, no
+        timer, no messages, nothing to apply or log. The read values
+        are the certificates' — for one item, the mapping minted with
+        the entry that just certified it, shared by every read that
+        entry serves (DESIGN.md §7)."""
+        now = self.sim.now
+        if len(certs) == 1:
+            (item,) = certs
+            read_values = self.views.entries[item].reads
+        else:
+            read_values = {item: certs[item].value
+                           for item in spec._view_bounds}
+        self.decided(TxnResult(
+            txn_id, spec.label, Outcome.COMMITTED, "ok", self.name, now,
+            now, read_values, (), 0, EMPTY,
+            tuple([tuple(cert) for cert in certs.values()]), ()), on_done)
+
+    def decided(self, result: TxnResult,
+                on_done: Callable[[TxnResult], None] | None) -> None:
+        """Step 7 aftermath of every decision made here, with or without
+        a Transaction: observe and report it, release its locks, drop
+        it from the active set, poke the pending Vm, then tell the
+        submitter."""
+        txn_id, outcome, now = (result.txn_id, result.outcome,
+                                result.finished_at)
+        self.h_decision[outcome].observe(now - result.submitted_at)
+        if self._obs.enabled:
+            if outcome is Outcome.COMMITTED:
+                self._obs.emit("txn.commit", now, site=self.name,
+                               txn=txn_id)
+            else:
+                self._obs.emit("txn.abort", now, site=self.name,
+                               txn=txn_id, reason=result.reason)
+        if self.on_result is not None:
+            self.on_result(result)
+        # Only now let the locks go: a release can grant a Conc2 waiter
+        # that commits inside it, and its result must not reach the
+        # books ahead of this one (DESIGN.md §6, finding 9).
+        self.locks.release_all(txn_id)
+        self.active.pop(txn_id, None)
+        self.wakeable.discard(txn_id)
         self.after_lock_release()
+        if on_done is not None:
+            on_done(result)
 
     def after_lock_release(self) -> None:
         """Locks freed: pending Vm may now be acceptable."""

@@ -436,7 +436,7 @@ class DvPSystem:
 
     def submit(self, site: str, spec: TransactionSpec,
                on_done: Callable[[TxnResult], None] | None = None
-               ) -> Transaction:
+               ) -> Transaction | None:
         return self.sites[site].submit(spec, on_done)
 
     def _record_result(self, result: TxnResult) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import inf
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
@@ -146,7 +147,8 @@ class TransactionSpec:
     ``work`` models the local computation of Section 5 step 4 ("the
     requisite computation is done"): virtual time spent holding the
     locks between sufficiency and the commit record. It is what makes
-    lock contention measurable in the hot-spot experiments.
+    lock contention measurable in the hot-spot experiments; it is
+    finite and not negative.
     """
 
     ops: tuple[Op, ...]
@@ -163,6 +165,11 @@ class TransactionSpec:
     _items: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not 0 <= self.work < inf:
+            # NaN too: it fails both compares. An infinite computation
+            # would hold its locks for good.
+            raise ValueError(
+                f"work {self.work!r} must be finite and >= 0")
         # A spec is frozen, so its item sets are derived here, once,
         # and every later use — by this spec's methods and by each
         # Transaction running it — reads them back. They are tuples of
@@ -210,6 +217,13 @@ class TransactionSpec:
         derive(self, "_updates", tuple(updates))
         derive(self, "_items", (*full, *bounds, *updates)
                if full or bounds else self._updates)
+
+    @property
+    def pure_view(self) -> bool:
+        """Is every op a view read (and there is at least one)? Such a
+        spec may be certified from a view cache alone (docs/READS.md)."""
+        return bool(self._view_bounds) and not self._updates \
+            and not self._full_reads
 
     def items(self) -> set[str]:
         """A(t): every item the transaction accesses."""
@@ -364,12 +378,14 @@ class Transaction:
                  "_view_certs", "_view_fallbacks", "_needs")
 
     def __init__(self, site: "DvPSite", spec: TransactionSpec,
-                 on_done: Callable[[TxnResult], None] | None) -> None:
+                 on_done: Callable[[TxnResult], None] | None,
+                 txn_id: str, ts: Any) -> None:
         self.site = site
         self.spec = spec
         self.on_done = on_done
-        self.id = site.next_txn_id()
-        self.ts = site.clock.next()
+        #: Drawn by the site, which announced the transaction under it.
+        self.id = txn_id
+        self.ts = ts
         #: Directory epoch this transaction resolved placement against.
         #: The migration controller's fence waits for transactions with
         #: older epochs to drain before moving fragments.
@@ -397,17 +413,22 @@ class Transaction:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def start(self) -> None:
-        """Step 1: obtain local locks atomically (per the CC scheme)."""
+    def start(self, certs: Mapping[str, ViewCertificate] = EMPTY) -> None:
+        """Step 1: obtain local locks atomically (per the CC scheme).
+
+        *certs* are the certificates ``DvPSite.submit`` took for a pure
+        view read before its first miss: they are kept (the commit
+        revalidates them), and the items still pending go the classic
+        way, lock first (docs/READS.md)."""
         site = self.site
         obs = site._obs
-        if obs.enabled:
-            obs.emit("txn.submit", site.sim.now, site=site.name,
-                     txn=self.id, label=self.spec.label)
         if self._read_responders:
             site.wakeable.add(self.id)
-        if self._view_pending and self._try_view_fast_path():
-            return
+        if certs:
+            self._view_certs.update(certs)
+            for item in certs:
+                del self._view_pending[item]
+            site.wakeable.add(self.id)  # certificates age
         cc = site.cc
         if cc.broadcast_at_init:
             # Conc2: all requests broadcast together at initiation.
@@ -458,47 +479,6 @@ class Transaction:
         system closing): Transaction <-> Timer must not outlive it."""
         if self._timer is not None:
             self._timer.close()
-
-    def _try_view_fast_path(self) -> bool:
-        """Certificate-first admission for pure-view transactions.
-
-        A spec that only view-reads, whose every item certifies from
-        the cache *right now*, commits immediately: no locks, no timer,
-        no messages. The certificate IS the read — the local fragment
-        contributes nothing to a view-served value, so taking its lock
-        would only couple the O(1) path to unrelated contention (a
-        concurrent fallback's read-freeze on a hot item would poison
-        every cached read of it for the whole freeze window).
-
-        Partial certification keeps the certificates it minted (the
-        classic path revalidates them at commit) and falls through to
-        the ordinary lock-first protocol for the missed items.
-        """
-        if self.spec.work > 0:
-            # Computation holds the locks by definition (step 4);
-            # that path cannot skip acquisition.
-            return False
-        if self._needs or self._read_responders or self.spec._updates:
-            return False
-        for item in sorted(self._view_pending):
-            if not self._certify(item):
-                # Keep what certified: _resolve_views only retries the
-                # still-pending items, so no hit is counted twice.
-                return False
-            del self._view_pending[item]
-        # Every op is a certified view read: nothing to apply, nothing
-        # to log. The read values are the certificates' — for one
-        # item, the mapping minted with the entry that just certified
-        # it, shared by every read that entry serves (DESIGN.md §7).
-        certs = self._view_certs
-        if len(certs) == 1:
-            (item,) = certs
-            read_values = self.site.views.entries[item].reads
-        else:
-            read_values = {item: certs[item].value
-                           for item in self.spec._view_bounds}
-        self._finish(Outcome.COMMITTED, "ok", read_values, ())
-        return True
 
     def _locks_granted(self) -> None:
         site = self.site
@@ -854,20 +834,4 @@ class Transaction:
             self.submitted_at, now, read_values, delta_row,
             self.requests_sent, EMPTY, view_rows,
             tuple(self._view_fallbacks))
-        site.h_decision[outcome].observe(now - self.submitted_at)
-        if site._obs.enabled:
-            if outcome is Outcome.COMMITTED:
-                site._obs.emit("txn.commit", now, site=site.name,
-                               txn=self.id)
-            else:
-                site._obs.emit("txn.abort", now, site=site.name,
-                               txn=self.id, reason=reason)
-        if site.on_result is not None:
-            site.on_result(result)
-        # Only now let the locks go: a release can grant a Conc2 waiter
-        # that commits inside it, and its result must not reach the
-        # books ahead of this one (DESIGN.md §6, finding 9).
-        site.locks.release_all(self.id)
-        site.transaction_finished(self)
-        if on_done is not None:
-            on_done(result)
+        site.decided(result, on_done)

@@ -17,15 +17,47 @@ refreshes only at global barriers — see docs/SERVING.md.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import inf
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.core.system import DvPSystem
 from repro.core.transactions import TransactionSpec, TxnResult
 from repro.metrics.collector import Collector
 from repro.serving.queue import Overload, ServeSample, SiteQueue
 from repro.serving.router import ROUTERS, DepthBoard, make_router
+
+
+class ServeSamples(Sequence):
+    """A read-only view over a front-end's sample columns: its length,
+    indexing (negative too) and iteration build each
+    :class:`~repro.serving.queue.ServeSample` on access, and it holds
+    the columns alone, never the front-end. Live: a request decided
+    later shows up in it."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple) -> None:
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        site, arrived_at, dispatched_at, finished_at, committed = \
+            self._columns
+        return ServeSample(site[index], arrived_at[index],
+                           dispatched_at[index], finished_at[index],
+                           bool(committed[index]))
+
+    def __iter__(self) -> Iterator[ServeSample]:
+        for site, arrived_at, dispatched_at, finished_at, committed \
+                in zip(*self._columns):
+            yield ServeSample(site, arrived_at, dispatched_at, finished_at,
+                              bool(committed))
 
 
 @dataclass
@@ -83,13 +115,17 @@ class ServingFrontend:
         #: Every shed, in decision order (typed Overload results).
         self.overloads: list[Overload] = []
         #: Enqueue->decision life of every decided request, one column
-        #: per ServeSample field (``samples`` builds the rows): a list
-        #: of site names and arrays, which the collector never walks.
+        #: per ServeSample field: a list of site names and arrays,
+        #: which the collector never walks.
         self._site: list[str] = []
         self._arrived_at = array("d")
         self._dispatched_at = array("d")
         self._finished_at = array("d")
         self._committed = array("b")
+        #: Every decided request's ServeSample, in decision order.
+        self.samples = ServeSamples((
+            self._site, self._arrived_at, self._dispatched_at,
+            self._finished_at, self._committed))
         self.dispatched = 0
         self._running = False
         system.attach(self)
@@ -129,15 +165,6 @@ class ServingFrontend:
         for queue in self.queues.values():
             queue.close()
         self.system = None
-
-    @property
-    def samples(self) -> list[ServeSample]:
-        """Every decided request's ServeSample, in decision order."""
-        return [ServeSample(site, arrived_at, dispatched_at, finished_at,
-                            bool(committed))
-                for site, arrived_at, dispatched_at, finished_at, committed
-                in zip(self._site, self._arrived_at, self._dispatched_at,
-                       self._finished_at, self._committed)]
 
     def _refresh_board(self) -> None:
         if not self._running:

@@ -55,8 +55,8 @@ class ServeSample:
     perceived latency (enqueue to decision) is strictly longer than
     ``TxnResult.latency`` (dispatch to decision) whenever it queued.
 
-    A front-end keeps these as columns, one row per decided request,
-    and builds the samples when ``ServingFrontend.samples`` is read."""
+    A front-end keeps these as columns, one row per decided request;
+    ``ServingFrontend.samples`` builds each one as it is read."""
 
     site: str                    # site the request was queued at
     arrived_at: float            # enqueue time (admission passed)

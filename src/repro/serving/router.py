@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Protocol
 
-from repro.core.transactions import ReadViewOp, TransactionSpec
+from repro.core.transactions import TransactionSpec
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -153,9 +153,7 @@ class ViewAwareRouter:
         self.kept_local = 0
 
     def route(self, origin: str, spec: TransactionSpec) -> str:
-        pure_view = spec.ops and all(isinstance(op, ReadViewOp)
-                                     for op in spec.ops)
-        if pure_view and self.view_capable(origin):
+        if spec.pure_view and self.view_capable(origin):
             self.kept_local += 1
             return origin
         return self._fallback.route(origin, spec)

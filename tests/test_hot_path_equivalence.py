@@ -1,13 +1,17 @@
 """Golden pins for the DvP hot path (ISSUES 13 and 17).
 
-Seven small fixed-seed scenarios, each recorded on the commit *before*
-the hot-path subtraction it guards (five before ISSUE 13's, the Conc2
-retry ties and the serving slots before ISSUE 17's): a change that
-only skips work must leave every kernel event (``trace_fingerprint``),
-every decision (digest of the committed ids, in decision order) and
-the exact counters ``net.sent`` / ``vm.created`` / ``log.forces``
-byte-identical. A diff here means the optimisation reordered or
-dropped protocol work, not just host time.
+Eight small fixed-seed scenarios, each recorded on the commit *before*
+the hot-path subtraction it guards (five before the first subtraction,
+the Conc2 retry ties and the serving slots before machinery was built
+on demand, the certified view reads before the site decided them
+without a ``Transaction``): a change that only skips work must leave
+every kernel event (``trace_fingerprint``), every decision (digest of
+the committed ids, in decision order) and the exact counters
+``net.sent`` / ``vm.created`` / ``log.forces`` byte-identical. The
+view-read scenario also pins the trace bus's timeline text,
+``view.hits`` / ``view.misses`` and the results' reprs. A diff here
+means the optimisation reordered or dropped protocol work, not just
+host time.
 
 To re-record after a deliberate protocol change:
 ``PYTHONPATH=src python tests/test_hot_path_equivalence.py``.
@@ -37,6 +41,7 @@ from repro.core.transactions import (
 )
 from repro.net.link import LinkConfig
 from repro.net.outbox import BundlingConfig
+from repro.obs.timeline import render_timeline
 from repro.reads import ViewConfig
 from repro.serving import ServingConfig, ServingFrontend
 
@@ -158,6 +163,67 @@ def views_beside_writes() -> dict:
     assert mixed.committed and mixed.view_fallbacks == ("x",), mixed
     assert not mixed.view_reads
     return pins(system)
+
+
+def _view_reads_run(**config) -> dict:
+    """Pure view reads, single- and multi-item, beside the writes that
+    feed them: cold reads before the first refresh, certified reads,
+    bound misses, a view read with work, and a two-item read whose
+    second item (in sorted order) is cold because it was registered
+    after the last refresh — its first item's certificate is minted
+    before the miss and carried to the classic path."""
+    system = DvPSystem(SystemConfig(
+        sites=["A", "B", "C"], seed=13, txn_timeout=20.0, read_freeze=1.0,
+        views=ViewConfig(refresh_period=5.0), **config))
+    system.sim.enable_trace(limit=0)
+    system.sim.obs.enable(ring_limit=None)
+    for item in ("v", "w"):
+        system.add_item(item, CounterDomain(),
+                        split={"A": 10, "B": 10, "C": 10})
+    system.sim.at(11.0, lambda: system.add_item(
+        "z", CounterDomain(), split={"A": 4, "B": 4, "C": 4}),
+        label="add:z")
+    decided = []
+
+    def submit(at, site, label, *ops, work=0.0):
+        spec = TransactionSpec(ops=tuple(ops), label=label, work=work)
+        system.sim.at_site(site, at, lambda: system.submit(
+            site, spec, decided.append), label=f"arrival:{site}")
+
+    rng = random.Random(29)
+    for index in range(16):
+        at = rng.uniform(5.5, 40.0)
+        item = rng.choice("vw")
+        submit(at, rng.choice("BC"), f"w{index}",
+               rng.choice((IncrementOp, DecrementOp))(item,
+                                                      rng.randint(1, 3)))
+        submit(at + 0.25, rng.choice("ABC"), f"r{index}",
+               ReadViewOp(item, bound=rng.choice((0.5, 3.0, 6.0, None))))
+        submit(at + 0.5, rng.choice("ABC"), f"rr{index}",
+               ReadViewOp("w"), ReadViewOp("v", bound=6.0))
+    submit(1.0, "A", "cold", ReadViewOp("v"))
+    submit(11.5, "A", "one-cold", ReadViewOp("z"), ReadViewOp("v"))
+    submit(12.5, "B", "worked", ReadViewOp("v"), work=0.5)
+    submit(21.0, "C", "warm-z", ReadViewOp("z", bound=2.0),
+           ReadViewOp("w"))
+    system.run_until(60.0)
+    one_cold = next(r for r in decided if r.label == "one-cold")
+    assert one_cold.committed and one_cold.view_fallbacks == ("z",)
+    assert set(one_cold.view_reads) == {"v"}
+    metrics = system.sim.metrics
+    return {**pins(system),
+            "timeline": hashlib.sha256(render_timeline(
+                system.sim.obs.events()).encode()).hexdigest(),
+            "view.hits": metrics.total("view.hits"),
+            "view.misses": metrics.total("view.misses"),
+            "results": _digest(map(repr, system.results)),
+            "decided_in_order": _digest(r.txn_id for r in decided)}
+
+
+def view_reads_certified() -> dict:
+    return {"conc1": _view_reads_run(link=LinkConfig(base_delay=1.0,
+                                                     jitter=0.5)),
+            "conc2": _view_reads_run(cc="conc2", sync_delay=1.0)}
 
 
 def chaos_crash_partition() -> dict:
@@ -303,6 +369,7 @@ SCENARIOS = {
     "transfers_bundled": transfers_bundled,
     "conc2_sharded": conc2_sharded,
     "views_beside_writes": views_beside_writes,
+    "view_reads_certified": view_reads_certified,
     "chaos_crash_partition": chaos_crash_partition,
     "conc2_retry_ties": conc2_retry_ties,
     "serving_slots": serving_slots,
@@ -361,6 +428,28 @@ GOLDEN: dict[str, dict] = {'chaos_crash_partition': {'committed': '25b580be8c897
                          'log.forces': 216,
                          'net.sent': 280,
                          'vm.created': 84},
+ 'view_reads_certified': {'conc1': {'committed': '9ab321305a61282f',
+                                    'decided': 52,
+                                    'decided_in_order': '19db54a29e0d2c14',
+                                    'fingerprint': '3eec7fde8d5c7400f4373aa5a8c7122bd5da31326561dcab69f7b2ce9b1d4625',
+                                    'log.forces': 33,
+                                    'net.sent': 68,
+                                    'results': '4d8a4e1668f236bb',
+                                    'timeline': '351ce24d3c5a36395910414af8c8f7c9ac48cae0506c85a6d4cf7aee526a117d',
+                                    'view.hits': 45,
+                                    'view.misses': 16,
+                                    'vm.created': 11},
+                          'conc2': {'committed': '92a354292e3adb0b',
+                                    'decided': 52,
+                                    'decided_in_order': '28f36b633942bb92',
+                                    'fingerprint': '7bc8195b2b004f19328362fed615684abd52039dd1038b1fa188521479639cb8',
+                                    'log.forces': 56,
+                                    'net.sent': 88,
+                                    'results': 'ebc058caecdbef4f',
+                                    'timeline': 'f79c46b17148f2c77a6c649e49808a892240d2f655fe77e2cea713ecc4440a15',
+                                    'view.hits': 46,
+                                    'view.misses': 16,
+                                    'vm.created': 20}},
  'views_beside_writes': {'committed': 'bdf5cf69e09751fb',
                          'decided': 26,
                          'fingerprint': 'e1ff72b0ee15dea129cfd18253ef9f4b02ecccd145c3de9e84670cf82e754b7c',

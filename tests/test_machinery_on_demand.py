@@ -1,7 +1,8 @@
 """Machinery is built when it is first needed (ISSUE 17; DESIGN.md §7).
 
 A request that decides inside its ``submit`` call needs no timeout, no
-read containers and no lease, so it builds none; one that has to wait
+read containers and no lease, so it builds none — a certified view
+read not even a ``Transaction``; one that has to wait
 gets exactly the timer it always had — same kernel event, same fire
 time, and ahead of every event its own call pushed, so ties at the
 fire instant break as they always did (the golden fingerprints in
@@ -19,10 +20,12 @@ from repro.core.transactions import (
     IncrementOp,
     ReadFullOp,
     ReadViewOp,
+    Transaction,
     TransactionSpec,
     _State,
 )
 from repro.net.link import LinkConfig
+from repro.reads import ViewConfig
 from repro.serving import ServingConfig, ServingFrontend
 from repro.sim.timers import Timer
 
@@ -247,3 +250,95 @@ class TestALeaseOnlyForARequestThatOutlivesItsDispatch:
         assert timers_built.count("serve:lease:A") == 1
         system.run_until(60.0)
         assert expired.value == 1 and len(done) == 1
+
+
+@pytest.fixture
+def transactions_built(monkeypatch):
+    """Labels of every ``Transaction`` a site constructs."""
+    built: list[str] = []
+
+    class Counted(Transaction):
+        __slots__ = ()
+
+        def __init__(self, site, spec, *args):
+            built.append(spec.label)
+            super().__init__(site, spec, *args)
+
+    monkeypatch.setattr("repro.core.site.Transaction", Counted)
+    return built
+
+
+class TestACertifiedReadBuildsNoTransaction:
+    """A pure view read whose every item certifies is decided by its
+    site inside ``submit``: no Transaction, no lock, no timer, no
+    event. At its first miss the certificates already taken go to a
+    Transaction, which serves only the items still pending."""
+
+    @staticmethod
+    def _viewed(**config) -> DvPSystem:
+        system = _system(views=ViewConfig(refresh_period=5.0), **config)
+        system.add_item("y", CounterDomain(), total=30)
+        system.run_until(7.0)  # the t=5 refresh has reached every site
+        return system
+
+    def test_decided_before_submit_returns(self, transactions_built,
+                                           timers_built):
+        system = self._viewed()
+        site = system.sites["A"]
+        pushed = _pushed(system)
+        decided = []
+        returned = system.submit("A", TransactionSpec(
+            ops=(ReadViewOp("y", bound=3.0), ReadViewOp("x")),
+            label="read"), decided.append)
+        assert returned is None and transactions_built == []
+        (result,) = decided
+        assert system.results[-1] is result
+        assert result.committed and result.latency == 0.0
+        assert result.read_values == {"y": 30, "x": 105}
+        assert list(result.view_reads) == ["x", "y"]  # serve order
+        assert pushed == [] and timers_built == []
+        assert not site.active and not site.wakeable
+        assert not site.locks.holders
+        assert site._txn_counter == 1  # the id was drawn all the same
+
+    def test_behind_a_frontend_the_slot_is_free_at_once(
+            self, transactions_built, timers_built):
+        system = self._viewed()
+        frontend = ServingFrontend(system, ServingConfig(
+            router="view-aware", max_inflight=1, board_period=4.0))
+        frontend.start()
+        done = []
+        for _ in range(3):
+            frontend.submit("B", _spec(ReadViewOp("x")), done.append)
+        assert [result.committed for result in done] == [True] * 3
+        assert frontend.queues["B"].inflight == 0
+        assert transactions_built == [] and timers_built == []
+
+    @pytest.mark.parametrize("cc", ["conc1", "conc2"])
+    def test_a_miss_hands_its_certificates_on(self, transactions_built, cc):
+        system = self._viewed(
+            **({"cc": "conc2", "sync_delay": 1.0} if cc == "conc2" else {}))
+        system.add_item("z", CounterDomain(), total=30)  # cold everywhere
+        metrics = system.sim.metrics
+        txn = system.submit("A", TransactionSpec(
+            ops=(ReadViewOp("z"), ReadViewOp("y")), label="one-cold"))
+        assert transactions_built == ["one-cold"]
+        assert list(txn._view_certs) == ["y"]
+        assert txn._view_fallbacks == ["z"] and not txn._view_pending
+        # y is served once, by the site; z by the site and once more
+        # when the transaction resolves its still-pending items.
+        assert metrics.total("view.hits") == 1
+        assert metrics.total("view.misses") == 2
+        system.run_for(10.0)
+        assert txn.result.committed
+        assert list(txn.result.view_reads) == ["y"]
+
+    def test_work_or_no_views_takes_the_classic_path(self,
+                                                     transactions_built):
+        system = self._viewed()
+        worked = system.submit("A", _spec(ReadViewOp("y"), work=0.5))
+        assert transactions_built == [""] and worked is not None
+        assert worked.state is _State.COMPUTING
+        plain = _system()
+        assert plain.submit("A", _spec(ReadViewOp("x"))) is not None
+        assert transactions_built == ["", ""]

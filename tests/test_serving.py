@@ -311,3 +311,36 @@ class TestServeSample:
         assert cert.staleness == 1.5
         assert repr(cert) == ("ViewCertificate(item='x', value=5, as_of=1.0, "
                               "checked_at=2.5, bound=None, epoch=3)")
+
+
+class TestServeSamples:
+    """``frontend.samples`` is a read-only sequence over the columns:
+    each ServeSample is built when it is read, none is kept."""
+
+    def test_length_indexing_and_iteration(self):
+        system, frontend, collector = build(max_inflight=1, max_depth=None)
+        for work in (0.5, 1.0, 2.0):
+            frontend.submit("A", spec(work=work), collector.on_result)
+        system.sim.run_until(20.0)
+        samples = frontend.samples
+        rows = list(samples)
+        assert len(samples) == len(rows) == 3
+        assert all(type(sample) is ServeSample for sample in rows)
+        assert [samples[index] for index in range(-3, 3)] == rows + rows
+        assert samples[1:] == rows[1:] and samples[::-1] == rows[::-1]
+        assert rows[2].finished_at - rows[2].dispatched_at == 2.0
+        assert samples[0].committed is True
+        for index in (3, -4):
+            with pytest.raises(IndexError):
+                samples[index]
+        with pytest.raises(TypeError):
+            samples[0] = rows[1]
+        assert rows[0] in samples and samples.index(rows[2]) == 2
+
+    def test_a_view_not_a_copy(self):
+        system, frontend, collector = build(max_inflight=1, max_depth=None)
+        samples = frontend.samples
+        assert not isinstance(samples, list) and len(samples) == 0
+        assert not hasattr(samples, "__dict__")
+        frontend.submit("A", spec(work=0.0), collector.on_result)
+        assert len(samples) == 1 and samples[-1].site == "A"

@@ -1,5 +1,7 @@
 """Unit tests for transaction specs and the transaction state machine."""
 
+import itertools
+import math
 import pickle
 
 import pytest
@@ -68,6 +70,54 @@ class TestSpec:
         domain = CounterDomain()
         spec = TransactionSpec(ops=(ApplyOp("a", SetToZero()),))
         assert spec.needs(lambda item: domain) == {}
+
+    @pytest.mark.parametrize("work", [math.inf, math.nan, -1.0, -1e-9])
+    def test_non_finite_or_negative_work_is_refused(self, work):
+        # Infinite work once raised out of submit and left the
+        # transaction active, its locks held for good; NaN and
+        # negative work committed as if they were 0.
+        with pytest.raises(ValueError, match="work"):
+            TransactionSpec(ops=(IncrementOp("x", 1),), work=work)
+
+    def test_zero_and_finite_work_are_accepted(self):
+        assert TransactionSpec(ops=(IncrementOp("x", 1),)).work == 0.0
+        assert TransactionSpec(ops=(IncrementOp("x", 1),), work=2).work == 2
+
+
+class TestPureView:
+    """``spec.pure_view`` is the one test of "every op is a view read",
+    derived from the spec's item sets; over a lattice of op mixes its
+    verdict is the op-by-op test the view-aware router used to run."""
+
+    POOL = (ReadViewOp("a"), ReadViewOp("b", bound=2.0), ReadFullOp("a"),
+            ReadFullOp("c"), ReadLocalOp("d"), IncrementOp("d", 1),
+            DecrementOp("e", 1), TransferOp("e", "f", 1),
+            ApplyOp("f", Increment(1)))
+
+    @staticmethod
+    def op_by_op(ops) -> bool:
+        return bool(ops) and all(isinstance(op, ReadViewOp) for op in ops)
+
+    def test_named_mixes(self):
+        assert not TransactionSpec(ops=()).pure_view
+        assert TransactionSpec(ops=(ReadViewOp("a"),)).pure_view
+        assert TransactionSpec(ops=(ReadViewOp("a"),
+                                    ReadViewOp("b", bound=1.0))).pure_view
+        # A view read and an exact read of one item: the exact read
+        # serves both values.
+        assert not TransactionSpec(ops=(ReadViewOp("a"),
+                                        ReadFullOp("a"))).pure_view
+        assert not TransactionSpec(ops=(ReadViewOp("a"),
+                                        IncrementOp("b", 1))).pure_view
+
+    def test_lattice_matches_the_op_by_op_test(self):
+        checked = 0
+        for size in range(4):
+            for ops in itertools.permutations(self.POOL, size):
+                spec = TransactionSpec(ops=ops)
+                assert spec.pure_view is self.op_by_op(ops), ops
+                checked += 1
+        assert checked == 1 + 9 + 9 * 8 + 9 * 8 * 7
 
 
 class TestSlottedSpecs:
