@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.domain import Domain
-from repro.core.transactions import TxnResult
+from repro.core.transactions import Outcome, TxnResult
 from repro.storage.records import VmEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -93,7 +93,7 @@ class ConservationAuditor:
 
     def on_result(self, result: TxnResult) -> None:
         """Fold a committed transaction's semantic deltas into totals."""
-        if not result.committed:
+        if result.outcome is not Outcome.COMMITTED:
             return
         self.commits_seen += 1
         atoms = iter(result.delta_row)  # (item, sign, amount), flat

@@ -34,7 +34,12 @@ from repro.core.partition import PARTITIONERS, Directory, make_partitioner
 from repro.core.policies import make_policy
 from repro.core.redistribution import DemandTracker
 from repro.core.site import DvPSite, SiteDown, SiteUp
-from repro.core.transactions import Transaction, TransactionSpec, TxnResult
+from repro.core.transactions import (
+    Outcome,
+    Transaction,
+    TransactionSpec,
+    TxnResult,
+)
 from repro.net.link import LinkConfig
 from repro.net.network import Network
 from repro.net.outbox import BundlingConfig
@@ -440,8 +445,9 @@ class DvPSystem:
         return self.sites[site].submit(spec, on_done)
 
     def _record_result(self, result: TxnResult) -> None:
+        committed = result.outcome is Outcome.COMMITTED
         reads = result.read_values
-        if result.committed and reads:
+        if committed and reads:
             # Sample, at the commit instant, how much of each read item
             # was still in transmission: the read protocol's inherent
             # blind spot (Section 3's N_M). The serializability checker
@@ -462,8 +468,7 @@ class DvPSystem:
             else:
                 result.inflight_at_commit = {
                     item: live_vm_total(item) for item in reads}
-        if self.views is not None and result.committed \
-                and result.view_fallbacks:
+        if committed and self.views is not None and result.view_fallbacks:
             # Read-through: a view miss paid the fan-out; repair the
             # reader's cache from the authority tier so the next
             # bounded-staleness read of these items is O(1).

@@ -322,6 +322,8 @@ class TxnResult:
 
     @property
     def committed(self) -> bool:
+        """For readers of results; the system's own per-result paths
+        test ``outcome`` once each instead."""
         return self.outcome is Outcome.COMMITTED
 
     @property
@@ -500,11 +502,15 @@ class Transaction:
             # so the request wave below (or an explicit fan for Conc2,
             # whose wave already left at initiation) covers it.
             self._resolve_views(fan=cc.broadcast_at_init)
-        if not cc.broadcast_at_init:
-            self._send_requests()
+        # Adequacy first (Section 5; docs/PROTOCOL.md, "A local
+        # transaction"): a covered Conc1 transaction sends no wave, and
+        # a short one's wave leaves once, untested again in this
+        # instant — nothing can have answered it yet.
         self._try_commit()
         if self.state is not _State.GATHERING:
             return
+        if not cc.broadcast_at_init:
+            self._send_requests()
         # Still gathering: if there is a deficit but nobody was (or can
         # be) asked, the transaction can never become sufficient — the
         # pessimistic rule aborts it immediately rather than at timeout.

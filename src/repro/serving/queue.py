@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.site import SiteDown
-from repro.core.transactions import TransactionSpec, TxnResult
+from repro.core.transactions import Outcome, TransactionSpec, TxnResult
 from repro.sim.timers import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -96,7 +96,7 @@ class _Request:
         frontend._arrived_at.append(self.enqueued_at)
         frontend._dispatched_at.append(self.dispatched_at)
         frontend._finished_at.append(queue.sim.now)
-        frontend._committed.append(result.committed)
+        frontend._committed.append(result.outcome is Outcome.COMMITTED)
         if self.on_done is not None:
             self.on_done(result)
         self.release()

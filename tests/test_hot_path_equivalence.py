@@ -1,15 +1,16 @@
 """Golden pins for the DvP hot path (ISSUES 13 and 17).
 
-Eight small fixed-seed scenarios, each recorded on the commit *before*
+Nine small fixed-seed scenarios, each recorded on the commit *before*
 the hot-path subtraction it guards (five before the first subtraction,
 the Conc2 retry ties and the serving slots before machinery was built
 on demand, the certified view reads before the site decided them
-without a ``Transaction``): a change that only skips work must leave
-every kernel event (``trace_fingerprint``), every decision (digest of
-the committed ids, in decision order) and the exact counters
-``net.sent`` / ``vm.created`` / ``log.forces`` byte-identical. The
-view-read scenario also pins the trace bus's timeline text,
-``view.hits`` / ``view.misses`` and the results' reprs. A diff here
+without a ``Transaction``, the local commits before an adequate
+transaction skipped the request wave): a change that only skips work
+must leave every kernel event (``trace_fingerprint``), every decision
+(digest of the committed ids, in decision order) and the exact
+counters ``net.sent`` / ``vm.created`` / ``log.forces`` byte-identical.
+The view-read and local-commit scenarios also pin the trace bus's
+timeline text, their own counters and the results' reprs. A diff here
 means the optimisation reordered or dropped protocol work, not just
 host time.
 
@@ -31,8 +32,10 @@ from repro.chaos.plan import (
 )
 from repro.chaos.runner import ChaosConfig, run_chaos
 from repro.core.domain import CounterDomain
+from repro.core.operators import Application, SetToZero
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import (
+    ApplyOp,
     DecrementOp,
     IncrementOp,
     ReadViewOp,
@@ -226,6 +229,94 @@ def view_reads_certified() -> dict:
             "conc2": _view_reads_run(cc="conc2", sync_delay=1.0)}
 
 
+class _Ineffective(SetToZero):
+    """An operator no fragment ever takes: its transaction has no need,
+    so it is covered at the lock grant and aborts at its commit."""
+
+    def apply(self, domain, value):
+        return Application(value, False)
+
+
+def _local_commits_run(**config) -> dict:
+    """Update-only transactions, most of them covered by their local
+    fragments at the lock grant: increments, decrements and transfers
+    with and without work, an ineffective operator, a decrement short
+    locally that pulls Vm (the second peer's Vm is accepted while the
+    transaction computes), a crash during work, and a one-site system
+    (a covered commit and an ``insufficient-no-peers`` abort)."""
+    system = DvPSystem(SystemConfig(
+        sites=["A", "B", "C"], seed=19, txn_timeout=6.0, **config))
+    system.sim.enable_trace(limit=0)
+    system.sim.obs.enable(ring_limit=None)
+    for item in ("x", "y", "z"):
+        system.add_item(item, CounterDomain(),
+                        split={"A": 20, "B": 20, "C": 20})
+    decided = []
+
+    def submit(at, site, label, *ops, work=0.0):
+        spec = TransactionSpec(ops=tuple(ops), label=label, work=work)
+        system.sim.at_site(site, at, lambda: system.submit(
+            site, spec, decided.append), label=f"arrival:{site}")
+
+    rng = random.Random(37)
+    for index in range(40):
+        src, dst = rng.sample("xz", 2)
+        amount = rng.randint(1, 6)
+        ops = rng.choice(((IncrementOp(src, amount),),
+                          (DecrementOp(src, amount),),
+                          (TransferOp(src, dst, amount),)))
+        submit(rng.uniform(0.0, 40.0), rng.choice("ABC"), f"b{index}",
+               *ops, work=rng.choice((0.0, 0.0, 0.5)))
+    submit(10.0, "A", "never", ApplyOp("x", _Ineffective()))
+    submit(12.0, "C", "never-worked", ApplyOp("z", _Ineffective()),
+           work=1.0)
+    # 25 of y at A, which holds 20: B and C are each asked for 5, their
+    # Vm land in one instant, and the first makes it sufficient.
+    submit(50.0, "A", "short", DecrementOp("y", 25), work=2.0)
+    # B dies computing a covered decrement; it never commits.
+    submit(60.0, "B", "crashed", DecrementOp("y", 1), work=3.0)
+    system.sim.at_site("B", 61.0, lambda: system.crash("B"), label="crash")
+    system.sim.at_site("B", 64.0, lambda: system.recover("B"),
+                       label="recover")
+    submit(66.0, "B", "after", DecrementOp("y", 1), work=0.5)
+    # C gave 5 of its 20 to A: a transfer of 23 is short by 8.
+    submit(75.0, "C", "short-transfer", TransferOp("y", "x", 23))
+    system.run_until(90.0)
+    labels = {result.label: result for result in decided}
+    assert labels["never"].reason == "ineffective-operator"
+    assert labels["never-worked"].reason == "ineffective-operator"
+    assert labels["short"].committed and labels["short"].requests_sent == 2
+    assert labels["short-transfer"].committed
+    assert "crashed" not in labels and labels["after"].committed
+
+    lone = DvPSystem(SystemConfig(sites=["A"], seed=19, **config))
+    lone.sim.enable_trace(limit=0)
+    lone.add_item("x", CounterDomain(), total=10)
+    lone_results = []
+    for at, spec in ((1.0, TransactionSpec(ops=(DecrementOp("x", 4),))),
+                     (2.0, TransactionSpec(ops=(DecrementOp("x", 40),),
+                                           work=1.0))):
+        lone.sim.at_site("A", at, lambda spec=spec: lone.submit(
+            "A", spec, lone_results.append), label="arrival:A")
+    lone.run_until(20.0)
+    assert [r.reason for r in lone_results] == ["ok",
+                                                "insufficient-no-peers"]
+    metrics = system.sim.metrics
+    return {**pins(system),
+            "timeline": hashlib.sha256(render_timeline(
+                system.sim.obs.events()).encode()).hexdigest(),
+            "vm.accepted": metrics.total("vm.accepted"),
+            "results": _digest(map(repr, system.results)),
+            "decided_in_order": _digest(r.txn_id for r in decided),
+            "one-site": {**pins(lone),
+                         "results": _digest(map(repr, lone.results))}}
+
+
+def local_commits() -> dict:
+    return {"conc1": _local_commits_run(link=LinkConfig(base_delay=1.0)),
+            "conc2": _local_commits_run(cc="conc2", sync_delay=1.0)}
+
+
 def chaos_crash_partition() -> dict:
     plan = FaultPlan((
         CrashSite(at=18.0, site="S1"),
@@ -370,6 +461,7 @@ SCENARIOS = {
     "conc2_sharded": conc2_sharded,
     "views_beside_writes": views_beside_writes,
     "view_reads_certified": view_reads_certified,
+    "local_commits": local_commits,
     "chaos_crash_partition": chaos_crash_partition,
     "conc2_retry_ties": conc2_retry_ties,
     "serving_slots": serving_slots,
@@ -401,6 +493,40 @@ GOLDEN: dict[str, dict] = {'chaos_crash_partition': {'committed': '25b580be8c897
                    'log.forces': 249,
                    'net.sent': 319,
                    'vm.created': 98},
+ 'local_commits': {'conc1': {'committed': '62cda554001acfaa',
+                             'decided': 45,
+                             'decided_in_order': '593d2e0a92a78c08',
+                             'fingerprint': '6d935044c458407df69e7a65e6177b4d77860481d115c5fb8e736cc3ad64cb3e',
+                             'log.forces': 58,
+                             'net.sent': 38,
+                             'one-site': {'committed': '6bd54eb3a57efe11',
+                                          'decided': 2,
+                                          'fingerprint': '758c063fa7df109b1bfe623d4acbaf0d5874217d877183e427c06f6d1975152a',
+                                          'log.forces': 1,
+                                          'net.sent': 0,
+                                          'results': '64d6b3755279adbc',
+                                          'vm.created': 0},
+                             'results': 'af99d5d7b11fdd42',
+                             'timeline': 'abc5eb5ca282680bcabe5f60b8573620d1c99f737fff9d7017c2a368c88d0e70',
+                             'vm.accepted': 10,
+                             'vm.created': 10},
+                   'conc2': {'committed': 'cbc875379f3feb00',
+                             'decided': 45,
+                             'decided_in_order': '0b52350e7d9a23c8',
+                             'fingerprint': '609f1c580f9fdd286c0c71766cbcf0743ed1d9fe4147869ae0bc856100d2736a',
+                             'log.forces': 66,
+                             'net.sent': 52,
+                             'one-site': {'committed': '6bd54eb3a57efe11',
+                                          'decided': 2,
+                                          'fingerprint': '758c063fa7df109b1bfe623d4acbaf0d5874217d877183e427c06f6d1975152a',
+                                          'log.forces': 1,
+                                          'net.sent': 0,
+                                          'results': '64d6b3755279adbc',
+                                          'vm.created': 0},
+                             'results': 'f097d18713bde35f',
+                             'timeline': '2507c5a2baa5fd1e3fa8e7a25a76d8e53b49dbd52134b3f307c031c023c3f5ee',
+                             'vm.accepted': 13,
+                             'vm.created': 13}},
  'serving_slots': {'committed': '1e7a3e70e5f43632',
                    'decided': 85,
                    'dispatched': 86,

@@ -12,6 +12,7 @@ fire instant break as they always did (the golden fingerprints in
 import pytest
 
 from repro.core.domain import CounterDomain
+from repro.core.fragments import FragmentStore
 from repro.core.policies import AskAllPolicy
 from repro.core.system import DvPSystem, SystemConfig
 from repro.core.transactions import (
@@ -22,6 +23,7 @@ from repro.core.transactions import (
     ReadViewOp,
     Transaction,
     TransactionSpec,
+    TransferOp,
     _State,
 )
 from repro.net.link import LinkConfig
@@ -103,6 +105,54 @@ class TestALocalCommitBuildsNothing:
         # Views are off: the item escalated to the fan-out at start.
         assert view._read_responders == {"y": set()}
         assert view._view_fallbacks == ["y"] and not view._view_pending
+
+
+@pytest.fixture
+def value_reads(monkeypatch):
+    """``(site, item)`` of every fragment value read, in read order."""
+    reads: list[tuple[str, str]] = []
+    value = FragmentStore.value
+
+    def counted(self, item):
+        reads.append((self.site, item))
+        return value(self, item)
+
+    monkeypatch.setattr(FragmentStore, "value", counted)
+    return reads
+
+
+class TestAnAdequateTransactionSkipsTheWave:
+    """A Conc1 transaction asks once, at its lock grant and before its
+    wave, whether its fragments cover it (Section 5; docs/PROTOCOL.md):
+    covered, it goes straight to its commit; short, it sends its wave
+    and waits."""
+
+    def test_a_covered_decrement_reads_its_fragment_twice(
+            self, value_reads, timers_built):
+        system = _system()
+        pushed = _pushed(system)
+        txn = system.submit("A", _spec(DecrementOp("x", 2)))
+        assert txn.result.committed and txn.requests_sent == 0
+        # The adequacy test, then the commit: no deficit computed for a
+        # wave that would ask nobody, no second sufficiency test.
+        assert value_reads == [("A", "x"), ("A", "x")]
+        assert system.sim.metrics.total("net.sent") == 0
+        assert pushed == [] and timers_built == []
+
+    def test_a_short_transfer_reads_no_more_than_before(
+            self, value_reads, timers_built):
+        system = _system()
+        system.add_item("y", CounterDomain(), total=0)
+        txn = system.submit("A", _spec(TransferOp("x", "y", 20)))
+        # The adequacy test, then the wave's deficit: sufficiency is
+        # not asked again in the instant the wave leaves.
+        assert value_reads == [("A", "x"), ("A", "x")]
+        assert txn.state is _State.GATHERING and txn.requests_sent == 2
+        assert timers_built == [f"txn-timeout:{txn.id}"]
+        system.run_for(5.0)
+        assert txn.result.committed
+        # As many as when the wave was followed by a sufficiency test.
+        assert len(value_reads) == 9, value_reads
 
 
 class TestAWaitingTransactionHasItsTimeout:

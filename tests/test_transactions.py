@@ -198,6 +198,45 @@ class TestDeltaRow:
         assert type(result.delta_row) is tuple
 
 
+class TestTheOutcomeIsReadOnce:
+    """The system's own per-result paths (the results ledger, the
+    auditor, a serving slot) test ``outcome`` themselves; the
+    ``committed`` property is for readers of results."""
+
+    def test_deciding_calls_no_committed_property(self, monkeypatch):
+        from repro.reads import ViewConfig
+        from repro.serving import ServingConfig, ServingFrontend
+
+        calls = []
+
+        def committed(result):
+            calls.append(result.txn_id)
+            return result.outcome is Outcome.COMMITTED
+
+        monkeypatch.setattr(TxnResult, "committed", property(committed))
+        system = build(views=ViewConfig(refresh_period=5.0))
+        system.add_item("y", CounterDomain(), total=0)
+        frontend = ServingFrontend(system, ServingConfig(
+            router="random", max_inflight=1, board_period=4.0))
+        frontend.start()
+        # The read runs cold, before the first refresh: a fan-out whose
+        # result the ledger reads through into the cache.
+        for at, ops in enumerate(((ReadViewOp("x"),),
+                                  (TransferOp("x", "y", 2),),
+                                  (DecrementOp("y", 99),))):
+            spec = TransactionSpec(ops=ops)
+            system.sim.at(4.0 * at, lambda spec=spec:
+                          frontend.submit("A", spec))
+        system.run_for(40.0)
+        outcomes = [result.outcome for result in system.results]
+        assert outcomes == [Outcome.COMMITTED] * 2 + [Outcome.ABORTED]
+        assert system.results[0].view_fallbacks == ("x",)
+        assert calls == []
+        assert [result.committed for result in system.results] \
+            == [True, True, False]
+        assert len(calls) == 3
+
+
 class TestLocalCommit:
     def test_sufficient_local_commit_is_instant(self):
         system = build()
