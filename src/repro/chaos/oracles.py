@@ -188,10 +188,11 @@ class ViewOracle:
     """Staleness certificates never lie (docs/READS.md).
 
     Every certificate a *committed* bounded-staleness read served must
-    (a) respect the reader's bound — ``checked_at - as_of <= bound`` —
-    and (b) carry the exact conservation total ``N(as_of)``: the
-    initial quota plus every committed semantic delta whose commit
-    instant is ``<= as_of``. Views publish at a consistent global cut,
+    (a) respect the reader's bound — ``checked_at - as_of <= bound``,
+    the bound every chaos view read asks for (``config.views``), not
+    the one the certificate records — and (b) carry the exact
+    conservation total ``N(as_of)``: the initial quota plus every
+    committed semantic delta whose commit instant is ``<= as_of``. Views publish at a consistent global cut,
     so no interleaving can excuse a wrong snapshot — a fault may only
     ever make a view *staler* (forcing fallback), never wrong.
 
@@ -222,13 +223,13 @@ class ViewOracle:
             for item, sign, amount in txn.semantic_deltas:
                 deltas[item].append((txn.finished_at, txn.txn_id,
                                      sign, amount))
+        bound = result.config.views
         for txn, item, cert in certified:
-            if cert.bound is not None and \
-                    cert.staleness > cert.bound + EPSILON:
+            if cert.staleness > bound + EPSILON:
                 failures.append(
                     f"{txn.txn_id}[{item}] certificate staleness "
                     f"{cert.staleness:g} exceeds the reader's bound "
-                    f"{cert.bound:g}")
+                    f"{bound:g}")
             domain = domains[item]
             value = result.initial_totals[item]
             acceptable = set()

@@ -15,7 +15,8 @@ real transactions ran one at a time; only the distribution of fragments
   checks; lock requests queue FIFO and the whole scheme is sound only on
   a network with message-order synchronicity and atomic ordered
   broadcast (see :mod:`repro.net.sync`). Transactions broadcast all
-  their remote requests together at initiation, in initiation order.
+  their remote requests together at initiation, in initiation order —
+  a view read's cache misses too (docs/READS.md).
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ class ConcurrencyControl(ABC):
     """Strategy object consulted by sites and transactions."""
 
     name: str = "cc"
-    #: May local lock acquisition wait (strict 2PL) or must it decide now?
+    #: Strict 2PL: locks wait in a FIFO queue, and a transaction
+    #: broadcasts its requests at initiation. Otherwise a lock is
+    #: decided now, and the requests leave at the grant.
     waits_for_locks: bool = False
-    #: Are remote requests broadcast at initiation (Conc2's requirement)?
-    broadcast_at_init: bool = False
 
     # A scheme that waits for locks is never asked the two admission
     # questions: the lock queue decides (Transaction.start,
@@ -54,18 +55,12 @@ class ConcurrencyControl(ABC):
         """May this site honor a remote request with timestamp *ts*?"""
         raise NotImplementedError
 
-    def stamp_for_rds(self, site: "DvPSite", request_ts: int,
-                      item: str) -> int:
-        """Timestamp recorded when a remote request is honored."""
-        return request_ts
-
 
 class Conc1(ConcurrencyControl):
     """Timestamp-ordering scheme of Section 6.1."""
 
     name = "conc1"
     waits_for_locks = False
-    broadcast_at_init = False
 
     def may_lock_local(self, site: "DvPSite", ts: int,
                        items: Collection[str]) -> bool:
@@ -88,7 +83,6 @@ class Conc2(ConcurrencyControl):
 
     name = "conc2"
     waits_for_locks = True
-    broadcast_at_init = True
 
     def on_lock_granted(self, site: "DvPSite", ts: int,
                         items: Collection[str]) -> None:

@@ -197,11 +197,11 @@ class DvPSite:
                ) -> Transaction | None:
         """Initiate a transaction at this site (Section 5's sequence).
 
-        A pure view read without work whose every item certifies from
-        the view cache is decided here, before this returns, and builds
-        no Transaction: it returns None (docs/READS.md, the
-        certificate-first path). Anything else — such a read too, from
-        its first miss on — runs as the returned Transaction."""
+        A spec's view items meet the view cache here, once each. A pure
+        view read without work whose every item certifies is decided
+        before this returns and builds no Transaction: it returns None
+        (docs/READS.md, the certificate-first path). Anything else runs
+        as the returned Transaction."""
         if not self.alive:
             raise SiteDown(f"site {self.name} is down")
         txn_id = self.next_txn_id()
@@ -209,31 +209,35 @@ class DvPSite:
         if self._obs.enabled:
             self._obs.emit("txn.submit", self.sim.now, site=self.name,
                            txn=txn_id, label=spec.label)
-        certs = EMPTY
-        # Work holds the locks by definition (step 4): only a read
-        # without it may skip acquisition.
-        if self.views is not None and not spec.work and spec.pure_view:
-            certs = self._certify(spec, txn_id)
-            if len(certs) == len(spec._view_bounds):
+        certs, missed = EMPTY, ()
+        if spec._view_bounds:
+            certs, missed = self._certify(spec, txn_id)
+            # Work holds the locks by definition (step 4): only a read
+            # without it may skip acquisition.
+            if not missed and not spec.work and spec.pure_view:
                 self._commit_certified(spec, on_done, txn_id, certs)
                 return None
-        txn = Transaction(self, spec, on_done, txn_id, ts)
+        txn = Transaction(self, spec, on_done, txn_id, ts, certs, missed)
         self.active[txn_id] = txn
-        txn.start(certs)
+        txn.start()
         return txn
 
-    def _certify(self, spec: TransactionSpec,
-                 txn_id: str) -> dict[str, Any]:
-        """Certificates for a pure view read's items from the view
-        cache, in sorted order, up to its first miss."""
-        views, bounds = self.views, spec._view_bounds
-        certs = {}
-        for item in sorted(bounds):
-            cert = views.serve(item, bounds[item], txn_id)
+    def _certify(self, spec: TransactionSpec, txn_id: str
+                 ) -> tuple[dict[str, Any], list[str]]:
+        """Ask the view cache once for each of a spec's view items, in
+        sorted order: the certificates it serves and the items it
+        misses (every item, with views off)."""
+        views = self.views
+        certs: dict[str, Any] = {}
+        missed: list[str] = []
+        for item, bound in sorted(spec._view_bounds.items()):
+            cert = (views.serve(item, bound, txn_id) if views is not None
+                    else None)
             if cert is None:
-                break
-            certs[item] = cert
-        return certs
+                missed.append(item)
+            else:
+                certs[item] = cert
+        return certs, missed
 
     def _commit_certified(self, spec: TransactionSpec,
                           on_done: Callable[[TxnResult], None] | None,
@@ -538,9 +542,7 @@ class DvPSite:
                         self.requests_ignored += 1
                         continue
                     remainder = domain.subtract(available, granted)
-                actions.append(SetFragment(
-                    item, remainder,
-                    self.cc.stamp_for_rds(self, request.ts, item)))
+                actions.append(SetFragment(item, remainder, request.ts))
                 entries.append(vm.allocate_entry(
                     request.origin, item, granted, kind, request.txn_id))
             if entries:

@@ -376,12 +376,13 @@ class Transaction:
 
     __slots__ = ("site", "spec", "on_done", "id", "ts", "epoch", "state",
                  "submitted_at", "requests_sent", "result", "_timer",
-                 "_rounds_left", "_read_responders", "_view_pending",
-                 "_view_certs", "_view_fallbacks", "_needs")
+                 "_rounds_left", "_read_responders", "_view_certs",
+                 "_view_fallbacks", "_needs")
 
     def __init__(self, site: "DvPSite", spec: TransactionSpec,
                  on_done: Callable[[TxnResult], None] | None,
-                 txn_id: str, ts: Any) -> None:
+                 txn_id: str, ts: Any, certs: dict[str, ViewCertificate],
+                 missed: list[str]) -> None:
         self.site = site
         self.spec = spec
         self.on_done = on_done
@@ -399,44 +400,39 @@ class Transaction:
         #: The timeout; None until the transaction has to wait (_arm).
         self._timer: Timer | None = None
         if spec._full_reads or spec._view_bounds:
-            #: Read item → the peers that have drained it to this site.
-            self._read_responders = {item: set() for item in spec._full_reads}
-            #: View items still on the O(1) path (item → staleness
-            #: bound). Escalation moves an item from here into
-            #: _read_responders.
-            self._view_pending = dict(spec._view_bounds)
-            self._view_certs: dict[str, Any] = {}
-            self._view_fallbacks: list[str] = []
+            #: Read item → the peers that have drained it to this site:
+            #: the exact reads and the escalated view items.
+            self._read_responders = {item: set() for item in
+                                     (*spec._full_reads, *missed)}
+            #: The certificates the site's cache served at submit; the
+            #: items it *missed* start escalated.
+            self._view_certs = certs
+            self._view_fallbacks = missed
         else:
-            self._read_responders = self._view_pending = EMPTY
+            self._read_responders = EMPTY
             self._view_certs, self._view_fallbacks = EMPTY, ()
         self._needs = (spec.needs(site.fragments.domain) if spec._takes
                        else EMPTY)
 
     # -- lifecycle ----------------------------------------------------------
 
-    def start(self, certs: Mapping[str, ViewCertificate] = EMPTY) -> None:
+    def start(self) -> None:
         """Step 1: obtain local locks atomically (per the CC scheme).
 
-        *certs* are the certificates ``DvPSite.submit`` took for a pure
-        view read before its first miss: they are kept (the commit
-        revalidates them), and the items still pending go the classic
-        way, lock first (docs/READS.md)."""
+        The view items met the cache at submit: the certificates are
+        kept (each commit attempt revalidates them), and the missed
+        items ride the request wave — Conc2's at initiation, Conc1's
+        at the grant (docs/READS.md)."""
         site = self.site
         obs = site._obs
-        if self._read_responders:
+        if self._read_responders or self._view_certs:
+            # A read waits on acks too; a certificate ages (_wake).
             site.wakeable.add(self.id)
-        if certs:
-            self._view_certs.update(certs)
-            for item in certs:
-                del self._view_pending[item]
-            site.wakeable.add(self.id)  # certificates age
         cc = site.cc
-        if cc.broadcast_at_init:
-            # Conc2: all requests broadcast together at initiation.
-            self._send_requests()
         items = self.spec._items
         if cc.waits_for_locks:
+            # Conc2: all requests broadcast together at initiation.
+            self._send_requests()
             self.state = _State.WAITING_LOCKS
             granted = site.locks.acquire_all_or_wait(
                 self.id, items, self._locks_granted)
@@ -497,11 +493,6 @@ class Transaction:
             site._obs.emit("txn.locks-granted", site.sim.now,
                            site=site.name, txn=self.id)
         self.state = _State.GATHERING
-        if self._view_pending:
-            # Views first: an escalated view item joins the fan-out set
-            # so the request wave below (or an explicit fan for Conc2,
-            # whose wave already left at initiation) covers it.
-            self._resolve_views(fan=cc.broadcast_at_init)
         # Adequacy first (Section 5; docs/PROTOCOL.md, "A local
         # transaction"): a covered Conc1 transaction sends no wave, and
         # a short one's wave leaves once, untested again in this
@@ -509,7 +500,7 @@ class Transaction:
         self._try_commit()
         if self.state is not _State.GATHERING:
             return
-        if not cc.broadcast_at_init:
+        if not cc.waits_for_locks:
             self._send_requests()
         # Still gathering: if there is a deficit but nobody was (or can
         # be) asked, the transaction can never become sufficient — the
@@ -595,41 +586,6 @@ class Transaction:
 
     # -- bounded-staleness view reads (docs/READS.md) ------------------------
 
-    def _resolve_views(self, fan: bool) -> None:
-        """Try to certify each view item from the site's cache.
-
-        A miss escalates the item to the classic fan-out; *fan* sends
-        its READ requests immediately (used when the normal request
-        wave has already departed).
-        """
-        for item in sorted(self._view_pending):
-            if not self._certify(item):
-                self._escalate_view(item, fan=fan)
-
-    def _certify(self, item: str) -> bool:
-        """Take a certificate for *item* from the site's cache, if it
-        serves one. Certificates age, so holding one makes this
-        transaction wakeable (see DvPSite._wake)."""
-        cache = self.site.views
-        cert = (cache.serve(item, self._view_pending.get(item), txn=self.id)
-                if cache is not None else None)
-        if cert is None:
-            return False
-        self._view_certs[item] = cert
-        self.site.wakeable.add(self.id)
-        return True
-
-    def _escalate_view(self, item: str, fan: bool) -> None:
-        self._view_pending.pop(item, None)
-        self._view_certs.pop(item, None)
-        if item in self._read_responders:
-            return
-        self._read_responders[item] = set()
-        self.site.wakeable.add(self.id)  # a read waits on acks too
-        self._view_fallbacks.append(item)
-        if fan:
-            self._fan_read(item)
-
     def _request_reads(self, items: Iterable[str]) -> None:
         """Ask every peer to drain its fragments of *items* (sorted) to
         this site: one request per peer."""
@@ -637,24 +593,30 @@ class Transaction:
         for peer in self.site.peers():
             self._ask(peer, READ_MODE, wants)
 
-    def _fan_read(self, item: str) -> None:
-        """Fan READ requests for one late-escalated item."""
-        sent_before = self.requests_sent
-        self._request_reads((item,))
-        self._note_requests(sent_before)
-
     def _revalidate_views(self) -> None:
-        """Certificates admit at the commit attempt, not the first
-        serve: time spent gathering other items ages them, and a
-        reshard invalidates their epoch. A failed re-check retries the
-        cache once (a fresher refresh may have landed), then escalates."""
-        now = self.site.sim.now
-        epoch = self.site.directory.epoch
-        for item in sorted(self._view_certs):
-            cert = self._view_certs[item]
-            aged = cert.bound is not None and now - cert.as_of > cert.bound
-            if (aged or cert.epoch != epoch) and not self._certify(item):
-                self._escalate_view(item, fan=True)
+        """Certificates admit at the commit attempt, not at submit: time
+        spent waiting or gathering ages them, and a reshard invalidates
+        their epoch. A failed re-check asks the cache once more, under
+        the certificate's own bound; a miss there is the one late
+        escalation, fanned out alone."""
+        site = self.site
+        now, epoch = site.sim.now, site.directory.epoch
+        certs = self._view_certs
+        for item in sorted(certs):
+            cert = certs[item]
+            if cert.epoch == epoch and (cert.bound is None
+                                        or now - cert.as_of <= cert.bound):
+                continue
+            fresh = site.views.serve(item, cert.bound, self.id)
+            if fresh is not None:
+                certs[item] = fresh
+                continue
+            del certs[item]
+            self._read_responders[item] = set()
+            self._view_fallbacks.append(item)
+            sent_before = self.requests_sent
+            self._request_reads((item,))
+            self._note_requests(sent_before)
 
     def _sufficient(self) -> bool:
         fragments = self.site.fragments
@@ -814,9 +776,9 @@ class Transaction:
     def _finish(self, outcome: Outcome, reason: str,
                 read_values: Mapping[str, Any],
                 delta_row: tuple) -> None:
-        if self.state is _State.FINISHED:
+        state = self.state
+        if state is _State.FINISHED:
             return
-        was_waiting = self.state is _State.WAITING_LOCKS
         self.state = _State.FINISHED
         site = self.site
         now = site.sim.now
@@ -828,16 +790,20 @@ class Transaction:
         if self._timer is not None:
             self._timer.close()
         on_done, self.on_done = self.on_done, None
-        if was_waiting:
+        if state is _State.WAITING_LOCKS:
             site.locks.cancel_waiter(self.id)
         # Positional, in TxnResult's field order (one per op, for good).
         view_rows = (tuple([tuple(cert)
                             for cert in self._view_certs.values()])
                      if self._view_certs and outcome is Outcome.COMMITTED
                      else ())
+        # A miss counts as a fallback once the locks are granted: one
+        # that ended at the lock (locked, timestamp-refused, a queue
+        # timeout) never gathered (reads.fallback_share).
+        fallbacks = (tuple(self._view_fallbacks) if state is not _State.NEW
+                     and state is not _State.WAITING_LOCKS else ())
         self.result = result = TxnResult(
             self.id, self.spec.label, outcome, reason, site.name,
             self.submitted_at, now, read_values, delta_row,
-            self.requests_sent, EMPTY, view_rows,
-            tuple(self._view_fallbacks))
+            self.requests_sent, EMPTY, view_rows, fallbacks)
         site.decided(result, on_done)

@@ -14,7 +14,7 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.system import DvPSystem, SystemConfig
-from repro.core.transactions import DecrementOp, TransactionSpec
+from repro.core.transactions import DecrementOp, TransactionSpec, _State
 from repro.net.link import LinkConfig
 
 domain = CounterDomain()
@@ -56,7 +56,6 @@ class TestConc1:
 
     def test_never_waits(self):
         assert not Conc1().waits_for_locks
-        assert not Conc1().broadcast_at_init
 
     def test_conflicting_local_transactions_abort(self):
         system = build("conc1")
@@ -71,9 +70,16 @@ class TestConc1:
 
 class TestConc2:
     def test_waits_and_broadcasts(self):
-        scheme = Conc2()
-        assert scheme.waits_for_locks
-        assert scheme.broadcast_at_init
+        assert Conc2().waits_for_locks
+        # One flag, both rules: a transaction queued for its lock has
+        # already broadcast its requests, at initiation.
+        system = build("conc2")
+        system.submit("A", TransactionSpec(ops=(DecrementOp("x", 2),),
+                                           work=2.0))
+        queued = system.submit("A", TransactionSpec(
+            ops=(DecrementOp("x", 20),)))
+        assert queued.state is _State.WAITING_LOCKS
+        assert queued.requests_sent == 2
 
     def test_conflicting_local_transactions_queue(self):
         system = build("conc2")

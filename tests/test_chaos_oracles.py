@@ -13,6 +13,7 @@ from repro.chaos import (
     FaultPlan,
     ProgressOracle,
     SerialOracle,
+    ViewOracle,
     default_oracles,
     explore,
     run_chaos,
@@ -89,6 +90,26 @@ class TestProgressOracle:
         bound = CONFIG.txn_timeout
         assert all(txn.latency <= bound + 1e-9
                    for txn in result.system.results)
+
+
+class TestViewOracle:
+    def test_judges_the_bound_the_read_asked_for(self):
+        """A certificate that dropped its bound (recorded None) but is
+        staler than the ``config.views`` its read asked for is
+        convicted: the oracle does not take the certificate's word."""
+        config = ChaosConfig(views=12.0)
+        result = run_chaos(config, FaultPlan(), seed=9)
+        oracle = ViewOracle()
+        assert oracle.check(result) == []
+        txn = next(txn for txn in result.system.results
+                   if txn.committed and txn.view_rows)
+        item, value, as_of, checked_at, _bound, epoch = txn.view_rows[0]
+        txn.view_rows = ((item, value, as_of, as_of + 13.0, None, epoch),
+                         *txn.view_rows[1:])
+        messages = oracle.check(result)
+        assert any(f"{txn.txn_id}[{item}] certificate staleness 13 "
+                   "exceeds the reader's bound 12" in message
+                   for message in messages), messages
 
 
 class TestExplorerEndToEnd:

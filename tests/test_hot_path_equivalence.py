@@ -187,9 +187,12 @@ def _view_reads_run(**config) -> dict:
         "z", CounterDomain(), split={"A": 4, "B": 4, "C": 4}),
         label="add:z")
     decided = []
+    bounds = {}
 
     def submit(at, site, label, *ops, work=0.0):
         spec = TransactionSpec(ops=tuple(ops), label=label, work=work)
+        bounds[label] = {op.item: op.bound for op in ops
+                         if isinstance(op, ReadViewOp)}
         system.sim.at_site(site, at, lambda: system.submit(
             site, spec, decided.append), label=f"arrival:{site}")
 
@@ -213,6 +216,12 @@ def _view_reads_run(**config) -> dict:
     one_cold = next(r for r in decided if r.label == "one-cold")
     assert one_cold.committed and one_cold.view_fallbacks == ("z",)
     assert set(one_cold.view_reads) == {"v"}
+    # Every certificate carries the bound its op asked for, and holds.
+    for result in decided:
+        for item, cert in result.view_reads.items():
+            bound = bounds[result.label][item]
+            assert cert.bound == bound, (result, item)
+            assert bound is None or cert.staleness <= bound, (result, item)
     metrics = system.sim.metrics
     return {**pins(system),
             "timeline": hashlib.sha256(render_timeline(
@@ -561,20 +570,20 @@ GOLDEN: dict[str, dict] = {'chaos_crash_partition': {'committed': '25b580be8c897
                                     'log.forces': 33,
                                     'net.sent': 68,
                                     'results': '4d8a4e1668f236bb',
-                                    'timeline': '351ce24d3c5a36395910414af8c8f7c9ac48cae0506c85a6d4cf7aee526a117d',
-                                    'view.hits': 45,
-                                    'view.misses': 16,
+                                    'timeline': '88b04088616158d942a683f01e12c765ab272916087b2212da853d6beb143d4e',
+                                    'view.hits': 46,
+                                    'view.misses': 8,
                                     'vm.created': 11},
-                          'conc2': {'committed': '92a354292e3adb0b',
+                          'conc2': {'committed': '03d3787f571fe51d',
                                     'decided': 52,
-                                    'decided_in_order': '28f36b633942bb92',
-                                    'fingerprint': '7bc8195b2b004f19328362fed615684abd52039dd1038b1fa188521479639cb8',
+                                    'decided_in_order': '36f829b90cd4f4cf',
+                                    'fingerprint': '0ceaed9e543da547f0e34993ddc632121d32c5e2636242e449570d35b756d636',
                                     'log.forces': 56,
                                     'net.sent': 88,
-                                    'results': 'ebc058caecdbef4f',
-                                    'timeline': 'f79c46b17148f2c77a6c649e49808a892240d2f655fe77e2cea713ecc4440a15',
+                                    'results': '468ab4e6877c2fb1',
+                                    'timeline': '97cbe9249218e05e2717d205ed3cdd53f6660f4f5b05b5835919ecf0b8125519',
                                     'view.hits': 46,
-                                    'view.misses': 16,
+                                    'view.misses': 8,
                                     'vm.created': 20}},
  'views_beside_writes': {'committed': 'bdf5cf69e09751fb',
                          'decided': 26,

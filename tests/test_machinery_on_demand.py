@@ -83,7 +83,7 @@ class TestALocalCommitBuildsNothing:
         assert timers_built == [] and pushed == []
         # The read and view containers are the one shared empty mapping.
         assert txn._read_responders is EMPTY and txn._view_certs is EMPTY
-        assert txn._view_pending is EMPTY and txn._view_fallbacks == ()
+        assert txn._view_fallbacks == ()
 
     def test_with_work(self, timers_built):
         system = _system()
@@ -102,9 +102,9 @@ class TestALocalCommitBuildsNothing:
         assert full._read_responders == {"x": set()}
         system.add_item("y", CounterDomain(), total=30)
         view = system.submit("A", _spec(ReadViewOp("y", bound=3.0)))
-        # Views are off: the item escalated to the fan-out at start.
+        # Views are off: the item escalated to the fan-out at submit.
         assert view._read_responders == {"y": set()}
-        assert view._view_fallbacks == ["y"] and not view._view_pending
+        assert view._view_fallbacks == ["y"] and view._view_certs == {}
 
 
 @pytest.fixture
@@ -321,8 +321,9 @@ def transactions_built(monkeypatch):
 class TestACertifiedReadBuildsNoTransaction:
     """A pure view read whose every item certifies is decided by its
     site inside ``submit``: no Transaction, no lock, no timer, no
-    event. At its first miss the certificates already taken go to a
-    Transaction, which serves only the items still pending."""
+    event. Otherwise the site, having asked the cache once per item,
+    hands the certificates and the missed items to a Transaction,
+    which escalates only a certificate that fails its revalidation."""
 
     @staticmethod
     def _viewed(**config) -> DvPSystem:
@@ -374,14 +375,66 @@ class TestACertifiedReadBuildsNoTransaction:
             ops=(ReadViewOp("z"), ReadViewOp("y")), label="one-cold"))
         assert transactions_built == ["one-cold"]
         assert list(txn._view_certs) == ["y"]
-        assert txn._view_fallbacks == ["z"] and not txn._view_pending
-        # y is served once, by the site; z by the site and once more
-        # when the transaction resolves its still-pending items.
+        assert txn._view_fallbacks == ["z"] and txn._read_responders == {
+            "z": set()}
+        # The site asks the cache once per item: y is served, z missed,
+        # and the transaction takes both as they are.
         assert metrics.total("view.hits") == 1
-        assert metrics.total("view.misses") == 2
+        assert metrics.total("view.misses") == 1
         system.run_for(10.0)
         assert txn.result.committed
         assert list(txn.result.view_reads) == ["y"]
+
+    @pytest.mark.parametrize("cc", ["conc1", "conc2"])
+    @pytest.mark.parametrize("at,bound,served", [
+        # Revalidated at t=11.5 from the t=10 refresh: re-served.
+        (9.5, 5.0, True),
+        # Revalidated at t=9 (staleness 4 > 2) before the t=10
+        # refresh: escalated and fanned out alone.
+        (7.0, 2.0, False)])
+    def test_a_revalidated_certificate_keeps_its_bound(self, cc, at, bound,
+                                                       served):
+        system = self._viewed(
+            **({"cc": "conc2", "sync_delay": 1.0} if cc == "conc2" else {}))
+        system.add_item("z", CounterDomain(), total=30)  # cold everywhere
+        system.run_until(at)
+        done = []
+        system.submit("A", TransactionSpec(ops=(
+            ReadViewOp("y", bound=bound), ReadViewOp("z", bound=bound))),
+            done.append)
+        system.run_for(20.0)
+        (result,) = done
+        assert result.committed
+        assert result.read_values == {"y": 30, "z": 30}
+        if served:
+            (cert,) = result.view_reads.values()
+            assert cert.item == "y" and cert.as_of == 10.0
+            assert cert.bound == bound and cert.staleness <= bound
+            assert result.view_fallbacks == ("z",)
+        else:
+            assert not result.view_reads
+            assert result.view_fallbacks == ("z", "y")
+            assert result.requests_sent == 4  # z's wave, then y's
+
+    def test_conc2_sends_a_miss_with_its_initiation_wave(self):
+        """Section 6.2: a Conc2 transaction broadcasts all its remote
+        requests together at initiation — a view item the site missed
+        at submit included, so each peer gets one request."""
+        system = self._viewed(cc="conc2", sync_delay=1.0)
+        system.add_item("z", CounterDomain(), total=30)  # cold everywhere
+        site = system.sites["A"]
+        sent = []
+        send_request = site.send_request
+        site.send_request = lambda dst, request: (
+            sent.append((system.sim.now, dst, request.wants)),
+            send_request(dst, request))
+        txn = system.submit("A", TransactionSpec(
+            ops=(ReadFullOp("x"), ReadViewOp("z"))))
+        wants = (("x", None), ("z", None))
+        assert sent == [(7.0, "B", wants), (7.0, "C", wants)]
+        system.run_for(20.0)
+        assert txn.result.committed and len(sent) == 2
+        assert txn.result.view_fallbacks == ("z",)
 
     def test_work_or_no_views_takes_the_classic_path(self,
                                                      transactions_built):
