@@ -243,21 +243,25 @@ class DvPSite:
                           on_done: Callable[[TxnResult], None] | None,
                           txn_id: str, certs: dict[str, Any]) -> None:
         """Commit a read whose every item certified: no locks, no
-        timer, no messages, nothing to apply or log. The read values
-        are the certificates' — for one item, the mapping minted with
-        the entry that just certified it, shared by every read that
-        entry serves (DESIGN.md §7)."""
+        timer, no messages, nothing to apply or log. Its certificate
+        rows are those of the entries that just certified it, shared by
+        every read an entry certifies under the same bound, and so is a
+        single-item read's value mapping (DESIGN.md §7)."""
         now = self.sim.now
+        entries = self.views.entries
         if len(certs) == 1:
-            (item,) = certs
-            read_values = self.views.entries[item].reads
+            ((item, cert),) = certs.items()
+            entry = entries[item]
+            read_values = entry.reads
+            rows = entry.rows(cert.bound)
         else:
             read_values = {item: certs[item].value
                            for item in spec._view_bounds}
+            rows = tuple([entries[item].rows(cert.bound)[0]
+                          for item, cert in certs.items()])
         self.decided(TxnResult(
             txn_id, spec.label, Outcome.COMMITTED, "ok", self.name, now,
-            now, read_values, (), 0, EMPTY,
-            tuple([tuple(cert) for cert in certs.values()]), ()), on_done)
+            now, read_values, (), 0, EMPTY, rows, ()), on_done)
 
     def decided(self, result: TxnResult,
                 on_done: Callable[[TxnResult], None] | None) -> None:

@@ -310,10 +310,12 @@ class TxnResult:
     #: returns Π(everything) minus what was still in transmission
     #: (Section 3's N_M term) — see harness.serial for the check.
     inflight_at_commit: Mapping[str, Any] = field(default_factory=_empty)
-    #: One row ``tuple(cert)`` per view-served read, in serve order:
-    #: an exact tuple of atoms, so the collector untracks it (a
-    #: ViewCertificate is a tuple subclass, which it never would).
-    #: Read it as ``view_reads``.
+    #: One row per view-served read, in serve order: an exact tuple of
+    #: atoms, so the collector untracks it (a ViewCertificate is a
+    #: tuple subclass, which it never would). A read decided in the
+    #: instant it was certified holds its view entry's shared row,
+    #: whose ``checked_at`` is None and means ``finished_at``; any other
+    #: holds ``tuple(cert)``. Read it as ``view_reads``.
     view_rows: tuple[tuple, ...] = ()
     #: View items whose certificate could not be produced — served by
     #: the classic fan-out instead (the read-through tier repairs the
@@ -346,7 +348,13 @@ class TxnResult:
         at ``as_of`` and its accepted staleness must respect its bound."""
         if not self.view_rows:
             return EMPTY
-        return {row[0]: ViewCertificate(*row) for row in self.view_rows}
+        certs = {}
+        for item, value, as_of, checked_at, bound, epoch in self.view_rows:
+            certs[item] = ViewCertificate(
+                item, value, as_of,
+                self.finished_at if checked_at is None else checked_at,
+                bound, epoch)
+        return certs
 
     def __repr__(self) -> str:
         # The dataclass repr with the rows shown as ``view_reads`` and a
@@ -432,12 +440,14 @@ class Transaction:
         items = self.spec._items
         if cc.waits_for_locks:
             # Conc2: all requests broadcast together at initiation.
-            self._send_requests()
+            covered = self._send_requests()
             self.state = _State.WAITING_LOCKS
             granted = site.locks.acquire_all_or_wait(
                 self.id, items, self._locks_granted)
             if granted:
-                self._locks_granted()
+                # Granted in this call: nothing has moved value since the
+                # wave computed its deficits, so its answer stands.
+                self._locks_granted(covered)
             elif obs.enabled:
                 obs.emit("txn.lock-wait", site.sim.now, site=site.name,
                          txn=self.id)
@@ -478,7 +488,10 @@ class Transaction:
         if self._timer is not None:
             self._timer.close()
 
-    def _locks_granted(self) -> None:
+    def _locks_granted(self, covered: bool = False) -> None:
+        """*covered*: the Conc2 wave of this very instant found no
+        deficit and asks no drain (a grant from the lock queue re-tests:
+        value may have moved while it waited)."""
         site = self.site
         if self.state is _State.FINISHED:
             # Timed out while waiting in the lock queue; locks were
@@ -497,7 +510,7 @@ class Transaction:
         # transaction"): a covered Conc1 transaction sends no wave, and
         # a short one's wave leaves once, untested again in this
         # instant — nothing can have answered it yet.
-        self._try_commit()
+        self._try_commit(covered)
         if self.state is not _State.GATHERING:
             return
         if not cc.waits_for_locks:
@@ -510,11 +523,12 @@ class Transaction:
 
     # -- redistribution phase -------------------------------------------------
 
-    def _send_requests(self) -> None:
+    def _send_requests(self) -> bool:
         """Step 2: request value for every inadequate item — one request
-        per peer, naming every item that peer is asked for."""
+        per peer, naming every item that peer is asked for. True when
+        it found no deficit and asks no drain."""
         if not self._needs and not self._read_responders:
-            return
+            return True
         site = self.site
         sent_before = self.requests_sent
         if self._read_responders:
@@ -550,6 +564,8 @@ class Transaction:
                 named = _named_per_op(named, self.spec.ops)
             self._ask(peer, TRANSFER_MODE, named)
         self._note_requests(sent_before)
+        # rng is drawn at the first nonzero deficit.
+        return not self._read_responders and rng is None
 
     def _note_requests(self, sent_before: int) -> None:
         if self.site._obs.enabled and self.requests_sent > sent_before:
@@ -638,12 +654,14 @@ class Transaction:
 
     # -- commit phase -----------------------------------------------------------
 
-    def _try_commit(self) -> None:
+    def _try_commit(self, covered: bool = False) -> None:
         if self.state is not _State.GATHERING:
             return
         if self._view_certs:
             self._revalidate_views()
-        if not self._sufficient():
+        # A certificate revalidated in the instant it was served stands,
+        # so a covered wave's answer needs no second test.
+        if not (covered or self._sufficient()):
             return
         if self.spec.work > 0:
             # Redistribution is complete; computation cannot time out

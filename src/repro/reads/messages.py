@@ -27,7 +27,8 @@ class ViewEntry:
     ``reads`` is the read-only ``{item: value}`` minted once with the
     entry: every cache holding the entry shares it, and so does the
     ``read_values`` of every single-item read it serves (DESIGN.md §7).
-    It is not a field, so it takes no part in ``repr`` or equality.
+    It is not a field, so it takes no part in ``repr`` or equality;
+    neither do the certificate rows :meth:`rows` mints.
     """
 
     item: str
@@ -38,6 +39,23 @@ class ViewEntry:
     def __post_init__(self) -> None:
         object.__setattr__(self, "reads",
                            MappingProxyType({self.item: self.value}))
+        #: The rows :meth:`rows` last minted.
+        object.__setattr__(self, "_rows", None)
+
+    def rows(self, bound: float | None) -> tuple[tuple, ...]:
+        """``((item, value, as_of, None, bound, epoch),)``: the
+        ``view_rows`` of a read this entry certifies under *bound* and
+        that is decided in the instant it is certified, so its result's
+        ``finished_at`` is the certificate's ``checked_at``. One row is
+        kept, shared by every such read at every site that asks under
+        the very *bound* object it was minted for; a read under any
+        other bound object mints the row anew (DESIGN.md §7)."""
+        held = self._rows
+        if held is None or held[0][4] is not bound:
+            held = ((self.item, self.value, self.as_of, None, bound,
+                     self.epoch),)
+            object.__setattr__(self, "_rows", held)
+        return held
 
 
 @dataclass(frozen=True)
@@ -59,9 +77,12 @@ class ViewRefresh:
 class ViewCertificate(NamedTuple):
     """Proof-of-staleness attached to a view-served read.
 
-    A tuple, so a cache hit builds it without a dataclass ``__init__``;
-    a ``TxnResult`` keeps it as the plain row ``tuple(cert)``, which
-    the cycle collector stops tracking (DESIGN.md §7).
+    A tuple, so a cache hit builds it without a dataclass ``__init__``.
+    A ``TxnResult`` keeps it as a plain row of atoms, which the cycle
+    collector stops tracking: a read decided in the instant it was
+    certified holds its entry's shared row (:meth:`ViewEntry.rows`,
+    ``checked_at`` left out as the result's ``finished_at``), any other
+    the row ``tuple(cert)`` (DESIGN.md §7).
 
     ``checked_at - as_of`` is the staleness the reader actually
     accepted; admission requires it to be <= ``bound`` (None = only the

@@ -57,7 +57,7 @@ from repro.core.transactions import (
 from repro.net.link import LinkConfig
 from repro.net.outbox import BundlingConfig
 from repro.reads import ViewConfig
-from repro.reads.views import ViewService
+from repro.reads.views import SiteViewCache, ViewService
 from repro.serving import ServingConfig, ServingFrontend
 from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
@@ -461,6 +461,22 @@ def _served_run(ops: int, views: bool, warm: int = 200, census=_census):
     return system, frontend, before
 
 
+def _record_serves(monkeypatch) -> dict:
+    """Transaction id → {item: the certificate its site's cache served
+    it last} for every view read from now on."""
+    served: dict[str, dict] = defaultdict(dict)
+    serve = SiteViewCache.serve
+
+    def recording(cache, item, bound, txn=""):
+        cert = serve(cache, item, bound, txn)
+        if cert is not None:
+            served[txn][item] = cert
+        return cert
+
+    monkeypatch.setattr(SiteViewCache, "serve", recording)
+    return served
+
+
 def _retained_bytes(run, **kwargs):
     """Run ``run(census=..., **kwargs)`` under tracemalloc: the system
     and the bytes the heap grew by from the warm-up census to the end.
@@ -564,15 +580,13 @@ class TestRetainedObjectBudget:
             f"{retained / 500:.0f} B retained per op, budget 1400")
 
     def test_view_reads_retain_few_bytes(self):
-        # A dict of atoms is never tracked, so bytes are what shows a
-        # per-read mapping. Measured: 560 B per op; 840 while each
-        # view-served read built its own read_values and
-        # inflight_at_commit dicts.
+        # A dict or tuple of atoms is never tracked, so bytes are what
+        # shows a per-read mapping or row. Measured: 381 B per op.
         system, retained = _retained_bytes(_served_run, ops=2000,
                                            views=True)
         assert len(system.results) == 2200
-        assert retained <= 640 * 2000, (
-            f"{retained / 2000:.0f} B retained per op, budget 640")
+        assert retained <= 420 * 2000, (
+            f"{retained / 2000:.0f} B retained per op, budget 420")
 
     def test_a_served_read_shares_its_mappings(self, monkeypatch):
         """A view-served read's ``read_values`` is the read-only mapping
@@ -613,9 +627,11 @@ class TestRetainedObjectBudget:
         assert len(frontend.samples) == len(system.results) == 2200
         _assert_budget(system, before, 2000, 1.5, "plain serving")
 
-    def test_certificates_are_rows_built_on_access(self):
-        # A result stores exact tuples and builds its certificates
-        # anew, equal every time, on each access.
+    def test_certificates_are_rows_built_on_access(self, monkeypatch):
+        # A result stores exact tuples of atoms and builds its
+        # certificates anew, equal every time, on each access: the
+        # certificates its site's cache served.
+        served_certs = _record_serves(monkeypatch)
         system, _, _ = _served_run(ops=200, views=True, warm=0)
         served = [result for result in system.results if result.view_reads]
         assert served
@@ -623,12 +639,35 @@ class TestRetainedObjectBudget:
             assert result.view_reads == result.view_reads
             assert result.view_reads is not result.view_reads
             assert all(type(row) is tuple for row in result.view_rows)
-            assert [tuple(cert) for cert in result.view_reads.values()] \
-                == list(result.view_rows)
+            assert all(type(atom) in (str, int, float, type(None))
+                       for row in result.view_rows for atom in row)
+            assert result.view_reads == served_certs[result.txn_id]
         gc.collect()
         gc.collect()
         assert not any(gc.is_tracked(row) for result in served
                        for row in result.view_rows)
+
+    def test_a_certified_read_shares_its_certificate_row(self,
+                                                         monkeypatch):
+        """Every read one view entry certifies under one bound, and
+        decides in that instant, holds the same row object at every
+        site — and still reads back the certificate it was served."""
+        served_certs = _record_serves(monkeypatch)
+        system, _, _ = _served_run(ops=400, views=True)
+        rows = defaultdict(list)
+        sites = defaultdict(set)
+        for result in system.results:
+            if not result.view_rows:
+                continue
+            ((item, _value, as_of, _checked, bound, _epoch),) = \
+                result.view_rows
+            rows[item, as_of, bound].append(result.view_rows)
+            sites[item, as_of, bound].add(result.site)
+            assert result.view_reads == served_certs[result.txn_id]
+        assert sum(map(len, rows.values())) > 400
+        for shared in rows.values():
+            assert all(row is shared[0] for row in shared)
+        assert max(map(len, sites.values())) == len(SITES)
 
 
 # -- (d) a closed system dies by refcount ---------------------------------------

@@ -1,15 +1,17 @@
 """Golden pins for the DvP hot path (ISSUES 13 and 17).
 
-Nine small fixed-seed scenarios, each recorded on the commit *before*
+Ten small fixed-seed scenarios, each recorded on the commit *before*
 the hot-path subtraction it guards (five before the first subtraction,
 the Conc2 retry ties and the serving slots before machinery was built
 on demand, the certified view reads before the site decided them
 without a ``Transaction``, the local commits before an adequate
-transaction skipped the request wave): a change that only skips work
-must leave every kernel event (``trace_fingerprint``), every decision
-(digest of the committed ids, in decision order) and the exact
-counters ``net.sent`` / ``vm.created`` / ``log.forces`` byte-identical.
-The view-read and local-commit scenarios also pin the trace bus's
+transaction skipped the request wave, the Conc2 grants before a grant
+inside the submitting call reused its wave's adequacy answer): a
+change that only skips work must leave every kernel event
+(``trace_fingerprint``), every decision (digest of the committed ids,
+in decision order) and the exact counters ``net.sent`` /
+``vm.created`` / ``log.forces`` byte-identical. The view-read,
+local-commit and Conc2-grant scenarios also pin the trace bus's
 timeline text, their own counters and the results' reprs. A diff here
 means the optimisation reordered or dropped protocol work, not just
 host time.
@@ -326,6 +328,71 @@ def local_commits() -> dict:
             "conc2": _local_commits_run(cc="conc2", sync_delay=1.0)}
 
 
+def conc2_grants() -> dict:
+    """Conc2 lock grants on the synchronous network: covered and short
+    updates granted inside their submitting call, grants from the lock
+    queue (value may have moved while they waited), a waiter that timed
+    out before its grant and the waiter granted after it, and a crash
+    with a transaction in the queue."""
+    system = DvPSystem(SystemConfig(
+        sites=["A", "B", "C"], seed=23, cc="conc2", sync_delay=1.0,
+        txn_timeout=6.0))
+    system.sim.enable_trace(limit=0)
+    system.sim.obs.enable(ring_limit=None)
+    for item in ("x", "y", "z"):
+        system.add_item(item, CounterDomain(),
+                        split={"A": 20, "B": 20, "C": 20})
+    decided = []
+
+    def submit(at, site, label, *ops, work=0.0):
+        spec = TransactionSpec(ops=tuple(ops), label=label, work=work)
+        system.sim.at_site(site, at, lambda: system.submit(
+            site, spec, decided.append), label=f"arrival:{site}")
+
+    rng = random.Random(43)
+    for index in range(40):
+        src, dst = rng.sample("xyz", 2)
+        amount = rng.randint(1, 12)
+        ops = rng.choice(((DecrementOp(src, amount),),
+                          (TransferOp(src, dst, amount),),
+                          (IncrementOp(src, amount),)))
+        submit(rng.randrange(0, 160) / 4, rng.choice("ABC"), f"g{index}",
+               *ops, work=rng.choice((0.0, 0.0, 0.5, 1.0)))
+    # Covered, granted in its call, computing while the next two queue.
+    submit(50.0, "A", "holder", DecrementOp("x", 2), work=2.0)
+    submit(50.5, "A", "queued-covered", DecrementOp("x", 1))
+    submit(50.75, "A", "queued-short", DecrementOp("x", 30))
+    # Short, granted in its call: its wave leaves at initiation.
+    submit(60.0, "B", "short", DecrementOp("y", 35))
+    # The holder outlasts the first waiter's timeout; the second waiter
+    # is granted after the timed-out one gives its grant straight back.
+    submit(70.0, "C", "long", DecrementOp("z", 1), work=9.0)
+    submit(70.5, "C", "timed-out", DecrementOp("z", 2))
+    submit(77.0, "C", "after-timeout", DecrementOp("z", 3))
+    # C dies with a transaction in its lock queue.
+    submit(90.0, "C", "crash-holder", DecrementOp("x", 1), work=3.0)
+    submit(90.5, "C", "crash-waiter", DecrementOp("x", 2))
+    system.sim.at_site("C", 91.0, lambda: system.crash("C"), label="crash")
+    system.sim.at_site("C", 94.0, lambda: system.recover("C"),
+                       label="recover")
+    submit(96.0, "C", "after-crash", DecrementOp("x", 1))
+    system.run_until(120.0)
+    labels = {result.label: result for result in decided}
+    assert labels["holder"].committed and labels["queued-covered"].committed
+    assert labels["queued-short"].requests_sent > 0
+    assert labels["short"].committed and labels["short"].requests_sent > 0
+    assert labels["timed-out"].reason == "timeout"
+    assert labels["after-timeout"].committed
+    assert "crash-waiter" not in labels and labels["after-crash"].committed
+    metrics = system.sim.metrics
+    return {**pins(system),
+            "timeline": hashlib.sha256(render_timeline(
+                system.sim.obs.events()).encode()).hexdigest(),
+            "vm.accepted": metrics.total("vm.accepted"),
+            "results": _digest(map(repr, system.results)),
+            "decided_in_order": _digest(r.txn_id for r in decided)}
+
+
 def chaos_crash_partition() -> dict:
     plan = FaultPlan((
         CrashSite(at=18.0, site="S1"),
@@ -471,6 +538,7 @@ SCENARIOS = {
     "views_beside_writes": views_beside_writes,
     "view_reads_certified": view_reads_certified,
     "local_commits": local_commits,
+    "conc2_grants": conc2_grants,
     "chaos_crash_partition": chaos_crash_partition,
     "conc2_retry_ties": conc2_retry_ties,
     "serving_slots": serving_slots,
@@ -482,7 +550,17 @@ GOLDEN: dict[str, dict] = {'chaos_crash_partition': {'committed': '25b580be8c897
                            'log.forces': 75,
                            'net.sent': 233,
                            'vm.created': 8},
- 'conc2_retry_ties': {'round=1hop': {'committed': '53a7bde12df6defd',
+ 'conc2_grants': {'committed': '97d8d2cce2619497',
+                  'decided': 48,
+                  'decided_in_order': '42f7ca8a2c61e968',
+                  'fingerprint': 'c1cb4874a7a3bd498533fb26d07097fcc9d87797c39d308e80fe0b7a0f240934',
+                  'log.forces': 59,
+                  'net.sent': 24,
+                  'results': 'b7b893df865e6180',
+                  'timeline': 'ef504bb0d92f30ef733dd655da52025e152bc283154e4b145a225a28f5d5b9e6',
+                  'vm.accepted': 6,
+                  'vm.created': 6},
+ 'conc2_retry_ties':{'round=1hop': {'committed': '53a7bde12df6defd',
                                      'decided': 70,
                                      'fingerprint': '2254f073ff2d0806f927e2997fe482e825ac4abeb720c994e5b3ee8efd12fbc3',
                                      'log.forces': 322,

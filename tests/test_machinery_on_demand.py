@@ -125,7 +125,8 @@ class TestAnAdequateTransactionSkipsTheWave:
     """A Conc1 transaction asks once, at its lock grant and before its
     wave, whether its fragments cover it (Section 5; docs/PROTOCOL.md):
     covered, it goes straight to its commit; short, it sends its wave
-    and waits."""
+    and waits. A Conc2 transaction's wave leaves first, and a grant in
+    the same call takes the wave's answer."""
 
     def test_a_covered_decrement_reads_its_fragment_twice(
             self, value_reads, timers_built):
@@ -153,6 +154,31 @@ class TestAnAdequateTransactionSkipsTheWave:
         assert txn.result.committed
         # As many as when the wave was followed by a sufficiency test.
         assert len(value_reads) == 9, value_reads
+
+    def test_a_covered_conc2_decrement_reads_its_fragment_twice(
+            self, value_reads, timers_built):
+        # Conc2 computes its deficits at initiation, before the lock
+        # (Section 6.2); a grant inside the submitting call reuses that
+        # answer instead of testing the fragment again.
+        system = _system(cc="conc2", sync_delay=1.0)
+        txn = system.submit("A", _spec(DecrementOp("x", 2)))
+        assert txn.result.committed and txn.requests_sent == 0
+        # The wave's deficit, then the commit.
+        assert value_reads == [("A", "x"), ("A", "x")]
+        assert system.sim.metrics.total("net.sent") == 0
+        assert timers_built == []
+
+    def test_a_conc2_grant_from_the_queue_tests_again(self, value_reads):
+        system = _system(cc="conc2", sync_delay=1.0)
+        holder = system.submit("A", _spec(DecrementOp("x", 1), work=1.0))
+        waiter = system.submit("A", _spec(DecrementOp("x", 2)))
+        assert waiter.state is _State.WAITING_LOCKS
+        del value_reads[:]
+        system.run_for(2.0)
+        assert holder.result.committed and waiter.result.committed
+        # The holder's commit; then the waiter's sufficiency test (value
+        # may have moved while it waited) and its commit.
+        assert value_reads == [("A", "x")] * 3
 
 
 class TestAWaitingTransactionHasItsTimeout:

@@ -199,6 +199,41 @@ class TestCertificateFastPath:
         assert result.committed
         assert result.view_reads["x"].value == 90
         assert sum(system.fragment_values("y").values()) == 8
+        # Committed by a Transaction: the certificate's own row.
+        ((*_head, checked_at, _bound, _epoch),) = result.view_rows
+        assert checked_at == result.view_reads["x"].checked_at
+
+    def test_one_bound_shares_one_row_per_entry(self):
+        """Reads decided as they are certified under one bound hold
+        their entry's one row, checked at their decision instant, and
+        so does a multi-item read; a read under another bound object,
+        even an equal one, reads back its own bound."""
+        system = build()
+        system.add_item("y", CounterDomain(), total=9)
+        warm(system)
+        results = []
+        bound = 100.0
+        bounds = (bound, bound, bound, 100, bound)
+
+        def read(*ops):
+            system.submit("A", TransactionSpec(ops=ops), results.append)
+
+        for index, each in enumerate(bounds):
+            system.sim.at(system.sim.now + 0.1 * index,
+                          lambda each=each: read(ReadViewOp("x", each)))
+        system.sim.at(system.sim.now + 0.6, lambda: read(
+            ReadViewOp("x", bound), ReadViewOp("y", bound)))
+        system.run_for(1.0)
+        *single, both = results
+        assert len(single) == len(bounds)
+        for result, each in zip(single, bounds):
+            cert = result.view_reads["x"]
+            assert cert.bound is each
+            assert cert.checked_at == result.finished_at
+        assert len({id(result.view_rows) for result in single[:3]}) == 1
+        assert single[3].view_rows is not single[0].view_rows
+        assert both.view_rows[0] is single[4].view_rows[0]
+        assert set(both.view_reads) == {"x", "y"}
 
 
 class TestViewAwareRouter:
